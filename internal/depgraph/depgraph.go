@@ -191,6 +191,18 @@ func (g *Graph) TopoAll() []uint64 {
 	return g.topoLocked(all)
 }
 
+// TopoOf returns the given nodes in topological order of the subgraph
+// they induce: only edges between two listed nodes constrain the order.
+func (g *Graph) TopoOf(ids []uint64) []uint64 {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	subset := make(map[uint64]bool, len(ids))
+	for _, id := range ids {
+		subset[id] = true
+	}
+	return g.topoLocked(subset)
+}
+
 // TopoLevels returns all nodes partitioned into dependency levels
 // (antichains): every node in level i has all of its dependencies in
 // levels < i, so the nodes of one level may be evaluated concurrently

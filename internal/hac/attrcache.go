@@ -129,6 +129,12 @@ type trackedFile struct {
 	fs     *FS
 	path   string
 	closed bool
+	// dirty records that the handle truncated or wrote the file, so Close
+	// owes it an auto-sync; whole, when hasWhole, is the file's entire
+	// new content (WriteFile knows it and saves Close the read-back).
+	dirty    bool
+	whole    []byte
+	hasWhole bool
 }
 
 func (f *trackedFile) Read(p []byte) (int, error) {
@@ -145,6 +151,7 @@ func (f *trackedFile) Write(p []byte) (int, error) {
 	n, err := f.File.Write(p)
 	if n > 0 {
 		f.fs.attrs.invalidate(f.path)
+		f.dirty = true
 	}
 	return n, err
 }
@@ -153,6 +160,7 @@ func (f *trackedFile) WriteAt(p []byte, off int64) (int, error) {
 	n, err := f.File.WriteAt(p, off)
 	if n > 0 {
 		f.fs.attrs.invalidate(f.path)
+		f.dirty = true
 	}
 	return n, err
 }
@@ -161,15 +169,39 @@ func (f *trackedFile) Truncate(size int64) error {
 	err := f.File.Truncate(size)
 	if err == nil {
 		f.fs.attrs.invalidate(f.path)
+		f.dirty = true
 	}
 	return err
 }
 
+// Close releases the handle. A handle that changed a file under an
+// auto-sync prefix re-indexes it and settles its links before Close
+// returns (autosync.go), like WriteFile.
 func (f *trackedFile) Close() error {
-	err := f.File.Close()
-	if err == nil && !f.closed {
-		f.closed = true
-		f.fs.fds.close()
+	sync := f.dirty && !f.closed && f.fs.autoSync.covers(f.path)
+	var info vfs.Info
+	if sync {
+		// The handle's own Stat carries the write's modification time
+		// and costs no path walk; it must be read before the close.
+		var serr error
+		info, serr = f.File.Stat()
+		sync = serr == nil
 	}
-	return err
+	err := f.File.Close()
+	if err != nil || f.closed {
+		return err
+	}
+	f.closed = true
+	f.fs.fds.close()
+	if !sync {
+		return nil
+	}
+	data := f.whole
+	if !f.hasWhole {
+		if data, err = f.fs.under.ReadFile(f.path); err != nil {
+			return nil // already gone or replaced by a directory: nothing to index
+		}
+	}
+	f.fs.autoSyncWritten(f.path, data, info)
+	return nil
 }

@@ -1,21 +1,28 @@
 package hac
 
 import (
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"hacfs/internal/vfs"
 )
 
 // autoSyncSet tracks path prefixes with immediate data consistency.
+// Every mutating call asks covers, so the registered prefixes are
+// published as an immutable slice behind an atomic pointer: a volume
+// with none registered pays one nil load per call.
 type autoSyncSet struct {
-	mu       sync.RWMutex
-	prefixes map[string]bool
+	mu       sync.Mutex // serializes Enable/Disable
+	prefixes atomic.Pointer[[]string]
 }
 
 func (s *autoSyncSet) covers(path string) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for p := range s.prefixes {
+	ps := s.prefixes.Load()
+	if ps == nil {
+		return false
+	}
+	for _, p := range *ps {
 		if vfs.HasPrefix(path, p) {
 			return true
 		}
@@ -23,24 +30,38 @@ func (s *autoSyncSet) covers(path string) bool {
 	return false
 }
 
+// update publishes the registered set with prefix added or removed.
+func (s *autoSyncSet) update(prefix string, add bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var next []string
+	if cur := s.prefixes.Load(); cur != nil {
+		next = slices.DeleteFunc(slices.Clone(*cur), func(p string) bool { return p == prefix })
+	}
+	if add {
+		next = append(next, prefix)
+	}
+	if len(next) == 0 {
+		s.prefixes.Store(nil)
+		return
+	}
+	s.prefixes.Store(&next)
+}
+
 // EnableAutoSync makes file changes under prefix take effect
 // immediately: the changed file is re-indexed and scope consistency
-// restored as part of the mutating call, instead of waiting for the
-// next Reindex. This is §2.4's "users can decide to update certain
-// semantic directories as soon as new mail comes in, but not when an
-// application modifies some files" — enable it for the mail spool,
-// leave the rest lazy.
+// restored as part of the mutating call — WriteFile, the Close of a
+// handle that was written or truncated, Remove, RemoveAll, Rename —
+// instead of waiting for the next Reindex. This is §2.4's "users can
+// decide to update certain semantic directories as soon as new mail
+// comes in, but not when an application modifies some files" — enable
+// it for the mail spool, leave the rest lazy.
 func (fs *FS) EnableAutoSync(prefix string) error {
 	clean, err := vfs.Clean(prefix)
 	if err != nil {
 		return &vfs.PathError{Op: "autosync", Path: prefix, Err: err}
 	}
-	fs.autoSync.mu.Lock()
-	if fs.autoSync.prefixes == nil {
-		fs.autoSync.prefixes = make(map[string]bool)
-	}
-	fs.autoSync.prefixes[clean] = true
-	fs.autoSync.mu.Unlock()
+	fs.autoSync.update(clean, true)
 	return nil
 }
 
@@ -50,36 +71,44 @@ func (fs *FS) DisableAutoSync(prefix string) {
 	if err != nil {
 		return
 	}
-	fs.autoSync.mu.Lock()
-	delete(fs.autoSync.prefixes, clean)
-	fs.autoSync.mu.Unlock()
+	fs.autoSync.update(clean, false)
 }
 
-// autoSyncTouch is called after a successful mutation of the file at
-// path (removed reports deletions). If the path is covered by an
-// auto-sync prefix, the index entry is refreshed and every semantic
-// directory re-evaluated. Callers must not hold fs.mu.
-func (fs *FS) autoSyncTouch(path string, removed bool) {
-	if !fs.autoSync.covers(path) {
-		return
-	}
-	if removed {
-		fs.ix.Remove(path)
-	} else {
-		info, err := fs.under.Stat(path)
-		if err != nil || info.IsDir() {
-			return
-		}
-		data, err := fs.under.ReadFile(path)
-		if err != nil {
-			return
-		}
-		fs.ix.AddWithTime(path, data, info.ModTime)
-	}
+// autoSyncWritten is called after the file at a path covered by an
+// auto-sync prefix was written: the file is re-indexed and its links
+// brought up to date by the delta pass (delta.go). data is the file's
+// whole new content, info the written handle's final Stat. Callers must
+// not hold fs.mu.
+func (fs *FS) autoSyncWritten(path string, data []byte, info vfs.Info) {
+	fs.ix.AddWithTime(path, data, info.ModTime)
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.gen++ // the index changed; staged engine results are stale
-	// The change can affect any semantic directory whose scope covers
-	// the file; re-evaluate everything in dependency order.
-	_ = fs.syncAllLocked()
+	_ = fs.deltaSyncLocked(path, false)
+}
+
+// autoSyncRemoved is called after path was removed — with everything
+// beneath it when subtree is set. If the path is covered by an
+// auto-sync prefix, the documents that went with it leave the index and
+// their links are dropped. Callers must not hold fs.mu.
+func (fs *FS) autoSyncRemoved(path string, subtree bool) {
+	if !fs.autoSync.covers(path) {
+		return
+	}
+	many := false
+	if subtree {
+		removed := fs.ix.RemovePrefix(path)
+		if len(removed) == 1 {
+			path = removed[0]
+		}
+		// Many documents left at once: no single link to move, so every
+		// directory takes the whole-directory evaluation.
+		many = len(removed) > 1
+	} else {
+		fs.ix.Remove(path)
+	}
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	fs.gen++
+	_ = fs.deltaSyncLocked(path, many)
 }

@@ -95,6 +95,18 @@ type dirState struct {
 	class      map[string]LinkClass // transient and permanent links
 	prohibited map[string]bool
 	linkName   map[string]string // target → symlink base name
+
+	// everPermanent is set once the directory has been handed a
+	// permanent link and never cleared: only then can class hold a target
+	// that is not an indexed document (delta.go scans for those).
+	everPermanent bool
+}
+
+// setClass classifies target, keeping everPermanent true to its name.
+// Every write of a Permanent class goes through it.
+func (ds *dirState) setClass(target string, c LinkClass) {
+	ds.class[target] = c
+	ds.everPermanent = ds.everPermanent || c == Permanent
 }
 
 func newDirState(uid uint64) *dirState {
@@ -447,7 +459,7 @@ func (fs *FS) OpenFile(path string, flag int) (vfs.File, error) {
 	if info, err := f.Stat(); err == nil {
 		fs.attrs.put(clean, info)
 	}
-	return &trackedFile{File: f, fs: fs, path: clean}, nil
+	return &trackedFile{File: f, fs: fs, path: clean, dirty: flag&vfs.OTrunc != 0}, nil
 }
 
 // ReadFile returns the contents of the file at path. As in the paper,
@@ -484,12 +496,11 @@ func (fs *FS) WriteFile(path string, data []byte) error {
 		f.Close()
 		return err
 	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	clean, _ := vfs.Clean(path)
-	fs.autoSyncTouch(clean, false)
-	return nil
+	// Close runs the auto-sync; hand it the bytes so it need not read
+	// them back.
+	tf := f.(*trackedFile)
+	tf.whole, tf.hasWhole = data, true
+	return f.Close()
 }
 
 // Symlink creates a symbolic link. When the link is created inside a
@@ -523,7 +534,7 @@ func (fs *FS) Symlink(target, link string) error {
 		if err := fs.under.Symlink(target, clean); err != nil {
 			return err
 		}
-		ds.class[target] = Permanent
+		ds.setClass(target, Permanent)
 		ds.linkName[target] = base
 		// The user may be re-adding a link they once deleted; an
 		// explicit action overrides the prohibition (§2.3).
@@ -554,7 +565,7 @@ func (fs *FS) Remove(path string) error {
 	rmErr := fs.removeLocked(clean, false)
 	fs.mu.Unlock()
 	if rmErr == nil {
-		fs.autoSyncTouch(clean, true)
+		fs.autoSyncRemoved(clean, false)
 	}
 	return rmErr
 }
@@ -571,7 +582,7 @@ func (fs *FS) RemoveAll(path string) error {
 	rmErr := fs.removeLocked(clean, true)
 	fs.mu.Unlock()
 	if rmErr == nil {
-		fs.autoSyncTouch(clean, true)
+		fs.autoSyncRemoved(clean, true)
 	}
 	return rmErr
 }
@@ -705,6 +716,7 @@ func (fs *FS) Rename(oldPath, newPath string) error {
 
 	oldDir, _ := vfs.Split(oldClean)
 	newDir, newBase := vfs.Split(newClean)
+	autoSynced := fs.autoSync.covers(oldClean) || fs.autoSync.covers(newClean)
 
 	if isLink {
 		var resync []uint64
@@ -717,7 +729,7 @@ func (fs *FS) Rename(oldPath, newPath string) error {
 			}
 		}
 		if ds, ok := fs.stateAtLocked(newDir); ok && ds.semantic && linkTarget != "" {
-			ds.class[linkTarget] = Permanent
+			ds.setClass(linkTarget, Permanent)
 			ds.linkName[linkTarget] = newBase
 			delete(ds.prohibited, linkTarget)
 			resync = append(resync, ds.uid)
@@ -744,22 +756,39 @@ func (fs *FS) Rename(oldPath, newPath string) error {
 		}
 		// If a semantic directory changed parents its scope changed;
 		// re-establish consistency from it downward.
+		var moved *dirState
 		if vfs.Dir(oldClean) != vfs.Dir(newClean) {
 			if ds, ok := fs.stateAtLocked(newClean); ok && ds.semantic {
 				if err := fs.rebindDepsLocked(ds); err != nil {
 					return err
 				}
-				return fs.syncFromLocked(ds.uid)
+				moved = ds
 			}
+		}
+		// Under an auto-sync prefix the documents' new paths take effect
+		// on path-scoped queries now: many moved at once, so every
+		// directory takes the whole-directory evaluation.
+		if autoSynced {
+			return fs.deltaSyncLocked(newClean, true)
+		}
+		if moved != nil {
+			return fs.syncFromLocked(moved.uid)
 		}
 		return nil
 	}
 
 	// Regular file moved: the index follows immediately; link targets
 	// pointing at the file are rewritten for the same reason as above.
-	// Content re-checks remain lazy (§2.4).
+	// Content re-checks remain lazy (§2.4) — except under an auto-sync
+	// prefix, where the one moved document's links are settled now.
 	fs.ix.RenamePath(oldClean, newClean)
-	return fs.rewriteTargetsLocked(oldClean, newClean)
+	if err := fs.rewriteTargetsLocked(oldClean, newClean); err != nil {
+		return err
+	}
+	if autoSynced {
+		return fs.deltaSyncLocked(newClean, false)
+	}
+	return nil
 }
 
 // rewriteTargetsLocked updates every classified link target at or under

@@ -32,6 +32,12 @@ type fsMetrics struct {
 	linksDropped  *obs.Counter // hac_links_dropped_total
 	linksRepaired *obs.Counter // hac_links_repaired_total
 
+	// Auto-synced mutations (delta.go): passes run, single-link
+	// membership checks made, directories that took the full evaluation.
+	autoSyncs         *obs.Counter // hac_autosync_total
+	autoSyncChecks    *obs.Counter // hac_autosync_delta_checks_total
+	autoSyncFallbacks *obs.Counter // hac_autosync_fallbacks_total
+
 	// Query front end.
 	queryParseSeconds *obs.Histogram // hac_query_parse_seconds
 	queryEvalSeconds  *obs.Histogram // hac_query_eval_seconds
@@ -76,6 +82,10 @@ func newFSMetrics(o *obs.Observer) *fsMetrics {
 		linksAdded:    r.Counter("hac_links_added_total"),
 		linksDropped:  r.Counter("hac_links_dropped_total"),
 		linksRepaired: r.Counter("hac_links_repaired_total"),
+
+		autoSyncs:         r.Counter("hac_autosync_total"),
+		autoSyncChecks:    r.Counter("hac_autosync_delta_checks_total"),
+		autoSyncFallbacks: r.Counter("hac_autosync_fallbacks_total"),
 
 		queryParseSeconds: r.Histogram("hac_query_parse_seconds", nil),
 		queryEvalSeconds:  r.Histogram("hac_query_eval_seconds", nil),

@@ -517,7 +517,7 @@ func LoadVolume(r io.Reader, opts Options) (fs *FS, err error) {
 		ds, _ := fs.stateAtLocked(di.Path)
 		ds.semantic = true
 		for t, c := range di.Class {
-			ds.class[t] = LinkClass(c)
+			ds.setClass(t, LinkClass(c))
 			if name, ok := di.LinkNames[t]; ok {
 				ds.linkName[t] = name
 			}

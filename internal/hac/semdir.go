@@ -84,7 +84,7 @@ func (fs *FS) makeSemanticLocked(ds *dirState, clean string, ast query.Node, ado
 				}
 				lp := vfs.Join(clean, e.Name)
 				if target, err := fs.under.Readlink(lp); err == nil {
-					ds.class[target] = Permanent
+					ds.setClass(target, Permanent)
 					ds.linkName[target] = e.Name
 				}
 			}
@@ -401,7 +401,7 @@ func (fs *FS) MarkPermanent(dirPath, target string) error {
 		}
 		ds.linkName[target] = name
 	}
-	ds.class[target] = Permanent
+	ds.setClass(target, Permanent)
 	fs.bumpScopeEpochLocked(ds.uid)
 	return fs.syncDependentsLocked(ds.uid)
 }

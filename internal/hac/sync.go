@@ -241,13 +241,9 @@ func (fs *FS) commitTargetsLocked(ds *dirState, newTargets map[string]bool) erro
 	}
 	sort.Strings(drop)
 	for _, t := range drop {
-		if name, ok := ds.linkName[t]; ok {
-			if err := fs.under.Remove(vfs.Join(dirPath, name)); err != nil && !isNotExist(err) {
-				return err
-			}
+		if err := fs.dropLinkLocked(ds, dirPath, t); err != nil {
+			return err
 		}
-		delete(ds.class, t)
-		delete(ds.linkName, t)
 	}
 	var add []string
 	for t := range newTargets {
@@ -257,12 +253,9 @@ func (fs *FS) commitTargetsLocked(ds *dirState, newTargets map[string]bool) erro
 	}
 	sort.Strings(add)
 	for _, t := range add {
-		name, err := fs.materializeLinkLocked(ds, dirPath, t)
-		if err != nil {
+		if err := fs.addTransientLocked(ds, dirPath, t); err != nil {
 			return err
 		}
-		ds.class[t] = Transient
-		ds.linkName[t] = name
 	}
 	if len(drop)+len(add) > 0 {
 		fs.bumpScopeEpochLocked(ds.uid)
@@ -283,36 +276,84 @@ func (fs *FS) commitTargetsLocked(ds *dirState, newTargets map[string]bool) erro
 	// consistency pass also a repair pass.
 	var repair []string
 	for t := range ds.class {
-		name, ok := ds.linkName[t]
-		if !ok || name == "" {
-			continue
-		}
-		lp := vfs.Join(dirPath, name)
-		info, err := fs.under.Lstat(lp)
-		switch {
-		case isNotExist(err):
-			repair = append(repair, t)
-		case err != nil:
+		broken, err := fs.linkBrokenLocked(ds, dirPath, t)
+		if err != nil {
 			return err
-		case info.Type == vfs.TypeSymlink:
-			if got, rerr := fs.under.Readlink(lp); rerr == nil && got != t {
-				if err := fs.under.Remove(lp); err != nil && !isNotExist(err) {
-					return err
-				}
-				repair = append(repair, t)
-			}
+		}
+		if broken {
+			repair = append(repair, t)
 		}
 	}
 	sort.Strings(repair)
 	for _, t := range repair {
-		lp := vfs.Join(dirPath, ds.linkName[t])
-		if err := fs.under.Symlink(t, lp); err != nil && !errors.Is(err, vfs.ErrExist) {
+		if err := fs.relinkLocked(ds, dirPath, t); err != nil {
 			return err
 		}
 	}
 	fs.met.linksRepaired.Add(int64(len(repair)))
 	fs.met.phaseRepair.ObserveSince(repairStart)
 	return nil
+}
+
+// dropLinkLocked removes ds's link to t: the symlink, then the
+// classification. Caller holds fs.mu for writing.
+func (fs *FS) dropLinkLocked(ds *dirState, dirPath, t string) error {
+	if name, ok := ds.linkName[t]; ok {
+		if err := fs.under.Remove(vfs.Join(dirPath, name)); err != nil && !isNotExist(err) {
+			return err
+		}
+	}
+	delete(ds.class, t)
+	delete(ds.linkName, t)
+	return nil
+}
+
+// addTransientLocked materializes a transient link from ds to t. Caller
+// holds fs.mu for writing.
+func (fs *FS) addTransientLocked(ds *dirState, dirPath, t string) error {
+	name, err := fs.materializeLinkLocked(ds, dirPath, t)
+	if err != nil {
+		return err
+	}
+	ds.class[t] = Transient
+	ds.linkName[t] = name
+	return nil
+}
+
+// linkBrokenLocked reports whether the symlink behind ds's classified
+// target t is missing or points elsewhere; a wrong one is removed so
+// relinkLocked can take its place. Caller holds fs.mu for writing.
+func (fs *FS) linkBrokenLocked(ds *dirState, dirPath, t string) (bool, error) {
+	name, ok := ds.linkName[t]
+	if !ok || name == "" {
+		return false, nil
+	}
+	lp := vfs.Join(dirPath, name)
+	info, err := fs.under.Lstat(lp)
+	switch {
+	case isNotExist(err):
+		return true, nil
+	case err != nil:
+		return false, err
+	case info.Type == vfs.TypeSymlink:
+		if got, rerr := fs.under.Readlink(lp); rerr == nil && got != t {
+			if err := fs.under.Remove(lp); err != nil && !isNotExist(err) {
+				return false, err
+			}
+			return true, nil
+		}
+	}
+	return false, nil
+}
+
+// relinkLocked re-creates the symlink of ds's classified target t under
+// its recorded name. Caller holds fs.mu for writing.
+func (fs *FS) relinkLocked(ds *dirState, dirPath, t string) error {
+	err := fs.under.Symlink(t, vfs.Join(dirPath, ds.linkName[t]))
+	if errors.Is(err, vfs.ErrExist) {
+		return nil
+	}
+	return err
 }
 
 func isNotExist(err error) bool { return errors.Is(err, vfs.ErrNotExist) }

@@ -59,7 +59,8 @@ type docEntry struct {
 	alive   bool
 }
 
-// segment is one unit of index storage. The active segment is mutable;
+// segment is one unit of index storage. The active segment is mutable
+// — slots are appended, replaced in place and reclaimed (active.go);
 // sealed segments never change their docs slice length or their
 // postings — only the tombstone state (dead, deadCount) and the doc
 // entries' path/modTime fields (renames) move under the index write
@@ -74,6 +75,7 @@ type segment struct {
 	dead      *bitset.Bitmap               // tombstoned local slots
 	deadCount int
 	sealed    bool
+	slotTerms []string // packed terms of each slot (active.go); active only, nil once sealed
 	prev      []DocID  // merge provenance: local → pre-merge DocID (nil unless merged)
 	dict      termDict // lazy sorted/length-bucketed vocabulary (dict.go); sealed only
 }
@@ -172,6 +174,7 @@ func (ix *Index) sealActiveLocked() {
 		return
 	}
 	ix.active.sealed = true
+	ix.active.slotTerms = nil
 	ix.active.packDirs()
 	ix.sealed = append(ix.sealed, ix.active)
 	ix.newActiveLocked()
@@ -233,6 +236,10 @@ type preparedDoc struct {
 	modTime time.Time
 	size    int
 	terms   map[string]struct{}
+	// bulk marks a document appended by a reindex pass (SyncTree): it
+	// keeps no per-slot term list (active.go), so bulk ingestion costs
+	// the active segment no extra memory.
+	bulk bool
 }
 
 // prepareDoc tokenizes content and runs the transducers. It does not
@@ -255,23 +262,19 @@ func (ix *Index) commitDoc(d preparedDoc) DocID {
 }
 
 func (ix *Index) commitDocLocked(d preparedDoc) DocID {
+	s := ix.active
 	if old, ok := ix.byPath[d.path]; ok {
+		if os, local, ok := ix.resolveLocked(old); ok && os == s && s.slotTerms[local] != "" {
+			return ix.replaceLocked(local, d)
+		}
 		ix.tombstoneLocked(old)
 	}
-	s := ix.active
 	local := uint32(len(s.docs))
 	s.docs = append(s.docs, docEntry{path: d.path, modTime: d.modTime, size: d.size, alive: true})
 	s.dirsAdd(d.path, local)
 	id := makeID(s.id, local)
 	ix.byPath[d.path] = id
-	for term := range d.terms {
-		bm, ok := s.postings[term]
-		if !ok {
-			bm = bitset.NewBitmap(0)
-			s.postings[term] = bm
-		}
-		bm.Add(local)
-	}
+	s.slotTerms = append(s.slotTerms, s.addSlotTerms(local, d.terms, !d.bulk))
 	ix.liveDocs++
 	ix.totalSlots++
 	ix.version.Add(1)
@@ -329,6 +332,9 @@ func (ix *Index) tombstoneLocked(id DocID) {
 	ix.version.Add(1)
 	delete(ix.byPath, s.docs[local].path)
 	ix.met.docsRemoved.Add(1)
+	if s == ix.active {
+		ix.reclaimLocked(local)
+	}
 }
 
 // Remove deletes the document at path from the index. It reports
@@ -344,6 +350,29 @@ func (ix *Index) Remove(path string) bool {
 	return true
 }
 
+// RemovePrefix deletes every document at or beneath root — the removal
+// counterpart of RenamePrefix — and returns the removed paths, sorted.
+func (ix *Index) RemovePrefix(root string) []string {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	if id, ok := ix.byPath[root]; ok {
+		// root is itself a document, so nothing can lie beneath it.
+		ix.tombstoneLocked(id)
+		return []string{root}
+	}
+	var gone []string
+	for p := range ix.byPath {
+		if vfs.HasPrefix(p, root) {
+			gone = append(gone, p)
+		}
+	}
+	sortStrings(gone)
+	for _, p := range gone {
+		ix.tombstoneLocked(ix.byPath[p])
+	}
+	return gone
+}
+
 // RenamePath records that a document moved without content change.
 func (ix *Index) RenamePath(oldPath, newPath string) bool {
 	ix.mu.Lock()
@@ -355,6 +384,11 @@ func (ix *Index) RenamePath(oldPath, newPath string) bool {
 	s, local, ok := ix.resolveLocked(id)
 	if !ok {
 		return false
+	}
+	if prior, ok := ix.byPath[newPath]; ok && newPath != oldPath {
+		// The move replaces whatever was indexed at newPath; left alive it
+		// would keep matching under a path byPath no longer leads to.
+		ix.tombstoneLocked(prior)
 	}
 	delete(ix.byPath, oldPath)
 	s.dirsRename(s.docs[local].path, newPath, local)
@@ -660,7 +694,11 @@ func (ix *Index) SyncTreeParallel(fsys vfs.FileSystem, root string, workers int)
 		doc preparedDoc
 		err error
 	}
-	chunk := 32 * workers
+	// A chunk never exceeds the seal threshold, so the segment layout
+	// honours SetSealThreshold whatever the worker count.
+	ix.mu.RLock()
+	chunk := min(32*workers, ix.sealThreshold)
+	ix.mu.RUnlock()
 	preps := make([]prep, chunk)
 	for lo := 0; lo < len(jobs); lo += chunk {
 		hi := lo + chunk
@@ -692,6 +730,13 @@ func (ix *Index) SyncTreeParallel(fsys vfs.FileSystem, root string, workers int)
 		docs := make([]preparedDoc, 0, hi-lo)
 		for i := lo; i < hi; i++ {
 			p := &preps[i-lo]
+			if errors.Is(p.err, vfs.ErrNotExist) {
+				// Removed or renamed since the walk saw it: not an error,
+				// and whatever the index held for the path is stale.
+				delete(seen, jobs[i].path)
+				*p = prep{}
+				continue
+			}
 			if p.err != nil {
 				return added, updated, removed, p.err
 			}
@@ -798,10 +843,16 @@ func (ix *Index) SyncTree(fsys vfs.FileSystem, root string) (added, updated, rem
 			return nil
 		}
 		content, err := fsys.ReadFile(p)
+		if errors.Is(err, vfs.ErrNotExist) {
+			delete(seen, p) // gone since the walk saw it (see SyncTreeParallel)
+			return nil
+		}
 		if err != nil {
 			return err
 		}
-		ix.AddWithTime(p, content, info.ModTime)
+		d := ix.prepareDoc(p, content, info.ModTime)
+		d.bulk = true
+		ix.commitDoc(d)
 		if ok {
 			updated++
 		} else {

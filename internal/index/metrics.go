@@ -11,6 +11,9 @@ type ixMetrics struct {
 	merges       *obs.Counter   // index_merges_total
 	mergeSeconds *obs.Histogram // index_merge_seconds
 	mergeAmp     *obs.Histogram // index_merge_amplification (input slots / output docs)
+	// activeReclaimed counts active-segment slots whose postings were
+	// taken back in place: a replaced document or a reclaimed tombstone.
+	activeReclaimed *obs.Counter // index_active_reclaimed_total
 }
 
 // SetObserver directs the index's metrics to o: commit/tombstone/merge
@@ -29,6 +32,8 @@ func (ix *Index) SetObserver(o *obs.Observer) {
 		merges:       r.Counter("index_merges_total"),
 		mergeSeconds: r.Histogram("index_merge_seconds", obs.DefLatencyBuckets),
 		mergeAmp:     r.Histogram("index_merge_amplification", obs.DefWidthBuckets),
+
+		activeReclaimed: r.Counter("index_active_reclaimed_total"),
 	}
 	ix.mu.Unlock()
 	if r == nil {
