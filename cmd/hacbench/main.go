@@ -47,12 +47,11 @@ var (
 
 	serveClients  = flag.Int("serve-clients", 1000, "serve: closed-loop simulated clients")
 	serveTenants  = flag.Int("serve-tenants", 4, "serve: tenant volumes")
-	serveConns    = flag.Int("serve-conns", 8, "serve: shared TCP connections per protocol")
-	serveDuration = flag.Duration("serve-duration", 5*time.Second, "serve: measured window per protocol")
+	serveConns    = flag.Int("serve-conns", 8, "serve: shared TCP connections")
+	serveDuration = flag.Duration("serve-duration", 5*time.Second, "serve: measured window")
 	serveDocs     = flag.Int("serve-docs", 300, "serve: corpus files per tenant volume")
-	serveNetDelay = flag.Duration("serve-net-delay", 2*time.Millisecond, "serve: emulated network round-trip paid by both protocols (0 = none)")
 	serveAddr     = flag.String("serve-addr", "", "serve: drive this external hacvold instead of an in-process server (tenants t0..tN-1 must exist)")
-	serveJSON     = flag.String("serve-json", "BENCH_serve.json", "serve experiment: write machine-readable results here (empty = skip)")
+	serveJSON     = flag.String("serve-json", "", "serve experiment: write machine-readable results here (empty = skip; BENCH_serve.json is the kept line-vs-mux record, do not overwrite it)")
 
 	clusterShards   = flag.String("cluster-shards", "1,2,4,8", "cluster: comma-separated shard counts to sweep")
 	clusterReplicas = flag.Int("cluster-replicas", 1, "cluster: replicas per shard")
@@ -160,7 +159,7 @@ Experiments (default: all):
   obs           instrumentation overhead, on vs off    (EXPERIMENTS.md)
   compaction    Search latency under concurrent merge  (EXPERIMENTS.md)
   planner       cost-based planner vs naive pipeline   (EXPERIMENTS.md)
-  serve         multi-tenant serving, line vs mux      (EXPERIMENTS.md)
+  serve         multi-tenant serving, closed-loop load (EXPERIMENTS.md)
   cluster       sharded scatter-gather search scaling  (EXPERIMENTS.md)
   cas           content-addressed substrate: clone vs save, diff sync (EXPERIMENTS.md)
   trace         issue one traced search, render the distributed trace
@@ -442,34 +441,28 @@ func serveBench() error {
 		Conns:         *serveConns,
 		Duration:      *serveDuration,
 		DocsPerTenant: *serveDocs,
-		NetDelay:      *serveNetDelay,
 		Seed:          *seed,
 		Addr:          *serveAddr,
-	}
-	if spec.NetDelay == 0 {
-		spec.NetDelay = -1 // flag 0 means "really none", not "default"
 	}
 	target := "in-process server"
 	if spec.Addr != "" {
 		target = spec.Addr
 	}
-	fmt.Printf("== Multi-tenant serving: %d closed-loop clients, %d tenants, %d conns, %s each (%s, %s emulated RTT) ==\n",
-		spec.Clients, spec.Tenants, spec.Conns, spec.Duration, target, *serveNetDelay)
+	fmt.Printf("== Multi-tenant serving: %d closed-loop clients, %d tenants, %d conns, %s (%s) ==\n",
+		spec.Clients, spec.Tenants, spec.Conns, spec.Duration, target)
 	res, err := bench.ServeLoad(spec)
 	if err != nil {
 		return err
 	}
 	w := newTab()
-	fmt.Fprintln(w, "Protocol\tConns\tOps\tThroughput\tp50\tp99\tp99.9")
-	for _, pr := range []bench.ServeProtoResult{res.Line, res.Mux} {
-		fmt.Fprintf(w, "%s\t%d\t%d\t%.0f op/s\t%s\t%s\t%s\n",
-			pr.Protocol, pr.Conns, pr.Ops, pr.Throughput, ms(pr.P50), ms(pr.P99), ms(pr.P999))
-	}
+	fmt.Fprintln(w, "Conns\tOps\tThroughput\tp50\tp99\tp99.9")
+	fmt.Fprintf(w, "%d\t%d\t%.0f op/s\t%s\t%s\t%s\n",
+		res.Conns, res.Ops, res.Throughput, ms(res.P50), ms(res.P99), ms(res.P999))
 	w.Flush()
-	fmt.Printf("mux throughput / line throughput: %.1fx (same connection count)\n\n", res.MuxSpeedup)
+	fmt.Println()
 	w = newTab()
-	fmt.Fprintln(w, "Tenant (mux)\tOps\tBackpressure\tp50\tp99\tp99.9")
-	for _, ts := range res.Mux.Tenants {
+	fmt.Fprintln(w, "Tenant\tOps\tBackpressure\tp50\tp99\tp99.9")
+	for _, ts := range res.Tenants {
 		fmt.Fprintf(w, "%s\t%d\t%d\t%s\t%s\t%s\n",
 			ts.Tenant, ts.Ops, ts.Backpressure, ms(ts.P50), ms(ts.P99), ms(ts.P999))
 	}

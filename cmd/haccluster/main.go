@@ -1,7 +1,7 @@
 // Command haccluster is the sharded-cluster coordinator daemon
 // (DESIGN.md §14): it fans searches out to a fleet of hacindexd shard
-// replicas and serves the merged result over the ordinary remote
-// protocols, so any existing client — hacsh, hacbench, another HAC
+// replicas and serves the merged result over the ordinary remote CBA
+// protocol, so any existing client — hacsh, hacbench, another HAC
 // volume's semantic mount — can point at it unchanged.
 //
 // Usage:

@@ -11,14 +11,10 @@
 //
 // Without -tenant flags one volume is served to every client, as
 // before. Each -tenant flag adds an isolated volume under that name
-// (loaded from the given image, or fresh); clients address tenants
-// over the multiplexed binary protocol, and legacy clients reach the
-// first tenant. Quota flags bound every tenant; -save-dir checkpoints
-// each tenant to <dir>/<name>.hac.
-//
-// Connections speak either the legacy gob protocol or the multiplexed
-// binary framing — the server sniffs the first bytes, so old clients
-// keep working unchanged.
+// (loaded from the given image, or fresh); clients address tenants by
+// name, and a client that names none reaches the first tenant. Quota
+// flags bound every tenant; -save-dir checkpoints each tenant to
+// <dir>/<name>.hac.
 //
 // On SIGINT/SIGTERM the daemon shuts down gracefully: it stops
 // accepting connections, drains in-flight requests (new ones fail with
@@ -104,7 +100,7 @@ func main() {
 	}
 
 	// Resolve the tenant set: explicit -tenant flags, or one default
-	// volume from the legacy flags.
+	// volume from -volume.
 	if len(tenants) == 0 {
 		tenants = tenantFlags{{name: "default", volume: *volume}}
 	} else if *volume != "" {

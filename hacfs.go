@@ -282,8 +282,8 @@ type CrashWriter = vfs.CrashWriter
 // DialRemote connects to a remote CBA server (cmd/hacindexd) and
 // returns a Namespace that can be passed to FS.SemanticMount. name
 // becomes the namespace name inside the volume.
-func DialRemote(name, addr string) *remote.Client {
-	return remote.Dial(name, addr)
+func DialRemote(name, addr string) *remote.BinClient {
+	return remote.DialBin(name, addr)
 }
 
 // ServeIndex starts serving the tree at root in fsys over the remote
@@ -330,8 +330,8 @@ func LoadVolumeFile(path string, opts Options) (*FS, error) {
 // ServeFS) and returns a FileSystem view of it. The result composes
 // with everything local: mount it into a MemFS with Mount, or use it
 // as the substrate of a local HAC layer.
-func DialFS(addr string) *remotefs.Client {
-	return remotefs.Dial(addr)
+func DialFS(addr string) *remotefs.MuxClient {
+	return remotefs.DialMux(addr)
 }
 
 // ServeFS exports a file system — typically a live HAC volume — on

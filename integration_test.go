@@ -132,7 +132,7 @@ func TestFullStack(t *testing.T) {
 	if err := fs.MkdirAll("/library"); err != nil {
 		t.Fatal(err)
 	}
-	lib := remote.Dial("lib", cbaL.Addr().String())
+	lib := remote.DialBin("lib", cbaL.Addr().String())
 	defer lib.Close()
 	if err := fs.SemanticMount("/library", lib); err != nil {
 		t.Fatal(err)

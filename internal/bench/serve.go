@@ -19,21 +19,19 @@ import (
 )
 
 // ---------------------------------------------------------------------
-// Multi-tenant serving — closed-loop load, line protocol vs mux
+// Multi-tenant serving — closed-loop load
 // ---------------------------------------------------------------------
 
 // ServeSpec configures the closed-loop load experiment: Clients
 // simulated clients spread over Tenants tenants drive mixed
-// read/search/sync traffic through Conns shared TCP connections —
-// once over the legacy one-request-at-a-time protocol, once over the
-// multiplexed binary framing — against a multi-tenant server.
+// read/search/sync traffic through Conns shared TCP connections
+// against a multi-tenant server.
 type ServeSpec struct {
 	Clients       int           // closed-loop client goroutines (default 1000)
 	Tenants       int           // hosted volumes (default 4)
-	Conns         int           // shared connections per protocol (default 8)
-	Duration      time.Duration // measured window per protocol (default 5s)
+	Conns         int           // shared connections (default 8)
+	Duration      time.Duration // measured window (default 5s)
 	DocsPerTenant int           // corpus size per tenant volume (default 300)
-	NetDelay      time.Duration // emulated network round-trip (default 2ms, <0 disables)
 	Seed          int64
 	Addr          string // external server address; "" = in-process
 }
@@ -48,20 +46,11 @@ func (s ServeSpec) withDefaults() ServeSpec {
 	if s.Conns <= 0 {
 		s.Conns = 8
 	}
-	if s.Conns < s.Tenants {
-		s.Conns = s.Tenants // the line protocol pins each conn to a tenant
-	}
 	if s.Duration <= 0 {
 		s.Duration = 5 * time.Second
 	}
 	if s.DocsPerTenant <= 0 {
 		s.DocsPerTenant = 300
-	}
-	if s.NetDelay == 0 {
-		s.NetDelay = 2 * time.Millisecond
-	}
-	if s.NetDelay < 0 {
-		s.NetDelay = 0
 	}
 	if s.Seed == 0 {
 		s.Seed = 1
@@ -69,7 +58,7 @@ func (s ServeSpec) withDefaults() ServeSpec {
 	return s
 }
 
-// ServeTenantStats is one tenant's view of one protocol run.
+// ServeTenantStats is one tenant's view of the run.
 type ServeTenantStats struct {
 	Tenant       string
 	Ops          int64
@@ -80,45 +69,24 @@ type ServeTenantStats struct {
 	P999         time.Duration
 }
 
-// ServeProtoResult is one protocol's aggregate.
-type ServeProtoResult struct {
-	Protocol   string // "line" or "mux"
-	Conns      int
-	Ops        int64
-	Throughput float64 // ops per second
-	P50        time.Duration
-	P99        time.Duration
-	P999       time.Duration
-	Tenants    []ServeTenantStats
-}
-
-// ServeResult is the whole experiment, written to BENCH_serve.json.
+// ServeResult is the whole experiment.
 type ServeResult struct {
 	Clients       int
 	TenantCount   int
 	Conns         int
 	DocsPerTenant int
 	Duration      time.Duration
-	NetDelay      time.Duration // emulated network round-trip paid by both protocols
 
-	Line ServeProtoResult
-	Mux  ServeProtoResult
+	Ops        int64
+	Throughput float64 // ops per second
+	P50        time.Duration
+	P99        time.Duration
+	P999       time.Duration
+	Tenants    []ServeTenantStats
 
-	// MuxSpeedup is mux throughput over line throughput at equal
-	// connection count.
-	MuxSpeedup float64
-	// FairnessP99Ratio is the worst per-tenant p99 over the best, in
-	// the mux run — 1.0 is perfectly fair scheduling.
+	// FairnessP99Ratio is the worst per-tenant p99 over the best —
+	// 1.0 is perfectly fair scheduling.
 	FairnessP99Ratio float64
-}
-
-// opClient is the per-tenant view a load goroutine drives; both
-// protocol clients satisfy it.
-type opClient interface {
-	ReadFile(path string) ([]byte, error)
-	SearchPage(ctx context.Context, query, scope string, after uint64, limit int) ([]string, uint64, error)
-	SyncPath(path string) error
-	WriteFile(path string, data []byte) error
 }
 
 // ServeLoad runs the experiment. With spec.Addr empty it boots an
@@ -146,53 +114,22 @@ func ServeLoad(spec ServeSpec) (*ServeResult, error) {
 
 	// Each tenant's known document set, for the read mix. External
 	// servers are seeded by us so the paths are known there too.
-	// Seeding goes straight to the server; only measured traffic pays
-	// the emulated network latency.
-	docs, err := seedOverWire(spec, addr, tenantNames)
+	docs, err := seedOverWire(addr, tenantNames)
 	if err != nil {
 		return nil, err
-	}
-
-	// Loopback has no meaningful round-trip time, which is precisely
-	// what a line protocol is bound by — so, like the I/O benchmarks'
-	// emulated device latency, the load runs through a proxy that
-	// delays every byte by half the configured RTT in each direction
-	// (latency only: delivery is pipelined, bandwidth is unconstrained).
-	// Both protocols pay it equally.
-	if spec.NetDelay > 0 {
-		proxyAddr, stopProxy, err := startDelayProxy(addr, spec.NetDelay/2)
-		if err != nil {
-			return nil, err
-		}
-		defer stopProxy()
-		addr = proxyAddr
 	}
 
 	res := &ServeResult{
 		Clients:       spec.Clients,
 		TenantCount:   spec.Tenants,
-		Conns:         spec.Conns,
 		DocsPerTenant: spec.DocsPerTenant,
 		Duration:      spec.Duration,
-		NetDelay:      spec.NetDelay,
 	}
-
-	line, err := runProto(spec, "line", addr, tenantNames, docs)
-	if err != nil {
+	if err := runLoad(spec, addr, tenantNames, docs, res); err != nil {
 		return nil, err
-	}
-	res.Line = *line
-	mux, err := runProto(spec, "mux", addr, tenantNames, docs)
-	if err != nil {
-		return nil, err
-	}
-	res.Mux = *mux
-
-	if res.Line.Throughput > 0 {
-		res.MuxSpeedup = res.Mux.Throughput / res.Line.Throughput
 	}
 	var worst, best time.Duration
-	for _, t := range res.Mux.Tenants {
+	for _, t := range res.Tenants {
 		if t.P99 > worst {
 			worst = t.P99
 		}
@@ -238,7 +175,7 @@ func bootServer(spec ServeSpec) (string, func(), error) {
 // seedOverWire makes sure every tenant has the bench's known read set,
 // writing it through the wire (idempotent for the in-process server,
 // required for an external one), and returns the per-tenant paths.
-func seedOverWire(spec ServeSpec, addr string, tenantNames []string) (map[string][]string, error) {
+func seedOverWire(addr string, tenantNames []string) (map[string][]string, error) {
 	mux := remotefs.DialMux(addr)
 	mux.SetTimeout(20 * time.Second)
 	defer mux.Close()
@@ -261,126 +198,18 @@ func seedOverWire(spec ServeSpec, addr string, tenantNames []string) (map[string
 	return docs, nil
 }
 
-// startDelayProxy listens locally and relays every connection to
-// backend, delivering each byte oneWay later than it was read. Reads
-// and delayed writes are decoupled through a queue, so the delay is
-// pure latency — many requests can be in the pipe at once, which is
-// exactly the property a multiplexed protocol exploits and a
-// one-request-at-a-time protocol cannot.
-func startDelayProxy(backend string, oneWay time.Duration) (string, func(), error) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", nil, err
-	}
-	var conns sync.Map // *net.TCPConn → struct{}
-	go func() {
-		for {
-			c, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go func(c net.Conn) {
-				b, err := net.Dial("tcp", backend)
-				if err != nil {
-					c.Close()
-					return
-				}
-				conns.Store(c, struct{}{})
-				conns.Store(b, struct{}{})
-				go relayDelayed(b, c, oneWay)
-				go relayDelayed(c, b, oneWay)
-			}(c)
-		}
-	}()
-	stop := func() {
-		l.Close()
-		conns.Range(func(k, _ any) bool {
-			k.(net.Conn).Close()
-			return true
-		})
-	}
-	return l.Addr().String(), stop, nil
-}
-
-// relayDelayed pumps src → dst, holding each chunk back until its due
-// time. A reader goroutine keeps draining src while earlier chunks
-// wait, so the delay never caps throughput.
-func relayDelayed(dst, src net.Conn, oneWay time.Duration) {
-	type chunk struct {
-		b   []byte
-		due time.Time
-	}
-	ch := make(chan chunk, 4096)
-	go func() {
-		defer close(ch)
-		for {
-			buf := make([]byte, 32<<10)
-			n, err := src.Read(buf)
-			if n > 0 {
-				ch <- chunk{buf[:n], time.Now().Add(oneWay)}
-			}
-			if err != nil {
-				return
-			}
-		}
-	}()
-	for c := range ch {
-		if d := time.Until(c.due); d > 0 {
-			time.Sleep(d)
-		}
-		if _, err := dst.Write(c.b); err != nil {
-			break
-		}
-	}
-	// Propagate EOF so the other side's reader unblocks; half-close
-	// when possible to let in-flight responses drain the other way.
-	if tc, ok := dst.(*net.TCPConn); ok {
-		tc.CloseWrite()
-	} else {
-		dst.Close()
-	}
-}
-
-// runProto drives one closed-loop phase over one protocol. Clients are
-// split evenly across tenants; connections are split evenly too, so
-// both protocols get exactly spec.Conns TCP connections.
-func runProto(spec ServeSpec, proto, addr string, tenantNames []string, docs map[string][]string) (*ServeProtoResult, error) {
+// runLoad drives the closed-loop phase. Clients are split evenly
+// across tenants; the spec.Conns connections are shared by all of them
+// through tenant views.
+func runLoad(spec ServeSpec, addr string, tenantNames []string, docs map[string][]string, out *ServeResult) error {
 	nT := len(tenantNames)
-	connsPerTenant := spec.Conns / nT
-	if connsPerTenant == 0 {
-		connsPerTenant = 1
+	conns := make([]*remotefs.MuxClient, spec.Conns)
+	for i := range conns {
+		conns[i] = remotefs.DialMux(addr)
+		conns[i].SetTimeout(30 * time.Second)
+		conns[i].SetObserver(obs.Discard())
+		defer conns[i].Close()
 	}
-
-	// Build the shared connection pool: per tenant, connsPerTenant
-	// transport clients. The line protocol pins a connection to one
-	// tenant; the mux shares the same physical conns via tenant views,
-	// but to keep connection counts equal we give it the same layout.
-	pool := make(map[string][]opClient, nT)
-	var closers []func() error
-	for _, name := range tenantNames {
-		for i := 0; i < connsPerTenant; i++ {
-			switch proto {
-			case "line":
-				c := remotefs.Dial(addr)
-				c.SetTimeout(30 * time.Second)
-				c.SetTenant(name)
-				c.SetObserver(obs.Discard())
-				pool[name] = append(pool[name], c)
-				closers = append(closers, c.Close)
-			case "mux":
-				m := remotefs.DialMux(addr)
-				m.SetTimeout(30 * time.Second)
-				m.SetObserver(obs.Discard())
-				pool[name] = append(pool[name], m.Tenant(name))
-				closers = append(closers, m.Close)
-			}
-		}
-	}
-	defer func() {
-		for _, c := range closers {
-			c()
-		}
-	}()
 
 	type clientStats struct {
 		lat          []time.Duration
@@ -399,10 +228,10 @@ func runProto(spec ServeSpec, proto, addr string, tenantNames []string, docs map
 		ti := g % nT
 		tenantOf[g] = ti
 		name := tenantNames[ti]
-		conn := pool[name][(g/nT)%len(pool[name])]
+		view := conns[(g/nT)%len(conns)].Tenant(name)
 		paths := docs[name]
 		wg.Add(1)
-		go func(g int, c opClient, paths []string) {
+		go func(g int, c *remotefs.MuxClient, paths []string) {
 			defer wg.Done()
 			st := &stats[g]
 			<-begin
@@ -433,7 +262,7 @@ func runProto(spec ServeSpec, proto, addr string, tenantNames []string, docs map
 				}
 				st.lat = append(st.lat, d)
 			}
-		}(g, conn, paths)
+		}(g, view, paths)
 	}
 
 	start.Store(time.Now().UnixNano())
@@ -444,7 +273,7 @@ func runProto(spec ServeSpec, proto, addr string, tenantNames []string, docs map
 	elapsed := time.Duration(time.Now().UnixNano() - start.Load())
 
 	// Aggregate: global and per tenant.
-	out := &ServeProtoResult{Protocol: proto, Conns: connsPerTenant * nT}
+	out.Conns = len(conns)
 	var all []time.Duration
 	perTenant := make([][]time.Duration, nT)
 	tErrs := make([]int64, nT)
@@ -473,5 +302,5 @@ func runProto(spec ServeSpec, proto, addr string, tenantNames []string, docs map
 		})
 	}
 	sort.Slice(out.Tenants, func(i, j int) bool { return out.Tenants[i].Tenant < out.Tenants[j].Tenant })
-	return out, nil
+	return nil
 }

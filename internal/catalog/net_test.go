@@ -1,10 +1,15 @@
 package catalog
 
 import (
+	"encoding/binary"
+	"errors"
 	"net"
 	"strings"
 	"testing"
 	"time"
+
+	"hacfs/internal/vfs"
+	"hacfs/internal/wire"
 )
 
 func startCatalogServer(t *testing.T) *Client {
@@ -17,7 +22,6 @@ func startCatalogServer(t *testing.T) *Client {
 	go srv.Serve(l)
 	t.Cleanup(srv.Close)
 	c := Dial(l.Addr().String())
-	c.timeout = 5 * time.Second
 	t.Cleanup(func() { c.Close() })
 	return c
 }
@@ -54,15 +58,62 @@ func TestCatalogOverNetwork(t *testing.T) {
 
 func TestCatalogServerRejectsSpoofedUser(t *testing.T) {
 	c := startCatalogServer(t)
-	_, err := c.call(&catRequest{
-		Op:   catPublish,
-		User: "mallory",
-		Entries: []Entry{
-			{User: "alice", Path: "/stolen", Query: "x"},
-		},
-	})
+	_, err := c.publish("mallory", []Entry{{User: "alice", Path: "/stolen", Query: "x"}})
 	if err == nil || !strings.Contains(err.Error(), "does not match") {
 		t.Fatalf("spoofed publish err = %v", err)
+	}
+	// The rejection travels typed, not as a bare string.
+	var pe *vfs.PathError
+	if !errors.As(err, &pe) || pe.Op != "publish" || pe.Path != "alice:/stolen" || !errors.Is(err, vfs.ErrInvalid) {
+		t.Fatalf("spoofed publish err = %#v, want PathError{publish alice:/stolen ErrInvalid}", err)
+	}
+	if entries, err := c.Entries(); err != nil || len(entries) != 0 {
+		t.Fatalf("catalog after spoofed publish = %v, %v", entries, err)
+	}
+}
+
+// TestCatalogServerClosesHostileConnections: a frame declaring more
+// than the payload budget and a preamble that is not the hello each get
+// that connection closed — nothing is decoded from either — while the
+// next client is still served.
+func TestCatalogServerClosesHostileConnections(t *testing.T) {
+	c := startCatalogServer(t)
+	dial := func() net.Conn {
+		conn, err := net.DialTimeout("tcp", c.c.Addr(), 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		return conn
+	}
+
+	big := dial()
+	if err := wire.WriteHello(big, wire.Version); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wire.ReadHello(big); err != nil {
+		t.Fatal(err)
+	}
+	// Header only: length maxFrame+1 beyond the fixed header, type
+	// cPublish. The server must hang up on the declared length alone.
+	hdr := binary.BigEndian.AppendUint32(nil, maxFrame+1+10)
+	hdr = append(hdr, cPublish, 0, 0, 0, 0, 0, 0, 0, 0, 1)
+	if _, err := big.Write(hdr); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := big.Read(make([]byte, 1)); err == nil {
+		t.Fatal("server kept the connection open after an over-budget frame")
+	}
+
+	gob := dial()
+	gob.Write([]byte("\x2b\xff\x81\x03\x01\x01\x0acatRequest")) // what the old gob client opened with
+	if _, err := gob.Read(make([]byte, 1)); err == nil {
+		t.Fatal("server kept the connection open after a non-hello preamble")
+	}
+
+	if err := c.Ping(); err != nil {
+		t.Fatalf("server unusable after hostile connections: %v", err)
 	}
 }
 

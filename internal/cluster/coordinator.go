@@ -15,6 +15,7 @@ import (
 	"hacfs/internal/obs"
 	"hacfs/internal/remote"
 	"hacfs/internal/vfs"
+	"hacfs/internal/wire"
 )
 
 // ShardConn is the coordinator's view of one replica connection. It is
@@ -89,7 +90,7 @@ type state struct {
 // Coordinator fans Search, Resync and Fetch out to the cluster's
 // shards (DESIGN.md §14). It implements the remote server's backend
 // interfaces, so `remote.NewServer(coord, …)` serves the whole cluster
-// behind the ordinary single-node wire protocols — clients cannot tell
+// behind the ordinary single-node wire protocol — clients cannot tell
 // a coordinator from a big shard, except that it is faster.
 type Coordinator struct {
 	opts    Options
@@ -220,7 +221,7 @@ func unavailable(op string, shard int, last error) error {
 }
 
 // retryable reports whether a failed replica attempt should fail over
-// to the next replica. A *vfs.PathError or *remote.ServerError means
+// to the next replica. A *vfs.PathError or *wire.RemoteError means
 // the shard answered — same index, same answer elsewhere — so the
 // error is terminal; everything else (dial failures, broken
 // connections, per-attempt timeouts) is the replica's fault, not the
@@ -233,8 +234,8 @@ func retryable(parent context.Context, err error) bool {
 	if errors.As(err, &pe) {
 		return false
 	}
-	var se *remote.ServerError
-	return !errors.As(err, &se)
+	var re *wire.RemoteError
+	return !errors.As(err, &re)
 }
 
 // callShard runs fn against one replica of the shard, failing over

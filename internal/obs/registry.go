@@ -314,15 +314,12 @@ func (r *Registry) GaugeFunc(name string, fn func() float64, labelKV ...string) 
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	key := name + labels.render()
-	m, ok := r.metrics[key]
-	if !ok {
-		m = &metric{name: name, labels: labels}
-		r.metrics[key] = m
+	if _, ok := r.metrics[key]; !ok {
 		r.order = append(r.order, key)
 	}
-	m.kind = "gauge"
-	m.fn = fn
-	m.gauge = nil
+	// A fresh record, never a mutated one: scrapes read the records
+	// they snapshotted without the lock.
+	r.metrics[key] = &metric{name: name, labels: labels, kind: "gauge", fn: fn}
 }
 
 // Histogram returns the histogram with the given name, bounds and

@@ -15,19 +15,8 @@ import (
 	"hacfs/internal/wire"
 )
 
-// startBinClient connects a binary-protocol client to the same server
-// the line-protocol helper builds.
-func startBinClient(t *testing.T) (*BinClient, *Client) {
-	t.Helper()
-	lc, _ := startServer(t)
-	bc := DialBin("diglib", lc.addr)
-	bc.SetTimeout(5 * time.Second)
-	t.Cleanup(func() { bc.Close() })
-	return bc, lc
-}
-
 func TestBinPingSearchFetch(t *testing.T) {
-	bc, _ := startBinClient(t)
+	bc, _ := startServer(t)
 	if err := bc.Ping(); err != nil {
 		t.Fatal(err)
 	}
@@ -59,13 +48,10 @@ func TestBinPingSearchFetch(t *testing.T) {
 // reassembles the multi-frame stream, and that explicit paging through
 // the cursor sees every result exactly once.
 func TestBinStreamedPages(t *testing.T) {
-	bc, _ := startBinClient(t)
+	bc, _ := startServer(t)
 	ctx := context.Background()
 
-	var all []string
-	err := bc.searchPages(ctx, "fingerprint", 0, 1, 0, func(paths []string, next uint64) {
-		all = append(all, paths...)
-	})
+	all, _, _, err := bc.search(ctx, mSearch, "fingerprint", "", 0, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +83,7 @@ func TestBinStreamedPages(t *testing.T) {
 // TestBinManyInFlight issues many concurrent requests over ONE client
 // (one connection) and checks every reply routes to its caller.
 func TestBinManyInFlight(t *testing.T) {
-	bc, _ := startBinClient(t)
+	bc, _ := startServer(t)
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	errs := make(chan error, 200)
@@ -131,31 +117,12 @@ func TestBinManyInFlight(t *testing.T) {
 	}
 }
 
-// TestBinAndLineCoexist runs both protocols against one server: the
-// peek-based negotiation must route each connection correctly.
-func TestBinAndLineCoexist(t *testing.T) {
-	bc, lc := startBinClient(t)
-	want, err := lc.Search("fingerprint")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := bc.Search("fingerprint")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sort.Strings(want)
-	sort.Strings(got)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("binary %v != line %v", got, want)
-	}
-}
-
 // TestBinVersionRejected checks the versioned-error path: a client
 // with an unsupported framing version receives an error frame, not a
 // hang or a crash.
 func TestBinVersionRejected(t *testing.T) {
-	lc, _ := startServer(t)
-	conn, err := net.DialTimeout("tcp", lc.addr, 5*time.Second)
+	bc, _ := startServer(t)
+	conn, err := net.DialTimeout("tcp", bc.c.Addr(), 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +142,7 @@ func TestBinVersionRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Type != fErr || !strings.Contains(string(f.Payload), "unsupported protocol version") {
+	if f.Type != wire.TypeErr || !strings.Contains(string(f.Payload), "unsupported protocol version") {
 		t.Fatalf("reply = type %d %q, want versioned error", f.Type, f.Payload)
 	}
 }
@@ -188,12 +155,12 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 3, 'a', 'b', 'c'})
 	f.Add(func() []byte {
 		var buf bytes.Buffer
-		wire.WriteFrame(&buf, wire.Frame{Type: fSearch, ID: 7, Payload: appendSearchReq(nil, "a AND b", 9, 4, 0)})
+		wire.WriteFrame(&buf, wire.Frame{Type: fSearch, ID: 7, Payload: appendSearchReq(nil, "a AND b", "/s", 9, 4, 0)})
 		return buf.Bytes()
 	}())
 	f.Add(func() []byte {
 		var buf bytes.Buffer
-		wire.WriteFrame(&buf, wire.Frame{Type: fPage, Flags: wire.FlagFinal, ID: 3, Payload: appendPage(nil, 11, []string{"/a", "/b"})})
+		wire.WriteFrame(&buf, wire.Frame{Type: fPage, Flags: wire.FlagFinal, ID: 3, Payload: appendPage(nil, 2, 11, []string{"/a", "/b"})})
 		return buf.Bytes()
 	}())
 	// Huge declared frame length: must be rejected, not allocated.
@@ -207,22 +174,25 @@ func FuzzDecodeFrame(f *testing.F) {
 			}
 			switch fr.Type {
 			case fSearch:
-				q, _, _, _, err := decodeSearchReq(fr.Payload)
-				if err == nil && len(q) > maxLine {
-					t.Fatalf("accepted query of %d bytes", len(q))
+				q, scope, _, _, _, err := decodeSearchReq(fr.Payload)
+				if err == nil && (len(q) > maxField || len(scope) > maxField) {
+					t.Fatalf("accepted query of %d bytes, scope of %d", len(q), len(scope))
 				}
 			case fPage:
-				paths, _, err := decodePage(fr.Payload)
+				paths, _, _, err := decodePage(fr.Payload)
 				if err == nil {
 					for _, p := range paths {
-						if len(p) > maxLine {
+						if len(p) > maxField {
 							t.Fatalf("accepted path of %d bytes", len(p))
 						}
 					}
 				}
-			case fFetch, fData, fErr, fPing, fPong:
+			case wire.TypeErr:
 				d := wire.NewDec(fr.Payload)
-				_ = d.String(maxLine)
+				wire.DecodeError(d)
+			case fFetch, fData, fPing, fPong:
+				d := wire.NewDec(fr.Payload)
+				_ = d.String(maxField)
 			}
 		}
 	})

@@ -1,418 +1,171 @@
 package remote
 
 import (
-	"bufio"
 	"context"
 	"fmt"
-	"net"
-	"strconv"
-	"sync"
 	"time"
 
 	"hacfs/internal/obs"
+	"hacfs/internal/wire"
 )
 
-// Client talks the remote CBA protocol and implements hac.Namespace —
-// and hac.ContextNamespace, so evaluation passes can bound every call
-// with a context on top of the client's own per-request timeout. A
-// single connection is maintained and re-dialed on failure; the client
-// is safe for concurrent use (requests are serialized).
-type Client struct {
-	name    string
-	addr    string
-	timeout time.Duration
+// The client's methods, as the wire call layer indexes them. The three
+// search shapes share the "search" series and differ in span name.
+const (
+	mPing = iota
+	mSearch
+	mSearchPage
+	mSearchUnder
+	mFetch
+	mResync
+	mStatus
+)
 
-	mu      sync.Mutex
-	conn    net.Conn
-	r       *bufio.Reader
-	w       *bufio.Writer
-	noTrace bool // this connection's server rejected TRACE; stop sending it
-	met     clientMetrics
-	obsv    *obs.Observer
+var methods = []wire.Method{
+	mPing:        {Label: "ping", Span: "rpc.remote.Ping"},
+	mSearch:      {Label: "search", Span: "rpc.remote.Search", Mint: true},
+	mSearchPage:  {Label: "search", Span: "rpc.remote.SearchPage", Mint: true},
+	mSearchUnder: {Label: "search", Span: "rpc.remote.SearchUnder", Mint: true},
+	mFetch:       {Label: "fetch", Span: "rpc.remote.Fetch"},
+	mResync:      {Label: "resync", Span: "rpc.remote.Resync", Mint: true},
+	mStatus:      {Label: "status", Span: "rpc.remote.Status"},
 }
 
-// Dial creates a client for the server at addr. name becomes the
+// BinClient talks the remote CBA protocol and implements hac.Namespace
+// and hac.ContextNamespace, so evaluation passes can bound every call
+// with a context. Many requests proceed concurrently on one
+// connection, re-dialed lazily after a failure, and search results
+// stream in pages.
+type BinClient struct {
+	name string
+	c    *wire.Client
+}
+
+// DialBin creates a client for the server at addr. name becomes the
 // namespace name inside the HAC volume. No connection is made until the
 // first request.
-func Dial(name, addr string) *Client {
-	return &Client{
-		name:    name,
-		addr:    addr,
-		timeout: 10 * time.Second,
-		met:     newClientMetrics(obs.Default()),
-		obsv:    obs.Default(),
-	}
+func DialBin(name, addr string) *BinClient {
+	return &BinClient{name: name, c: wire.NewClient(addr, maxFramePayload, "remote", "method", methods)}
 }
 
-// SetTimeout changes the per-request deadline.
-func (c *Client) SetTimeout(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.timeout = d
-}
+// SetObserver redirects the client's metrics and spans (they default to
+// the process-wide obs.Default()).
+func (c *BinClient) SetObserver(o *obs.Observer) { c.c.SetObserver(o) }
+
+// SetTimeout changes the dial/request deadline.
+func (c *BinClient) SetTimeout(d time.Duration) { c.c.SetTimeout(d) }
 
 // Name returns the namespace name.
-func (c *Client) Name() string { return c.name }
+func (c *BinClient) Name() string { return c.name }
 
 // Close tears down the connection; later requests re-dial.
-func (c *Client) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.dropLocked()
-}
+func (c *BinClient) Close() error { return c.c.Close() }
 
-func (c *Client) dropLocked() error {
-	if c.conn == nil {
-		return nil
+// call performs a single-frame round trip and checks the reply type.
+func (c *BinClient) call(ctx context.Context, m int, typ, want uint8, payload []byte) (wire.Frame, error) {
+	f, err := c.c.Call(ctx, m, typ, payload)
+	if err == nil && f.Type != want {
+		err = fmt.Errorf("remote: unexpected frame type %d", f.Type)
 	}
-	err := c.conn.Close()
-	c.conn, c.r, c.w = nil, nil, nil
-	return err
-}
-
-func (c *Client) ensureLocked(ctx context.Context) error {
-	if c.conn != nil {
-		return nil
-	}
-	d := net.Dialer{Timeout: c.timeout}
-	conn, err := d.DialContext(ctx, "tcp", c.addr)
-	if err != nil {
-		c.met.dialFailures.Add(1)
-		return fmt.Errorf("remote: dial %s: %w", c.addr, err)
-	}
-	c.conn = conn
-	c.r = bufio.NewReader(conn)
-	c.w = bufio.NewWriter(conn)
-	// A fresh connection may be to an upgraded server: probe TRACE again.
-	c.noTrace = false
-	return nil
-}
-
-// sendTraceLocked arms the server with the caller's trace context, so
-// the next command's server span joins the distributed trace. Best
-// effort: a pre-TRACE server answers ERR "unknown verb" and keeps the
-// connection alive — remember its refusal and never send TRACE on this
-// connection again. Transport errors surface on the command that
-// follows, not here.
-func (c *Client) sendTraceLocked(ctx context.Context) {
-	sc, ok := obs.FromContext(ctx)
-	if !ok || c.noTrace {
-		return
-	}
-	// Send on the current connection only — no retry/redial, so the
-	// armed state cannot outlive the connection it was sent on.
-	if err := c.ensureLocked(ctx); err != nil {
-		return
-	}
-	if dl := c.deadlineLocked(ctx); !dl.IsZero() {
-		c.conn.SetDeadline(dl)
-	}
-	if err := writeLine(c.w, verbTrace, sc.Trace.String(), strconv.FormatUint(uint64(sc.Span), 10)); err != nil {
-		return
-	}
-	if err := c.w.Flush(); err != nil {
-		return
-	}
-	line, err := readLine(c.r)
-	if err != nil {
-		c.dropLocked()
-		return
-	}
-	if verb, _ := splitVerb(line); verb != replyOK {
-		c.noTrace = true
-	}
-}
-
-// deadlineLocked computes the connection deadline for one request: the
-// per-request timeout, further tightened by the context's deadline.
-func (c *Client) deadlineLocked(ctx context.Context) time.Time {
-	var dl time.Time
-	if c.timeout > 0 {
-		dl = time.Now().Add(c.timeout)
-	}
-	if cd, ok := ctx.Deadline(); ok && (dl.IsZero() || cd.Before(dl)) {
-		dl = cd
-	}
-	return dl
-}
-
-// roundTrip sends one request line and returns the first reply line.
-// On transport errors the connection is dropped and the request retried
-// once on a fresh connection.
-func (c *Client) roundTrip(ctx context.Context, parts ...string) (string, error) {
-	var lastErr error
-	for attempt := 0; attempt < 2; attempt++ {
-		if attempt > 0 {
-			c.met.retries.Add(1)
-		}
-		if err := ctx.Err(); err != nil {
-			return "", err
-		}
-		if err := c.ensureLocked(ctx); err != nil {
-			return "", err
-		}
-		if dl := c.deadlineLocked(ctx); !dl.IsZero() {
-			c.conn.SetDeadline(dl)
-		}
-		if err := writeLine(c.w, parts...); err == nil {
-			if err = c.w.Flush(); err == nil {
-				line, err := readLine(c.r)
-				if err == nil {
-					return line, nil
-				}
-				lastErr = err
-			} else {
-				lastErr = err
-			}
-		} else {
-			lastErr = err
-		}
-		c.dropLocked()
-	}
-	return "", fmt.Errorf("remote: %s: %w", c.addr, lastErr)
+	return f, err
 }
 
 // Ping checks liveness.
-func (c *Client) Ping() error { return c.PingContext(context.Background()) }
+func (c *BinClient) Ping() error { return c.PingContext(context.Background()) }
 
 // PingContext checks liveness, bounded by ctx.
-func (c *Client) PingContext(ctx context.Context) (err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	defer c.met.ping.done(time.Now(), &err)
-	line, err := c.roundTrip(ctx, verbPing)
-	if err != nil {
-		return err
-	}
-	if line != replyPong {
-		return fmt.Errorf("remote: unexpected ping reply %q", line)
-	}
-	return nil
+func (c *BinClient) PingContext(ctx context.Context) error {
+	_, err := c.call(ctx, mPing, fPing, fPong, nil)
+	return err
 }
 
-// Search evaluates a query on the remote system and returns matching
-// remote paths.
-func (c *Client) Search(q string) ([]string, error) {
+// search issues one search call and gathers every streamed page frame:
+// all the paths, plus the last page's next cursor and serving epoch.
+func (c *BinClient) search(ctx context.Context, m int, q, scope string, after uint64, pageSize, limitPages int) (paths []string, next, epoch uint64, err error) {
+	err = c.c.Stream(ctx, m, fSearch, appendSearchReq(nil, q, scope, after, pageSize, limitPages), func(f wire.Frame) error {
+		if f.Type != fPage {
+			return fmt.Errorf("remote: unexpected frame type %d", f.Type)
+		}
+		page, n, e, err := decodePage(f.Payload)
+		if err != nil {
+			return err
+		}
+		paths = append(paths, page...)
+		next, epoch = n, e
+		return nil
+	}, "query", q)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	return paths, next, epoch, nil
+}
+
+// Search evaluates a query on the remote system, streaming all result
+// pages.
+func (c *BinClient) Search(q string) ([]string, error) {
 	return c.SearchContext(context.Background(), q)
 }
 
-// SearchContext is Search bounded by ctx (dial, send and reply all
-// honor the context's deadline and cancellation).
-func (c *Client) SearchContext(ctx context.Context, q string) (_ []string, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	defer c.met.search.done(time.Now(), &err)
-	var sp *obs.Span
-	sp, ctx = c.obsv.Tracer().StartCtx(ctx, "rpc.remote.Search")
-	sp.Annotate("query", q)
-	defer func() { sp.FinishErr(err) }()
-	c.sendTraceLocked(ctx)
-	line, err := c.roundTrip(ctx, verbSearch, quote(q))
-	if err != nil {
-		return nil, err
-	}
-	verb, arg := splitVerb(line)
-	switch verb {
-	case replyOK:
-		n, err := strconv.Atoi(arg)
-		if err != nil || n < 0 {
-			c.dropLocked()
-			return nil, fmt.Errorf("remote: malformed result count %q", arg)
-		}
-		out := make([]string, 0, n)
-		for i := 0; i < n; i++ {
-			pl, err := readLine(c.r)
-			if err != nil {
-				c.dropLocked()
-				return nil, err
-			}
-			p, err := unquote(pl)
-			if err != nil {
-				c.dropLocked()
-				return nil, fmt.Errorf("remote: malformed result line %q", pl)
-			}
-			out = append(out, p)
-		}
-		return out, nil
-	case replyErr:
-		msg, _ := unquote(arg)
-		return nil, decodeWireError(msg)
-	default:
-		c.dropLocked()
-		return nil, fmt.Errorf("remote: unexpected reply %q", line)
-	}
+// SearchContext is Search bounded by ctx.
+func (c *BinClient) SearchContext(ctx context.Context, q string) ([]string, error) {
+	paths, _, _, err := c.search(ctx, mSearch, q, "", 0, 0, 0)
+	return paths, err
 }
 
 // SearchPage fetches one cursor page of matches: at most limit paths
 // starting at cursor after (0 = first page), plus the cursor of the
 // next page (0 = no more). The cursor is opaque; pass it back verbatim.
-func (c *Client) SearchPage(ctx context.Context, q string, after uint64, limit int) (_ []string, _ uint64, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	defer c.met.search.done(time.Now(), &err)
-	var sp *obs.Span
-	sp, ctx = c.obsv.Tracer().StartCtx(ctx, "rpc.remote.SearchPage")
-	sp.Annotate("query", q)
-	defer func() { sp.FinishErr(err) }()
-	c.sendTraceLocked(ctx)
-	line, err := c.roundTrip(ctx, verbSearchPage,
-		strconv.FormatUint(after, 10), strconv.Itoa(limit), quote(q))
-	if err != nil {
-		return nil, 0, err
-	}
-	verb, arg := splitVerb(line)
-	switch verb {
-	case replyOK:
-		cnt, nextStr := splitVerb(arg)
-		n, cerr := strconv.Atoi(cnt)
-		next, nerr := strconv.ParseUint(nextStr, 10, 64)
-		if cerr != nil || nerr != nil || n < 0 {
-			c.dropLocked()
-			return nil, 0, fmt.Errorf("remote: malformed page header %q", arg)
-		}
-		out := make([]string, 0, n)
-		for i := 0; i < n; i++ {
-			pl, err := readLine(c.r)
-			if err != nil {
-				c.dropLocked()
-				return nil, 0, err
-			}
-			p, err := unquote(pl)
-			if err != nil {
-				c.dropLocked()
-				return nil, 0, fmt.Errorf("remote: malformed result line %q", pl)
-			}
-			out = append(out, p)
-		}
-		return out, next, nil
-	case replyErr:
-		msg, _ := unquote(arg)
-		return nil, 0, decodeWireError(msg)
-	default:
-		c.dropLocked()
-		return nil, 0, fmt.Errorf("remote: unexpected reply %q", line)
-	}
+// The server streams; asking for one page bounds the stream to one
+// frame.
+func (c *BinClient) SearchPage(ctx context.Context, q string, after uint64, limit int) ([]string, uint64, error) {
+	paths, next, _, err := c.search(ctx, mSearchPage, q, "", after, limit, 1)
+	return paths, next, err
 }
 
-// SearchPageUnder fetches one scope-restricted cursor page plus the
-// index epoch it was served from, via the SEARCHU verb. An empty scope
-// means the whole tree.
-func (c *Client) SearchPageUnder(ctx context.Context, q, scope string, after uint64, limit int) (_ []string, _ uint64, _ uint64, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	defer c.met.search.done(time.Now(), &err)
-	var sp *obs.Span
-	sp, ctx = c.obsv.Tracer().StartCtx(ctx, "rpc.remote.SearchUnder")
-	sp.Annotate("query", q)
-	defer func() { sp.FinishErr(err) }()
-	c.sendTraceLocked(ctx)
-	line, err := c.roundTrip(ctx, verbSearchUnder,
-		strconv.FormatUint(after, 10), strconv.Itoa(limit), quote(scope), quote(q))
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	verb, arg := splitVerb(line)
-	switch verb {
-	case replyOK:
-		cnt, rest := splitVerb(arg)
-		nextStr, epochStr := splitVerb(rest)
-		n, cerr := strconv.Atoi(cnt)
-		next, nerr := strconv.ParseUint(nextStr, 10, 64)
-		epoch, eerr := strconv.ParseUint(epochStr, 10, 64)
-		if cerr != nil || nerr != nil || eerr != nil || n < 0 {
-			c.dropLocked()
-			return nil, 0, 0, fmt.Errorf("remote: malformed page header %q", arg)
-		}
-		out := make([]string, 0, n)
-		for i := 0; i < n; i++ {
-			pl, err := readLine(c.r)
-			if err != nil {
-				c.dropLocked()
-				return nil, 0, 0, err
-			}
-			p, err := unquote(pl)
-			if err != nil {
-				c.dropLocked()
-				return nil, 0, 0, fmt.Errorf("remote: malformed result line %q", pl)
-			}
-			out = append(out, p)
-		}
-		return out, next, epoch, nil
-	case replyErr:
-		msg, _ := unquote(arg)
-		return nil, 0, 0, decodeWireError(msg)
-	default:
-		c.dropLocked()
-		return nil, 0, 0, fmt.Errorf("remote: unexpected reply %q", line)
-	}
+// SearchPageUnder fetches one scope-restricted cursor page, plus the
+// index epoch the server pinned it against — the shard-facing call a
+// cluster coordinator fans out (DESIGN.md §14).
+func (c *BinClient) SearchPageUnder(ctx context.Context, q, scope string, after uint64, limit int) ([]string, uint64, uint64, error) {
+	return c.search(ctx, mSearchUnder, q, scope, after, limit, 1)
+}
+
+// SearchUnderContext streams every result page of a scope-restricted
+// query and returns all matching paths.
+func (c *BinClient) SearchUnderContext(ctx context.Context, q, scope string) ([]string, error) {
+	paths, _, _, err := c.search(ctx, mSearchUnder, q, scope, 0, 0, 0)
+	return paths, err
 }
 
 // Resync asks the server to rebuild its index from the document tree.
-func (c *Client) Resync(ctx context.Context) (err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	line, err := c.roundTrip(ctx, verbResync)
+func (c *BinClient) Resync(ctx context.Context) error {
+	_, err := c.call(ctx, mResync, fResync, fOK, nil)
+	return err
+}
+
+// Status reports the server's index epoch, mutation version and live
+// document count.
+func (c *BinClient) Status(ctx context.Context) (epoch, version uint64, docs int, err error) {
+	f, err := c.call(ctx, mStatus, fStatus, fStatV, nil)
 	if err != nil {
-		return err
+		return 0, 0, 0, err
 	}
-	verb, arg := splitVerb(line)
-	switch verb {
-	case replyOK:
-		return nil
-	case replyErr:
-		msg, _ := unquote(arg)
-		return decodeWireError(msg)
-	default:
-		c.dropLocked()
-		return fmt.Errorf("remote: unexpected reply %q", line)
-	}
+	d := wire.NewDec(f.Payload)
+	epoch = d.Uvarint()
+	version = d.Uvarint()
+	docs = int(d.Uvarint())
+	return epoch, version, docs, d.Close()
 }
 
 // Fetch retrieves one remote document.
-func (c *Client) Fetch(path string) ([]byte, error) {
+func (c *BinClient) Fetch(path string) ([]byte, error) {
 	return c.FetchContext(context.Background(), path)
 }
 
 // FetchContext is Fetch bounded by ctx.
-func (c *Client) FetchContext(ctx context.Context, path string) (_ []byte, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	defer c.met.fetch.done(time.Now(), &err)
-	line, err := c.roundTrip(ctx, verbFetch, quote(path))
+func (c *BinClient) FetchContext(ctx context.Context, path string) ([]byte, error) {
+	f, err := c.call(ctx, mFetch, fFetch, fData, wire.AppendString(nil, path))
 	if err != nil {
 		return nil, err
 	}
-	verb, arg := splitVerb(line)
-	switch verb {
-	case replyData:
-		n, err := strconv.Atoi(arg)
-		if err != nil || n < 0 || n > maxFetch {
-			c.dropLocked()
-			return nil, fmt.Errorf("remote: malformed data length %q", arg)
-		}
-		buf := make([]byte, n)
-		if _, err := readFull(c.r, buf); err != nil {
-			c.dropLocked()
-			return nil, err
-		}
-		return buf, nil
-	case replyErr:
-		msg, _ := unquote(arg)
-		return nil, decodeWireError(msg)
-	default:
-		c.dropLocked()
-		return nil, fmt.Errorf("remote: unexpected reply %q", line)
-	}
-}
-
-func readFull(r *bufio.Reader, buf []byte) (int, error) {
-	total := 0
-	for total < len(buf) {
-		n, err := r.Read(buf[total:])
-		total += n
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
+	return f.Payload, nil
 }

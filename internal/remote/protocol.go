@@ -3,115 +3,93 @@
 // elsewhere (§3 of the paper). The server side exposes an index over a
 // document tree; the client side implements hac.Namespace.
 //
-// The wire protocol is a line-oriented text protocol over TCP:
+// The protocol rides the wire package's multiplexed framing (DESIGN.md
+// §12): many requests may be in flight per connection and responses
+// interleave by request ID. Frame types:
 //
-//	C: SEARCH <quoted-query>\n        S: OK <n>\n  then n path lines
-//	C: SEARCHP <after> <limit> <quoted-query>\n
-//	                                  S: OK <n> <next>\n then n path lines
-//	                                  (<next> = cursor of the next page, 0 = done)
-//	C: SEARCHU <after> <limit> <quoted-scope> <quoted-query>\n
-//	                                  S: OK <n> <next> <epoch>\n then n path lines
-//	                                  (scope-restricted page; epoch = the
-//	                                  index epoch the page was served from)
-//	C: RESYNC\n                       S: OK\n  (rebuild the served index)
-//	C: FETCH <quoted-path>\n          S: DATA <len>\n then len bytes
-//	C: PING\n                         S: PONG\n
-//	C: TRACE <trace-id> <span-id>\n   S: OK\n
-//	any error                         S: ERR <quoted-message>\n
+//	fPing   → fPong
+//	fSearch → fPage* — the server pages the result through the cursor
+//	          machinery and streams one fPage frame per page; the last
+//	          carries FlagFinal. Request payload: after(u64)
+//	          pageSize(varint) limitPages(varint, 0 = all) scope(string,
+//	          "" = whole tree) query(string). Each page leads with the
+//	          index epoch it was served from (DESIGN.md §14), then the
+//	          next cursor and the paths.
+//	fFetch  → fData
+//	fResync → fOK — rebuild the served index from its document tree.
+//	fStatus → fStatV — epoch(uvarint) version(uvarint) docs(uvarint).
 //
-// ERR messages may carry a typed error in the encodeWireError format
-// (errors.go); clients reconstruct the *vfs.PathError and its sentinel,
-// and fall back to a plain *ServerError for unmarked messages.
-//
-// TRACE arms the connection with a trace context (32-hex-digit trace
-// ID, decimal parent span ID) applied to the next command, which joins
-// the caller's distributed trace. Servers that predate the verb answer
-// ERR "unknown verb" and keep the connection alive; clients treat that
-// as "tracing unsupported" and stop sending it.
-//
-// Strings are Go-quoted (strconv.Quote) so queries and paths may
-// contain spaces safely.
+// Any request may instead end with a wire.TypeErr frame carrying a
+// typed error; clients reconstruct the *vfs.PathError and its sentinel.
 package remote
 
-import (
-	"bufio"
-	"fmt"
-	"io"
-	"strconv"
-	"strings"
-)
+import "hacfs/internal/wire"
 
-// Protocol verbs.
 const (
-	verbSearch      = "SEARCH"
-	verbSearchPage  = "SEARCHP"
-	verbSearchUnder = "SEARCHU"
-	verbResync      = "RESYNC"
-	verbFetch       = "FETCH"
-	verbPing        = "PING"
-	verbTrace       = "TRACE"
-
-	replyOK   = "OK"
-	replyData = "DATA"
-	replyErr  = "ERR"
-	replyPong = "PONG"
+	fPing uint8 = iota + 1
+	fPong
+	fSearch
+	fPage
+	fFetch
+	fData
+	fResync
+	fOK
+	fStatus
+	fStatV
 )
 
-// maxLine bounds a single protocol line; longer lines are rejected.
-const maxLine = 64 * 1024
+// maxField bounds one query, scope or path string on the wire.
+const maxField = 64 * 1024
 
-// maxFetch bounds a FETCH response body.
+// maxFetch bounds a fetched document.
 const maxFetch = 16 << 20
 
-// writeLine writes one protocol line.
-func writeLine(w io.Writer, parts ...string) error {
-	_, err := io.WriteString(w, strings.Join(parts, " ")+"\n")
-	return err
+// maxFramePayload bounds one frame's payload: a fetched document plus
+// slack for framing fields.
+const maxFramePayload = maxFetch + 64*1024
+
+// maxConnInflight bounds concurrently executing requests per
+// connection.
+const maxConnInflight = 64
+
+// maxPageEntries bounds the declared path count of one result page.
+const maxPageEntries = 1 << 20
+
+// appendSearchReq encodes an fSearch payload.
+func appendSearchReq(b []byte, q, scope string, after uint64, pageSize, limitPages int) []byte {
+	b = wire.AppendUvarint(b, after)
+	b = wire.AppendVarint(b, int64(pageSize))
+	b = wire.AppendVarint(b, int64(limitPages))
+	b = wire.AppendString(b, scope)
+	b = wire.AppendString(b, q)
+	return b
 }
 
-// readLine reads one protocol line, enforcing the length bound
-// incrementally so an unterminated line cannot consume unbounded
-// memory.
-func readLine(r *bufio.Reader) (string, error) {
-	var sb strings.Builder
-	for {
-		chunk, err := r.ReadSlice('\n')
-		sb.Write(chunk)
-		if sb.Len() > maxLine {
-			return "", fmt.Errorf("remote: protocol line exceeds %d bytes", maxLine)
-		}
-		switch err {
-		case nil:
-			return strings.TrimRight(sb.String(), "\r\n"), nil
-		case bufio.ErrBufferFull:
-			continue
-		default:
-			return "", err
-		}
-	}
+// decodeSearchReq decodes an fSearch payload.
+func decodeSearchReq(payload []byte) (q, scope string, after uint64, pageSize, limitPages int, err error) {
+	d := wire.NewDec(payload)
+	after = d.Uvarint()
+	pageSize = d.Int()
+	limitPages = d.Int()
+	scope = d.String(maxField)
+	q = d.String(maxField)
+	return q, scope, after, pageSize, limitPages, d.Close()
 }
 
-// splitVerb separates the verb from its argument.
-func splitVerb(line string) (verb, arg string) {
-	i := strings.IndexByte(line, ' ')
-	if i < 0 {
-		return line, ""
-	}
-	return line[:i], line[i+1:]
+// appendPage encodes an fPage payload: the serving epoch, the next
+// cursor and one page of paths.
+func appendPage(b []byte, epoch, next uint64, paths []string) []byte {
+	b = wire.AppendUvarint(b, epoch)
+	b = wire.AppendUvarint(b, next)
+	b = wire.AppendStrings(b, paths)
+	return b
 }
 
-// quote encodes an argument for the wire.
-func quote(s string) string { return strconv.Quote(s) }
-
-// unquote decodes a wire argument.
-func unquote(s string) (string, error) { return strconv.Unquote(s) }
-
-// cutQuotedPair decodes two space-separated quoted arguments.
-func cutQuotedPair(s string) (a, b string, err error) {
-	a, rest, err := cutQuoted(s)
-	if err != nil {
-		return "", "", err
-	}
-	b, err = unquote(strings.TrimLeft(rest, " "))
-	return a, b, err
+// decodePage decodes an fPage payload.
+func decodePage(payload []byte) (paths []string, next, epoch uint64, err error) {
+	d := wire.NewDec(payload)
+	epoch = d.Uvarint()
+	next = d.Uvarint()
+	paths = d.Strings(maxField, maxPageEntries)
+	return paths, next, epoch, d.Close()
 }

@@ -2,20 +2,54 @@ package remote
 
 import (
 	"context"
+	"errors"
 	"net"
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"hacfs/internal/hac"
 	"hacfs/internal/vfs"
+	"hacfs/internal/wire"
 )
+
+// trackingListener remembers the connections it accepted, so a test
+// can kill them from the server side.
+type trackingListener struct {
+	net.Listener
+	mu    sync.Mutex
+	conns []net.Conn
+}
+
+func (l *trackingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.mu.Lock()
+		l.conns = append(l.conns, c)
+		l.mu.Unlock()
+	}
+	return c, err
+}
+
+func (l *trackingListener) closeConns() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, c := range l.conns {
+		c.Close()
+	}
+}
 
 // startServer brings up a server over a small corpus and returns a
 // connected client.
-func startServer(t *testing.T) (*Client, *Server) {
+func startServer(t *testing.T) (*BinClient, *Server) {
+	c, srv, _ := startTrackedServer(t)
+	return c, srv
+}
+
+func startTrackedServer(t *testing.T) (*BinClient, *Server, *trackingListener) {
 	t.Helper()
 	fsys := vfs.New()
 	docs := map[string]string{
@@ -37,17 +71,18 @@ func startServer(t *testing.T) (*Client, *Server) {
 		t.Fatal(err)
 	}
 	srv := NewServer(backend, nil)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	l := &trackingListener{Listener: inner}
 	go srv.Serve(l)
 	t.Cleanup(srv.Close)
 
-	c := Dial("diglib", l.Addr().String())
+	c := DialBin("diglib", l.Addr().String())
 	c.SetTimeout(5 * time.Second)
 	t.Cleanup(func() { c.Close() })
-	return c, srv
+	return c, srv, l
 }
 
 func TestPing(t *testing.T) {
@@ -82,8 +117,9 @@ func TestSearch(t *testing.T) {
 func TestSearchBadQuery(t *testing.T) {
 	c, _ := startServer(t)
 	_, err := c.Search("((broken")
-	if err == nil || !strings.Contains(err.Error(), "server:") {
-		t.Fatalf("bad query err = %v", err)
+	var re *wire.RemoteError
+	if !errors.As(err, &re) {
+		t.Fatalf("bad query err = %#v, want a *wire.RemoteError", err)
 	}
 	// Connection still usable after a server-side error.
 	if err := c.Ping(); err != nil {
@@ -134,10 +170,10 @@ func TestSearchPage(t *testing.T) {
 		t.Fatalf("unlimited page = %v, want %v", all, want)
 	}
 
-	// Server-side errors come back as ERR.
-	if _, _, err := c.SearchPage(ctx, "((broken", 0, 1); err == nil ||
-		!strings.Contains(err.Error(), "server:") {
-		t.Fatalf("bad query err = %v", err)
+	// Server-side errors come back as the server's, not the transport's.
+	var re *wire.RemoteError
+	if _, _, err := c.SearchPage(ctx, "((broken", 0, 1); !errors.As(err, &re) {
+		t.Fatalf("bad query err = %#v, want a *wire.RemoteError", err)
 	}
 }
 
@@ -154,7 +190,7 @@ func TestFetch(t *testing.T) {
 
 func TestQueryWithSpaces(t *testing.T) {
 	c, _ := startServer(t)
-	// The quoted protocol must survive arbitrary whitespace.
+	// Queries travel length-prefixed, so arbitrary whitespace survives.
 	got, err := c.Search("  fingerprint   AND   sensor ")
 	if err != nil || len(got) != 1 {
 		t.Fatalf("Search with spaces = %v, %v", got, err)
@@ -162,18 +198,23 @@ func TestQueryWithSpaces(t *testing.T) {
 }
 
 func TestReconnectAfterServerSideClose(t *testing.T) {
-	c, srv := startServer(t)
+	c, _, l := startTrackedServer(t)
 	if err := c.Ping(); err != nil {
 		t.Fatal(err)
 	}
-	// Kill the client's connection server-side; next request re-dials.
-	srv.mu.Lock()
-	for conn := range srv.conns {
-		conn.Close()
+	// Kill the client's connection server-side. A request racing the
+	// teardown may fail (it is not retried: it may have executed); once
+	// the loss is noticed the next request re-dials.
+	l.closeConns()
+	deadline := time.Now().Add(5 * time.Second)
+	for c.Ping() != nil {
+		if time.Now().After(deadline) {
+			t.Fatalf("client never reconnected: %v", c.Ping())
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
-	srv.mu.Unlock()
-	if err := c.Ping(); err != nil {
-		t.Fatalf("ping after reconnect: %v", err)
+	if got, err := c.Search("iris"); err != nil || len(got) != 1 {
+		t.Fatalf("search after reconnect = %v, %v", got, err)
 	}
 }
 
@@ -186,7 +227,7 @@ func TestDirRefMatchesNothingRemotely(t *testing.T) {
 }
 
 func TestClientIsNamespace(t *testing.T) {
-	var _ hac.Namespace = (*Client)(nil)
+	var _ hac.ContextNamespace = (*BinClient)(nil)
 }
 
 // End-to-end: mount the remote server into a HAC volume and build a

@@ -1,90 +1,103 @@
 package remote
 
 import (
-	"bufio"
 	"net"
 	"strings"
 	"testing"
 	"time"
+
+	"hacfs/internal/wire"
 )
 
-// rawConn opens a raw TCP connection to the test server.
-func rawConn(t *testing.T) net.Conn {
+// rawConn opens a raw TCP connection to the test server and returns it
+// with the well-behaved client that proves the server is still up.
+func rawConn(t *testing.T) (net.Conn, *BinClient) {
 	t.Helper()
 	c, _ := startServer(t)
 	if err := c.Ping(); err != nil { // ensures the server is up
 		t.Fatal(err)
 	}
-	addr := c.addr
-	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	conn, err := net.DialTimeout("tcp", c.c.Addr(), 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
 	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	return conn
+	return conn, c
 }
 
-func TestServerSurvivesGarbage(t *testing.T) {
-	conn := rawConn(t)
-	if _, err := conn.Write([]byte("\x00\xff\x13garbage\r\n")); err != nil {
+// hello performs the client half of the hello exchange on a raw
+// connection.
+func hello(t *testing.T, conn net.Conn) {
+	t.Helper()
+	if err := wire.WriteHello(conn, wire.Version); err != nil {
 		t.Fatal(err)
 	}
-	r := bufio.NewReader(conn)
-	line, err := r.ReadString('\n')
-	if err != nil {
-		// Dropping the connection is acceptable; crashing is not, and
-		// the next test would catch a dead server.
-		return
-	}
-	if !strings.HasPrefix(line, "ERR") {
-		t.Fatalf("garbage reply = %q, want ERR", line)
-	}
-	// The protocol keeps working on the same connection after an error.
-	if _, err := conn.Write([]byte("PING\n")); err != nil {
+	if _, err := wire.ReadHello(conn); err != nil {
 		t.Fatal(err)
-	}
-	line, err = r.ReadString('\n')
-	if err != nil || strings.TrimSpace(line) != "PONG" {
-		t.Fatalf("ping after garbage = %q, %v", line, err)
 	}
 }
 
-func TestServerRejectsMalformedArgs(t *testing.T) {
-	conn := rawConn(t)
-	r := bufio.NewReader(conn)
-	for _, bad := range []string{
-		"SEARCH notquoted\n",
-		"FETCH \"unterminated\n",
-		"SEARCH\n",
+func TestServerDropsGarbagePreamble(t *testing.T) {
+	conn, c := rawConn(t)
+	if _, err := conn.Write([]byte("\x00\xff\x13garbage\r\nPING\n")); err != nil {
+		t.Fatal(err)
+	}
+	// A connection that does not open with the hello is closed, with no
+	// reply of any kind.
+	if n, err := conn.Read(make([]byte, 16)); err == nil {
+		t.Fatalf("server answered %d bytes to a garbage preamble", n)
+	}
+	if err := c.Ping(); err != nil {
+		t.Fatalf("server unusable after garbage: %v", err)
+	}
+}
+
+func TestServerRejectsMalformedPayload(t *testing.T) {
+	conn, _ := rawConn(t)
+	hello(t, conn)
+	for i, bad := range []wire.Frame{
+		{Type: fSearch, Payload: []byte{0x80}},                                        // truncated cursor varint
+		{Type: fSearch, Payload: append(appendSearchReq(nil, "q", "", 0, 1, 1), 0x7)}, // trailing byte
+		{Type: fFetch, Payload: []byte{0x20, 'x'}},                                    // path shorter than its length prefix
+		{Type: fFetch, Payload: wire.AppendUvarint(nil, maxField+1)},                  // path over its bound
+		{Type: 99}, // unknown frame type
 	} {
-		if _, err := conn.Write([]byte(bad)); err != nil {
+		bad.ID = uint64(i + 1)
+		if err := wire.WriteFrame(conn, bad); err != nil {
 			t.Fatal(err)
 		}
-		line, err := r.ReadString('\n')
+		f, err := wire.ReadFrame(conn, maxFramePayload)
 		if err != nil {
-			t.Fatalf("server dropped connection on %q: %v", bad, err)
+			t.Fatalf("server dropped the connection on malformed frame %d: %v", i, err)
 		}
-		if !strings.HasPrefix(line, "ERR") {
-			t.Fatalf("reply to %q = %q, want ERR", bad, line)
+		if f.Type != wire.TypeErr || f.ID != bad.ID || !f.Final() {
+			t.Fatalf("reply to malformed frame %d = type %d id %d final=%v, want a final error frame", i, f.Type, f.ID, f.Final())
 		}
+	}
+	// The connection keeps working after the errors.
+	if err := wire.WriteFrame(conn, wire.Frame{Type: fPing, ID: 100}); err != nil {
+		t.Fatal(err)
+	}
+	if f, err := wire.ReadFrame(conn, maxFramePayload); err != nil || f.Type != fPong || f.ID != 100 {
+		t.Fatalf("ping after malformed frames = %+v, %v", f, err)
 	}
 }
 
-func TestServerBoundsLineLength(t *testing.T) {
-	conn := rawConn(t)
-	// A line above maxLine must not be buffered indefinitely; the server
-	// either errors or drops the connection without consuming unbounded
-	// memory. Send maxLine+2 bytes.
-	big := make([]byte, maxLine+2)
-	for i := range big {
-		big[i] = 'a'
+func TestServerBoundsFrameLength(t *testing.T) {
+	conn, c := rawConn(t)
+	hello(t, conn)
+	// A frame declaring more than the payload budget must be refused
+	// from its header alone: the server closes the connection without
+	// waiting for — or allocating — the declared bytes.
+	hdr := []byte{0xff, 0xff, 0xff, 0xff, fSearch, 0, 0, 0, 0, 0, 0, 0, 0, 1}
+	if _, err := conn.Write(hdr); err != nil {
+		t.Fatal(err)
 	}
-	big[len(big)-1] = '\n'
-	if _, err := conn.Write(big); err != nil {
-		return // connection refused mid-write: fine
+	if _, err := conn.Read(make([]byte, 16)); err == nil || strings.Contains(err.Error(), "timeout") {
+		t.Fatalf("over-budget frame: read = %v, want the connection closed", err)
 	}
-	r := bufio.NewReader(conn)
-	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	_, _ = r.ReadString('\n') // any outcome but a hang is acceptable
+	if err := c.Ping(); err != nil {
+		t.Fatalf("server unusable after over-budget frame: %v", err)
+	}
 }

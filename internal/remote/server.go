@@ -1,15 +1,11 @@
 package remote
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
 	"log"
-	"net"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -29,14 +25,14 @@ type Backend interface {
 }
 
 // PagedBackend is an optional Backend extension serving cursor-paged
-// searches (the SEARCHP verb). A server whose backend lacks it answers
-// SEARCHP with the full result as a single page.
+// searches. A server whose backend lacks it answers a search with the
+// full result as a single page.
 type PagedBackend interface {
 	SearchPage(q string, after uint64, limit int) ([]string, uint64, error)
 }
 
 // ScopedBackend is an optional Backend extension serving
-// scope-restricted cursor pages (the SEARCHU verb and fSearch2 frame).
+// scope-restricted cursor pages (the fSearch frame's scope field).
 // The context carries the caller's trace and deadline across the
 // backend — a cluster coordinator fans it out to shards. epoch reports
 // the index epoch the page was pinned against, so a paging caller can
@@ -46,7 +42,7 @@ type ScopedBackend interface {
 }
 
 // Resyncer is an optional Backend extension that rebuilds the served
-// index from its document tree (the RESYNC verb and fResync frame). A
+// index from its document tree (the fResync frame). A
 // cluster coordinator fans it out to every shard replica.
 type Resyncer interface {
 	Resync(ctx context.Context) error
@@ -157,28 +153,22 @@ func (b *IndexBackend) Fetch(path string) ([]byte, error) {
 	return b.fsys.ReadFile(path)
 }
 
-// Server accepts protocol connections and answers them from a Backend.
+// Server answers protocol connections from a Backend. The accept loop,
+// the hello exchange and the per-connection reader are the wire
+// package's; Serve, ListenAndServe and Close come from it.
 type Server struct {
+	*wire.Server
 	backend Backend
-	logger  *log.Logger
 	obsv    *obs.Observer
-
-	mu       sync.Mutex
-	listener net.Listener
-	conns    map[net.Conn]struct{}
-	closed   bool
-	wg       sync.WaitGroup
 }
 
 // NewServer returns a server for the given backend. logger may be nil
 // to disable logging.
 func NewServer(backend Backend, logger *log.Logger) *Server {
-	return &Server{
-		backend: backend,
-		logger:  logger,
-		obsv:    obs.Default(),
-		conns:   make(map[net.Conn]struct{}),
-	}
+	s := &Server{backend: backend, obsv: obs.Default()}
+	s.Server = wire.NewServer(maxFramePayload, maxConnInflight, logger,
+		func() (wire.Handler, func()) { return s, nil })
+	return s
 }
 
 // SetObserver redirects the server's spans and slow-op records, e.g.
@@ -190,11 +180,11 @@ func (s *Server) SetObserver(o *obs.Observer) {
 	s.obsv = o
 }
 
-// startOp opens a server span for one search operation. A trace armed
-// by the client (TRACE verb or binary frame header) is joined;
-// untraced requests still get a root span, so the server's span ring
-// sees every remote search. The companion finishOp closes the span and
-// records the op in the slow log when it crossed the threshold.
+// startOp opens a server span for one search operation. A trace the
+// client propagated in the frame header is joined; untraced requests
+// still get a root span, so the server's span ring sees every remote
+// search. The companion finishOp closes the span and records the op in
+// the slow log when it crossed the threshold.
 func (s *Server) startOp(ctx context.Context, name, arg string) (*obs.Span, context.Context) {
 	sp, ctx := s.obsv.Tracer().StartCtx(ctx, name)
 	sp.Annotate("query", arg)
@@ -216,246 +206,131 @@ func (s *Server) finishOp(sp *obs.Span, name, arg string, start time.Time, err e
 	}
 }
 
-// Serve accepts connections on l until Close is called. It always
-// returns a non-nil error; after Close the error is net.ErrClosed.
-func (s *Server) Serve(l net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return net.ErrClosed
-	}
-	s.listener = l
-	s.mu.Unlock()
-	for {
-		conn, err := l.Accept()
+// ServeFrame implements wire.Handler.
+func (s *Server) ServeFrame(ctx context.Context, w *wire.ResponseWriter, f wire.Frame) {
+	switch f.Type {
+	case fPing:
+		w.Send(wire.Frame{Type: fPong, Flags: wire.FlagFinal, ID: f.ID})
+	case fSearch:
+		q, scope, after, pageSize, limitPages, err := decodeSearchReq(f.Payload)
 		if err != nil {
-			return err
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return net.ErrClosed
-		}
-		s.conns[conn] = struct{}{}
-		s.wg.Add(1)
-		s.mu.Unlock()
-		go func() {
-			defer s.wg.Done()
-			s.serveConn(conn)
-			s.mu.Lock()
-			delete(s.conns, conn)
-			s.mu.Unlock()
-		}()
-	}
-}
-
-// ListenAndServe listens on addr and serves. It returns the bound
-// address on a channel-free API by blocking; use Listen + Serve to
-// learn the port first.
-func (s *Server) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(l)
-}
-
-// Close stops accepting and closes all live connections.
-func (s *Server) Close() {
-	s.mu.Lock()
-	s.closed = true
-	if s.listener != nil {
-		s.listener.Close()
-	}
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	s.wg.Wait()
-}
-
-func (s *Server) logf(format string, args ...interface{}) {
-	if s.logger != nil {
-		s.logger.Printf(format, args...)
-	}
-}
-
-// serveConn handles one client connection until EOF or error. The
-// first bytes select the protocol: the wire magic enters the
-// multiplexed binary framing, anything else falls back to the legacy
-// line protocol, so old clients keep working unchanged.
-func (s *Server) serveConn(conn net.Conn) {
-	defer conn.Close()
-	r := bufio.NewReader(conn)
-	if prefix, err := r.Peek(4); err == nil && wire.IsMagic(prefix) {
-		s.serveBinary(conn, r)
-		return
-	}
-	w := bufio.NewWriter(conn)
-	// The connection's armed trace context: set by TRACE, consumed by
-	// the next command. One goroutine serves the whole line loop, so no
-	// locking is needed.
-	var pending obs.SpanContext
-	for {
-		line, err := readLine(r)
-		if err != nil {
+			w.Err(f.ID, err)
 			return
 		}
-		if err := s.handle(w, line, &pending); err != nil {
-			s.logf("remote: %v", err)
-			return
-		}
-		if err := w.Flush(); err != nil {
-			return
-		}
-	}
-}
-
-func (s *Server) handle(w *bufio.Writer, line string, pending *obs.SpanContext) error {
-	verb, arg := splitVerb(line)
-	// Consume the armed trace (TRACE applies to the next command only).
-	ctx := context.Background()
-	if pending.Valid() {
-		ctx = obs.ContextWith(ctx, *pending)
-		*pending = obs.SpanContext{}
-	}
-	switch verb {
-	case verbPing:
-		return writeLine(w, replyPong)
-	case verbTrace:
-		idStr, spanStr := splitVerb(arg)
-		id, err := obs.ParseTraceID(idStr)
-		span, serr := strconv.ParseUint(spanStr, 10, 64)
-		if err != nil || serr != nil {
-			return writeLine(w, replyErr, quote("malformed trace arguments"))
-		}
-		*pending = obs.SpanContext{Trace: id, Span: obs.SpanID(span)}
-		return writeLine(w, replyOK)
-	case verbSearch:
-		q, err := unquote(arg)
-		if err != nil {
-			return writeLine(w, replyErr, quote("malformed query argument"))
-		}
-		sp, _ := s.startOp(ctx, "remote.Search", q)
-		start := time.Now()
-		results, err := s.backend.Search(q)
-		s.finishOp(sp, "remote.Search", q, start, err)
-		if err != nil {
-			return writeLine(w, replyErr, quote(encodeWireError(err)))
-		}
-		if err := writeLine(w, replyOK, strconv.Itoa(len(results))); err != nil {
-			return err
-		}
-		for _, p := range results {
-			if err := writeLine(w, quote(p)); err != nil {
-				return err
-			}
-		}
-		return nil
-	case verbSearchPage:
-		fields := strings.SplitN(arg, " ", 3)
-		if len(fields) != 3 {
-			return writeLine(w, replyErr, quote("malformed page arguments"))
-		}
-		after, aerr := strconv.ParseUint(fields[0], 10, 64)
-		limit, lerr := strconv.Atoi(fields[1])
-		q, qerr := unquote(fields[2])
-		if aerr != nil || lerr != nil || qerr != nil {
-			return writeLine(w, replyErr, quote("malformed page arguments"))
-		}
-		var results []string
-		var next uint64
-		var err error
-		sp, opCtx := s.startOp(ctx, "remote.SearchPage", q)
-		start := time.Now()
-		if sb, ok := s.backend.(ScopedBackend); ok {
-			// The scoped form also carries the trace context through.
-			results, next, _, err = sb.SearchPageUnder(opCtx, q, "", after, limit)
-		} else if pb, ok := s.backend.(PagedBackend); ok {
-			results, next, err = pb.SearchPage(q, after, limit)
-		} else if after == 0 {
-			// Unpaged backend: everything as one page.
-			results, err = s.backend.Search(q)
-		}
-		s.finishOp(sp, "remote.SearchPage", q, start, err)
-		if err != nil {
-			return writeLine(w, replyErr, quote(encodeWireError(err)))
-		}
-		if err := writeLine(w, replyOK, strconv.Itoa(len(results)), strconv.FormatUint(next, 10)); err != nil {
-			return err
-		}
-		for _, p := range results {
-			if err := writeLine(w, quote(p)); err != nil {
-				return err
-			}
-		}
-		return nil
-	case verbSearchUnder:
-		fields := strings.SplitN(arg, " ", 3)
-		if len(fields) != 3 {
-			return writeLine(w, replyErr, quote("malformed page arguments"))
-		}
-		after, aerr := strconv.ParseUint(fields[0], 10, 64)
-		limit, lerr := strconv.Atoi(fields[1])
-		scope, q, serr := cutQuotedPair(fields[2])
-		if aerr != nil || lerr != nil || serr != nil {
-			return writeLine(w, replyErr, quote("malformed page arguments"))
-		}
-		sb, ok := s.backend.(ScopedBackend)
-		if !ok {
-			return writeLine(w, replyErr, quote(encodeWireError(
-				&vfs.PathError{Op: "searchu", Path: scope, Err: vfs.ErrUnsupported})))
-		}
-		sp, opCtx := s.startOp(ctx, "remote.SearchUnder", q)
-		start := time.Now()
-		results, next, epoch, err := sb.SearchPageUnder(opCtx, q, scope, after, limit)
-		s.finishOp(sp, "remote.SearchUnder", q, start, err)
-		if err != nil {
-			return writeLine(w, replyErr, quote(encodeWireError(err)))
-		}
-		if err := writeLine(w, replyOK, strconv.Itoa(len(results)),
-			strconv.FormatUint(next, 10), strconv.FormatUint(epoch, 10)); err != nil {
-			return err
-		}
-		for _, p := range results {
-			if err := writeLine(w, quote(p)); err != nil {
-				return err
-			}
-		}
-		return nil
-	case verbResync:
+		s.streamSearch(ctx, w, f.ID, q, scope, after, pageSize, limitPages)
+	case fResync:
 		rs, ok := s.backend.(Resyncer)
 		if !ok {
-			return writeLine(w, replyErr, quote(encodeWireError(
-				&vfs.PathError{Op: "resync", Path: "/", Err: vfs.ErrUnsupported})))
+			w.Err(f.ID, &vfs.PathError{Op: "resync", Path: "/", Err: vfs.ErrUnsupported})
+			return
 		}
 		sp, opCtx := s.startOp(ctx, "remote.Resync", "")
 		start := time.Now()
 		err := rs.Resync(opCtx)
 		s.finishOp(sp, "remote.Resync", "", start, err)
 		if err != nil {
-			return writeLine(w, replyErr, quote(encodeWireError(err)))
+			w.Err(f.ID, err)
+			return
 		}
-		return writeLine(w, replyOK)
-	case verbFetch:
-		p, err := unquote(arg)
-		if err != nil {
-			return writeLine(w, replyErr, quote("malformed path argument"))
+		w.Send(wire.Frame{Type: fOK, Flags: wire.FlagFinal, ID: f.ID})
+	case fStatus:
+		sb, ok := s.backend.(StatusBackend)
+		if !ok {
+			w.Err(f.ID, &vfs.PathError{Op: "status", Path: "/", Err: vfs.ErrUnsupported})
+			return
 		}
-		data, err := s.backend.Fetch(p)
+		epoch, version, docs := sb.Status()
+		var b []byte
+		b = wire.AppendUvarint(b, epoch)
+		b = wire.AppendUvarint(b, version)
+		b = wire.AppendUvarint(b, uint64(docs))
+		w.Send(wire.Frame{Type: fStatV, Flags: wire.FlagFinal, ID: f.ID, Payload: b})
+	case fFetch:
+		d := wire.NewDec(f.Payload)
+		path := d.String(maxField)
+		if err := d.Close(); err != nil {
+			w.Err(f.ID, err)
+			return
+		}
+		data, err := s.backend.Fetch(path)
 		if err != nil {
-			return writeLine(w, replyErr, quote(encodeWireError(err)))
+			w.Err(f.ID, err)
+			return
 		}
 		if len(data) > maxFetch {
-			return writeLine(w, replyErr, quote("document too large"))
+			w.Err(f.ID, errors.New("document too large"))
+			return
 		}
-		if err := writeLine(w, replyData, strconv.Itoa(len(data))); err != nil {
-			return err
-		}
-		_, err = w.Write(data)
-		return err
+		w.Send(wire.Frame{Type: fData, Flags: wire.FlagFinal, ID: f.ID, Payload: data})
 	default:
-		return writeLine(w, replyErr, quote(fmt.Sprintf("unknown verb %q", verb)))
+		w.Err(f.ID, fmt.Errorf("unknown frame type %d", f.Type))
+	}
+}
+
+// streamSearch answers one fSearch request: it pages the result through
+// the cursor machinery and streams one fPage frame per page, the last
+// carrying FlagFinal.
+func (s *Server) streamSearch(ctx context.Context, w *wire.ResponseWriter, id uint64, q, scope string, after uint64, pageSize, limitPages int) {
+	if pageSize <= 0 {
+		pageSize = 512
+	}
+	opName := "remote.Search"
+	if scope != "" {
+		opName = "remote.SearchUnder"
+	}
+	sp, opCtx := s.startOp(ctx, opName, q)
+	start := time.Now()
+
+	var fetchPage func(cursor uint64) ([]string, uint64, uint64, error)
+	if sb, ok := s.backend.(ScopedBackend); ok {
+		fetchPage = func(cur uint64) ([]string, uint64, uint64, error) {
+			return sb.SearchPageUnder(opCtx, q, scope, cur, pageSize)
+		}
+	} else if scope != "" && scope != "/" {
+		err := &vfs.PathError{Op: "searchu", Path: scope, Err: vfs.ErrUnsupported}
+		s.finishOp(sp, opName, q, start, err)
+		w.Err(id, err)
+		return
+	} else if pb, ok := s.backend.(PagedBackend); ok {
+		fetchPage = func(cur uint64) ([]string, uint64, uint64, error) {
+			paths, next, err := pb.SearchPage(q, cur, pageSize)
+			return paths, next, 0, err
+		}
+	} else {
+		// Unpaged backend: the whole result as a single final page.
+		paths, err := s.backend.Search(q)
+		s.finishOp(sp, opName, q, start, err)
+		if err != nil {
+			w.Err(id, err)
+			return
+		}
+		w.Send(wire.Frame{Type: fPage, Flags: wire.FlagFinal, ID: id, Payload: appendPage(nil, 0, 0, paths)})
+		return
+	}
+
+	// Stream pages until the cursor runs out or the client's page
+	// budget is spent.
+	cursor := after
+	for page := 0; ; page++ {
+		paths, next, epoch, err := fetchPage(cursor)
+		if err != nil {
+			s.finishOp(sp, opName, q, start, err)
+			w.Err(id, err)
+			return
+		}
+		final := next == 0 || (limitPages > 0 && page+1 >= limitPages)
+		fr := wire.Frame{Type: fPage, ID: id, Payload: appendPage(nil, epoch, next, paths)}
+		if final {
+			fr.Flags = wire.FlagFinal
+		}
+		if err := w.Send(fr); err != nil {
+			s.finishOp(sp, opName, q, start, err)
+			return
+		}
+		if final {
+			s.finishOp(sp, opName, q, start, nil)
+			return
+		}
+		cursor = next
 	}
 }

@@ -1,20 +1,16 @@
 package remote
 
 import (
-	"bufio"
 	"context"
-	"net"
-	"strconv"
-	"sync"
 	"testing"
 	"time"
 
 	"hacfs/internal/obs"
 )
 
-// TestTraceJoinsServerSpan: a traced client search arms the server via
-// the TRACE verb, so the server-side span joins the caller's trace with
-// the client RPC span as its parent.
+// TestTraceJoinsServerSpan: a traced client search stamps its span
+// context into the request frame's trace header, so the server-side
+// span joins the caller's trace with the client RPC span as its parent.
 func TestTraceJoinsServerSpan(t *testing.T) {
 	clientObs, srvObs := obs.NewObserver(), obs.NewObserver()
 	c, srv := startServer(t)
@@ -60,104 +56,5 @@ func TestTraceJoinsServerSpan(t *testing.T) {
 			t.Fatalf("server never retained a remote.Search span for trace %s", id)
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// legacyServer speaks the pre-TRACE line protocol: SEARCH and PING
-// work, any other verb gets ERR "unknown verb" but the connection
-// stays up — exactly what an old binary does. It records every verb
-// it sees so the test can check what the client actually sent.
-func legacyServer(t *testing.T) (addr string, verbs func() []string) {
-	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { l.Close() })
-	var mu sync.Mutex
-	var seen []string
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				r := bufio.NewReader(conn)
-				w := bufio.NewWriter(conn)
-				for {
-					line, err := readLine(r)
-					if err != nil {
-						return
-					}
-					verb, _ := splitVerb(line)
-					mu.Lock()
-					seen = append(seen, verb)
-					mu.Unlock()
-					switch verb {
-					case verbSearch:
-						writeLine(w, replyOK, "1")
-						writeLine(w, quote("/hit"))
-					case verbPing:
-						writeLine(w, replyPong)
-					default:
-						writeLine(w, replyErr, quote("unknown verb "+strconv.Quote(verb)))
-					}
-					if err := w.Flush(); err != nil {
-						return
-					}
-				}
-			}()
-		}
-	}()
-	return l.Addr().String(), func() []string {
-		mu.Lock()
-		defer mu.Unlock()
-		return append([]string(nil), seen...)
-	}
-}
-
-// TestTraceDegradesAgainstLegacyServer: a traced client against a
-// server that predates the TRACE verb still gets its results — the ERR
-// reply marks the connection as untraceable and the client never sends
-// TRACE on it again.
-func TestTraceDegradesAgainstLegacyServer(t *testing.T) {
-	addr, verbs := legacyServer(t)
-	o := obs.NewObserver()
-	c := Dial("legacy", addr)
-	c.SetTimeout(5 * time.Second)
-	defer c.Close()
-	c.SetObserver(o)
-
-	root, ctx := o.Tracer().StartCtx(context.Background(), "test.root")
-	defer root.Finish()
-	for i := 0; i < 2; i++ {
-		paths, err := c.SearchContext(ctx, "q")
-		if err != nil || len(paths) != 1 || paths[0] != "/hit" {
-			t.Fatalf("search %d via legacy server = %v, %v", i, paths, err)
-		}
-	}
-	got := verbs()
-	if len(got) < 3 || got[0] != verbTrace {
-		t.Fatalf("verbs = %v, want a leading TRACE probe then searches", got)
-	}
-	traceSends := 0
-	for _, v := range got {
-		if v == verbTrace {
-			traceSends++
-		}
-	}
-	if traceSends != 1 {
-		t.Fatalf("client sent TRACE %d times on one refused connection, want 1: %v", traceSends, got)
-	}
-	searches := 0
-	for _, v := range got {
-		if v == verbSearch {
-			searches++
-		}
-	}
-	if searches != 2 {
-		t.Fatalf("server saw %d SEARCH verbs, want 2: %v", searches, got)
 	}
 }

@@ -2,356 +2,277 @@ package remotefs
 
 import (
 	"context"
-	"encoding/gob"
 	"fmt"
 	"io"
-	"net"
-	"sync"
 	"time"
 
 	"hacfs/internal/obs"
 	"hacfs/internal/vfs"
+	"hacfs/internal/wire"
 )
 
-// Client is a vfs.FileSystem backed by a remote Server. All local
-// layers compose over it: it can be mounted syntactically into a
-// MemFS, or serve as the substrate of a local HAC volume.
-//
-// One connection carries all requests; the client serializes them, so
-// it is safe for concurrent use.
-type Client struct {
-	addr    string
-	timeout time.Duration
-	tenant  string
-
-	mu   sync.Mutex
-	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
-	met  clientMetrics
+// MuxClient is a vfs.FileSystem backed by a remote Server. All local
+// layers compose over it: it can be mounted syntactically into a MemFS,
+// or serve as the substrate of a local HAC volume. Any number of
+// goroutines issue requests concurrently over ONE connection, each
+// tagged with a request ID, and views onto different tenants of the
+// same server share the connection (see Tenant).
+type MuxClient struct {
+	tenant string
+	c      *wire.Client
+	kv     []string // client span annotations: addr, and tenant when set
 }
 
-var _ vfs.FileSystem = (*Client)(nil)
+var _ vfs.FileSystem = (*MuxClient)(nil)
 
-// Dial creates a client for the server at addr. The connection is
-// established lazily.
-func Dial(addr string) *Client {
-	return &Client{
-		addr:    addr,
-		timeout: 10 * time.Second,
-		met:     newClientMetrics(obs.Default()),
+// DialMux creates a client for the server at addr, addressing the
+// server's default volume. The connection is established lazily.
+func DialMux(addr string) *MuxClient {
+	return &MuxClient{
+		c:  wire.NewClient(addr, maxFrameBuf, "remotefs", "op", methods),
+		kv: []string{"addr", addr},
 	}
 }
 
-// SetTimeout changes the per-request deadline.
-func (c *Client) SetTimeout(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.timeout = d
+// Tenant returns a view of the same connection addressing the named
+// tenant volume. Views are independent and safe for concurrent use.
+func (c *MuxClient) Tenant(name string) *MuxClient {
+	return &MuxClient{tenant: name, c: c.c, kv: []string{"addr", c.c.Addr(), "tenant", name}}
 }
 
-// SetTenant addresses all subsequent requests at the named tenant
-// volume on a multi-tenant server ("" = the server's default volume).
-func (c *Client) SetTenant(name string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.tenant = name
-}
+// SetTimeout changes the dial / per-request deadline.
+func (c *MuxClient) SetTimeout(d time.Duration) { c.c.SetTimeout(d) }
 
-// Close drops the connection; later requests re-dial.
-func (c *Client) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.dropLocked()
-}
+// SetObserver redirects the metrics and spans of the client and its
+// tenant views to o.
+func (c *MuxClient) SetObserver(o *obs.Observer) { c.c.SetObserver(o) }
 
-func (c *Client) dropLocked() error {
-	if c.conn == nil {
-		return nil
-	}
-	err := c.conn.Close()
-	c.conn, c.enc, c.dec = nil, nil, nil
-	return err
-}
+// Close drops the connection (shared by all tenant views); later
+// requests re-dial.
+func (c *MuxClient) Close() error { return c.c.Close() }
 
-func (c *Client) ensureLocked(ctx context.Context) error {
-	if c.conn != nil {
-		return nil
-	}
-	d := net.Dialer{Timeout: c.timeout}
-	conn, err := d.DialContext(ctx, "tcp", c.addr)
-	if err != nil {
-		c.met.dialFailures.Add(1)
-		return fmt.Errorf("remotefs: dial %s: %w", c.addr, err)
-	}
-	c.conn = conn
-	c.enc = gob.NewEncoder(conn)
-	c.dec = gob.NewDecoder(conn)
-	return nil
-}
-
-// deadlineLocked computes the connection deadline for one request: the
-// per-request timeout, further tightened by the context's deadline.
-func (c *Client) deadlineLocked(ctx context.Context) time.Time {
-	var dl time.Time
-	if c.timeout > 0 {
-		dl = time.Now().Add(c.timeout)
-	}
-	if cd, ok := ctx.Deadline(); ok && (dl.IsZero() || cd.Before(dl)) {
-		dl = cd
-	}
-	return dl
-}
-
-// call performs one round trip, retrying once on a fresh connection
-// after transport errors. Requests carrying open handles are not
-// retried (the handle died with the connection).
-func (c *Client) call(req *request) (*response, error) {
-	return c.callCtx(context.Background(), req)
-}
-
-// callCtx is call bounded by ctx: the dial and the round trip honor
-// the context's deadline and cancellation, on top of the client's
-// per-request timeout.
-func (c *Client) callCtx(ctx context.Context, req *request) (_ *response, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if m, ok := c.met.ops[req.Op]; ok {
-		defer m.done(time.Now(), &err)
-	}
+// callCtx performs one framed round trip. The returned error is the
+// transport's or the protocol's; the operation's own error is resp.Err.
+func (c *MuxClient) callCtx(ctx context.Context, req *request) (*response, error) {
 	req.Tenant = c.tenant
-	if sc, ok := obs.FromContext(ctx); ok {
-		req.TraceHi, req.TraceLo = sc.Trace.Words()
-		req.TraceSpan = uint64(sc.Span)
+	f, err := c.c.Call(ctx, int(req.Op)-1, rfReq, appendRequest(nil, req), c.kv...)
+	if err != nil {
+		return nil, fmt.Errorf("remotefs: %w", err)
 	}
-	attempts := 2
-	if req.Handle != 0 {
-		attempts = 1
-	}
-	var lastErr error
-	for a := 0; a < attempts; a++ {
-		if a > 0 {
-			c.met.retries.Add(1)
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if err := c.ensureLocked(ctx); err != nil {
-			return nil, err
-		}
-		if dl := c.deadlineLocked(ctx); !dl.IsZero() {
-			c.conn.SetDeadline(dl)
-		}
-		if err := c.enc.Encode(req); err != nil {
-			lastErr = err
-			c.dropLocked()
-			continue
-		}
-		var resp response
-		if err := c.dec.Decode(&resp); err != nil {
-			lastErr = err
-			c.dropLocked()
-			continue
-		}
-		return &resp, nil
-	}
-	return nil, fmt.Errorf("remotefs: %s: %w", c.addr, lastErr)
+	return decodeRespFrame(f)
 }
 
-// do is call for operations whose only interesting result is an error.
-func (c *Client) do(req *request) error {
-	resp, err := c.call(req)
-	if err != nil {
-		return err
+func decodeRespFrame(f wire.Frame) (*response, error) {
+	if f.Type != rfResp {
+		return nil, fmt.Errorf("remotefs: unexpected frame type %d", f.Type)
 	}
-	return resp.Err.decode()
+	var resp response
+	if err := decodeResponse(f.Payload, &resp); err != nil {
+		return nil, err
+	}
+	return &resp, nil
+}
+
+// op is callCtx with the operation's error folded into the returned
+// one, which is how every file-system method reports it. The response
+// is never nil, so callers can return its fields beside the error.
+func (c *MuxClient) op(ctx context.Context, req *request) (*response, error) {
+	resp, err := c.callCtx(ctx, req)
+	if err != nil {
+		return &response{}, err
+	}
+	return resp, resp.Err
+}
+
+// do is op without a context, for the vfs.FileSystem methods.
+func (c *MuxClient) do(req *request) (*response, error) {
+	return c.op(context.Background(), req)
 }
 
 // Ping checks liveness.
-func (c *Client) Ping() error { return c.PingContext(context.Background()) }
+func (c *MuxClient) Ping() error { return c.PingContext(context.Background()) }
 
 // PingContext checks liveness, bounded by ctx.
-func (c *Client) PingContext(ctx context.Context) error {
-	resp, err := c.callCtx(ctx, &request{Op: opPing})
-	if err != nil {
-		return err
-	}
-	return resp.Err.decode()
+func (c *MuxClient) PingContext(ctx context.Context) error {
+	_, err := c.op(ctx, &request{Op: opPing})
+	return err
 }
 
 // SyncPath restores scope consistency for the semantic directory at
 // path on the served volume (the paper's ssync, over the wire). Only
 // servers exporting a HAC volume answer; others return
 // vfs.ErrUnsupported.
-func (c *Client) SyncPath(path string) error {
-	return c.do(&request{Op: opSync, Path: path})
+func (c *MuxClient) SyncPath(path string) error {
+	return c.SyncPathContext(context.Background(), path)
 }
 
-// ReadFileContext reads a whole remote file, bounded by ctx.
-func (c *Client) ReadFileContext(ctx context.Context, path string) ([]byte, error) {
-	resp, err := c.callCtx(ctx, &request{Op: opReadFile, Path: path})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Data, resp.Err.decode()
+// SyncPathContext is SyncPath bounded by ctx.
+func (c *MuxClient) SyncPathContext(ctx context.Context, path string) error {
+	_, err := c.op(ctx, &request{Op: opSync, Path: path})
+	return err
 }
 
-// ReadDirContext lists a remote directory, bounded by ctx.
-func (c *Client) ReadDirContext(ctx context.Context, path string) ([]vfs.DirEntry, error) {
-	resp, err := c.callCtx(ctx, &request{Op: opReadDir, Path: path})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Entries, resp.Err.decode()
-}
-
-// StatContext returns remote metadata, bounded by ctx.
-func (c *Client) StatContext(ctx context.Context, path string) (vfs.Info, error) {
-	resp, err := c.callCtx(ctx, &request{Op: opStat, Path: path})
-	if err != nil {
-		return vfs.Info{}, err
-	}
-	return resp.Info, resp.Err.decode()
-}
-
-// SearchPage runs a content query on the remote volume and returns one
+// SearchPage runs a content query on the served volume and returns one
 // cursor page of matching paths: matches under scope starting at cursor
 // after (0 = first page), at most limit of them, plus the cursor of the
 // next page (0 = no more). Only servers exporting a searchable file
 // system — a HAC volume — answer; others return vfs.ErrUnsupported.
-func (c *Client) SearchPage(ctx context.Context, query, scope string, after uint64, limit int) ([]string, uint64, error) {
+func (c *MuxClient) SearchPage(ctx context.Context, query, scope string, after uint64, limit int) ([]string, uint64, error) {
 	if after > (1<<63 - 1) {
 		return nil, 0, fmt.Errorf("remotefs: search cursor overflow")
 	}
-	resp, err := c.callCtx(ctx, &request{Op: opSearch, Path: scope, Path2: query, Offset: int64(after), N: limit})
+	resp, err := c.op(ctx, &request{Op: opSearch, Path: scope, Path2: query, Offset: int64(after), N: limit})
 	if err != nil {
-		return nil, 0, err
-	}
-	if err := resp.Err.decode(); err != nil {
 		return nil, 0, err
 	}
 	return resp.Strs, uint64(resp.Off), nil
 }
 
+// SearchStream runs a content query and streams every result page
+// through fn: the server walks the cursor itself and ships one framed
+// page per callback, so a large result needs one request, not one
+// round trip per page. pageSize <= 0 uses the server default.
+func (c *MuxClient) SearchStream(ctx context.Context, query, scope string, pageSize int, fn func(paths []string) error) error {
+	req := &request{Op: opSearchStream, Tenant: c.tenant, Path: scope, Path2: query, N: pageSize}
+	return c.c.Stream(ctx, int(opSearchStream)-1, rfReq, appendRequest(nil, req), func(f wire.Frame) error {
+		resp, err := decodeRespFrame(f)
+		if err != nil {
+			return err
+		}
+		if resp.Err != nil {
+			return resp.Err
+		}
+		if len(resp.Strs) > 0 || f.Final() {
+			return fn(resp.Strs)
+		}
+		return nil
+	}, c.kv...)
+}
+
+// ReadFileContext reads a whole remote file, bounded by ctx.
+func (c *MuxClient) ReadFileContext(ctx context.Context, path string) ([]byte, error) {
+	resp, err := c.op(ctx, &request{Op: opReadFile, Path: path})
+	return resp.Data, err
+}
+
+// ReadDirContext lists a remote directory, bounded by ctx.
+func (c *MuxClient) ReadDirContext(ctx context.Context, path string) ([]vfs.DirEntry, error) {
+	resp, err := c.op(ctx, &request{Op: opReadDir, Path: path})
+	return resp.Entries, err
+}
+
+// StatContext returns remote metadata, bounded by ctx.
+func (c *MuxClient) StatContext(ctx context.Context, path string) (vfs.Info, error) {
+	resp, err := c.op(ctx, &request{Op: opStat, Path: path})
+	return resp.Info, err
+}
+
 // Mkdir creates a directory on the remote volume.
-func (c *Client) Mkdir(path string) error {
-	return c.do(&request{Op: opMkdir, Path: path})
+func (c *MuxClient) Mkdir(path string) error {
+	_, err := c.do(&request{Op: opMkdir, Path: path})
+	return err
 }
 
 // MkdirAll creates a directory and missing parents.
-func (c *Client) MkdirAll(path string) error {
-	return c.do(&request{Op: opMkdirAll, Path: path})
+func (c *MuxClient) MkdirAll(path string) error {
+	_, err := c.do(&request{Op: opMkdirAll, Path: path})
+	return err
 }
 
 // Create creates or truncates a remote file.
-func (c *Client) Create(path string) (vfs.File, error) {
+func (c *MuxClient) Create(path string) (vfs.File, error) {
 	return c.OpenFile(path, vfs.ORead|vfs.OWrite|vfs.OCreate|vfs.OTrunc)
 }
 
 // Open opens a remote file for reading.
-func (c *Client) Open(path string) (vfs.File, error) {
+func (c *MuxClient) Open(path string) (vfs.File, error) {
 	return c.OpenFile(path, vfs.ORead)
 }
 
 // OpenFile opens a remote file.
-func (c *Client) OpenFile(path string, flag int) (vfs.File, error) {
-	resp, err := c.call(&request{Op: opOpenFile, Path: path, Flag: flag})
+func (c *MuxClient) OpenFile(path string, flag int) (vfs.File, error) {
+	resp, err := c.do(&request{Op: opOpenFile, Path: path, Flag: flag})
 	if err != nil {
 		return nil, err
 	}
-	if err := resp.Err.decode(); err != nil {
-		return nil, err
-	}
-	return &remoteFile{c: c, handle: resp.Handle, name: path}, nil
+	return &muxFile{c: c, handle: resp.Handle, name: path}, nil
 }
 
 // ReadFile reads a whole remote file.
-func (c *Client) ReadFile(path string) ([]byte, error) {
-	resp, err := c.call(&request{Op: opReadFile, Path: path})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Data, resp.Err.decode()
+func (c *MuxClient) ReadFile(path string) ([]byte, error) {
+	return c.ReadFileContext(context.Background(), path)
 }
 
 // WriteFile writes a whole remote file.
-func (c *Client) WriteFile(path string, data []byte) error {
-	return c.do(&request{Op: opWriteFile, Path: path, Data: data})
+func (c *MuxClient) WriteFile(path string, data []byte) error {
+	_, err := c.do(&request{Op: opWriteFile, Path: path, Data: data})
+	return err
 }
 
 // Symlink creates a remote symbolic link.
-func (c *Client) Symlink(target, link string) error {
-	return c.do(&request{Op: opSymlink, Path: link, Path2: target})
+func (c *MuxClient) Symlink(target, link string) error {
+	_, err := c.do(&request{Op: opSymlink, Path: link, Path2: target})
+	return err
 }
 
 // Readlink reads a remote symbolic link.
-func (c *Client) Readlink(path string) (string, error) {
-	resp, err := c.call(&request{Op: opReadlink, Path: path})
-	if err != nil {
-		return "", err
-	}
-	return resp.Str, resp.Err.decode()
+func (c *MuxClient) Readlink(path string) (string, error) {
+	resp, err := c.do(&request{Op: opReadlink, Path: path})
+	return resp.Str, err
 }
 
 // Remove deletes one remote object.
-func (c *Client) Remove(path string) error {
-	return c.do(&request{Op: opRemove, Path: path})
+func (c *MuxClient) Remove(path string) error {
+	_, err := c.do(&request{Op: opRemove, Path: path})
+	return err
 }
 
 // RemoveAll deletes a remote subtree.
-func (c *Client) RemoveAll(path string) error {
-	return c.do(&request{Op: opRemoveAll, Path: path})
+func (c *MuxClient) RemoveAll(path string) error {
+	_, err := c.do(&request{Op: opRemoveAll, Path: path})
+	return err
 }
 
 // Rename moves a remote object.
-func (c *Client) Rename(oldPath, newPath string) error {
-	return c.do(&request{Op: opRename, Path: oldPath, Path2: newPath})
+func (c *MuxClient) Rename(oldPath, newPath string) error {
+	_, err := c.do(&request{Op: opRename, Path: oldPath, Path2: newPath})
+	return err
 }
 
 // Stat returns remote metadata, following symlinks.
-func (c *Client) Stat(path string) (vfs.Info, error) {
-	resp, err := c.call(&request{Op: opStat, Path: path})
-	if err != nil {
-		return vfs.Info{}, err
-	}
-	return resp.Info, resp.Err.decode()
+func (c *MuxClient) Stat(path string) (vfs.Info, error) {
+	return c.StatContext(context.Background(), path)
 }
 
 // Lstat returns remote metadata without following a final symlink.
-func (c *Client) Lstat(path string) (vfs.Info, error) {
-	resp, err := c.call(&request{Op: opLstat, Path: path})
-	if err != nil {
-		return vfs.Info{}, err
-	}
-	return resp.Info, resp.Err.decode()
+func (c *MuxClient) Lstat(path string) (vfs.Info, error) {
+	resp, err := c.do(&request{Op: opLstat, Path: path})
+	return resp.Info, err
 }
 
 // ReadDir lists a remote directory.
-func (c *Client) ReadDir(path string) ([]vfs.DirEntry, error) {
-	resp, err := c.call(&request{Op: opReadDir, Path: path})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Entries, resp.Err.decode()
+func (c *MuxClient) ReadDir(path string) ([]vfs.DirEntry, error) {
+	return c.ReadDirContext(context.Background(), path)
 }
 
-// remoteFile is an open handle on the server.
-type remoteFile struct {
-	c      *Client
+// muxFile is an open handle on the server, reached over the shared
+// connection.
+type muxFile struct {
+	c      *MuxClient
 	handle uint64
 	name   string
 }
 
-var _ vfs.File = (*remoteFile)(nil)
+var _ vfs.File = (*muxFile)(nil)
 
-func (f *remoteFile) Name() string { return f.name }
+func (f *muxFile) Name() string { return f.name }
 
-func (f *remoteFile) Read(p []byte) (int, error) {
-	resp, err := f.c.call(&request{Op: opFileRead, Handle: f.handle, N: len(p)})
+// read performs Read or ReadAt: the server reports end of file as a
+// flag beside the data, not as an error.
+func (f *muxFile) read(req *request, p []byte) (int, error) {
+	req.Handle, req.N = f.handle, len(p)
+	resp, err := f.c.do(req)
 	if err != nil {
-		return 0, err
-	}
-	if err := resp.Err.decode(); err != nil {
 		return 0, err
 	}
 	n := copy(p, resp.Data)
@@ -361,65 +282,38 @@ func (f *remoteFile) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-func (f *remoteFile) ReadAt(p []byte, off int64) (int, error) {
-	resp, err := f.c.call(&request{Op: opFileReadAt, Handle: f.handle, N: len(p), Offset: off})
-	if err != nil {
-		return 0, err
-	}
-	if err := resp.Err.decode(); err != nil {
-		return 0, err
-	}
-	n := copy(p, resp.Data)
-	if resp.EOF {
-		return n, io.EOF
-	}
-	return n, nil
+func (f *muxFile) Read(p []byte) (int, error) { return f.read(&request{Op: opFileRead}, p) }
+
+func (f *muxFile) ReadAt(p []byte, off int64) (int, error) {
+	return f.read(&request{Op: opFileReadAt, Offset: off}, p)
 }
 
-func (f *remoteFile) Write(p []byte) (int, error) {
-	resp, err := f.c.call(&request{Op: opFileWrite, Handle: f.handle, Data: p})
-	if err != nil {
-		return 0, err
-	}
-	return resp.N, resp.Err.decode()
+func (f *muxFile) Write(p []byte) (int, error) {
+	resp, err := f.c.do(&request{Op: opFileWrite, Handle: f.handle, Data: p})
+	return resp.N, err
 }
 
-func (f *remoteFile) WriteAt(p []byte, off int64) (int, error) {
-	resp, err := f.c.call(&request{Op: opFileWriteAt, Handle: f.handle, Data: p, Offset: off})
-	if err != nil {
-		return 0, err
-	}
-	return resp.N, resp.Err.decode()
+func (f *muxFile) WriteAt(p []byte, off int64) (int, error) {
+	resp, err := f.c.do(&request{Op: opFileWriteAt, Handle: f.handle, Data: p, Offset: off})
+	return resp.N, err
 }
 
-func (f *remoteFile) Seek(offset int64, whence int) (int64, error) {
-	resp, err := f.c.call(&request{Op: opFileSeek, Handle: f.handle, Offset: offset, Whence: whence})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Off, resp.Err.decode()
+func (f *muxFile) Seek(offset int64, whence int) (int64, error) {
+	resp, err := f.c.do(&request{Op: opFileSeek, Handle: f.handle, Offset: offset, Whence: whence})
+	return resp.Off, err
 }
 
-func (f *remoteFile) Truncate(size int64) error {
-	resp, err := f.c.call(&request{Op: opFileTruncate, Handle: f.handle, Size: size})
-	if err != nil {
-		return err
-	}
-	return resp.Err.decode()
+func (f *muxFile) Truncate(size int64) error {
+	_, err := f.c.do(&request{Op: opFileTruncate, Handle: f.handle, Size: size})
+	return err
 }
 
-func (f *remoteFile) Stat() (vfs.Info, error) {
-	resp, err := f.c.call(&request{Op: opFileStat, Handle: f.handle})
-	if err != nil {
-		return vfs.Info{}, err
-	}
-	return resp.Info, resp.Err.decode()
+func (f *muxFile) Stat() (vfs.Info, error) {
+	resp, err := f.c.do(&request{Op: opFileStat, Handle: f.handle})
+	return resp.Info, err
 }
 
-func (f *remoteFile) Close() error {
-	resp, err := f.c.call(&request{Op: opFileClose, Handle: f.handle})
-	if err != nil {
-		return err
-	}
-	return resp.Err.decode()
+func (f *muxFile) Close() error {
+	_, err := f.c.do(&request{Op: opFileClose, Handle: f.handle})
+	return err
 }

@@ -1,20 +1,17 @@
 package remotefs
 
 import (
-	"fmt"
 	"time"
 
 	"hacfs/internal/vfs"
 	"hacfs/internal/wire"
 )
 
-// Binary codec for the multiplexed framing (DESIGN.md §12). The gob
-// stream of the legacy protocol re-sends type information and cannot
-// interleave messages; the binary codec writes every request and
-// response as one self-contained frame payload with a fixed field
-// schema, so frames from many in-flight requests can share a
-// connection. Every variable-length field is decoded against an
-// explicit bound before any allocation.
+// Payload codec (DESIGN.md §12): every request and response is one
+// self-contained frame payload with a fixed field schema, so frames
+// from many in-flight requests can share a connection. Every
+// variable-length field is decoded against an explicit bound before any
+// allocation.
 
 // maxIO bounds one read/write payload.
 const maxIO = 16 << 20
@@ -23,7 +20,6 @@ const maxIO = 16 << 20
 const (
 	maxNameLen  = 1 << 10 // tenant names
 	maxPathLen  = 64 << 10
-	maxErrLen   = 16 << 10
 	maxEntries  = 1 << 20 // directory entries / search paths per page
 	maxFrameBuf = maxIO + (1 << 20)
 )
@@ -98,14 +94,9 @@ func decodeInfo(d *wire.Dec) vfs.Info {
 }
 
 func appendResponse(b []byte, resp *response) []byte {
+	b = wire.AppendBool(b, resp.Err != nil)
 	if resp.Err != nil {
-		b = wire.AppendBool(b, true)
-		b = wire.AppendString(b, resp.Err.Op)
-		b = wire.AppendString(b, resp.Err.Path)
-		b = wire.AppendString(b, resp.Err.Kind)
-		b = wire.AppendString(b, resp.Err.Msg)
-	} else {
-		b = wire.AppendBool(b, false)
+		b = wire.AppendError(b, resp.Err)
 	}
 	b = wire.AppendBytes(b, resp.Data)
 	b = appendInfo(b, resp.Info)
@@ -127,25 +118,13 @@ func appendResponse(b []byte, resp *response) []byte {
 func decodeResponse(payload []byte, resp *response) error {
 	d := wire.NewDec(payload)
 	if d.Bool() {
-		we := &wireError{}
-		we.Op = d.String(maxPathLen)
-		we.Path = d.String(maxPathLen)
-		we.Kind = d.String(maxNameLen)
-		we.Msg = d.String(maxErrLen)
-		resp.Err = we
+		resp.Err = wire.DecodeError(d)
 	}
 	resp.Data = d.Bytes(maxIO)
 	resp.Info = decodeInfo(d)
-	n := d.Uvarint()
-	// Each entry costs at least 3 payload bytes; bounding the count by
-	// the bytes actually remaining (and an absolute cap) keeps a hostile
-	// count from over-allocating.
-	if n > maxEntries || n > uint64(d.Len()) {
-		return fmt.Errorf("remotefs: entry count %d exceeds payload", n)
-	}
-	if n > 0 {
+	if n := d.Count(maxEntries); n > 0 {
 		resp.Entries = make([]vfs.DirEntry, 0, n)
-		for i := uint64(0); i < n; i++ {
+		for i := 0; i < n; i++ {
 			var e vfs.DirEntry
 			e.Name = d.String(maxPathLen)
 			e.Type = vfs.NodeType(d.Byte())

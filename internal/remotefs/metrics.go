@@ -1,10 +1,6 @@
 package remotefs
 
-import (
-	"time"
-
-	"hacfs/internal/obs"
-)
+import "hacfs/internal/wire"
 
 // opNames maps protocol op codes to the label value used in the
 // remotefs_rpc_* series.
@@ -38,65 +34,29 @@ var opNames = map[opCode]string{
 	opBlobs:        "blobs",
 }
 
-// rpcSpanNames and rfsSpanNames are the client- and server-side span
-// names per op, built once so the per-request hot path doesn't
-// re-concatenate them.
-var rpcSpanNames, rfsSpanNames = func() (map[opCode]string, map[opCode]string) {
-	rpc := make(map[opCode]string, len(opNames))
+// rfsSpanNames are the server-side span names per op, built once so the
+// per-request hot path doesn't re-concatenate them.
+var rfsSpanNames = func() map[opCode]string {
 	rfs := make(map[opCode]string, len(opNames))
 	for op, name := range opNames {
-		rpc[op] = "rpc." + name
 		rfs[op] = "rfs." + name
 	}
-	return rpc, rfs
+	return rfs
 }()
 
-// rpcMetrics instruments one protocol op: call count, transport latency
-// and transport-error count (server-side errors travel inside the
-// response and are not counted here).
-type rpcMetrics struct {
-	calls   *obs.Counter   // remotefs_rpc_total{op=...}
-	errors  *obs.Counter   // remotefs_rpc_errors_total{op=...}
-	seconds *obs.Histogram // remotefs_rpc_seconds{op=...}
-}
-
-func (m rpcMetrics) done(start time.Time, err *error) {
-	m.calls.Add(1)
-	m.seconds.ObserveSince(start)
-	if *err != nil {
-		m.errors.Add(1)
-	}
-}
-
-// clientMetrics is the client's handle bundle, resolved once at Dial
-// (against obs.Default()) or by SetObserver.
-type clientMetrics struct {
-	ops          map[opCode]rpcMetrics
-	retries      *obs.Counter // remotefs_rpc_retries_total
-	dialFailures *obs.Counter // remotefs_dial_failures_total
-}
-
-func newClientMetrics(o *obs.Observer) clientMetrics {
-	r := o.Registry()
-	ops := make(map[opCode]rpcMetrics, len(opNames))
+// methods describes every op to the wire call layer (series
+// remotefs_rpc_*{op=...}, client spans rpc.<op>), indexed by op-1. Only
+// the semantic ops — search, streamed search, sync — mint a trace of
+// their own; everything else joins a trace only when the caller's ctx
+// already carries one.
+var methods = func() []wire.Method {
+	ms := make([]wire.Method, len(opNames))
 	for op, name := range opNames {
-		ops[op] = rpcMetrics{
-			calls:   r.Counter("remotefs_rpc_total", "op", name),
-			errors:  r.Counter("remotefs_rpc_errors_total", "op", name),
-			seconds: r.Histogram("remotefs_rpc_seconds", nil, "op", name),
+		ms[op-1] = wire.Method{
+			Label: name,
+			Span:  "rpc." + name,
+			Mint:  op == opSearch || op == opSearchStream || op == opSync,
 		}
 	}
-	return clientMetrics{
-		ops:          ops,
-		retries:      r.Counter("remotefs_rpc_retries_total"),
-		dialFailures: r.Counter("remotefs_dial_failures_total"),
-	}
-}
-
-// SetObserver redirects the client's metrics to o (they default to the
-// process-wide obs.Default()).
-func (c *Client) SetObserver(o *obs.Observer) {
-	c.mu.Lock()
-	c.met = newClientMetrics(o)
-	c.mu.Unlock()
-}
+	return ms
+}()

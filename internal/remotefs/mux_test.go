@@ -196,24 +196,6 @@ func TestMuxTenantRouting(t *testing.T) {
 	}
 }
 
-// TestGobTenantRouting checks the legacy protocol reaches tenant
-// volumes too (SetTenant on the gob client).
-func TestGobTenantRouting(t *testing.T) {
-	alice := vfs.New()
-	vols := newTestVolumes(map[string]vfs.FileSystem{"": vfs.New(), "alice": alice})
-	addr := hostServe(t, vols)
-	c := Dial(addr)
-	c.SetTimeout(5 * time.Second)
-	defer c.Close()
-	c.SetTenant("alice")
-	if err := c.WriteFile("/f", []byte("gob tenant")); err != nil {
-		t.Fatal(err)
-	}
-	if data, err := alice.ReadFile("/f"); err != nil || string(data) != "gob tenant" {
-		t.Fatalf("alice volume = %q, %v", data, err)
-	}
-}
-
 // admitReject fails admission with a typed backpressure error.
 type admitReject struct{ fsys vfs.FileSystem }
 
@@ -290,13 +272,6 @@ func TestMuxSearchStream(t *testing.T) {
 	boom := errors.New("stop")
 	if err := c.SearchStream(ctx, "fingerprint", "/docs", 5, func([]string) error { return boom }); !errors.Is(err, boom) {
 		t.Fatalf("stream consumer error = %v, want %v", err, boom)
-	}
-	// Streaming on the legacy protocol is cleanly unsupported.
-	lc := Dial(c.mux.Addr())
-	lc.SetTimeout(5 * time.Second)
-	defer lc.Close()
-	if err := lc.do(&request{Op: opSearchStream, Path: "/docs", Path2: "fingerprint"}); !errors.Is(err, vfs.ErrUnsupported) {
-		t.Fatalf("legacy stream = %v, want ErrUnsupported", err)
 	}
 }
 
@@ -383,7 +358,7 @@ func TestMuxVersionRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Type != rfErr || !bytes.Contains(f.Payload, []byte("unsupported protocol version")) {
+	if f.Type != wire.TypeErr || !bytes.Contains(f.Payload, []byte("unsupported protocol version")) {
 		t.Fatalf("reply = type %d %q, want versioned error", f.Type, f.Payload)
 	}
 }
@@ -404,7 +379,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(func() []byte {
 		var buf bytes.Buffer
 		resp := &response{
-			Err:     &wireError{Op: "open", Path: "/x", Kind: "NotExist", Msg: "no"},
+			Err:     &vfs.PathError{Op: "open", Path: "/x", Err: fmt.Errorf("no: %w", vfs.ErrNotExist)},
 			Entries: []vfs.DirEntry{{Name: "a", Type: vfs.TypeFile, Ino: 3}},
 			Strs:    []string{"/p", "/q"},
 		}

@@ -5,20 +5,25 @@
 // systems to share certain directories").
 //
 // A Server wraps any vfs.FileSystem (a raw MemFS or a live HAC volume)
-// and serves it; a Client implements vfs.FileSystem, so the remote
+// and serves it; a MuxClient implements vfs.FileSystem, so the remote
 // volume can be mounted into a local tree with MemFS.Mount, browsed,
 // written to, and even used as the substrate of a local HAC layer.
 // This is how one user's personal classification becomes visible to
 // coworkers (§3.2).
 //
-// The wire format is gob-encoded request/response pairs over one TCP
-// connection per client; requests are answered in order.
+// The protocol rides the wire package's multiplexed framing (DESIGN.md
+// §12): every request and response is one self-contained frame payload
+// with a fixed field schema (codec.go), any number of requests share a
+// connection, and views onto different tenants of one server share it
+// too.
 package remotefs
 
-import (
-	"errors"
+import "hacfs/internal/vfs"
 
-	"hacfs/internal/vfs"
+// Frame types.
+const (
+	rfReq  uint8 = 1 // client → server, payload = encoded request
+	rfResp uint8 = 2 // server → client, payload = encoded response
 )
 
 // op codes.
@@ -57,16 +62,16 @@ const (
 	// Path (the paper's ssync, over the wire). Only file systems that
 	// implement PathSyncer — a HAC volume — answer it.
 	opSync
-	// opSearchStream is opSearch in streaming form, binary framing only:
-	// the server walks the cursor itself and returns every page as its
-	// own response frame, the last one flagged final. N = page size,
-	// Size = max pages (0 = all).
+	// opSearchStream is opSearch in streaming form: the server walks the
+	// cursor itself and returns every page as its own response frame,
+	// the last one flagged final. N = page size, Size = max pages
+	// (0 = all).
 	opSearchStream
 	// opManifest returns the served volume's content-addressed manifest
 	// (encoded cas.Manifest in Data). Only volumes over a cas substrate
 	// answer; others reply Unsupported — which is also how manifest-diff
-	// sync negotiates: a legacy or non-CAS peer rejects the op and the
-	// caller falls back to full-content sync.
+	// sync negotiates: a non-CAS peer rejects the op and the caller
+	// falls back to full-content sync.
 	opManifest
 	// opBlobs fetches blob contents by hash: request Data is concatenated
 	// 32-byte SHA-256 hashes, response Data is, per requested hash in
@@ -87,20 +92,11 @@ type request struct {
 	Whence int
 	Size   int64
 	N      int // read length
-
-	// Propagated trace context (DESIGN.md §13), legacy gob protocol
-	// only — the binary framing ships it as the wire trace header
-	// instead, so the strict binary codec is unchanged. Gob omits
-	// zero-valued fields, so an untraced request from a new client is
-	// byte-identical to a legacy client's, and old servers decoding a
-	// traced request silently drop the unknown fields.
-	TraceHi, TraceLo uint64 // 128-bit trace ID halves (0,0 = untraced)
-	TraceSpan        uint64 // caller's span ID, the server span's parent
 }
 
 // response is one marshalled result.
 type response struct {
-	Err     *wireError
+	Err     error // the operation's error, typed by the wire error codec
 	Data    []byte
 	Info    vfs.Info
 	Entries []vfs.DirEntry
@@ -110,76 +106,4 @@ type response struct {
 	N       int
 	Off     int64 // seek result / opSearch next cursor
 	EOF     bool
-}
-
-// wireError carries an error across the connection, preserving the vfs
-// sentinel so errors.Is keeps working on the client side.
-type wireError struct {
-	Op   string
-	Path string
-	Kind string // sentinel name, or "" for plain errors
-	Msg  string
-}
-
-// sentinel names ↔ errors.
-var sentinelByName = map[string]error{
-	"NotExist":      vfs.ErrNotExist,
-	"Exist":         vfs.ErrExist,
-	"NotDir":        vfs.ErrNotDir,
-	"IsDir":         vfs.ErrIsDir,
-	"NotEmpty":      vfs.ErrNotEmpty,
-	"Invalid":       vfs.ErrInvalid,
-	"Loop":          vfs.ErrLoop,
-	"CrossMount":    vfs.ErrCrossMount,
-	"Closed":        vfs.ErrClosed,
-	"ReadOnly":      vfs.ErrReadOnly,
-	"WriteOnly":     vfs.ErrWriteOnly,
-	"Busy":          vfs.ErrBusy,
-	"Unsupported":   vfs.ErrUnsupported,
-	"QuotaExceeded": vfs.ErrQuotaExceeded,
-	"Backpressure":  vfs.ErrBackpressure,
-	"ShuttingDown":  vfs.ErrShuttingDown,
-	"EOF":           errEOFSentinel,
-}
-
-// errEOFSentinel marks io.EOF on the wire (handled specially).
-var errEOFSentinel = errors.New("EOF")
-
-func sentinelName(err error) string {
-	for name, sentinel := range sentinelByName {
-		if errors.Is(err, sentinel) {
-			return name
-		}
-	}
-	return ""
-}
-
-// encodeErr converts an error for transmission.
-func encodeErr(err error) *wireError {
-	if err == nil {
-		return nil
-	}
-	we := &wireError{Msg: err.Error(), Kind: sentinelName(err)}
-	var pe *vfs.PathError
-	if errors.As(err, &pe) {
-		we.Op, we.Path = pe.Op, pe.Path
-	}
-	return we
-}
-
-// decodeErr reconstructs a client-side error.
-func (we *wireError) decode() error {
-	if we == nil {
-		return nil
-	}
-	base := errors.New(we.Msg)
-	if we.Kind != "" {
-		if sentinel, ok := sentinelByName[we.Kind]; ok {
-			base = sentinel
-		}
-	}
-	if we.Op != "" {
-		return &vfs.PathError{Op: we.Op, Path: we.Path, Err: base}
-	}
-	return base
 }

@@ -19,7 +19,7 @@ import (
 
 // serve exports fsys on a loopback listener and returns a connected
 // client.
-func serve(t *testing.T, fsys vfs.FileSystem) *Client {
+func serve(t *testing.T, fsys vfs.FileSystem) *MuxClient {
 	t.Helper()
 	srv := NewServer(fsys, nil)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -28,7 +28,7 @@ func serve(t *testing.T, fsys vfs.FileSystem) *Client {
 	}
 	go srv.Serve(l)
 	t.Cleanup(srv.Close)
-	c := Dial(l.Addr().String())
+	c := DialMux(l.Addr().String())
 	c.SetTimeout(5 * time.Second)
 	t.Cleanup(func() { c.Close() })
 	return c
@@ -314,7 +314,7 @@ func TestConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c := Dial(l.Addr().String())
+			c := DialMux(l.Addr().String())
 			defer c.Close()
 			dir := "/c" + string(rune('a'+i))
 			if err := c.MkdirAll(dir); err != nil {
@@ -374,11 +374,11 @@ func TestServerSurvivesGarbageBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn.Write([]byte("\x00\xde\xad\xbe\xefnot gob at all"))
+	conn.Write([]byte("\x00\xde\xad\xbe\xefnot the hello at all"))
 	conn.Close()
 
 	// A well-behaved client still works afterwards.
-	c := Dial(l.Addr().String())
+	c := DialMux(l.Addr().String())
 	defer c.Close()
 	if err := c.Ping(); err != nil {
 		t.Fatalf("server unusable after garbage: %v", err)

@@ -1,16 +1,11 @@
 package remotefs
 
 import (
-	"bufio"
 	"context"
-	"encoding/gob"
-	"errors"
 	"fmt"
 	"io"
 	"log"
-	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"hacfs/internal/obs"
@@ -49,20 +44,15 @@ func (s soloVolumes) Volume(tenant string) (vfs.FileSystem, error) {
 
 func (s soloVolumes) Admit(tenant, op string) (func(), error) { return func() {}, nil }
 
-// Server exports file systems to any number of clients, speaking both
-// the legacy one-request-at-a-time gob protocol and the multiplexed
-// binary framing; the first bytes of each connection select the
-// protocol, so old clients keep working unchanged.
+// Server exports file systems to any number of clients. The accept
+// loop, the hello exchange and the per-connection reader are the wire
+// package's; Serve, ListenAndServe, CloseListener (stop accepting, keep
+// serving — then drain the volumes, checkpoint, Close) and Close come
+// from it. Each connection gets a session holding its open handles.
 type Server struct {
-	vols   Volumes
-	logger *log.Logger
-	obsv   *obs.Observer
-
-	mu       sync.Mutex
-	listener net.Listener
-	conns    map[net.Conn]struct{}
-	closed   bool
-	wg       sync.WaitGroup
+	*wire.Server
+	vols Volumes
+	obsv *obs.Observer
 }
 
 // NewServer returns a server exporting fsys as its only volume. logger
@@ -74,85 +64,17 @@ func NewServer(fsys vfs.FileSystem, logger *log.Logger) *Server {
 // NewHostServer returns a server routing requests through vols — the
 // multi-tenant form (see internal/serve.Host).
 func NewHostServer(vols Volumes, logger *log.Logger) *Server {
-	return &Server{vols: vols, logger: logger, obsv: obs.Default(), conns: make(map[net.Conn]struct{})}
+	s := &Server{vols: vols, obsv: obs.Default()}
+	s.Server = wire.NewServer(maxFrameBuf, maxConnInflight, logger, func() (wire.Handler, func()) {
+		sess := newSession(s.vols, s.obsv)
+		return sess, sess.closeAll
+	})
+	return s
 }
 
 // SetObserver redirects the server's spans and slow-op log to o (they
 // default to the process-wide obs.Default()). Call before Serve.
 func (s *Server) SetObserver(o *obs.Observer) { s.obsv = o }
-
-// Serve accepts connections until Close.
-func (s *Server) Serve(l net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return net.ErrClosed
-	}
-	s.listener = l
-	s.mu.Unlock()
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return err
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return net.ErrClosed
-		}
-		s.conns[conn] = struct{}{}
-		s.wg.Add(1)
-		s.mu.Unlock()
-		go func() {
-			defer s.wg.Done()
-			s.serveConn(conn)
-			s.mu.Lock()
-			delete(s.conns, conn)
-			s.mu.Unlock()
-		}()
-	}
-}
-
-// ListenAndServe listens on addr and serves.
-func (s *Server) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(l)
-}
-
-// CloseListener stops accepting new connections but leaves the live
-// ones serving — the first step of a graceful shutdown (drain the
-// volumes, checkpoint, then Close).
-func (s *Server) CloseListener() {
-	s.mu.Lock()
-	if s.listener != nil {
-		s.listener.Close()
-	}
-	s.mu.Unlock()
-}
-
-// Close stops the server and all connections.
-func (s *Server) Close() {
-	s.mu.Lock()
-	s.closed = true
-	if s.listener != nil {
-		s.listener.Close()
-	}
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	s.wg.Wait()
-}
-
-func (s *Server) logf(format string, args ...interface{}) {
-	if s.logger != nil {
-		s.logger.Printf(format, args...)
-	}
-}
 
 // Searcher is the optional content-search surface a served file system
 // may provide; hac.FS implements it. The cursor contract is
@@ -204,9 +126,8 @@ type handleState struct {
 	tenant string
 }
 
-// session is one client connection's state, shared by both protocol
-// decoders. The handle table is locked because binary-framing requests
-// execute concurrently.
+// session is one client connection's state. The handle table is locked
+// because a connection's requests execute concurrently.
 type session struct {
 	vols Volumes
 	obsv *obs.Observer
@@ -250,168 +171,61 @@ func (sess *session) dropHandle(id uint64) {
 	delete(sess.handles, id)
 }
 
-// serveConn sniffs the protocol and dispatches. Binary connections
-// open with the wire magic; everything else is the legacy gob stream.
-func (s *Server) serveConn(conn net.Conn) {
-	defer conn.Close()
-	r := bufio.NewReader(conn)
-	if prefix, err := r.Peek(len(wire.Magic)); err == nil && wire.IsMagic(prefix) {
-		s.serveMux(conn, r)
-		return
-	}
-	s.serveGob(conn, r)
-}
-
-// serveGob answers the legacy one-request-at-a-time protocol.
-func (s *Server) serveGob(conn net.Conn, r *bufio.Reader) {
-	sess := newSession(s.vols, s.obsv)
-	defer sess.closeAll()
-	dec := gob.NewDecoder(r)
-	enc := gob.NewEncoder(conn)
-	for {
-		var req request
-		if err := dec.Decode(&req); err != nil {
-			if err != io.EOF {
-				s.logf("remotefs: decode: %v", err)
-			}
-			return
-		}
-		var parent obs.SpanContext
-		if req.TraceHi != 0 || req.TraceLo != 0 {
-			parent = obs.SpanContext{
-				Trace: obs.TraceIDFromWords(req.TraceHi, req.TraceLo),
-				Span:  obs.SpanID(req.TraceSpan),
-			}
-		}
-		resp := sess.dispatch(context.Background(), &req, parent)
-		if err := enc.Encode(resp); err != nil {
-			s.logf("remotefs: encode: %v", err)
-			return
-		}
-	}
-}
-
-// Binary frame types.
-const (
-	rfReq  uint8 = 1 // client → server, payload = encoded request
-	rfResp uint8 = 2 // server → client, payload = encoded response
-	rfErr  uint8 = 3 // protocol-level error, payload = message
-)
-
 // maxConnInflight bounds concurrently executing requests per
 // connection, protecting the server from one hostile client.
 const maxConnInflight = 256
 
-// muxWriter serializes response frames. Frames accumulate in a
-// buffered writer and only the last sender in a pack flushes, so one
-// syscall carries a whole batch of responses under load while an idle
-// connection still sees every frame immediately.
-type muxWriter struct {
-	mu      sync.Mutex
-	bw      *bufio.Writer
-	writers atomic.Int64
+func sendResp(w *wire.ResponseWriter, id uint64, flags uint8, resp *response) error {
+	return w.Send(wire.Frame{Type: rfResp, Flags: flags, ID: id, Payload: appendResponse(nil, resp)})
 }
 
-func newMuxWriter(conn net.Conn) *muxWriter {
-	return &muxWriter{bw: bufio.NewWriterSize(conn, 64<<10)}
+// errf builds a server-made error carrying a vfs sentinel.
+func errf(sentinel error, what string) error {
+	return fmt.Errorf("remotefs: %s: %w", what, sentinel)
 }
 
-func (w *muxWriter) send(f wire.Frame) error {
-	w.writers.Add(1)
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	err := wire.WriteFrame(w.bw, f)
-	if w.writers.Add(-1) == 0 && err == nil {
-		err = w.bw.Flush()
-	}
-	return err
-}
-
-func (w *muxWriter) sendResp(id uint64, flags uint8, resp *response) error {
-	return w.send(wire.Frame{Type: rfResp, Flags: flags, ID: id, Payload: appendResponse(nil, resp)})
-}
-
-// serveMux answers the multiplexed binary framing: every request frame
-// runs on its own goroutine (bounded), responses interleave by ID, and
-// streamed searches emit one frame per page.
-func (s *Server) serveMux(conn net.Conn, r *bufio.Reader) {
-	ver, err := wire.ReadHello(r)
-	if err != nil {
+// ServeFrame answers one request frame: responses interleave by ID, and
+// a streamed search emits one frame per page.
+func (sess *session) ServeFrame(ctx context.Context, w *wire.ResponseWriter, f wire.Frame) {
+	if f.Type != rfReq {
+		w.Err(f.ID, fmt.Errorf("unexpected frame type %d", f.Type))
 		return
 	}
-	// Always answer with the server's own hello: a client speaking a
-	// different framing version reads it and reports a clean versioned
-	// error instead of misparsing a frame.
-	if err := wire.WriteHello(conn, wire.Version); err != nil {
+	var req request
+	if err := decodeRequest(f.Payload, &req); err != nil {
+		w.Err(f.ID, err)
 		return
 	}
-	w := newMuxWriter(conn)
-	if ver != wire.Version {
-		w.send(wire.Frame{Type: rfErr, Flags: wire.FlagFinal,
-			Payload: []byte(fmt.Sprintf("unsupported protocol version %d (server speaks %d)", ver, wire.Version))})
+	if req.Op == opSearchStream {
+		sess.streamSearch(ctx, w, f.ID, &req)
 		return
 	}
-	sess := newSession(s.vols, s.obsv)
-	defer sess.closeAll()
-	sem := make(chan struct{}, maxConnInflight)
-	var reqWG sync.WaitGroup
-	defer reqWG.Wait()
-	for {
-		f, err := wire.ReadFrame(r, maxFrameBuf)
-		if err != nil {
-			return
-		}
-		if f.Type != rfReq {
-			w.send(wire.Frame{Type: rfErr, Flags: wire.FlagFinal, ID: f.ID,
-				Payload: []byte(fmt.Sprintf("unexpected frame type %d", f.Type))})
-			continue
-		}
-		sem <- struct{}{}
-		reqWG.Add(1)
-		go func(f wire.Frame) {
-			defer reqWG.Done()
-			defer func() { <-sem }()
-			var req request
-			if err := decodeRequest(f.Payload, &req); err != nil {
-				w.send(wire.Frame{Type: rfErr, Flags: wire.FlagFinal, ID: f.ID, Payload: []byte(err.Error())})
-				return
-			}
-			parent := obs.SpanContext{Trace: f.Trace, Span: f.Span}
-			if req.Op == opSearchStream {
-				sess.streamSearch(context.Background(), w, f.ID, &req, parent)
-				return
-			}
-			resp := sess.dispatch(context.Background(), &req, parent)
-			if err := w.sendResp(f.ID, wire.FlagFinal, resp); err != nil {
-				s.logf("remotefs: send: %v", err)
-			}
-		}(f)
-	}
+	sendResp(w, f.ID, wire.FlagFinal, sess.dispatch(ctx, &req))
 }
 
 // streamSearch walks the whole cursor server-side, emitting one
 // response frame per page; the last page carries FlagFinal. Page size
 // comes from req.N, an optional page budget from req.Size.
-func (sess *session) streamSearch(ctx context.Context, w *muxWriter, id uint64, req *request, parent obs.SpanContext) {
-	fail := func(we *wireError) { w.sendResp(id, wire.FlagFinal, &response{Err: we}) }
-	fsys, tenant, release, we := sess.admit(req)
-	if we != nil {
-		fail(we)
+func (sess *session) streamSearch(ctx context.Context, w *wire.ResponseWriter, id uint64, req *request) {
+	fail := func(err error) { sendResp(w, id, wire.FlagFinal, &response{Err: err}) }
+	fsys, tenant, release, err := sess.admit(req)
+	if err != nil {
+		fail(err)
 		return
 	}
 	defer release()
 	ctx = obs.WithTenant(ctx, tenant)
-	sp, ctx := sess.startOp(ctx, req, tenant, parent)
+	sp, ctx := sess.startOp(ctx, req, tenant)
 	start := time.Now()
 	var opErr error
 	defer func() { sess.finishOp(ctx, sp, req, start, opErr) }()
 	search, ok := searchFunc(ctx, fsys)
 	if !ok {
-		fail(&wireError{Kind: "Unsupported", Msg: "remotefs: file system is not searchable"})
+		fail(errf(vfs.ErrUnsupported, "file system is not searchable"))
 		return
 	}
 	if req.Offset < 0 {
-		fail(&wireError{Kind: "Invalid", Msg: "remotefs: negative search cursor"})
+		fail(errf(vfs.ErrInvalid, "negative search cursor"))
 		return
 	}
 	pageSize := req.N
@@ -423,11 +237,11 @@ func (sess *session) streamSearch(ctx context.Context, w *muxWriter, id uint64, 
 		paths, next, err := search(req.Path2, req.Path, cursor, pageSize)
 		if err != nil {
 			opErr = err
-			fail(encodeErr(err))
+			fail(err)
 			return
 		}
 		if next > (1<<63 - 1) {
-			fail(&wireError{Kind: "Invalid", Msg: "remotefs: search cursor overflow"})
+			fail(errf(vfs.ErrInvalid, "search cursor overflow"))
 			return
 		}
 		final := next == 0 || (req.Size > 0 && int64(page+1) >= req.Size)
@@ -435,7 +249,7 @@ func (sess *session) streamSearch(ctx context.Context, w *muxWriter, id uint64, 
 		if final {
 			flags = wire.FlagFinal
 		}
-		if err := w.sendResp(id, flags, &response{Strs: paths, Off: int64(next)}); err != nil {
+		if err := sendResp(w, id, flags, &response{Strs: paths, Off: int64(next)}); err != nil {
 			return
 		}
 		if final {
@@ -448,7 +262,7 @@ func (sess *session) streamSearch(ctx context.Context, w *muxWriter, id uint64, 
 // admit resolves the request's tenant volume and passes admission
 // control. Handle-bound operations charge the tenant the handle was
 // opened for.
-func (sess *session) admit(req *request) (vfs.FileSystem, string, func(), *wireError) {
+func (sess *session) admit(req *request) (vfs.FileSystem, string, func(), error) {
 	tenant := req.Tenant
 	if req.Op >= opFileRead && req.Op <= opFileClose {
 		if h, ok := sess.handle(req.Handle); ok {
@@ -457,23 +271,24 @@ func (sess *session) admit(req *request) (vfs.FileSystem, string, func(), *wireE
 	}
 	fsys, err := sess.vols.Volume(tenant)
 	if err != nil {
-		return nil, tenant, nil, encodeErr(err)
+		return nil, tenant, nil, err
 	}
 	release, err := sess.vols.Admit(tenant, opNames[req.Op])
 	if err != nil {
-		return nil, tenant, nil, encodeErr(err)
+		return nil, tenant, nil, err
 	}
 	return fsys, tenant, release, nil
 }
 
 // startOp opens the server-side span for one request, parented to the
-// span context the client shipped on the wire (zero parent = the
-// request arrived untraced). Cheap ops only get a span when the client
+// span context the client shipped in the frame header, which the wire
+// server put in ctx (none = the request arrived untraced). Cheap ops only get a span when the client
 // propagated a trace (so an untraced fread storm costs nothing); the
 // semantic ops worth tracing standalone — search, streamed search,
 // sync — always do.
-func (sess *session) startOp(ctx context.Context, req *request, tenant string, parent obs.SpanContext) (*obs.Span, context.Context) {
-	if !parent.Valid() {
+func (sess *session) startOp(ctx context.Context, req *request, tenant string) (*obs.Span, context.Context) {
+	parent, traced := obs.FromContext(ctx)
+	if !traced {
 		switch req.Op {
 		case opSearch, opSearchStream, opSync:
 		default:
@@ -487,9 +302,9 @@ func (sess *session) startOp(ctx context.Context, req *request, tenant string, p
 		sp = sess.obsv.Tracer().StartRemote(parent, rfsSpanNames[req.Op])
 	}
 	if sp == nil {
-		// Tracing disabled here; still forward the inbound trace so an
-		// engine with its own observer can join it.
-		return nil, obs.ContextWith(ctx, parent)
+		// Tracing disabled here; ctx still forwards the inbound trace, so
+		// an engine with its own observer can join it.
+		return nil, ctx
 	}
 	return sp, obs.ContextWithSpan(ctx, sp)
 }
@@ -536,24 +351,20 @@ func searchFunc(ctx context.Context, fsys vfs.FileSystem) (func(query, scope str
 }
 
 // dispatch admits and executes one request.
-func (sess *session) dispatch(ctx context.Context, req *request, parent obs.SpanContext) *response {
+func (sess *session) dispatch(ctx context.Context, req *request) *response {
 	if req.Op == opPing {
 		return &response{}
 	}
-	fsys, tenant, release, we := sess.admit(req)
-	if we != nil {
-		return &response{Err: we}
+	fsys, tenant, release, err := sess.admit(req)
+	if err != nil {
+		return &response{Err: err}
 	}
 	defer release()
 	ctx = obs.WithTenant(ctx, tenant)
-	sp, ctx := sess.startOp(ctx, req, tenant, parent)
+	sp, ctx := sess.startOp(ctx, req, tenant)
 	start := time.Now()
 	resp := sess.exec(ctx, fsys, req)
-	var err error
-	if resp.Err != nil {
-		err = errors.New(resp.Err.Msg)
-	}
-	sess.finishOp(ctx, sp, req, start, err)
+	sess.finishOp(ctx, sp, req, start, resp.Err)
 	return resp
 }
 
@@ -561,95 +372,91 @@ func (sess *session) dispatch(ctx context.Context, req *request, parent obs.Span
 func (sess *session) exec(ctx context.Context, fsys vfs.FileSystem, req *request) *response {
 	switch req.Op {
 	case opMkdir:
-		return &response{Err: encodeErr(fsys.Mkdir(req.Path))}
+		return &response{Err: fsys.Mkdir(req.Path)}
 	case opMkdirAll:
-		return &response{Err: encodeErr(fsys.MkdirAll(req.Path))}
+		return &response{Err: fsys.MkdirAll(req.Path)}
 	case opOpenFile:
 		f, err := fsys.OpenFile(req.Path, req.Flag)
 		if err != nil {
-			return &response{Err: encodeErr(err)}
+			return &response{Err: err}
 		}
 		return &response{Handle: sess.addHandle(f, req.Tenant)}
 	case opReadFile:
 		data, err := fsys.ReadFile(req.Path)
-		return &response{Data: data, Err: encodeErr(err)}
+		return &response{Data: data, Err: err}
 	case opWriteFile:
-		return &response{Err: encodeErr(fsys.WriteFile(req.Path, req.Data))}
+		return &response{Err: fsys.WriteFile(req.Path, req.Data)}
 	case opSymlink:
-		return &response{Err: encodeErr(fsys.Symlink(req.Path2, req.Path))}
+		return &response{Err: fsys.Symlink(req.Path2, req.Path)}
 	case opReadlink:
 		str, err := fsys.Readlink(req.Path)
-		return &response{Str: str, Err: encodeErr(err)}
+		return &response{Str: str, Err: err}
 	case opRemove:
-		return &response{Err: encodeErr(fsys.Remove(req.Path))}
+		return &response{Err: fsys.Remove(req.Path)}
 	case opRemoveAll:
-		return &response{Err: encodeErr(fsys.RemoveAll(req.Path))}
+		return &response{Err: fsys.RemoveAll(req.Path)}
 	case opRename:
-		return &response{Err: encodeErr(fsys.Rename(req.Path, req.Path2))}
+		return &response{Err: fsys.Rename(req.Path, req.Path2)}
 	case opStat:
 		info, err := fsys.Stat(req.Path)
-		return &response{Info: info, Err: encodeErr(err)}
+		return &response{Info: info, Err: err}
 	case opLstat:
 		info, err := fsys.Lstat(req.Path)
-		return &response{Info: info, Err: encodeErr(err)}
+		return &response{Info: info, Err: err}
 	case opReadDir:
 		entries, err := fsys.ReadDir(req.Path)
-		return &response{Entries: entries, Err: encodeErr(err)}
-	case opSearchStream:
-		// Streaming needs the framing's multi-frame responses; the
-		// legacy protocol pages with opSearch instead.
-		return &response{Err: &wireError{Kind: "Unsupported", Msg: "remotefs: streamed search requires the binary protocol"}}
+		return &response{Entries: entries, Err: err}
 	case opManifest:
 		bs, ok := fsys.(BlobSource)
 		if !ok {
-			return &response{Err: &wireError{Kind: "Unsupported", Msg: "remotefs: volume is not content-addressed"}}
+			return &response{Err: errf(vfs.ErrUnsupported, "volume is not content-addressed")}
 		}
 		m, err := bs.CASManifest()
 		if err != nil {
-			return &response{Err: encodeErr(err)}
+			return &response{Err: err}
 		}
 		return &response{Data: m.EncodeBinary()}
 	case opBlobs:
 		bs, ok := fsys.(BlobSource)
 		if !ok {
-			return &response{Err: &wireError{Kind: "Unsupported", Msg: "remotefs: volume is not content-addressed"}}
+			return &response{Err: errf(vfs.ErrUnsupported, "volume is not content-addressed")}
 		}
 		hashes, err := splitHashes(req.Data)
 		if err != nil {
-			return &response{Err: &wireError{Kind: "Invalid", Msg: err.Error()}}
+			return &response{Err: fmt.Errorf("%w: %w", vfs.ErrInvalid, err)}
 		}
 		blobs, err := bs.CASBlobs(hashes)
 		if err != nil {
-			return &response{Err: encodeErr(err)}
+			return &response{Err: err}
 		}
 		data, err := encodeBlobList(blobs)
 		if err != nil {
-			return &response{Err: &wireError{Kind: "Invalid", Msg: err.Error()}}
+			return &response{Err: fmt.Errorf("%w: %w", vfs.ErrInvalid, err)}
 		}
 		return &response{Data: data, N: len(blobs)}
 	case opSync:
 		if cs, ok := fsys.(ContextSyncer); ok {
-			return &response{Err: encodeErr(cs.SyncPathContext(ctx, req.Path))}
+			return &response{Err: cs.SyncPathContext(ctx, req.Path)}
 		}
 		ps, ok := fsys.(PathSyncer)
 		if !ok {
-			return &response{Err: &wireError{Kind: "Unsupported", Msg: "remotefs: file system has no semantic layer"}}
+			return &response{Err: errf(vfs.ErrUnsupported, "file system has no semantic layer")}
 		}
-		return &response{Err: encodeErr(ps.SyncPath(req.Path))}
+		return &response{Err: ps.SyncPath(req.Path)}
 	case opSearch:
 		search, ok := searchFunc(ctx, fsys)
 		if !ok {
-			return &response{Err: &wireError{Kind: "Unsupported", Msg: "remotefs: file system is not searchable"}}
+			return &response{Err: errf(vfs.ErrUnsupported, "file system is not searchable")}
 		}
 		if req.Offset < 0 {
-			return &response{Err: &wireError{Kind: "Invalid", Msg: "remotefs: negative search cursor"}}
+			return &response{Err: errf(vfs.ErrInvalid, "negative search cursor")}
 		}
 		paths, next, err := search(req.Path2, req.Path, uint64(req.Offset), req.N)
 		if err != nil {
-			return &response{Err: encodeErr(err)}
+			return &response{Err: err}
 		}
 		if next > (1<<63 - 1) {
-			return &response{Err: &wireError{Kind: "Invalid", Msg: "remotefs: search cursor overflow"}}
+			return &response{Err: errf(vfs.ErrInvalid, "search cursor overflow")}
 		}
 		return &response{Strs: paths, Off: int64(next)}
 	}
@@ -657,7 +464,7 @@ func (sess *session) exec(ctx context.Context, fsys vfs.FileSystem, req *request
 	// Handle-based operations.
 	h, ok := sess.handle(req.Handle)
 	if !ok {
-		return &response{Err: &wireError{Kind: "Closed", Msg: "remotefs: unknown handle"}}
+		return &response{Err: errf(vfs.ErrClosed, "unknown handle")}
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -674,7 +481,7 @@ func (sess *session) exec(ctx context.Context, fsys vfs.FileSystem, req *request
 		if err == io.EOF {
 			resp.EOF = true
 		} else if err != nil {
-			resp.Err = encodeErr(err)
+			resp.Err = err
 		}
 		return resp
 	case opFileReadAt:
@@ -688,27 +495,27 @@ func (sess *session) exec(ctx context.Context, fsys vfs.FileSystem, req *request
 		if err == io.EOF {
 			resp.EOF = true
 		} else if err != nil {
-			resp.Err = encodeErr(err)
+			resp.Err = err
 		}
 		return resp
 	case opFileWrite:
 		n, err := f.Write(req.Data)
-		return &response{N: n, Err: encodeErr(err)}
+		return &response{N: n, Err: err}
 	case opFileWriteAt:
 		n, err := f.WriteAt(req.Data, req.Offset)
-		return &response{N: n, Err: encodeErr(err)}
+		return &response{N: n, Err: err}
 	case opFileSeek:
 		off, err := f.Seek(req.Offset, req.Whence)
-		return &response{Off: off, Err: encodeErr(err)}
+		return &response{Off: off, Err: err}
 	case opFileTruncate:
-		return &response{Err: encodeErr(f.Truncate(req.Size))}
+		return &response{Err: f.Truncate(req.Size)}
 	case opFileStat:
 		info, err := f.Stat()
-		return &response{Info: info, Err: encodeErr(err)}
+		return &response{Info: info, Err: err}
 	case opFileClose:
 		sess.dropHandle(req.Handle)
-		return &response{Err: encodeErr(f.Close())}
+		return &response{Err: f.Close()}
 	default:
-		return &response{Err: &wireError{Kind: "Unsupported", Msg: "remotefs: unknown op"}}
+		return &response{Err: errf(vfs.ErrUnsupported, "unknown op")}
 	}
 }

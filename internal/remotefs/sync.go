@@ -17,8 +17,7 @@ import (
 // roughly 1% of the content a full copy would, plus the manifest. The
 // capability negotiates itself: a server without a content-addressed
 // volume answers opManifest with Unsupported, and MirrorVolume falls
-// back to walking the remote tree and copying every file — the exact
-// behavior a legacy peer always had.
+// back to walking the remote tree and copying every file.
 
 // Batching bounds for blob fetches: each opBlobs round trip carries at
 // most syncBatchCount hashes and is sized (using the manifest's sizes)
@@ -102,16 +101,14 @@ func decodeBlobList(data []byte, want int) ([][]byte, error) {
 
 // Peer is the client surface MirrorVolume drives: the remote volume's
 // file operations for the full-copy fallback plus the raw request
-// channel for the manifest ops. Both Client and MuxClient satisfy it.
+// channel for the manifest ops. MuxClient satisfies it; tests
+// substitute a local fake.
 type Peer interface {
 	vfs.FileSystem
 	callCtx(ctx context.Context, req *request) (*response, error)
 }
 
-var (
-	_ Peer = (*Client)(nil)
-	_ Peer = (*MuxClient)(nil)
-)
+var _ Peer = (*MuxClient)(nil)
 
 // FetchManifest retrieves the remote volume's content-addressed
 // manifest. A server without one answers vfs.ErrUnsupported.
@@ -120,8 +117,8 @@ func FetchManifest(ctx context.Context, p Peer, dst *cas.Manifest) (wireBytes in
 	if err != nil {
 		return 0, err
 	}
-	if err := resp.Err.decode(); err != nil {
-		return 0, err
+	if resp.Err != nil {
+		return 0, resp.Err
 	}
 	m, err := cas.DecodeManifest(resp.Data)
 	if err != nil {
@@ -139,8 +136,8 @@ func fetchBlobs(ctx context.Context, p Peer, hashes []cas.Hash) ([][]byte, error
 	if err != nil {
 		return nil, err
 	}
-	if err := resp.Err.decode(); err != nil {
-		return nil, err
+	if resp.Err != nil {
+		return nil, resp.Err
 	}
 	blobs, err := decodeBlobList(resp.Data, len(hashes))
 	if err != nil {
@@ -177,7 +174,7 @@ func MirrorVolume(ctx context.Context, p Peer, dst vfs.FileSystem) (SyncStats, e
 		case err == nil:
 			return mirrorByManifest(ctx, p, cfs, &m, mBytes)
 		case errors.Is(err, vfs.ErrUnsupported):
-			// Legacy or non-CAS peer: negotiate down to the full copy.
+			// Non-CAS peer: negotiate down to the full copy.
 		default:
 			return SyncStats{}, err
 		}

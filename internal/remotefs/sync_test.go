@@ -159,7 +159,7 @@ func TestMirrorVolumeThroughHACVolume(t *testing.T) {
 	requireSameTree(t, substrate, dst)
 }
 
-// A legacy or non-CAS server answers opManifest with Unsupported and
+// A non-CAS server answers opManifest with a typed ErrUnsupported and
 // the mirror negotiates down to the full copy; the result is still an
 // exact replica.
 func TestMirrorVolumeLegacyFallback(t *testing.T) {
@@ -226,25 +226,25 @@ func casPeer(src *cas.FS) *fakePeer {
 		case opManifest:
 			m, err := src.CASManifest()
 			if err != nil {
-				return &response{Err: encodeErr(err)}, nil
+				return &response{Err: err}, nil
 			}
 			return &response{Data: m.EncodeBinary()}, nil
 		case opBlobs:
 			hashes, err := splitHashes(req.Data)
 			if err != nil {
-				return &response{Err: encodeErr(err)}, nil
+				return &response{Err: err}, nil
 			}
 			blobs, err := src.CASBlobs(hashes)
 			if err != nil {
-				return &response{Err: encodeErr(err)}, nil
+				return &response{Err: err}, nil
 			}
 			data, err := encodeBlobList(blobs)
 			if err != nil {
-				return &response{Err: encodeErr(err)}, nil
+				return &response{Err: err}, nil
 			}
 			return &response{Data: data, N: len(blobs)}, nil
 		}
-		return &response{Err: encodeErr(vfs.ErrUnsupported)}, nil
+		return &response{Err: vfs.ErrUnsupported}, nil
 	}}
 }
 

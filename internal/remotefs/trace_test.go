@@ -170,30 +170,31 @@ func TestTraceSpansClientAndServerRings(t *testing.T) {
 	}
 }
 
-// TestGobLegacyClientUntraced: the gob protocol's trace fields are
-// optional — a client that never sets them (what a pre-trace binary
-// sends) must be served exactly as before against a tracing-enabled
-// server, and the server must not fabricate a joined trace for it.
-func TestGobLegacyClientUntraced(t *testing.T) {
+// TestUntracedClientGetsStandaloneServerSpan: a client that propagates
+// no trace (its own tracing is off) is served as ever against a
+// tracing-enabled server, and the server must not fabricate a joined
+// trace for it.
+func TestUntracedClientGetsStandaloneServerSpan(t *testing.T) {
 	srvObs := obs.NewObserver()
 	addr := traceHost(t, srvObs)
-	lc := Dial(addr)
-	lc.SetTimeout(5 * time.Second)
-	defer lc.Close()
-	lc.SetTenant("alice")
+	c := DialMux(addr)
+	c.SetTimeout(5 * time.Second)
+	c.SetObserver(obs.Discard())
+	defer c.Close()
+	alice := c.Tenant("alice")
 
 	// Cheap untraced ops stay spanless server-side.
-	if _, err := lc.ReadDir("/docs"); err != nil {
+	if _, err := alice.ReadDir("/docs"); err != nil {
 		t.Fatal(err)
 	}
 	// A semantic op still works; the server mints its own standalone
 	// trace (Parent 0 — nothing upstream to join).
-	paths, _, err := lc.SearchPage(context.Background(), "alicedoc", "/", 0, 32)
+	paths, _, err := alice.SearchPage(context.Background(), "alicedoc", "/", 0, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(paths) != 8 {
-		t.Fatalf("legacy search returned %d paths, want 8", len(paths))
+		t.Fatalf("untraced search returned %d paths, want 8", len(paths))
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -203,6 +204,9 @@ func TestGobLegacyClientUntraced(t *testing.T) {
 			}
 			if sp.Trace.IsZero() {
 				t.Fatal("standalone server span should still mint a trace id")
+			}
+			if rd := findSpan(srvObs.Tracer().Recent(), "rfs.readdir"); rd != nil {
+				t.Fatalf("untraced cheap op got a server span: %+v", rd)
 			}
 			break
 		}

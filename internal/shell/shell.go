@@ -324,7 +324,7 @@ func (sh *Shell) cmdMount(args []string) error {
 	if !ok {
 		return fmt.Errorf("mount: volume substrate does not support mounts")
 	}
-	client := remotefs.Dial(args[1])
+	client := remotefs.DialMux(args[1])
 	if err := client.Ping(); err != nil {
 		return fmt.Errorf("cannot reach %s: %w", args[1], err)
 	}
@@ -667,7 +667,7 @@ func (sh *Shell) cmdSmount(args []string) error {
 	if len(args) != 3 {
 		return fmt.Errorf("usage: smount <dir> <name> <host:port>")
 	}
-	client := remote.Dial(args[1], args[2])
+	client := remote.DialBin(args[1], args[2])
 	if err := client.Ping(); err != nil {
 		return fmt.Errorf("cannot reach %s: %w", args[2], err)
 	}

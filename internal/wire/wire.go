@@ -1,24 +1,25 @@
-// Package wire implements the length-prefixed, multiplexed binary
-// framing shared by the remote (content-based access) and remotefs
-// (file-system export) protocols — the serving substrate that turns
-// hacvold from a demo daemon into a multi-tenant server (DESIGN.md
-// §12).
+// Package wire is the one transport under every remote service — the
+// content-based access namespace (internal/remote), the file-system
+// export (internal/remotefs) and the shared catalog (internal/catalog):
+// a length-prefixed, multiplexed binary framing, the Server loop that
+// accepts and answers it, the client Mux and call layer that speak it,
+// and the typed-error codec both ends share (DESIGN.md §12).
 //
-// A binary connection opens with a 5-byte hello in each direction:
+// A connection opens with a 5-byte hello in each direction:
 //
 //	"HACX" version(1)
 //
-// The magic cannot collide with either legacy protocol (the remote
-// line protocol starts with an ASCII verb such as "PING"; the remotefs
-// gob stream starts with a small varint-framed type definition), so a
-// server can sniff the first bytes of a connection and fall back to
-// the legacy decoder for old clients — auto-negotiation rather than
-// rejection.
+// A connection that opens with anything else is closed; a peer
+// speaking another version gets the server's hello and one versioned
+// error frame, so it fails with a clean message instead of misparsing
+// a frame.
 //
 // After the hello, both directions carry frames:
 //
 //	length  uint32, big-endian — byte count of everything after itself
-//	type    uint8              — protocol-specific frame type
+//	type    uint8              — protocol-specific frame type; TypeErr
+//	                             (0) is an error response in every
+//	                             protocol
 //	flags   uint8              — FlagFinal ends a response stream,
 //	                             FlagTrace precedes the payload with a
 //	                             trace header
@@ -34,13 +35,6 @@
 // is bounded: a frame whose declared length is shorter than the fixed
 // header or longer than the caller's payload budget is rejected before
 // any allocation, so a hostile length can never over-allocate.
-//
-// The trace header is optional and additive within version 1: a
-// receiver that predates it would reject the unknown flag only if it
-// validated flags (none do — flags are a bitfield by design), and the
-// legacy peers that matter (line-protocol and gob clients) never see
-// binary frames at all, because the magic-sniffing server routes them
-// to the legacy decoders.
 package wire
 
 import (
@@ -61,8 +55,10 @@ import (
 // Magic opens every binary connection, followed by a version byte.
 const Magic = "HACX"
 
-// Version is the framing version this package speaks.
-const Version = 1
+// Version is the protocol version this package speaks. It covers the
+// framing and the service payloads alike: version 2 dropped remote's
+// unscoped search frames and gave errors one payload shape.
+const Version = 2
 
 // helloLen is the size of the connection preamble.
 const helloLen = len(Magic) + 1
@@ -82,9 +78,9 @@ const FlagTrace = 0x02
 // traceHeaderLen is the size of the optional trace header.
 const traceHeaderLen = 16 + 8
 
-// ErrNotBinary reports a connection preamble that is not the binary
-// magic — the peer is speaking a legacy protocol.
-var ErrNotBinary = errors.New("wire: not a binary-protocol connection")
+// ErrNoHello reports a connection preamble that is not the magic: the
+// peer is not speaking this protocol.
+var ErrNoHello = errors.New("wire: connection does not open with the hello")
 
 // ErrVersion reports a binary peer speaking an unsupported framing
 // version.
@@ -116,24 +112,16 @@ func WriteHello(w io.Writer, version uint8) error {
 }
 
 // ReadHello consumes and validates the preamble, returning the peer's
-// version. A non-magic preamble returns ErrNotBinary.
+// version. A non-magic preamble returns ErrNoHello.
 func ReadHello(r io.Reader) (uint8, error) {
 	var b [helloLen]byte
 	if _, err := io.ReadFull(r, b[:]); err != nil {
 		return 0, err
 	}
 	if string(b[:len(Magic)]) != Magic {
-		return 0, ErrNotBinary
+		return 0, ErrNoHello
 	}
 	return b[len(Magic)], nil
-}
-
-// IsMagic reports whether prefix (at least len(Magic) bytes of a
-// connection's first read) opens a binary connection. Servers peek
-// this to auto-negotiate between the binary framing and the legacy
-// protocol.
-func IsMagic(prefix []byte) bool {
-	return len(prefix) >= len(Magic) && string(prefix[:len(Magic)]) == Magic
 }
 
 // WriteFrame encodes one frame, emitting the trace header (and setting
@@ -352,25 +340,34 @@ func (d *Dec) Bytes(max int) []byte {
 // String decodes a length-prefixed string of at most max bytes.
 func (d *Dec) String(max int) string { return string(d.Bytes(max)) }
 
+// Count decodes a list length of at most max entries. Each entry costs
+// at least one payload byte, so the bytes actually remaining bound the
+// count too: a hostile length cannot make the caller over-allocate.
+func (d *Dec) Count(max int) int {
+	n := d.Uvarint()
+	if d.err != nil {
+		return 0
+	}
+	if n > uint64(max) {
+		d.fail("list of %d entries exceeds limit %d", n, max)
+		return 0
+	}
+	if n > uint64(len(d.b)) {
+		d.fail("list of %d entries but only %d payload bytes remain", n, len(d.b))
+		return 0
+	}
+	return int(n)
+}
+
 // Strings decodes a count-prefixed list of strings, bounding both the
 // element size and the total element count.
 func (d *Dec) Strings(maxEach, maxCount int) []string {
-	n := d.Uvarint()
+	n := d.Count(maxCount)
 	if d.err != nil {
 		return nil
 	}
-	if n > uint64(maxCount) {
-		d.fail("list of %d entries exceeds limit %d", n, maxCount)
-		return nil
-	}
-	// Each entry costs at least its one-byte length prefix, so the
-	// remaining payload bounds the count; pre-allocate no more.
-	if n > uint64(len(d.b)) {
-		d.fail("list of %d entries but only %d payload bytes remain", n, len(d.b))
-		return nil
-	}
 	out := make([]string, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		out = append(out, d.String(maxEach))
 		if d.err != nil {
 			return nil
@@ -479,6 +476,8 @@ type Mux struct {
 	pending map[uint64]*pendingCall
 	nextID  uint64
 	gen     uint64 // bumped every re-dial, keys reader teardown
+
+	dialFailures *obs.Counter // counts failed dials and hello exchanges
 }
 
 // NewMux returns a lazy client mux for the server at addr. maxPayload
@@ -490,10 +489,16 @@ func NewMux(addr string, timeout time.Duration, maxPayload uint32) *Mux {
 // Addr returns the server address the mux dials.
 func (m *Mux) Addr() string { return m.addr }
 
-// SetTimeout changes the dial / per-call default timeout.
+// SetTimeout changes the dial and frame-write deadline.
 func (m *Mux) SetTimeout(d time.Duration) {
 	m.mu.Lock()
 	m.timeout = d
+	m.mu.Unlock()
+}
+
+func (m *Mux) setDialFailures(c *obs.Counter) {
+	m.mu.Lock()
+	m.dialFailures = c
 	m.mu.Unlock()
 }
 
@@ -518,40 +523,50 @@ func (m *Mux) dropLocked(cause error) error {
 	return err
 }
 
-// ensureLocked dials and performs the hello exchange if no connection
-// is live, then starts the demultiplexing reader.
+// ensureLocked makes sure a connection is live, counting a dial or
+// hello exchange that fails.
 func (m *Mux) ensureLocked(ctx context.Context) error {
 	if m.conn != nil {
 		return nil
 	}
-	d := net.Dialer{Timeout: m.timeout}
-	conn, err := d.DialContext(ctx, "tcp", m.addr)
+	conn, err := m.dial(ctx)
 	if err != nil {
+		m.dialFailures.Add(1)
 		return err
 	}
-	if m.timeout > 0 {
-		conn.SetDeadline(time.Now().Add(m.timeout))
-	}
-	if err := WriteHello(conn, Version); err != nil {
-		conn.Close()
-		return err
-	}
-	ver, err := ReadHello(conn)
-	if err != nil {
-		conn.Close()
-		return err
-	}
-	if ver != Version {
-		conn.Close()
-		return fmt.Errorf("%w: server speaks %d, client %d", ErrVersion, ver, Version)
-	}
-	conn.SetDeadline(time.Time{})
 	m.conn = conn
 	m.w = bufio.NewWriter(conn)
 	m.pending = make(map[uint64]*pendingCall)
 	m.gen++
 	go m.readLoop(conn, m.gen)
 	return nil
+}
+
+// dial connects and performs the hello exchange.
+func (m *Mux) dial(ctx context.Context) (net.Conn, error) {
+	d := net.Dialer{Timeout: m.timeout}
+	conn, err := d.DialContext(ctx, "tcp", m.addr)
+	if err != nil {
+		return nil, err
+	}
+	if m.timeout > 0 {
+		conn.SetDeadline(time.Now().Add(m.timeout))
+	}
+	if err := WriteHello(conn, Version); err != nil {
+		conn.Close()
+		return nil, err
+	}
+	ver, err := ReadHello(conn)
+	if err != nil {
+		conn.Close()
+		return nil, err
+	}
+	if ver != Version {
+		conn.Close()
+		return nil, fmt.Errorf("%w: server speaks %d, client %d", ErrVersion, ver, Version)
+	}
+	conn.SetDeadline(time.Time{})
+	return conn, nil
 }
 
 // readLoop demultiplexes response frames until the connection dies.
@@ -624,20 +639,11 @@ func (s *Stream) Cancel() {
 }
 
 // Call sends one request frame (the mux assigns its ID) and returns
-// the response stream. When ctx carries a span context (obs.ContextWith
-// / Tracer.StartCtx), it rides the frame as the FlagTrace header, so
-// the server joins the caller's trace. Dial errors are returned as-is
-// so callers can retry idempotent requests; write errors drop the
+// the response stream. A valid sc rides the frame as the FlagTrace
+// header, so the server joins the caller's trace; a zero sc sends an
+// untraced frame. Dial errors are returned as-is; write errors drop the
 // connection.
-func (m *Mux) Call(ctx context.Context, typ uint8, payload []byte) (*Stream, error) {
-	sc, _ := obs.FromContext(ctx)
-	return m.CallSC(ctx, sc, typ, payload)
-}
-
-// CallSC is Call with the span context supplied explicitly, for callers
-// that already hold it — re-extracting it from ctx on every RPC is
-// measurable on the hot path. A zero sc sends an untraced frame.
-func (m *Mux) CallSC(ctx context.Context, sc obs.SpanContext, typ uint8, payload []byte) (*Stream, error) {
+func (m *Mux) Call(ctx context.Context, sc obs.SpanContext, typ uint8, payload []byte) (*Stream, error) {
 	m.mu.Lock()
 	if err := m.ensureLocked(ctx); err != nil {
 		m.mu.Unlock()
@@ -675,21 +681,4 @@ func (m *Mux) CallSC(ctx context.Context, sc obs.SpanContext, typ uint8, payload
 		return nil, err
 	}
 	return &Stream{m: m, id: id, pc: pc}, nil
-}
-
-// CallOne performs a single-frame request/response round trip.
-func (m *Mux) CallOne(ctx context.Context, typ uint8, payload []byte) (Frame, error) {
-	sc, _ := obs.FromContext(ctx)
-	return m.CallOneSC(ctx, sc, typ, payload)
-}
-
-// CallOneSC is CallOne with the span context supplied explicitly (see
-// CallSC).
-func (m *Mux) CallOneSC(ctx context.Context, sc obs.SpanContext, typ uint8, payload []byte) (Frame, error) {
-	st, err := m.CallSC(ctx, sc, typ, payload)
-	if err != nil {
-		return Frame{}, err
-	}
-	defer st.Cancel()
-	return st.Next(ctx)
 }

@@ -39,7 +39,7 @@ func TestFrameRoundTrip(t *testing.T) {
 
 // TestFrameTraceRoundTrip: a frame with a span context grows a trace
 // header and reads back identically; a traceless frame stays at the
-// pre-trace encoding (10-byte header, no flag) so legacy peers parse it.
+// 10-byte header with no flag, so untraced traffic pays nothing.
 func TestFrameTraceRoundTrip(t *testing.T) {
 	trace := obs.NewTraceID()
 	var buf bytes.Buffer
@@ -117,18 +117,15 @@ func TestHello(t *testing.T) {
 	if err := WriteHello(&buf, 3); err != nil {
 		t.Fatal(err)
 	}
-	if !IsMagic(buf.Bytes()) {
+	if !bytes.HasPrefix(buf.Bytes(), []byte(Magic)) {
 		t.Fatal("hello does not carry the magic")
 	}
 	v, err := ReadHello(&buf)
 	if err != nil || v != 3 {
 		t.Fatalf("ReadHello = %d, %v", v, err)
 	}
-	if _, err := ReadHello(strings.NewReader("PING\n")); !errors.Is(err, ErrNotBinary) {
-		t.Fatalf("line-protocol preamble: err = %v, want ErrNotBinary", err)
-	}
-	if IsMagic([]byte("PING")) || IsMagic([]byte("HA")) {
-		t.Fatal("IsMagic false positive")
+	if _, err := ReadHello(strings.NewReader("PING\n")); !errors.Is(err, ErrNoHello) {
+		t.Fatalf("foreign preamble: err = %v, want ErrNoHello", err)
 	}
 }
 
@@ -220,6 +217,16 @@ func echoServer(t *testing.T, split bool) string {
 	return l.Addr().String()
 }
 
+// callOne performs a single-frame untraced round trip on a bare mux.
+func callOne(ctx context.Context, m *Mux, typ uint8, payload []byte) (Frame, error) {
+	st, err := m.Call(ctx, obs.SpanContext{}, typ, payload)
+	if err != nil {
+		return Frame{}, err
+	}
+	defer st.Cancel()
+	return st.Next(ctx)
+}
+
 func TestMuxConcurrentCalls(t *testing.T) {
 	addr := echoServer(t, false)
 	m := NewMux(addr, 5*time.Second, 1<<20)
@@ -230,7 +237,7 @@ func TestMuxConcurrentCalls(t *testing.T) {
 	for i := 0; i < n; i++ {
 		go func(i int) {
 			payload := []byte{byte(i), byte(i >> 8)}
-			f, err := m.CallOne(ctx, 9, payload)
+			f, err := callOne(ctx, m, 9, payload)
 			if err == nil && !bytes.Equal(f.Payload, payload) {
 				err = errors.New("payload mismatch across IDs")
 			}
@@ -249,7 +256,7 @@ func TestMuxStreamedResponse(t *testing.T) {
 	m := NewMux(addr, 5*time.Second, 1<<20)
 	defer m.Close()
 	ctx := context.Background()
-	st, err := m.Call(ctx, 3, []byte("xyz"))
+	st, err := m.Call(ctx, obs.SpanContext{}, 3, []byte("xyz"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +295,7 @@ func TestMuxVersionMismatch(t *testing.T) {
 	}()
 	m := NewMux(l.Addr().String(), 2*time.Second, 1<<20)
 	defer m.Close()
-	if _, err := m.CallOne(context.Background(), 1, nil); !errors.Is(err, ErrVersion) {
+	if _, err := callOne(context.Background(), m, 1, nil); !errors.Is(err, ErrVersion) {
 		t.Fatalf("err = %v, want ErrVersion", err)
 	}
 }
@@ -309,11 +316,33 @@ func TestMuxConnectionLossFailsPending(t *testing.T) {
 		ReadFrame(conn, 1<<20)
 		conn.Close() // die without answering
 	}()
-	m := NewMux(l.Addr().String(), 2*time.Second, 1<<20)
-	defer m.Close()
+	o := obs.NewObserver()
+	c := NewClient(l.Addr().String(), 1<<20, "test", "method", []Method{{Label: "m", Span: "rpc.m"}})
+	c.SetObserver(o)
+	c.SetTimeout(2 * time.Second)
+	defer c.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if _, err := m.CallOne(ctx, 1, nil); err == nil {
+	if _, err := c.Call(ctx, 0, 1, nil); err == nil {
 		t.Fatal("call on dead connection succeeded")
+	}
+	snap := o.Registry().Snapshot()
+	if got := snap["test_dial_failures_total"]; got != 0 {
+		t.Fatalf("a lost connection counted as %v dial failures", got)
+	}
+	// The server is gone for good: the re-dial fails and is counted, once
+	// per attempt, beside the per-method error series.
+	l.Close()
+	for i := 0; i < 2; i++ {
+		if _, err := c.Call(ctx, 0, 1, nil); err == nil {
+			t.Fatal("call against a closed listener succeeded")
+		}
+	}
+	snap = o.Registry().Snapshot()
+	if got := snap["test_dial_failures_total"]; got != 2 {
+		t.Fatalf("test_dial_failures_total = %v, want 2", got)
+	}
+	if calls, errs := snap[`test_rpc_total{method="m"}`], snap[`test_rpc_errors_total{method="m"}`]; calls != 3 || errs != 3 {
+		t.Fatalf("rpc series = %v calls, %v errors, want 3 and 3", calls, errs)
 	}
 }
