@@ -893,6 +893,32 @@ func (it *ContainerIter) Advance(v uint32) (uint32, bool) {
 	}
 }
 
+// countFrom returns the number of elements >= v.
+func (c *Container) countFrom(v uint32) int {
+	switch c.kind {
+	case kindArray:
+		return len(c.arr) - searchU32(c.arr, v)
+	case kindBitmap:
+		w := int(v / wordBits)
+		if w >= len(c.words) {
+			return 0
+		}
+		n := bits.OnesCount64(c.words[w] & (^uint64(0) << (v % wordBits)))
+		for _, word := range c.words[w+1:] {
+			n += bits.OnesCount64(word)
+		}
+		return n
+	default:
+		n := 0
+		for _, r := range c.runs {
+			if r.hi >= v {
+				n += int(r.hi-max(r.lo, v)) + 1
+			}
+		}
+		return n
+	}
+}
+
 // ---------------------------------------------------------------------
 // Binary codec. One container serializes as
 //

@@ -127,6 +127,84 @@ func (s *Segmented) Slice() []uint64 {
 	return out
 }
 
+// SegmentedIter walks a Segmented in ascending ID order from a seek
+// position. Mutating the set invalidates it; any number of iterators
+// may read one unmutated set concurrently.
+type SegmentedIter struct {
+	s    *Segmented
+	segs []uint32       // segments still to visit, ascending
+	cur  *ContainerIter // over segs[0]; nil until its first element is asked for
+	seek uint32         // local seek position for segs[0], applied when cur opens
+}
+
+// IterFrom returns an iterator positioned at the smallest element >=
+// after. The seek costs O(segments) plus one ContainerIter.Advance, not
+// a walk over the elements below after.
+func (s *Segmented) IterFrom(after uint64) *SegmentedIter {
+	seg, local := splitSegID(after)
+	segs := s.segments()
+	segs = segs[sort.Search(len(segs), func(i int) bool { return segs[i] >= seg }):]
+	it := &SegmentedIter{s: s, segs: segs}
+	if len(segs) > 0 && segs[0] == seg {
+		it.seek = local
+	}
+	return it
+}
+
+// Next returns the next element in ascending order.
+func (it *SegmentedIter) Next() (uint64, bool) {
+	for len(it.segs) > 0 {
+		var v uint32
+		var ok bool
+		if it.cur == nil {
+			it.cur = it.s.segs[it.segs[0]].Iter()
+			v, ok = it.cur.Advance(it.seek)
+			it.seek = 0
+		} else {
+			v, ok = it.cur.Next()
+		}
+		if ok {
+			return joinSegID(it.segs[0], v), true
+		}
+		it.segs, it.cur = it.segs[1:], nil
+	}
+	return 0, false
+}
+
+// Append appends the next max elements (all remaining when max <= 0)
+// to dst.
+func (it *SegmentedIter) Append(dst []uint64, max int) []uint64 {
+	for n := 0; max <= 0 || n < max; n++ {
+		id, ok := it.Next()
+		if !ok {
+			break
+		}
+		dst = append(dst, id)
+	}
+	return dst
+}
+
+// AppendFrom appends the first max elements >= after (all of them when
+// max <= 0) to dst in ascending order: one page of a cursor walk at the
+// cost of the page, where Slice pays for the whole set.
+func (s *Segmented) AppendFrom(dst []uint64, after uint64, max int) []uint64 {
+	return s.IterFrom(after).Append(dst, max)
+}
+
+// CountFrom returns the number of elements >= after.
+func (s *Segmented) CountFrom(after uint64) int {
+	seg, local := splitSegID(after)
+	n := 0
+	for k, c := range s.segs {
+		if k > seg {
+			n += c.Len()
+		} else if k == seg {
+			n += c.countFrom(local)
+		}
+	}
+	return n
+}
+
 // Clone returns a deep copy.
 func (s *Segmented) Clone() *Segmented {
 	out := NewSegmented()

@@ -3,6 +3,8 @@ package bitset
 import (
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -146,4 +148,94 @@ func TestPropertySegmentedMatchesMap(t *testing.T) {
 			t.Fatalf("model element %d:%d missing", id>>32, uint32(id))
 		}
 	}
+}
+
+// checkSeek compares every seek primitive against the Slice() oracle
+// for one set, seek position and page size.
+func checkSeek(t *testing.T, s *Segmented, after uint64, max int) {
+	t.Helper()
+	all := s.Slice()
+	from := sort.Search(len(all), func(i int) bool { return all[i] >= after })
+	want := all[from:]
+	if got := s.CountFrom(after); got != len(want) {
+		t.Fatalf("CountFrom(%#x) = %d, Slice says %d (kinds %s)", after, got, len(want), s.Kinds())
+	}
+	page := want
+	if max > 0 && len(page) > max {
+		page = page[:max]
+	}
+	if got := s.AppendFrom(nil, after, max); !slices.Equal(got, page) {
+		t.Fatalf("AppendFrom(%#x, %d) = %v, want %v (kinds %s)", after, max, got, page, s.Kinds())
+	}
+	// One iterator handing out consecutive pages covers the tail once.
+	it := s.IterFrom(after)
+	var walked []uint64
+	for {
+		n := len(walked)
+		walked = it.Append(walked, max)
+		if len(walked) == n || max <= 0 {
+			break
+		}
+	}
+	if !slices.Equal(walked, want) {
+		t.Fatalf("paged IterFrom(%#x) by %d = %v, want %v (kinds %s)", after, max, walked, want, s.Kinds())
+	}
+}
+
+// TestSegmentedSeekMatchesSlice: IterFrom/AppendFrom/CountFrom agree
+// with Slice() over array, bitmap and run containers and multi-segment
+// sets, seeking to elements, gaps, segment boundaries and past the end.
+func TestSegmentedSeekMatchesSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for trial := 0; trial < 300; trial++ {
+		s := NewSegmented()
+		for k := 0; k < 1+rng.Intn(4); k++ {
+			c, _ := randomContainer(rng, trial+k)
+			s.PutSegContainer(uint32(rng.Intn(6)), c)
+		}
+		seeks := []uint64{0, 1, ^uint64(0), seg(2, 0), seg(3, ^uint32(0))}
+		for _, id := range s.Slice() {
+			if rng.Intn(8) == 0 {
+				seeks = append(seeks, id, id+1)
+			}
+		}
+		for i := 0; i < 8; i++ {
+			seeks = append(seeks, seg(uint32(rng.Intn(7)), uint32(rng.Intn(11000))))
+		}
+		for _, after := range seeks {
+			checkSeek(t, s, after, []int{0, 1, 7, 512}[rng.Intn(4)])
+		}
+	}
+}
+
+// FuzzSegmentedSeek drives the same comparison from fuzzed set images.
+func FuzzSegmentedSeek(f *testing.F) {
+	for _, s := range []*Segmented{
+		NewSegmented(),
+		SegmentedOf(seg(0, 1), seg(0, 5), seg(3, 2)),
+		func() *Segmented { // a run, a bitmap and an array in three segments
+			s := NewSegmented()
+			for v := uint32(10); v < 400; v++ {
+				s.Add(seg(1, v))
+			}
+			for v := uint32(0); v < 9000; v += 2 {
+				s.Add(seg(2, v))
+			}
+			s.Add(seg(7, 70000))
+			s.Pack()
+			return s
+		}(),
+	} {
+		img, _ := s.MarshalBinary()
+		f.Add(img, uint64(0), 7)
+		f.Add(img, seg(1, 399), 1)
+		f.Add(img, seg(2, 8999), 512)
+	}
+	f.Fuzz(func(t *testing.T, img []byte, after uint64, max int) {
+		s, err := UnmarshalSegmented(img)
+		if err != nil || s.Len() > 1<<16 {
+			return
+		}
+		checkSeek(t, s, after, max)
+	})
 }

@@ -71,43 +71,48 @@ type SearchStats struct {
 	PostingsSkipped int  // posting entries scope pruning avoided
 }
 
-// SearchResult is a paged view over one search's matches, pinned to the
-// index snapshot the query was evaluated against. Pages materialize
-// paths lazily: only the documents a Next call covers are resolved.
+// SearchResult is a paged view over one search's matches: the match set
+// the one evaluation produced (possibly the result cache's own, shared
+// and never mutated) plus the index snapshot it was evaluated against.
+// Pages materialize lazily — a Next call seeks no further into the set
+// than its page and resolves only that page's paths — so every page of
+// one result answers from the same evaluation however the volume moves
+// meanwhile (a document removed since is skipped, not reported).
 // Iteration order is document-ID order (stable for a given volume), not
 // lexicographic; SearchPaths sorts for callers that want the old
 // behavior. A SearchResult is not safe for concurrent use.
 type SearchResult struct {
-	snap     *index.Snapshot
-	ids      []index.DocID // ascending
-	pos      int
-	pageSize int
-	cursor   uint64
-	plan     *plan.Plan
-	stats    SearchStats
+	snap      *index.Snapshot
+	it        *bitset.SegmentedIter // positioned at the next match; nil when empty
+	remaining int                   // matches not handed out yet
+	ids       []index.DocID         // page buffer, reused by Next
+	pageSize  int
+	cursor    uint64
+	plan      *plan.Plan
+	stats     SearchStats
 }
 
 // Len returns the total number of matches (after cursor and limit).
-func (r *SearchResult) Len() int { return len(r.ids) }
+func (r *SearchResult) Len() int { return r.stats.Matches }
 
 // Next materializes the next page of matching paths off the pinned
 // snapshot. It returns false when the result is exhausted.
 func (r *SearchResult) Next() ([]string, bool) {
-	if r.pos >= len(r.ids) {
+	n := r.remaining
+	if r.pageSize > 0 && r.pageSize < n {
+		n = r.pageSize
+	}
+	if n == 0 {
 		return nil, false
 	}
-	end := r.pos + r.pageSize
-	if r.pageSize <= 0 || end > len(r.ids) {
-		end = len(r.ids)
-	}
-	page := r.ids[r.pos:end]
-	r.pos = end
-	r.cursor = page[len(page)-1] + 1
-	return r.snap.PathsOf(page), true
+	r.ids = r.it.Append(r.ids[:0], n)
+	r.remaining -= n
+	r.cursor = r.ids[n-1] + 1
+	return r.snap.PathsOf(r.ids), true
 }
 
 // More reports whether pages remain.
-func (r *SearchResult) More() bool { return r.pos < len(r.ids) }
+func (r *SearchResult) More() bool { return r.remaining > 0 }
 
 // Cursor returns an opaque resume position: passing it to a new Search
 // via WithAfter continues where iteration stopped, even across index
@@ -265,63 +270,47 @@ func (fs *FS) Search(ctx context.Context, queryStr string, opts ...SearchOption)
 	// link-set epoch of every directory it read.
 	key := ast.String() + "\x00" + scopeKey
 	version := env.Snap.Version()
-	cur := make(map[uint64]uint64, len(deps))
-	for _, d := range deps {
-		cur[d.UID] = d.Epoch
-	}
-	depsValid := func(entDeps []plan.Dep) bool {
-		for _, d := range entDeps {
-			if cur[d.UID] != d.Epoch {
-				return false
-			}
-		}
-		return true
-	}
-
 	var res *bitset.Segmented
 	cached := false
 	if !cfg.noCache {
-		if r, ok := fs.qcache.Get(key, version, depsValid); ok {
-			res, cached = r, true
+		if res, cached = fs.qcache.Get(key, version, deps); cached {
 			fs.met.planCacheHits.Add(1)
 		} else {
 			fs.met.planCacheMisses.Add(1)
 		}
 	}
-	if res == nil {
+	if !cached {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		evalStart := time.Now()
-		r, err := p.Exec()
+		res, err = p.Exec()
 		fs.met.queryEvalSeconds.ObserveSince(evalStart)
 		if err != nil {
 			return nil, err
 		}
 		fs.met.postingsSkipped.Add(int64(p.Stats().PostingsSkipped))
 		if !cfg.noCache {
-			fs.qcache.Put(key, r.Clone(), version, deps)
+			// Published as is: the set is read-only from here on, for
+			// this result as for every later hit (plan.Cache).
+			fs.qcache.Put(key, res, version, deps)
 		}
-		res = r
 	}
 
-	ids := res.Slice()
-	if cfg.after > 0 {
-		i := sort.Search(len(ids), func(i int) bool { return ids[i] >= cfg.after })
-		ids = ids[i:]
-	}
-	if cfg.limit > 0 && len(ids) > cfg.limit {
-		ids = ids[:cfg.limit]
+	matches := res.CountFrom(cfg.after)
+	if cfg.limit > 0 && matches > cfg.limit {
+		matches = cfg.limit
 	}
 	st := p.Stats()
 	return &SearchResult{
-		snap:     env.Snap,
-		ids:      ids,
-		pageSize: cfg.pageSize,
-		cursor:   cfg.after,
-		plan:     p,
+		snap:      env.Snap,
+		it:        res.IterFrom(cfg.after),
+		remaining: matches,
+		pageSize:  cfg.pageSize,
+		cursor:    cfg.after,
+		plan:      p,
 		stats: SearchStats{
-			Matches:         len(ids),
+			Matches:         matches,
 			Cached:          cached,
 			Leaves:          st.Leaves,
 			PostingsSkipped: st.PostingsSkipped,
@@ -345,35 +334,46 @@ func (fs *FS) SearchPaths(queryStr, scopePath string) ([]string, error) {
 	return paths, nil
 }
 
-// SearchPage returns one page of matches starting at the given cursor
-// (0 = first page) with at most limit paths (<= 0 = everything), plus
-// the cursor for the next page — 0 when no pages remain. It exists for
-// the remote protocol layers, which forward cursors across the wire.
-func (fs *FS) SearchPage(queryStr, scopePath string, after uint64, limit int) ([]string, uint64, error) {
-	return fs.SearchPageContext(context.Background(), queryStr, scopePath, after, limit)
+// SearchStream is the one paging entry point under every served search:
+// it evaluates queryStr once (Search) and hands emit one page of at
+// most pageSize paths (<= 0 = everything in one page) at a time, all
+// from that evaluation, starting at cursor after (0 = the beginning)
+// and stopping after maxPages pages (<= 0 = no budget). next is the
+// cursor a later call resumes from — into a new evaluation — and 0 on
+// the page that ends the result; a result with no matches is one empty
+// page. Between pages the stream stops with ctx.Err() once ctx is done,
+// and with emit's error as soon as emit returns one.
+func (fs *FS) SearchStream(ctx context.Context, queryStr, scopePath string, after uint64, pageSize, maxPages int, emit func(page []string, next uint64) error) error {
+	res, err := fs.Search(ctx, queryStr, WithScope(scopePath), WithAfter(after), WithPageSize(pageSize))
+	if err != nil {
+		return err
+	}
+	for n := 1; ; n++ {
+		page, _ := res.Next()
+		var next uint64
+		if res.More() {
+			next = res.Cursor()
+		}
+		if err := emit(page, next); err != nil {
+			return err
+		}
+		if next == 0 || n == maxPages {
+			return nil
+		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+	}
 }
 
-// SearchPageContext is SearchPage with the request context threaded
-// through (remotefs.ContextSearcher), so a trace propagated from a
-// remote client links into the planner's spans and the tenant baggage
-// reaches the slow-op log.
-func (fs *FS) SearchPageContext(ctx context.Context, queryStr, scopePath string, after uint64, limit int) ([]string, uint64, error) {
-	opts := []SearchOption{WithScope(scopePath), WithAfter(after), WithPageSize(limit)}
-	if limit > 0 {
-		// One extra match beyond the page, so More() can tell whether a
-		// next page exists without fetching it.
-		opts = append(opts, WithLimit(limit+1))
-	}
-	res, err := fs.Search(ctx, queryStr, opts...)
-	if err != nil {
-		return nil, 0, err
-	}
-	page, ok := res.Next()
-	if !ok {
-		return nil, 0, nil
-	}
-	if !res.More() {
-		return page, 0, nil
-	}
-	return page, res.Cursor(), nil
+// SearchPageContext returns one page of matches starting at the given
+// cursor (0 = first page) with at most limit paths (<= 0 = everything),
+// plus the cursor for the next page — 0 when no pages remain: a
+// SearchStream of one page.
+func (fs *FS) SearchPageContext(ctx context.Context, queryStr, scopePath string, after uint64, limit int) (page []string, next uint64, err error) {
+	err = fs.SearchStream(ctx, queryStr, scopePath, after, limit, 1, func(p []string, n uint64) error {
+		page, next = p, n
+		return nil
+	})
+	return page, next, err
 }

@@ -109,7 +109,7 @@ func TestSearchPageProtocolShape(t *testing.T) {
 		if rounds > 10 {
 			t.Fatal("SearchPage did not terminate")
 		}
-		page, next, err := fs.SearchPage("common", "/", cursor, 4)
+		page, next, err := fs.SearchPageContext(context.Background(), "common", "/", cursor, 4)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"container/list"
+	"slices"
 	"sync"
 
 	"hacfs/internal/bitset"
@@ -18,14 +19,16 @@ import (
 //     whenever that directory's links change.
 //
 // Stale entries are evicted on lookup; there is no background sweep.
-// Cache is safe for concurrent use.
+//
+// A cached set is immutable and shared: Put publishes the set it is
+// given, Get hands the same set to every hit, and nobody — the caller
+// that Put it included — may mutate it afterwards. Readers that need a
+// private copy Clone it themselves. Cache is safe for concurrent use.
 type Cache struct {
 	mu  sync.Mutex
 	max int
 	ll  *list.List // front = most recent
 	m   map[string]*list.Element
-
-	hits, misses uint64
 }
 
 // Dep pins one directory's link-set epoch.
@@ -53,32 +56,31 @@ func NewCache(max int) *Cache {
 	return &Cache{max: max, ll: list.New(), m: make(map[string]*list.Element)}
 }
 
-// Get returns a copy of the cached result for key if it is still valid
-// at the given index version and dependency epochs (compared via
-// depsValid, which receives the entry's recorded deps; a nil depsValid
-// accepts any deps). Invalid entries are evicted.
-func (c *Cache) Get(key string, version uint64, depsValid func([]Dep) bool) (*bitset.Segmented, bool) {
+// Get returns the cached result for key — shared, read-only — if it is
+// still valid: computed at the given index version and under exactly
+// the given dependency epochs (a key fixes which directories a result
+// reads and in what order, so deps compares positionally). Invalid
+// entries are evicted.
+func (c *Cache) Get(key string, version uint64, deps []Dep) (*bitset.Segmented, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.m[key]
 	if !ok {
-		c.misses++
 		return nil, false
 	}
 	ent := el.Value.(*cacheEntry)
-	if ent.version != version || (depsValid != nil && !depsValid(ent.deps)) {
+	if ent.version != version || !slices.Equal(ent.deps, deps) {
 		c.ll.Remove(el)
 		delete(c.m, key)
-		c.misses++
 		return nil, false
 	}
 	c.ll.MoveToFront(el)
-	c.hits++
-	return ent.res.Clone(), true
+	return ent.res, true
 }
 
-// Put stores res for key at the given version and dependency epochs,
-// taking ownership of res (callers must not mutate it afterwards).
+// Put publishes res for key at the given version and dependency epochs.
+// res is shared from here on; the caller may keep reading it but must
+// not mutate it.
 func (c *Cache) Put(key string, res *bitset.Segmented, version uint64, deps []Dep) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -109,11 +111,4 @@ func (c *Cache) Purge() {
 	defer c.mu.Unlock()
 	c.ll.Init()
 	c.m = make(map[string]*list.Element)
-}
-
-// HitsMisses returns the lifetime lookup counters.
-func (c *Cache) HitsMisses() (hits, misses uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"hacfs/internal/bitset"
@@ -282,33 +283,50 @@ func TestCacheVersionInvalidation(t *testing.T) {
 
 func TestCacheDepInvalidation(t *testing.T) {
 	c := NewCache(8)
-	epochs := map[uint64]uint64{42: 1}
-	valid := func(deps []Dep) bool {
-		for _, d := range deps {
-			if epochs[d.UID] != d.Epoch {
-				return false
-			}
-		}
-		return true
-	}
 	c.Put("k", bitset.SegmentedOf(9), 1, []Dep{{UID: 42, Epoch: 1}})
-	if _, ok := c.Get("k", 1, valid); !ok {
+	if _, ok := c.Get("k", 1, []Dep{{UID: 42, Epoch: 1}}); !ok {
 		t.Fatalf("valid entry missed")
 	}
-	epochs[42] = 2 // the referenced directory's links changed
-	if _, ok := c.Get("k", 1, valid); ok {
+	// The referenced directory's links changed.
+	if _, ok := c.Get("k", 1, []Dep{{UID: 42, Epoch: 2}}); ok {
 		t.Fatalf("dep-stale entry served")
 	}
 }
 
-func TestCacheCopiesAreIndependent(t *testing.T) {
-	c := NewCache(8)
-	c.Put("k", bitset.SegmentedOf(1, 2), 1, nil)
-	got, _ := c.Get("k", 1, nil)
-	got.Add(99)
-	again, _ := c.Get("k", 1, nil)
-	if again.Contains(99) {
-		t.Fatalf("cache entry aliased with returned copy")
+// TestCacheSharesOneImmutableSet: every hit is the very set that was
+// Put — no copy on either side — and concurrent readers of one hit,
+// racing Puts and evictions of other keys, only ever read it (run
+// under -race: a mutation anywhere on the hit path is a data race).
+func TestCacheSharesOneImmutableSet(t *testing.T) {
+	c := NewCache(4)
+	res := bitset.NewSegmented()
+	for i := uint64(0); i < 6000; i++ {
+		res.Add(i%3<<32 | i)
+	}
+	want := res.Clone()
+	c.Put("k", res, 1, nil)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				got, ok := c.Get("k", 1, nil)
+				if !ok || got != res {
+					t.Errorf("reader %d: hit = %p, %v; want the published set %p", g, got, ok, res)
+					return
+				}
+				if n := len(got.AppendFrom(nil, uint64(i), 64)); n != 64 || got.CountFrom(0) != 6000 {
+					t.Errorf("reader %d: page of %d from a %d-element hit", g, n, got.CountFrom(0))
+					return
+				}
+				c.Put(fmt.Sprintf("other%d", (g+i)%3), bitset.SegmentedOf(uint64(i)), 1, nil)
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got, _ := c.Get("k", 1, nil); !got.Equal(want) {
+		t.Fatalf("shared entry changed under its readers")
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"sort"
 	"sync"
 	"time"
 
@@ -137,13 +136,16 @@ func (b *IndexBackend) search(q, scope string, after uint64, limit int) ([]strin
 		// Unpaged: the full result, path-sorted as before.
 		return snap.Paths(bm), 0, snap.Epoch(), nil
 	}
-	ids := bm.Slice()
-	i := sort.Search(len(ids), func(i int) bool { return ids[i] >= after })
-	ids = ids[i:]
+	// One match beyond the page tells whether a next page exists.
+	want := 0
+	if limit > 0 {
+		want = limit + 1
+	}
+	ids := bm.AppendFrom(nil, after, want)
 	var next uint64
 	if limit > 0 && len(ids) > limit {
 		ids = ids[:limit]
-		next = ids[len(ids)-1] + 1
+		next = ids[limit-1] + 1
 	}
 	return snap.PathsOf(ids), next, snap.Epoch(), nil
 }

@@ -129,9 +129,11 @@ func (c *MuxClient) SearchPage(ctx context.Context, query, scope string, after u
 }
 
 // SearchStream runs a content query and streams every result page
-// through fn: the server walks the cursor itself and ships one framed
-// page per callback, so a large result needs one request, not one
-// round trip per page. pageSize <= 0 uses the server default.
+// through fn: the server evaluates the query once and ships one framed
+// page of that result per callback, so a large result needs one
+// request and one evaluation, not one of each per page. The paths of a
+// page share one allocation (wire.Dec.Strings): keeping one keeps the
+// page's bytes. pageSize <= 0 uses the server default.
 func (c *MuxClient) SearchStream(ctx context.Context, query, scope string, pageSize int, fn func(paths []string) error) error {
 	req := &request{Op: opSearchStream, Tenant: c.tenant, Path: scope, Path2: query, N: pageSize}
 	return c.c.Stream(ctx, int(opSearchStream)-1, rfReq, appendRequest(nil, req), func(f wire.Frame) error {

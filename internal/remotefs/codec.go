@@ -115,6 +115,19 @@ func appendResponse(b []byte, resp *response) []byte {
 	return b
 }
 
+// encodeResponse encodes resp into buf's storage, first growing it to
+// what Data, Strs and the remaining fields while empty or small need
+// (32 bytes cover those: 21 single bytes plus a full-width cursor in
+// Off), so a page of paths or a file's bytes is encoded without
+// regrowth, and a caller that passes the previous result back in
+// reuses one buffer.
+func encodeResponse(buf []byte, resp *response) []byte {
+	if need := 32 + len(resp.Data) + wire.SizeStrings(resp.Strs); cap(buf) < need {
+		buf = make([]byte, 0, need)
+	}
+	return appendResponse(buf[:0], resp)
+}
+
 func decodeResponse(payload []byte, resp *response) error {
 	d := wire.NewDec(payload)
 	if d.Bool() {

@@ -20,7 +20,7 @@ import (
 
 // hostServe exports vols on a loopback listener and returns its
 // address.
-func hostServe(t *testing.T, vols Volumes) string {
+func hostServe(t testing.TB, vols Volumes) string {
 	t.Helper()
 	srv := NewHostServer(vols, nil)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -33,7 +33,7 @@ func hostServe(t *testing.T, vols Volumes) string {
 }
 
 // serveMuxClient exports fsys and returns a connected binary client.
-func serveMuxClient(t *testing.T, fsys vfs.FileSystem) *MuxClient {
+func serveMuxClient(t testing.TB, fsys vfs.FileSystem) *MuxClient {
 	t.Helper()
 	c := DialMux(hostServe(t, soloVolumes{fsys}))
 	c.SetTimeout(5 * time.Second)

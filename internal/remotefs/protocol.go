@@ -62,10 +62,10 @@ const (
 	// Path (the paper's ssync, over the wire). Only file systems that
 	// implement PathSyncer — a HAC volume — answer it.
 	opSync
-	// opSearchStream is opSearch in streaming form: the server walks the
-	// cursor itself and returns every page as its own response frame,
-	// the last one flagged final. N = page size, Size = max pages
-	// (0 = all).
+	// opSearchStream is opSearch in streaming form: the server evaluates
+	// the query once and returns every page of that one result as its
+	// own response frame, the last one flagged final. N = page size,
+	// Size = max pages (0 = all).
 	opSearchStream
 	// opManifest returns the served volume's content-addressed manifest
 	// (encoded cas.Manifest in Data). Only volumes over a cas substrate

@@ -77,19 +77,11 @@ func NewHostServer(vols Volumes, logger *log.Logger) *Server {
 func (s *Server) SetObserver(o *obs.Observer) { s.obsv = o }
 
 // Searcher is the optional content-search surface a served file system
-// may provide; hac.FS implements it. The cursor contract is
-// hac.FS.SearchPage's: after 0 starts, the returned next cursor resumes,
-// 0 means no more pages.
+// may provide; hac.FS implements it and serving wrappers forward it.
+// The contract is hac.FS.SearchStream's: one evaluation, every page
+// from it, a stop between pages once ctx is done.
 type Searcher interface {
-	SearchPage(query, scope string, after uint64, limit int) ([]string, uint64, error)
-}
-
-// ContextSearcher is Searcher with the request context threaded
-// through, so a propagated trace (and tenant baggage) reaches the
-// engine's spans; hac.FS implements it. The server prefers it when
-// present.
-type ContextSearcher interface {
-	SearchPageContext(ctx context.Context, query, scope string, after uint64, limit int) ([]string, uint64, error)
+	SearchStream(ctx context.Context, query, scope string, after uint64, pageSize, maxPages int, emit func(page []string, next uint64) error) error
 }
 
 // BlobSource is the optional content-addressed surface a served volume
@@ -113,7 +105,8 @@ type PathSyncer interface {
 }
 
 // ContextSyncer is PathSyncer with the request context threaded
-// through (see ContextSearcher); hac.FS implements it.
+// through, so a propagated trace (and tenant baggage) reaches the
+// engine's spans; hac.FS implements it.
 type ContextSyncer interface {
 	SyncPathContext(ctx context.Context, path string) error
 }
@@ -176,7 +169,7 @@ func (sess *session) dropHandle(id uint64) {
 const maxConnInflight = 256
 
 func sendResp(w *wire.ResponseWriter, id uint64, flags uint8, resp *response) error {
-	return w.Send(wire.Frame{Type: rfResp, Flags: flags, ID: id, Payload: appendResponse(nil, resp)})
+	return w.Send(wire.Frame{Type: rfResp, Flags: flags, ID: id, Payload: encodeResponse(nil, resp)})
 }
 
 // errf builds a server-made error carrying a vfs sentinel.
@@ -203,60 +196,62 @@ func (sess *session) ServeFrame(ctx context.Context, w *wire.ResponseWriter, f w
 	sendResp(w, f.ID, wire.FlagFinal, sess.dispatch(ctx, &req))
 }
 
-// streamSearch walks the whole cursor server-side, emitting one
-// response frame per page; the last page carries FlagFinal. Page size
-// comes from req.N, an optional page budget from req.Size.
+// streamSearch answers a streamed search from one evaluation, emitting
+// one response frame per page; the last page carries FlagFinal. Page
+// size comes from req.N, an optional page budget from req.Size. Every
+// page is encoded into the same buffer — Send has copied it out by the
+// time it returns. The stream ends at the next page boundary once the
+// connection is gone (ctx), releasing its admission slot.
 func (sess *session) streamSearch(ctx context.Context, w *wire.ResponseWriter, id uint64, req *request) {
-	fail := func(err error) { sendResp(w, id, wire.FlagFinal, &response{Err: err}) }
 	fsys, tenant, release, err := sess.admit(req)
 	if err != nil {
-		fail(err)
+		sendResp(w, id, wire.FlagFinal, &response{Err: err})
 		return
 	}
 	defer release()
 	ctx = obs.WithTenant(ctx, tenant)
 	sp, ctx := sess.startOp(ctx, req, tenant)
 	start := time.Now()
-	var opErr error
-	defer func() { sess.finishOp(ctx, sp, req, start, opErr) }()
-	search, ok := searchFunc(ctx, fsys)
-	if !ok {
-		fail(errf(vfs.ErrUnsupported, "file system is not searchable"))
-		return
-	}
-	if req.Offset < 0 {
-		fail(errf(vfs.ErrInvalid, "negative search cursor"))
-		return
-	}
 	pageSize := req.N
 	if pageSize <= 0 {
 		pageSize = 512
 	}
-	cursor := uint64(req.Offset)
-	for page := 0; ; page++ {
-		paths, next, err := search(req.Path2, req.Path, cursor, pageSize)
-		if err != nil {
-			opErr = err
-			fail(err)
-			return
-		}
-		if next > (1<<63 - 1) {
-			fail(errf(vfs.ErrInvalid, "search cursor overflow"))
-			return
-		}
-		final := next == 0 || (req.Size > 0 && int64(page+1) >= req.Size)
+	var buf []byte
+	var resp response
+	err = search(ctx, fsys, req, pageSize, int(req.Size), func(page []string, next int64, final bool) error {
 		var flags uint8
 		if final {
 			flags = wire.FlagFinal
 		}
-		if err := sendResp(w, id, flags, &response{Strs: paths, Off: int64(next)}); err != nil {
-			return
-		}
-		if final {
-			return
-		}
-		cursor = next
+		resp.Strs, resp.Off = page, next
+		buf = encodeResponse(buf, &resp)
+		return w.Send(wire.Frame{Type: rfResp, Flags: flags, ID: id, Payload: buf})
+	})
+	if err != nil {
+		sendResp(w, id, wire.FlagFinal, &response{Err: err})
 	}
+	sess.finishOp(ctx, sp, req, start, err)
+}
+
+// search runs req's query against the volume as one evaluation and
+// hands emit each page with its resume cursor; final marks the page
+// that ends the result or spends the maxPages budget (<= 0 = none).
+func search(ctx context.Context, fsys vfs.FileSystem, req *request, pageSize, maxPages int, emit func(page []string, next int64, final bool) error) error {
+	sr, ok := fsys.(Searcher)
+	if !ok {
+		return errf(vfs.ErrUnsupported, "file system is not searchable")
+	}
+	if req.Offset < 0 {
+		return errf(vfs.ErrInvalid, "negative search cursor")
+	}
+	pages := 0
+	return sr.SearchStream(ctx, req.Path2, req.Path, uint64(req.Offset), pageSize, maxPages, func(page []string, next uint64) error {
+		if next > (1<<63 - 1) {
+			return errf(vfs.ErrInvalid, "search cursor overflow")
+		}
+		pages++
+		return emit(page, int64(next), next == 0 || pages == maxPages)
+	})
 }
 
 // admit resolves the request's tenant volume and passes admission
@@ -334,20 +329,6 @@ func (sess *session) finishOp(ctx context.Context, sp *obs.Span, req *request, s
 		}
 		slow.Record(op)
 	}
-}
-
-// searchFunc resolves the volume's search surface, preferring the
-// context-threading form so the trace reaches the engine.
-func searchFunc(ctx context.Context, fsys vfs.FileSystem) (func(query, scope string, after uint64, limit int) ([]string, uint64, error), bool) {
-	if cs, ok := fsys.(ContextSearcher); ok {
-		return func(query, scope string, after uint64, limit int) ([]string, uint64, error) {
-			return cs.SearchPageContext(ctx, query, scope, after, limit)
-		}, true
-	}
-	if sr, ok := fsys.(Searcher); ok {
-		return sr.SearchPage, true
-	}
-	return nil, false
 }
 
 // dispatch admits and executes one request.
@@ -444,21 +425,12 @@ func (sess *session) exec(ctx context.Context, fsys vfs.FileSystem, req *request
 		}
 		return &response{Err: ps.SyncPath(req.Path)}
 	case opSearch:
-		search, ok := searchFunc(ctx, fsys)
-		if !ok {
-			return &response{Err: errf(vfs.ErrUnsupported, "file system is not searchable")}
-		}
-		if req.Offset < 0 {
-			return &response{Err: errf(vfs.ErrInvalid, "negative search cursor")}
-		}
-		paths, next, err := search(req.Path2, req.Path, uint64(req.Offset), req.N)
-		if err != nil {
-			return &response{Err: err}
-		}
-		if next > (1<<63 - 1) {
-			return &response{Err: errf(vfs.ErrInvalid, "search cursor overflow")}
-		}
-		return &response{Strs: paths, Off: int64(next)}
+		resp := &response{}
+		resp.Err = search(ctx, fsys, req, req.N, 1, func(page []string, next int64, _ bool) error {
+			resp.Strs, resp.Off = page, next
+			return nil
+		})
+		return resp
 	}
 
 	// Handle-based operations.

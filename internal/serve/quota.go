@@ -242,15 +242,15 @@ func (f *quotaFS) ReadDir(path string) ([]vfs.DirEntry, error) { return f.inner.
 // Optional surfaces the serving layer forwards (remotefs type-asserts
 // the volume it gets from Volumes).
 
-func (f *quotaFS) SearchPage(query, scope string, after uint64, limit int) ([]string, uint64, error) {
+func (f *quotaFS) SearchStream(ctx context.Context, query, scope string, after uint64, pageSize, maxPages int, emit func(page []string, next uint64) error) error {
 	type searcher interface {
-		SearchPage(query, scope string, after uint64, limit int) ([]string, uint64, error)
+		SearchStream(ctx context.Context, query, scope string, after uint64, pageSize, maxPages int, emit func(page []string, next uint64) error) error
 	}
 	sr, ok := f.inner.(searcher)
 	if !ok {
-		return nil, 0, &vfs.PathError{Op: "search", Path: scope, Err: vfs.ErrUnsupported}
+		return &vfs.PathError{Op: "search", Path: scope, Err: vfs.ErrUnsupported}
 	}
-	return sr.SearchPage(query, scope, after, limit)
+	return sr.SearchStream(ctx, query, scope, after, pageSize, maxPages, emit)
 }
 
 func (f *quotaFS) SyncPath(path string) error {
@@ -262,21 +262,10 @@ func (f *quotaFS) SyncPath(path string) error {
 	return ps.SyncPath(path)
 }
 
-// Context-threading forms (remotefs.ContextSearcher / ContextSyncer):
+// SyncPathContext is the context-threading form (remotefs.ContextSyncer),
 // forwarded so a propagated trace passes through the quota wrapper to
-// the engine; fall back to the plain forms for inner file systems that
-// predate them.
-
-func (f *quotaFS) SearchPageContext(ctx context.Context, query, scope string, after uint64, limit int) ([]string, uint64, error) {
-	type searcher interface {
-		SearchPageContext(ctx context.Context, query, scope string, after uint64, limit int) ([]string, uint64, error)
-	}
-	if sr, ok := f.inner.(searcher); ok {
-		return sr.SearchPageContext(ctx, query, scope, after, limit)
-	}
-	return f.SearchPage(query, scope, after, limit)
-}
-
+// the engine; it falls back to the plain form for an inner file system
+// that predates it.
 func (f *quotaFS) SyncPathContext(ctx context.Context, path string) error {
 	type syncer interface {
 		SyncPathContext(ctx context.Context, path string) error

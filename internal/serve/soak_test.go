@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -284,4 +285,60 @@ func TestGracefulShutdownUnderLoad(t *testing.T) {
 			t.Fatalf("tenant %s: recovered search found %d/%d, %v", name, len(paths), files, err)
 		}
 	}
+}
+
+// TestClientLeavingMidStreamFreesItsSlot: a client that closes its
+// connection in the middle of a streamed search must not leave the
+// stream handler behind — the handler returns, the tenant's in-flight
+// count goes back to 0 and, once the server is closed, no goroutine of
+// the exchange is left.
+func TestClientLeavingMidStreamFreesItsSlot(t *testing.T) {
+	before := runtime.NumGoroutine()
+	h := NewHost(0, obs.NewObserver())
+	hfs := addTenant(t, h, "a", Quota{MaxInflight: 4})
+	if err := hfs.MkdirAll("/docs"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4000; i++ {
+		if err := hfs.WriteFile(fmt.Sprintf("/docs/n%04d.txt", i), []byte("needle")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := hfs.Reindex("/"); err != nil {
+		t.Fatal(err)
+	}
+	srv := remotefs.NewHostServer(h, nil)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(l)
+	c := remotefs.DialMux(l.Addr().String())
+	c.SetTimeout(10 * time.Second)
+
+	// Whether the client sees an error depends on how far ahead of it
+	// the server already was; what matters is what the server keeps.
+	pages := 0
+	c.Tenant("a").SearchStream(context.Background(), "needle", "/", 1, func([]string) error {
+		if pages++; pages == 2 {
+			c.Close() // walk away with thousands of pages to go
+		}
+		return nil
+	})
+	settled := func(what string, ok func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !ok(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<16)
+				t.Fatalf("%s\n%s", what, buf[:runtime.Stack(buf, true)])
+			}
+		}
+	}
+	settled("stream handler still holds its admission slot", func() bool {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		return h.tenants["a"].inflight == 0
+	})
+	srv.Close()
+	settled("goroutines left behind", func() bool { return runtime.NumGoroutine() <= before })
 }

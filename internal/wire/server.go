@@ -17,8 +17,8 @@ import (
 // Handler answers request frames. Each request runs on its own
 // goroutine, so a slow search never blocks a ping on the same
 // connection. ctx carries the caller's span context when the frame had
-// a trace header; responses go through w, tagged with f.ID, the last
-// one flagged FlagFinal.
+// a trace header and is cancelled when the connection ends; responses
+// go through w, tagged with f.ID, the last one flagged FlagFinal.
 //
 // It is an interface rather than a func so the call adds no wrapper
 // frame: a request goroutine starts on a minimal stack, and every
@@ -193,6 +193,10 @@ func (s *Server) serveConn(conn net.Conn) {
 	sem := make(chan struct{}, s.maxInflight)
 	var reqs sync.WaitGroup
 	defer reqs.Wait()
+	// Handler contexts end with the connection: once the reader stops, a
+	// handler still producing responses nobody can receive sees Done.
+	connCtx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	for {
 		f, err := ReadFrame(r, s.maxPayload)
 		if err != nil {
@@ -203,7 +207,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		// A traced frame carries the caller's span context; joining it
 		// links the handler's spans into the client's trace.
-		ctx := context.Background()
+		ctx := connCtx
 		if sc := (obs.SpanContext{Trace: f.Trace, Span: f.Span}); sc.Valid() {
 			ctx = obs.ContextWith(ctx, sc)
 		}

@@ -44,6 +44,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -360,21 +361,42 @@ func (d *Dec) Count(max int) int {
 }
 
 // Strings decodes a count-prefixed list of strings, bounding both the
-// element size and the total element count.
+// element size and the total element count. The list's bytes are copied
+// once, into one string that every element is a substring of — two
+// allocations a page instead of one per path. The price is retention: a
+// single element kept alive keeps the whole list's bytes alive.
 func (d *Dec) Strings(maxEach, maxCount int) []string {
 	n := d.Count(maxCount)
+	list := d.b
+	for i := 0; i < n; i++ {
+		d.Bytes(maxEach)
+	}
 	if d.err != nil {
 		return nil
 	}
-	out := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, d.String(maxEach))
-		if d.err != nil {
-			return nil
-		}
+	// Validated above: the second walk only re-reads the lengths.
+	list = list[:len(list)-len(d.b)]
+	backing := string(list)
+	out := make([]string, n)
+	pos := 0
+	for i := range out {
+		l, w := binary.Uvarint(list[pos:])
+		out[i] = backing[pos+w : pos+w+int(l)]
+		pos += w + int(l)
 	}
 	return out
 }
+
+// SizeStrings returns the number of bytes AppendStrings(nil, ss) takes.
+func SizeStrings(ss []string) int {
+	n := uvarintLen(uint64(len(ss)))
+	for _, s := range ss {
+		n += uvarintLen(uint64(len(s))) + len(s)
+	}
+	return n
+}
+
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // AppendStrings appends a count-prefixed string list.
 func AppendStrings(b []byte, ss []string) []byte {

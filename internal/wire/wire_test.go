@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -173,6 +175,44 @@ func TestDecBounded(t *testing.T) {
 	d.Uvarint()
 	if err := d.Close(); err == nil {
 		t.Fatal("trailing bytes accepted")
+	}
+}
+
+// TestDecStringsOneBackingString: a page of paths decodes into the list
+// and one backing string — at most 3 allocations for 512 paths — with
+// the same element and count bounds as before, and SizeStrings is the
+// exact encoded size.
+func TestDecStringsOneBackingString(t *testing.T) {
+	page := make([]string, 512)
+	for i := range page {
+		page[i] = fmt.Sprintf("/corpus/dir%03d/file-%05d.txt", i%40, i*7)
+	}
+	page[17], page[400] = "", strings.Repeat("x", 300) // empty and two-byte-length elements
+	enc := AppendStrings(nil, page)
+	if SizeStrings(page) != len(enc) || SizeStrings(nil) != len(AppendStrings(nil, nil)) {
+		t.Fatalf("SizeStrings = %d, encoded %d bytes", SizeStrings(page), len(enc))
+	}
+	enc = AppendUvarint(enc, 9)
+	d := NewDec(enc)
+	if got := d.Strings(1<<10, 1<<10); !reflect.DeepEqual(got, page) {
+		t.Fatalf("decoded page differs: %q", got)
+	}
+	if d.Uvarint() != 9 || d.Close() != nil {
+		t.Fatalf("decoder misplaced after the list: %v", d.Err())
+	}
+	if allocs := testing.AllocsPerRun(50, func() { NewDec(enc).Strings(1<<10, 1<<10) }); allocs > 3 {
+		t.Fatalf("decoding a 512-path page took %.0f allocations, want <= 3", allocs)
+	}
+	for name, d := range map[string]*Dec{
+		"element over the limit": NewDec(enc),
+		"list cut mid-element":   NewDec(enc[:len(enc)/2]),
+	} {
+		if d.Strings(64, 1<<10) != nil || d.Err() == nil {
+			t.Fatalf("%s accepted", name)
+		}
+	}
+	if d := NewDec(enc); d.Strings(1<<10, 100) != nil || d.Err() == nil {
+		t.Fatal("count over the limit accepted")
 	}
 }
 
