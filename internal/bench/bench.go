@@ -285,11 +285,12 @@ func (e *Table4Env) DirectSearch(q string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	bm, err := query.Eval(ast, indexEnv{e.Ix})
+	snap := e.Ix.Snapshot()
+	bm, err := query.Eval(ast, indexEnv{snap})
 	if err != nil {
 		return nil, err
 	}
-	paths := e.Ix.Paths(bm)
+	paths := snap.Paths(bm)
 	terms := query.Terms(ast)
 	for _, p := range paths {
 		data, err := e.Raw.ReadFile(p)
@@ -332,16 +333,17 @@ func scanForTerms(data []byte, terms []string) int {
 	return total
 }
 
-// indexEnv evaluates query primitives over a bare index (directory
-// references resolve to nothing, as in a standalone search tool).
-type indexEnv struct{ ix *index.Index }
+// indexEnv evaluates query primitives over one snapshot of a bare index
+// (directory references resolve to nothing, as in a standalone search
+// tool).
+type indexEnv struct{ sn *index.Snapshot }
 
-func (e indexEnv) Term(w string) (*bitset.Segmented, error)   { return e.ix.Lookup(w), nil }
-func (e indexEnv) Prefix(p string) (*bitset.Segmented, error) { return e.ix.LookupPrefix(p), nil }
-func (e indexEnv) Fuzzy(w string) (*bitset.Segmented, error)  { return e.ix.LookupFuzzy(w), nil }
-func (e indexEnv) Universe() (*bitset.Segmented, error)       { return e.ix.AllDocs(), nil }
+func (e indexEnv) Term(w string) (*bitset.Segmented, error)   { return e.sn.Lookup(w), nil }
+func (e indexEnv) Prefix(p string) (*bitset.Segmented, error) { return e.sn.LookupPrefix(p), nil }
+func (e indexEnv) Fuzzy(w string) (*bitset.Segmented, error)  { return e.sn.LookupFuzzy(w), nil }
+func (e indexEnv) Universe() (*bitset.Segmented, error)       { return e.sn.AllDocs(), nil }
 func (e indexEnv) DirRef(*query.DirRef) (*bitset.Segmented, error) {
-	return e.ix.AllDocs(), nil
+	return e.sn.AllDocs(), nil
 }
 
 // Table4 measures the three query classes of the paper: very few

@@ -20,15 +20,6 @@ func BenchmarkBitmapAnd17000(b *testing.B) {
 	}
 }
 
-func BenchmarkBitmapOr17000(b *testing.B) {
-	x, y := benchBitmaps(17000, 8)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c := x.Clone()
-		c.Or(y)
-	}
-}
-
 func BenchmarkBitmapRange(b *testing.B) {
 	x, _ := benchBitmaps(17000, 8)
 	b.ReportAllocs()
@@ -41,12 +32,12 @@ func BenchmarkBitmapRange(b *testing.B) {
 	}
 }
 
-func BenchmarkSparseAdd(b *testing.B) {
+func BenchmarkContainerAdd(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s := NewSparse()
+		c := NewContainer()
 		for j := uint32(0); j < 256; j++ {
-			s.Add(j * 7 % 509)
+			c.Add(j * 7 % 509)
 		}
 	}
 }

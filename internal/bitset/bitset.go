@@ -4,44 +4,26 @@
 //
 // The paper (§4) stores one bitmap of N/8 bytes per semantic directory,
 // where N is the number of indexed files, and names "better sparse-set
-// representations" as future work. This package provides both: a dense
-// Bitmap and a sorted Sparse set, behind the common Set interface, so the
-// tradeoff can be measured (see the ablate-sets experiment).
+// representations" as future work. The system runs on that future work:
+// Container (container.go) is the one set type — postings, tombstones,
+// directory scopes and, per segment inside a Segmented (segmented.go),
+// every query result. Bitmap below is kept only as the paper's literal
+// N/8 slot: the reference the space experiments and the tests measure
+// Container against.
 //
-// All identifiers are uint32 document/file IDs assigned by the index.
+// Local identifiers are uint32 slots within an index segment; a
+// Segmented holds 64-bit segment<<32|slot document IDs.
 package bitset
 
-import (
-	"fmt"
-	"math/bits"
-	"sort"
-	"strings"
-)
-
-// Set is a mutable set of uint32 identifiers. Implementations are not
-// safe for concurrent mutation; callers synchronize externally.
-type Set interface {
-	// Add inserts id into the set.
-	Add(id uint32)
-	// Remove deletes id from the set if present.
-	Remove(id uint32)
-	// Contains reports whether id is in the set.
-	Contains(id uint32) bool
-	// Len returns the number of elements.
-	Len() int
-	// Range calls fn for each element in ascending order until fn
-	// returns false.
-	Range(fn func(id uint32) bool)
-	// SizeBytes returns the approximate in-memory footprint of the
-	// set's payload, used by the space-overhead experiments.
-	SizeBytes() int
-}
+import "math/bits"
 
 const wordBits = 64
 
 // Bitmap is a dense bitmap set. Its footprint is ceil(universe/8) bytes
 // regardless of how many elements are present — exactly the
-// representation the paper uses for per-directory query results.
+// representation the paper uses for per-directory query results. It is
+// a measuring stick, not a working type: nothing outside the space
+// ablation, BenchmarkBitmapFootprint and this package's tests uses it.
 type Bitmap struct {
 	words []uint64
 }
@@ -55,28 +37,12 @@ func NewBitmap(universe int) *Bitmap {
 	return &Bitmap{words: make([]uint64, (universe+wordBits-1)/wordBits)}
 }
 
-// BitmapOf returns a bitmap containing exactly the given ids.
-func BitmapOf(ids ...uint32) *Bitmap {
-	b := NewBitmap(0)
-	for _, id := range ids {
-		b.Add(id)
-	}
-	return b
-}
-
-func (b *Bitmap) grow(n int) {
-	if n <= len(b.words) {
-		return
-	}
-	w := make([]uint64, n)
-	copy(w, b.words)
-	b.words = w
-}
-
 // Add inserts id.
 func (b *Bitmap) Add(id uint32) {
 	w := int(id / wordBits)
-	b.grow(w + 1)
+	if w >= len(b.words) {
+		b.words = append(b.words, make([]uint64, w+1-len(b.words))...)
+	}
 	b.words[w] |= 1 << (id % wordBits)
 }
 
@@ -121,242 +87,14 @@ func (b *Bitmap) SizeBytes() int { return len(b.words) * 8 }
 
 // Clone returns a deep copy.
 func (b *Bitmap) Clone() *Bitmap {
-	w := make([]uint64, len(b.words))
-	copy(w, b.words)
-	return &Bitmap{words: w}
-}
-
-// Trim removes every element >= n, keeping only ids in [0, n). Used by
-// epoch snapshots to cap a result at the committed length of the active
-// index segment.
-func (b *Bitmap) Trim(n int) {
-	if n < 0 {
-		n = 0
-	}
-	w := n / wordBits
-	if w < len(b.words) {
-		b.words[w] &= (1 << (n % wordBits)) - 1
-		for i := w + 1; i < len(b.words); i++ {
-			b.words[i] = 0
-		}
-	}
-}
-
-// FullBitmap returns a bitmap containing every id in [0, n).
-func FullBitmap(n int) *Bitmap {
-	b := NewBitmap(n)
-	for i := range b.words {
-		b.words[i] = ^uint64(0)
-	}
-	b.Trim(n)
-	return b
-}
-
-// Clear removes all elements without releasing storage.
-func (b *Bitmap) Clear() {
-	for i := range b.words {
-		b.words[i] = 0
-	}
+	return &Bitmap{words: append([]uint64(nil), b.words...)}
 }
 
 // And intersects b with other in place.
 func (b *Bitmap) And(other *Bitmap) {
-	n := len(b.words)
-	if len(other.words) < n {
-		n = len(other.words)
-	}
+	n := min(len(b.words), len(other.words))
 	for i := 0; i < n; i++ {
 		b.words[i] &= other.words[i]
 	}
-	for i := n; i < len(b.words); i++ {
-		b.words[i] = 0
-	}
-}
-
-// Or unions other into b in place.
-func (b *Bitmap) Or(other *Bitmap) {
-	b.grow(len(other.words))
-	for i, w := range other.words {
-		b.words[i] |= w
-	}
-}
-
-// AndNot removes every element of other from b in place.
-func (b *Bitmap) AndNot(other *Bitmap) {
-	n := len(b.words)
-	if len(other.words) < n {
-		n = len(other.words)
-	}
-	for i := 0; i < n; i++ {
-		b.words[i] &^= other.words[i]
-	}
-}
-
-// Equal reports whether b and other contain the same elements.
-func (b *Bitmap) Equal(other *Bitmap) bool {
-	long, short := b.words, other.words
-	if len(short) > len(long) {
-		long, short = short, long
-	}
-	for i, w := range short {
-		if long[i] != w {
-			return false
-		}
-	}
-	for _, w := range long[len(short):] {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Any reports whether the set is non-empty.
-func (b *Bitmap) Any() bool {
-	for _, w := range b.words {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// Slice returns the elements in ascending order.
-func (b *Bitmap) Slice() []uint32 {
-	out := make([]uint32, 0, b.Len())
-	b.Range(func(id uint32) bool {
-		out = append(out, id)
-		return true
-	})
-	return out
-}
-
-// String renders the set for debugging, e.g. "{1 5 9}".
-func (b *Bitmap) String() string { return setString(b) }
-
-// Sparse is a sorted-slice set. Its footprint is 4 bytes per element,
-// which beats the bitmap when fewer than universe/32 ids are present —
-// the "better sparse-set representation" the paper leaves to future work.
-type Sparse struct {
-	ids []uint32 // sorted, unique
-}
-
-// NewSparse returns an empty sparse set.
-func NewSparse() *Sparse { return &Sparse{} }
-
-// SparseOf returns a sparse set of the given ids.
-func SparseOf(ids ...uint32) *Sparse {
-	s := NewSparse()
-	for _, id := range ids {
-		s.Add(id)
-	}
-	return s
-}
-
-func (s *Sparse) search(id uint32) int {
-	return sort.Search(len(s.ids), func(i int) bool { return s.ids[i] >= id })
-}
-
-// Add inserts id.
-func (s *Sparse) Add(id uint32) {
-	i := s.search(id)
-	if i < len(s.ids) && s.ids[i] == id {
-		return
-	}
-	s.ids = append(s.ids, 0)
-	copy(s.ids[i+1:], s.ids[i:])
-	s.ids[i] = id
-}
-
-// Remove deletes id if present.
-func (s *Sparse) Remove(id uint32) {
-	i := s.search(id)
-	if i < len(s.ids) && s.ids[i] == id {
-		s.ids = append(s.ids[:i], s.ids[i+1:]...)
-	}
-}
-
-// Contains reports whether id is present.
-func (s *Sparse) Contains(id uint32) bool {
-	i := s.search(id)
-	return i < len(s.ids) && s.ids[i] == id
-}
-
-// Len returns the number of elements.
-func (s *Sparse) Len() int { return len(s.ids) }
-
-// Range visits elements in ascending order.
-func (s *Sparse) Range(fn func(id uint32) bool) {
-	for _, id := range s.ids {
-		if !fn(id) {
-			return
-		}
-	}
-}
-
-// SizeBytes returns the payload footprint: 4 bytes per element.
-func (s *Sparse) SizeBytes() int { return 4 * len(s.ids) }
-
-// Slice returns the elements in ascending order. The returned slice is
-// a copy and may be retained by the caller.
-func (s *Sparse) Slice() []uint32 {
-	out := make([]uint32, len(s.ids))
-	copy(out, s.ids)
-	return out
-}
-
-// String renders the set for debugging.
-func (s *Sparse) String() string { return setString(s) }
-
-// FromBitmap converts a bitmap into a sparse set.
-func FromBitmap(b *Bitmap) *Sparse {
-	return &Sparse{ids: b.Slice()}
-}
-
-// ToBitmap converts any Set into a dense bitmap sized for the given
-// universe (0 means "grow as needed").
-func ToBitmap(s Set, universe int) *Bitmap {
-	b := NewBitmap(universe)
-	s.Range(func(id uint32) bool {
-		b.Add(id)
-		return true
-	})
-	return b
-}
-
-func setString(s Set) string {
-	var sb strings.Builder
-	sb.WriteByte('{')
-	first := true
-	s.Range(func(id uint32) bool {
-		if !first {
-			sb.WriteByte(' ')
-		}
-		first = false
-		fmt.Fprintf(&sb, "%d", id)
-		return true
-	})
-	sb.WriteByte('}')
-	return sb.String()
-}
-
-// Union returns a new bitmap holding a ∪ b.
-func Union(a, b *Bitmap) *Bitmap {
-	out := a.Clone()
-	out.Or(b)
-	return out
-}
-
-// Intersect returns a new bitmap holding a ∩ b.
-func Intersect(a, b *Bitmap) *Bitmap {
-	out := a.Clone()
-	out.And(b)
-	return out
-}
-
-// Difference returns a new bitmap holding a − b.
-func Difference(a, b *Bitmap) *Bitmap {
-	out := a.Clone()
-	out.AndNot(b)
-	return out
+	clear(b.words[n:])
 }

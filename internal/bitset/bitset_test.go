@@ -45,8 +45,17 @@ func TestBitmapGrow(t *testing.T) {
 	}
 }
 
+// bitmapOf returns a bitmap of exactly the given ids.
+func bitmapOf(ids ...uint32) *Bitmap {
+	b := NewBitmap(0)
+	for _, id := range ids {
+		b.Add(id)
+	}
+	return b
+}
+
 func TestBitmapRangeOrder(t *testing.T) {
-	b := BitmapOf(9, 1, 5, 63, 64, 65)
+	b := bitmapOf(9, 1, 5, 63, 64, 65)
 	var got []uint32
 	b.Range(func(id uint32) bool {
 		got = append(got, id)
@@ -64,7 +73,7 @@ func TestBitmapRangeOrder(t *testing.T) {
 }
 
 func TestBitmapRangeEarlyStop(t *testing.T) {
-	b := BitmapOf(1, 2, 3, 4, 5)
+	b := bitmapOf(1, 2, 3, 4, 5)
 	n := 0
 	b.Range(func(uint32) bool {
 		n++
@@ -75,24 +84,9 @@ func TestBitmapRangeEarlyStop(t *testing.T) {
 	}
 }
 
-func TestBitmapSetOps(t *testing.T) {
-	a := BitmapOf(1, 2, 3, 100)
-	b := BitmapOf(2, 3, 4)
-
-	if got := Intersect(a, b).Slice(); len(got) != 2 || got[0] != 2 || got[1] != 3 {
-		t.Fatalf("Intersect = %v, want [2 3]", got)
-	}
-	if got := Union(a, b).Len(); got != 5 {
-		t.Fatalf("Union Len = %d, want 5", got)
-	}
-	if got := Difference(a, b).Slice(); len(got) != 2 || got[0] != 1 || got[1] != 100 {
-		t.Fatalf("Difference = %v, want [1 100]", got)
-	}
-}
-
 func TestBitmapAndShorterOperand(t *testing.T) {
-	a := BitmapOf(1, 1000) // long
-	b := BitmapOf(1)       // short
+	a := bitmapOf(1, 1000) // long
+	b := bitmapOf(1)       // short
 	a.And(b)
 	if a.Contains(1000) {
 		t.Fatal("And with shorter operand kept high bits")
@@ -102,69 +96,12 @@ func TestBitmapAndShorterOperand(t *testing.T) {
 	}
 }
 
-func TestBitmapEqual(t *testing.T) {
-	a := BitmapOf(1, 2, 3)
-	b := NewBitmap(10000) // longer word slice, same content
-	for _, id := range []uint32{1, 2, 3} {
-		b.Add(id)
-	}
-	if !a.Equal(b) || !b.Equal(a) {
-		t.Fatal("Equal must ignore trailing zero words")
-	}
-	b.Add(9999)
-	if a.Equal(b) || b.Equal(a) {
-		t.Fatal("Equal true for different sets")
-	}
-}
-
 func TestBitmapCloneIndependent(t *testing.T) {
-	a := BitmapOf(1, 2)
+	a := bitmapOf(1, 2)
 	c := a.Clone()
 	c.Add(3)
 	if a.Contains(3) {
 		t.Fatal("Clone shares storage with original")
-	}
-}
-
-func TestBitmapClearAndAny(t *testing.T) {
-	a := BitmapOf(5, 6)
-	if !a.Any() {
-		t.Fatal("Any = false for non-empty set")
-	}
-	a.Clear()
-	if a.Any() || a.Len() != 0 {
-		t.Fatal("Clear left elements behind")
-	}
-}
-
-func TestSparseBasic(t *testing.T) {
-	s := NewSparse()
-	s.Add(5)
-	s.Add(1)
-	s.Add(5) // duplicate
-	s.Add(3)
-	if got := s.Slice(); len(got) != 3 || got[0] != 1 || got[1] != 3 || got[2] != 5 {
-		t.Fatalf("Slice = %v, want [1 3 5]", got)
-	}
-	s.Remove(3)
-	if s.Contains(3) || s.Len() != 2 {
-		t.Fatal("Remove failed")
-	}
-	s.Remove(999) // absent: no-op
-	if s.Len() != 2 {
-		t.Fatal("Remove of absent element changed set")
-	}
-}
-
-func TestConversions(t *testing.T) {
-	b := BitmapOf(7, 70, 700)
-	s := FromBitmap(b)
-	if s.Len() != 3 || !s.Contains(70) {
-		t.Fatalf("FromBitmap = %v", s)
-	}
-	b2 := ToBitmap(s, 1000)
-	if !b.Equal(b2) {
-		t.Fatalf("round trip mismatch: %v vs %v", b, b2)
 	}
 }
 
@@ -174,47 +111,39 @@ func TestSizeBytes(t *testing.T) {
 	if got := b.SizeBytes(); got < 17000/8 || got > 17000/8+8 {
 		t.Fatalf("bitmap SizeBytes = %d, want ≈ %d", got, 17000/8)
 	}
-	s := SparseOf(1, 2, 3)
-	if got := s.SizeBytes(); got != 12 {
-		t.Fatalf("sparse SizeBytes = %d, want 12", got)
+	c := ContainerOf(1, 2, 3)
+	if got := c.SizeBytes(); got != 12 {
+		t.Fatalf("array container SizeBytes = %d, want 12", got)
 	}
 }
 
-func TestString(t *testing.T) {
-	if got := BitmapOf(1, 5).String(); got != "{1 5}" {
-		t.Fatalf("String = %q, want {1 5}", got)
-	}
-	if got := NewSparse().String(); got != "{}" {
-		t.Fatalf("empty String = %q, want {}", got)
-	}
-}
-
-// Property: a bitmap and a sparse set driven by the same operation
-// sequence always agree.
-func TestPropertyBitmapSparseAgree(t *testing.T) {
-	f := func(ops []uint16) bool {
+// Property: the dense reference and a container driven by the same
+// operation sequence always agree, whatever representation the
+// container is in.
+func TestPropertyBitmapContainerAgree(t *testing.T) {
+	f := func(ops []uint16, packEvery uint8) bool {
 		b := NewBitmap(0)
-		s := NewSparse()
-		for _, op := range ops {
+		c := NewContainer()
+		for i, op := range ops {
 			id := uint32(op % 512)
 			if op%3 == 0 {
 				b.Remove(id)
-				s.Remove(id)
+				c.Remove(id)
 			} else {
 				b.Add(id)
-				s.Add(id)
+				c.Add(id)
+			}
+			if packEvery > 0 && i%int(packEvery) == 0 {
+				c.Pack()
 			}
 		}
-		if b.Len() != s.Len() {
+		if b.Len() != c.Len() {
 			return false
 		}
 		ok := true
-		s.Range(func(id uint32) bool {
-			if !b.Contains(id) {
-				ok = false
-				return false
-			}
-			return true
+		c.Range(func(id uint32) bool {
+			ok = b.Contains(id)
+			return ok
 		})
 		return ok
 	}
@@ -227,21 +156,25 @@ func TestPropertyBitmapSparseAgree(t *testing.T) {
 // universe − (a ∪ b) == (universe − a) ∩ (universe − b).
 func TestPropertyDeMorgan(t *testing.T) {
 	const universe = 256
-	full := NewBitmap(universe)
-	for i := uint32(0); i < universe; i++ {
-		full.Add(i)
+	minus := func(a, b *Container) *Container {
+		out := a.Clone()
+		out.AndNot(b)
+		return out
 	}
 	f := func(aIDs, bIDs []uint16) bool {
-		a, b := NewBitmap(universe), NewBitmap(universe)
+		full := FullContainer(universe)
+		a, b := NewContainer(), NewContainer()
 		for _, id := range aIDs {
 			a.Add(uint32(id % universe))
 		}
 		for _, id := range bIDs {
 			b.Add(uint32(id % universe))
 		}
-		lhs := Difference(full, Union(a, b))
-		rhs := Intersect(Difference(full, a), Difference(full, b))
-		return lhs.Equal(rhs)
+		union := a.Clone()
+		union.Or(b)
+		rhs := minus(full, a)
+		rhs.And(minus(full, b))
+		return minus(full, union).Equal(rhs)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -20,8 +20,10 @@ import (
 //     merged segment is typically one run).
 //
 // Mutating operations may change the representation; Pack re-selects
-// the cheapest one. Like Bitmap, a Container is not safe for concurrent
-// mutation.
+// the cheapest one. A Container is not safe for concurrent mutation, but
+// no read (Contains, Range, Iter, being the argument of And/Or/AndNot)
+// changes it, so any number of readers may share one that nobody
+// mutates — the index's sealed postings rely on that.
 type Container struct {
 	kind  uint8
 	n     int      // exact cardinality
@@ -40,9 +42,19 @@ const (
 // irun is one inclusive interval.
 type irun struct{ lo, hi uint32 }
 
-// arrayConvertLen is the array length beyond which Add switches the
-// container to a bitmap (mirrors roaring's 4096-element rule).
-const arrayConvertLen = 4096
+// arrayDenseLen is the array length from which Add and Or switch a
+// container to a bitmap once the array is the dearer form: 4 bytes an
+// element against one bit per id up to the largest — the choice Pack
+// would make. (Roaring's fixed 4096-element rule assumes 16-bit ids in a
+// 65536-id chunk; these ids are slots of one index segment.) Shorter
+// arrays are left alone: they are cheap either way.
+const arrayDenseLen = 64
+
+// arrayOutgrown reports whether the array form should give way.
+func (c *Container) arrayOutgrown() bool {
+	n := len(c.arr)
+	return n >= arrayDenseLen && 32*n > int(c.arr[n-1])
+}
 
 // NewContainer returns an empty container (array representation).
 func NewContainer() *Container { return &Container{kind: kindArray} }
@@ -56,21 +68,13 @@ func ContainerOf(ids ...uint32) *Container {
 	return c
 }
 
-// ContainerFromBitmap packs a dense bitmap into the cheapest
-// representation. The bitmap is not retained.
-func ContainerFromBitmap(bm *Bitmap) *Container {
-	c := &Container{kind: kindBitmap, words: append([]uint64(nil), bm.words...)}
-	c.n = bm.Len()
-	c.Pack()
-	return c
-}
-
-// containerSharingBitmap wraps bm's storage without copying; the caller
-// must own bm and not reuse it afterwards.
-func containerSharingBitmap(bm *Bitmap) *Container {
-	c := &Container{kind: kindBitmap, words: bm.words}
-	c.n = bm.Len()
-	return c
+// FullContainer returns the container holding every id in [0, n): one
+// run, whatever n is.
+func FullContainer(n int) *Container {
+	if n <= 0 {
+		return NewContainer()
+	}
+	return &Container{kind: kindRun, n: n, runs: []irun{{0, uint32(n - 1)}}}
 }
 
 // Kind names the current representation ("array", "bitmap" or "run"),
@@ -152,7 +156,7 @@ func (c *Container) Add(id uint32) {
 			c.arr[i] = id
 			c.n++
 		}
-		if len(c.arr) > arrayConvertLen {
+		if c.arrayOutgrown() {
 			c.toBitmap()
 		}
 	case kindBitmap:
@@ -195,13 +199,13 @@ func (c *Container) Remove(id uint32) {
 	}
 }
 
+// growWords extends the word slice to at least n words. Growth is
+// amortized: ascending Adds (a merge or chunk build filling a posting)
+// extend it one word at a time.
 func (c *Container) growWords(n int) {
-	if n <= len(c.words) {
-		return
+	if n > len(c.words) {
+		c.words = append(c.words, make([]uint64, n-len(c.words))...)
 	}
-	w := make([]uint64, n)
-	copy(w, c.words)
-	c.words = w
 }
 
 // Range visits elements in ascending order until fn returns false.
@@ -258,18 +262,8 @@ func (c *Container) Clone() *Container {
 	return out
 }
 
-// Bitmap returns the container's elements as a fresh dense bitmap.
-func (c *Container) Bitmap() *Bitmap {
-	if c.kind == kindBitmap {
-		return &Bitmap{words: append([]uint64(nil), c.words...)}
-	}
-	bm := NewBitmap(int(c.max()) + 1)
-	c.Range(func(id uint32) bool {
-		bm.Add(id)
-		return true
-	})
-	return bm
-}
+// Max returns the largest element; ok is false when the set is empty.
+func (c *Container) Max() (id uint32, ok bool) { return c.max(), c.n > 0 }
 
 // max returns the largest element, or 0 when empty.
 func (c *Container) max() uint32 {
@@ -330,19 +324,32 @@ func (c *Container) toArray() {
 
 // runCount returns the number of maximal runs in the set.
 func (c *Container) runCount() int {
-	runs, prev := 0, uint64(1<<33)
-	c.Range(func(id uint32) bool {
-		if uint64(id) != prev+1 {
-			runs++
+	switch c.kind {
+	case kindArray:
+		runs := 0
+		for i, v := range c.arr {
+			if i == 0 || v != c.arr[i-1]+1 {
+				runs++
+			}
 		}
-		prev = uint64(id)
-		return true
-	})
-	return runs
+		return runs
+	case kindBitmap:
+		// A run starts at every set bit whose predecessor is clear.
+		runs, carry := 0, uint64(0)
+		for _, w := range c.words {
+			runs += bits.OnesCount64(w &^ (w<<1 | carry))
+			carry = w >> 63
+		}
+		return runs
+	default:
+		return len(c.runs)
+	}
 }
 
-// Pack re-selects the cheapest representation for the current contents:
-// 4n bytes as an array, span/8 as a bitmap, 8r as runs.
+// Pack re-selects the cheapest representation for the current contents
+// — 4n bytes as an array, span/8 as a bitmap, 8r as runs — and sizes it
+// exactly. The index packs a posting once, when its segment becomes
+// immutable.
 func (c *Container) Pack() {
 	if c.n == 0 {
 		*c = Container{kind: kindArray}
@@ -377,6 +384,9 @@ func (c *Container) Pack() {
 		*c = Container{kind: kindRun, runs: runs, n: n}
 	case arrCost <= bmpCost:
 		c.toArray()
+		if cap(c.arr) > len(c.arr) { // drop append slack: packed sets are kept
+			c.arr = append(make([]uint32, 0, len(c.arr)), c.arr...)
+		}
 	default:
 		c.toBitmap()
 	}
@@ -622,7 +632,7 @@ func (c *Container) Or(o *Container) {
 	case c.kind == kindArray && o.kind == kindArray:
 		c.arr = unionArrays(c.arr, o.arr)
 		c.n = len(c.arr)
-		if len(c.arr) > arrayConvertLen {
+		if c.arrayOutgrown() {
 			c.toBitmap()
 		}
 	case c.kind == kindRun && o.kind == kindRun:
@@ -638,10 +648,12 @@ func (c *Container) Or(o *Container) {
 		c.toBitmap()
 		c.growWords(int(o.max())/wordBits + 1)
 		o.Range(func(id uint32) bool {
-			c.words[id/wordBits] |= 1 << (id % wordBits)
+			if mask := uint64(1) << (id % wordBits); c.words[id/wordBits]&mask == 0 {
+				c.words[id/wordBits] |= mask
+				c.n++
+			}
 			return true
 		})
-		c.recount()
 	}
 }
 
@@ -735,59 +747,6 @@ func (c *Container) AndNot(o *Container) {
 	default: // c is runs
 		c.toBitmap()
 		c.AndNot(o)
-	}
-}
-
-// AndBitmap keeps only elements also present in bm — the probe step of
-// a scope-first term lookup, where c is the (small) in-scope set and bm
-// a segment's dense posting bitmap.
-func (c *Container) AndBitmap(bm *Bitmap) {
-	switch c.kind {
-	case kindArray:
-		out := c.arr[:0]
-		for _, id := range c.arr {
-			if bm.Contains(id) {
-				out = append(out, id)
-			}
-		}
-		c.arr = out
-		c.n = len(out)
-	case kindBitmap:
-		n := min(len(c.words), len(bm.words))
-		for i := 0; i < n; i++ {
-			c.words[i] &= bm.words[i]
-		}
-		for i := n; i < len(c.words); i++ {
-			c.words[i] = 0
-		}
-		c.recount()
-	default:
-		c.toBitmap()
-		c.AndBitmap(bm)
-	}
-}
-
-// AndNotBitmap removes every element of bm from c.
-func (c *Container) AndNotBitmap(bm *Bitmap) {
-	switch c.kind {
-	case kindArray:
-		out := c.arr[:0]
-		for _, id := range c.arr {
-			if !bm.Contains(id) {
-				out = append(out, id)
-			}
-		}
-		c.arr = out
-		c.n = len(out)
-	case kindBitmap:
-		n := min(len(c.words), len(bm.words))
-		for i := 0; i < n; i++ {
-			c.words[i] &^= bm.words[i]
-		}
-		c.recount()
-	default:
-		c.toBitmap()
-		c.AndNotBitmap(bm)
 	}
 }
 

@@ -163,42 +163,82 @@ func TestContainerSetOps(t *testing.T) {
 	}
 }
 
-func TestContainerBitmapOps(t *testing.T) {
+func TestFullContainer(t *testing.T) {
+	for _, n := range []int{-1, 0, 1, 63, 64, 65, 5000} {
+		c := FullContainer(n)
+		if c.Len() != max(n, 0) {
+			t.Fatalf("FullContainer(%d).Len = %d", n, c.Len())
+		}
+		if n > 0 {
+			if m, ok := c.Max(); !ok || int(m) != n-1 || !c.Contains(0) || c.Contains(uint32(n)) {
+				t.Fatalf("FullContainer(%d) = %v (max %d,%v)", n, c.Slice(), m, ok)
+			}
+			if c.SizeBytes() != 8 {
+				t.Fatalf("FullContainer(%d) costs %d bytes, want one run", n, c.SizeBytes())
+			}
+		} else if _, ok := c.Max(); ok {
+			t.Fatalf("FullContainer(%d) reports a max", n)
+		}
+	}
+}
+
+// TestContainerMaxAndRunCount checks the two per-kind shortcuts Pack and
+// the segment loader rely on against the element list.
+func TestContainerMaxAndRunCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 300; trial++ {
+		c, ref := randomContainer(rng, trial)
+		all := ref.slice()
+		m, ok := c.Max()
+		if ok != (len(all) > 0) || (ok && m != all[len(all)-1]) {
+			t.Fatalf("trial %d: Max=(%d,%v) want last of %v (kind %s)", trial, m, ok, all, c.Kind())
+		}
+		runs := 0
+		for i, v := range all {
+			if i == 0 || v != all[i-1]+1 {
+				runs++
+			}
+		}
+		if got := c.runCount(); got != runs {
+			t.Fatalf("trial %d: runCount=%d want %d (kind %s)", trial, got, runs, c.Kind())
+		}
+	}
+}
+
+// TestContainerPackSizesExactly: a packed array keeps no append slack,
+// and packing never leaves a representation costlier than the others.
+func TestContainerPackSizesExactly(t *testing.T) {
+	c := NewContainer()
+	for v := uint32(0); v < 300; v++ {
+		c.Add(v * 97)
+	}
+	c.Pack()
+	if c.Kind() != "array" || cap(c.arr) != len(c.arr) {
+		t.Fatalf("packed %s with cap %d for %d elements", c.Kind(), cap(c.arr), len(c.arr))
+	}
+}
+
+// TestContainerReadsDoNotMutate pins the rule the index's off-lock merge
+// build depends on: being read, or being the argument of a set
+// operation, leaves a container's representation untouched.
+func TestContainerReadsDoNotMutate(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 200; trial++ {
-		a, ra := randomContainer(rng, trial)
-		bm := NewBitmap(0)
-		rb := refSet{}
-		for i := 0; i < rng.Intn(400); i++ {
-			v := rng.Uint32() % 8000
-			bm.Add(v)
-			rb[v] = true
+		o, _ := randomContainer(rng, trial)
+		kind, img := o.Kind(), o.AppendBinary(nil)
+		for shape := 0; shape < 4; shape++ {
+			c, _ := randomContainer(rng, shape)
+			c.Clone().And(o)
+			c.Clone().Or(o)
+			c.Clone().AndNot(o)
+			c.Equal(o)
 		}
-
-		and := a.Clone()
-		and.AndBitmap(bm)
-		want := []uint32{}
-		for v := range ra {
-			if rb[v] {
-				want = append(want, v)
-			}
-		}
-		sortU32(want)
-		if !equalU32(and.Slice(), want) {
-			t.Fatalf("trial %d: AndBitmap mismatch (kind %s)", trial, a.Kind())
-		}
-
-		andNot := a.Clone()
-		andNot.AndNotBitmap(bm)
-		want = want[:0]
-		for v := range ra {
-			if !rb[v] {
-				want = append(want, v)
-			}
-		}
-		sortU32(want)
-		if !equalU32(andNot.Slice(), want) {
-			t.Fatalf("trial %d: AndNotBitmap mismatch (kind %s)", trial, a.Kind())
+		o.Contains(rng.Uint32() % 10000)
+		o.Slice()
+		o.Iter().Advance(rng.Uint32() % 10000)
+		o.Clone().Add(1 << 20)
+		if o.Kind() != kind || !bytes.Equal(o.AppendBinary(nil), img) {
+			t.Fatalf("trial %d: a read changed the container (%s → %s)", trial, kind, o.Kind())
 		}
 	}
 }

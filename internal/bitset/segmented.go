@@ -12,10 +12,10 @@ import (
 // the low 32 bits a local slot within it. Each segment's local set is a
 // Container — a roaring-style compressed set that picks an array,
 // bitmap, or run representation by cardinality — so sparse query
-// results cost bytes proportional to their size while dense postings
-// keep the paper's flat-bitmap operation costs.
+// results cost bytes proportional to their size while dense ones keep
+// the paper's flat-bitmap operation costs.
 //
-// Like Bitmap, a Segmented is not safe for concurrent mutation.
+// A Segmented is not safe for concurrent mutation.
 type Segmented struct {
 	segs map[uint32]*Container // segment → local set, no empty containers
 }
@@ -285,27 +285,6 @@ func (s *Segmented) SizeBytes() int {
 		n += 8 + c.SizeBytes()
 	}
 	return n
-}
-
-// Seg returns one segment's local set as a dense bitmap, or nil when
-// the segment is empty. The bitmap is a copy; mutating it does not
-// affect s.
-func (s *Segmented) Seg(seg uint32) *Bitmap {
-	c, ok := s.segs[seg]
-	if !ok {
-		return nil
-	}
-	return c.Bitmap()
-}
-
-// PutSeg installs bm as the local set of one segment, taking ownership
-// of bm. An empty bm clears the segment.
-func (s *Segmented) PutSeg(seg uint32, bm *Bitmap) {
-	if bm == nil || !bm.Any() {
-		delete(s.segs, seg)
-		return
-	}
-	s.segs[seg] = containerSharingBitmap(bm)
 }
 
 // SegContainer returns the container stored for one segment, or nil.

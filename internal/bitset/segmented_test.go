@@ -33,8 +33,8 @@ func TestSegmentedAddRemoveContains(t *testing.T) {
 	}
 	// Removing a segment's last element drops its bitmap entirely — the
 	// no-empty-bitmaps invariant Any/Equal depend on.
-	if s.Seg(1) != nil {
-		t.Fatal("emptied segment bitmap retained")
+	if s.SegContainer(1) != nil {
+		t.Fatal("emptied segment container retained")
 	}
 	s.Remove(seg(9, 9)) // absent: no-op
 }
@@ -99,23 +99,23 @@ func TestSegmentedEqual(t *testing.T) {
 	}
 }
 
-func TestSegmentedPutSegAndSeg(t *testing.T) {
+func TestSegmentedPutSegContainer(t *testing.T) {
 	s := NewSegmented()
-	s.PutSeg(4, BitmapOf(1, 3, 5))
+	s.PutSegContainer(4, ContainerOf(1, 3, 5))
 	if s.Len() != 3 || !s.Contains(seg(4, 3)) {
-		t.Fatalf("PutSeg contents wrong: %v", s)
+		t.Fatalf("PutSegContainer contents wrong: %v", s)
 	}
-	if got := s.Seg(4); got == nil || got.Len() != 3 {
-		t.Fatal("Seg did not return the installed bitmap")
+	if got := s.SegContainer(4); got == nil || got.Len() != 3 {
+		t.Fatal("SegContainer did not return the installed container")
 	}
-	// Installing an empty bitmap clears the segment.
-	s.PutSeg(4, NewBitmap(0))
-	if s.Any() || s.Seg(4) != nil {
-		t.Fatal("PutSeg with empty bitmap did not clear the segment")
+	// Installing an empty container clears the segment.
+	s.PutSegContainer(4, NewContainer())
+	if s.Any() || s.SegContainer(4) != nil {
+		t.Fatal("PutSegContainer with an empty container did not clear the segment")
 	}
-	s.PutSeg(2, nil)
-	if s.Seg(2) != nil {
-		t.Fatal("PutSeg(nil) installed something")
+	s.PutSegContainer(2, nil)
+	if s.SegContainer(2) != nil {
+		t.Fatal("PutSegContainer(nil) installed something")
 	}
 }
 

@@ -184,8 +184,8 @@ func (h *consistencyHarness) scopeOf(parent string) map[string]bool {
 		}
 		return out
 	}
-	bm := h.fs.Index().DocsUnder(parent)
-	for _, p := range h.fs.Index().Paths(bm) {
+	bm := h.fs.Index().Snapshot().DocsUnder(parent)
+	for _, p := range h.fs.Index().Snapshot().Paths(bm) {
 		out[p] = true
 	}
 	return out

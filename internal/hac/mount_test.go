@@ -38,11 +38,12 @@ func (n *fakeNS) Search(q string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	bm, err := query.Eval(ast, &nsEnv{ix})
+	sn := ix.Snapshot()
+	bm, err := query.Eval(ast, &nsEnv{sn})
 	if err != nil {
 		return nil, err
 	}
-	return ix.Paths(bm), nil
+	return sn.Paths(bm), nil
 }
 
 func (n *fakeNS) Fetch(path string) ([]byte, error) {
@@ -55,14 +56,14 @@ func (n *fakeNS) Fetch(path string) ([]byte, error) {
 
 // nsEnv evaluates queries over a bare index: directory references are
 // meaningless remotely and resolve to the empty set.
-type nsEnv struct{ ix *index.Index }
+type nsEnv struct{ sn *index.Snapshot }
 
-func (e *nsEnv) Term(w string) (*bitset.Segmented, error)   { return e.ix.Lookup(w), nil }
-func (e *nsEnv) Prefix(p string) (*bitset.Segmented, error) { return e.ix.LookupPrefix(p), nil }
-func (e *nsEnv) Fuzzy(w string) (*bitset.Segmented, error)  { return e.ix.LookupFuzzy(w), nil }
-func (e *nsEnv) Universe() (*bitset.Segmented, error)       { return e.ix.AllDocs(), nil }
+func (e *nsEnv) Term(w string) (*bitset.Segmented, error)   { return e.sn.Lookup(w), nil }
+func (e *nsEnv) Prefix(p string) (*bitset.Segmented, error) { return e.sn.LookupPrefix(p), nil }
+func (e *nsEnv) Fuzzy(w string) (*bitset.Segmented, error)  { return e.sn.LookupFuzzy(w), nil }
+func (e *nsEnv) Universe() (*bitset.Segmented, error)       { return e.sn.AllDocs(), nil }
 func (e *nsEnv) DirRef(*query.DirRef) (*bitset.Segmented, error) {
-	return e.ix.AllDocs(), nil // degrade gracefully: dir refs don't filter remotely
+	return e.sn.AllDocs(), nil // degrade gracefully: dir refs don't filter remotely
 }
 
 func digLibrary() *fakeNS {

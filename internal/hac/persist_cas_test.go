@@ -2,9 +2,13 @@ package hac
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"hacfs/internal/vfs"
@@ -336,4 +340,110 @@ func FuzzLoadVolumeV4(f *testing.F) {
 			}
 		}
 	})
+}
+
+// ---------------------------------------------------------------------
+// A v4 image written before the index kept postings in containers.
+// testdata/parent-e03e5e5.hac is fixtureVolume saved by commit e03e5e5.
+// ---------------------------------------------------------------------
+
+// fixtureVolume builds the volume the checked-in v4 image holds: 300
+// files over a content-addressed substrate, four semantic directories
+// (one nested, one reading another through a dir: reference), one
+// prohibited and one permanent link.
+func fixtureVolume(t *testing.T) *FS {
+	t.Helper()
+	fs := New(cas.New(nil), Options{})
+	for i := 0; i < 300; i++ {
+		words := []string{"all", fmt.Sprintf("n%d", i)}
+		if i%2 == 0 {
+			words = append(words, "even")
+		}
+		if i%3 == 0 {
+			words = append(words, "third")
+		}
+		if i%41 == 0 {
+			words = append(words, "sparse")
+		}
+		p := fmt.Sprintf("/fix/d%d/f%03d.txt", i%5, i)
+		if err := fs.MkdirAll(vfs.Dir(p)); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.WriteFile(p, []byte(strings.Join(words, " "))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := fs.Reindex("/"); err != nil {
+		t.Fatal(err)
+	}
+	for _, sd := range fixtureSemDirs {
+		if err := fs.SemDir(sd[0], sd[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fs.Remove("/s-even/f004.txt"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Symlink("/fix/d1/f001.txt", "/s-even/mine.txt"); err != nil {
+		t.Fatal(err)
+	}
+	return fs
+}
+
+var fixtureSemDirs = [][2]string{
+	{"/s-even", "even"},
+	{"/s-and", "third AND NOT even"},
+	{"/s-even/inner", "third"},
+	{"/s-ref", "dir:/s-even AND sparse"},
+}
+
+func TestLoadVolumeWrittenByParent(t *testing.T) {
+	loaded, err := LoadVolumeFile("testdata/parent-e03e5e5.hac", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := fixtureVolume(t)
+	if got, want := loaded.SemanticDirs(), live.SemanticDirs(); !reflect.DeepEqual(got, want) || len(got) != len(fixtureSemDirs) {
+		t.Fatalf("semantic directories = %v, want %v", got, want)
+	}
+	for _, sd := range fixtureSemDirs {
+		got, want := targetsOf(t, loaded, sd[0]), targetsOf(t, live, sd[0])
+		if !reflect.DeepEqual(got, want) || len(got) == 0 {
+			t.Fatalf("%s: loaded image links %d targets, rebuilt volume %d", sd[0], len(got), len(want))
+		}
+	}
+	links, err := loaded.Links("/s-even")
+	if err != nil {
+		t.Fatal(err)
+	}
+	classes := map[string]LinkClass{}
+	for _, l := range links {
+		classes[l.Target] = l.Class
+	}
+	if classes["/fix/d4/f004.txt"] != Prohibited || classes["/fix/d1/f001.txt"] != Permanent {
+		t.Fatalf("user edits lost: f004 %v, f001 %v", classes["/fix/d4/f004.txt"], classes["/fix/d1/f001.txt"])
+	}
+	if data, err := loaded.ReadFile("/fix/d2/f082.txt"); err != nil || string(data) != "all n82 even sparse" {
+		t.Fatalf("content = %q, %v", data, err)
+	}
+	for _, q := range []string{"even AND third", "n2* OR ~sparce", "NOT all", "third AND NOT dir:/s-even"} {
+		got, err := loaded.Search(context.Background(), q, WithScope("/fix"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := live.Search(context.Background(), q, WithScope("/fix"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, w := got.All(), want.All()
+		sort.Strings(g)
+		sort.Strings(w)
+		if !reflect.DeepEqual(g, w) {
+			t.Fatalf("%q: loaded image answers %d paths, rebuilt volume %d", q, len(g), len(w))
+		}
+	}
+	// The index section was usable as loaded: a reindex finds nothing to do.
+	if rep, err := loaded.Reindex("/"); err != nil || rep.Added+rep.Updated+rep.Removed != 0 {
+		t.Fatalf("reindex after load = %+v, %v", rep, err)
+	}
 }

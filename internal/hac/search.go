@@ -97,18 +97,24 @@ func (r *SearchResult) Len() int { return r.stats.Matches }
 
 // Next materializes the next page of matching paths off the pinned
 // snapshot. It returns false when the result is exhausted.
-func (r *SearchResult) Next() ([]string, bool) {
+func (r *SearchResult) Next() ([]string, bool) { return r.appendNext(nil) }
+
+// appendNext is Next appending the page to dst.
+func (r *SearchResult) appendNext(dst []string) ([]string, bool) {
 	n := r.remaining
 	if r.pageSize > 0 && r.pageSize < n {
 		n = r.pageSize
 	}
 	if n == 0 {
-		return nil, false
+		return dst, false
 	}
 	r.ids = r.it.Append(r.ids[:0], n)
 	r.remaining -= n
 	r.cursor = r.ids[n-1] + 1
-	return r.snap.PathsOf(r.ids), true
+	if dst == nil {
+		dst = make([]string, 0, n)
+	}
+	return r.snap.AppendPathsOf(dst, r.ids), true
 }
 
 // More reports whether pages remain.
@@ -342,14 +348,17 @@ func (fs *FS) SearchPaths(queryStr, scopePath string) ([]string, error) {
 // cursor a later call resumes from — into a new evaluation — and 0 on
 // the page that ends the result; a result with no matches is one empty
 // page. Between pages the stream stops with ctx.Err() once ctx is done,
-// and with emit's error as soon as emit returns one.
+// and with emit's error as soon as emit returns one. Every page is
+// handed over in the same slice: emit must be done with it — encoded,
+// copied — when it returns.
 func (fs *FS) SearchStream(ctx context.Context, queryStr, scopePath string, after uint64, pageSize, maxPages int, emit func(page []string, next uint64) error) error {
 	res, err := fs.Search(ctx, queryStr, WithScope(scopePath), WithAfter(after), WithPageSize(pageSize))
 	if err != nil {
 		return err
 	}
+	var page []string
 	for n := 1; ; n++ {
-		page, _ := res.Next()
+		page, _ = res.appendNext(page[:0])
 		var next uint64
 		if res.More() {
 			next = res.Cursor()

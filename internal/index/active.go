@@ -2,7 +2,6 @@ package index
 
 import (
 	"encoding/binary"
-	"strings"
 
 	"hacfs/internal/bitset"
 )
@@ -23,7 +22,7 @@ import (
 //     stays, dead, as a hole in the ID space until the segment merges.
 //
 // Readers cannot tell a reclaimed tombstone from a plain one: every
-// lookup already masks with the dead bitmap, and snapshots read postings
+// lookup already masks with the dead set, and snapshots read postings
 // and liveness at call time (snapshot.go), so a cleared bit and a masked
 // bit answer alike. A replaced slot lies inside the cap of every
 // snapshot that saw its old version, so those snapshots see the new
@@ -54,19 +53,20 @@ func eachPackedTerm(packed string, fn func(term string) bool) {
 	}
 }
 
-// addSlotTerms sets local's bit in the posting of every term and, when
-// pack is set, returns the packed term list for slotTerms: one
-// allocation, so the prepared document's per-token strings can be
-// collected. Caller holds ix.mu for writing; s is the active segment.
+// addSlotTerms adds local to the posting of every term and, when pack
+// is set, returns the packed term list for slotTerms: one allocation, so
+// the prepared document's per-token strings can be collected. Caller
+// holds ix.mu for writing and s is the active segment, or s is a
+// segment still being built.
 func (s *segment) addSlotTerms(local uint32, terms map[string]struct{}, pack bool) string {
 	var packed []byte
 	for term := range terms {
-		bm, ok := s.postings[term]
+		c, ok := s.postings[term]
 		if !ok {
-			bm = bitset.NewBitmap(0)
-			s.postings[term] = bm
+			c = bitset.NewContainer()
+			s.postings[term] = c
 		}
-		bm.Add(local)
+		c.Add(local)
 		if pack {
 			packed = binary.AppendUvarint(packed, uint64(len(term)))
 			packed = append(packed, term...)
@@ -75,7 +75,7 @@ func (s *segment) addSlotTerms(local uint32, terms map[string]struct{}, pack boo
 	return string(packed)
 }
 
-// clearSlotTerms clears local's bit from the posting of every term in
+// clearSlotTerms removes local from the posting of every term in
 // its packed list except those in keep, dropping postings that become
 // empty. Caller holds ix.mu for writing; s is the active segment.
 func (s *segment) clearSlotTerms(local uint32, keep map[string]struct{}) {
@@ -83,9 +83,9 @@ func (s *segment) clearSlotTerms(local uint32, keep map[string]struct{}) {
 		if _, ok := keep[term]; ok {
 			return true
 		}
-		if bm, ok := s.postings[term]; ok {
-			bm.Remove(local)
-			if !bm.Any() {
+		if c, ok := s.postings[term]; ok {
+			c.Remove(local)
+			if !c.Any() {
 				delete(s.postings, term)
 			}
 		}
@@ -141,16 +141,14 @@ func (ix *Index) DocHasTerm(id DocID, term string) bool {
 	if !ok {
 		return false
 	}
-	bm, ok := s.postings[term]
-	return ok && bm.Contains(local)
+	c, ok := s.postings[term]
+	return ok && c.Contains(local)
 }
 
 // DocHasPrefix reports whether the live document id contains any term
 // with the given prefix (LookupPrefix restricted to one document).
 func (ix *Index) DocHasPrefix(id DocID, prefix string) bool {
-	prefix = normalizeTerm(prefix)
-	return ix.docHasAny(id, func(term string) bool { return strings.HasPrefix(term, prefix) },
-		func(d *termDict, fn func(string)) { d.prefixRange(prefix, fn) })
+	return ix.docHasAny(id, prefixPattern(normalizeTerm(prefix)))
 }
 
 // DocHasFuzzy reports whether the live document id contains any term
@@ -161,16 +159,14 @@ func (ix *Index) DocHasFuzzy(id DocID, term string) bool {
 	if term == "" {
 		return false
 	}
-	return ix.docHasAny(id, func(c string) bool { return withinOneEdit(term, c) },
-		func(d *termDict, fn func(string)) { d.fuzzyCandidates(term, fn) })
+	return ix.docHasAny(id, fuzzyPattern(term))
 }
 
-// docHasAny reports whether document id carries a term accepted by
-// match. A sealed document walks the segment dictionary's candidates
-// (which already satisfy match) and probes each posting; an
+// docHasAny reports whether document id carries a term p selects. An
 // active-segment document answers from its own term list when it has
-// one.
-func (ix *Index) docHasAny(id DocID, match func(term string) bool, candidates func(d *termDict, fn func(term string))) bool {
+// one; any other (sealed, bulk-ingested, or with no terms at all) probes
+// the posting of every selected term of its segment.
+func (ix *Index) docHasAny(id DocID, p termPattern) bool {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	s, local, ok := ix.docLocked(id)
@@ -178,22 +174,13 @@ func (ix *Index) docHasAny(id DocID, match func(term string) bool, candidates fu
 		return false
 	}
 	found := false
-	switch {
-	case s.sealed:
-		candidates(s.dictionary(), func(term string) {
-			found = found || s.postings[term].Contains(local)
-		})
-	case s.slotTerms[local] != "":
+	if !s.sealed && s.slotTerms[local] != "" {
 		eachPackedTerm(s.slotTerms[local], func(term string) bool {
-			found = match(term)
+			found = p.match(term)
 			return !found
 		})
-	default: // no list (bulk-ingested, or no terms at all): scan the vocabulary
-		for term, bm := range s.postings {
-			if bm.Contains(local) && match(term) {
-				return true
-			}
-		}
+		return found
 	}
+	s.eachPosting(p, func(c *bitset.Container) { found = found || c.Contains(local) })
 	return found
 }

@@ -102,14 +102,14 @@ func TestActiveReclaimSurvivesSaveLoadAndMerge(t *testing.T) {
 	}
 	check := func(stage string, ix *Index) {
 		t.Helper()
-		got := results(func(term string) []string { return ix.Paths(ix.Lookup(term)) }, words)
+		got := results(func(term string) []string { return ix.Snapshot().Paths(ix.Snapshot().Lookup(term)) }, words)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: lookups = %v, want %v", stage, got, want)
 		}
 		if ix.NumDocs() != len(model) {
 			t.Fatalf("%s: NumDocs = %d, want %d", stage, ix.NumDocs(), len(model))
 		}
-		if got := ix.DocsUnderCount("/t/d1"); got != len(ix.Paths(ix.DocsUnder("/t/d1"))) {
+		if got := ix.DocsUnderCount("/t/d1"); got != len(ix.Snapshot().Paths(ix.Snapshot().DocsUnder("/t/d1"))) {
 			t.Fatalf("%s: DocsUnderCount disagrees with DocsUnder", stage)
 		}
 	}
@@ -151,10 +151,10 @@ func TestOverwriteInActiveSegmentCostsNothing(t *testing.T) {
 			t.Fatalf("overwrite %d moved the document from %#x to %#x", i, first, id)
 		}
 	}
-	if got := ix.Paths(ix.Lookup("unique199")); !reflect.DeepEqual(got, []string{"/inbox/slot.txt"}) {
+	if got := ix.Snapshot().Paths(ix.Snapshot().Lookup("unique199")); !reflect.DeepEqual(got, []string{"/inbox/slot.txt"}) {
 		t.Fatalf("latest version not searchable: %v", got)
 	}
-	if got := ix.Lookup("unique198").Len(); got != 0 {
+	if got := ix.Snapshot().Lookup("unique198").Len(); got != 0 {
 		t.Fatalf("a replaced version still matches (%d docs)", got)
 	}
 	ix.Add("/inbox/slot.txt", []byte("marker body"))
@@ -191,10 +191,10 @@ func TestBulkSlotRewrittenOnce(t *testing.T) {
 	if st := ix.Stats(); st.DeadDocs != 1 || st.Docs != 1 {
 		t.Fatalf("after rewrites Docs = %d DeadDocs = %d, want 1 and 1", st.Docs, st.DeadDocs)
 	}
-	if got := ix.Paths(ix.Lookup("first")); len(got) != 0 {
+	if got := ix.Snapshot().Paths(ix.Snapshot().Lookup("first")); len(got) != 0 {
 		t.Fatalf("the bulk version still matches: %v", got)
 	}
-	if got := ix.Paths(ix.Lookup("number9")); !reflect.DeepEqual(got, []string{"/note.txt"}) {
+	if got := ix.Snapshot().Paths(ix.Snapshot().Lookup("number9")); !reflect.DeepEqual(got, []string{"/note.txt"}) {
 		t.Fatalf("latest version not searchable: %v", got)
 	}
 }
@@ -235,19 +235,19 @@ func TestDocHasMatchesLookups(t *testing.T) {
 	ix.Remove("/m/f03.txt")
 	ix.Remove("/m/f22.txt")
 	probes := []string{"alpha", "ALPS", "al", "brav", "bravo", "brawo", "kilos", "ilo", "zulu", ""}
-	ids := ix.AllDocs().Slice()
+	ids := ix.Snapshot().AllDocs().Slice()
 	if len(ids) != 24 {
 		t.Fatalf("AllDocs = %d, want 24", len(ids))
 	}
 	for _, id := range append(ids, dead, gone) {
 		for _, q := range probes {
-			if got, want := ix.DocHasTerm(id, q), ix.Lookup(q).Contains(id); got != want {
+			if got, want := ix.DocHasTerm(id, q), ix.Snapshot().Lookup(q).Contains(id); got != want {
 				t.Errorf("DocHasTerm(%#x, %q) = %v, Lookup says %v", id, q, got, want)
 			}
-			if got, want := ix.DocHasPrefix(id, q), ix.LookupPrefix(q).Contains(id); got != want {
+			if got, want := ix.DocHasPrefix(id, q), ix.Snapshot().LookupPrefix(q).Contains(id); got != want {
 				t.Errorf("DocHasPrefix(%#x, %q) = %v, LookupPrefix says %v", id, q, got, want)
 			}
-			if got, want := ix.DocHasFuzzy(id, q), ix.LookupFuzzy(q).Contains(id); got != want {
+			if got, want := ix.DocHasFuzzy(id, q), ix.Snapshot().LookupFuzzy(q).Contains(id); got != want {
 				t.Errorf("DocHasFuzzy(%#x, %q) = %v, LookupFuzzy says %v", id, q, got, want)
 			}
 		}
@@ -263,7 +263,7 @@ func TestRemovePrefix(t *testing.T) {
 	if got := ix.RemovePrefix("/a"); !reflect.DeepEqual(got, []string{"/a/b/y.txt", "/a/b/z.txt", "/a/x.txt"}) {
 		t.Fatalf("RemovePrefix(/a) = %v", got)
 	}
-	if got := ix.Paths(ix.Lookup("word")); !reflect.DeepEqual(got, []string{"/ab/w.txt", "/c.txt"}) {
+	if got := ix.Snapshot().Paths(ix.Snapshot().Lookup("word")); !reflect.DeepEqual(got, []string{"/ab/w.txt", "/c.txt"}) {
 		t.Fatalf("left after RemovePrefix = %v", got)
 	}
 	// A root that is itself a document removes just that document.

@@ -4,6 +4,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"hacfs/internal/bitset"
 )
 
 // termDict is a lazily built read-only view of a sealed segment's term
@@ -60,32 +62,64 @@ func (d *termDict) fuzzyCandidates(term string, fn func(candidate string)) {
 	}
 }
 
-// PrefixCost returns the total posting cardinality of every term with
-// the given prefix across the pinned segments — the planner's
-// selectivity estimate for a prefix leaf. Like TermCost, dead slots
-// are counted; sealed segments answer from their sorted term
-// dictionary (a binary search plus the matching range), the active
-// segment by a bounded scan.
-func (sn *Snapshot) PrefixCost(prefix string) int {
-	prefix = normalizeTerm(prefix)
+// termPattern selects terms of a segment's vocabulary — a prefix, or
+// everything within one edit of a word. match tests one term, which is
+// how the active segment (no dictionary, bounded by the seal threshold)
+// is scanned; candidates enumerates the matching terms of a sealed
+// segment's dictionary without visiting the rest.
+type termPattern struct {
+	match      func(term string) bool
+	candidates func(d *termDict, fn func(term string))
+}
+
+func prefixPattern(prefix string) termPattern {
+	return termPattern{
+		match:      func(term string) bool { return strings.HasPrefix(term, prefix) },
+		candidates: func(d *termDict, fn func(string)) { d.prefixRange(prefix, fn) },
+	}
+}
+
+func fuzzyPattern(word string) termPattern {
+	return termPattern{
+		match:      func(term string) bool { return withinOneEdit(word, term) },
+		candidates: func(d *termDict, fn func(string)) { d.fuzzyCandidates(word, fn) },
+	}
+}
+
+// eachPosting visits the posting of every term of s that p selects.
+// Caller holds ix.mu.
+func (s *segment) eachPosting(p termPattern, fn func(c *bitset.Container)) {
+	if s.sealed {
+		p.candidates(s.dictionary(), func(term string) { fn(s.postings[term]) })
+		return
+	}
+	for term, c := range s.postings {
+		if p.match(term) {
+			fn(c)
+		}
+	}
+}
+
+// patternCost returns the total posting cardinality of the terms p
+// selects across the pinned segments. Like TermCost, dead slots are
+// counted.
+func (sn *Snapshot) patternCost(p termPattern) int {
 	n := 0
 	sn.ix.mu.RLock()
 	defer sn.ix.mu.RUnlock()
 	for _, s := range sn.segs {
-		if s.sealed {
-			d := s.dictionary()
-			d.prefixRange(prefix, func(term string) {
-				n += s.postings[term].Len()
-			})
-			continue
-		}
-		for term, bm := range s.postings {
-			if strings.HasPrefix(term, prefix) {
-				n += bm.Len()
-			}
-		}
+		s.eachPosting(p, func(c *bitset.Container) { n += c.Len() })
 	}
 	return n
+}
+
+// PrefixCost returns the total posting cardinality of every term with
+// the given prefix across the pinned segments — the planner's
+// selectivity estimate for a prefix leaf: a binary search plus the
+// matching range of each sealed segment's sorted dictionary, a bounded
+// scan of the active one.
+func (sn *Snapshot) PrefixCost(prefix string) int {
+	return sn.patternCost(prefixPattern(normalizeTerm(prefix)))
 }
 
 // FuzzyCost returns the total posting cardinality of every term within
@@ -98,22 +132,5 @@ func (sn *Snapshot) FuzzyCost(term string) int {
 	if term == "" {
 		return 0
 	}
-	n := 0
-	sn.ix.mu.RLock()
-	defer sn.ix.mu.RUnlock()
-	for _, s := range sn.segs {
-		if s.sealed {
-			d := s.dictionary()
-			d.fuzzyCandidates(term, func(candidate string) {
-				n += s.postings[candidate].Len()
-			})
-			continue
-		}
-		for candidate, bm := range s.postings {
-			if withinOneEdit(term, candidate) {
-				n += bm.Len()
-			}
-		}
-	}
-	return n
+	return sn.patternCost(fuzzyPattern(term))
 }

@@ -10,13 +10,13 @@ import (
 // proper ancestor directory of its document paths (the root "/"
 // excluded — it would mirror the whole segment), the compressed set of
 // local slots beneath it. A dir:-scoped lookup then intersects one
-// container with one posting bitmap instead of scanning every doc
+// container with one posting container instead of scanning every doc
 // entry's path, and a segment whose dirs map lacks the scope root is
 // skipped wholesale — the "scope-first pruning" the planner's cost
 // model depends on (DESIGN.md §11).
 //
 // Maintenance mirrors the docs slice: slots are added at commit, moved
-// on rename, and left in place on tombstone (the dead bitmap filters
+// on rename, and left in place on tombstone (the dead set filters
 // them at query time, exactly as it filters postings).
 
 // eachAncestorDir visits every proper ancestor directory of path except
@@ -110,7 +110,7 @@ func (ix *Index) DocsUnderCount(root string) int {
 				n += c.Len()
 			} else {
 				live := c.Clone()
-				live.AndNotBitmap(s.dead)
+				live.AndNot(s.dead)
 				n += live.Len()
 			}
 		}

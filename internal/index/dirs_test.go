@@ -69,7 +69,7 @@ func TestDocsUnderMatchesNaive(t *testing.T) {
 		// A file path as scope selects the file itself.
 		checks = append(checks, paths[rng.Intn(len(paths))])
 		for _, root := range checks {
-			got := ix.DocsUnder(root)
+			got := ix.Snapshot().DocsUnder(root)
 			want := naiveDocsUnder(ix, root)
 			if !got.Equal(want) {
 				t.Fatalf("trial %d: DocsUnder(%q) = %v, want %v", trial, root, got, want)
@@ -182,14 +182,14 @@ func TestDirsSurviveSaveLoad(t *testing.T) {
 		t.Fatalf("load: %v", err)
 	}
 	for _, root := range []string{"/", "/d0", "/d1/s1", "/moved", paths[0]} {
-		got := loaded.DocsUnder(root)
+		got := loaded.Snapshot().DocsUnder(root)
 		want := naiveDocsUnder(loaded, root)
 		if !got.Equal(want) {
 			t.Fatalf("after load: DocsUnder(%q) = %v, want %v", root, got, want)
 		}
 	}
 	// Postings round-trip through the packed codec.
-	if got, want := loaded.Lookup("alpha").Len(), ix.Lookup("alpha").Len(); got != want {
+	if got, want := loaded.Snapshot().Lookup("alpha").Len(), ix.Snapshot().Lookup("alpha").Len(); got != want {
 		t.Fatalf("after load: Lookup(alpha) = %d docs, want %d", got, want)
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"hacfs/internal/index/indextest"
 )
 
 // FuzzTokenize checks the tokenizer's contract on arbitrary bytes: no
@@ -82,10 +84,18 @@ func FuzzLoadSegment(f *testing.F) {
 				t.Fatalf("err = %v, does not wrap ErrCorruptIndex", err)
 			}
 		default:
+			// installSegment takes pi.set as the posting: it must hold
+			// every wire form and stay inside the document table.
 			for _, pi := range img.Postings {
+				if pi.set == nil {
+					t.Fatalf("posting %q was not decoded", pi.Term)
+				}
+				if m, ok := pi.set.Max(); ok && int(m) >= len(img.Docs) {
+					t.Fatalf("posting %q references slot %d of %d", pi.Term, m, len(img.Docs))
+				}
 				for _, l := range pi.IDs {
-					if int(l) >= len(img.Docs) {
-						t.Fatalf("posting %q references slot %d of %d", pi.Term, l, len(img.Docs))
+					if !pi.set.Contains(l) {
+						t.Fatalf("posting %q lost legacy slot %d", pi.Term, l)
 					}
 				}
 			}
@@ -105,7 +115,7 @@ func FuzzWithinOneEdit(f *testing.F) {
 			return // keep the O(n²) reference cheap
 		}
 		got := withinOneEdit(a, b)
-		want := damerau(a, b) <= 1
+		want := indextest.WithinOneEdit(a, b)
 		if got != want {
 			t.Fatalf("withinOneEdit(%q, %q) = %v, reference says %v", a, b, got, want)
 		}

@@ -1,38 +1,10 @@
 package index
 
-import "hacfs/internal/bitset"
-
-// LookupFuzzy returns the live documents containing any term within
-// edit distance 1 of the given term (insertion, deletion, substitution,
-// or adjacent transposition), plus exact matches. This is the
-// approximate matching that made Glimpse — the paper's CBA engine —
+// Approximate matching: Snapshot.LookupFuzzy returns the documents
+// containing any term within edit distance 1 of the query term
+// (insertion, deletion, substitution, or adjacent transposition), plus
+// exact matches. This is what made Glimpse — the paper's CBA engine —
 // distinctive; the query language spells it "~term".
-func (ix *Index) LookupFuzzy(term string) *bitset.Segmented {
-	term = normalizeTerm(term)
-	out := bitset.NewSegmented()
-	if term == "" {
-		return out
-	}
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	ix.eachSegmentLocked(func(s *segment) {
-		var acc *bitset.Bitmap
-		for candidate, bm := range s.postings {
-			if withinOneEdit(term, candidate) {
-				if acc == nil {
-					acc = bm.Clone()
-				} else {
-					acc.Or(bm)
-				}
-			}
-		}
-		if acc != nil {
-			acc.AndNot(s.dead)
-			out.PutSeg(s.id, acc)
-		}
-	})
-	return out
-}
 
 // withinOneEdit reports whether a and b are equal or one
 // Damerau–Levenshtein edit apart. It runs in O(len) with no

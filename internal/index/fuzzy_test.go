@@ -3,6 +3,8 @@ package index
 import (
 	"testing"
 	"testing/quick"
+
+	"hacfs/internal/index/indextest"
 )
 
 func TestWithinOneEdit(t *testing.T) {
@@ -55,48 +57,12 @@ func TestPropertyWithinOneEditMatchesReference(t *testing.T) {
 	}
 	f := func(sa, sb []byte) bool {
 		a, b := mk(sa, 5), mk(sb, 5)
-		want := damerau(a, b) <= 1
+		want := indextest.WithinOneEdit(a, b)
 		return withinOneEdit(a, b) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// damerau computes the optimal-string-alignment distance (reference
-// implementation for tests).
-func damerau(a, b string) int {
-	la, lb := len(a), len(b)
-	d := make([][]int, la+1)
-	for i := range d {
-		d[i] = make([]int, lb+1)
-		d[i][0] = i
-	}
-	for j := 0; j <= lb; j++ {
-		d[0][j] = j
-	}
-	for i := 1; i <= la; i++ {
-		for j := 1; j <= lb; j++ {
-			cost := 1
-			if a[i-1] == b[j-1] {
-				cost = 0
-			}
-			m := d[i-1][j] + 1
-			if v := d[i][j-1] + 1; v < m {
-				m = v
-			}
-			if v := d[i-1][j-1] + cost; v < m {
-				m = v
-			}
-			if i > 1 && j > 1 && a[i-1] == b[j-2] && a[i-2] == b[j-1] {
-				if v := d[i-2][j-2] + 1; v < m {
-					m = v
-				}
-			}
-			d[i][j] = m
-		}
-	}
-	return d[la][lb]
 }
 
 func TestLookupFuzzy(t *testing.T) {
@@ -106,7 +72,7 @@ func TestLookupFuzzy(t *testing.T) {
 	ix.Add("/c", []byte("fingerpaint"))  // one substitution away
 	ix.Add("/d", []byte("footprint"))    // far away
 
-	got := ix.Paths(ix.LookupFuzzy("fingerprint"))
+	got := ix.Snapshot().Paths(ix.Snapshot().LookupFuzzy("fingerprint"))
 	want := map[string]bool{"/a": true, "/b": true, "/c": true}
 	if len(got) != 3 {
 		t.Fatalf("fuzzy matches = %v", got)
@@ -117,14 +83,14 @@ func TestLookupFuzzy(t *testing.T) {
 		}
 	}
 	// Exact lookups stay exact.
-	if got := ix.Lookup("fingerprint").Len(); got != 1 {
+	if got := ix.Snapshot().Lookup("fingerprint").Len(); got != 1 {
 		t.Fatalf("exact matches = %d", got)
 	}
 	// Empty and unknown terms.
-	if ix.LookupFuzzy("").Any() {
+	if ix.Snapshot().LookupFuzzy("").Any() {
 		t.Fatal("empty fuzzy term matched")
 	}
-	if ix.LookupFuzzy("zzzzzzz").Any() {
+	if ix.Snapshot().LookupFuzzy("zzzzzzz").Any() {
 		t.Fatal("distant fuzzy term matched")
 	}
 }
@@ -134,7 +100,7 @@ func TestLookupFuzzyRespectsTombstones(t *testing.T) {
 	ix.Add("/a", []byte("typo"))
 	ix.Add("/b", []byte("typos"))
 	ix.Remove("/b")
-	if got := ix.LookupFuzzy("typo").Len(); got != 1 {
+	if got := ix.Snapshot().LookupFuzzy("typo").Len(); got != 1 {
 		t.Fatalf("fuzzy after remove = %d, want 1", got)
 	}
 }

@@ -1,8 +1,8 @@
 // Package index implements the content-based access (CBA) engine HAC
 // delegates searches to — the role Glimpse played in the paper. It is a
 // segmented in-memory inverted index: documents are tokenized into
-// terms and each term maps, per segment, to a bitmap of local document
-// slots.
+// terms and each term maps, per segment, to a compressed set
+// (bitset.Container) of local document slots.
 //
 // The paper's data-consistency model (§2.4) shapes the API: documents
 // can be added and updated incrementally, removals are tombstoned, and
@@ -24,7 +24,6 @@ package index
 
 import (
 	"errors"
-	gopath "path"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,15 +63,18 @@ type docEntry struct {
 // sealed segments never change their docs slice length or their
 // postings — only the tombstone state (dead, deadCount) and the doc
 // entries' path/modTime fields (renames) move under the index write
-// lock. A segment produced by a merge additionally carries prev, the
-// pre-merge DocID of each local slot, so snapshots pinned before the
-// merge can map current IDs back into their own segment set.
+// lock. Postings are packed (Container.Pack) once, at the moment the
+// segment becomes immutable, and from then on only read: every lookup
+// clones before it combines, so the off-lock merge build can walk them
+// without a lock. A segment produced by a merge additionally carries
+// prev, the pre-merge DocID of each local slot, so snapshots pinned
+// before the merge can map current IDs back into their own segment set.
 type segment struct {
 	id        uint32
 	docs      []docEntry
-	postings  map[string]*bitset.Bitmap    // term → local-slot bitmap
+	postings  map[string]*bitset.Container // term → local slots
 	dirs      map[string]*bitset.Container // ancestor dir → local slots beneath it (dirs.go)
-	dead      *bitset.Bitmap               // tombstoned local slots
+	dead      *bitset.Container            // tombstoned local slots
 	deadCount int
 	sealed    bool
 	slotTerms []string // packed terms of each slot (active.go); active only, nil once sealed
@@ -83,17 +85,30 @@ type segment struct {
 func newSegment(id uint32) *segment {
 	return &segment{
 		id:       id,
-		postings: make(map[string]*bitset.Bitmap),
+		postings: make(map[string]*bitset.Container),
 		dirs:     make(map[string]*bitset.Container),
-		dead:     bitset.NewBitmap(0),
+		dead:     bitset.NewContainer(),
 	}
 }
 
-// aliveLocal returns the bitmap of live local slots. Caller holds ix.mu.
-func (s *segment) aliveLocal() *bitset.Bitmap {
-	bm := bitset.FullBitmap(len(s.docs))
-	bm.AndNot(s.dead)
-	return bm
+// aliveLocal returns the live slots among the first n: one run, minus
+// the tombstones. Caller holds ix.mu.
+func (s *segment) aliveLocal(n int) *bitset.Container {
+	c := bitset.FullContainer(n)
+	c.AndNot(s.dead)
+	return c
+}
+
+// seal marks the segment immutable and packs its postings and dirs —
+// the one point after which they are only read. Caller owns s (it is
+// being built) or holds ix.mu for writing.
+func (s *segment) seal() {
+	s.sealed = true
+	s.slotTerms = nil
+	for _, c := range s.postings {
+		c.Pack()
+	}
+	s.packDirs()
 }
 
 // DefaultSealThreshold is the active-segment size at which it seals.
@@ -173,9 +188,7 @@ func (ix *Index) sealActiveLocked() {
 	if len(ix.active.docs) == 0 {
 		return
 	}
-	ix.active.sealed = true
-	ix.active.slotTerms = nil
-	ix.active.packDirs()
+	ix.active.seal()
 	ix.sealed = append(ix.sealed, ix.active)
 	ix.newActiveLocked()
 }
@@ -431,60 +444,6 @@ func (ix *Index) RenamePrefix(oldRoot, newRoot string) int {
 	return len(moves)
 }
 
-// Lookup returns the set of live documents containing term. The result
-// is owned by the caller.
-func (ix *Index) Lookup(term string) *bitset.Segmented {
-	term = normalizeTerm(term)
-	out := bitset.NewSegmented()
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	ix.eachSegmentLocked(func(s *segment) {
-		if bm, ok := s.postings[term]; ok {
-			live := bm.Clone()
-			live.AndNot(s.dead)
-			out.PutSeg(s.id, live)
-		}
-	})
-	return out
-}
-
-// LookupPrefix returns the set of live documents containing any term
-// with the given prefix (the query language's "foo*").
-func (ix *Index) LookupPrefix(prefix string) *bitset.Segmented {
-	prefix = normalizeTerm(prefix)
-	out := bitset.NewSegmented()
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	ix.eachSegmentLocked(func(s *segment) {
-		var acc *bitset.Bitmap
-		for term, bm := range s.postings {
-			if len(term) >= len(prefix) && term[:len(prefix)] == prefix {
-				if acc == nil {
-					acc = bm.Clone()
-				} else {
-					acc.Or(bm)
-				}
-			}
-		}
-		if acc != nil {
-			acc.AndNot(s.dead)
-			out.PutSeg(s.id, acc)
-		}
-	})
-	return out
-}
-
-// AllDocs returns the set of all live document IDs.
-func (ix *Index) AllDocs() *bitset.Segmented {
-	out := bitset.NewSegmented()
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	ix.eachSegmentLocked(func(s *segment) {
-		out.PutSeg(s.id, s.aliveLocal())
-	})
-	return out
-}
-
 // PathOf resolves a document ID to its path. IDs issued before a merge
 // keep resolving through the merge's forward tables.
 func (ix *Index) PathOf(id DocID) (string, bool) {
@@ -512,67 +471,6 @@ func (ix *Index) IDOf(path string) (DocID, bool) {
 		return makeID(s.id, local), true
 	}
 	return 0, false
-}
-
-// Paths maps a result set to its sorted document paths. IDs that no
-// longer resolve are skipped.
-func (ix *Index) Paths(res *bitset.Segmented) []string {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	out := make([]string, 0, res.Len())
-	res.Range(func(id uint64) bool {
-		if s, local, ok := ix.resolveLocked(id); ok && s.docs[local].alive {
-			out = append(out, s.docs[local].path)
-		}
-		return true
-	})
-	// docs land in segment order, not path order; sort for stable output.
-	sortStrings(out)
-	return out
-}
-
-// IDsOf maps paths to the set of their live document IDs. Unindexed
-// paths are skipped.
-func (ix *Index) IDsOf(paths []string) *bitset.Segmented {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	out := bitset.NewSegmented()
-	for _, p := range paths {
-		if id, ok := ix.byPath[p]; ok {
-			if s, local, ok := ix.resolveLocked(id); ok {
-				out.Add(makeID(s.id, local))
-			}
-		}
-	}
-	return out
-}
-
-// DocsUnder returns the set of live documents whose path lies in the
-// subtree rooted at root. This is how a syntactic directory "provides a
-// scope" to the semantic directories beneath it.
-func (ix *Index) DocsUnder(root string) *bitset.Segmented {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.docsUnderLocked(root)
-}
-
-func (ix *Index) docsUnderLocked(root string) *bitset.Segmented {
-	root = gopath.Clean(root)
-	out := bitset.NewSegmented()
-	ix.eachSegmentLocked(func(s *segment) {
-		if root == "/" {
-			out.PutSeg(s.id, s.aliveLocal())
-			return
-		}
-		if c := ix.underLocked(s, root); c != nil {
-			live := c.Clone()
-			if s.deadCount > 0 {
-				live.AndNotBitmap(s.dead)
-			}
-			out.PutSegContainer(s.id, live)
-		}
-	})
-	return out
 }
 
 // Version returns the mutation counter: it moves on every
@@ -609,7 +507,8 @@ type Stats struct {
 	DeadDocs     int   // tombstoned documents awaiting a merge
 	Segments     int   // resident segments (sealed + active)
 	Terms        int   // distinct terms
-	IndexBytes   int   // approximate index payload size
+	IndexBytes   int   // approximate index payload size: postings + doc entries
+	DirsBytes    int   // ancestor-directory scope sets (dirs.go); not part of IndexBytes
 	ContentBytes int64 // total size of live indexed content
 }
 
@@ -624,9 +523,12 @@ func (ix *Index) Stats() Stats {
 	}
 	terms := make(map[string]struct{})
 	ix.eachSegmentLocked(func(seg *segment) {
-		for term, bm := range seg.postings {
+		for term, c := range seg.postings {
 			terms[term] = struct{}{}
-			s.IndexBytes += len(term) + bm.SizeBytes()
+			s.IndexBytes += len(term) + c.SizeBytes()
+		}
+		for dir, c := range seg.dirs {
+			s.DirsBytes += len(dir) + c.SizeBytes()
 		}
 		for _, d := range seg.docs {
 			s.IndexBytes += len(d.path) + 32
@@ -764,20 +666,12 @@ func (ix *Index) commitChunk(docs []preparedDoc) {
 		return
 	}
 	seg := newSegment(0) // id assigned at install time
-	seg.sealed = true
 	for i, d := range docs {
 		seg.docs = append(seg.docs, docEntry{path: d.path, modTime: d.modTime, size: d.size, alive: true})
 		seg.dirsAdd(d.path, uint32(i))
-		for term := range d.terms {
-			bm, ok := seg.postings[term]
-			if !ok {
-				bm = bitset.NewBitmap(len(docs))
-				seg.postings[term] = bm
-			}
-			bm.Add(uint32(i))
-		}
+		seg.addSlotTerms(uint32(i), d.terms, false)
 	}
-	seg.packDirs()
+	seg.seal()
 
 	ix.mu.Lock()
 	defer ix.mu.Unlock()

@@ -37,20 +37,20 @@ func TestAddAndLookup(t *testing.T) {
 	a := ix.Add("/a", []byte("apple banana"))
 	b := ix.Add("/b", []byte("banana cherry"))
 
-	if got := ix.Lookup("apple").Slice(); len(got) != 1 || got[0] != a {
+	if got := ix.Snapshot().Lookup("apple").Slice(); len(got) != 1 || got[0] != a {
 		t.Fatalf("apple = %v, want [%d]", got, a)
 	}
-	if got := ix.Lookup("banana").Len(); got != 2 {
+	if got := ix.Snapshot().Lookup("banana").Len(); got != 2 {
 		t.Fatalf("banana matches %d docs, want 2", got)
 	}
-	if got := ix.Lookup("cherry").Slice(); len(got) != 1 || got[0] != b {
+	if got := ix.Snapshot().Lookup("cherry").Slice(); len(got) != 1 || got[0] != b {
 		t.Fatalf("cherry = %v, want [%d]", got, b)
 	}
-	if got := ix.Lookup("durian").Len(); got != 0 {
+	if got := ix.Snapshot().Lookup("durian").Len(); got != 0 {
 		t.Fatalf("missing term matched %d docs", got)
 	}
 	// Lookup normalizes case.
-	if got := ix.Lookup("APPLE").Len(); got != 1 {
+	if got := ix.Snapshot().Lookup("APPLE").Len(); got != 1 {
 		t.Fatalf("case-insensitive lookup failed: %d", got)
 	}
 	if ix.NumDocs() != 2 {
@@ -66,10 +66,10 @@ func TestUpdateReplacesDocument(t *testing.T) {
 	if ix.NumDocs() != 1 {
 		t.Fatalf("NumDocs = %d, want 1", ix.NumDocs())
 	}
-	if ix.Lookup("old").Any() {
+	if ix.Snapshot().Lookup("old").Any() {
 		t.Fatal("stale term still matches after update")
 	}
-	if !ix.Lookup("new").Any() {
+	if !ix.Snapshot().Lookup("new").Any() {
 		t.Fatal("new term does not match after update")
 	}
 	id, ok := ix.IDOf("/f")
@@ -91,7 +91,7 @@ func TestRemove(t *testing.T) {
 	if ix.Remove("/a") {
 		t.Fatal("second Remove reported a document")
 	}
-	if got := ix.Lookup("apple").Len(); got != 1 {
+	if got := ix.Snapshot().Lookup("apple").Len(); got != 1 {
 		t.Fatalf("after remove, apple matches %d, want 1", got)
 	}
 	if _, ok := ix.IDOf("/a"); ok {
@@ -111,7 +111,7 @@ func TestRenamePath(t *testing.T) {
 	if ix.RenamePath("/old", "/other") {
 		t.Fatal("RenamePath on missing path succeeded")
 	}
-	paths := ix.Paths(ix.Lookup("apple"))
+	paths := ix.Snapshot().Paths(ix.Snapshot().Lookup("apple"))
 	if len(paths) != 1 || paths[0] != "/new" {
 		t.Fatalf("after rename, paths = %v", paths)
 	}
@@ -122,10 +122,10 @@ func TestLookupPrefix(t *testing.T) {
 	ix.Add("/a", []byte("fingerprint"))
 	ix.Add("/b", []byte("finger"))
 	ix.Add("/c", []byte("toe"))
-	if got := ix.LookupPrefix("finger").Len(); got != 2 {
+	if got := ix.Snapshot().LookupPrefix("finger").Len(); got != 2 {
 		t.Fatalf("prefix finger matches %d, want 2", got)
 	}
-	if got := ix.LookupPrefix("fingerp").Len(); got != 1 {
+	if got := ix.Snapshot().LookupPrefix("fingerp").Len(); got != 1 {
 		t.Fatalf("prefix fingerp matches %d, want 1", got)
 	}
 }
@@ -135,9 +135,9 @@ func TestPathsSortedAndLive(t *testing.T) {
 	ix.Add("/z", []byte("apple"))
 	ix.Add("/a", []byte("apple"))
 	ix.Add("/m", []byte("apple"))
-	bm := ix.Lookup("apple")
+	bm := ix.Snapshot().Lookup("apple")
 	ix.Remove("/m")
-	got := ix.Paths(bm) // bm still holds the dead ID
+	got := ix.Snapshot().Paths(bm) // bm still holds the dead ID
 	want := []string{"/a", "/z"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Paths = %v, want %v", got, want)
@@ -148,7 +148,7 @@ func TestIDsOf(t *testing.T) {
 	ix := New()
 	ix.Add("/a", []byte("x"))
 	ix.Add("/b", []byte("x"))
-	bm := ix.IDsOf([]string{"/a", "/missing", "/b"})
+	bm := ix.Snapshot().IDsOf([]string{"/a", "/missing", "/b"})
 	if bm.Len() != 2 {
 		t.Fatalf("IDsOf len = %d, want 2", bm.Len())
 	}
@@ -173,13 +173,13 @@ func TestForceMerge(t *testing.T) {
 	if _, ok := ix.PathOf(b); ok {
 		t.Fatal("dead pre-merge ID still resolves")
 	}
-	if got := ix.Paths(ix.Lookup("apple")); len(got) != 1 || got[0] != "/a" {
+	if got := ix.Snapshot().Paths(ix.Snapshot().Lookup("apple")); len(got) != 1 || got[0] != "/a" {
 		t.Fatalf("apple after merge = %v", got)
 	}
-	if ix.Lookup("banana").Any() {
+	if ix.Snapshot().Lookup("banana").Any() {
 		t.Fatal("dead doc's unique term survived merge")
 	}
-	if got := ix.Paths(ix.Lookup("cherry")); len(got) != 1 || got[0] != "/c" {
+	if got := ix.Snapshot().Paths(ix.Snapshot().Lookup("cherry")); len(got) != 1 || got[0] != "/c" {
 		t.Fatalf("cherry after merge = %v", got)
 	}
 	st := ix.Stats()
@@ -216,7 +216,7 @@ func TestSyncTree(t *testing.T) {
 	if err != nil || added != 2 || updated != 0 || removed != 0 {
 		t.Fatalf("first sync = %d/%d/%d, %v", added, updated, removed, err)
 	}
-	if !ix.Lookup("alpha").Any() || !ix.Lookup("beta").Any() {
+	if !ix.Snapshot().Lookup("alpha").Any() || !ix.Snapshot().Lookup("beta").Any() {
 		t.Fatal("terms missing after sync")
 	}
 
@@ -241,10 +241,10 @@ func TestSyncTree(t *testing.T) {
 	if added != 1 || updated != 1 || removed != 1 {
 		t.Fatalf("second sync = %d/%d/%d, want 1/1/1", added, updated, removed)
 	}
-	if ix.Lookup("alpha").Any() || ix.Lookup("beta").Any() {
+	if ix.Snapshot().Lookup("alpha").Any() || ix.Snapshot().Lookup("beta").Any() {
 		t.Fatal("stale terms survive sync")
 	}
-	if !ix.Lookup("gamma").Any() || !ix.Lookup("delta").Any() {
+	if !ix.Snapshot().Lookup("gamma").Any() || !ix.Snapshot().Lookup("delta").Any() {
 		t.Fatal("new terms missing after sync")
 	}
 }
@@ -276,7 +276,7 @@ func TestSyncTreeScoped(t *testing.T) {
 	if _, _, removed, _ := ix.SyncTree(fs, "/x"); removed != 0 {
 		t.Fatalf("scoped sync removed %d docs outside scope", removed)
 	}
-	if !ix.Lookup("yterm").Any() {
+	if !ix.Snapshot().Lookup("yterm").Any() {
 		t.Fatal("document outside sync scope was dropped")
 	}
 	if _, _, removed, _ := ix.SyncTree(fs, "/y"); removed != 1 {
@@ -300,14 +300,14 @@ func TestIndexCorpus(t *testing.T) {
 	}
 	// Planted marker counts match the manifest exactly.
 	for term, paths := range man.MarkerFiles {
-		got := ix.Paths(ix.Lookup(term))
+		got := ix.Snapshot().Paths(ix.Snapshot().Lookup(term))
 		if !reflect.DeepEqual(got, paths) {
 			t.Fatalf("%s: index found %d files, manifest says %d", term, len(got), len(paths))
 		}
 	}
 	// Topic terms too.
 	for ti, term := range man.TopicTerm {
-		got := ix.Paths(ix.Lookup(term))
+		got := ix.Snapshot().Paths(ix.Snapshot().Lookup(term))
 		if !reflect.DeepEqual(got, man.TopicFiles[ti]) {
 			t.Fatalf("topic %d: got %d files, want %d", ti, len(got), len(man.TopicFiles[ti]))
 		}
@@ -338,7 +338,7 @@ func TestPropertyLookupExact(t *testing.T) {
 		}
 		for _, w := range words {
 			got := map[string]bool{}
-			for _, p := range ix.Paths(ix.Lookup(w)) {
+			for _, p := range ix.Snapshot().Paths(ix.Snapshot().Lookup(w)) {
 				got[p] = true
 			}
 			for p, has := range contains {
@@ -375,18 +375,18 @@ func TestPropertyMergePreservesResults(t *testing.T) {
 		before := map[string][]string{}
 		held := map[string]*bitset.Segmented{}
 		for _, term := range terms {
-			held[term] = ix.Lookup(term)
-			before[term] = ix.Paths(held[term])
+			held[term] = ix.Snapshot().Lookup(term)
+			before[term] = ix.Snapshot().Paths(held[term])
 		}
 		ix.ForceMerge()
 		for _, term := range terms {
 			// Fresh lookups see the same documents...
-			if !reflect.DeepEqual(before[term], ix.Paths(ix.Lookup(term))) {
+			if !reflect.DeepEqual(before[term], ix.Snapshot().Paths(ix.Snapshot().Lookup(term))) {
 				return false
 			}
 			// ...and result bitmaps captured before the merge still
 			// resolve to the same paths through the forward tables.
-			if !reflect.DeepEqual(before[term], ix.Paths(held[term])) {
+			if !reflect.DeepEqual(before[term], ix.Snapshot().Paths(held[term])) {
 				return false
 			}
 		}
@@ -402,13 +402,13 @@ func TestAllDocs(t *testing.T) {
 	ix.Add("/a", []byte("x"))
 	ix.Add("/b", []byte("y"))
 	ix.Remove("/a")
-	all := ix.AllDocs()
+	all := ix.Snapshot().AllDocs()
 	if all.Len() != 1 {
 		t.Fatalf("AllDocs len = %d, want 1", all.Len())
 	}
 	// Returned bitmap is a copy.
 	all.Add(99)
-	if ix.AllDocs().Contains(99) {
+	if ix.Snapshot().AllDocs().Contains(99) {
 		t.Fatal("AllDocs returned aliased bitmap")
 	}
 }
@@ -419,10 +419,10 @@ func TestCustomTokenizer(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix.Add("/a", []byte("whatever"))
-	if !ix.Lookup("constant").Any() {
+	if !ix.Snapshot().Lookup("constant").Any() {
 		t.Fatal("custom tokenizer not used")
 	}
-	if ix.Lookup("whatever").Any() {
+	if ix.Snapshot().Lookup("whatever").Any() {
 		t.Fatal("default tokenizer still in effect")
 	}
 }
@@ -474,6 +474,6 @@ func BenchmarkLookup(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ix.Lookup("common")
+		ix.Snapshot().Lookup("common")
 	}
 }

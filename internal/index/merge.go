@@ -12,8 +12,8 @@ import (
 // the paper's §2.4 "reindexing" made incremental and concurrent.
 //
 // The heavy work happens off-lock: sealed postings are immutable, and
-// the plan phase copies the per-victim doc entries and tombstone
-// bitmaps under the read lock, so Search and Sync proceed while the
+// the plan phase copies the per-victim doc entries and tombstone sets
+// under the read lock, so Search and Sync proceed while the
 // merged segment is assembled. The commit phase then takes the write
 // lock briefly to reconcile anything that moved during the build
 // (documents tombstoned or renamed after the plan was taken), install
@@ -40,12 +40,12 @@ const (
 )
 
 // victimSnap is one victim's state captured at plan time. Doc entries
-// are copied (paths move under renames) and the tombstone bitmap is
+// are copied (paths move under renames) and the tombstone set is
 // cloned; postings are shared because sealed postings never change.
 type victimSnap struct {
 	s    *segment
 	docs []docEntry
-	dead *bitset.Bitmap
+	dead *bitset.Container
 }
 
 const noLocal = ^uint32(0)
@@ -119,8 +119,8 @@ func (ix *Index) mergeSealedLocked() {
 	start := time.Now()
 
 	// Plan: capture the victims under the read lock. Doc entries are
-	// copied because renames rewrite paths in place; tombstone bitmaps
-	// are cloned because deletes keep landing while we build.
+	// copied because renames rewrite paths in place; tombstone sets are
+	// cloned because deletes keep landing while we build.
 	ix.mu.RLock()
 	victims := make([]victimSnap, 0, len(ix.sealed))
 	inputSlots := 0
@@ -150,7 +150,6 @@ func (ix *Index) mergeSealedLocked() {
 	// merged local slot of victim i's local, or noLocal if it was dead
 	// at plan time.
 	merged := newSegment(mergedID)
-	merged.sealed = true
 	work := 0
 	pace := func(units int) {
 		if work += units; work >= mergeYieldEvery {
@@ -175,31 +174,26 @@ func (ix *Index) mergeSealedLocked() {
 			remap[i][l] = nl
 		}
 	}
-	merged.packDirs()
 	merged.prev = prev
+	// Victims are folded in order and each remap is monotonic, so every
+	// merged posting is filled by ascending Adds.
 	for i, v := range victims {
-		for term, bm := range v.s.postings {
-			var acc *bitset.Bitmap
-			bm.Range(func(l uint32) bool {
+		for term, c := range v.s.postings {
+			acc := merged.postings[term]
+			c.Range(func(l uint32) bool {
 				if nl := remap[i][l]; nl != noLocal {
 					if acc == nil {
-						acc = bitset.NewBitmap(len(merged.docs))
+						acc = bitset.NewContainer()
+						merged.postings[term] = acc
 					}
 					acc.Add(nl)
 				}
 				return true
 			})
-			pace(1 + bm.Len()/8)
-			if acc == nil {
-				continue
-			}
-			if cur, ok := merged.postings[term]; ok {
-				cur.Or(acc)
-			} else {
-				merged.postings[term] = acc
-			}
+			pace(1 + c.Len()/8)
 		}
 	}
+	merged.seal()
 
 	// Pre-assemble the victims' forward tables off-lock; the commit
 	// phase only patches the slots that changed since the plan.
@@ -269,6 +263,7 @@ func (ix *Index) mergeSealedLocked() {
 			remaining = append(remaining, s)
 		}
 	}
+	clear(ix.sealed[len(remaining):]) // or the slice's tail keeps the victims reachable
 	ix.sealed = remaining
 	if len(merged.docs) > 0 {
 		ix.bySeg[merged.id] = merged

@@ -93,6 +93,38 @@ type postingImage struct {
 	// is still accepted so older images keep loading (gob leaves absent
 	// fields zero).
 	Packed []byte
+
+	// set is the decoded posting (Packed and IDs folded together, every
+	// slot checked against the segment's document table). gob does not
+	// see it; decode fills it on load and installSegment takes it over.
+	set *bitset.Container
+}
+
+// decode folds the posting's wire forms into pi.set — the one decode of
+// a load — and rejects any slot outside [0, nDocs).
+func (pi *postingImage) decode(nDocs int) error {
+	set := bitset.NewContainer()
+	if len(pi.Packed) > 0 {
+		c, n, err := bitset.DecodeContainer(pi.Packed)
+		if err != nil {
+			return fmt.Errorf("%w: posting for %q: %v", vfs.ErrCorruptVolume, pi.Term, err)
+		}
+		if n != len(pi.Packed) {
+			return fmt.Errorf("%w: posting for %q has %d trailing bytes", vfs.ErrCorruptVolume, pi.Term, len(pi.Packed)-n)
+		}
+		if m, ok := c.Max(); ok && int(m) >= nDocs {
+			return fmt.Errorf("%w: packed posting for %q references slot %d of %d", vfs.ErrCorruptVolume, pi.Term, m, nDocs)
+		}
+		set = c
+	}
+	for _, l := range pi.IDs {
+		if int(l) >= nDocs {
+			return fmt.Errorf("%w: posting for %q references slot %d of %d", vfs.ErrCorruptVolume, pi.Term, l, nDocs)
+		}
+		set.Add(l)
+	}
+	pi.set = set
+	return nil
 }
 
 // segmentImage is the persisted form of one compacted segment.
@@ -187,9 +219,9 @@ func encodeSegmentLocked(s *segment) *segmentImage {
 	if len(img.Docs) == 0 {
 		return nil
 	}
-	for term, bm := range s.postings {
+	for term, posting := range s.postings {
 		c := bitset.NewContainer()
-		bm.Range(func(l uint32) bool {
+		posting.Range(func(l uint32) bool {
 			if nl := remap[l]; nl != noLocal {
 				c.Add(nl) // remap is monotonic, so adds stay ascending
 			}
@@ -262,27 +294,9 @@ func decodeSegmentImage(payload []byte) (img *segmentImage, err error) {
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(img); err != nil {
 		return nil, fmt.Errorf("%w: decoding segment: %v", vfs.ErrCorruptVolume, err)
 	}
-	for _, pi := range img.Postings {
-		for _, l := range pi.IDs {
-			if int(l) >= len(img.Docs) {
-				return nil, fmt.Errorf("%w: posting for %q references slot %d of %d", vfs.ErrCorruptVolume, pi.Term, l, len(img.Docs))
-			}
-		}
-		if len(pi.Packed) > 0 {
-			c, n, err := bitset.DecodeContainer(pi.Packed)
-			if err != nil {
-				return nil, fmt.Errorf("%w: posting for %q: %v", vfs.ErrCorruptVolume, pi.Term, err)
-			}
-			if n != len(pi.Packed) {
-				return nil, fmt.Errorf("%w: posting for %q has %d trailing bytes", vfs.ErrCorruptVolume, pi.Term, len(pi.Packed)-n)
-			}
-			if c.Any() {
-				var maxLocal uint32
-				c.Range(func(l uint32) bool { maxLocal = l; return true })
-				if int(maxLocal) >= len(img.Docs) {
-					return nil, fmt.Errorf("%w: packed posting for %q references slot %d of %d", vfs.ErrCorruptVolume, pi.Term, maxLocal, len(img.Docs))
-				}
-			}
+	for i := range img.Postings {
+		if err := img.Postings[i].decode(len(img.Docs)); err != nil {
+			return nil, err
 		}
 	}
 	return img, nil
@@ -322,37 +336,25 @@ func newLoadedIndex(opts []LoadOption) *Index {
 	return ix
 }
 
-// installSegment attaches one decoded segment image as a sealed
-// segment. Duplicate paths across blocks (only possible in a damaged
-// image) resolve newest-wins, tombstoning the older slot.
+// installSegment attaches one decoded segment image (every posting has
+// been through postingImage.decode) as a sealed segment, taking over
+// the decoded containers. Duplicate paths across blocks (only possible
+// in a damaged image) resolve newest-wins, tombstoning the older slot.
 func (ix *Index) installSegment(img *segmentImage) error {
 	if _, dup := ix.bySeg[img.ID]; dup {
 		return fmt.Errorf("%w: duplicate segment ID %d", vfs.ErrCorruptVolume, img.ID)
 	}
 	s := newSegment(img.ID)
-	s.sealed = true
 	for local, di := range img.Docs {
 		s.docs = append(s.docs, docEntry{path: di.Path, modTime: di.ModTime, size: di.Size, alive: true})
 		s.dirsAdd(di.Path, uint32(local))
 	}
-	s.packDirs()
 	for _, pi := range img.Postings {
-		bm := bitset.NewBitmap(len(s.docs))
-		if len(pi.Packed) > 0 {
-			c, _, err := bitset.DecodeContainer(pi.Packed)
-			if err != nil {
-				return fmt.Errorf("%w: posting for %q: %v", vfs.ErrCorruptVolume, pi.Term, err)
-			}
-			c.Range(func(l uint32) bool {
-				bm.Add(l)
-				return true
-			})
+		if pi.set.Any() {
+			s.postings[pi.Term] = pi.set
 		}
-		for _, l := range pi.IDs {
-			bm.Add(l)
-		}
-		s.postings[pi.Term] = bm
 	}
+	s.seal()
 	ix.bySeg[s.id] = s
 	ix.sealed = append(ix.sealed, s)
 	ix.totalSlots += len(s.docs)
@@ -483,14 +485,10 @@ func loadLegacyIndex(payload []byte, opts []LoadOption) (ix *Index, err error) {
 		if err := dec.Decode(&pi); err != nil {
 			return nil, ixErr(fmt.Errorf("%w: decoding posting %d: %v", vfs.ErrCorruptVolume, i, err))
 		}
-		for _, l := range pi.IDs {
-			if int(l) >= lh.Docs {
-				return nil, ixErr(fmt.Errorf("%w: posting for %q references document %d of %d", vfs.ErrCorruptVolume, pi.Term, l, lh.Docs))
-			}
+		if err := pi.decode(lh.Docs); err != nil {
+			return nil, ixErr(err)
 		}
-		if len(pi.IDs) > 0 {
-			img.Postings = append(img.Postings, pi)
-		}
+		img.Postings = append(img.Postings, pi)
 	}
 	ix = newLoadedIndex(opts)
 	if lh.Docs > 0 {

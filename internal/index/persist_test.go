@@ -7,10 +7,14 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"os"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
+	"hacfs/internal/bitset"
 	"hacfs/internal/vfs"
 )
 
@@ -35,15 +39,15 @@ func TestIndexSaveLoadRoundTrip(t *testing.T) {
 		t.Fatalf("loaded docs = %d universe = %d", loaded.NumDocs(), loaded.Universe())
 	}
 	for _, term := range []string{"apple", "banana", "cherry"} {
-		want := ix.Paths(ix.Lookup(term))
-		got := loaded.Paths(loaded.Lookup(term))
+		want := ix.Snapshot().Paths(ix.Snapshot().Lookup(term))
+		got := loaded.Snapshot().Paths(loaded.Snapshot().Lookup(term))
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: loaded %v, want %v", term, got, want)
 		}
 	}
 	// Tombstoned term gone entirely.
-	if loaded.Lookup("cherry").Len() != 1 {
-		t.Fatalf("cherry matches = %d, want 1", loaded.Lookup("cherry").Len())
+	if loaded.Snapshot().Lookup("cherry").Len() != 1 {
+		t.Fatalf("cherry matches = %d, want 1", loaded.Snapshot().Lookup("cherry").Len())
 	}
 	// Modification times survive (SyncTree staleness detection works).
 	id, _ := loaded.IDOf("/a")
@@ -52,7 +56,7 @@ func TestIndexSaveLoadRoundTrip(t *testing.T) {
 	}
 	// Incremental updates still work on the loaded index.
 	loaded.Add("/d", []byte("date"))
-	if !loaded.Lookup("date").Any() {
+	if !loaded.Snapshot().Lookup("date").Any() {
 		t.Fatal("loaded index rejects new documents")
 	}
 }
@@ -133,7 +137,7 @@ func TestLoadIndexSkipsDamagedSegment(t *testing.T) {
 		t.Fatalf("partial load holds %d docs, want strictly between 0 and %d", got, ix.NumDocs())
 	}
 	// Every surviving document fully resolves.
-	for _, p := range loaded.Paths(loaded.Lookup("shared")) {
+	for _, p := range loaded.Snapshot().Paths(loaded.Snapshot().Lookup("shared")) {
 		if id, ok := loaded.IDOf(p); !ok {
 			t.Fatalf("surviving doc %s has no ID", p)
 		} else if rp, ok := loaded.PathOf(id); !ok || rp != p {
@@ -143,7 +147,7 @@ func TestLoadIndexSkipsDamagedSegment(t *testing.T) {
 	// The lost documents can simply be re-added (how hac's settling
 	// reindex recovers them).
 	loaded.Add("/f0", []byte("shared term0"))
-	if !loaded.Lookup("term0").Any() {
+	if !loaded.Snapshot().Lookup("term0").Any() {
 		t.Fatal("partial index rejects re-added documents")
 	}
 }
@@ -222,10 +226,10 @@ func TestLoadIndexLegacyV2(t *testing.T) {
 	if loaded.NumDocs() != 2 {
 		t.Fatalf("docs = %d, want 2", loaded.NumDocs())
 	}
-	if got := loaded.Paths(loaded.Lookup("banana")); !reflect.DeepEqual(got, []string{"/a", "/b"}) {
+	if got := loaded.Snapshot().Paths(loaded.Snapshot().Lookup("banana")); !reflect.DeepEqual(got, []string{"/a", "/b"}) {
 		t.Fatalf("banana = %v", got)
 	}
-	if got := loaded.Paths(loaded.Lookup("apple")); !reflect.DeepEqual(got, []string{"/a"}) {
+	if got := loaded.Snapshot().Paths(loaded.Snapshot().Lookup("apple")); !reflect.DeepEqual(got, []string{"/a"}) {
 		t.Fatalf("apple = %v", got)
 	}
 	id, ok := loaded.IDOf("/a")
@@ -236,7 +240,7 @@ func TestLoadIndexLegacyV2(t *testing.T) {
 		t.Fatalf("legacy docs should land in segment 0, got %d", seg)
 	}
 	loaded.Add("/c", []byte("cherry"))
-	if !loaded.Lookup("cherry").Any() {
+	if !loaded.Snapshot().Lookup("cherry").Any() {
 		t.Fatal("migrated index rejects new documents")
 	}
 	// Saving the migrated index produces a current-format image.
@@ -275,5 +279,153 @@ func TestIndexSaveLoadPreservesModTimes(t *testing.T) {
 	loaded.mu.RUnlock()
 	if !got.Equal(mt) {
 		t.Fatalf("modTime = %v, want %v", got, mt)
+	}
+}
+
+// ---------------------------------------------------------------------
+// Compatibility with images written before postings were containers.
+// testdata/parent-e03e5e5.idx is fixtureIndex() saved by commit e03e5e5
+// (dense bitmap postings in memory, the container codec on disk).
+// ---------------------------------------------------------------------
+
+const parentImage = "testdata/parent-e03e5e5.idx"
+
+func fixturePath(i int) string { return fmt.Sprintf("/fix/d%d/f%03d.txt", i%7, i) }
+
+func fixtureContent(i, rev int) string {
+	words := []string{"all", fmt.Sprintf("n%d", i)}
+	if i%2 == 0 {
+		words = append(words, "even")
+	}
+	if i%3 == 0 {
+		words = append(words, "third")
+	}
+	if i%97 == 0 {
+		words = append(words, "sparse")
+	}
+	if rev > 0 {
+		words = append(words, "rewritten")
+	}
+	return strings.Join(words, " ")
+}
+
+// fixtureIndex rebuilds the corpus the checked-in image holds: 600
+// documents over three segments, every fiftieth removed, six rewritten —
+// postings of all three codec kinds ("all" a run, "even" a bitmap,
+// "sparse" an array).
+func fixtureIndex() *Index {
+	ix := New()
+	ix.SetSealThreshold(256)
+	mt := time.Date(2026, 9, 1, 12, 0, 0, 0, time.UTC)
+	for i := 0; i < 600; i++ {
+		ix.AddWithTime(fixturePath(i), []byte(fixtureContent(i, 0)), mt.Add(time.Duration(i)*time.Second))
+	}
+	for i := 0; i < 600; i += 50 {
+		ix.Remove(fixturePath(i))
+	}
+	for i := 7; i < 600; i += 100 {
+		ix.AddWithTime(fixturePath(i), []byte(fixtureContent(i, 1)), mt.Add(time.Hour))
+	}
+	return ix
+}
+
+// segmentImagesOf decodes every segment block of an index image, with
+// each segment's postings sorted by term (Save writes them in map order).
+func segmentImagesOf(t *testing.T, img []byte) []*segmentImage {
+	t.Helper()
+	r := bytes.NewReader(img[14+int(binary.BigEndian.Uint64(img[6:14]))+4:])
+	var out []*segmentImage
+	for r.Len() > 0 {
+		si, err := loadSegmentBlock(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sort.Slice(si.Postings, func(i, j int) bool { return si.Postings[i].Term < si.Postings[j].Term })
+		out = append(out, si)
+	}
+	return out
+}
+
+func TestParentWrittenImageLoads(t *testing.T) {
+	raw, err := os.ReadFile(parentImage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadIndex(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := fixtureIndex()
+	if loaded.NumDocs() != 588 || loaded.NumDocs() != live.NumDocs() {
+		t.Fatalf("loaded %d documents, rebuilt %d, want 588", loaded.NumDocs(), live.NumDocs())
+	}
+	ls, ws := loaded.Snapshot(), live.Snapshot()
+	same := func(q string, got, want *bitset.Segmented, n int) {
+		t.Helper()
+		if g, w := ls.Paths(got), ws.Paths(want); !reflect.DeepEqual(g, w) || len(g) != n {
+			t.Fatalf("%s: loaded image answers %d paths, rebuilt index %d, want %d", q, len(g), len(w), n)
+		}
+	}
+	same("all", ls.Lookup("all"), ws.Lookup("all"), 588)
+	same("even", ls.Lookup("even"), ws.Lookup("even"), 288)     // 300 even, 12 of them removed
+	same("third", ls.Lookup("third"), ws.Lookup("third"), 196)  // 200 multiples of 3, 4 of them of 50
+	same("sparse", ls.Lookup("sparse"), ws.Lookup("sparse"), 6) // 97·k < 600, k = 1..6
+	same("rewritten", ls.Lookup("rewritten"), ws.Lookup("rewritten"), 6)
+	same("n5*", ls.LookupPrefix("n5"), ws.LookupPrefix("n5"), 108) // n5, n50–n59, n500–n599: 111, less n50, n500, n550
+	same("~thirs", ls.LookupFuzzy("thirs"), ws.LookupFuzzy("thirs"), 196)
+	same("missing", ls.Lookup("missing"), ws.Lookup("missing"), 0)
+	same("under /fix/d3", ls.DocsUnder("/fix/d3"), ws.DocsUnder("/fix/d3"), 84) // ⌈(600−3)/7⌉ = 86, less 150 and 500
+	gotU, _ := ls.LookupUnder("even", "/fix/d3")
+	wantU, _ := ws.LookupUnder("even", "/fix/d3")
+	same("even under /fix/d3", gotU, wantU, 41)
+	same("all docs", ls.AllDocs(), ws.AllDocs(), 588)
+	if id, ok := loaded.IDOf(fixturePath(7)); !ok || !loaded.DocHasTerm(id, "rewritten") {
+		t.Fatal("the rewritten version of a document did not survive the image")
+	}
+	if _, ok := loaded.IDOf(fixturePath(50)); ok {
+		t.Fatal("a removed document came back from the image")
+	}
+}
+
+// TestImageBytesUnchanged: the same corpus saved by this code decodes
+// to the segment images the parent wrote — documents, terms and packed
+// posting bytes — so either side reads the other's files.
+func TestImageBytesUnchanged(t *testing.T) {
+	raw, err := os.ReadFile(parentImage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := fixtureIndex().Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if len(raw) != buf.Len() {
+		t.Fatalf("image is %d bytes, the parent's %d", buf.Len(), len(raw))
+	}
+	got, want := segmentImagesOf(t, buf.Bytes()), segmentImagesOf(t, raw)
+	if len(got) != len(want) || len(got) != 3 {
+		t.Fatalf("%d segment blocks, the parent wrote %d, want 3", len(got), len(want))
+	}
+	kinds := map[byte]bool{}
+	for i := range want {
+		if got[i].ID != want[i].ID || !reflect.DeepEqual(got[i].Docs, want[i].Docs) {
+			t.Fatalf("segment %d: document table differs from the parent's", i)
+		}
+		if len(got[i].Postings) != len(want[i].Postings) {
+			t.Fatalf("segment %d: %d postings, the parent wrote %d", i, len(got[i].Postings), len(want[i].Postings))
+		}
+		for j, w := range want[i].Postings {
+			g := got[i].Postings[j]
+			if g.Term != w.Term || !bytes.Equal(g.Packed, w.Packed) || len(g.IDs) != 0 || len(w.IDs) != 0 {
+				t.Fatalf("segment %d: posting %q differs from the parent's %q", i, g.Term, w.Term)
+			}
+			if !g.set.Equal(w.set) {
+				t.Fatalf("segment %d: posting %q decodes differently", i, g.Term)
+			}
+			kinds[w.Packed[0]] = true
+		}
+	}
+	if !kinds['A'] || !kinds['B'] || !kinds['R'] {
+		t.Fatalf("fixture covers codec kinds %v, want array, bitmap and run", kinds)
 	}
 }

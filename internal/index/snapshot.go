@@ -16,7 +16,7 @@ import (
 // Liveness is read at call time, not pin time: a document deleted after
 // the pin stops matching. What the snapshot freezes is the segment set
 // — the ID space — not the tombstone state, which is exactly what a
-// consistent bitmap intersection needs.
+// consistent set intersection needs.
 type Snapshot struct {
 	ix        *Index
 	epoch     uint64
@@ -56,15 +56,6 @@ func (sn *Snapshot) Epoch() uint64 { return sn.epoch }
 // is what the planner's result cache keys on.
 func (sn *Snapshot) Version() uint64 { return sn.version }
 
-// cap limits a result bitmap of segment s to the slots committed at pin
-// time (only the active segment can have grown since).
-func (sn *Snapshot) capSeg(s *segment, bm *bitset.Bitmap) *bitset.Bitmap {
-	if s.id == sn.activeID {
-		bm.Trim(sn.activeLen)
-	}
-	return bm
-}
-
 func (sn *Snapshot) segLen(s *segment) int {
 	if s.id == sn.activeID {
 		return sn.activeLen
@@ -72,90 +63,72 @@ func (sn *Snapshot) segLen(s *segment) int {
 	return len(s.docs)
 }
 
+// put installs c — a fresh container of s's local slots, owned by the
+// caller — as s's part of out, after dropping the tombstoned slots and
+// (only the active segment can have grown since) those committed after
+// the pin. Caller holds ix.mu.
+func (sn *Snapshot) put(out *bitset.Segmented, s *segment, c *bitset.Container) {
+	if c == nil {
+		return
+	}
+	if s.deadCount > 0 {
+		c.AndNot(s.dead)
+	}
+	if s.id == sn.activeID {
+		c.Trim(sn.activeLen)
+	}
+	out.PutSegContainer(s.id, c)
+}
+
 // Lookup returns the live documents containing term, within the pinned
-// segment set.
+// segment set. The result is owned by the caller.
 func (sn *Snapshot) Lookup(term string) *bitset.Segmented {
 	term = normalizeTerm(term)
 	out := bitset.NewSegmented()
 	sn.ix.mu.RLock()
 	defer sn.ix.mu.RUnlock()
 	for _, s := range sn.segs {
-		if bm, ok := s.postings[term]; ok {
-			live := bm.Clone()
-			live.AndNot(s.dead)
-			out.PutSeg(s.id, sn.capSeg(s, live))
+		if c, ok := s.postings[term]; ok {
+			sn.put(out, s, c.Clone())
 		}
 	}
 	return out
 }
 
-// LookupPrefix returns the live documents containing any term with the
-// given prefix.
-func (sn *Snapshot) LookupPrefix(prefix string) *bitset.Segmented {
-	prefix = normalizeTerm(prefix)
+// lookupAny unions, per pinned segment, the postings of every term p
+// selects.
+func (sn *Snapshot) lookupAny(p termPattern) *bitset.Segmented {
 	out := bitset.NewSegmented()
 	sn.ix.mu.RLock()
 	defer sn.ix.mu.RUnlock()
 	for _, s := range sn.segs {
-		var acc *bitset.Bitmap
-		or := func(bm *bitset.Bitmap) {
+		var acc *bitset.Container
+		s.eachPosting(p, func(c *bitset.Container) {
 			if acc == nil {
-				acc = bm.Clone()
+				acc = c.Clone()
 			} else {
-				acc.Or(bm)
+				acc.Or(c)
 			}
-		}
-		if s.sealed {
-			s.dictionary().prefixRange(prefix, func(term string) { or(s.postings[term]) })
-		} else {
-			for term, bm := range s.postings {
-				if len(term) >= len(prefix) && term[:len(prefix)] == prefix {
-					or(bm)
-				}
-			}
-		}
-		if acc != nil {
-			acc.AndNot(s.dead)
-			out.PutSeg(s.id, sn.capSeg(s, acc))
-		}
+		})
+		sn.put(out, s, acc)
 	}
 	return out
+}
+
+// LookupPrefix returns the live documents containing any term with the
+// given prefix (the query language's "foo*").
+func (sn *Snapshot) LookupPrefix(prefix string) *bitset.Segmented {
+	return sn.lookupAny(prefixPattern(normalizeTerm(prefix)))
 }
 
 // LookupFuzzy returns the live documents containing any term within
 // edit distance 1 of term.
 func (sn *Snapshot) LookupFuzzy(term string) *bitset.Segmented {
 	term = normalizeTerm(term)
-	out := bitset.NewSegmented()
 	if term == "" {
-		return out
+		return bitset.NewSegmented()
 	}
-	sn.ix.mu.RLock()
-	defer sn.ix.mu.RUnlock()
-	for _, s := range sn.segs {
-		var acc *bitset.Bitmap
-		or := func(bm *bitset.Bitmap) {
-			if acc == nil {
-				acc = bm.Clone()
-			} else {
-				acc.Or(bm)
-			}
-		}
-		if s.sealed {
-			s.dictionary().fuzzyCandidates(term, func(c string) { or(s.postings[c]) })
-		} else {
-			for candidate, bm := range s.postings {
-				if withinOneEdit(term, candidate) {
-					or(bm)
-				}
-			}
-		}
-		if acc != nil {
-			acc.AndNot(s.dead)
-			out.PutSeg(s.id, sn.capSeg(s, acc))
-		}
-	}
-	return out
+	return sn.lookupAny(fuzzyPattern(term))
 }
 
 // AllDocs returns all live documents in the pinned set.
@@ -164,41 +137,27 @@ func (sn *Snapshot) AllDocs() *bitset.Segmented {
 	sn.ix.mu.RLock()
 	defer sn.ix.mu.RUnlock()
 	for _, s := range sn.segs {
-		out.PutSeg(s.id, sn.capSeg(s, s.aliveLocal()))
+		out.PutSegContainer(s.id, s.aliveLocal(sn.segLen(s)))
 	}
 	return out
 }
 
-// DocsUnder returns the live documents under root, within the pinned
-// set. Non-"/" roots resolve through the per-segment composite dirs
-// index (dirs.go): one map probe per segment instead of a scan over
-// every doc entry.
+// DocsUnder returns the live documents whose path lies in the subtree
+// rooted at root, within the pinned set — how a syntactic directory
+// "provides a scope" to the semantic directories beneath it. Non-"/"
+// roots resolve through the per-segment composite dirs index (dirs.go):
+// one map probe per segment instead of a scan over every doc entry.
 func (sn *Snapshot) DocsUnder(root string) *bitset.Segmented {
 	root = gopath.Clean(root)
+	if root == "/" {
+		return sn.AllDocs()
+	}
 	out := bitset.NewSegmented()
 	sn.ix.mu.RLock()
 	defer sn.ix.mu.RUnlock()
-	if root == "/" {
-		for _, s := range sn.segs {
-			bm := s.aliveLocal()
-			bm.Trim(sn.segLen(s))
-			out.PutSeg(s.id, bm)
-		}
-		return out
-	}
 	selfID, selfOK := sn.idOfLocked(root)
 	for _, s := range sn.segs {
-		scope := sn.scopeLocalLocked(s, root, selfID, selfOK)
-		if scope == nil {
-			continue
-		}
-		if s.deadCount > 0 {
-			scope.AndNotBitmap(s.dead)
-		}
-		if s.id == sn.activeID {
-			scope.Trim(sn.activeLen)
-		}
-		out.PutSegContainer(s.id, scope)
+		sn.put(out, s, sn.scopeLocalLocked(s, root, selfID, selfOK))
 	}
 	return out
 }
@@ -242,26 +201,20 @@ func (sn *Snapshot) LookupUnder(term, root string) (*bitset.Segmented, int) {
 	defer sn.ix.mu.RUnlock()
 	selfID, selfOK := sn.idOfLocked(root)
 	for _, s := range sn.segs {
-		bm, ok := s.postings[term]
+		c, ok := s.postings[term]
 		if !ok {
 			continue
 		}
 		scope := sn.scopeLocalLocked(s, root, selfID, selfOK)
 		if scope == nil {
-			skipped += bm.Len() // whole segment out of scope
+			skipped += c.Len() // whole segment out of scope
 			continue
 		}
-		if d := bm.Len() - scope.Len(); d > 0 {
+		if d := c.Len() - scope.Len(); d > 0 {
 			skipped += d
 		}
-		scope.AndBitmap(bm)
-		if s.deadCount > 0 {
-			scope.AndNotBitmap(s.dead)
-		}
-		if s.id == sn.activeID {
-			scope.Trim(sn.activeLen)
-		}
-		out.PutSegContainer(s.id, scope)
+		scope.And(c)
+		sn.put(out, s, scope)
 	}
 	return out, skipped
 }
@@ -269,15 +222,16 @@ func (sn *Snapshot) LookupUnder(term, root string) (*bitset.Segmented, int) {
 // TermCost returns the total posting cardinality of term across the
 // pinned segments — the planner's per-term selectivity estimate. Dead
 // slots are counted (they cost iteration work even though they are
-// filtered), which keeps the estimate one map probe per segment.
+// filtered), which keeps the estimate one map probe and one stored
+// count per segment.
 func (sn *Snapshot) TermCost(term string) int {
 	term = normalizeTerm(term)
 	n := 0
 	sn.ix.mu.RLock()
 	defer sn.ix.mu.RUnlock()
 	for _, s := range sn.segs {
-		if bm, ok := s.postings[term]; ok {
-			n += bm.Len()
+		if c, ok := s.postings[term]; ok {
+			n += c.Len()
 		}
 	}
 	return n
@@ -335,22 +289,27 @@ func (sn *Snapshot) Paths(res *bitset.Segmented) []string {
 // page at a time in ID order, and sorting would force the whole result
 // set eager again.
 func (sn *Snapshot) PathsOf(ids []DocID) []string {
+	return sn.AppendPathsOf(make([]string, 0, len(ids)), ids)
+}
+
+// AppendPathsOf is PathsOf appending to dst, for a caller that pages
+// through a result and is done with one page before it asks for the next.
+func (sn *Snapshot) AppendPathsOf(dst []string, ids []DocID) []string {
 	sn.ix.mu.RLock()
 	defer sn.ix.mu.RUnlock()
-	out := make([]string, 0, len(ids))
 	for _, id := range ids {
 		seg, local := splitID(id)
 		if s, ok := sn.bySeg[seg]; ok {
 			if int(local) < sn.segLen(s) && s.docs[local].alive {
-				out = append(out, s.docs[local].path)
+				dst = append(dst, s.docs[local].path)
 			}
 			continue
 		}
 		if s, l, ok := sn.ix.resolveLocked(id); ok && s.docs[l].alive {
-			out = append(out, s.docs[l].path)
+			dst = append(dst, s.docs[l].path)
 		}
 	}
-	return out
+	return dst
 }
 
 // PathOf resolves one pinned ID to its path.

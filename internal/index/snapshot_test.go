@@ -89,7 +89,7 @@ func TestSnapshotResultSurvivesMerge(t *testing.T) {
 	}
 	// The index's own Paths degrades gracefully on the old result set
 	// as well, via the forward tables.
-	if got := ix.Paths(res); len(got) != len(want) {
+	if got := ix.Snapshot().Paths(res); len(got) != len(want) {
 		t.Fatalf("index Paths on pre-merge result = %v, want %d docs", got, len(want))
 	}
 }

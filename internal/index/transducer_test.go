@@ -78,18 +78,18 @@ func TestTransducerIndexIntegration(t *testing.T) {
 	ix.Add("/notes/plain.txt", []byte("from alice in content only"))
 
 	// Attribute query hits only the email with the matching header.
-	if got := ix.Paths(ix.Lookup("from:alice")); len(got) != 1 || got[0] != "/mail/hello.eml" {
+	if got := ix.Snapshot().Paths(ix.Snapshot().Lookup("from:alice")); len(got) != 1 || got[0] != "/mail/hello.eml" {
 		t.Fatalf("from:alice = %v", got)
 	}
 	// Plain words still work, including in non-email files.
-	if got := ix.Lookup("alice").Len(); got != 2 {
+	if got := ix.Snapshot().Lookup("alice").Len(); got != 2 {
 		t.Fatalf("alice matches %d, want 2", got)
 	}
 	// Path attributes from the catch-all transducer.
-	if got := ix.Lookup("ext:eml").Len(); got != 2 {
+	if got := ix.Snapshot().Lookup("ext:eml").Len(); got != 2 {
 		t.Fatalf("ext:eml matches %d", got)
 	}
-	if got := ix.Paths(ix.Lookup("name:plain")); len(got) != 1 {
+	if got := ix.Snapshot().Paths(ix.Snapshot().Lookup("name:plain")); len(got) != 1 {
 		t.Fatalf("name:plain = %v", got)
 	}
 }
@@ -98,7 +98,7 @@ func TestTransducerCaseInsensitiveExt(t *testing.T) {
 	ix := New()
 	ix.RegisterTransducer(".EML", EmailTransducer)
 	ix.Add("/m.eml", []byte("from alice\n\nx\n"))
-	if !ix.Lookup("from:alice").Any() {
+	if !ix.Snapshot().Lookup("from:alice").Any() {
 		t.Fatal("uppercase extension registration not matched")
 	}
 }
