@@ -228,7 +228,7 @@ func BenchmarkAblationSets(b *testing.B) {
 
 // ---- Core-operation micro-benchmarks ---------------------------------
 
-func BenchmarkMkSemDir(b *testing.B) {
+func BenchmarkSemDir(b *testing.B) {
 	fs := NewVolume()
 	if err := fs.MkdirAll("/db"); err != nil {
 		b.Fatal(err)
@@ -242,7 +242,7 @@ func BenchmarkMkSemDir(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dir := fmt.Sprintf("/s%d", i)
-		if err := fs.MkSemDir(dir, "markermid"); err != nil {
+		if err := fs.SemDir(dir, "markermid"); err != nil {
 			b.Fatal(err)
 		}
 		b.StopTimer()
@@ -264,13 +264,13 @@ func BenchmarkSyncPropagation(b *testing.B) {
 	if _, err := fs.Reindex("/"); err != nil {
 		b.Fatal(err)
 	}
-	if err := fs.MkSemDir("/a", "markermany"); err != nil {
+	if err := fs.SemDir("/a", "markermany"); err != nil {
 		b.Fatal(err)
 	}
-	if err := fs.MkSemDir("/a/b", "markermid"); err != nil {
+	if err := fs.SemDir("/a/b", "markermid"); err != nil {
 		b.Fatal(err)
 	}
-	if err := fs.MkSemDir("/a/b/c", "markerfew"); err != nil {
+	if err := fs.SemDir("/a/b/c", "markerfew"); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()

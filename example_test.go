@@ -18,7 +18,7 @@ func Example() {
 		log.Fatal(err)
 	}
 
-	if err := fs.MkSemDir("/recipes", "recipe"); err != nil {
+	if err := fs.SemDir("/recipes", "recipe"); err != nil {
 		log.Fatal(err)
 	}
 	entries, _ := fs.ReadDir("/recipes")
@@ -38,7 +38,7 @@ func ExampleFS_Remove() {
 	fs.WriteFile("/docs/a.txt", []byte("apple"))
 	fs.WriteFile("/docs/b.txt", []byte("apple too"))
 	fs.Reindex("/")
-	fs.MkSemDir("/sel", "apple")
+	fs.SemDir("/sel", "apple")
 
 	fs.Remove("/sel/a.txt") // the user's deletion is remembered
 	fs.Reindex("/")         // ...and survives the next consistency pass
@@ -55,15 +55,15 @@ func ExampleFS_Remove() {
 // Queries can reference other directories (§2.5): the referenced
 // directory's current link set — including manual edits — feeds the
 // query, and renames never break the reference.
-func ExampleFS_MkSemDir_dirReference() {
+func ExampleFS_SemDir_dirReference() {
 	fs := hacfs.NewVolume()
 	fs.MkdirAll("/docs")
 	fs.WriteFile("/docs/one.txt", []byte("apple banana"))
 	fs.WriteFile("/docs/two.txt", []byte("apple"))
 	fs.Reindex("/")
 
-	fs.MkSemDir("/curated", "apple")
-	fs.MkSemDir("/refined", "dir:/curated AND NOT banana")
+	fs.SemDir("/curated", "apple")
+	fs.SemDir("/refined", "dir:/curated AND NOT banana")
 
 	fs.Rename("/curated", "/picks") // the reference survives
 	fs.Sync("/")
@@ -86,7 +86,7 @@ func ExampleFS_RegisterTransducer() {
 	fs.WriteFile("/mail/m2.eml", []byte("from bob\n\nhello\n"))
 	fs.Reindex("/")
 
-	fs.MkSemDir("/from-alice", "from:alice")
+	fs.SemDir("/from-alice", "from:alice")
 	targets, _ := fs.LinkTargets("/from-alice")
 	fmt.Println(targets)
 	// Output:

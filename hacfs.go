@@ -32,8 +32,7 @@
 //	fs.SyncAll(hacfs.WithParallelism(1))          // serial, this pass only
 //
 // Options given to New become the volume's defaults; options given to
-// Sync, SyncAll or Reindex override them for that pass. The struct-based
-// constructors (NewVolumeOver with Options) remain for compatibility.
+// Sync, SyncAll or Reindex override them for that pass.
 //
 // # Errors
 //
@@ -240,14 +239,6 @@ func New(under FileSystem, opts ...Option) *FS {
 // NewVolume returns a HAC file system over a fresh in-memory substrate.
 func NewVolume(opts ...Option) *FS {
 	return hac.NewWith(vfs.New(), opts...)
-}
-
-// NewVolumeOver layers HAC over an existing substrate — any
-// FileSystem, including another process's exported volume.
-//
-// Deprecated: Use New with functional options.
-func NewVolumeOver(under FileSystem, opts Options) *FS {
-	return hac.New(under, opts)
 }
 
 // NewMemFS returns a bare in-memory hierarchical file system (the

@@ -31,7 +31,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 
 	// Semantic directory with an attribute query.
-	if err := fs.MkSemDir("/from-alice", "from:alice"); err != nil {
+	if err := fs.SemDir("/from-alice", "from:alice"); err != nil {
 		t.Fatal(err)
 	}
 	targets, err := fs.LinkTargets("/from-alice")
@@ -84,16 +84,16 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 }
 
-func TestNewVolumeOver(t *testing.T) {
+func TestNewOverExistingSubstrate(t *testing.T) {
 	under := hacfs.NewMemFS()
 	if err := under.WriteFile("/pre-existing.txt", []byte("apple")); err != nil {
 		t.Fatal(err)
 	}
-	fs := hacfs.NewVolumeOver(under, hacfs.Options{})
+	fs := hacfs.New(under)
 	if _, err := fs.Reindex("/"); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.MkSemDir("/sel", "apple"); err != nil {
+	if err := fs.SemDir("/sel", "apple"); err != nil {
 		t.Fatal(err)
 	}
 	targets, err := fs.LinkTargets("/sel")

@@ -31,12 +31,9 @@ func TestFullStack(t *testing.T) {
 	}
 
 	// --- Phase 1: local volume with corpus, transducers, queries. -----
-	fs := hacfs.NewVolumeOver(hacfs.NewMemFS(), hacfs.Options{
-		Transducers: map[string][]hacfs.Transducer{
-			".eml": {hacfs.EmailTransducer},
-			"":     {hacfs.PathTransducer},
-		},
-	})
+	fs := hacfs.New(hacfs.NewMemFS(),
+		hacfs.WithTransducer(".eml", hacfs.EmailTransducer),
+		hacfs.WithTransducer("", hacfs.PathTransducer))
 	if err := fs.MkdirAll("/docs"); err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +44,7 @@ func TestFullStack(t *testing.T) {
 	if _, err := fs.Reindex("/"); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.MkSemDir("/topic0", man.TopicTerm[0]); err != nil {
+	if err := fs.SemDir("/topic0", man.TopicTerm[0]); err != nil {
 		t.Fatal(err)
 	}
 	targets, err := fs.LinkTargets("/topic0")
@@ -55,7 +52,7 @@ func TestFullStack(t *testing.T) {
 		t.Fatalf("topic0 targets = %d, want %d (%v)", len(targets), len(man.TopicFiles[0]), err)
 	}
 	// Attribute query from the path transducer.
-	if err := fs.MkSemDir("/emails", "ext:eml"); err != nil {
+	if err := fs.SemDir("/emails", "ext:eml"); err != nil {
 		t.Fatal(err)
 	}
 	emails, _ := fs.LinkTargets("/emails")
@@ -69,7 +66,7 @@ func TestFullStack(t *testing.T) {
 	if err := fs.Remove("/topic0/" + vfs.Base(victim)); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.MkSemDir("/combo", "dir:/topic0 AND markermany"); err != nil {
+	if err := fs.SemDir("/combo", "dir:/topic0 AND markermany"); err != nil {
 		t.Fatal(err)
 	}
 	if err := fs.Rename("/topic0", "/topic-renamed"); err != nil {
@@ -97,7 +94,7 @@ func TestFullStack(t *testing.T) {
 	if err := fs.EnableAutoSync("/mail"); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.MkSemDir("/fresh", "dir:/mail AND urgentword"); err != nil {
+	if err := fs.SemDir("/fresh", "dir:/mail AND urgentword"); err != nil {
 		t.Fatal(err)
 	}
 	if err := fs.WriteFile("/mail/new.eml", []byte("from boss\n\nurgentword here\n")); err != nil {
@@ -137,7 +134,7 @@ func TestFullStack(t *testing.T) {
 	if err := fs.SemanticMount("/library", lib); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.MkSemDir("/wide", "markermany"); err != nil {
+	if err := fs.SemDir("/wide", "markermany"); err != nil {
 		t.Fatal(err)
 	}
 	wide, _ := fs.LinkTargets("/wide")
@@ -186,7 +183,7 @@ func TestFullStack(t *testing.T) {
 	defer volSrv.Close()
 
 	coworkerUnder := hacfs.NewMemFS()
-	coworker := hacfs.NewVolumeOver(coworkerUnder, hacfs.Options{})
+	coworker := hacfs.New(coworkerUnder)
 	if err := coworker.MkdirAll("/peer"); err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +234,7 @@ func TestManyVolumesScale(t *testing.T) {
 		if _, err := fs.Reindex("/"); err != nil {
 			t.Fatal(err)
 		}
-		if err := fs.MkSemDir("/sel", "shared"); err != nil {
+		if err := fs.SemDir("/sel", "shared"); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := cat.Publish(fmt.Sprintf("user%02d", i), fs); err != nil {
@@ -268,14 +265,14 @@ func TestSchedulerWithRemoteVolume(t *testing.T) {
 	go srv.Serve(l)
 	defer srv.Close()
 
-	fs := hacfs.NewVolumeOver(hacfs.DialFS(l.Addr().String()), hacfs.Options{})
+	fs := hacfs.New(hacfs.DialFS(l.Addr().String()))
 	if err := fs.MkdirAll("/d"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := fs.Reindex("/"); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.MkSemDir("/sel", "needle"); err != nil {
+	if err := fs.SemDir("/sel", "needle"); err != nil {
 		t.Fatal(err)
 	}
 	sched := fs.StartAutoReindex("/", time.Hour)

@@ -50,18 +50,18 @@ func AblationOrder(files, chain, unrelated int) (A1Result, error) {
 	}
 
 	// The dependent chain: /chain0 ← /chain1 ← ... (query references).
-	if err := fs.MkSemDir("/chain0", "markermany"); err != nil {
+	if err := fs.SemDir("/chain0", "markermany"); err != nil {
 		return res, err
 	}
 	for i := 1; i < chain; i++ {
 		q := fmt.Sprintf("dir:/chain%d AND markermany", i-1)
-		if err := fs.MkSemDir(fmt.Sprintf("/chain%d", i), q); err != nil {
+		if err := fs.SemDir(fmt.Sprintf("/chain%d", i), q); err != nil {
 			return res, err
 		}
 	}
 	// Unrelated semantic directories.
 	for i := 0; i < unrelated; i++ {
-		if err := fs.MkSemDir(fmt.Sprintf("/other%d", i), "markermid"); err != nil {
+		if err := fs.SemDir(fmt.Sprintf("/other%d", i), "markermid"); err != nil {
 			return res, err
 		}
 	}
@@ -276,10 +276,10 @@ func AblationScopeDirection(edits int) (A3Result, error) {
 	if _, err := fs.Reindex("/"); err != nil {
 		return res, err
 	}
-	if err := fs.MkSemDir("/parent", "inside"); err != nil {
+	if err := fs.SemDir("/parent", "inside"); err != nil {
 		return res, err
 	}
-	if err := fs.MkSemDir("/parent/child", "inside OR outside"); err != nil {
+	if err := fs.SemDir("/parent/child", "inside OR outside"); err != nil {
 		return res, err
 	}
 

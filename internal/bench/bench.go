@@ -13,11 +13,11 @@ import (
 
 	"hacfs/internal/andrew"
 	"hacfs/internal/baseline"
-	"hacfs/internal/bitset"
 	"hacfs/internal/corpus"
 	"hacfs/internal/hac"
 	"hacfs/internal/index"
 	"hacfs/internal/query"
+	"hacfs/internal/query/plan"
 	"hacfs/internal/vfs"
 )
 
@@ -286,7 +286,7 @@ func (e *Table4Env) DirectSearch(q string) ([]string, error) {
 		return nil, err
 	}
 	snap := e.Ix.Snapshot()
-	bm, err := query.Eval(ast, indexEnv{snap})
+	bm, err := query.Eval(ast, &plan.SnapEnv{Snap: snap})
 	if err != nil {
 		return nil, err
 	}
@@ -308,7 +308,7 @@ func (e *Table4Env) DirectSearch(q string) ([]string, error) {
 // does; HAC's additional cost is the directory, its structures, and the
 // materialized links. It returns the number of links created.
 func (e *Table4Env) HACSmkdir(dir, q string) (int, error) {
-	if err := e.HacFS.MkSemDir(dir, q); err != nil {
+	if err := e.HacFS.SemDir(dir, q); err != nil {
 		return 0, err
 	}
 	entries, err := e.HacFS.ReadDir(dir)
@@ -331,19 +331,6 @@ func scanForTerms(data []byte, terms []string) int {
 		total += strings.Count(content, t)
 	}
 	return total
-}
-
-// indexEnv evaluates query primitives over one snapshot of a bare index
-// (directory references resolve to nothing, as in a standalone search
-// tool).
-type indexEnv struct{ sn *index.Snapshot }
-
-func (e indexEnv) Term(w string) (*bitset.Segmented, error)   { return e.sn.Lookup(w), nil }
-func (e indexEnv) Prefix(p string) (*bitset.Segmented, error) { return e.sn.LookupPrefix(p), nil }
-func (e indexEnv) Fuzzy(w string) (*bitset.Segmented, error)  { return e.sn.LookupFuzzy(w), nil }
-func (e indexEnv) Universe() (*bitset.Segmented, error)       { return e.sn.AllDocs(), nil }
-func (e indexEnv) DirRef(*query.DirRef) (*bitset.Segmented, error) {
-	return e.sn.AllDocs(), nil
 }
 
 // Table4 measures the three query classes of the paper: very few

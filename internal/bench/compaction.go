@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sort"
@@ -83,9 +84,11 @@ func Compaction(spec corpus.Spec, samples int) (CompactionResult, error) {
 		for i := 0; len(ds) < samples || (more != nil && more() && i < samples*1000); i++ {
 			q := queries[i%len(queries)]
 			start := time.Now()
-			if _, err := hfs.SearchPaths(q, "/"); err != nil {
+			res, err := hfs.Search(context.Background(), q)
+			if err != nil {
 				return nil
 			}
+			res.All()
 			ds = append(ds, time.Since(start))
 		}
 		return ds

@@ -6,10 +6,10 @@ import (
 	"runtime"
 	"time"
 
-	"hacfs/internal/bitset"
 	"hacfs/internal/corpus"
 	"hacfs/internal/hac"
 	"hacfs/internal/query"
+	"hacfs/internal/query/plan"
 	"hacfs/internal/vfs"
 )
 
@@ -46,27 +46,6 @@ type PlannerResult struct {
 	Files   int
 	Samples int
 	Queries []PlannerQueryResult
-}
-
-// naiveEnv replays the pre-planner evaluation: every leaf is fetched
-// whole from the snapshot, with no reordering, no scope pruning and no
-// caching. Directory references resolve to nothing (the measured
-// queries use none).
-type naiveEnv struct {
-	snap interface {
-		Lookup(string) *bitset.Segmented
-		LookupPrefix(string) *bitset.Segmented
-		LookupFuzzy(string) *bitset.Segmented
-		AllDocs() *bitset.Segmented
-	}
-}
-
-func (e naiveEnv) Term(w string) (*bitset.Segmented, error)   { return e.snap.Lookup(w), nil }
-func (e naiveEnv) Prefix(p string) (*bitset.Segmented, error) { return e.snap.LookupPrefix(p), nil }
-func (e naiveEnv) Fuzzy(w string) (*bitset.Segmented, error)  { return e.snap.LookupFuzzy(w), nil }
-func (e naiveEnv) Universe() (*bitset.Segmented, error)       { return e.snap.AllDocs(), nil }
-func (e naiveEnv) DirRef(*query.DirRef) (*bitset.Segmented, error) {
-	return bitset.NewSegmented(), nil
 }
 
 // Planner measures the cost-based planner experiment over a generated
@@ -118,14 +97,16 @@ func Planner(spec corpus.Spec, samples int) (PlannerResult, error) {
 
 		row := PlannerQueryResult{Query: tc.q, Scope: tc.scope}
 
-		// Naive: whole-index evaluation, all paths materialized and
-		// sorted, scope applied as an afterthought on path strings.
+		// Naive: the reference evaluator fetches every leaf whole from
+		// the snapshot — no reordering, no scope pruning, no caching —
+		// all paths materialized and sorted, scope applied as an
+		// afterthought on path strings.
 		runtime.GC() // each mode starts with the previous mode's garbage collected
 		naive := make([]time.Duration, 0, samples)
 		for i := 0; i < samples; i++ {
 			start := time.Now()
 			snap := hfs.Index().Snapshot()
-			bm, err := query.Eval(ast, naiveEnv{snap: snap})
+			bm, err := query.Eval(ast, &plan.SnapEnv{Snap: snap})
 			if err != nil {
 				return res, err
 			}

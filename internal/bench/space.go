@@ -52,7 +52,7 @@ func Space(spec andrew.Spec, semDirs int) (SpaceResult, error) {
 		// Selective queries (one file each) so the measurement captures
 		// HAC's structures, not hundreds of materialized symlink nodes.
 		q := fmt.Sprintf("au%dx0", i%spec.Dirs)
-		if err := fs.MkSemDir(fmt.Sprintf("/sel%d", i), q); err != nil {
+		if err := fs.SemDir(fmt.Sprintf("/sel%d", i), q); err != nil {
 			return res, err
 		}
 	}

@@ -23,7 +23,7 @@ func userVolume(t *testing.T, files map[string]string, dirs map[string]string) *
 		t.Fatal(err)
 	}
 	for dir, q := range dirs {
-		if err := fs.MkSemDir(dir, q); err != nil {
+		if err := fs.SemDir(dir, q); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -46,7 +47,9 @@ func caseOf(arg string) error {
 // failBackend is a remote.Backend whose every call fails typed.
 type failBackend struct{}
 
-func (failBackend) Search(q string) ([]string, error) { return nil, caseOf(q) }
+func (failBackend) SearchPageUnder(_ context.Context, q, _ string, _ uint64, _ int) ([]string, uint64, uint64, error) {
+	return nil, 0, 0, caseOf(q)
+}
 func (failBackend) Fetch(path string) ([]byte, error) { return nil, caseOf(path) }
 
 // failFS is a served file system whose ReadFile fails typed; the test

@@ -428,25 +428,12 @@ func (c *Coordinator) searchScatter(ctx context.Context, q, scope string) (_ []s
 	return out, rep, nil
 }
 
-// Search implements remote.Backend: an unpaged, unscoped cluster-wide
-// search.
-func (c *Coordinator) Search(q string) ([]string, error) {
-	out, _, err := c.searchScatter(context.Background(), q, "/")
-	return out, err
-}
-
-// SearchUnder is Search restricted to a scope subtree, with the
-// caller's context propagated to every shard.
+// SearchUnder is the unpaged scatter-gather search restricted to a
+// scope subtree ("/" = cluster-wide), with the caller's context
+// propagated to every shard.
 func (c *Coordinator) SearchUnder(ctx context.Context, q, scope string) ([]string, error) {
 	out, _, err := c.searchScatter(ctx, q, scope)
 	return out, err
-}
-
-// SearchPage implements remote.PagedBackend via the composite cursor
-// machinery (cursor.go).
-func (c *Coordinator) SearchPage(q string, after uint64, limit int) ([]string, uint64, error) {
-	paths, next, _, err := c.SearchPageUnder(context.Background(), q, "/", after, limit)
-	return paths, next, err
 }
 
 // Fetch implements remote.Backend: route the path to its owning shard

@@ -141,7 +141,7 @@ func TestScatterGatherMergesSorted(t *testing.T) {
 		0: {newFake(3, "/s0/b.txt", "/s0/a.txt")},
 		1: {newFake(5, "/s1/z.txt", "/s1/c.txt")},
 	}, Options{PageSize: 1}) // force multi-page per-shard drains
-	got, err := c.Search("q")
+	got, err := c.SearchUnder(context.Background(), "q", "/")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestEmptyShardMergesClean(t *testing.T) {
 		0: {newFake(1)}, // holds nothing
 		1: {newFake(1, "/s1/only.txt")},
 	}, Options{})
-	got, err := c.Search("q")
+	got, err := c.SearchUnder(context.Background(), "q", "/")
 	if err != nil || !reflect.DeepEqual(got, []string{"/s1/only.txt"}) {
 		t.Fatalf("Search = %v, %v", got, err)
 	}
@@ -185,7 +185,7 @@ func TestDuplicatePathCanonicalizes(t *testing.T) {
 		0: {newFake(1, "/s0/dup.txt", "/s0/a.txt")},
 		1: {newFake(1, "/s0/dup.txt", "/s1/b.txt")}, // stale copy on the wrong shard
 	}, Options{Observer: obsv})
-	got, err := c.Search("q")
+	got, err := c.SearchUnder(context.Background(), "q", "/")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestReplicaFailover(t *testing.T) {
 	// Run several searches so round-robin starts on the bad replica at
 	// least once; every one must succeed.
 	for i := 0; i < 4; i++ {
-		if got, err := c.Search("q"); err != nil || len(got) != 1 {
+		if got, err := c.SearchUnder(context.Background(), "q", "/"); err != nil || len(got) != 1 {
 			t.Fatalf("search %d: %v, %v", i, got, err)
 		}
 	}
@@ -240,7 +240,7 @@ func TestAllReplicasDownIsShardUnavailable(t *testing.T) {
 	r1.failDial.Store(true)
 	r2.failDial.Store(true)
 	c := fleet(t, "shard 0 a:1,b:1\nroute /s0 0", map[int][]*fakeConn{0: {r1, r2}}, Options{})
-	_, err := c.Search("q")
+	_, err := c.SearchUnder(context.Background(), "q", "/")
 	if !errors.Is(err, vfs.ErrShardUnavailable) {
 		t.Fatalf("err = %v, want ErrShardUnavailable", err)
 	}
@@ -258,7 +258,7 @@ func TestPartialModeServesRemainingShards(t *testing.T) {
 		0: {down},
 		1: {newFake(1, "/s1/b.txt")},
 	}, Options{AllowPartial: true, Observer: obsv})
-	got, err := c.Search("q")
+	got, err := c.SearchUnder(context.Background(), "q", "/")
 	if err != nil || !reflect.DeepEqual(got, []string{"/s1/b.txt"}) {
 		t.Fatalf("partial Search = %v, %v", got, err)
 	}
@@ -282,7 +282,7 @@ func TestOneShardTimeoutPartial(t *testing.T) {
 		0: {slow},
 		1: {newFake(1, "/s1/b.txt")},
 	}, Options{AllowPartial: true, Timeout: 30 * time.Millisecond})
-	got, err := c.Search("q")
+	got, err := c.SearchUnder(context.Background(), "q", "/")
 	if err != nil || !reflect.DeepEqual(got, []string{"/s1/b.txt"}) {
 		t.Fatalf("timeout-partial Search = %v, %v", got, err)
 	}
@@ -291,7 +291,7 @@ func TestOneShardTimeoutPartial(t *testing.T) {
 		0: {slow},
 		1: {newFake(1, "/s1/b.txt")},
 	}, Options{Timeout: 30 * time.Millisecond})
-	if _, err := c2.Search("q"); !errors.Is(err, vfs.ErrShardUnavailable) {
+	if _, err := c2.SearchUnder(context.Background(), "q", "/"); !errors.Is(err, vfs.ErrShardUnavailable) {
 		t.Fatalf("strict mode err = %v, want ErrShardUnavailable", err)
 	}
 }

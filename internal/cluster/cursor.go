@@ -102,7 +102,7 @@ func (t *cursorTable) drop(id uint64) {
 	t.gauge.Set(int64(len(t.byID)))
 }
 
-// SearchPageUnder implements remote.ScopedBackend: one page of a
+// SearchPageUnder implements remote.Backend: one page of a
 // scope-restricted cluster search. after == 0 opens a new composite
 // cursor (scattering the first fetch to every target shard
 // concurrently); a non-zero after resumes the cursor it named. The

@@ -26,18 +26,24 @@ func BenchmarkAffectedBy(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := g.AffectedBy(1); len(got) == 0 {
+		if got := g.AffectedBy(1, false); len(got) == 0 {
 			b.Fatal("no dependents")
 		}
 	}
 }
 
-func BenchmarkTopoAll(b *testing.B) {
+func BenchmarkTopoOfAllNodes(b *testing.B) {
 	g := buildChainAndFanout(b, 20, 500)
+	var ids []uint64
+	for id := uint64(1); id < 1500; id++ {
+		if g.Has(id) {
+			ids = append(ids, id)
+		}
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := g.TopoAll(); len(got) != 520 {
+		if got := g.TopoOf(ids); len(got) != 520 {
 			b.Fatalf("topo = %d", len(got))
 		}
 	}

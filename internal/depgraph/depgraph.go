@@ -158,14 +158,21 @@ func (g *Graph) Dependents(id uint64) []uint64 {
 
 // AffectedBy returns every node that transitively depends on id — the
 // set whose queries must be re-evaluated when id's link set changes —
-// in topological order (dependencies before dependents). id itself is
-// not included.
-func (g *Graph) AffectedBy(id uint64) []uint64 {
+// in topological order (dependencies before dependents). When
+// includeSelf is true id itself leads the list.
+func (g *Graph) AffectedBy(id uint64, includeSelf bool) []uint64 {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
+	return g.topoLocked(g.affectedLocked(id, includeSelf))
+}
 
-	// Collect the transitive dependents.
+// affectedLocked collects the transitive dependents of id, and id
+// itself when includeSelf is set. Caller holds g.mu.
+func (g *Graph) affectedLocked(id uint64, includeSelf bool) map[uint64]bool {
 	affected := map[uint64]bool{}
+	if includeSelf {
+		affected[id] = true
+	}
 	stack := []uint64{id}
 	for len(stack) > 0 {
 		cur := stack[len(stack)-1]
@@ -177,18 +184,7 @@ func (g *Graph) AffectedBy(id uint64) []uint64 {
 			}
 		}
 	}
-	return g.topoLocked(affected)
-}
-
-// TopoAll returns all nodes in topological order.
-func (g *Graph) TopoAll() []uint64 {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	all := make(map[uint64]bool, len(g.deps))
-	for id := range g.deps {
-		all[id] = true
-	}
-	return g.topoLocked(all)
+	return affected
 }
 
 // TopoOf returns the given nodes in topological order of the subgraph
@@ -225,22 +221,7 @@ func (g *Graph) TopoLevels() [][]uint64 {
 func (g *Graph) AffectedLevels(id uint64, includeSelf bool) [][]uint64 {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	affected := map[uint64]bool{}
-	if includeSelf {
-		affected[id] = true
-	}
-	stack := []uint64{id}
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for next := range g.dependents[cur] {
-			if !affected[next] {
-				affected[next] = true
-				stack = append(stack, next)
-			}
-		}
-	}
-	return g.levelsLocked(affected)
+	return g.levelsLocked(g.affectedLocked(id, includeSelf))
 }
 
 // levelsLocked runs layered Kahn over the induced subgraph: level 0 is

@@ -36,10 +36,10 @@ func TestSetDepsAndQueries(t *testing.T) {
 	if got := g.Dependents(1); !reflect.DeepEqual(got, []uint64{3}) {
 		t.Fatalf("Dependents(1) = %v", got)
 	}
-	if got := g.AffectedBy(1); !reflect.DeepEqual(got, []uint64{3, 4}) {
+	if got := g.AffectedBy(1, false); !reflect.DeepEqual(got, []uint64{3, 4}) {
 		t.Fatalf("AffectedBy(1) = %v", got)
 	}
-	if got := g.AffectedBy(4); len(got) != 0 {
+	if got := g.AffectedBy(4, false); len(got) != 0 {
 		t.Fatalf("AffectedBy(4) = %v, want empty", got)
 	}
 	// Replacing deps drops old edges.
@@ -95,7 +95,18 @@ func TestRemoveDetachesEdges(t *testing.T) {
 	}
 }
 
-func TestTopoAll(t *testing.T) {
+// topoAll orders every node of g with an id in [1, max].
+func topoAll(g *Graph, max uint64) []uint64 {
+	var ids []uint64
+	for id := uint64(1); id <= max; id++ {
+		if g.Has(id) {
+			ids = append(ids, id)
+		}
+	}
+	return g.TopoOf(ids)
+}
+
+func TestTopoOfAllNodes(t *testing.T) {
 	g := New()
 	// Diamond: 4 deps on 2,3; 2 and 3 dep on 1.
 	for _, e := range []struct {
@@ -106,20 +117,20 @@ func TestTopoAll(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	order := g.TopoAll()
+	order := topoAll(g, 4)
 	pos := map[uint64]int{}
 	for i, id := range order {
 		pos[id] = i
 	}
 	if len(order) != 4 {
-		t.Fatalf("TopoAll len = %d", len(order))
+		t.Fatalf("TopoOf len = %d", len(order))
 	}
 	if pos[1] > pos[2] || pos[1] > pos[3] || pos[2] > pos[4] || pos[3] > pos[4] {
-		t.Fatalf("TopoAll order invalid: %v", order)
+		t.Fatalf("TopoOf order invalid: %v", order)
 	}
 	// Deterministic.
-	if !reflect.DeepEqual(order, g.TopoAll()) {
-		t.Fatal("TopoAll not deterministic")
+	if !reflect.DeepEqual(order, topoAll(g, 4)) {
+		t.Fatal("TopoOf not deterministic")
 	}
 }
 
@@ -134,14 +145,14 @@ func TestAffectedByDiamondOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got := g.AffectedBy(1)
+	got := g.AffectedBy(1, false)
 	if !reflect.DeepEqual(got, []uint64{2, 3, 4}) {
 		t.Fatalf("AffectedBy(1) = %v, want [2 3 4]", got)
 	}
 }
 
 // Property: SetDeps never admits a cycle — for random edge insertions,
-// TopoAll always returns every node exactly once with dependencies
+// TopoOf over all nodes returns every node exactly once with dependencies
 // first.
 func TestPropertyAcyclicInvariant(t *testing.T) {
 	f := func(edges []struct{ A, B uint8 }) bool {
@@ -152,7 +163,7 @@ func TestPropertyAcyclicInvariant(t *testing.T) {
 			deps := append(g.Deps(id), dep)
 			_ = g.SetDeps(id, deps) // may reject; fine
 		}
-		order := g.TopoAll()
+		order := topoAll(g, 16)
 		if len(order) != g.Len() {
 			return false
 		}
@@ -189,7 +200,7 @@ func TestPropertyAffectedMatchesReachability(t *testing.T) {
 			return true
 		}
 		affected := map[uint64]bool{}
-		for _, id := range g.AffectedBy(x) {
+		for _, id := range g.AffectedBy(x, false) {
 			affected[id] = true
 		}
 		// Reference: BFS over dependents.

@@ -10,14 +10,14 @@ import (
 
 func TestSearchWithDirRef(t *testing.T) {
 	fs := newTestFS(t)
-	if err := fs.MkSemDir("/curated", "apple"); err != nil {
+	if err := fs.SemDir("/curated", "apple"); err != nil {
 		t.Fatal(err)
 	}
 	if err := fs.Remove("/curated/m1.txt"); err != nil {
 		t.Fatal(err)
 	}
 	// Ad-hoc search referencing the curated directory.
-	got, err := fs.SearchPaths("dir:/curated AND fruit", "/")
+	got, err := searchSorted(fs, "dir:/curated AND fruit", "/")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,17 +25,17 @@ func TestSearchWithDirRef(t *testing.T) {
 		t.Fatalf("Search dir-ref = %v", got)
 	}
 	// Unknown reference errors cleanly.
-	if _, err := fs.SearchPaths("dir:/nowhere", "/"); !errors.Is(err, ErrDanglingRef) {
+	if _, err := searchSorted(fs, "dir:/nowhere", "/"); !errors.Is(err, ErrDanglingRef) {
 		t.Fatalf("dangling search err = %v", err)
 	}
 }
 
 func TestSearchBadInputs(t *testing.T) {
 	fs := newTestFS(t)
-	if _, err := fs.SearchPaths("(((", "/"); err == nil {
+	if _, err := searchSorted(fs, "(((", "/"); err == nil {
 		t.Fatal("bad query accepted")
 	}
-	if _, err := fs.SearchPaths("apple", "relative"); err == nil {
+	if _, err := searchSorted(fs, "apple", "relative"); err == nil {
 		t.Fatal("relative scope accepted")
 	}
 }
@@ -77,7 +77,7 @@ func TestExtractRelativeLink(t *testing.T) {
 
 func TestSetQueryEmptyClearsTransients(t *testing.T) {
 	fs := newTestFS(t)
-	if err := fs.MkSemDir("/sel", "apple"); err != nil {
+	if err := fs.SemDir("/sel", "apple"); err != nil {
 		t.Fatal(err)
 	}
 	if err := fs.Symlink("/docs/cherry.txt", "/sel/mine"); err != nil {
@@ -94,19 +94,9 @@ func TestSetQueryEmptyClearsTransients(t *testing.T) {
 	}
 }
 
-func TestMkSemDirOnExistingPathFails(t *testing.T) {
-	fs := newTestFS(t)
-	if err := fs.MkSemDir("/docs", "apple"); !errors.Is(err, vfs.ErrExist) {
-		t.Fatalf("MkSemDir on existing dir err = %v", err)
-	}
-	if err := fs.MkSemDir("/docs/apple1.txt", "apple"); !errors.Is(err, vfs.ErrExist) {
-		t.Fatalf("MkSemDir on file err = %v", err)
-	}
-}
-
 func TestQueryDisplayPlainTerms(t *testing.T) {
 	fs := newTestFS(t)
-	if err := fs.MkSemDir("/sel", "apple AND banana"); err != nil {
+	if err := fs.SemDir("/sel", "apple AND banana"); err != nil {
 		t.Fatal(err)
 	}
 	disp, err := fs.QueryDisplay("/sel")
@@ -128,7 +118,7 @@ func TestLinksErrorSurface(t *testing.T) {
 func TestSemanticDirsListing(t *testing.T) {
 	fs := newTestFS(t)
 	for _, d := range []string{"/b-sel", "/a-sel"} {
-		if err := fs.MkSemDir(d, "apple"); err != nil {
+		if err := fs.SemDir(d, "apple"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -150,19 +140,19 @@ func TestSyncOnFileFails(t *testing.T) {
 
 func TestDeepLinkChainsInScope(t *testing.T) {
 	fs := newTestFS(t)
-	if err := fs.MkSemDir("/first", "apple"); err != nil {
+	if err := fs.SemDir("/first", "apple"); err != nil {
 		t.Fatal(err)
 	}
 	// A second semantic dir holds a link pointing at the FIRST dir's
 	// link (link-to-link); scope resolution must chase it to the file.
-	if err := fs.MkSemDir("/second", ""); err != nil {
+	if err := fs.SemDir("/second", ""); err != nil {
 		t.Fatal(err)
 	}
 	if err := fs.Symlink("/first/apple1.txt", "/second/indirect"); err != nil {
 		t.Fatal(err)
 	}
 	// A child of /second scopes over the resolved file.
-	if err := fs.MkSemDir("/second/sub", "fruit"); err != nil {
+	if err := fs.SemDir("/second/sub", "fruit"); err != nil {
 		t.Fatal(err)
 	}
 	targets, err := fs.LinkTargets("/second/sub")
@@ -171,9 +161,9 @@ func TestDeepLinkChainsInScope(t *testing.T) {
 	}
 }
 
-func TestMkSemDirUnderFileFails(t *testing.T) {
+func TestSemDirUnderFileFails(t *testing.T) {
 	fs := newTestFS(t)
-	err := fs.MkSemDir("/docs/apple1.txt/sub", "apple")
+	err := fs.SemDir("/docs/apple1.txt/sub", "apple")
 	if !errors.Is(err, vfs.ErrNotDir) && !errors.Is(err, vfs.ErrNotExist) {
 		t.Fatalf("err = %v", err)
 	}

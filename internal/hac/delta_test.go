@@ -310,7 +310,7 @@ func TestDeltaSyncConcurrentWriters(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 20; i++ {
-			if _, err := h.fs.SearchPaths("alpha OR bravo", "/"); err != nil {
+			if _, err := searchSorted(h.fs, "alpha OR bravo", "/"); err != nil {
 				t.Error(err)
 				return
 			}

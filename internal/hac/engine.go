@@ -157,8 +157,8 @@ func (fs *FS) evalCfg(opts []Option) evalConfig {
 // Because the read lock is released between evaluation and commit,
 // a user mutation can slip in. Every mutating operation bumps fs.gen
 // under the write lock; if the generation moved, the staged results
-// are discarded and the level is re-evaluated serially under the
-// write lock (the pre-parallel behavior), which is always safe.
+// are discarded and the level takes resyncLocked — the walk the serial
+// branch and every mutation path use — which is always safe.
 // ---------------------------------------------------------------------
 
 // stagedResult is one directory's computed transient target set,
@@ -186,17 +186,7 @@ func (fs *FS) syncOneLevel(level []uint64, cfg evalConfig) error {
 	if cfg.parallelism <= 1 || len(level) <= 1 {
 		fs.mu.Lock()
 		defer fs.mu.Unlock()
-		for _, uid := range level {
-			ds, ok := fs.dirs[uid]
-			if !ok || !ds.semantic {
-				continue
-			}
-			if err := fs.reevalCfgLocked(ds, cfg); err != nil {
-				return err
-			}
-		}
-		fs.gen++
-		return nil
+		return fs.resyncLocked(level, cfg)
 	}
 
 	// Evaluation phase: stage every directory's new target set under
@@ -255,20 +245,10 @@ func (fs *FS) syncOneLevel(level []uint64, cfg evalConfig) error {
 	defer fs.mu.Unlock()
 	if fs.gen != startGen {
 		// A mutation interleaved between evaluation and commit; the
-		// staged scopes may be stale. Fall back to serial
-		// re-evaluation under the write lock.
+		// staged scopes may be stale. Fall back to the serial branch's
+		// walk, now that the write lock is held.
 		fs.met.genFallbacks.Add(1)
-		for _, s := range staged {
-			ds, ok := fs.dirs[s.uid]
-			if !ok || !ds.semantic {
-				continue
-			}
-			if err := fs.reevalCfgLocked(ds, cfg); err != nil {
-				return err
-			}
-		}
-		fs.gen++
-		return nil
+		return fs.resyncLocked(level, cfg)
 	}
 	for _, s := range staged {
 		if s.err != nil {

@@ -5,7 +5,7 @@
 // vfs.FileSystem) that adds content-based access while preserving every
 // hierarchical operation:
 //
-//   - Semantic directories (MkSemDir) carry a query; HAC materializes
+//   - Semantic directories (SemDir) carry a query; HAC materializes
 //     the query result as symbolic links inside the directory.
 //   - Every link in a semantic directory is classified transient
 //     (query-produced), permanent (user-added) or prohibited
@@ -322,8 +322,7 @@ func (fs *FS) pathOfLocked(uid uint64) (string, bool) {
 // uid's scope, so their cached results are stale too). Caller holds
 // fs.mu for writing.
 func (fs *FS) bumpScopeEpochLocked(uid uint64) {
-	fs.scopeEpoch[uid]++
-	for _, dep := range fs.graph.AffectedBy(uid) {
+	for _, dep := range fs.graph.AffectedBy(uid, true) {
 		fs.scopeEpoch[dep]++
 	}
 }
@@ -540,7 +539,7 @@ func (fs *FS) Symlink(target, link string) error {
 		// explicit action overrides the prohibition (§2.3).
 		delete(ds.prohibited, target)
 		fs.bumpScopeEpochLocked(ds.uid)
-		return fs.syncDependentsLocked(ds.uid)
+		return fs.resyncLocked(fs.graph.AffectedBy(ds.uid, false), fs.evalCfg(nil))
 	}
 	return fs.under.Symlink(target, clean)
 }
@@ -562,12 +561,12 @@ func (fs *FS) Remove(path string) error {
 		return err
 	}
 	fs.mu.Lock()
-	rmErr := fs.removeLocked(clean, false)
+	err = fs.removeLocked(clean, false)
 	fs.mu.Unlock()
-	if rmErr == nil {
-		fs.autoSyncRemoved(clean, false)
+	if err != nil {
+		return err
 	}
-	return rmErr
+	return fs.autoSyncRemoved(clean, false)
 }
 
 // RemoveAll deletes path and everything beneath it, with the same
@@ -579,12 +578,12 @@ func (fs *FS) RemoveAll(path string) error {
 		return err
 	}
 	fs.mu.Lock()
-	rmErr := fs.removeLocked(clean, true)
+	err = fs.removeLocked(clean, true)
 	fs.mu.Unlock()
-	if rmErr == nil {
-		fs.autoSyncRemoved(clean, true)
+	if err != nil {
+		return err
 	}
-	return rmErr
+	return fs.autoSyncRemoved(clean, true)
 }
 
 func (fs *FS) removeLocked(clean string, recursive bool) error {
@@ -644,7 +643,7 @@ func (fs *FS) removeLocked(clean string, recursive bool) error {
 			prohibitIn.prohibited[prohibitTarget] = true
 		}
 		fs.bumpScopeEpochLocked(prohibitIn.uid)
-		return fs.syncDependentsLocked(prohibitIn.uid)
+		return fs.resyncLocked(fs.graph.AffectedBy(prohibitIn.uid, false), fs.evalCfg(nil))
 	}
 
 	// Drop bookkeeping for removed directories.
@@ -736,7 +735,7 @@ func (fs *FS) Rename(oldPath, newPath string) error {
 		}
 		for _, uid := range resync {
 			fs.bumpScopeEpochLocked(uid)
-			if err := fs.syncDependentsLocked(uid); err != nil {
+			if err := fs.resyncLocked(fs.graph.AffectedBy(uid, false), fs.evalCfg(nil)); err != nil {
 				return err
 			}
 		}
@@ -772,7 +771,7 @@ func (fs *FS) Rename(oldPath, newPath string) error {
 			return fs.deltaSyncLocked(newClean, true)
 		}
 		if moved != nil {
-			return fs.syncFromLocked(moved.uid)
+			return fs.resyncLocked(fs.graph.AffectedBy(moved.uid, true), fs.evalCfg(nil))
 		}
 		return nil
 	}

@@ -1,6 +1,7 @@
 package hac
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"sort"
@@ -42,6 +43,18 @@ func newTestFS(t *testing.T) *FS {
 	return fs
 }
 
+// searchSorted drains an ad-hoc Search under scope into one sorted
+// slice.
+func searchSorted(fs *FS, q, scope string) ([]string, error) {
+	res, err := fs.Search(context.Background(), q, WithScope(scope))
+	if err != nil {
+		return nil, err
+	}
+	paths := res.All()
+	sort.Strings(paths)
+	return paths, nil
+}
+
 // targetsOf returns the sorted link targets (transient+permanent) of a
 // semantic directory.
 func targetsOf(t *testing.T, fs *FS, dir string) []string {
@@ -66,9 +79,9 @@ func wantTargets(t *testing.T, fs *FS, dir string, want ...string) {
 	}
 }
 
-func TestMkSemDirPopulates(t *testing.T) {
+func TestSemDirPopulates(t *testing.T) {
 	fs := newTestFS(t)
-	if err := fs.MkSemDir("/sel", "apple"); err != nil {
+	if err := fs.SemDir("/sel", "apple"); err != nil {
 		t.Fatal(err)
 	}
 	if !fs.IsSemantic("/sel") {
@@ -97,9 +110,9 @@ func TestMkSemDirPopulates(t *testing.T) {
 	}
 }
 
-func TestMkSemDirEmptyQuery(t *testing.T) {
+func TestSemDirEmptyQuery(t *testing.T) {
 	fs := newTestFS(t)
-	if err := fs.MkSemDir("/empty", ""); err != nil {
+	if err := fs.SemDir("/empty", ""); err != nil {
 		t.Fatal(err)
 	}
 	wantTargets(t, fs, "/empty")
@@ -109,10 +122,10 @@ func TestMkSemDirEmptyQuery(t *testing.T) {
 	}
 }
 
-func TestMkSemDirBadQuery(t *testing.T) {
+func TestSemDirBadQuery(t *testing.T) {
 	fs := newTestFS(t)
-	if err := fs.MkSemDir("/bad", "((("); err == nil {
-		t.Fatal("MkSemDir with bad query succeeded")
+	if err := fs.SemDir("/bad", "((("); err == nil {
+		t.Fatal("SemDir with bad query succeeded")
 	}
 	// Directory must not have been created.
 	if _, err := fs.Stat("/bad"); !errors.Is(err, vfs.ErrNotExist) {
@@ -122,7 +135,7 @@ func TestMkSemDirBadQuery(t *testing.T) {
 
 func TestQueryRoundTrip(t *testing.T) {
 	fs := newTestFS(t)
-	if err := fs.MkSemDir("/sel", "apple AND NOT banana"); err != nil {
+	if err := fs.SemDir("/sel", "apple AND NOT banana"); err != nil {
 		t.Fatal(err)
 	}
 	q, err := fs.Query("/sel")
@@ -141,7 +154,7 @@ func TestQueryRoundTrip(t *testing.T) {
 func TestScopeRefinement(t *testing.T) {
 	fs := newTestFS(t)
 	// Parent scoped to /docs via its position in the hierarchy.
-	if err := fs.MkSemDir("/docs/fruity", "apple OR banana"); err != nil {
+	if err := fs.SemDir("/docs/fruity", "apple OR banana"); err != nil {
 		t.Fatal(err)
 	}
 	// Scope of /docs/fruity is the /docs subtree: /mail/m1.txt excluded.
@@ -150,14 +163,14 @@ func TestScopeRefinement(t *testing.T) {
 
 	// Child refines the parent's scope (§2.3): only files that are in
 	// the parent's link set can appear.
-	if err := fs.MkSemDir("/docs/fruity/apples", "apple"); err != nil {
+	if err := fs.SemDir("/docs/fruity/apples", "apple"); err != nil {
 		t.Fatal(err)
 	}
 	wantTargets(t, fs, "/docs/fruity/apples",
 		"/docs/apple1.txt", "/docs/apple2.txt")
 
 	// cherry matches nothing within the parent's scope.
-	if err := fs.MkSemDir("/docs/fruity/cherries", "cherry"); err != nil {
+	if err := fs.SemDir("/docs/fruity/cherries", "cherry"); err != nil {
 		t.Fatal(err)
 	}
 	wantTargets(t, fs, "/docs/fruity/cherries")
@@ -165,7 +178,7 @@ func TestScopeRefinement(t *testing.T) {
 
 func TestPermanentLinkSurvivesSync(t *testing.T) {
 	fs := newTestFS(t)
-	if err := fs.MkSemDir("/sel", "apple"); err != nil {
+	if err := fs.SemDir("/sel", "apple"); err != nil {
 		t.Fatal(err)
 	}
 	// User adds a link to a non-matching file: it becomes permanent.
@@ -198,7 +211,7 @@ func TestPermanentLinkSurvivesSync(t *testing.T) {
 
 func TestProhibitedNeverReturns(t *testing.T) {
 	fs := newTestFS(t)
-	if err := fs.MkSemDir("/sel", "apple"); err != nil {
+	if err := fs.SemDir("/sel", "apple"); err != nil {
 		t.Fatal(err)
 	}
 	// User deletes a transient link → prohibited.
@@ -236,7 +249,7 @@ func TestProhibitedNeverReturns(t *testing.T) {
 
 func TestUnprohibit(t *testing.T) {
 	fs := newTestFS(t)
-	if err := fs.MkSemDir("/sel", "apple"); err != nil {
+	if err := fs.SemDir("/sel", "apple"); err != nil {
 		t.Fatal(err)
 	}
 	if err := fs.Remove("/sel/apple1.txt"); err != nil {
@@ -253,7 +266,7 @@ func TestUnprohibit(t *testing.T) {
 
 func TestMarkPermanentAndProhibited(t *testing.T) {
 	fs := newTestFS(t)
-	if err := fs.MkSemDir("/sel", "apple"); err != nil {
+	if err := fs.SemDir("/sel", "apple"); err != nil {
 		t.Fatal(err)
 	}
 	// Footnote-1 API: direct manipulation of the link sets.
@@ -286,10 +299,10 @@ func TestMarkPermanentAndProhibited(t *testing.T) {
 
 func TestSetQueryPropagatesToChildren(t *testing.T) {
 	fs := newTestFS(t)
-	if err := fs.MkSemDir("/sel", "apple OR cherry"); err != nil {
+	if err := fs.SemDir("/sel", "apple OR cherry"); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.MkSemDir("/sel/mailonly", "mail"); err != nil {
+	if err := fs.SemDir("/sel/mailonly", "mail"); err != nil {
 		t.Fatal(err)
 	}
 	wantTargets(t, fs, "/sel/mailonly", "/mail/m1.txt", "/mail/m2.txt")
@@ -303,10 +316,10 @@ func TestSetQueryPropagatesToChildren(t *testing.T) {
 
 func TestParentEditPropagates(t *testing.T) {
 	fs := newTestFS(t)
-	if err := fs.MkSemDir("/sel", "apple"); err != nil {
+	if err := fs.SemDir("/sel", "apple"); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.MkSemDir("/sel/sub", "apple"); err != nil {
+	if err := fs.SemDir("/sel/sub", "apple"); err != nil {
 		t.Fatal(err)
 	}
 	wantTargets(t, fs, "/sel/sub",
@@ -331,7 +344,7 @@ func TestParentEditPropagates(t *testing.T) {
 
 func TestDataConsistencyIsLazy(t *testing.T) {
 	fs := newTestFS(t)
-	if err := fs.MkSemDir("/sel", "apple"); err != nil {
+	if err := fs.SemDir("/sel", "apple"); err != nil {
 		t.Fatal(err)
 	}
 	// A new matching file does not appear until Reindex (§2.4).
@@ -372,7 +385,7 @@ func TestDataConsistencyIsLazy(t *testing.T) {
 
 func TestDirRefQueries(t *testing.T) {
 	fs := newTestFS(t)
-	if err := fs.MkSemDir("/curated", "apple"); err != nil {
+	if err := fs.SemDir("/curated", "apple"); err != nil {
 		t.Fatal(err)
 	}
 	// Hand-tune the curated set.
@@ -383,7 +396,7 @@ func TestDirRefQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A query combining search with the curated directory (§2.5).
-	if err := fs.MkSemDir("/combo", "dir:/curated AND NOT banana"); err != nil {
+	if err := fs.SemDir("/combo", "dir:/curated AND NOT banana"); err != nil {
 		t.Fatal(err)
 	}
 	wantTargets(t, fs, "/combo", "/docs/apple1.txt", "/docs/cherry.txt")
@@ -404,7 +417,7 @@ func TestDAGScopingSkipsParentRestriction(t *testing.T) {
 	}
 	// Hierarchical scoping: the parent provides no files, so a plain
 	// query matches nothing.
-	if err := fs.MkSemDir("/folders/plain", "apple"); err != nil {
+	if err := fs.SemDir("/folders/plain", "apple"); err != nil {
 		t.Fatal(err)
 	}
 	wantTargets(t, fs, "/folders/plain")
@@ -412,7 +425,7 @@ func TestDAGScopingSkipsParentRestriction(t *testing.T) {
 	// DAG scoping (§2.5): an explicit dir: reference replaces the
 	// implicit parent restriction, so the folder can classify files
 	// that live elsewhere.
-	if err := fs.MkSemDir("/folders/bydir", "dir:/docs AND apple"); err != nil {
+	if err := fs.SemDir("/folders/bydir", "dir:/docs AND apple"); err != nil {
 		t.Fatal(err)
 	}
 	wantTargets(t, fs, "/folders/bydir", "/docs/apple1.txt", "/docs/apple2.txt")
@@ -420,10 +433,10 @@ func TestDAGScopingSkipsParentRestriction(t *testing.T) {
 
 func TestDirRefSurvivesRename(t *testing.T) {
 	fs := newTestFS(t)
-	if err := fs.MkSemDir("/curated", "apple"); err != nil {
+	if err := fs.SemDir("/curated", "apple"); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.MkSemDir("/combo", "dir:/curated"); err != nil {
+	if err := fs.SemDir("/combo", "dir:/curated"); err != nil {
 		t.Fatal(err)
 	}
 	// §2.5: renaming the referenced directory only updates the global
@@ -447,10 +460,10 @@ func TestDirRefSurvivesRename(t *testing.T) {
 
 func TestDirRefCycleRejected(t *testing.T) {
 	fs := newTestFS(t)
-	if err := fs.MkSemDir("/a", "apple"); err != nil {
+	if err := fs.SemDir("/a", "apple"); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.MkSemDir("/b", "dir:/a"); err != nil {
+	if err := fs.SemDir("/b", "dir:/a"); err != nil {
 		t.Fatal(err)
 	}
 	err := fs.SetQuery("/a", "dir:/b")
@@ -466,17 +479,17 @@ func TestDirRefCycleRejected(t *testing.T) {
 
 func TestDanglingDirRef(t *testing.T) {
 	fs := newTestFS(t)
-	if err := fs.MkSemDir("/sel", "dir:/nonexistent"); !errors.Is(err, ErrDanglingRef) {
+	if err := fs.SemDir("/sel", "dir:/nonexistent"); !errors.Is(err, ErrDanglingRef) {
 		t.Fatalf("dangling ref err = %v", err)
 	}
 }
 
 func TestRemoveReferencedDirRefused(t *testing.T) {
 	fs := newTestFS(t)
-	if err := fs.MkSemDir("/curated", "apple"); err != nil {
+	if err := fs.SemDir("/curated", "apple"); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.MkSemDir("/combo", "dir:/curated"); err != nil {
+	if err := fs.SemDir("/combo", "dir:/curated"); err != nil {
 		t.Fatal(err)
 	}
 	if err := fs.RemoveAll("/curated"); !errors.Is(err, ErrDependedOn) {
@@ -493,7 +506,7 @@ func TestRemoveReferencedDirRefused(t *testing.T) {
 
 func TestMoveSemanticDirChangesScope(t *testing.T) {
 	fs := newTestFS(t)
-	if err := fs.MkSemDir("/docs/sel", "apple OR cherry"); err != nil {
+	if err := fs.SemDir("/docs/sel", "apple OR cherry"); err != nil {
 		t.Fatal(err)
 	}
 	wantTargets(t, fs, "/docs/sel",
@@ -514,10 +527,10 @@ func TestMoveSemanticDirChangesScope(t *testing.T) {
 
 func TestMoveLinkBetweenSemanticDirs(t *testing.T) {
 	fs := newTestFS(t)
-	if err := fs.MkSemDir("/apples", "apple"); err != nil {
+	if err := fs.SemDir("/apples", "apple"); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.MkSemDir("/cherries", "cherry"); err != nil {
+	if err := fs.SemDir("/cherries", "cherry"); err != nil {
 		t.Fatal(err)
 	}
 	// Move a query result from one semantic dir to another: deletion
@@ -542,7 +555,7 @@ func TestMoveLinkBetweenSemanticDirs(t *testing.T) {
 	wantTargets(t, fs, "/apples", "/docs/apple2.txt", "/mail/m1.txt")
 }
 
-func TestMakeSemantic(t *testing.T) {
+func TestSemDirConvertsInPlace(t *testing.T) {
 	fs := newTestFS(t)
 	// /docs exists with files; convert it in place.
 	if err := fs.MkdirAll("/hand"); err != nil {
@@ -551,7 +564,7 @@ func TestMakeSemantic(t *testing.T) {
 	if err := fs.Symlink("/mail/m2.txt", "/hand/keep.txt"); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.MakeSemantic("/hand", "apple"); err != nil {
+	if err := fs.SemDir("/hand", "apple"); err != nil {
 		t.Fatal(err)
 	}
 	// Pre-existing symlink adopted as permanent; query results added.
@@ -563,15 +576,15 @@ func TestMakeSemantic(t *testing.T) {
 			t.Fatalf("adopted link class = %v", l.Class)
 		}
 	}
-	if err := fs.MakeSemantic("/docs/apple1.txt", "x"); !errors.Is(err, vfs.ErrNotDir) {
-		t.Fatalf("MakeSemantic on file err = %v", err)
+	if err := fs.SemDir("/docs/apple1.txt", "x"); !errors.Is(err, vfs.ErrNotDir) {
+		t.Fatalf("SemDir on file err = %v", err)
 	}
 }
 
 func TestFuzzyQueryEndToEnd(t *testing.T) {
 	fs := newTestFS(t)
 	// "~aple" is one edit from "apple"; Glimpse-style approximate match.
-	if err := fs.MkSemDir("/sel", "~aple"); err != nil {
+	if err := fs.SemDir("/sel", "~aple"); err != nil {
 		t.Fatal(err)
 	}
 	wantTargets(t, fs, "/sel",
@@ -580,7 +593,7 @@ func TestFuzzyQueryEndToEnd(t *testing.T) {
 
 func TestSearch(t *testing.T) {
 	fs := newTestFS(t)
-	got, err := fs.SearchPaths("apple AND banana", "/")
+	got, err := searchSorted(fs, "apple AND banana", "/")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -588,12 +601,12 @@ func TestSearch(t *testing.T) {
 		t.Fatalf("Search = %v", got)
 	}
 	// Scoped search.
-	got, err = fs.SearchPaths("apple", "/mail")
+	got, err = searchSorted(fs, "apple", "/mail")
 	if err != nil || !reflect.DeepEqual(got, []string{"/mail/m1.txt"}) {
 		t.Fatalf("scoped Search = %v, %v", got, err)
 	}
 	// Empty query.
-	got, err = fs.SearchPaths("", "/")
+	got, err = searchSorted(fs, "", "/")
 	if err != nil || got != nil {
 		t.Fatalf("empty Search = %v, %v", got, err)
 	}
@@ -601,7 +614,7 @@ func TestSearch(t *testing.T) {
 
 func TestExtractLocal(t *testing.T) {
 	fs := newTestFS(t)
-	if err := fs.MkSemDir("/sel", "cherry"); err != nil {
+	if err := fs.SemDir("/sel", "cherry"); err != nil {
 		t.Fatal(err)
 	}
 	data, err := fs.Extract("/sel/cherry.txt")
@@ -632,7 +645,7 @@ func TestLinkNameCollisions(t *testing.T) {
 	if _, err := fs.Reindex("/"); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.MkSemDir("/sel", "needle"); err != nil {
+	if err := fs.SemDir("/sel", "needle"); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := fs.ReadDir("/sel")
@@ -735,7 +748,7 @@ func TestRenameDirKeepsIndexAndCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The index followed the rename without a Reindex.
-	got, err := fs.SearchPaths("cherry", "/papers")
+	got, err := searchSorted(fs, "cherry", "/papers")
 	if err != nil || len(got) != 1 || got[0] != "/papers/cherry.txt" {
 		t.Fatalf("Search after dir rename = %v, %v", got, err)
 	}
@@ -746,7 +759,7 @@ func TestRenameDirKeepsIndexAndCache(t *testing.T) {
 
 func TestStatsAndFootprints(t *testing.T) {
 	fs := newTestFS(t)
-	if err := fs.MkSemDir("/sel", "apple"); err != nil {
+	if err := fs.SemDir("/sel", "apple"); err != nil {
 		t.Fatal(err)
 	}
 	s := fs.Stats()
@@ -766,10 +779,10 @@ func TestStatsAndFootprints(t *testing.T) {
 
 func TestSyncIdempotent(t *testing.T) {
 	fs := newTestFS(t)
-	if err := fs.MkSemDir("/sel", "apple OR banana"); err != nil {
+	if err := fs.SemDir("/sel", "apple OR banana"); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.MkSemDir("/sel/sub", "banana"); err != nil {
+	if err := fs.SemDir("/sel/sub", "banana"); err != nil {
 		t.Fatal(err)
 	}
 	first := targetsOf(t, fs, "/sel/sub")

@@ -147,7 +147,7 @@ func (fs *FS) SemanticMount(path string, ns Namespace) error {
 	fs.mounts[clean] = append(fs.mounts[clean], ns)
 	fs.gen++
 	// Queries whose scope covers the new mount must import its results.
-	return fs.syncAllLocked()
+	return fs.resyncLocked(fs.semanticOrderLocked(), fs.evalCfg(nil))
 }
 
 // SemanticUnmount detaches the named namespace from the mount point at
@@ -167,7 +167,7 @@ func (fs *FS) SemanticUnmount(path, nsName string) error {
 				delete(fs.mounts, clean)
 			}
 			fs.gen++
-			return fs.syncAllLocked()
+			return fs.resyncLocked(fs.semanticOrderLocked(), fs.evalCfg(nil))
 		}
 	}
 	return fmt.Errorf("%w: %s at %s", ErrNoNamespace, nsName, clean)
@@ -187,21 +187,6 @@ func (fs *FS) SemanticMounts() map[string][]string {
 		out[p] = names
 	}
 	return out
-}
-
-// syncAllLocked is SyncAll with fs.mu already held for writing (always
-// serial — used by mutation paths).
-func (fs *FS) syncAllLocked() error {
-	for _, uid := range fs.graph.TopoAll() {
-		ds, ok := fs.dirs[uid]
-		if !ok || !ds.semantic {
-			continue
-		}
-		if err := fs.reevalLocked(ds); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // evalRemoteLocked computes the remote link targets for ds's query

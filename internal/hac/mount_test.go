@@ -83,7 +83,7 @@ func TestSemanticMountImportsResults(t *testing.T) {
 	if err := fs.SemanticMount("/lib", digLibrary()); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.MkSemDir("/fp", "fingerprint"); err != nil {
+	if err := fs.SemDir("/fp", "fingerprint"); err != nil {
 		t.Fatal(err)
 	}
 	targets := targetsOf(t, fs, "/fp")
@@ -128,7 +128,7 @@ func TestSemanticMountMixedLocalRemote(t *testing.T) {
 	if err := fs.SemanticMount("/lib", digLibrary()); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.MkSemDir("/fp", "fingerprint"); err != nil {
+	if err := fs.SemDir("/fp", "fingerprint"); err != nil {
 		t.Fatal(err)
 	}
 	targets := targetsOf(t, fs, "/fp")
@@ -161,7 +161,7 @@ func TestMultipleSemanticMount(t *testing.T) {
 	if err := fs.SemanticMount("/lib", other); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.MkSemDir("/fp", "fingerprint"); err != nil {
+	if err := fs.SemDir("/fp", "fingerprint"); err != nil {
 		t.Fatal(err)
 	}
 	targets := targetsOf(t, fs, "/fp")
@@ -210,7 +210,7 @@ func TestSemanticUnmount(t *testing.T) {
 	if err := fs.SemanticMount("/lib", digLibrary()); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.MkSemDir("/fp", "fingerprint"); err != nil {
+	if err := fs.SemDir("/fp", "fingerprint"); err != nil {
 		t.Fatal(err)
 	}
 	if len(targetsOf(t, fs, "/fp")) != 3 {
@@ -234,13 +234,13 @@ func TestRemoteScopeRefinement(t *testing.T) {
 	if err := fs.SemanticMount("/lib", digLibrary()); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.MkSemDir("/fp", "fingerprint"); err != nil {
+	if err := fs.SemDir("/fp", "fingerprint"); err != nil {
 		t.Fatal(err)
 	}
 	// Child of a semantic dir: remote scope is the parent's remote
 	// links. "matching" only matches fp-matching.ps, which the parent
 	// holds.
-	if err := fs.MkSemDir("/fp/match", "matching"); err != nil {
+	if err := fs.SemDir("/fp/match", "matching"); err != nil {
 		t.Fatal(err)
 	}
 	targets := targetsOf(t, fs, "/fp/match")
@@ -272,7 +272,7 @@ func TestRemoteProhibition(t *testing.T) {
 	if err := fs.SemanticMount("/lib", digLibrary()); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.MkSemDir("/fp", "fingerprint"); err != nil {
+	if err := fs.SemDir("/fp", "fingerprint"); err != nil {
 		t.Fatal(err)
 	}
 	// The paper's example: remove the crime story even though it
@@ -304,7 +304,7 @@ func TestExtractRemote(t *testing.T) {
 	if err := fs.SemanticMount("/lib", digLibrary()); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.MkSemDir("/fp", "sensor"); err != nil {
+	if err := fs.SemDir("/fp", "sensor"); err != nil {
 		t.Fatal(err)
 	}
 	entries, _ := fs.ReadDir("/fp")
@@ -340,7 +340,7 @@ func TestScopeExcludesMountOutsideParent(t *testing.T) {
 	}
 	// A semantic dir whose parent is /docs: the mount at /lib is not in
 	// its scope, so no remote results appear.
-	if err := fs.MkSemDir("/docs/fp", "fingerprint"); err != nil {
+	if err := fs.SemDir("/docs/fp", "fingerprint"); err != nil {
 		t.Fatal(err)
 	}
 	wantTargets(t, fs, "/docs/fp")

@@ -74,7 +74,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	if err := fs.SyncAll(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fs.SearchPaths("compute", "/src"); err != nil {
+	if _, err := searchSorted(fs, "compute", "/src"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -165,7 +165,7 @@ func TestObserverConcurrentScrape(t *testing.T) {
 					t.Errorf("SyncAll: %v", err)
 					return
 				}
-				if _, err := fs.SearchPaths("mix", "/src"); err != nil {
+				if _, err := searchSorted(fs, "mix", "/src"); err != nil {
 					t.Errorf("Search: %v", err)
 					return
 				}

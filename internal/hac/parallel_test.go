@@ -122,8 +122,8 @@ func TestParallelSyncDeterministic(t *testing.T) {
 			t.Fatalf("seed %d: suspiciously few links — scope misconfigured?\n%s", seed, a)
 		}
 		for _, q := range []string{"apple", "banana AND olive", "dir:/q-fruit"} {
-			sa, errA := serial.SearchPaths(q, "/")
-			pb, errB := par.SearchPaths(q, "/")
+			sa, errA := searchSorted(serial, q, "/")
+			pb, errB := searchSorted(par, q, "/")
 			if (errA == nil) != (errB == nil) {
 				t.Fatalf("seed %d: Search(%q) errors differ: %v vs %v", seed, q, errA, errB)
 			}
@@ -199,7 +199,7 @@ func TestParallelSyncConcurrentMutation(t *testing.T) {
 					return
 				default:
 				}
-				fs.SearchPaths("apple OR banana", "/")
+				searchSorted(fs, "apple OR banana", "/")
 				fs.ReadDir("/q-fruit")
 				fs.LinkTargets("/q-deep")
 				fs.Stats()
@@ -263,8 +263,8 @@ func TestParallelReindexMatchesSerial(t *testing.T) {
 		t.Fatalf("IndexReport differs: serial %+v, parallel %+v", repS, repP)
 	}
 	for _, w := range words {
-		sa, _ := serial.SearchPaths(w, "/")
-		pb, _ := par.SearchPaths(w, "/")
+		sa, _ := searchSorted(serial, w, "/")
+		pb, _ := searchSorted(par, w, "/")
 		if fmt.Sprint(sa) != fmt.Sprint(pb) {
 			t.Fatalf("Search(%q) = %v (serial) vs %v (parallel)", w, sa, pb)
 		}

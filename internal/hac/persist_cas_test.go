@@ -69,7 +69,7 @@ func blobSectionLen(t *testing.T, img []byte, mainLen int) int {
 
 func TestVolumeV4RoundTrip(t *testing.T) {
 	fs := newCASTestFS(t, nil)
-	if err := fs.MkSemDir("/sel", "apple AND NOT banana"); err != nil {
+	if err := fs.SemDir("/sel", "apple AND NOT banana"); err != nil {
 		t.Fatal(err)
 	}
 	img := saveImage(t, fs)
@@ -209,7 +209,7 @@ func TestVolumeV4SharedStoreDedup(t *testing.T) {
 // blob's own SHA-256, there is no separate checksum to miss.
 func TestVolumeV4CorruptionRejected(t *testing.T) {
 	fs := newCASTestFS(t, nil)
-	if err := fs.MkSemDir("/sel", "apple"); err != nil {
+	if err := fs.SemDir("/sel", "apple"); err != nil {
 		t.Fatal(err)
 	}
 	good := saveImage(t, fs)
@@ -276,7 +276,7 @@ func TestVolumeV4FailedLoadLeavesSharedStoreClean(t *testing.T) {
 // still restores the volume.
 func TestVolumeV4CrashDuringSave(t *testing.T) {
 	fs := newCASTestFS(t, nil)
-	if err := fs.MkSemDir("/sel", "apple"); err != nil {
+	if err := fs.SemDir("/sel", "apple"); err != nil {
 		t.Fatal(err)
 	}
 	good := saveImage(t, fs)

@@ -29,7 +29,7 @@ func saveLoad(t *testing.T, fs *FS) *FS {
 
 func TestVolumeRoundTripBasics(t *testing.T) {
 	fs := newTestFS(t)
-	if err := fs.MkSemDir("/sel", "apple AND NOT banana"); err != nil {
+	if err := fs.SemDir("/sel", "apple AND NOT banana"); err != nil {
 		t.Fatal(err)
 	}
 	restored := saveLoad(t, fs)
@@ -56,7 +56,7 @@ func TestVolumeRoundTripBasics(t *testing.T) {
 
 func TestVolumeRoundTripUserEdits(t *testing.T) {
 	fs := newTestFS(t)
-	if err := fs.MkSemDir("/sel", "apple"); err != nil {
+	if err := fs.SemDir("/sel", "apple"); err != nil {
 		t.Fatal(err)
 	}
 	// A prohibition and a permanent link — the user's investment the
@@ -105,10 +105,10 @@ func TestVolumeRoundTripUserEdits(t *testing.T) {
 
 func TestVolumeRoundTripDirRefs(t *testing.T) {
 	fs := newTestFS(t)
-	if err := fs.MkSemDir("/curated", "apple"); err != nil {
+	if err := fs.SemDir("/curated", "apple"); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.MkSemDir("/combo", "dir:/curated AND NOT banana"); err != nil {
+	if err := fs.SemDir("/combo", "dir:/curated AND NOT banana"); err != nil {
 		t.Fatal(err)
 	}
 	want := targetsOf(t, fs, "/combo")
@@ -135,10 +135,10 @@ func TestVolumeRoundTripDirRefs(t *testing.T) {
 
 func TestVolumeRoundTripHierarchy(t *testing.T) {
 	fs := newTestFS(t)
-	if err := fs.MkSemDir("/sel", "apple OR cherry"); err != nil {
+	if err := fs.SemDir("/sel", "apple OR cherry"); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.MkSemDir("/sel/sub", "cherry"); err != nil {
+	if err := fs.SemDir("/sel/sub", "cherry"); err != nil {
 		t.Fatal(err)
 	}
 	want := targetsOf(t, fs, "/sel/sub")
@@ -236,7 +236,7 @@ func mainFrameLen(t *testing.T, img []byte) int {
 // must be indistinguishable from the original.
 func TestLoadVolumeRejectsCorruption(t *testing.T) {
 	fs := newTestFS(t)
-	if err := fs.MkSemDir("/sel", "apple"); err != nil {
+	if err := fs.SemDir("/sel", "apple"); err != nil {
 		t.Fatal(err)
 	}
 	want := targetsOf(t, fs, "/sel")
@@ -332,7 +332,7 @@ func legacyImageOf(t *testing.T, fs *FS) []byte {
 // from scratch — and the next save writes the current format.
 func TestLoadVolumeLegacyV2(t *testing.T) {
 	fs := newTestFS(t)
-	if err := fs.MkSemDir("/sel", "apple"); err != nil {
+	if err := fs.SemDir("/sel", "apple"); err != nil {
 		t.Fatal(err)
 	}
 	want := targetsOf(t, fs, "/sel")
@@ -385,7 +385,7 @@ func TestLoadVolumeTornSegmentBlock(t *testing.T) {
 	if _, err := fs.Reindex("/"); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.MkSemDir("/sel", "apple"); err != nil {
+	if err := fs.SemDir("/sel", "apple"); err != nil {
 		t.Fatal(err)
 	}
 	want := targetsOf(t, fs, "/sel")
@@ -421,7 +421,7 @@ func TestLoadVolumeTornSegmentBlock(t *testing.T) {
 
 func TestSaveVolumeFileAtomic(t *testing.T) {
 	fs := newTestFS(t)
-	if err := fs.MkSemDir("/sel", "apple"); err != nil {
+	if err := fs.SemDir("/sel", "apple"); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "vol.hac")
@@ -471,7 +471,7 @@ func TestSaveVolumeFileAtomic(t *testing.T) {
 // image with all user edits (prohibitions, permanent links) intact.
 func TestCrashDuringSaveLeavesPriorImageUsable(t *testing.T) {
 	fs := newTestFS(t)
-	if err := fs.MkSemDir("/sel", "apple"); err != nil {
+	if err := fs.SemDir("/sel", "apple"); err != nil {
 		t.Fatal(err)
 	}
 	if err := fs.Remove("/sel/apple2.txt"); err != nil { // prohibition
@@ -519,7 +519,7 @@ func TestCrashDuringSaveLeavesPriorImageUsable(t *testing.T) {
 // even after LoadVolume plus an explicit Reindex plus a SyncAll.
 func TestProhibitedSurvivesLoadAndReindex(t *testing.T) {
 	fs := newTestFS(t)
-	if err := fs.MkSemDir("/sel", "apple"); err != nil {
+	if err := fs.SemDir("/sel", "apple"); err != nil {
 		t.Fatal(err)
 	}
 	if err := fs.Remove("/sel/apple1.txt"); err != nil {

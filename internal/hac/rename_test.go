@@ -15,7 +15,7 @@ import (
 
 func TestPermanentLinkFollowsFileRename(t *testing.T) {
 	fs := newTestFS(t)
-	if err := fs.MkSemDir("/sel", "apple"); err != nil {
+	if err := fs.SemDir("/sel", "apple"); err != nil {
 		t.Fatal(err)
 	}
 	// A permanent link to a non-matching file.
@@ -50,7 +50,7 @@ func TestPermanentLinkFollowsFileRename(t *testing.T) {
 
 func TestProhibitionFollowsFileRename(t *testing.T) {
 	fs := newTestFS(t)
-	if err := fs.MkSemDir("/sel", "apple"); err != nil {
+	if err := fs.SemDir("/sel", "apple"); err != nil {
 		t.Fatal(err)
 	}
 	if err := fs.Remove("/sel/apple1.txt"); err != nil {
@@ -72,7 +72,7 @@ func TestProhibitionFollowsFileRename(t *testing.T) {
 
 func TestLinksFollowDirectoryRename(t *testing.T) {
 	fs := newTestFS(t)
-	if err := fs.MkSemDir("/sel", "apple"); err != nil {
+	if err := fs.SemDir("/sel", "apple"); err != nil {
 		t.Fatal(err)
 	}
 	if err := fs.Symlink("/docs/cherry.txt", "/sel/pinned.txt"); err != nil {
@@ -107,7 +107,7 @@ func TestLinksFollowDirectoryRename(t *testing.T) {
 // CI runs this under the race detector.
 func TestConcurrentRenameAndSync(t *testing.T) {
 	fs := newTestFS(t)
-	if err := fs.MkSemDir("/sel", "apple"); err != nil {
+	if err := fs.SemDir("/sel", "apple"); err != nil {
 		t.Fatal(err)
 	}
 	stopMerger := fs.Index().StartMerger(time.Millisecond)
@@ -141,7 +141,7 @@ func TestConcurrentRenameAndSync(t *testing.T) {
 	go func() { // searches against pinned snapshots
 		defer wg.Done()
 		for i := 0; i < rounds; i++ {
-			if _, err := fs.SearchPaths("apple", "/"); err != nil {
+			if _, err := searchSorted(fs, "apple", "/"); err != nil {
 				t.Errorf("search: %v", err)
 				return
 			}
@@ -175,7 +175,7 @@ func TestConcurrentRenameAndSync(t *testing.T) {
 	if problems := fs.CheckConsistency(); len(problems) != 0 {
 		t.Fatalf("inconsistent after concurrent rename/sync: %v", problems)
 	}
-	got, err := fs.SearchPaths("apple", "/")
+	got, err := searchSorted(fs, "apple", "/")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,10 +211,10 @@ func TestDirRenameUnderQueryRefAcrossCrash(t *testing.T) {
 	}
 	// /apples references /fruit by dir: — the dependency the rename
 	// must not sever.
-	if err := fs.MkSemDir("/fruit", "fruit"); err != nil {
+	if err := fs.SemDir("/fruit", "fruit"); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.MkSemDir("/apples", "apple AND dir:/fruit"); err != nil {
+	if err := fs.SemDir("/apples", "apple AND dir:/fruit"); err != nil {
 		t.Fatal(err)
 	}
 	wantTargets(t, fs, "/apples", "/docs/apple1.txt")

@@ -11,7 +11,7 @@ import (
 
 func TestSchedulerPeriodicReindex(t *testing.T) {
 	fs := newTestFS(t)
-	if err := fs.MkSemDir("/sel", "apple"); err != nil {
+	if err := fs.SemDir("/sel", "apple"); err != nil {
 		t.Fatal(err)
 	}
 	before := len(targetsOf(t, fs, "/sel"))
@@ -41,7 +41,7 @@ func TestSchedulerPeriodicReindex(t *testing.T) {
 
 func TestSchedulerTriggerNow(t *testing.T) {
 	fs := newTestFS(t)
-	if err := fs.MkSemDir("/sel", "apple"); err != nil {
+	if err := fs.SemDir("/sel", "apple"); err != nil {
 		t.Fatal(err)
 	}
 	s := fs.StartAutoReindex("/", time.Hour) // ticker effectively never fires
@@ -90,7 +90,7 @@ func TestRegisterTransducerThroughHAC(t *testing.T) {
 	if _, err := fs.Reindex("/"); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.MkSemDir("/fromzed", "from:zed"); err != nil {
+	if err := fs.SemDir("/fromzed", "from:zed"); err != nil {
 		t.Fatal(err)
 	}
 	wantTargets(t, fs, "/fromzed", "/mail/m9.eml")

@@ -3,7 +3,6 @@ package hac
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strconv"
 	"time"
 
@@ -79,8 +78,7 @@ type SearchStats struct {
 // one result answers from the same evaluation however the volume moves
 // meanwhile (a document removed since is skipped, not reported).
 // Iteration order is document-ID order (stable for a given volume), not
-// lexicographic; SearchPaths sorts for callers that want the old
-// behavior. A SearchResult is not safe for concurrent use.
+// lexicographic. A SearchResult is not safe for concurrent use.
 type SearchResult struct {
 	snap      *index.Snapshot
 	it        *bitset.SegmentedIter // positioned at the next match; nil when empty
@@ -219,67 +217,30 @@ func (fs *FS) Search(ctx context.Context, queryStr string, opts ...SearchOption)
 		return nil, err
 	}
 
-	// Phase 1, under the volume read lock: bind path references, pin an
-	// index snapshot, resolve every semantic input (dir: references and
-	// a semantic scope) to a concrete document set, and record the
-	// epochs the result depends on. Everything afterwards runs off the
-	// snapshot alone.
 	fs.mu.RLock()
-	env := &plan.SnapEnv{Snap: fs.ix.Snapshot()}
-	var deps []plan.Dep
-	refs := query.Refs(ast)
-	if len(refs) > 0 {
-		env.Refs = make(map[uint64]*bitset.Segmented, len(refs))
-	}
-	for _, ref := range refs {
-		if ref.UID == 0 {
-			rp, cerr := vfs.Clean(ref.Path)
-			if cerr != nil {
-				fs.mu.RUnlock()
-				return nil, &vfs.PathError{Op: "search", Path: "dir:" + ref.Path, Err: ErrDanglingRef}
-			}
-			uid, ok := fs.names.UIDOf(rp)
-			if !ok {
-				fs.mu.RUnlock()
-				return nil, &vfs.PathError{Op: "search", Path: "dir:" + rp, Err: ErrDanglingRef}
-			}
-			ref.UID = uid
-		}
-		if _, seen := env.Refs[ref.UID]; seen {
-			continue
-		}
-		p, ok := fs.pathOfLocked(ref.UID)
-		if !ok {
-			fs.mu.RUnlock()
-			return nil, &vfs.PathError{Op: "search", Path: fmt.Sprintf("dir:#%d", ref.UID), Err: ErrDanglingRef}
-		}
-		env.Refs[ref.UID] = fs.providedScopeLocalLocked(env.Snap, p)
-		deps = append(deps, plan.Dep{UID: ref.UID, Epoch: fs.scopeEpoch[ref.UID]})
-	}
-	sc := plan.Scope{Prefix: clean}
-	scopeKey := "p:" + clean
-	if ds, ok := fs.stateAtLocked(clean); ok && ds.semantic {
-		sc = plan.Scope{Set: fs.providedScopeLocalLocked(env.Snap, clean)}
-		scopeKey = "u:" + strconv.FormatUint(ds.uid, 10)
-		deps = append(deps, plan.Dep{UID: ds.uid, Epoch: fs.scopeEpoch[ds.uid]})
-	}
+	b, err := fs.bindLocked(ast, clean)
 	fs.mu.RUnlock()
-
-	p, err := plan.Build(ast, sc, env)
 	if err != nil {
 		return nil, err
 	}
-	fs.met.plansBuilt.Add(1)
+	p, err := fs.buildPlan(ast, b)
+	if err != nil {
+		return nil, err
+	}
 
 	// The key is the canonical bound query plus the scope's identity;
 	// validity is the index version the entry was computed at plus the
 	// link-set epoch of every directory it read.
+	scopeKey := "p:" + clean
+	if b.scopeUID != 0 {
+		scopeKey = "u:" + strconv.FormatUint(b.scopeUID, 10)
+	}
 	key := ast.String() + "\x00" + scopeKey
-	version := env.Snap.Version()
+	version := b.env.Snap.Version()
 	var res *bitset.Segmented
 	cached := false
 	if !cfg.noCache {
-		if res, cached = fs.qcache.Get(key, version, deps); cached {
+		if res, cached = fs.qcache.Get(key, version, b.deps); cached {
 			fs.met.planCacheHits.Add(1)
 		} else {
 			fs.met.planCacheMisses.Add(1)
@@ -289,17 +250,13 @@ func (fs *FS) Search(ctx context.Context, queryStr string, opts ...SearchOption)
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		evalStart := time.Now()
-		res, err = p.Exec()
-		fs.met.queryEvalSeconds.ObserveSince(evalStart)
-		if err != nil {
+		if res, err = fs.execPlan(p); err != nil {
 			return nil, err
 		}
-		fs.met.postingsSkipped.Add(int64(p.Stats().PostingsSkipped))
 		if !cfg.noCache {
 			// Published as is: the set is read-only from here on, for
 			// this result as for every later hit (plan.Cache).
-			fs.qcache.Put(key, res, version, deps)
+			fs.qcache.Put(key, res, version, b.deps)
 		}
 	}
 
@@ -309,7 +266,7 @@ func (fs *FS) Search(ctx context.Context, queryStr string, opts ...SearchOption)
 	}
 	st := p.Stats()
 	return &SearchResult{
-		snap:      env.Snap,
+		snap:      b.env.Snap,
 		it:        res.IterFrom(cfg.after),
 		remaining: matches,
 		pageSize:  cfg.pageSize,
@@ -324,20 +281,84 @@ func (fs *FS) Search(ctx context.Context, queryStr string, opts ...SearchOption)
 	}, nil
 }
 
-// SearchPaths evaluates queryStr against the scope provided by
-// scopePath and returns every matching local path, sorted — the
-// original Search signature.
-//
-// Deprecated: use Search, which pages results lazily and exposes the
-// evaluation plan; SearchPaths materializes everything eagerly.
-func (fs *FS) SearchPaths(queryStr, scopePath string) ([]string, error) {
-	res, err := fs.Search(context.Background(), queryStr, WithScope(scopePath))
-	if err != nil {
-		return nil, err
+// boundQuery is a query ready to plan: the snapshot it will run against
+// with every directory reference resolved to a document set, the scope
+// as the planner takes it, and the link-set epochs the answer depends
+// on.
+type boundQuery struct {
+	env      *plan.SnapEnv
+	scope    plan.Scope
+	scopeUID uint64 // the scope directory's UID when it is semantic, else 0
+	deps     []plan.Dep
+}
+
+// bindLocked is the one place a query meets the index and the directory
+// state — under an ad-hoc Search and under every semantic-directory
+// evaluation alike. It binds dir: paths in ast to UIDs, pins one index
+// snapshot, resolves every referenced directory and the scope to the
+// document set it provides (§2.3), and records the epochs of the link
+// sets it read. scopePath "" is no scope at all: a directory whose
+// query carries dir: references has chosen DAG-based scoping, and the
+// paper leaves its scope entirely to the query. Everything a plan does
+// afterwards runs off the snapshot alone. Caller holds fs.mu (read
+// suffices: a stored query's references are already bound, so nothing
+// is written).
+func (fs *FS) bindLocked(ast query.Node, scopePath string) (boundQuery, error) {
+	b := boundQuery{env: &plan.SnapEnv{Snap: fs.ix.Snapshot()}}
+	refs := query.Refs(ast)
+	if len(refs) > 0 {
+		b.env.Refs = make(map[uint64]*bitset.Segmented, len(refs))
 	}
-	paths := res.All()
-	sort.Strings(paths)
-	return paths, nil
+	for _, ref := range refs {
+		if ref.UID == 0 {
+			rp, cerr := vfs.Clean(ref.Path)
+			if cerr != nil {
+				return b, &vfs.PathError{Op: "search", Path: "dir:" + ref.Path, Err: ErrDanglingRef}
+			}
+			uid, ok := fs.names.UIDOf(rp)
+			if !ok {
+				return b, &vfs.PathError{Op: "search", Path: "dir:" + rp, Err: ErrDanglingRef}
+			}
+			ref.UID = uid
+		}
+		if _, seen := b.env.Refs[ref.UID]; seen {
+			continue
+		}
+		p, ok := fs.pathOfLocked(ref.UID)
+		if !ok {
+			return b, &vfs.PathError{Op: "search", Path: fmt.Sprintf("dir:#%d", ref.UID), Err: ErrDanglingRef}
+		}
+		b.env.Refs[ref.UID] = fs.providedScopeLocalLocked(b.env.Snap, p)
+		b.deps = append(b.deps, plan.Dep{UID: ref.UID, Epoch: fs.scopeEpoch[ref.UID]})
+	}
+	b.scope = plan.Scope{Prefix: scopePath}
+	if ds, ok := fs.stateAtLocked(scopePath); ok && ds.semantic {
+		b.scope = plan.Scope{Set: fs.providedScopeLocalLocked(b.env.Snap, scopePath)}
+		b.scopeUID = ds.uid
+		b.deps = append(b.deps, plan.Dep{UID: ds.uid, Epoch: fs.scopeEpoch[ds.uid]})
+	}
+	return b, nil
+}
+
+// buildPlan compiles a bound query with the cost-based planner.
+func (fs *FS) buildPlan(ast query.Node, b boundQuery) (*plan.Plan, error) {
+	p, err := plan.Build(ast, b.scope, b.env)
+	if err == nil {
+		fs.met.plansBuilt.Add(1)
+	}
+	return p, err
+}
+
+// execPlan runs a plan against the snapshot it was bound to. It takes
+// no volume lock.
+func (fs *FS) execPlan(p *plan.Plan) (*bitset.Segmented, error) {
+	start := time.Now()
+	res, err := p.Exec()
+	fs.met.queryEvalSeconds.ObserveSince(start)
+	if err == nil {
+		fs.met.postingsSkipped.Add(int64(p.Stats().PostingsSkipped))
+	}
+	return res, err
 }
 
 // SearchStream is the one paging entry point under every served search:

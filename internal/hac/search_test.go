@@ -56,7 +56,7 @@ func TestSearchPagedIteration(t *testing.T) {
 	if pages != 3 {
 		t.Fatalf("pages = %d, want 3 (7+7+6)", pages)
 	}
-	want, err := fs.SearchPaths("common", "/")
+	want, err := searchSorted(fs, "common", "/")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestSearchCursorResume(t *testing.T) {
 	}
 	got := append(append([]string{}, first...), rest.All()...)
 	sort.Strings(got)
-	want, _ := fs.SearchPaths("common", "/")
+	want, _ := searchSorted(fs, "common", "/")
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("cursor resume union = %v\nwant %v", got, want)
 	}
@@ -119,7 +119,7 @@ func TestSearchPageProtocolShape(t *testing.T) {
 		}
 		cursor = next
 	}
-	want, _ := fs.SearchPaths("common", "/")
+	want, _ := searchSorted(fs, "common", "/")
 	sort.Strings(got)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("SearchPage union = %v\nwant %v", got, want)
@@ -161,7 +161,7 @@ func TestSearchCacheHitAndVersionInvalidation(t *testing.T) {
 	}
 	paths := r3.All()
 	sort.Strings(paths)
-	want, _ := fs.SearchPaths("apple", "/docs")
+	want, _ := searchSorted(fs, "apple", "/docs")
 	if !reflect.DeepEqual(paths, want) || len(paths) != 3 {
 		t.Fatalf("post-mutation result = %v", paths)
 	}
@@ -169,7 +169,7 @@ func TestSearchCacheHitAndVersionInvalidation(t *testing.T) {
 
 func TestSearchCacheDepgraphInvalidation(t *testing.T) {
 	fs := newTestFS(t)
-	if err := fs.MkSemDir("/sel", "apple"); err != nil {
+	if err := fs.SemDir("/sel", "apple"); err != nil {
 		t.Fatal(err)
 	}
 	// Warm the cache through both semantic inputs: /sel as scope and as
@@ -225,13 +225,13 @@ func TestSearchCacheDepgraphInvalidation(t *testing.T) {
 
 func TestSearchCacheTransitiveDepgraphInvalidation(t *testing.T) {
 	fs := newTestFS(t)
-	if err := fs.MkSemDir("/base", "apple"); err != nil {
+	if err := fs.SemDir("/base", "apple"); err != nil {
 		t.Fatal(err)
 	}
 	// /derived's query references /base, so the depgraph records the
 	// dependency; a link change in /base must invalidate searches that
 	// only read /derived.
-	if err := fs.MkSemDir("/derived", "dir:/base AND fruit"); err != nil {
+	if err := fs.SemDir("/derived", "dir:/base AND fruit"); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
@@ -328,10 +328,10 @@ func TestSearchExplainAndStats(t *testing.T) {
 }
 
 func TestSearchEquivalentToOldSemantics(t *testing.T) {
-	// SearchPaths (the compatibility wrapper over the planner) must agree
+	// A sorted drain of Search must agree
 	// with naive evaluation for a spread of query shapes and scopes.
 	fs := newTestFS(t)
-	if err := fs.MkSemDir("/sel", "apple"); err != nil {
+	if err := fs.SemDir("/sel", "apple"); err != nil {
 		t.Fatal(err)
 	}
 	queries := []string{
@@ -342,14 +342,14 @@ func TestSearchEquivalentToOldSemantics(t *testing.T) {
 	scopes := []string{"/", "/docs", "/mail", "/sel"}
 	for _, q := range queries {
 		for _, scope := range scopes {
-			got, err := fs.SearchPaths(q, scope)
+			got, err := searchSorted(fs, q, scope)
 			if err != nil {
-				t.Fatalf("SearchPaths(%q, %q): %v", q, scope, err)
+				t.Fatalf("searchSorted(%q, %q): %v", q, scope, err)
 			}
 			// Second run exercises the cache path; must be identical.
-			again, err := fs.SearchPaths(q, scope)
+			again, err := searchSorted(fs, q, scope)
 			if err != nil || !reflect.DeepEqual(got, again) {
-				t.Fatalf("cached SearchPaths(%q, %q) = %v, first %v (err=%v)",
+				t.Fatalf("cached searchSorted(%q, %q) = %v, first %v (err=%v)",
 					q, scope, again, got, err)
 			}
 		}

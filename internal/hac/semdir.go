@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"hacfs/internal/query"
+	"hacfs/internal/query/plan"
 	"hacfs/internal/vfs"
 )
 
@@ -63,7 +64,7 @@ func (fs *FS) SemDir(path, queryStr string) error {
 		}
 		return err
 	}
-	return fs.syncFromLocked(ds.uid)
+	return fs.resyncLocked(fs.graph.AffectedBy(ds.uid, true), fs.evalCfg(nil))
 }
 
 // makeSemanticLocked promotes ds to semantic (adopting the directory's
@@ -91,43 +92,6 @@ func (fs *FS) makeSemanticLocked(ds *dirState, clean string, ast query.Node, ado
 		}
 	}
 	return fs.installQueryLocked(ds, clean, ast)
-}
-
-// MkSemDir creates a new semantic directory at path with the given
-// query. It fails if path already exists.
-//
-// Deprecated: Use SemDir, which additionally converts existing
-// directories in place.
-func (fs *FS) MkSemDir(path, queryStr string) error {
-	clean, err := vfs.Clean(path)
-	if err != nil {
-		return pathErr("smkdir", path, err)
-	}
-	if _, lerr := fs.under.Lstat(clean); lerr == nil {
-		// Preserve the substrate's "already exists" error.
-		return fs.Mkdir(clean)
-	}
-	return fs.SemDir(clean, queryStr)
-}
-
-// MakeSemantic converts an existing directory into a semantic directory
-// with the given query. It fails if path does not exist.
-//
-// Deprecated: Use SemDir, which additionally creates the directory when
-// it is missing.
-func (fs *FS) MakeSemantic(path, queryStr string) error {
-	clean, err := vfs.Clean(path)
-	if err != nil {
-		return pathErr("smkdir", path, err)
-	}
-	info, err := fs.under.Stat(clean)
-	if err != nil {
-		return err
-	}
-	if !info.IsDir() {
-		return pathErr("smkdir", path, vfs.ErrNotDir)
-	}
-	return fs.SemDir(clean, queryStr)
 }
 
 // MakeSyntactic discards a directory's content-based behavior (the
@@ -162,7 +126,7 @@ func (fs *FS) MakeSyntactic(path string) error {
 	}
 	// The scope it provides changed shape; dependents must adapt.
 	fs.bumpScopeEpochLocked(ds.uid)
-	return fs.syncDependentsLocked(ds.uid)
+	return fs.resyncLocked(fs.graph.AffectedBy(ds.uid, false), fs.evalCfg(nil))
 }
 
 // SetQuery replaces the query of a semantic directory (the paper's
@@ -187,7 +151,7 @@ func (fs *FS) SetQuery(path, queryStr string) error {
 	if err := fs.installQueryLocked(ds, clean, ast); err != nil {
 		return err
 	}
-	return fs.syncFromLocked(ds.uid)
+	return fs.resyncLocked(fs.graph.AffectedBy(ds.uid, true), fs.evalCfg(nil))
 }
 
 // Query returns the canonical query text of a semantic directory (the
@@ -234,6 +198,32 @@ func (fs *FS) QueryDisplay(path string) (string, error) {
 		}
 	}
 	return copyAST.String(), nil
+}
+
+// ExplainDir returns the executed plan of a semantic directory's stored
+// query under the scope its parent provides — what the last consistency
+// pass ran to decide the directory's transient links, re-run against
+// the current index. The plan is nil when the directory has no query.
+func (fs *FS) ExplainDir(path string) (*plan.Plan, error) {
+	clean, err := vfs.Clean(path)
+	if err != nil {
+		return nil, &vfs.PathError{Op: "explain", Path: path, Err: err}
+	}
+	fs.mu.RLock()
+	defer fs.mu.RUnlock()
+	ds, ok := fs.stateAtLocked(clean)
+	if !ok || !ds.semantic {
+		return nil, &vfs.PathError{Op: "explain", Path: path, Err: ErrNotSemantic}
+	}
+	if ds.ast == nil {
+		return nil, nil
+	}
+	p, _, err := fs.dirPlanLocked(ds, clean)
+	if err != nil {
+		return nil, err
+	}
+	_, err = fs.execPlan(p)
+	return p, err
 }
 
 // parseQuery parses a possibly empty query string.
@@ -403,7 +393,7 @@ func (fs *FS) MarkPermanent(dirPath, target string) error {
 	}
 	ds.setClass(target, Permanent)
 	fs.bumpScopeEpochLocked(ds.uid)
-	return fs.syncDependentsLocked(ds.uid)
+	return fs.resyncLocked(fs.graph.AffectedBy(ds.uid, false), fs.evalCfg(nil))
 }
 
 // MarkProhibited records target as prohibited in the directory,
@@ -430,7 +420,7 @@ func (fs *FS) MarkProhibited(dirPath, target string) error {
 	}
 	ds.prohibited[target] = true
 	fs.bumpScopeEpochLocked(ds.uid)
-	return fs.syncDependentsLocked(ds.uid)
+	return fs.resyncLocked(fs.graph.AffectedBy(ds.uid, false), fs.evalCfg(nil))
 }
 
 // Unprohibit removes a prohibition; the target becomes eligible to
@@ -450,7 +440,7 @@ func (fs *FS) Unprohibit(dirPath, target string) error {
 	fs.gen++
 	delete(ds.prohibited, target)
 	fs.bumpScopeEpochLocked(ds.uid)
-	return fs.syncFromLocked(ds.uid)
+	return fs.resyncLocked(fs.graph.AffectedBy(ds.uid, true), fs.evalCfg(nil))
 }
 
 // materializeLinkLocked creates the symlink for target inside dir,

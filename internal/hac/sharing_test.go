@@ -11,7 +11,7 @@ import (
 
 func TestMakeSyntactic(t *testing.T) {
 	fs := newTestFS(t)
-	if err := fs.MkSemDir("/sel", "apple"); err != nil {
+	if err := fs.SemDir("/sel", "apple"); err != nil {
 		t.Fatal(err)
 	}
 	if err := fs.Remove("/sel/apple2.txt"); err != nil { // a prohibition
@@ -43,7 +43,7 @@ func TestMakeSyntactic(t *testing.T) {
 		t.Fatal("reindex touched a syntactic directory's links")
 	}
 	// And CBA can be re-added at any time (the paper's promise).
-	if err := fs.MakeSemantic("/sel", "cherry"); err != nil {
+	if err := fs.SemDir("/sel", "cherry"); err != nil {
 		t.Fatal(err)
 	}
 	// Old links were adopted as permanent; cherry matches joined them.
@@ -63,7 +63,7 @@ func TestMakeSyntactic(t *testing.T) {
 func TestCoworkerSharing(t *testing.T) {
 	// Alice curates a fingerprint collection in her HAC volume.
 	alice := newTestFS(t)
-	if err := alice.MkSemDir("/fingerprint", "apple OR cherry"); err != nil {
+	if err := alice.SemDir("/fingerprint", "apple OR cherry"); err != nil {
 		t.Fatal(err)
 	}
 	if err := alice.Remove("/fingerprint/m2.txt"); err != nil { // her pruning
@@ -112,7 +112,7 @@ func TestCoworkerSharing(t *testing.T) {
 // with -race.
 func TestConcurrentUse(t *testing.T) {
 	fs := newTestFS(t)
-	if err := fs.MkSemDir("/sel", "apple"); err != nil {
+	if err := fs.SemDir("/sel", "apple"); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -134,7 +134,7 @@ func TestConcurrentUse(t *testing.T) {
 						return
 					}
 				case 1: // searcher + syncer
-					if _, err := fs.SearchPaths("apple", "/"); err != nil {
+					if _, err := searchSorted(fs, "apple", "/"); err != nil {
 						t.Errorf("search: %v", err)
 						return
 					}

@@ -44,7 +44,7 @@ func newStreamFS(t testing.TB, seed int64, under vfs.FileSystem, files int) (*FS
 	if _, err := fs.Reindex("/"); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.MkSemDir("/sel", "alpha"); err != nil {
+	if err := fs.SemDir("/sel", "alpha"); err != nil {
 		t.Fatal(err)
 	}
 	if err := fs.EnableAutoSync("/c"); err != nil {
@@ -111,7 +111,7 @@ func flatten(pages []streamedPage) []string {
 // TestStreamPagedAndSortedSearchAgree: for generated queries and page
 // sizes {1, 7, 512, more than the matches}, the streamed pages, the
 // page-by-page SearchPageContext walk, a resume from every intermediate
-// cursor and sorted SearchPaths name the same documents, none twice,
+// cursor and sorted searchSorted name the same documents, none twice,
 // on both substrates.
 func TestStreamPagedAndSortedSearchAgree(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
@@ -124,13 +124,13 @@ func TestStreamPagedAndSortedSearchAgree(t *testing.T) {
 			fs, rng := newStreamFS(t, seed, under, 150)
 			for _, qs := range streamQueries(rng) {
 				q, scope := qs[0], qs[1]
-				want, err := fs.SearchPaths(q, scope)
+				want, err := searchSorted(fs, q, scope)
 				if err != nil {
-					t.Fatalf("SearchPaths(%q, %s): %v", q, scope, err)
+					t.Fatalf("searchSorted(%q, %s): %v", q, scope, err)
 				}
 				for i := 1; i < len(want); i++ {
 					if want[i] == want[i-1] {
-						t.Fatalf("%q under %s: SearchPaths names %s twice", q, scope, want[i])
+						t.Fatalf("%q under %s: searchSorted names %s twice", q, scope, want[i])
 					}
 				}
 				for _, ps := range []int{1, 7, 512, len(want) + 10} {
@@ -139,7 +139,7 @@ func TestStreamPagedAndSortedSearchAgree(t *testing.T) {
 					sorted := append([]string{}, streamed...)
 					sort.Strings(sorted)
 					if !slices.Equal(sorted, want) {
-						t.Fatalf("%q under %s by %d: streamed %v\nSearchPaths %v", q, scope, ps, sorted, want)
+						t.Fatalf("%q under %s by %d: streamed %v\nsearchSorted %v", q, scope, ps, sorted, want)
 					}
 
 					var walked []string
@@ -191,9 +191,9 @@ func TestStreamAnswersFromOneEvaluation(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			pre, err := fs.SearchPaths("alpha", "/")
+			pre, err := searchSorted(fs, "alpha", "/")
 			must(err)
-			others, err := fs.SearchPaths("common AND NOT alpha", "/")
+			others, err := searchSorted(fs, "common AND NOT alpha", "/")
 			must(err)
 			if len(pre) < 30 || len(others) < 10 {
 				t.Fatalf("corpus too small: %d matches, %d others", len(pre), len(others))
@@ -250,7 +250,7 @@ func TestStreamAnswersFromOneEvaluation(t *testing.T) {
 				t.Fatalf("stream across the burst = %v\nwant the pre-burst answer less %v: %v", got, removed, want)
 			}
 			// A new evaluation sees the burst.
-			now, err := fs.SearchPaths("alpha", "/")
+			now, err := searchSorted(fs, "alpha", "/")
 			must(err)
 			if len(now) != len(pre)-3+40+5+20 {
 				t.Fatalf("post-burst answer has %d paths, want %d", len(now), len(pre)-3+40+5+20)

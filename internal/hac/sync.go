@@ -12,6 +12,7 @@ import (
 	"hacfs/internal/bitset"
 	"hacfs/internal/index"
 	"hacfs/internal/query"
+	"hacfs/internal/query/plan"
 	"hacfs/internal/vfs"
 )
 
@@ -87,62 +88,79 @@ func (fs *FS) SyncAll(opts ...Option) error {
 	return err
 }
 
-// syncFromLocked re-evaluates uid itself (if semantic) and then every
-// transitive dependent, in topological order. Caller holds fs.mu.
-func (fs *FS) syncFromLocked(uid uint64) error {
-	if ds, ok := fs.dirs[uid]; ok && ds.semantic {
-		if err := fs.reevalLocked(ds); err != nil {
-			return err
-		}
-	}
-	return fs.syncDependentsLocked(uid)
-}
-
-// syncDependentsLocked re-evaluates every transitive dependent of uid,
-// but not uid itself. Used when uid's link set was changed directly by
-// the user: their edit is authoritative, only downstream scopes must
-// adapt. Caller holds fs.mu.
-func (fs *FS) syncDependentsLocked(uid uint64) error {
-	for _, dep := range fs.graph.AffectedBy(uid) {
-		ds, ok := fs.dirs[dep]
+// resyncLocked is the one walker under every consistency pass that runs
+// with the write lock held — mutation paths, the engine's serial and
+// generation-fallback branches, the delta pass's fallback: it
+// re-evaluates the semantic directories among uids, computing and
+// committing each before the next reads its links. uids must list
+// dependencies before dependents (depgraph orders them); a mutation
+// path passes fs.evalCfg(nil), the volume's standing settings. Caller
+// holds fs.mu for writing.
+func (fs *FS) resyncLocked(uids []uint64, cfg evalConfig) error {
+	fs.gen++ // links are about to move; results the engine staged are stale
+	for _, uid := range uids {
+		ds, ok := fs.dirs[uid]
 		if !ok || !ds.semantic {
 			continue
 		}
-		if err := fs.reevalLocked(ds); err != nil {
+		newTargets, err := fs.computeTargetsLocked(ds, cfg)
+		if err != nil {
+			return err
+		}
+		if err := fs.commitTargetsLocked(ds, newTargets); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// reevalLocked recomputes the transient links of ds with the volume's
-// default evaluation settings. Caller holds fs.mu for writing.
-func (fs *FS) reevalLocked(ds *dirState) error {
-	return fs.reevalCfgLocked(ds, fs.defaultEvalCfg())
-}
-
-// defaultEvalCfg is the volume's standing evaluation configuration,
-// used by the serial consistency paths triggered from mutations.
-func (fs *FS) defaultEvalCfg() evalConfig {
-	return evalConfig{parallelism: 1, verify: fs.verify, ctx: context.Background()}
-}
-
-// reevalCfgLocked computes and immediately commits ds's new transient
-// set — the serial form of the engine's evaluate/commit pipeline.
-// Caller holds fs.mu for writing.
-func (fs *FS) reevalCfgLocked(ds *dirState, cfg evalConfig) error {
-	newTargets, err := fs.computeTargetsLocked(ds, cfg)
-	if err != nil {
-		return err
+// dirPlanLocked binds and compiles ds's stored query under the scope
+// its parent provides (§2.3) — or under no scope when the query carries
+// dir: references (§2.5: "users can choose strict hierarchical
+// dependencies, DAG based dependencies, or both"). Caller holds fs.mu.
+func (fs *FS) dirPlanLocked(ds *dirState, dirPath string) (*plan.Plan, *index.Snapshot, error) {
+	scopePath := vfs.Dir(dirPath)
+	if len(query.Refs(ds.ast)) > 0 {
+		scopePath = ""
 	}
-	return fs.commitTargetsLocked(ds, newTargets)
+	b, err := fs.bindLocked(ds.ast, scopePath)
+	if err != nil {
+		return nil, nil, err
+	}
+	p, err := fs.buildPlan(ds.ast, b)
+	return p, b.env.Snap, err
+}
+
+// matchLocalLocked answers ds's stored query from the local index: the
+// paths of the documents its plan matches. Caller holds fs.mu.
+func (fs *FS) matchLocalLocked(ds *dirState, dirPath string, verify bool) ([]string, error) {
+	scopeStart := time.Now()
+	p, snap, err := fs.dirPlanLocked(ds, dirPath)
+	fs.met.phaseScope.ObserveSince(scopeStart)
+	if err != nil {
+		return nil, err
+	}
+	evalStart := time.Now()
+	defer fs.met.phaseEval.ObserveSince(evalStart)
+	local, err := fs.execPlan(p)
+	if err != nil {
+		return nil, err
+	}
+	matched := snap.Paths(local)
+	if verify {
+		// Glimpse-style second level: confirm each candidate by
+		// scanning its content for the query terms.
+		verifyMatches(fs.under, matched, query.Terms(ds.ast))
+	}
+	return matched, nil
 }
 
 // computeTargetsLocked evaluates ds's query and returns its new
 // transient target set — the read-only half of the paper's
 // scope-consistency algorithm:
 //
-//  1. re-evaluate the query over the scope provided by the parent;
+//  1. re-evaluate the query over the scope provided by the parent — the
+//     same bind → plan → execute path an ad-hoc Search takes;
 //  2. discard results that are permanent or prohibited in ds;
 //  3. the remainder is the new transient set (permanent and prohibited
 //     sets are never touched).
@@ -154,49 +172,23 @@ func (fs *FS) computeTargetsLocked(ds *dirState, cfg evalConfig) (map[string]boo
 	if !ok {
 		return nil, fmt.Errorf("%w: uid %d", ErrDanglingRef, ds.uid)
 	}
-	parentPath := vfs.Dir(dirPath)
 	fs.met.semdirEvals.Add(1)
 	sp := cfg.span.Child("hac.eval")
 	sp.Annotate("dir", dirPath)
 
 	newTargets := make(map[string]bool)
 	if ds.ast != nil {
-		// Pin one index snapshot for the whole evaluation: every term
-		// lookup, the scope restriction and the final path resolution see
-		// the same segment set even if a background merge commits
-		// mid-query.
-		snap := fs.ix.Snapshot()
-		evalStart := time.Now()
-		local, err := query.Eval(ds.ast, &evalEnv{fs: fs, snap: snap})
-		fs.met.queryEvalSeconds.ObserveSince(evalStart)
-		fs.met.phaseEval.ObserveSince(evalStart)
+		matched, err := fs.matchLocalLocked(ds, dirPath, cfg.verify)
 		if err != nil {
 			err = pathErr("ssync", dirPath, fmt.Errorf("evaluating query: %w", err))
 			sp.FinishErr(err)
 			return nil, err
 		}
-		// Scope restriction (§2.3/§2.5). A query without directory
-		// references gets the strict hierarchical behavior: an implicit
-		// "AND dir:<parent>". A query with explicit dir: references has
-		// chosen DAG-based scoping, and the paper leaves the scope
-		// entirely to the query ("users can choose strict hierarchical
-		// dependencies, DAG based dependencies, or both").
-		scopeStart := time.Now()
-		if len(query.Refs(ds.ast)) == 0 {
-			local.And(fs.providedScopeLocalLocked(snap, parentPath))
-		}
-		matched := snap.Paths(local)
-		if cfg.verify {
-			// Glimpse-style second level: confirm each candidate by
-			// scanning its content for the query terms.
-			verifyMatches(fs.under, matched, query.Terms(ds.ast))
-		}
-		fs.met.phaseScope.ObserveSince(scopeStart)
 		for _, p := range matched {
 			newTargets[p] = true
 		}
 		remoteStart := time.Now()
-		remote, err := fs.evalRemoteLocked(cfg.ctx, ds, parentPath)
+		remote, err := fs.evalRemoteLocked(cfg.ctx, ds, vfs.Dir(dirPath))
 		fs.met.phaseRemote.ObserveSince(remoteStart)
 		if err != nil {
 			sp.FinishErr(err)
@@ -433,34 +425,6 @@ func (fs *FS) resolveToIndexedLocked(target string) (string, bool) {
 		p = next
 	}
 	return "", false
-}
-
-// evalEnv adapts the CBA engine and directory scopes to the query
-// evaluator — the paper's API between HAC and the CBA mechanism. All
-// index reads go through one pinned snapshot, so the bitmaps an
-// evaluation intersects share a single consistent ID space.
-type evalEnv struct {
-	fs   *FS
-	snap *index.Snapshot
-}
-
-func (e *evalEnv) Term(w string) (*bitset.Segmented, error) { return e.snap.Lookup(w), nil }
-
-func (e *evalEnv) Prefix(p string) (*bitset.Segmented, error) { return e.snap.LookupPrefix(p), nil }
-
-func (e *evalEnv) Fuzzy(w string) (*bitset.Segmented, error) { return e.snap.LookupFuzzy(w), nil }
-
-func (e *evalEnv) Universe() (*bitset.Segmented, error) { return e.snap.AllDocs(), nil }
-
-// DirRef returns the scope provided by the referenced directory (§2.5:
-// "the CBA mechanism can use HAC's API to obtain the existing
-// query-result stored in that directory").
-func (e *evalEnv) DirRef(ref *query.DirRef) (*bitset.Segmented, error) {
-	p, ok := e.fs.pathOfLocked(ref.UID)
-	if !ok {
-		return nil, &vfs.PathError{Op: "eval", Path: fmt.Sprintf("dir:#%d", ref.UID), Err: ErrDanglingRef}
-	}
-	return e.fs.providedScopeLocalLocked(e.snap, p), nil
 }
 
 // IndexReport summarizes a Reindex run.

@@ -241,7 +241,7 @@ func TestSemanticMountOverNetwork(t *testing.T) {
 	if err := fs.SemanticMount("/lib", c); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.MkSemDir("/fp", "fingerprint AND NOT murder"); err != nil {
+	if err := fs.SemDir("/fp", "fingerprint AND NOT murder"); err != nil {
 		t.Fatal(err)
 	}
 	targets, err := fs.LinkTargets("/fp")

@@ -16,28 +16,17 @@ import (
 	"hacfs/internal/wire"
 )
 
-// Backend answers the two remote operations. IndexBackend is the
-// standard implementation; tests may supply others.
-type Backend interface {
-	Search(q string) ([]string, error)
-	Fetch(path string) ([]byte, error)
-}
-
-// PagedBackend is an optional Backend extension serving cursor-paged
-// searches. A server whose backend lacks it answers a search with the
-// full result as a single page.
-type PagedBackend interface {
-	SearchPage(q string, after uint64, limit int) ([]string, uint64, error)
-}
-
-// ScopedBackend is an optional Backend extension serving
-// scope-restricted cursor pages (the fSearch frame's scope field).
+// Backend answers the two remote operations. SearchPageUnder serves one
+// cursor page of a search restricted to scope ("" or "/" = the whole
+// tree): the matches with DocID >= after, at most limit of them (<= 0 =
+// all), the cursor of the next page (0 = done) and the index epoch the
+// page was pinned against, so a paging caller can observe epoch drift.
 // The context carries the caller's trace and deadline across the
-// backend — a cluster coordinator fans it out to shards. epoch reports
-// the index epoch the page was pinned against, so a paging caller can
-// observe epoch drift between pages.
-type ScopedBackend interface {
+// backend; a cluster coordinator fans it out to shards. IndexBackend is
+// the standard implementation.
+type Backend interface {
 	SearchPageUnder(ctx context.Context, q, scope string, after uint64, limit int) (paths []string, next, epoch uint64, err error)
+	Fetch(path string) ([]byte, error)
 }
 
 // Resyncer is an optional Backend extension that rebuilds the served
@@ -76,26 +65,6 @@ func NewIndexBackend(fsys vfs.FileSystem, root string) (*IndexBackend, error) {
 // Index exposes the backend's index, e.g. for stats.
 func (b *IndexBackend) Index() *index.Index { return b.ix }
 
-// Search evaluates a query over the backend's index. Directory
-// references have no meaning in a remote namespace and match nothing.
-func (b *IndexBackend) Search(q string) ([]string, error) {
-	res, _, _, err := b.search(q, "", 0, 0)
-	return res, err
-}
-
-// SearchPage serves one cursor page: matches with DocID >= after, at
-// most limit of them (<= 0 = all), plus the next cursor (0 = done).
-func (b *IndexBackend) SearchPage(q string, after uint64, limit int) ([]string, uint64, error) {
-	paths, next, _, err := b.search(q, "", after, limit)
-	return paths, next, err
-}
-
-// SearchPageUnder serves one scope-restricted cursor page plus the
-// index epoch it was pinned against.
-func (b *IndexBackend) SearchPageUnder(_ context.Context, q, scope string, after uint64, limit int) ([]string, uint64, uint64, error) {
-	return b.search(q, scope, after, limit)
-}
-
 // Resync re-walks the backend's document tree, folding any changes into
 // the served index.
 func (b *IndexBackend) Resync(_ context.Context) error {
@@ -111,11 +80,11 @@ func (b *IndexBackend) Status() (epoch, version uint64, docs int) {
 	return snap.Epoch(), snap.Version(), b.ix.Stats().Docs
 }
 
-// search compiles q with the cost-based planner against a pinned
-// snapshot, restricted to scope ("" or "/" = whole tree). The nil Refs
-// map makes dir: references match nothing, the pre-planner behavior
-// for remote namespaces.
-func (b *IndexBackend) search(q, scope string, after uint64, limit int) ([]string, uint64, uint64, error) {
+// SearchPageUnder implements Backend: q is compiled with the cost-based
+// planner against a pinned snapshot, restricted to scope. The nil Refs
+// map makes dir: references, which have no meaning in a remote
+// namespace, match nothing.
+func (b *IndexBackend) SearchPageUnder(_ context.Context, q, scope string, after uint64, limit int) ([]string, uint64, uint64, error) {
 	ast, err := query.Parse(q)
 	if err != nil {
 		if errors.Is(err, query.ErrEmpty) {
@@ -283,38 +252,11 @@ func (s *Server) streamSearch(ctx context.Context, w *wire.ResponseWriter, id ui
 	sp, opCtx := s.startOp(ctx, opName, q)
 	start := time.Now()
 
-	var fetchPage func(cursor uint64) ([]string, uint64, uint64, error)
-	if sb, ok := s.backend.(ScopedBackend); ok {
-		fetchPage = func(cur uint64) ([]string, uint64, uint64, error) {
-			return sb.SearchPageUnder(opCtx, q, scope, cur, pageSize)
-		}
-	} else if scope != "" && scope != "/" {
-		err := &vfs.PathError{Op: "searchu", Path: scope, Err: vfs.ErrUnsupported}
-		s.finishOp(sp, opName, q, start, err)
-		w.Err(id, err)
-		return
-	} else if pb, ok := s.backend.(PagedBackend); ok {
-		fetchPage = func(cur uint64) ([]string, uint64, uint64, error) {
-			paths, next, err := pb.SearchPage(q, cur, pageSize)
-			return paths, next, 0, err
-		}
-	} else {
-		// Unpaged backend: the whole result as a single final page.
-		paths, err := s.backend.Search(q)
-		s.finishOp(sp, opName, q, start, err)
-		if err != nil {
-			w.Err(id, err)
-			return
-		}
-		w.Send(wire.Frame{Type: fPage, Flags: wire.FlagFinal, ID: id, Payload: appendPage(nil, 0, 0, paths)})
-		return
-	}
-
 	// Stream pages until the cursor runs out or the client's page
 	// budget is spent.
 	cursor := after
 	for page := 0; ; page++ {
-		paths, next, epoch, err := fetchPage(cursor)
+		paths, next, epoch, err := s.backend.SearchPageUnder(opCtx, q, scope, cursor, pageSize)
 		if err != nil {
 			s.finishOp(sp, opName, q, start, err)
 			w.Err(id, err)

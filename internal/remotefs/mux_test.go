@@ -277,7 +277,7 @@ func TestMuxSearchStream(t *testing.T) {
 
 func TestMuxSyncPath(t *testing.T) {
 	hfs, _ := newSearchableHAC(t, 3)
-	if err := hfs.MkSemDir("/fp", "fingerprint"); err != nil {
+	if err := hfs.SemDir("/fp", "fingerprint"); err != nil {
 		t.Fatal(err)
 	}
 	c := serveMuxClient(t, hfs)

@@ -203,7 +203,7 @@ func TestHACOverRemoteSubstrate(t *testing.T) {
 	if _, err := fs.Reindex("/"); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.MkSemDir("/sel", "apple"); err != nil {
+	if err := fs.SemDir("/sel", "apple"); err != nil {
 		t.Fatal(err)
 	}
 	targets, err := fs.LinkTargets("/sel")
@@ -225,7 +225,7 @@ func TestServeLiveHACVolume(t *testing.T) {
 	if _, err := alice.Reindex("/"); err != nil {
 		t.Fatal(err)
 	}
-	if err := alice.MkSemDir("/fp", "fingerprint"); err != nil {
+	if err := alice.SemDir("/fp", "fingerprint"); err != nil {
 		t.Fatal(err)
 	}
 

@@ -456,7 +456,8 @@ func TestCheckpointAndRecover(t *testing.T) {
 	if _, err := loaded.Reindex("/"); err != nil {
 		t.Fatal(err)
 	}
-	if paths, err := loaded.SearchPaths("fingerprint", "/"); err != nil || len(paths) != 1 {
-		t.Fatalf("recovered search = %v, %v", paths, err)
+	res, err := loaded.Search(context.Background(), "fingerprint")
+	if err != nil || res.Len() != 1 {
+		t.Fatalf("recovered search = %v, %v", res, err)
 	}
 }

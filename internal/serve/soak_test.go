@@ -281,8 +281,9 @@ func TestGracefulShutdownUnderLoad(t *testing.T) {
 		if files < completed[i].Load() {
 			t.Fatalf("tenant %s: %d files recovered, %d writes acknowledged", name, files, completed[i].Load())
 		}
-		if paths, err := loaded.SearchPaths("load", "/"); err != nil || int64(len(paths)) < files {
-			t.Fatalf("tenant %s: recovered search found %d/%d, %v", name, len(paths), files, err)
+		res, err := loaded.Search(context.Background(), "load")
+		if err != nil || int64(res.Len()) < files {
+			t.Fatalf("tenant %s: recovered search found fewer than %d: %v, %v", name, files, res, err)
 		}
 	}
 }

@@ -394,6 +394,7 @@ semantic commands (the paper's extensions):
   sact <link>                 print content behind a link (local/remote)
   search <scope> <query...>   evaluate a query without creating a dir
   explain <scope> <query...>  show the cost-based evaluation plan
+  explain <semdir>            show the plan behind a directory's links
   sstat                       show HAC layer statistics
   stats [prefix]              dump live observability metrics
   slow                        show recent over-threshold operations
@@ -604,7 +605,13 @@ func (sh *Shell) cmdSmkdir(args []string) error {
 	if len(args) < 1 {
 		return fmt.Errorf("usage: smkdir <dir> [query...]")
 	}
-	return sh.fs.MkSemDir(sh.abs(args[0]), strings.Join(args[1:], " "))
+	// Like mkdir, smkdir refuses an existing path; SemDir alone would
+	// convert an existing directory in place.
+	p := sh.abs(args[0])
+	if _, err := sh.fs.Lstat(p); err == nil {
+		return &vfs.PathError{Op: "smkdir", Path: p, Err: vfs.ErrExist}
+	}
+	return sh.fs.SemDir(p, strings.Join(args[1:], " "))
 }
 
 func (sh *Shell) cmdSquery(args []string) error {
@@ -719,10 +726,24 @@ func (sh *Shell) cmdSearch(args []string) error {
 }
 
 // cmdExplain runs a query through the cost-based planner and prints the
-// evaluation plan with per-node selectivity estimates.
+// evaluation plan with per-node selectivity estimates. With a semantic
+// directory and no query it explains the directory's own stored query
+// under the scope its parent provides: the plan behind its links.
 func (sh *Shell) cmdExplain(args []string) error {
+	if len(args) == 1 {
+		p, err := sh.fs.ExplainDir(sh.abs(args[0]))
+		if err != nil {
+			return err
+		}
+		if p == nil {
+			sh.printf("empty query\n")
+			return nil
+		}
+		sh.printf("%s", p.Explain())
+		return nil
+	}
 	if len(args) < 2 {
-		return fmt.Errorf("usage: explain <scope-dir> <query...>")
+		return fmt.Errorf("usage: explain <scope-dir> <query...> | explain <semantic-dir>")
 	}
 	res, err := sh.fs.Search(context.Background(), strings.Join(args[1:], " "),
 		hac.WithScope(sh.abs(args[0])))

@@ -289,7 +289,7 @@ func TestMountRemoteVolume(t *testing.T) {
 	if _, err := alice.Reindex("/"); err != nil {
 		t.Fatal(err)
 	}
-	if err := alice.MkSemDir("/fp", "fingerprint"); err != nil {
+	if err := alice.SemDir("/fp", "fingerprint"); err != nil {
 		t.Fatal(err)
 	}
 	srv := remotefs.NewServer(alice, nil)
@@ -465,5 +465,39 @@ func TestCloneDiverges(t *testing.T) {
 	out = runScript(t, sh, "rollback pre", "cat /f.txt")
 	if !strings.Contains(out, "original") {
 		t.Fatalf("pre-clone snapshot did not restore the fork: %q", out)
+	}
+}
+
+// TestExplainSemanticDirectory: "explain <semdir>" prints the plan
+// behind the directory's links — its stored query under the scope its
+// parent provides — and smkdir still refuses a path that exists.
+func TestExplainSemanticDirectory(t *testing.T) {
+	sh := newShell(t)
+	out := runScript(t, sh,
+		"mkdir /notes",
+		"mkdir /other",
+		"write /notes/one.txt apple pie recipe",
+		"write /other/two.txt apple cider recipe",
+		"write /other/three.txt apple sauce recipe",
+		"sreindex /",
+		"smkdir /notes/recipes apple AND recipe",
+		"explain /notes/recipes",
+	)
+	for _, want := range []string{"scope: /notes", "apple", "recipe", "leaves=2", "postings_skipped="} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("explain of a semantic directory lacks %q: %q", want, out)
+		}
+	}
+	if strings.Contains(out, "postings_skipped=0") {
+		t.Fatalf("the parent scope was not pushed into the lookups: %q", out)
+	}
+	if err := sh.Exec("explain /notes"); err == nil || !strings.Contains(err.Error(), "not a semantic directory") {
+		t.Fatalf("explain of a syntactic directory = %v", err)
+	}
+	if err := sh.Exec("smkdir /notes/recipes pie"); err == nil || !strings.Contains(err.Error(), "already exists") {
+		t.Fatalf("smkdir on an existing directory = %v", err)
+	}
+	if err := sh.Exec("smkdir /notes/one.txt pie"); err == nil || !strings.Contains(err.Error(), "already exists") {
+		t.Fatalf("smkdir on an existing file = %v", err)
 	}
 }

@@ -39,37 +39,6 @@ func TestFunctionalOptions(t *testing.T) {
 	}
 }
 
-// TestDeprecatedConstructors keeps the pre-redesign entry points
-// working: NewVolumeOver with an Options struct, and the MkSemDir /
-// MakeSemantic pair now backed by SemDir.
-func TestDeprecatedConstructors(t *testing.T) {
-	fs := hacfs.NewVolumeOver(hacfs.NewMemFS(), hacfs.Options{Parallelism: 1})
-	if err := fs.WriteFile("/n.txt", []byte("nutmeg spice")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fs.Reindex("/"); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.MkSemDir("/spices", "spice"); err != nil {
-		t.Fatal(err)
-	}
-	// MkSemDir on an existing path must keep reporting "exists".
-	if err := fs.MkSemDir("/spices", "spice"); !errors.Is(err, hacfs.ErrExist) {
-		t.Fatalf("MkSemDir on existing dir = %v, want ErrExist", err)
-	}
-	if err := fs.Mkdir("/plain"); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.MakeSemantic("/plain", "nutmeg"); err != nil {
-		t.Fatal(err)
-	}
-	for _, dir := range []string{"/spices", "/plain"} {
-		if !fs.IsSemantic(dir) {
-			t.Fatalf("IsSemantic(%s) = false", dir)
-		}
-	}
-}
-
 // TestPathErrorShape verifies the typed error contract: errors.As
 // recovers the failing path and operation, while errors.Is keeps
 // matching the sentinel the error wraps.
