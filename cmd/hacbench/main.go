@@ -542,7 +542,7 @@ func casBench() error {
 		w.Flush()
 	}
 	if len(res.SyncDirty) > 0 {
-		fmt.Printf("\nReplication (%d files x %dB; full-content mirror ships %.1fMB, cold manifest-diff %.1fMB):\n",
+		fmt.Printf("\nReplication (%d files x %dB; a full copy ships %.1fMB, cold manifest-diff %.1fMB):\n",
 			res.SyncFiles, res.SyncFileSize,
 			float64(res.FullSyncBytes)/(1<<20), float64(res.ColdSyncBytes)/(1<<20))
 		w = newTab()

@@ -18,7 +18,7 @@ import (
 	"hacfs/internal/obs"
 	"hacfs/internal/remotefs"
 	"hacfs/internal/serve"
-	"hacfs/internal/vfs"
+	"hacfs/internal/vfs/cas"
 )
 
 var (
@@ -86,14 +86,14 @@ func traceRemote(addr, debugURL string) error {
 // halves of the trace read from the shared span ring.
 func traceLoopback() error {
 	o := obs.NewObserver()
-	mem := vfs.New()
-	if err := mem.MkdirAll("/docs"); err != nil {
+	sub := cas.New(nil)
+	if err := sub.MkdirAll("/docs"); err != nil {
 		return err
 	}
-	if _, err := corpus.Generate(mem, "/docs", corpus.Spec{Files: 120, Seed: *seed}); err != nil {
+	if _, err := corpus.Generate(sub, "/docs", corpus.Spec{Files: 120, Seed: *seed}); err != nil {
 		return err
 	}
-	hfs := hac.New(mem, hac.Options{Observer: o})
+	hfs := hac.New(sub, hac.Options{Observer: o})
 	if _, err := hfs.Reindex("/"); err != nil {
 		return err
 	}

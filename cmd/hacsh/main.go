@@ -21,7 +21,6 @@ import (
 	"hacfs/internal/hac"
 	"hacfs/internal/obs"
 	"hacfs/internal/shell"
-	"hacfs/internal/vfs"
 	"hacfs/internal/vfs/cas"
 )
 
@@ -30,18 +29,13 @@ var (
 	demoFiles  = flag.Int("files", 200, "demo corpus size (with -demo)")
 	scriptPath = flag.String("script", "", "read commands from this file instead of stdin")
 	slowThresh = flag.Duration("slow-threshold", obs.DefSlowThreshold, "record ops slower than this for the slow command (0 disables)")
-	useCAS     = flag.Bool("cas", true, "back the volume with the content-addressed substrate (enables snapshot/rollback/clone and dedup)")
 )
 
 func main() {
 	flag.Parse()
 	obs.Default().Slow().SetThreshold(*slowThresh)
 
-	var substrate vfs.FileSystem = vfs.New()
-	if *useCAS {
-		substrate = cas.New(nil)
-	}
-	fs := hac.New(substrate, hac.Options{})
+	fs := hac.New(cas.New(nil), hac.Options{})
 	if *demo {
 		if err := seed(fs, *demoFiles); err != nil {
 			fmt.Fprintf(os.Stderr, "hacsh: seeding demo corpus: %v\n", err)

@@ -40,7 +40,6 @@ import (
 	"hacfs/internal/obs"
 	"hacfs/internal/remotefs"
 	"hacfs/internal/serve"
-	"hacfs/internal/vfs"
 	"hacfs/internal/vfs/cas"
 )
 
@@ -77,12 +76,12 @@ var (
 	demo          = flag.Bool("demo", false, "serve a volume seeded with a demo corpus")
 	nfiles        = flag.Int("files", 200, "demo corpus size")
 	seedVal       = flag.Int64("seed", 42, "demo corpus seed")
-	useCAS        = flag.Bool("cas", true, "back volumes with one process-wide content-addressed blob store: identical content across tenants is stored once, quotas charge unique bytes, v4 images save O(changed content)")
 )
 
 // blobStore is the process-wide content-addressed store every tenant
-// volume shares when -cas is on (nil otherwise).
-var blobStore *cas.BlobStore
+// volume shares: identical content across tenants is stored once,
+// quotas charge unique bytes, and images save O(changed content).
+var blobStore = cas.NewStore()
 
 var tenants tenantFlags
 
@@ -94,10 +93,7 @@ func main() {
 	quota := serve.Quota{MaxBytes: *quotaBytes, MaxDocs: *quotaDocs, MaxInflight: *quotaInflight}
 	host := serve.NewHost(*workers, obs.Default())
 	obs.Default().Slow().SetThreshold(*slowThresh)
-	if *useCAS {
-		blobStore = cas.NewStore()
-		blobStore.PublishMetrics(obs.Default().Registry())
-	}
+	blobStore.PublishMetrics(obs.Default().Registry())
 
 	// Resolve the tenant set: explicit -tenant flags, or one default
 	// volume from -volume.
@@ -209,9 +205,9 @@ func main() {
 }
 
 // openVolume loads a saved image, or builds a fresh (possibly
-// demo-seeded) volume when path is empty. With -cas every volume —
-// loaded or fresh — shares the process-wide blob store, so identical
-// content across tenants occupies memory once.
+// demo-seeded) volume when path is empty. Every volume — loaded or
+// fresh — shares the process-wide blob store, so identical content
+// across tenants occupies memory once.
 func openVolume(logger *log.Logger, path string) (*hac.FS, error) {
 	if path != "" {
 		fs, err := hac.LoadVolumeFile(path, hac.Options{BlobStore: blobStore})
@@ -221,11 +217,7 @@ func openVolume(logger *log.Logger, path string) (*hac.FS, error) {
 		logger.Printf("loaded volume from %s", path)
 		return fs, nil
 	}
-	var substrate vfs.FileSystem = vfs.New()
-	if blobStore != nil {
-		substrate = cas.New(blobStore)
-	}
-	fs := hac.New(substrate, hac.Options{})
+	fs := hac.New(cas.New(blobStore), hac.Options{})
 	if *demo {
 		if err := fs.MkdirAll("/docs"); err != nil {
 			return nil, err

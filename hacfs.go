@@ -62,6 +62,7 @@ import (
 	"hacfs/internal/remote"
 	"hacfs/internal/remotefs"
 	"hacfs/internal/vfs"
+	"hacfs/internal/vfs/cas"
 )
 
 // FS is a HAC file system. It implements FileSystem (all hierarchical
@@ -208,8 +209,9 @@ var (
 	// ErrCorruptVolume marks a volume image rejected by LoadVolume —
 	// truncated, bit-flipped, version-skewed or otherwise undecodable.
 	ErrCorruptVolume = hac.ErrCorruptVolume
-	// ErrNoSnapshot marks a SaveVolume over a substrate that cannot
-	// produce a snapshot (does not implement Snapshotter).
+	// ErrNoSnapshot marks a SaveVolume over a substrate that is not
+	// content-addressed: only volumes on the cas substrate (NewVolume's)
+	// are saved.
 	ErrNoSnapshot = hac.ErrNoSnapshot
 	// ErrInjected and ErrCrashed are the fault sentinels produced by a
 	// FaultFS substrate.
@@ -236,18 +238,17 @@ func New(under FileSystem, opts ...Option) *FS {
 	return hac.NewWith(under, opts...)
 }
 
-// NewVolume returns a HAC file system over a fresh in-memory substrate.
+// NewVolume returns a HAC file system over a fresh in-memory,
+// content-addressed substrate — the one substrate a volume is saved,
+// served and mirrored on.
 func NewVolume(opts ...Option) *FS {
-	return hac.NewWith(vfs.New(), opts...)
+	return hac.NewWith(cas.New(nil), opts...)
 }
 
-// NewMemFS returns a bare in-memory hierarchical file system (the
-// substrate without the HAC layer).
+// NewMemFS returns a bare in-memory hierarchical file system: the
+// reference substrate, without the HAC layer. A HAC volume over it
+// works in every respect but SaveVolume.
 func NewMemFS() *MemFS { return vfs.New() }
-
-// Snapshotter is implemented by substrates that can export a full
-// snapshot of their tree; FS.SaveVolume requires one.
-type Snapshotter = vfs.Snapshotter
 
 // FaultFS wraps a substrate with deterministic, seed-driven fault
 // injection — per-operation error rates, crash points that freeze the

@@ -31,7 +31,7 @@ func TestFullStack(t *testing.T) {
 	}
 
 	// --- Phase 1: local volume with corpus, transducers, queries. -----
-	fs := hacfs.New(hacfs.NewMemFS(),
+	fs := hacfs.NewVolume(
 		hacfs.WithTransducer(".eml", hacfs.EmailTransducer),
 		hacfs.WithTransducer("", hacfs.PathTransducer))
 	if err := fs.MkdirAll("/docs"); err != nil {

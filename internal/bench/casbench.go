@@ -9,7 +9,6 @@ import (
 
 	"hacfs/internal/hac"
 	"hacfs/internal/remotefs"
-	"hacfs/internal/vfs"
 	"hacfs/internal/vfs/cas"
 )
 
@@ -77,7 +76,7 @@ type CASResult struct {
 
 	SyncFiles     int
 	SyncFileSize  int
-	FullSyncBytes int64 // content bytes a full (non-CAS) mirror ships
+	FullSyncBytes int64 // content bytes a full copy ships: Σ file sizes in the source manifest
 	ColdSyncBytes int64 // first manifest-diff sync into an empty store
 	SyncDirty     []CASSyncRow
 }
@@ -296,20 +295,16 @@ func casSyncSweep(spec CASSpec, res *CASResult) error {
 	defer client.Close()
 	ctx := context.Background()
 
-	// A plain in-memory destination cannot dedup, so this measures what
-	// replication cost before the substrate: every file's content.
-	full, err := remotefs.MirrorVolume(ctx, client, vfs.New())
-	if err != nil {
-		return fmt.Errorf("full mirror: %w", err)
-	}
-	res.FullSyncBytes = full.ContentBytes
+	// A full copy ships every file's content: the sum of the file sizes
+	// the source manifest describes.
+	res.FullSyncBytes = src.cfs.Manifest().LogicalBytes()
 
 	dst := cas.New(nil)
 	cold, err := remotefs.MirrorVolume(ctx, client, dst)
 	if err != nil {
 		return fmt.Errorf("cold sync: %w", err)
 	}
-	res.ColdSyncBytes = cold.ContentBytes
+	res.ColdSyncBytes = cold.BlobBytes
 
 	for _, pct := range spec.DirtyPcts {
 		row := CASSyncRow{DirtyPct: pct}
@@ -319,9 +314,6 @@ func casSyncSweep(spec CASSpec, res *CASResult) error {
 		stats, err := remotefs.MirrorVolume(ctx, client, dst)
 		if err != nil {
 			return fmt.Errorf("re-sync at %d%% dirty: %w", pct, err)
-		}
-		if stats.Mode != "manifest-diff" {
-			return fmt.Errorf("re-sync at %d%% dirty ran in %q mode", pct, stats.Mode)
 		}
 		row.ManifestBytes = stats.ManifestBytes
 		row.BlobsFetched = stats.BlobsFetched

@@ -13,7 +13,7 @@ import (
 	"hacfs/internal/obs"
 	"hacfs/internal/remotefs"
 	"hacfs/internal/serve"
-	"hacfs/internal/vfs"
+	"hacfs/internal/vfs/cas"
 )
 
 // ---------------------------------------------------------------------
@@ -95,11 +95,11 @@ func ObsOverhead(spec corpus.Spec, ndirs, reps, workers int) (*ObsOverheadResult
 		workers = 4
 	}
 
-	mem := vfs.New()
-	if err := mem.MkdirAll("/db"); err != nil {
+	sub := cas.New(nil)
+	if err := sub.MkdirAll("/db"); err != nil {
 		return nil, err
 	}
-	man, err := corpus.Generate(mem, "/db", spec)
+	man, err := corpus.Generate(sub, "/db", spec)
 	if err != nil {
 		return nil, err
 	}
@@ -114,7 +114,7 @@ func ObsOverhead(spec corpus.Spec, ndirs, reps, workers int) (*ObsOverheadResult
 	var offT, onT phaseTimes
 	measure := func(o *obs.Observer, into *phaseTimes) error {
 		runtime.GC()
-		hfs := hac.New(mem, hac.Options{VerifyMatches: true, Observer: o})
+		hfs := hac.New(sub, hac.Options{VerifyMatches: true, Observer: o})
 		start := time.Now()
 		if _, err := hfs.Reindex("/db", hac.WithParallelism(workers)); err != nil {
 			return err
@@ -174,7 +174,7 @@ func ObsOverhead(spec corpus.Spec, ndirs, reps, workers int) (*ObsOverheadResult
 	// request frame and opens client + server + engine spans).
 	res.WireOps = 400
 	setupWire := func(o *obs.Observer) (run func(n int) error, cleanup func(), err error) {
-		hfs := hac.New(mem, hac.Options{Observer: o})
+		hfs := hac.New(sub, hac.Options{Observer: o})
 		if _, err := hfs.Reindex("/db", hac.WithParallelism(workers)); err != nil {
 			return nil, nil, err
 		}

@@ -16,6 +16,7 @@ import (
 	"hacfs/internal/remotefs"
 	"hacfs/internal/serve"
 	"hacfs/internal/vfs"
+	"hacfs/internal/vfs/cas"
 )
 
 // ---------------------------------------------------------------------
@@ -148,7 +149,7 @@ func ServeLoad(spec ServeSpec) (*ServeResult, error) {
 func bootServer(spec ServeSpec) (string, func(), error) {
 	host := serve.NewHost(0, obs.NewObserver())
 	for i := 0; i < spec.Tenants; i++ {
-		hfs := hac.New(vfs.New(), hac.Options{Observer: obs.Discard()})
+		hfs := hac.New(cas.New(nil), hac.Options{Observer: obs.Discard()})
 		if err := hfs.MkdirAll("/docs"); err != nil {
 			return "", nil, err
 		}

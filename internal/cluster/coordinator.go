@@ -428,14 +428,6 @@ func (c *Coordinator) searchScatter(ctx context.Context, q, scope string) (_ []s
 	return out, rep, nil
 }
 
-// SearchUnder is the unpaged scatter-gather search restricted to a
-// scope subtree ("/" = cluster-wide), with the caller's context
-// propagated to every shard.
-func (c *Coordinator) SearchUnder(ctx context.Context, q, scope string) ([]string, error) {
-	out, _, err := c.searchScatter(ctx, q, scope)
-	return out, err
-}
-
 // Fetch implements remote.Backend: route the path to its owning shard
 // and fetch from any replica.
 func (c *Coordinator) Fetch(path string) ([]byte, error) {

@@ -134,6 +134,23 @@ func fleet(t *testing.T, mapText string, conns map[int][]*fakeConn, opts Options
 	return c
 }
 
+// searchUnder drains a scope-restricted cluster search page by page
+// into one slice — the unpaged result the scatter-gather tests assert.
+func searchUnder(c *Coordinator, q, scope string) ([]string, error) {
+	var out []string
+	for after := uint64(0); ; {
+		paths, next, _, err := c.SearchPageUnder(context.Background(), q, scope, after, 0)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, paths...)
+		if next == 0 {
+			return out, nil
+		}
+		after = next
+	}
+}
+
 const twoShards = "shard 0 a:1\nshard 1 b:1\nroute /s0 0\nroute /s1 1"
 
 func TestScatterGatherMergesSorted(t *testing.T) {
@@ -141,7 +158,7 @@ func TestScatterGatherMergesSorted(t *testing.T) {
 		0: {newFake(3, "/s0/b.txt", "/s0/a.txt")},
 		1: {newFake(5, "/s1/z.txt", "/s1/c.txt")},
 	}, Options{PageSize: 1}) // force multi-page per-shard drains
-	got, err := c.SearchUnder(context.Background(), "q", "/")
+	got, err := searchUnder(c, "q", "/")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,12 +171,12 @@ func TestScatterGatherMergesSorted(t *testing.T) {
 func TestScopedSearchHitsOneShard(t *testing.T) {
 	f0, f1 := newFake(1, "/s0/a.txt"), newFake(1, "/s1/b.txt")
 	c := fleet(t, twoShards, map[int][]*fakeConn{0: {f0}, 1: {f1}}, Options{})
-	got, err := c.SearchUnder(context.Background(), "q", "/s1")
+	got, err := searchUnder(c, "q", "/s1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, []string{"/s1/b.txt"}) {
-		t.Fatalf("SearchUnder = %v", got)
+		t.Fatalf("searchUnder = %v", got)
 	}
 	if f0.calls.Load() != 0 {
 		t.Fatalf("scoped search touched out-of-scope shard 0 (%d calls)", f0.calls.Load())
@@ -171,7 +188,7 @@ func TestEmptyShardMergesClean(t *testing.T) {
 		0: {newFake(1)}, // holds nothing
 		1: {newFake(1, "/s1/only.txt")},
 	}, Options{})
-	got, err := c.SearchUnder(context.Background(), "q", "/")
+	got, err := searchUnder(c, "q", "/")
 	if err != nil || !reflect.DeepEqual(got, []string{"/s1/only.txt"}) {
 		t.Fatalf("Search = %v, %v", got, err)
 	}
@@ -185,7 +202,7 @@ func TestDuplicatePathCanonicalizes(t *testing.T) {
 		0: {newFake(1, "/s0/dup.txt", "/s0/a.txt")},
 		1: {newFake(1, "/s0/dup.txt", "/s1/b.txt")}, // stale copy on the wrong shard
 	}, Options{Observer: obsv})
-	got, err := c.SearchUnder(context.Background(), "q", "/")
+	got, err := searchUnder(c, "q", "/")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +226,7 @@ func TestReplicaFailover(t *testing.T) {
 	// Run several searches so round-robin starts on the bad replica at
 	// least once; every one must succeed.
 	for i := 0; i < 4; i++ {
-		if got, err := c.SearchUnder(context.Background(), "q", "/"); err != nil || len(got) != 1 {
+		if got, err := searchUnder(c, "q", "/"); err != nil || len(got) != 1 {
 			t.Fatalf("search %d: %v, %v", i, got, err)
 		}
 	}
@@ -226,7 +243,7 @@ func TestTypedShardErrorIsTerminal(t *testing.T) {
 	r1.typedErr.Store(&vfs.PathError{Op: "search", Path: "/s0", Err: vfs.ErrQuotaExceeded})
 	r2 := newFake(1, "/s0/a.txt")
 	c := fleet(t, "shard 0 a:1,b:1\nroute /s0 0", map[int][]*fakeConn{0: {r1, r2}}, Options{})
-	_, err := c.SearchUnder(context.Background(), "q", "/s0")
+	_, err := searchUnder(c, "q", "/s0")
 	if !errors.Is(err, vfs.ErrQuotaExceeded) {
 		t.Fatalf("err = %v, want quota", err)
 	}
@@ -240,7 +257,7 @@ func TestAllReplicasDownIsShardUnavailable(t *testing.T) {
 	r1.failDial.Store(true)
 	r2.failDial.Store(true)
 	c := fleet(t, "shard 0 a:1,b:1\nroute /s0 0", map[int][]*fakeConn{0: {r1, r2}}, Options{})
-	_, err := c.SearchUnder(context.Background(), "q", "/")
+	_, err := searchUnder(c, "q", "/")
 	if !errors.Is(err, vfs.ErrShardUnavailable) {
 		t.Fatalf("err = %v, want ErrShardUnavailable", err)
 	}
@@ -258,7 +275,7 @@ func TestPartialModeServesRemainingShards(t *testing.T) {
 		0: {down},
 		1: {newFake(1, "/s1/b.txt")},
 	}, Options{AllowPartial: true, Observer: obsv})
-	got, err := c.SearchUnder(context.Background(), "q", "/")
+	got, err := searchUnder(c, "q", "/")
 	if err != nil || !reflect.DeepEqual(got, []string{"/s1/b.txt"}) {
 		t.Fatalf("partial Search = %v, %v", got, err)
 	}
@@ -282,7 +299,7 @@ func TestOneShardTimeoutPartial(t *testing.T) {
 		0: {slow},
 		1: {newFake(1, "/s1/b.txt")},
 	}, Options{AllowPartial: true, Timeout: 30 * time.Millisecond})
-	got, err := c.SearchUnder(context.Background(), "q", "/")
+	got, err := searchUnder(c, "q", "/")
 	if err != nil || !reflect.DeepEqual(got, []string{"/s1/b.txt"}) {
 		t.Fatalf("timeout-partial Search = %v, %v", got, err)
 	}
@@ -291,7 +308,7 @@ func TestOneShardTimeoutPartial(t *testing.T) {
 		0: {slow},
 		1: {newFake(1, "/s1/b.txt")},
 	}, Options{Timeout: 30 * time.Millisecond})
-	if _, err := c2.SearchUnder(context.Background(), "q", "/"); !errors.Is(err, vfs.ErrShardUnavailable) {
+	if _, err := searchUnder(c2, "q", "/"); !errors.Is(err, vfs.ErrShardUnavailable) {
 		t.Fatalf("strict mode err = %v, want ErrShardUnavailable", err)
 	}
 }

@@ -228,12 +228,18 @@ func (h *deltaHarness) step() {
 		h.logf("remove %s", h.files[i])
 		h.must(h.fs.Remove(h.files[i]))
 		h.dropFile(i)
-	case op < 90 && len(h.files) > 0: // rename, possibly across scopes
-		i := h.rng.Intn(len(h.files))
+	case op < 90 && len(h.files) > 0: // rename, possibly across scopes or onto another document
+		i, j := h.rng.Intn(len(h.files)), h.rng.Intn(len(h.files))
 		to := h.fresh(h.pickDir())
+		if j != i && h.rng.Intn(3) == 0 {
+			to = h.files[j] // the rename writes over document j
+		}
 		h.logf("rename %s %s", h.files[i], to)
 		h.must(h.fs.Rename(h.files[i], to))
 		h.files[i] = to
+		if to == h.files[j] && j != i {
+			h.dropFile(j)
+		}
 	case op < 95: // a directory subtree goes away and comes back empty
 		h.logf("removeall /spool/tmp")
 		h.must(h.fs.RemoveAll("/spool/tmp"))

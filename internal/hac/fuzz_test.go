@@ -6,7 +6,7 @@ import (
 	"errors"
 	"testing"
 
-	"hacfs/internal/vfs"
+	"hacfs/internal/vfs/cas"
 )
 
 // fuzzSeedImage builds a small but representative volume image: files,
@@ -14,7 +14,7 @@ import (
 // other via dir:), a permanent link and a prohibition.
 func fuzzSeedImage(tb testing.TB) []byte {
 	tb.Helper()
-	fs := New(vfs.New(), Options{})
+	fs := New(cas.New(nil), Options{})
 	if err := fs.MkdirAll("/docs/sub"); err != nil {
 		tb.Fatal(err)
 	}
@@ -50,12 +50,36 @@ func fuzzSeedImage(tb testing.TB) []byte {
 	return buf.Bytes()
 }
 
+// dedupSeedImage is a volume of two files sharing one content blob,
+// so its blob section holds fewer blobs than the manifest has files.
+func dedupSeedImage(tb testing.TB) []byte {
+	tb.Helper()
+	fs := New(cas.New(nil), Options{})
+	if err := fs.MkdirAll("/d"); err != nil {
+		tb.Fatal(err)
+	}
+	for _, p := range []string{"/d/a.txt", "/d/b.txt"} {
+		if err := fs.WriteFile(p, []byte("apple seed")); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if _, err := fs.Reindex("/"); err != nil {
+		tb.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := fs.SaveVolume(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // FuzzLoadVolume feeds arbitrary bytes — seeded with valid images and
-// systematic corruptions of them — to LoadVolume. The contract under
-// test: a load either succeeds, or fails with an error; it never
-// panics, and corrupted or truncated images of a valid volume are
-// detected (the frame makes anything but payload-preserving mutations
-// fail checksum or length verification).
+// systematic corruptions of them — to LoadVolume, hammering the whole
+// load path: frame, gob payload, manifest codec, blob section, index
+// section. The contract under test: a load never panics; it either
+// yields a volume that is consistent and usable, or fails with an error
+// wrapping ErrCorruptVolume and no volume — and a rejected image loaded
+// into a shared store leaves not one byte of it pinned there.
 func FuzzLoadVolume(f *testing.F) {
 	img := fuzzSeedImage(f)
 	f.Add(img)
@@ -67,12 +91,21 @@ func FuzzLoadVolume(f *testing.F) {
 	f.Add(flipped)
 	f.Add(append(append([]byte(nil), img...), 0xde, 0xad))
 	f.Add([]byte("HACV not a real image"))
+	f.Add(dedupSeedImage(f))
+	f.Add([]byte("HACV\x00\x04junk"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fs, err := LoadVolume(bytes.NewReader(data), Options{})
 		if err != nil {
-			if fs != nil {
-				t.Fatalf("LoadVolume returned both a volume and error %v", err)
+			if fs != nil || !errors.Is(err, ErrCorruptVolume) {
+				t.Fatalf("rejected load returned volume %v and error %v, want none and ErrCorruptVolume", fs != nil, err)
+			}
+			shared := cas.NewStore()
+			if _, err := LoadVolume(bytes.NewReader(data), Options{BlobStore: shared}); err == nil {
+				t.Fatal("image rejected once, accepted into a shared store")
+			}
+			if got := shared.UniqueBytes(); got != 0 {
+				t.Fatalf("rejected image pinned %d bytes in a shared store", got)
 			}
 			return
 		}

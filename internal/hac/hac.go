@@ -710,6 +710,10 @@ func (fs *FS) Rename(oldPath, newPath string) error {
 	if err := fs.under.Rename(oldClean, newClean); err != nil {
 		return err
 	}
+	if oldClean == newClean {
+		// Renaming onto itself moved nothing; nothing HAC keeps changes.
+		return nil
+	}
 	fs.attrs.invalidatePrefix(oldClean)
 	fs.attrs.invalidatePrefix(newClean)
 
@@ -793,7 +797,10 @@ func (fs *FS) Rename(oldPath, newPath string) error {
 // rewriteTargetsLocked updates every classified link target at or under
 // oldPrefix to the corresponding path under newPrefix, re-pointing the
 // physical symlinks. Prohibitions follow too: the user prohibited the
-// document, not its path. Caller holds fs.mu.
+// document, not its path. A link or prohibition already at a path an
+// entry moves onto named the document the rename wrote over; it is
+// displaced — the link dropped, the prohibition lifted — so the moved
+// entry is the only one left there. Caller holds fs.mu.
 func (fs *FS) rewriteTargetsLocked(oldPrefix, newPrefix string) error {
 	for _, ds := range fs.dirs {
 		if !ds.semantic {
@@ -804,10 +811,27 @@ func (fs *FS) rewriteTargetsLocked(oldPrefix, newPrefix string) error {
 			continue
 		}
 		type move struct{ old, new string }
-		var moves []move
+		var moves, prohMoves []move
 		for t := range ds.class {
 			if !IsRemoteTarget(t) && vfs.HasPrefix(t, oldPrefix) {
 				moves = append(moves, move{t, newPrefix + t[len(oldPrefix):]})
+			}
+		}
+		for t := range ds.prohibited {
+			if !IsRemoteTarget(t) && vfs.HasPrefix(t, oldPrefix) {
+				prohMoves = append(prohMoves, move{t, newPrefix + t[len(oldPrefix):]})
+			}
+		}
+		changed := len(moves) > 0
+		for _, ms := range [2][]move{moves, prohMoves} {
+			for _, m := range ms {
+				if _, linked := ds.class[m.new]; linked {
+					if err := fs.dropLinkLocked(ds, dirPath, m.new); err != nil {
+						return err
+					}
+					changed = true
+				}
+				delete(ds.prohibited, m.new)
 			}
 		}
 		for _, m := range moves {
@@ -828,17 +852,11 @@ func (fs *FS) rewriteTargetsLocked(oldPrefix, newPrefix string) error {
 				return err
 			}
 		}
-		var prohMoves []move
-		for t := range ds.prohibited {
-			if !IsRemoteTarget(t) && vfs.HasPrefix(t, oldPrefix) {
-				prohMoves = append(prohMoves, move{t, newPrefix + t[len(oldPrefix):]})
-			}
-		}
 		for _, m := range prohMoves {
 			delete(ds.prohibited, m.old)
 			ds.prohibited[m.new] = true
 		}
-		if len(moves) > 0 {
+		if changed {
 			fs.bumpScopeEpochLocked(ds.uid)
 		}
 	}

@@ -8,9 +8,11 @@ import (
 	"testing"
 
 	"hacfs/internal/vfs"
+	"hacfs/internal/vfs/cas"
 )
 
-// newTestFS builds a HAC volume over a small corpus with known terms:
+// newTestFS builds a HAC volume over MemFS holding a small corpus with
+// known terms:
 //
 //	/docs/apple1.txt   "apple fruit red"
 //	/docs/apple2.txt   "apple banana mixed"
@@ -20,7 +22,21 @@ import (
 //	/mail/m2.txt       "cherry message mail"
 func newTestFS(t *testing.T) *FS {
 	t.Helper()
-	fs := New(vfs.New(), Options{})
+	return newTestFSOn(t, vfs.New())
+}
+
+// newCASTestFS builds the standard test corpus over a content-addressed
+// substrate — the one a volume is saved on — optionally backed by a
+// shared blob store.
+func newCASTestFS(t *testing.T, store *cas.BlobStore) *FS {
+	t.Helper()
+	return newTestFSOn(t, cas.New(store))
+}
+
+// newTestFSOn builds the standard test corpus over under.
+func newTestFSOn(t *testing.T, under vfs.FileSystem) *FS {
+	t.Helper()
+	fs := New(under, Options{})
 	files := map[string]string{
 		"/docs/apple1.txt": "apple fruit red",
 		"/docs/apple2.txt": "apple banana mixed",

@@ -239,10 +239,6 @@ type mcHarness struct {
 	steps int
 }
 
-func newMCHarness(t *testing.T, seed int64, rate float64) *mcHarness {
-	return newMCHarnessOn(t, seed, rate, vfs.New())
-}
-
 // newMCHarnessOn runs the walk over an arbitrary substrate — the same
 // checks drive MemFS and the content-addressed cas.FS, which is exactly
 // the substrate-equivalence claim of DESIGN.md §15.
@@ -713,8 +709,9 @@ var mcSeeds = []int64{1, 2, 3, 4, 5, 6, 7, 8}
 
 const mcStepsPerSeed = 250
 
-// mcSubstrates names the substrate families every model-check walk
-// runs over: the MemFS baseline and the content-addressed cas.FS.
+// mcSubstrates names the substrate families the fault-free and
+// injected-error walks run over: the MemFS reference and the
+// content-addressed cas.FS.
 var mcSubstrates = []struct {
 	name string
 	mk   func() vfs.FileSystem
@@ -779,74 +776,74 @@ func TestModelCheckWithInjectedErrors(t *testing.T) {
 // through LoadVolume + Reindex on the last good image. The walk then
 // continues on the recovered volume, with the oracle rolled back to
 // its state at the save — so all three invariants are re-proven after
-// every crash, including the lost-window semantics.
+// every crash, including the lost-window semantics. Only the cas arm
+// runs: a volume is saved on the content-addressed substrate, MemFS is
+// not saveable.
 func TestModelCheckCrashRecovery(t *testing.T) {
 	const savePointEvery = 25
-	for _, sub := range mcSubstrates {
-		for _, seed := range mcSeeds {
-			sub, seed := sub, seed
-			t.Run(fmt.Sprintf("%s/seed%d", sub.name, seed), func(t *testing.T) {
-				t.Parallel()
-				h := newMCHarnessOn(t, seed, 0, sub.mk())
-				for i := 0; i < mcStepsPerSeed; i++ {
-					h.step()
-					if i%savePointEvery != savePointEvery-1 {
-						continue
-					}
-					// Save point: capture a good image and the oracle.
-					var good bytes.Buffer
-					if err := h.fs.SaveVolume(&good); err != nil {
-						t.Fatalf("step %d: save: %v", i, err)
-					}
-					saved := h.m.clone()
-
-					// A crash tears the concurrent save at a random point;
-					// the torn image must never load.
-					var torn bytes.Buffer
-					limit := h.rng.Intn(good.Len())
-					if err := h.fs.SaveVolume(&vfs.CrashWriter{W: &torn, Limit: limit}); err == nil {
-						t.Fatalf("step %d: torn save (limit %d) reported success", i, limit)
-					}
-					if _, err := LoadVolume(bytes.NewReader(torn.Bytes()), Options{}); err == nil {
-						t.Fatalf("step %d: torn image (limit %d of %d) loaded", i, limit, good.Len())
-					}
-
-					// The machine dies a few operations later: every
-					// subsequent substrate op must fail, losing the window
-					// since the save.
-					if h.fault != nil {
-						h.fault.CrashAfter(uint64(1 + h.rng.Intn(20)))
-						for h.fault != nil && !h.fault.Crashed() {
-							p := vfs.Join("/docs", h.freshName("w")+".txt")
-							if err := h.fs.WriteFile(p, []byte(h.randContent())); err != nil {
-								if !errors.Is(err, vfs.ErrCrashed) && !errors.Is(err, vfs.ErrInjected) {
-									t.Fatalf("step %d: pre-crash write: %v", i, err)
-								}
-								break
-							}
-						}
-						if err := h.fs.Sync("/"); err == nil {
-							t.Fatalf("step %d: Sync succeeded on crashed store", i)
-						}
-					}
-
-					// Recovery: LoadVolume + Reindex from the good image.
-					recovered, err := LoadVolume(bytes.NewReader(good.Bytes()), Options{})
-					if err != nil {
-						t.Fatalf("step %d: recovery load: %v", i, err)
-					}
-					if _, err := recovered.Reindex("/"); err != nil {
-						t.Fatalf("step %d: recovery reindex: %v", i, err)
-					}
-					h.fs = recovered
-					h.fault = nil // recovered volume runs on a fresh substrate of the image's choosing
-					h.m = saved
-					// The restored volume was fully reindexed on load, so
-					// the oracle's indexed view catches up to its files.
-					h.m.reindex()
-					h.assertConsistent("recovery")
+	for _, seed := range mcSeeds {
+		seed := seed
+		t.Run(fmt.Sprintf("cas/seed%d", seed), func(t *testing.T) {
+			t.Parallel()
+			h := newMCHarnessOn(t, seed, 0, cas.New(nil))
+			for i := 0; i < mcStepsPerSeed; i++ {
+				h.step()
+				if i%savePointEvery != savePointEvery-1 {
+					continue
 				}
-			})
-		}
+				// Save point: capture a good image and the oracle.
+				var good bytes.Buffer
+				if err := h.fs.SaveVolume(&good); err != nil {
+					t.Fatalf("step %d: save: %v", i, err)
+				}
+				saved := h.m.clone()
+
+				// A crash tears the concurrent save at a random point;
+				// the torn image must never load.
+				var torn bytes.Buffer
+				limit := h.rng.Intn(good.Len())
+				if err := h.fs.SaveVolume(&vfs.CrashWriter{W: &torn, Limit: limit}); err == nil {
+					t.Fatalf("step %d: torn save (limit %d) reported success", i, limit)
+				}
+				if _, err := LoadVolume(bytes.NewReader(torn.Bytes()), Options{}); err == nil {
+					t.Fatalf("step %d: torn image (limit %d of %d) loaded", i, limit, good.Len())
+				}
+
+				// The machine dies a few operations later: every
+				// subsequent substrate op must fail, losing the window
+				// since the save.
+				if h.fault != nil {
+					h.fault.CrashAfter(uint64(1 + h.rng.Intn(20)))
+					for h.fault != nil && !h.fault.Crashed() {
+						p := vfs.Join("/docs", h.freshName("w")+".txt")
+						if err := h.fs.WriteFile(p, []byte(h.randContent())); err != nil {
+							if !errors.Is(err, vfs.ErrCrashed) && !errors.Is(err, vfs.ErrInjected) {
+								t.Fatalf("step %d: pre-crash write: %v", i, err)
+							}
+							break
+						}
+					}
+					if err := h.fs.Sync("/"); err == nil {
+						t.Fatalf("step %d: Sync succeeded on crashed store", i)
+					}
+				}
+
+				// Recovery: LoadVolume + Reindex from the good image.
+				recovered, err := LoadVolume(bytes.NewReader(good.Bytes()), Options{})
+				if err != nil {
+					t.Fatalf("step %d: recovery load: %v", i, err)
+				}
+				if _, err := recovered.Reindex("/"); err != nil {
+					t.Fatalf("step %d: recovery reindex: %v", i, err)
+				}
+				h.fs = recovered
+				h.fault = nil // recovered volume runs on a fresh substrate of the image's choosing
+				h.m = saved
+				// The restored volume was fully reindexed on load, so
+				// the oracle's indexed view catches up to its files.
+				h.m.reindex()
+				h.assertConsistent("recovery")
+			}
+		})
 	}
 }

@@ -20,12 +20,13 @@ import (
 // Volume persistence. The paper's HAC stores its per-directory
 // structures on disk alongside the file system; here the whole volume —
 // substrate tree plus HAC's semantic metadata — serializes to one
-// stream. Since version 3 the image also carries the segmented index
-// (index.Save's per-segment blocks appended after the main frame), so a
-// load resumes from the saved postings and the settling Reindex only
-// re-tokenizes files that actually changed. Version-2 images — which
-// stored no index — still load; the Reindex rebuilds it from scratch,
-// exactly the old recovery story.
+// stream. A volume that is saved is content-addressed: the image is the
+// substrate's manifest (paths and content hashes), a blob section with
+// each distinct content blob once, HAC's per-directory state, and the
+// segmented index (index.Save's per-segment blocks), so a load resumes
+// from the saved postings and the settling Reindex only re-tokenizes
+// files that actually changed. One image version exists (4); any other
+// is rejected as corrupt.
 //
 // The on-disk image is crash-safe (DESIGN.md §8): a fixed header
 // carries a magic number, a format version and the payload length, the
@@ -40,11 +41,9 @@ import (
 // tree. SaveVolumeFile writes through a temp file, fsyncs and renames,
 // so a crash during save leaves the previous image intact.
 
-const (
-	casVolumeVersion    = 4 // content-addressed images: manifest + blob section + index section
-	volumeVersion       = 3
-	legacyVolumeVersion = 2 // pre-segmented-index images, no index section
-)
+// volumeVersion is the one image format: manifest frame, blob section,
+// index section.
+const volumeVersion = 4
 
 // volumeMagic opens every volume image ("HACV" plus a format byte).
 var volumeMagic = [4]byte{'H', 'A', 'C', 'V'}
@@ -64,9 +63,10 @@ var (
 	// vfs.ErrCorruptVolume — the same sentinel the index layer wraps —
 	// so one errors.Is test covers damage found at either layer.
 	ErrCorruptVolume = vfs.ErrCorruptVolume
-	// ErrNoSnapshot means the substrate cannot produce a snapshot, so
-	// the volume cannot be saved from this layer.
-	ErrNoSnapshot = errors.New("hac: substrate cannot snapshot")
+	// ErrNoSnapshot means the volume's substrate is not content-addressed
+	// (no cas.FS beneath its layering), so there is no manifest to save:
+	// SaveVolume refuses it. Volumes that are saved live on cas.FS.
+	ErrNoSnapshot = errors.New("hac: substrate is not content-addressed")
 )
 
 // volErr wraps persistence failures in the typed error shape of the
@@ -77,13 +77,11 @@ func volErr(op string, err error) error {
 
 type volumeImage struct {
 	Version int
-	Nodes   []vfs.SnapNode // v2/v3: full tree with content inline
 	Dirs    []dirImage
-	// Manifest is the encoded cas.Manifest of a version-4 image: the
-	// tree with file content referenced by hash. The blobs themselves
-	// follow the main frame in the blob section, each stored once no
-	// matter how many files (or tenants at load time, via a shared
-	// store) reference it.
+	// Manifest is the encoded cas.Manifest: the tree with file content
+	// referenced by hash. The blobs themselves follow the main frame in
+	// the blob section, each stored once no matter how many files (or
+	// tenants at load time, via a shared store) reference it.
 	Manifest []byte
 }
 
@@ -99,28 +97,12 @@ type dirImage struct {
 	Prohibited []string
 }
 
-// casSubstrate unwraps layering (vfs.FaultFS and anything else exposing
-// Under()) down to a content-addressed substrate, or nil.
-func casSubstrate(under vfs.FileSystem) *cas.FS {
-	for {
-		if c, ok := under.(*cas.FS); ok {
-			return c
-		}
-		u, ok := under.(interface{ Under() vfs.FileSystem })
-		if !ok {
-			return nil
-		}
-		under = u.Under()
-	}
-}
-
 // CASManifest returns the live manifest of the volume's
 // content-addressed substrate — the send half of manifest-diff
-// replication (remotefs.BlobSource). Volumes on other substrates return
-// vfs.ErrUnsupported, which tells a syncing peer to fall back to
-// full-content copy.
+// replication (remotefs.BlobSource). A volume on any other substrate
+// returns vfs.ErrUnsupported, and a mirroring peer fails with it.
 func (fs *FS) CASManifest() (*cas.Manifest, error) {
-	cfs := casSubstrate(fs.under)
+	cfs := cas.Of(fs.under)
 	if cfs == nil {
 		return nil, &vfs.PathError{Op: "manifest", Path: "/", Err: vfs.ErrUnsupported}
 	}
@@ -132,53 +114,30 @@ func (fs *FS) CASManifest() (*cas.Manifest, error) {
 // manifest raced a local rewrite — is reported as vfs.ErrNotExist; the
 // peer refetches the manifest and retries.
 func (fs *FS) CASBlobs(hashes []cas.Hash) ([][]byte, error) {
-	cfs := casSubstrate(fs.under)
+	cfs := cas.Of(fs.under)
 	if cfs == nil {
 		return nil, &vfs.PathError{Op: "blobs", Path: "/", Err: vfs.ErrUnsupported}
 	}
-	store := cfs.Store()
-	out := make([][]byte, len(hashes))
-	for i, h := range hashes {
-		data, ok := store.Get(h)
-		if !ok {
-			return nil, &vfs.PathError{Op: "blobs", Path: h.String(), Err: vfs.ErrNotExist}
-		}
-		out[i] = data
-	}
-	return out, nil
+	return cfs.CASBlobs(hashes)
 }
 
 // SaveVolume writes the volume — files, directories, links, queries and
 // link classifications — to w as a checksummed, length-framed image.
 //
-// On a content-addressed substrate (cas.FS, possibly wrapped in
-// vfs.FaultFS) the image is version 4: the main frame carries the
-// manifest (paths and hashes, no content) and a blob section follows
-// with each distinct blob exactly once — files sharing content, however
-// many, cost one copy, and clean files cost no re-hashing (their hashes
-// are cached on the tree). Other substrates must implement
-// vfs.Snapshotter (MemFS does) and save the inline version-3 form;
-// otherwise a *vfs.PathError wrapping ErrNoSnapshot is returned.
+// The substrate must be content-addressed (cas.FS, possibly wrapped in
+// vfs.FaultFS or another layer exposing Under): the main frame carries
+// the manifest (paths and hashes, no content) and a blob section
+// follows with each distinct blob exactly once — files sharing content,
+// however many, cost one copy, and clean files cost no re-hashing
+// (their hashes are cached on the tree). Any other substrate is refused
+// with a *vfs.PathError wrapping ErrNoSnapshot.
 func (fs *FS) SaveVolume(w io.Writer) error {
-	var img volumeImage
-	var manifest *cas.Manifest
-	var blobs map[cas.Hash][]byte
-	if cfs := casSubstrate(fs.under); cfs != nil {
-		manifest, blobs = cfs.ImageData()
-		img.Version = casVolumeVersion
-		img.Manifest = manifest.EncodeBinary()
-	} else {
-		snapper, ok := fs.under.(vfs.Snapshotter)
-		if !ok {
-			return volErr("savevolume", fmt.Errorf("%w: substrate %T", ErrNoSnapshot, fs.under))
-		}
-		nodes := snapper.Snapshot()
-		if len(nodes) == 0 {
-			return volErr("savevolume", fmt.Errorf("%w: substrate %T produced no snapshot", ErrNoSnapshot, fs.under))
-		}
-		img.Version = volumeVersion
-		img.Nodes = nodes
+	cfs := cas.Of(fs.under)
+	if cfs == nil {
+		return volErr("savevolume", fmt.Errorf("%w: substrate %T", ErrNoSnapshot, fs.under))
 	}
+	manifest, blobs := cfs.ImageData()
+	img := volumeImage{Version: volumeVersion, Manifest: manifest.EncodeBinary()}
 
 	fs.mu.RLock()
 	uids := make([]uint64, 0, len(fs.dirs))
@@ -233,26 +192,23 @@ func (fs *FS) SaveVolume(w io.Writer) error {
 	if err := gob.NewEncoder(&payload).Encode(&img); err != nil {
 		return volErr("savevolume", fmt.Errorf("encoding volume: %w", err))
 	}
-	if err := writeVolumeFrame(w, uint16(img.Version), payload.Bytes()); err != nil {
+	if err := writeVolumeFrame(w, volumeVersion, payload.Bytes()); err != nil {
 		return volErr("savevolume", err)
 	}
-	// Version 4: the blob section — every distinct content blob the
-	// manifest references, hash-framed, before the index section.
-	if img.Version == casVolumeVersion {
-		if err := writeBlobSection(w, manifest, blobs); err != nil {
-			return volErr("savevolume", err)
-		}
+	// The blob section: every distinct content blob the manifest
+	// references, hash-framed, before the index section.
+	if err := writeBlobSection(w, manifest, blobs); err != nil {
+		return volErr("savevolume", err)
 	}
 	// The index section: the segmented image, one framed block per
-	// segment (see internal/index/persist.go). Appending it after the
-	// main frame keeps version-2 readers' framing intact.
+	// segment (see internal/index/persist.go).
 	if err := fs.ix.Save(w); err != nil {
 		return volErr("savevolume", fmt.Errorf("writing index section: %w", err))
 	}
 	return nil
 }
 
-// Blob section framing (v4): magic "HACB" | u32 blob count | per blob:
+// Blob section framing: magic "HACB" | u32 blob count | per blob:
 // hash[32] | u64 length | content. The SHA-256 hash doubles as the
 // integrity check — the loader recomputes it over the content, so a
 // flipped bit anywhere in a blob rejects the image with
@@ -352,38 +308,35 @@ func writeVolumeFrame(w io.Writer, version uint16, payload []byte) error {
 }
 
 // readVolumePayload reads and verifies one framed image, returning the
-// gob payload and the frame's format version (current or legacy). Every
-// failure wraps ErrCorruptVolume.
-func readVolumePayload(r io.Reader) ([]byte, uint16, error) {
+// gob payload. A frame of any version but volumeVersion is rejected.
+// Every failure wraps ErrCorruptVolume.
+func readVolumePayload(r io.Reader) ([]byte, error) {
 	var hdr [14]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, 0, fmt.Errorf("%w: short header: %v", ErrCorruptVolume, err)
+		return nil, fmt.Errorf("%w: short header: %v", ErrCorruptVolume, err)
 	}
 	if !bytes.Equal(hdr[:4], volumeMagic[:]) {
-		return nil, 0, fmt.Errorf("%w: bad magic %q", ErrCorruptVolume, hdr[:4])
+		return nil, fmt.Errorf("%w: bad magic %q", ErrCorruptVolume, hdr[:4])
 	}
-	version := binary.BigEndian.Uint16(hdr[4:6])
-	switch version {
-	case casVolumeVersion, volumeVersion, legacyVolumeVersion:
-	default:
-		return nil, 0, fmt.Errorf("%w: unsupported volume version %d", ErrCorruptVolume, version)
+	if version := binary.BigEndian.Uint16(hdr[4:6]); version != volumeVersion {
+		return nil, fmt.Errorf("%w: unsupported volume version %d", ErrCorruptVolume, version)
 	}
 	length := binary.BigEndian.Uint64(hdr[6:14])
 	if length > maxVolumePayload {
-		return nil, 0, fmt.Errorf("%w: implausible payload length %d", ErrCorruptVolume, length)
+		return nil, fmt.Errorf("%w: implausible payload length %d", ErrCorruptVolume, length)
 	}
 	payload := make([]byte, int(length))
 	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, 0, fmt.Errorf("%w: truncated payload: %v", ErrCorruptVolume, err)
+		return nil, fmt.Errorf("%w: truncated payload: %v", ErrCorruptVolume, err)
 	}
 	var trailer [4]byte
 	if _, err := io.ReadFull(r, trailer[:]); err != nil {
-		return nil, 0, fmt.Errorf("%w: missing checksum trailer: %v", ErrCorruptVolume, err)
+		return nil, fmt.Errorf("%w: missing checksum trailer: %v", ErrCorruptVolume, err)
 	}
 	if got, want := crc32.Checksum(payload, volumeCRC), binary.BigEndian.Uint32(trailer[:]); got != want {
-		return nil, 0, fmt.Errorf("%w: checksum mismatch (%08x != %08x)", ErrCorruptVolume, got, want)
+		return nil, fmt.Errorf("%w: checksum mismatch (%08x != %08x)", ErrCorruptVolume, got, want)
 	}
-	return payload, version, nil
+	return payload, nil
 }
 
 // LoadVolume reconstructs a volume saved by SaveVolume: the image frame
@@ -395,8 +348,7 @@ func readVolumePayload(r io.Reader) ([]byte, uint16, error) {
 // ErrCorruptVolume, with one deliberate exception: damage contained to
 // a single segment block of the index section costs that segment only,
 // and the settling Reindex re-indexes its documents from the restored
-// tree. Version-2 images carry no index section and rebuild the index
-// from scratch the same way.
+// tree.
 func LoadVolume(r io.Reader, opts Options) (fs *FS, err error) {
 	var loadedCAS *cas.FS
 	defer func() {
@@ -413,7 +365,7 @@ func LoadVolume(r io.Reader, opts Options) (fs *FS, err error) {
 			loadedCAS.Release()
 		}
 	}()
-	payload, version, err := readVolumePayload(r)
+	payload, err := readVolumePayload(r)
 	if err != nil {
 		return nil, volErr("loadvolume", err)
 	}
@@ -421,87 +373,64 @@ func LoadVolume(r io.Reader, opts Options) (fs *FS, err error) {
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&img); err != nil {
 		return nil, volErr("loadvolume", fmt.Errorf("%w: decoding volume: %v", ErrCorruptVolume, err))
 	}
-	if img.Version != int(version) {
-		return nil, volErr("loadvolume", fmt.Errorf("%w: payload version %d in v%d frame", ErrCorruptVolume, img.Version, version))
+	if img.Version != volumeVersion {
+		return nil, volErr("loadvolume", fmt.Errorf("%w: payload version %d in v%d frame", ErrCorruptVolume, img.Version, volumeVersion))
 	}
 
-	// Restore the substrate. Version 4 materializes the manifest against
-	// a content-addressed store — opts.BlobStore if set (shared across
+	// Restore the substrate: materialize the manifest against a
+	// content-addressed store — opts.BlobStore if set (shared across
 	// volumes: blobs another tenant already loaded cost nothing beyond a
-	// reference), else a private one. Earlier versions rebuild a MemFS
-	// from the inline snapshot.
-	var substrate vfs.FileSystem
-	if version == casVolumeVersion {
-		m, mErr := cas.DecodeManifest(img.Manifest)
-		if mErr != nil {
-			return nil, volErr("loadvolume", fmt.Errorf("%w: manifest: %v", ErrCorruptVolume, mErr))
+	// reference), else a private one.
+	m, err := cas.DecodeManifest(img.Manifest)
+	if err != nil {
+		return nil, volErr("loadvolume", fmt.Errorf("%w: manifest: %v", ErrCorruptVolume, err))
+	}
+	store := opts.BlobStore
+	if store == nil {
+		store = cas.NewStore()
+	}
+	// The loader holds one temporary reference per section blob;
+	// FromManifest takes the tree's own references on top, and the
+	// temporaries are dropped on every exit path — success, corrupt
+	// section, or dangling manifest — so a failed load leaves a shared
+	// store exactly as it found it.
+	loaded, err := readBlobSection(r, store)
+	if err == nil {
+		if loadedCAS, err = cas.FromManifest(m, store); err != nil {
+			// A manifest that does not materialize — it names a blob
+			// neither the image nor the shared store holds, or a malformed
+			// tree — is a damaged image.
+			err = fmt.Errorf("%w: %v", ErrCorruptVolume, err)
 		}
-		store := opts.BlobStore
-		if store == nil {
-			store = cas.NewStore()
-		}
-		// The loader holds one temporary reference per section blob;
-		// FromManifest takes the tree's own references on top, and the
-		// temporaries are dropped on every exit path — success, corrupt
-		// section, or dangling manifest — so a failed load leaves a
-		// shared store exactly as it found it.
-		loaded, bErr := readBlobSection(r, store)
-		releaseTemp := func() {
-			for _, h := range loaded {
-				store.Unref(h)
-			}
-		}
-		if bErr != nil {
-			releaseTemp()
-			return nil, volErr("loadvolume", bErr)
-		}
-		cfs, fErr := cas.FromManifest(m, store)
-		if fErr != nil {
-			releaseTemp()
-			if errors.Is(fErr, vfs.ErrNotExist) {
-				// The manifest names a blob neither the image nor the
-				// shared store holds: the image is incomplete.
-				fErr = fmt.Errorf("%w: %v", ErrCorruptVolume, fErr)
-			}
-			return nil, volErr("loadvolume", fErr)
-		}
-		releaseTemp()
-		substrate, loadedCAS = cfs, cfs
-	} else {
-		mem, memErr := vfs.FromSnapshot(img.Nodes)
-		if memErr != nil {
-			return nil, volErr("loadvolume", fmt.Errorf("%w: %v", ErrCorruptVolume, memErr))
-		}
-		substrate = mem
+	}
+	for _, h := range loaded {
+		store.Unref(h)
+	}
+	if err != nil {
+		return nil, volErr("loadvolume", err)
 	}
 
-	// The index section follows the main frame (and, in version 4, the
-	// blob section). Transducers are code, not data (Options.Transducers),
-	// so they re-attach through load options — the loaded index is
-	// non-empty, which is exactly what RegisterTransducer refuses.
-	var preIx *index.Index
-	if version == volumeVersion || version == casVolumeVersion {
-		var ixOpts []index.LoadOption
-		for ext, ts := range opts.Transducers {
-			for _, t := range ts {
-				ixOpts = append(ixOpts, index.WithLoadTransducer(ext, t))
-			}
+	// The index section follows the blob section. Transducers are code,
+	// not data (Options.Transducers), so they re-attach through load
+	// options — the loaded index is non-empty, which is exactly what
+	// RegisterTransducer refuses.
+	var ixOpts []index.LoadOption
+	for ext, ts := range opts.Transducers {
+		for _, t := range ts {
+			ixOpts = append(ixOpts, index.WithLoadTransducer(ext, t))
 		}
-		ix, ixErr := index.LoadIndex(r, ixOpts...)
-		if ixErr != nil {
-			if ix == nil || errors.Is(ixErr, index.ErrBlockFraming) {
-				// The stream position is lost: a torn save. Nothing past
-				// this point is trustworthy, so the whole image is
-				// rejected and recovery proceeds from the previous one.
-				return nil, volErr("loadvolume", fmt.Errorf("index section: %w", ixErr))
-			}
-			// Contained damage: the intact segments loaded, the torn
-			// one's documents are simply absent, and the settling
-			// Reindex below restores them from the tree.
-		}
-		preIx = ix
 	}
-	fs = newFS(substrate, opts, preIx)
+	preIx, ixErr := index.LoadIndex(r, ixOpts...)
+	if ixErr != nil && (preIx == nil || errors.Is(ixErr, index.ErrBlockFraming)) {
+		// The stream position is lost: a torn save. Nothing past this
+		// point is trustworthy, so the whole image is rejected and
+		// recovery proceeds from the previous one. Any other index error
+		// is contained damage: the intact segments loaded, the torn one's
+		// documents are simply absent, and the settling Reindex below
+		// restores them from the tree.
+		return nil, volErr("loadvolume", fmt.Errorf("index section: %w", ixErr))
+	}
+	fs = newFS(loadedCAS, opts, preIx)
 
 	// Register every directory first, so queries can reference any of
 	// them during binding.

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"hacfs/internal/vfs"
+	"hacfs/internal/vfs/cas"
 )
 
 // saveLoad round-trips a volume through the persistence format.
@@ -28,7 +29,7 @@ func saveLoad(t *testing.T, fs *FS) *FS {
 }
 
 func TestVolumeRoundTripBasics(t *testing.T) {
-	fs := newTestFS(t)
+	fs := newCASTestFS(t, nil)
 	if err := fs.SemDir("/sel", "apple AND NOT banana"); err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestVolumeRoundTripBasics(t *testing.T) {
 }
 
 func TestVolumeRoundTripUserEdits(t *testing.T) {
-	fs := newTestFS(t)
+	fs := newCASTestFS(t, nil)
 	if err := fs.SemDir("/sel", "apple"); err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestVolumeRoundTripUserEdits(t *testing.T) {
 }
 
 func TestVolumeRoundTripDirRefs(t *testing.T) {
-	fs := newTestFS(t)
+	fs := newCASTestFS(t, nil)
 	if err := fs.SemDir("/curated", "apple"); err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestVolumeRoundTripDirRefs(t *testing.T) {
 }
 
 func TestVolumeRoundTripHierarchy(t *testing.T) {
-	fs := newTestFS(t)
+	fs := newCASTestFS(t, nil)
 	if err := fs.SemDir("/sel", "apple OR cherry"); err != nil {
 		t.Fatal(err)
 	}
@@ -170,29 +171,37 @@ func TestLoadVolumeRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestSaveVolumeRequiresSnapshotter(t *testing.T) {
-	// A HAC-over-HAC stack has a substrate that cannot snapshot; the
-	// failure is a typed *vfs.PathError wrapping ErrNoSnapshot.
-	inner := New(vfs.New(), Options{})
-	outer := New(inner, Options{})
-	var buf bytes.Buffer
-	err := outer.SaveVolume(&buf)
-	if err == nil {
-		t.Fatal("SaveVolume over non-snapshotting substrate succeeded")
-	}
-	var pe *vfs.PathError
-	if !errors.As(err, &pe) || pe.Op != "savevolume" {
-		t.Fatalf("error = %#v, want *vfs.PathError{Op: savevolume}", err)
-	}
-	if !errors.Is(err, ErrNoSnapshot) {
-		t.Fatalf("error %v does not wrap ErrNoSnapshot", err)
+func TestSaveVolumeRequiresCAS(t *testing.T) {
+	// A volume over the reference substrate (MemFS) — directly, or under
+	// another HAC layer — has no manifest to save; the failure is a
+	// typed *vfs.PathError wrapping ErrNoSnapshot, and nothing is written.
+	mem := New(vfs.New(), Options{})
+	for _, fs := range []*FS{mem, New(mem, Options{})} {
+		var buf bytes.Buffer
+		err := fs.SaveVolume(&buf)
+		if err == nil {
+			t.Fatal("SaveVolume over a MemFS substrate succeeded")
+		}
+		var pe *vfs.PathError
+		if !errors.As(err, &pe) || pe.Op != "savevolume" {
+			t.Fatalf("error = %#v, want *vfs.PathError{Op: savevolume}", err)
+		}
+		if !errors.Is(err, ErrNoSnapshot) {
+			t.Fatalf("error %v does not wrap ErrNoSnapshot", err)
+		}
+		if buf.Len() != 0 {
+			t.Fatalf("refused save wrote %d bytes", buf.Len())
+		}
 	}
 }
 
 func TestSaveVolumeThroughFaultFS(t *testing.T) {
-	// A snapshot-capable wrapper (FaultFS) satisfies the Snapshotter
-	// interface by delegation, so fault-injected volumes can be saved.
-	fault := vfs.NewFaultFS(vfs.New(), vfs.FaultConfig{})
+	// The substrate unwrap sees through fault injection: a fault-wrapped
+	// MemFS is refused like a bare one, a fault-wrapped cas.FS saves.
+	if err := New(vfs.NewFaultFS(vfs.New(), vfs.FaultConfig{}), Options{}).SaveVolume(&bytes.Buffer{}); !errors.Is(err, ErrNoSnapshot) {
+		t.Fatalf("save over fault-wrapped MemFS = %v, want ErrNoSnapshot", err)
+	}
+	fault := vfs.NewFaultFS(cas.New(nil), vfs.FaultConfig{})
 	fs := New(fault, Options{})
 	if err := fs.MkdirAll("/docs"); err != nil {
 		t.Fatal(err)
@@ -219,7 +228,7 @@ func TestSaveVolumeThroughFaultFS(t *testing.T) {
 
 // mainFrameLen reads the main frame's claimed payload length out of a
 // saved image and returns the total frame size (header + payload + CRC
-// trailer); everything past it is the appended index section.
+// trailer); the blob section and then the index section follow it.
 func mainFrameLen(t *testing.T, img []byte) int {
 	t.Helper()
 	if len(img) < 14 {
@@ -230,12 +239,13 @@ func mainFrameLen(t *testing.T, img []byte) int {
 
 // TestLoadVolumeRejectsCorruption checks that image damage never causes
 // a panic or a silently wrong volume: truncation anywhere (a torn save)
-// and bit flips in the main frame yield a typed error; bit flips in the
-// appended index section either yield the same error or cost at most
-// one segment, which the load-time reindex restores — the loaded volume
-// must be indistinguishable from the original.
+// and bit flips in the main frame or the blob section yield a typed
+// error; bit flips in the appended index section either yield the same
+// error or cost at most one segment, which the load-time reindex
+// restores — the loaded volume must be indistinguishable from the
+// original.
 func TestLoadVolumeRejectsCorruption(t *testing.T) {
-	fs := newTestFS(t)
+	fs := newCASTestFS(t, nil)
 	if err := fs.SemDir("/sel", "apple"); err != nil {
 		t.Fatal(err)
 	}
@@ -247,11 +257,11 @@ func TestLoadVolumeRejectsCorruption(t *testing.T) {
 	good := buf.Bytes()
 	mainLen := mainFrameLen(t, good)
 	if mainLen >= len(good) {
-		t.Fatalf("no index section appended: main frame %d of %d bytes", mainLen, len(good))
+		t.Fatalf("no sections appended: main frame %d of %d bytes", mainLen, len(good))
 	}
 
 	// Truncations tear the save mid-stream: always rejected, wherever
-	// the cut lands — header, payload, trailer, or the index section.
+	// the cut lands — header, payload, trailer, or an appended section.
 	for _, cut := range []int{0, 3, 13, 14, len(good) / 3, mainLen - 1, mainLen, mainLen + 7, len(good) - 5, len(good) - 1} {
 		if cut > len(good) {
 			continue
@@ -272,9 +282,9 @@ func TestLoadVolumeRejectsCorruption(t *testing.T) {
 			t.Fatalf("bit flip at %d accepted", pos)
 		}
 	}
-	// Bit flips in the index section: rejected (framing damage) or
-	// contained to a segment and fully recovered by the settling
-	// reindex — never a half-working volume.
+	// Bit flips past the main frame: rejected (a blob failing its hash,
+	// index framing damage) or contained to a segment and fully
+	// recovered by the settling reindex — never a half-working volume.
 	for pos := mainLen; pos < len(good); pos += 11 {
 		mut := append([]byte(nil), good...)
 		mut[pos] ^= 0x40
@@ -282,14 +292,14 @@ func TestLoadVolumeRejectsCorruption(t *testing.T) {
 		switch {
 		case err != nil:
 			if !errors.Is(err, ErrCorruptVolume) {
-				t.Fatalf("index-section flip at %d: error %v does not wrap ErrCorruptVolume", pos, err)
+				t.Fatalf("flip at %d: error %v does not wrap ErrCorruptVolume", pos, err)
 			}
 			if restored != nil {
-				t.Fatalf("index-section flip at %d: both volume and error returned", pos)
+				t.Fatalf("flip at %d: both volume and error returned", pos)
 			}
 		default:
 			if got := targetsOf(t, restored, "/sel"); !reflect.DeepEqual(got, want) {
-				t.Fatalf("index-section flip at %d: targets = %v, want %v", pos, got, want)
+				t.Fatalf("flip at %d: targets = %v, want %v", pos, got, want)
 			}
 		}
 	}
@@ -299,67 +309,35 @@ func TestLoadVolumeRejectsCorruption(t *testing.T) {
 	}
 }
 
-// legacyImageOf rewrites a freshly saved volume in the version-2
-// format: the same gob payload (Version field set back) framed with
-// version 2, and no index section — what a pre-segmented-index build
-// would have written.
-func legacyImageOf(t *testing.T, fs *FS) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := fs.SaveVolume(&buf); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
-	plen := int(binary.BigEndian.Uint64(good[6:14]))
-	var img volumeImage
-	if err := gob.NewDecoder(bytes.NewReader(good[14 : 14+plen])).Decode(&img); err != nil {
-		t.Fatal(err)
-	}
-	img.Version = legacyVolumeVersion
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(&img); err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	if err := writeVolumeFrame(&out, legacyVolumeVersion, payload.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	return out.Bytes()
-}
-
-// TestLoadVolumeLegacyV2 is the migration path: version-2 images (no
-// index section) still load — the settling reindex rebuilds the index
-// from scratch — and the next save writes the current format.
-func TestLoadVolumeLegacyV2(t *testing.T) {
-	fs := newTestFS(t)
+// TestLoadVolumeRejectsV3: one image version loads. Frames of the
+// retired inline-tree versions 3 and 2 — hand-built here from a good
+// image, since nothing writes them any more — fail as corrupt, like any
+// other unknown version.
+func TestLoadVolumeRejectsV3(t *testing.T) {
+	fs := newCASTestFS(t, nil)
 	if err := fs.SemDir("/sel", "apple"); err != nil {
 		t.Fatal(err)
 	}
-	want := targetsOf(t, fs, "/sel")
-	legacy := legacyImageOf(t, fs)
-
-	restored, err := LoadVolume(bytes.NewReader(legacy), Options{})
-	if err != nil {
-		t.Fatalf("legacy image rejected: %v", err)
-	}
-	if got := targetsOf(t, restored, "/sel"); !reflect.DeepEqual(got, want) {
-		t.Fatalf("legacy targets = %v, want %v", got, want)
-	}
-	// The migrated volume saves in the current format, index section
-	// included, and round-trips from there.
-	var again bytes.Buffer
-	if err := restored.SaveVolume(&again); err != nil {
+	good := saveImage(t, fs)
+	mainLen := mainFrameLen(t, good)
+	var img volumeImage
+	if err := gob.NewDecoder(bytes.NewReader(good[14 : mainLen-4])).Decode(&img); err != nil {
 		t.Fatal(err)
 	}
-	if mainFrameLen(t, again.Bytes()) >= again.Len() {
-		t.Fatal("migrated save carries no index section")
-	}
-	re, err := LoadVolume(bytes.NewReader(again.Bytes()), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := targetsOf(t, re, "/sel"); !reflect.DeepEqual(got, want) {
-		t.Fatalf("migrated round-trip targets = %v, want %v", got, want)
+	for _, version := range []uint16{3, 2} {
+		img.Version = int(version)
+		var payload, old bytes.Buffer
+		if err := gob.NewEncoder(&payload).Encode(&img); err != nil {
+			t.Fatal(err)
+		}
+		if err := writeVolumeFrame(&old, version, payload.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		old.Write(good[mainLen:])
+		restored, err := LoadVolume(&old, Options{})
+		if restored != nil || !errors.Is(err, ErrCorruptVolume) {
+			t.Fatalf("version-%d frame: volume %v, err %v; want none and ErrCorruptVolume", version, restored != nil, err)
+		}
 	}
 }
 
@@ -369,7 +347,7 @@ func TestLoadVolumeLegacyV2(t *testing.T) {
 // segments survive, and the settling reindex restores the lost
 // documents, so the restored volume matches the original exactly.
 func TestLoadVolumeTornSegmentBlock(t *testing.T) {
-	fs := New(vfs.New(), Options{})
+	fs := New(cas.New(nil), Options{})
 	fs.Index().SetSealThreshold(2) // force several sealed segments
 	if err := fs.MkdirAll("/docs"); err != nil {
 		t.Fatal(err)
@@ -395,9 +373,11 @@ func TestLoadVolumeTornSegmentBlock(t *testing.T) {
 	}
 	good := buf.Bytes()
 
-	// Walk the index section's block frames to find each segment block.
+	// Walk the index section's block frames, past the main frame and the
+	// blob section, to find each segment block.
+	mainLen := mainFrameLen(t, good)
 	var starts []int
-	for off := mainFrameLen(t, good); off+18 <= len(good); {
+	for off := mainLen + blobSectionLen(t, good, mainLen); off+18 <= len(good); {
 		starts = append(starts, off)
 		off += 14 + int(binary.BigEndian.Uint64(good[off+6:off+14])) + 4
 	}
@@ -420,7 +400,7 @@ func TestLoadVolumeTornSegmentBlock(t *testing.T) {
 }
 
 func TestSaveVolumeFileAtomic(t *testing.T) {
-	fs := newTestFS(t)
+	fs := newCASTestFS(t, nil)
 	if err := fs.SemDir("/sel", "apple"); err != nil {
 		t.Fatal(err)
 	}
@@ -470,7 +450,7 @@ func TestSaveVolumeFileAtomic(t *testing.T) {
 // rejected by LoadVolume, and recovery proceeds from the previous good
 // image with all user edits (prohibitions, permanent links) intact.
 func TestCrashDuringSaveLeavesPriorImageUsable(t *testing.T) {
-	fs := newTestFS(t)
+	fs := newCASTestFS(t, nil)
 	if err := fs.SemDir("/sel", "apple"); err != nil {
 		t.Fatal(err)
 	}
@@ -518,7 +498,7 @@ func TestCrashDuringSaveLeavesPriorImageUsable(t *testing.T) {
 // the full recovery path: prohibited links never silently reappear,
 // even after LoadVolume plus an explicit Reindex plus a SyncAll.
 func TestProhibitedSurvivesLoadAndReindex(t *testing.T) {
-	fs := newTestFS(t)
+	fs := newCASTestFS(t, nil)
 	if err := fs.SemDir("/sel", "apple"); err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"hacfs/internal/vfs"
+	"hacfs/internal/vfs/cas"
 )
 
 func TestPermanentLinkFollowsFileRename(t *testing.T) {
@@ -67,6 +68,108 @@ func TestProhibitionFollowsFileRename(t *testing.T) {
 		if target == "/docs/apple1-renamed.txt" {
 			t.Fatal("prohibition did not follow the renamed document")
 		}
+	}
+}
+
+// TestRenameOntoLinkedFile renames one linked document onto another.
+// The destination's entry named the document the rename wrote over: its
+// link goes (no unclassified symlink is left behind) and so does its
+// prohibition, while a prohibition on the moved document follows it.
+func TestRenameOntoLinkedFile(t *testing.T) {
+	settled := func(t *testing.T, fs *FS, want map[string]LinkClass) {
+		t.Helper()
+		if problems := fs.CheckConsistency(); len(problems) != 0 {
+			t.Fatalf("inconsistent after rename: %v", problems)
+		}
+		links, err := fs.Links("/sel")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]LinkClass{}
+		linked := 0
+		for _, l := range links {
+			got[l.Target] = l.Class
+			if l.Class != Prohibited {
+				linked++
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("links = %v, want %v", got, want)
+		}
+		entries, err := fs.ReadDir("/sel")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != linked {
+			t.Fatalf("ReadDir(/sel) has %d entries for %d classified links", len(entries), linked)
+		}
+	}
+	// rename builds /sel over the test corpus, removes the links named
+	// by prohibit, and moves apple1 onto apple2.
+	rename := func(t *testing.T, prohibit ...string) *FS {
+		t.Helper()
+		fs := newTestFS(t)
+		if err := fs.SemDir("/sel", "apple"); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range prohibit {
+			if err := fs.Remove("/sel/" + name); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := fs.Rename("/docs/apple1.txt", "/docs/apple2.txt"); err != nil {
+			t.Fatal(err)
+		}
+		return fs
+	}
+
+	t.Run("linked onto linked", func(t *testing.T) {
+		fs := rename(t)
+		settled(t, fs, map[string]LinkClass{"/docs/apple2.txt": Transient, "/mail/m1.txt": Transient})
+		if data, err := fs.ReadFile("/sel/apple1.txt"); err != nil || string(data) != "apple fruit red" {
+			t.Fatalf("moved link reads %q, %v", data, err)
+		}
+	})
+	t.Run("linked onto prohibited", func(t *testing.T) {
+		fs := rename(t, "apple2.txt")
+		settled(t, fs, map[string]LinkClass{"/docs/apple2.txt": Transient, "/mail/m1.txt": Transient})
+	})
+	t.Run("prohibited onto linked", func(t *testing.T) {
+		fs := rename(t, "apple1.txt")
+		want := map[string]LinkClass{"/docs/apple2.txt": Prohibited, "/mail/m1.txt": Transient}
+		settled(t, fs, want)
+		if err := fs.SyncAll(); err != nil {
+			t.Fatal(err)
+		}
+		settled(t, fs, want)
+	})
+	for name, under := range map[string]func() vfs.FileSystem{
+		"memfs": func() vfs.FileSystem { return vfs.New() },
+		"cas":   func() vfs.FileSystem { return cas.New(nil) },
+	} {
+		t.Run("onto itself/"+name, func(t *testing.T) {
+			fs := newTestFSOn(t, under())
+			if err := fs.SemDir("/sel", "apple"); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.Symlink("/docs/cherry.txt", "/sel/pinned.txt"); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.Remove("/sel/m1.txt"); err != nil {
+				t.Fatal(err)
+			}
+			want := map[string]LinkClass{
+				"/docs/apple1.txt": Transient, "/docs/apple2.txt": Transient,
+				"/docs/cherry.txt": Permanent, "/mail/m1.txt": Prohibited,
+			}
+			settled(t, fs, want)
+			for _, p := range []string{"/docs/apple1.txt", "/docs/cherry.txt", "/docs", "/mail", "/sel/pinned.txt", "/sel/apple2.txt"} {
+				if err := fs.Rename(p, p); err != nil {
+					t.Fatalf("Rename(%s, %s): %v", p, p, err)
+				}
+				settled(t, fs, want)
+			}
+		})
 	}
 }
 
@@ -192,7 +295,7 @@ func TestConcurrentRenameAndSync(t *testing.T) {
 // path through the interleaving — clean rename before the save, crashed
 // rename after it — and the recovered volume must be fully consistent.
 func TestDirRenameUnderQueryRefAcrossCrash(t *testing.T) {
-	fault := vfs.NewFaultFS(vfs.New(), vfs.FaultConfig{Seed: 11, TornWrites: true})
+	fault := vfs.NewFaultFS(cas.New(nil), vfs.FaultConfig{Seed: 11, TornWrites: true})
 	fs := New(fault, Options{})
 	if err := fs.MkdirAll("/docs"); err != nil {
 		t.Fatal(err)

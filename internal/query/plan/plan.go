@@ -55,17 +55,6 @@ func (sc Scope) prefixRoot() string {
 	return sc.Prefix
 }
 
-// Key returns a canonical string for the scope, used in cache keys.
-// Semantic scope sets are not hashed — callers that pass a Set must
-// incorporate its identity (the scope directory's UID) into their own
-// key via Dep entries.
-func (sc Scope) Key() string {
-	if sc.Set != nil {
-		return "set|" + sc.prefixRoot()
-	}
-	return "prefix|" + sc.prefixRoot()
-}
-
 // Env supplies the primitives a plan evaluates over: the naive
 // query.Env surface plus the statistics and scoped lookups the cost
 // model needs. SnapEnv adapts an index snapshot.

@@ -69,9 +69,7 @@ const (
 	opSearchStream
 	// opManifest returns the served volume's content-addressed manifest
 	// (encoded cas.Manifest in Data). Only volumes over a cas substrate
-	// answer; others reply Unsupported — which is also how manifest-diff
-	// sync negotiates: a non-CAS peer rejects the op and the caller
-	// falls back to full-content sync.
+	// answer; others reply Unsupported, and a mirroring caller fails.
 	opManifest
 	// opBlobs fetches blob contents by hash: request Data is concatenated
 	// 32-byte SHA-256 hashes, response Data is, per requested hash in

@@ -14,10 +14,9 @@ import (
 // volume by fetching its manifest — paths and content hashes, a few
 // dozen bytes per file — diffing the hashes against its own blob store,
 // and fetching only the blobs it is missing. At 1% churn that ships
-// roughly 1% of the content a full copy would, plus the manifest. The
-// capability negotiates itself: a server without a content-addressed
-// volume answers opManifest with Unsupported, and MirrorVolume falls
-// back to walking the remote tree and copying every file.
+// roughly 1% of the content a full copy would, plus the manifest. Both
+// ends are content-addressed: a server whose volume is not answers
+// opManifest with Unsupported, and MirrorVolume fails with it.
 
 // Batching bounds for blob fetches: each opBlobs round trip carries at
 // most syncBatchCount hashes and is sized (using the manifest's sizes)
@@ -99,12 +98,10 @@ func decodeBlobList(data []byte, want int) ([][]byte, error) {
 	return blobs, nil
 }
 
-// Peer is the client surface MirrorVolume drives: the remote volume's
-// file operations for the full-copy fallback plus the raw request
+// Peer is the client surface MirrorVolume drives: the raw request
 // channel for the manifest ops. MuxClient satisfies it; tests
 // substitute a local fake.
 type Peer interface {
-	vfs.FileSystem
 	callCtx(ctx context.Context, req *request) (*response, error)
 }
 
@@ -153,53 +150,23 @@ func fetchBlobs(ctx context.Context, p Peer, hashes []cas.Hash) ([][]byte, error
 
 // SyncStats reports what one MirrorVolume run shipped.
 type SyncStats struct {
-	Mode          string // "manifest-diff" or "full"
-	ManifestBytes int64  // encoded manifest size (manifest-diff only)
-	BlobsFetched  int    // distinct blobs pulled (manifest-diff only)
-	BlobBytes     int64  // content bytes pulled via opBlobs
-	FilesCopied   int    // files copied in full mode
-	ContentBytes  int64  // total content bytes that crossed the wire
+	ManifestBytes int64 // encoded manifest size
+	BlobsFetched  int   // distinct blobs pulled
+	BlobBytes     int64 // content bytes pulled via opBlobs
 }
 
-// MirrorVolume makes dst an exact copy of the remote volume's tree.
-// When dst is content-addressed (a cas.FS, possibly under wrappers
-// exposing Under()) and the server exports a manifest, only blobs
-// missing from dst's store cross the wire; otherwise every file is
-// copied. The returned stats say which path ran and what it cost.
-func MirrorVolume(ctx context.Context, p Peer, dst vfs.FileSystem) (SyncStats, error) {
-	if cfs := casTarget(dst); cfs != nil {
-		var m cas.Manifest
-		mBytes, err := FetchManifest(ctx, p, &m)
-		switch {
-		case err == nil:
-			return mirrorByManifest(ctx, p, cfs, &m, mBytes)
-		case errors.Is(err, vfs.ErrUnsupported):
-			// Non-CAS peer: negotiate down to the full copy.
-		default:
-			return SyncStats{}, err
-		}
+// MirrorVolume makes dst an exact copy of the remote volume's tree: it
+// fetches the remote manifest, pulls only the blobs missing from dst's
+// store, and swings dst's tree to the manifest. A peer whose volume is
+// not content-addressed answers vfs.ErrUnsupported, which is returned
+// with dst untouched.
+func MirrorVolume(ctx context.Context, p Peer, dst *cas.FS) (SyncStats, error) {
+	var m cas.Manifest
+	mBytes, err := FetchManifest(ctx, p, &m)
+	if err != nil {
+		return SyncStats{}, err
 	}
-	return mirrorFull(ctx, p, dst)
-}
-
-// casTarget unwraps layering down to a content-addressed destination.
-func casTarget(dst vfs.FileSystem) *cas.FS {
-	for {
-		if c, ok := dst.(*cas.FS); ok {
-			return c
-		}
-		u, ok := dst.(interface{ Under() vfs.FileSystem })
-		if !ok {
-			return nil
-		}
-		dst = u.Under()
-	}
-}
-
-// mirrorByManifest is the diff path: fetch missing blobs in size-bounded
-// batches, then atomically swing the tree to the manifest.
-func mirrorByManifest(ctx context.Context, p Peer, dst *cas.FS, m *cas.Manifest, mBytes int64) (SyncStats, error) {
-	stats := SyncStats{Mode: "manifest-diff", ManifestBytes: mBytes}
+	stats := SyncStats{ManifestBytes: mBytes}
 	store := dst.Store()
 	missing := m.MissingFrom(store)
 
@@ -241,68 +208,7 @@ func mirrorByManifest(ctx context.Context, p Peer, dst *cas.FS, m *cas.Manifest,
 		stats.BlobsFetched += len(blobs)
 		start = end
 	}
-	if err := dst.ReplaceWithManifest(m); err != nil {
-		return stats, err
-	}
-	stats.ContentBytes = stats.BlobBytes
-	return stats, nil
-}
-
-// mirrorFull is the fallback: clear the destination and copy the whole
-// remote tree through the ordinary file operations.
-func mirrorFull(ctx context.Context, p Peer, dst vfs.FileSystem) (SyncStats, error) {
-	stats := SyncStats{Mode: "full"}
-	rootEntries, err := dst.ReadDir("/")
-	if err != nil {
-		return stats, err
-	}
-	for _, e := range rootEntries {
-		if err := dst.RemoveAll("/" + e.Name); err != nil {
-			return stats, err
-		}
-	}
-	var copyDir func(path string) error
-	copyDir = func(path string) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		entries, err := p.ReadDir(path)
-		if err != nil {
-			return err
-		}
-		for _, e := range entries {
-			child := vfs.Join(path, e.Name)
-			switch e.Type {
-			case vfs.TypeDir:
-				if err := dst.Mkdir(child); err != nil {
-					return err
-				}
-				if err := copyDir(child); err != nil {
-					return err
-				}
-			case vfs.TypeSymlink:
-				target, err := p.Readlink(child)
-				if err != nil {
-					return err
-				}
-				if err := dst.Symlink(target, child); err != nil {
-					return err
-				}
-			case vfs.TypeFile:
-				data, err := p.ReadFile(child)
-				if err != nil {
-					return err
-				}
-				if err := dst.WriteFile(child, data); err != nil {
-					return err
-				}
-				stats.FilesCopied++
-				stats.ContentBytes += int64(len(data))
-			}
-		}
-		return nil
-	}
-	if err := copyDir("/"); err != nil {
+	if err := dst.ReplaceWithManifest(&m); err != nil {
 		return stats, err
 	}
 	return stats, nil

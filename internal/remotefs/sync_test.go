@@ -95,9 +95,6 @@ func TestMirrorVolumeManifestDiff(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if stats.Mode != "manifest-diff" {
-				t.Fatalf("Mode = %q, want manifest-diff", stats.Mode)
-			}
 			if stats.ManifestBytes <= 0 {
 				t.Fatalf("ManifestBytes = %d, want > 0", stats.ManifestBytes)
 			}
@@ -149,57 +146,34 @@ func TestMirrorVolumeThroughHACVolume(t *testing.T) {
 	peer := serve(t, hfs)
 	dst := cas.New(nil)
 
-	stats, err := MirrorVolume(context.Background(), peer, dst)
-	if err != nil {
+	if _, err := MirrorVolume(context.Background(), peer, dst); err != nil {
 		t.Fatal(err)
-	}
-	if stats.Mode != "manifest-diff" {
-		t.Fatalf("Mode = %q, want manifest-diff", stats.Mode)
 	}
 	requireSameTree(t, substrate, dst)
 }
 
-// A non-CAS server answers opManifest with a typed ErrUnsupported and
-// the mirror negotiates down to the full copy; the result is still an
-// exact replica.
-func TestMirrorVolumeLegacyFallback(t *testing.T) {
+// A server whose volume is not content-addressed answers opManifest with
+// a typed ErrUnsupported: the mirror fails with it and leaves the
+// destination's tree and store exactly as they were.
+func TestMirrorVolumeNonCASPeer(t *testing.T) {
 	src := vfs.New()
 	syncCorpus(t, src)
 	peer := serve(t, src)
 	dst := cas.New(nil)
-	if err := dst.WriteFile("/stale.txt", []byte("must go")); err != nil {
+	if err := dst.WriteFile("/kept.txt", []byte("must stay")); err != nil {
 		t.Fatal(err)
 	}
+	before, unique := treeOf(t, dst), dst.Store().UniqueBytes()
 
-	stats, err := MirrorVolume(context.Background(), peer, dst)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := MirrorVolume(context.Background(), peer, dst); !errors.Is(err, vfs.ErrUnsupported) {
+		t.Fatalf("err = %v, want ErrUnsupported", err)
 	}
-	if stats.Mode != "full" {
-		t.Fatalf("Mode = %q, want full", stats.Mode)
+	if got := treeOf(t, dst); !reflect.DeepEqual(got, before) {
+		t.Fatalf("destination tree changed: %v, was %v", got, before)
 	}
-	if stats.FilesCopied != 4 {
-		t.Fatalf("FilesCopied = %d, want 4", stats.FilesCopied)
+	if got := dst.Store().UniqueBytes(); got != unique {
+		t.Fatalf("destination store holds %d unique bytes, was %d", got, unique)
 	}
-	requireSameTree(t, src, dst)
-}
-
-// A non-CAS destination never asks for a manifest: the full copy runs
-// even against a capable server.
-func TestMirrorVolumeNonCASDestination(t *testing.T) {
-	src := cas.New(nil)
-	syncCorpus(t, src)
-	peer := serve(t, src)
-	dst := vfs.New()
-
-	stats, err := MirrorVolume(context.Background(), peer, dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Mode != "full" {
-		t.Fatalf("Mode = %q, want full", stats.Mode)
-	}
-	requireSameTree(t, src, dst)
 }
 
 // fakePeer answers the manifest ops from a local hook while delegating

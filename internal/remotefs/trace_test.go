@@ -11,7 +11,7 @@ import (
 	"hacfs/internal/hac"
 	"hacfs/internal/obs"
 	servepkg "hacfs/internal/serve"
-	"hacfs/internal/vfs"
+	"hacfs/internal/vfs/cas"
 )
 
 // traceHost builds a two-tenant serve.Host whose spans land in srvObs
@@ -20,7 +20,7 @@ import (
 func traceHost(t *testing.T, srvObs *obs.Observer) string {
 	t.Helper()
 	mkFS := func(marker string) *hac.FS {
-		hfs := hac.New(vfs.New(), hac.Options{Observer: srvObs})
+		hfs := hac.New(cas.New(nil), hac.Options{Observer: srvObs})
 		if err := hfs.MkdirAll("/docs"); err != nil {
 			t.Fatal(err)
 		}

@@ -70,13 +70,19 @@ func NewHost(workers int, o *obs.Observer) *Host {
 	return h
 }
 
-// AddTenant registers a volume under name. savePath, when non-empty,
-// is where Checkpoint atomically saves the volume (SaveVolumeFile).
-// Current usage is recounted from the volume so quotas apply to
-// pre-existing content.
+// AddTenant registers a volume under name. The volume must be
+// content-addressed (a cas.FS beneath its layering); any other is
+// refused with a *vfs.PathError wrapping vfs.ErrUnsupported. savePath,
+// when non-empty, is where Checkpoint atomically saves the volume
+// (SaveVolumeFile). Current usage is recounted from the volume's
+// manifest so quotas apply to pre-existing content.
 func (h *Host) AddTenant(name string, fsys *hac.FS, q Quota, savePath string) error {
 	if name == "" {
 		return fmt.Errorf("serve: empty tenant name")
+	}
+	cfs := cas.Of(fsys)
+	if cfs == nil {
+		return &vfs.PathError{Op: "addtenant", Path: "/" + name, Err: fmt.Errorf("%w: volume is not content-addressed", vfs.ErrUnsupported)}
 	}
 	r := h.obsv.Registry()
 	t := &tenant{
@@ -93,21 +99,16 @@ func (h *Host) AddTenant(name string, fsys *hac.FS, q Quota, savePath string) er
 			admitSeconds: r.Histogram("serve_admit_wait_seconds", nil, "tenant", name),
 		},
 	}
-	t.qfs = &quotaFS{inner: fsys, q: q, u: &t.u, met: &t.met}
-	if cfs := casSubstrateOf(fsys); cfs != nil {
-		// Content-addressed volume: quotas charge measured unique bytes
-		// (identical content across tenants of a shared store is paid
-		// for once), and the store's cas_* gauges join the scrape.
-		t.qfs.store = cfs.Store()
-		cfs.Store().PublishMetrics(r)
-		recountCAS(cfs, &t.u)
-	} else if err := recount(fsys, &t.u); err != nil {
-		return fmt.Errorf("serve: recount %s: %w", name, err)
-	}
+	// Quotas charge measured unique bytes (identical content across
+	// tenants of a shared store is paid for once), and the store's cas_*
+	// gauges join the scrape.
+	t.qfs = &quotaFS{inner: fsys, q: q, u: &t.u, met: &t.met, vol: cfs}
+	cfs.Store().PublishMetrics(r)
+	recount(cfs, &t.u)
 	r.GaugeFunc("serve_used_bytes", func() float64 {
 		t.u.mu.Lock()
 		defer t.u.mu.Unlock()
-		return float64(t.u.bytes)
+		return float64(t.u.footprintLocked())
 	}, "tenant", name)
 	r.GaugeFunc("serve_used_docs", func() float64 {
 		t.u.mu.Lock()
@@ -124,27 +125,12 @@ func (h *Host) AddTenant(name string, fsys *hac.FS, q Quota, savePath string) er
 	return nil
 }
 
-// casSubstrateOf unwraps a volume's layering (a HAC layer, fault
-// injection) down to a content-addressed substrate, or nil.
-func casSubstrateOf(fsys vfs.FileSystem) *cas.FS {
-	for {
-		if c, ok := fsys.(*cas.FS); ok {
-			return c
-		}
-		u, ok := fsys.(interface{ Under() vfs.FileSystem })
-		if !ok {
-			return nil
-		}
-		fsys = u.Under()
-	}
-}
-
-// recountCAS resets accounted usage from the substrate manifest:
+// recount resets accounted usage from the substrate manifest:
 // every file is a doc, but bytes count each distinct content hash
 // once — the tenant's self-deduplicated footprint. Cross-tenant
 // sharing in a common store is credited to writes as they happen, not
 // re-attributed at load.
-func recountCAS(cfs *cas.FS, u *usage) {
+func recount(cfs *cas.FS, u *usage) {
 	m := cfs.Manifest()
 	seen := make(map[cas.Hash]bool, len(m.Entries))
 	var bytes, docs int64
@@ -161,26 +147,6 @@ func recountCAS(cfs *cas.FS, u *usage) {
 	u.mu.Lock()
 	u.bytes, u.docs = bytes, docs
 	u.mu.Unlock()
-}
-
-// recount walks the volume and resets accounted usage to what is
-// actually there.
-func recount(fsys vfs.FileSystem, u *usage) error {
-	var bytes, docs int64
-	err := vfs.Walk(fsys, "/", func(p string, info vfs.Info) error {
-		if info.Type == vfs.TypeFile {
-			bytes += info.Size
-			docs++
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	u.mu.Lock()
-	u.bytes, u.docs = bytes, docs
-	u.mu.Unlock()
-	return nil
 }
 
 // SetDefault routes requests that name no tenant (the empty tenant) to
@@ -211,7 +177,8 @@ func (h *Host) Tenants() []string {
 	return names
 }
 
-// Usage returns a tenant's accounted footprint.
+// Usage returns a tenant's accounted footprint: the unique bytes its
+// sealed content holds plus the bytes open handles have buffered.
 func (h *Host) Usage(name string) (bytes, docs int64, err error) {
 	h.mu.Lock()
 	t, ok := h.tenants[name]
@@ -221,7 +188,7 @@ func (h *Host) Usage(name string) (bytes, docs int64, err error) {
 	}
 	t.u.mu.Lock()
 	defer t.u.mu.Unlock()
-	return t.u.bytes, t.u.docs, nil
+	return t.u.footprintLocked(), t.u.docs, nil
 }
 
 // Volume implements remotefs.Volumes: the quota-enforcing view of the

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"io"
 	"sync"
 
 	"hacfs/internal/vfs"
@@ -10,7 +11,7 @@ import (
 
 // Quota bounds one tenant's footprint. Zero fields are unlimited.
 type Quota struct {
-	MaxBytes    int64 // total regular-file bytes on the volume
+	MaxBytes    int64 // unique content bytes the tenant's writes hold in the store
 	MaxDocs     int64 // total regular files on the volume
 	MaxInflight int64 // concurrently executing requests
 }
@@ -19,32 +20,33 @@ type Quota struct {
 // hold mu across their check-and-apply window, so concurrent writers
 // cannot race past the quota together.
 type usage struct {
-	mu    sync.Mutex
-	bytes int64
-	docs  int64
+	mu      sync.Mutex
+	bytes   int64 // measured unique bytes of the tenant's sealed content
+	pending int64 // bytes buffered in open handles, not yet sealed
+	docs    int64
 }
 
+// footprintLocked is the byte usage the quota bounds: sealed content
+// plus what open handles will seal. Caller holds u.mu.
+func (u *usage) footprintLocked() int64 { return u.bytes + u.pending }
+
 // quotaFS enforces byte and document quotas on every mutating path of
-// a wrapped file system. Over-quota operations fail with a typed
-// *vfs.PathError wrapping vfs.ErrQuotaExceeded before touching the
-// volume; accepted ones adjust the tenant's accounted usage by their
-// actual effect, so the /metrics gauges track real occupancy.
-//
-// Two accounting modes exist. Over an ordinary substrate, bytes are
-// logical: every file pays its own length. Over a content-addressed
-// substrate (store != nil), mutations run inside the store's measured
-// sections and the tenant is charged the unique bytes its writes
-// actually added — writing content the store already holds (another
-// tenant's identical file, its own duplicate) costs nothing, and
-// removing content another volume still references frees nothing. The
-// byte quota then bounds the tenant's real storage footprint, which is
-// what a deduplicating host actually spends.
+// a tenant volume, which is content-addressed (AddTenant refuses any
+// other). Over-quota operations fail with a typed *vfs.PathError
+// wrapping vfs.ErrQuotaExceeded before touching the volume; accepted
+// ones run inside the store's measured section and the tenant is
+// charged the unique bytes its writes actually added — writing content
+// the store already holds (another tenant's identical file, its own
+// duplicate) costs nothing, and removing content another volume still
+// references frees nothing. The byte quota bounds the tenant's real
+// storage footprint, which is what a deduplicating host spends, and
+// the /metrics gauges track it.
 type quotaFS struct {
 	inner vfs.FileSystem
 	q     Quota
 	u     *usage
 	met   *tenantMetrics // reject counter; nil in tests
-	store *cas.BlobStore // non-nil = charge measured unique bytes
+	vol   *cas.FS        // the substrate beneath inner; its store's unique bytes are charged
 }
 
 var _ vfs.FileSystem = (*quotaFS)(nil)
@@ -56,55 +58,31 @@ func (f *quotaFS) overQuota(op, path string) error {
 	return &vfs.PathError{Op: op, Path: path, Err: vfs.ErrQuotaExceeded}
 }
 
-// fileFootprint returns the accounted size of path if it is an
-// existing regular file (0, false otherwise).
-func (f *quotaFS) fileFootprint(path string) (int64, bool) {
+// overLocked reports whether growing usage by (worst bytes, dd docs)
+// would exceed the quota; shrinking changes never do. Caller holds
+// f.u.mu.
+func (f *quotaFS) overLocked(worst, dd int64) bool {
+	return worst > 0 && f.q.MaxBytes > 0 && f.u.footprintLocked()+worst > f.q.MaxBytes ||
+		dd > 0 && f.q.MaxDocs > 0 && f.u.docs+dd > f.q.MaxDocs
+}
+
+// isFile reports whether path is an existing regular file.
+func (f *quotaFS) isFile(path string) bool {
 	info, err := f.inner.Stat(path)
-	if err != nil || info.Type != vfs.TypeFile {
-		return 0, false
-	}
-	return info.Size, true
+	return err == nil && info.Type == vfs.TypeFile
 }
 
-// charge validates a projected change of (db bytes, dd docs) against
-// the quota and applies it. Shrinking changes always pass.
-func (f *quotaFS) charge(op, path string, db, dd int64) error {
-	f.u.mu.Lock()
-	defer f.u.mu.Unlock()
-	if db > 0 && f.q.MaxBytes > 0 && f.u.bytes+db > f.q.MaxBytes {
-		return f.overQuota(op, path)
-	}
-	if dd > 0 && f.q.MaxDocs > 0 && f.u.docs+dd > f.q.MaxDocs {
-		return f.overQuota(op, path)
-	}
-	f.u.bytes += db
-	f.u.docs += dd
-	return nil
-}
-
-// refund reverses a charge whose operation failed.
-func (f *quotaFS) refund(db, dd int64) {
-	f.u.mu.Lock()
-	f.u.bytes -= db
-	f.u.docs -= dd
-	f.u.mu.Unlock()
-}
-
-// measuredOp is the content-addressed charging path: admit the op
-// against its worst-case unique growth (worst bytes, dd docs), run it
-// inside the store's measured section, and charge the unique bytes it
-// actually added or freed. Holding u.mu across the section serializes
-// this tenant's check-and-apply windows, same as charge.
+// measuredOp admits an op against its worst-case unique growth (worst
+// bytes, dd docs), runs it inside the store's measured section, and
+// charges the unique bytes it actually added or freed. Holding u.mu
+// across the section serializes this tenant's check-and-apply windows.
 func (f *quotaFS) measuredOp(opName, path string, worst, dd int64, op func() error) error {
 	f.u.mu.Lock()
 	defer f.u.mu.Unlock()
-	if worst > 0 && f.q.MaxBytes > 0 && f.u.bytes+worst > f.q.MaxBytes {
+	if f.overLocked(worst, dd) {
 		return f.overQuota(opName, path)
 	}
-	if dd > 0 && f.q.MaxDocs > 0 && f.u.docs+dd > f.q.MaxDocs {
-		return f.overQuota(opName, path)
-	}
-	delta, err := f.store.Measured(op)
+	delta, err := f.vol.Store().Measured(op)
 	f.u.bytes += delta // measured truth, even on a partial failure
 	if err == nil {
 		f.u.docs += dd
@@ -113,35 +91,25 @@ func (f *quotaFS) measuredOp(opName, path string, worst, dd int64, op func() err
 }
 
 func (f *quotaFS) WriteFile(path string, data []byte) error {
-	old, existed := f.fileFootprint(path)
 	var dd int64
-	if !existed {
+	if !f.isFile(path) {
 		dd = 1
 	}
-	if f.store != nil {
-		// Worst case: every byte is new content and the overwritten
-		// blob stays referenced elsewhere. A known dedup hit is
-		// admitted for free — that is the point of unique-byte quotas:
-		// a tenant mirroring content the store already holds fits in a
-		// quota sized for one copy. (The hash check races with the last
-		// reference dropping; the measured charge stays exact either
-		// way, admission is merely an estimate.)
-		worst := int64(len(data))
-		if f.store.Has(cas.Sum(data)) {
-			worst = 0
-		}
-		return f.measuredOp("write", path, worst, dd,
-			func() error { return f.inner.WriteFile(path, data) })
+	// Worst case: every byte is new content. A known dedup hit is
+	// admitted for free — that is the point of unique-byte quotas: a
+	// tenant mirroring content the store already holds fits in a quota
+	// sized for one copy. Overwriting frees the old content when this
+	// file holds its only reference, so a tenant at its cap can still
+	// rewrite or shrink a file. (Both checks race with other volumes of
+	// a shared store; the measured charge stays exact either way,
+	// admission is merely an estimate.)
+	var worst int64
+	if !f.vol.Store().Has(cas.Sum(data)) {
+		worst = int64(len(data))
 	}
-	db := int64(len(data)) - old
-	if err := f.charge("write", path, db, dd); err != nil {
-		return err
-	}
-	if err := f.inner.WriteFile(path, data); err != nil {
-		f.refund(db, dd)
-		return err
-	}
-	return nil
+	worst -= f.vol.Reclaimable(path)
+	return f.measuredOp("write", path, worst, dd,
+		func() error { return f.inner.WriteFile(path, data) })
 }
 
 func (f *quotaFS) Create(path string) (vfs.File, error) {
@@ -153,78 +121,45 @@ func (f *quotaFS) Open(path string) (vfs.File, error) {
 }
 
 func (f *quotaFS) OpenFile(path string, flag int) (vfs.File, error) {
-	var db, dd int64
-	old, existed := f.fileFootprint(path)
-	if !existed && flag&vfs.OCreate != 0 {
+	var dd int64
+	if flag&vfs.OCreate != 0 && !f.isFile(path) {
 		dd = 1
 	}
-	if f.store != nil {
-		// Opening frees at most the truncated blob; growth is charged
-		// per handle write.
-		var file vfs.File
-		err := f.measuredOp("open", path, 0, dd, func() error {
-			var e error
-			file, e = f.inner.OpenFile(path, flag)
-			return e
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &quotaFile{File: file, fs: f}, nil
-	}
-	if existed && flag&vfs.OTrunc != 0 {
-		db = -old
-	}
-	if err := f.charge("open", path, db, dd); err != nil {
-		return nil, err
-	}
-	file, err := f.inner.OpenFile(path, flag)
+	// Opening frees at most the truncated blob; growth is charged per
+	// handle write.
+	var file vfs.File
+	err := f.measuredOp("open", path, 0, dd, func() error {
+		var e error
+		file, e = f.inner.OpenFile(path, flag)
+		return e
+	})
 	if err != nil {
-		f.refund(db, dd)
 		return nil, err
 	}
-	return &quotaFile{File: file, fs: f}, nil
+	return &quotaFile{File: file, fs: f, flag: flag}, nil
 }
 
 func (f *quotaFS) Remove(path string) error {
-	size, isFile := f.fileFootprint(path)
 	var dd int64
-	if isFile {
+	if f.isFile(path) {
 		dd = -1
 	}
-	if f.store != nil {
-		return f.measuredOp("remove", path, 0, dd,
-			func() error { return f.inner.Remove(path) })
-	}
-	if err := f.inner.Remove(path); err != nil {
-		return err
-	}
-	if isFile {
-		f.refund(size, 1)
-	}
-	return nil
+	return f.measuredOp("remove", path, 0, dd,
+		func() error { return f.inner.Remove(path) })
 }
 
 func (f *quotaFS) RemoveAll(path string) error {
-	// Account the subtree before it goes; symlinked content outside the
-	// subtree is not followed, matching Walk semantics.
-	var db, dd int64
+	// Count the subtree's documents before they go; symlinked content
+	// outside the subtree is not followed, matching Walk semantics.
+	var dd int64
 	vfs.Walk(f.inner, path, func(p string, info vfs.Info) error {
 		if info.Type == vfs.TypeFile {
-			db += info.Size
 			dd++
 		}
 		return nil
 	})
-	if f.store != nil {
-		return f.measuredOp("removeall", path, 0, -dd,
-			func() error { return f.inner.RemoveAll(path) })
-	}
-	if err := f.inner.RemoveAll(path); err != nil {
-		return err
-	}
-	f.refund(db, dd)
-	return nil
+	return f.measuredOp("removeall", path, 0, -dd,
+		func() error { return f.inner.RemoveAll(path) })
 }
 
 // Pass-throughs: metadata and namespace operations carry no quota
@@ -303,70 +238,86 @@ func (f *quotaFS) CASBlobs(hashes []cas.Hash) ([][]byte, error) {
 	return bs.CASBlobs(hashes)
 }
 
-// quotaFile charges handle writes by their measured growth: sizes are
-// read under the usage lock around the inner operation, so concurrent
-// handle writers serialize their check-and-apply windows.
+// quotaFile charges handle writes. A handle writes into a dirty buffer
+// holding the whole file, which enters the store only when Close seals
+// it; from the handle's first write until then the buffer's full size
+// is held in the tenant's pending bytes, which count against the quota
+// like sealed content, so neither one handle nor several concurrent ones
+// can write past it before sealing. Close replaces the pending bytes
+// with the unique bytes the seal actually added. Sizes are read under
+// the usage lock around the inner operation, so concurrent handle
+// writers serialize their check-and-apply windows.
 type quotaFile struct {
 	vfs.File
-	fs *quotaFS
+	fs       *quotaFS
+	flag     int
+	buffered bool  // a write went through; guarded by fs.u.mu
+	pending  int64 // this handle's share of fs.u.pending
 }
 
-// grow runs op, charging the file's size change. The pessimistic
-// pre-check bounds the worst-case growth (computed from the size at
-// entry); the final charge is the measured delta. On a content-
-// addressed substrate handle writes mutate a dirty buffer, so the
-// store-measured charge mostly lands when Close seals the buffer; the
-// measured section here still catches the reference the first write
-// releases on the blob it is shadowing.
-func (qf *quotaFile) grow(worstOf func(cur int64) int64, op func() (int, error)) (int, error) {
-	qf.fs.u.mu.Lock()
-	defer qf.fs.u.mu.Unlock()
+// grow runs op, admitting it against the buffer size it leaves behind
+// (sizeAfter, from the size at entry). The first write converts the
+// file's sealed content to the buffer, releasing that blob — credited
+// in advance when this file holds its only reference, and measured in
+// the section either way.
+func (qf *quotaFile) grow(sizeAfter func(cur int64) int64, op func() (int, error)) (int, error) {
+	f := qf.fs
+	f.u.mu.Lock()
+	defer f.u.mu.Unlock()
 	before, _ := qf.File.Stat()
-	if worst := worstOf(before.Size); worst > 0 && qf.fs.q.MaxBytes > 0 && qf.fs.u.bytes+worst > qf.fs.q.MaxBytes {
-		return 0, qf.fs.overQuota("write", qf.Name())
+	worst := sizeAfter(before.Size) - qf.pending
+	if !qf.buffered {
+		worst -= f.vol.Reclaimable(qf.Name())
 	}
-	if qf.fs.store != nil {
-		var n int
-		delta, err := qf.fs.store.Measured(func() error {
-			var e error
-			n, e = op()
-			return e
-		})
-		qf.fs.u.bytes += delta
-		return n, err
+	if f.overLocked(worst, 0) {
+		return 0, f.overQuota("write", qf.Name())
 	}
-	n, err := op()
-	after, _ := qf.File.Stat()
-	qf.fs.u.bytes += after.Size - before.Size
+	var n int
+	delta, err := f.vol.Store().Measured(func() error {
+		var e error
+		n, e = op()
+		return e
+	})
+	f.u.bytes += delta
+	if err == nil {
+		after, _ := qf.File.Stat()
+		f.u.pending += after.Size - qf.pending
+		qf.pending, qf.buffered = after.Size, true
+	}
 	return n, err
 }
 
-// Close seals buffered writes. On a content-addressed substrate the
-// seal is where the handle's content enters the store, so the unique
-// bytes it adds are measured and charged here.
+// Close seals buffered writes: the seal is where the handle's content
+// enters the store, so the unique bytes it adds are measured and
+// charged here, and the handle's pending bytes are dropped.
 func (qf *quotaFile) Close() error {
-	if qf.fs.store == nil {
-		return qf.File.Close()
-	}
-	qf.fs.u.mu.Lock()
-	defer qf.fs.u.mu.Unlock()
-	delta, err := qf.fs.store.Measured(qf.File.Close)
-	qf.fs.u.bytes += delta
+	f := qf.fs
+	f.u.mu.Lock()
+	defer f.u.mu.Unlock()
+	delta, err := f.vol.Store().Measured(qf.File.Close)
+	f.u.bytes += delta
+	f.u.pending -= qf.pending
+	qf.pending = 0
 	return err
 }
 
 func (qf *quotaFile) Write(p []byte) (int, error) {
-	return qf.grow(func(int64) int64 { return int64(len(p)) },
-		func() (int, error) { return qf.File.Write(p) })
+	return qf.grow(func(cur int64) int64 {
+		off := cur
+		if qf.flag&vfs.OAppend == 0 {
+			off, _ = qf.File.Seek(0, io.SeekCurrent)
+		}
+		return max(cur, off+int64(len(p)))
+	}, func() (int, error) { return qf.File.Write(p) })
 }
 
 func (qf *quotaFile) WriteAt(p []byte, off int64) (int, error) {
-	return qf.grow(func(int64) int64 { return int64(len(p)) },
+	return qf.grow(func(cur int64) int64 { return max(cur, off+int64(len(p))) },
 		func() (int, error) { return qf.File.WriteAt(p, off) })
 }
 
 func (qf *quotaFile) Truncate(size int64) error {
-	_, err := qf.grow(func(cur int64) int64 { return size - cur },
+	_, err := qf.grow(func(int64) int64 { return size },
 		func() (int, error) { return 0, qf.File.Truncate(size) })
 	return err
 }

@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -11,6 +13,7 @@ import (
 	"hacfs/internal/hac"
 	"hacfs/internal/obs"
 	"hacfs/internal/vfs"
+	"hacfs/internal/vfs/cas"
 )
 
 func newTestHost(t *testing.T, workers int) (*Host, *obs.Observer) {
@@ -21,7 +24,7 @@ func newTestHost(t *testing.T, workers int) (*Host, *obs.Observer) {
 
 func addTenant(t *testing.T, h *Host, name string, q Quota) *hac.FS {
 	t.Helper()
-	hfs := hac.New(vfs.New(), hac.Options{})
+	hfs := hac.New(cas.New(nil), hac.Options{})
 	if err := h.AddTenant(name, hfs, q, ""); err != nil {
 		t.Fatal(err)
 	}
@@ -56,6 +59,50 @@ func TestQuotaTable(t *testing.T) {
 				}
 				return f.WriteFile("/a", make([]byte, 10)) // delta +2, fits
 			},
+		},
+		{
+			name:  "overwrite frees the replaced blob",
+			quota: Quota{MaxBytes: 20},
+			run: func(f vfs.FileSystem) error {
+				if err := f.WriteFile("/a", bytes.Repeat([]byte("a"), 8)); err != nil {
+					return err
+				}
+				// Charged its measured delta: the 8-byte blob is freed,
+				// usage is 10.
+				if err := f.WriteFile("/a", bytes.Repeat([]byte("b"), 10)); err != nil {
+					return err
+				}
+				return f.WriteFile("/b", bytes.Repeat([]byte("c"), 10)) // 10+10 fits; a charged sum would not
+			},
+		},
+		{
+			name:  "rewrite at the cap, shrinking or not",
+			quota: Quota{MaxBytes: 10},
+			run: func(f vfs.FileSystem) error {
+				if err := f.WriteFile("/a", bytes.Repeat([]byte("a"), 10)); err != nil {
+					return err
+				}
+				if err := f.WriteFile("/a", bytes.Repeat([]byte("b"), 5)); err != nil {
+					return err
+				}
+				return f.WriteFile("/a", bytes.Repeat([]byte("c"), 10))
+			},
+		},
+		{
+			name:  "rewrite of shared content frees nothing",
+			quota: Quota{MaxBytes: 10},
+			run: func(f vfs.FileSystem) error {
+				same := bytes.Repeat([]byte("a"), 8)
+				if err := f.WriteFile("/a", same); err != nil {
+					return err
+				}
+				if err := f.WriteFile("/b", same); err != nil { // dedup hit, usage 8
+					return err
+				}
+				// /b still holds the old blob: 8+8 would exceed 10.
+				return f.WriteFile("/a", bytes.Repeat([]byte("b"), 8))
+			},
+			want: vfs.ErrQuotaExceeded,
 		},
 		{
 			name:  "second file over quota",
@@ -148,6 +195,72 @@ func TestQuotaTable(t *testing.T) {
 			want: vfs.ErrQuotaExceeded,
 		},
 		{
+			name:  "handle overwrite counts the whole buffer",
+			quota: Quota{MaxBytes: 10},
+			run: func(f vfs.FileSystem) error {
+				if err := f.WriteFile("/a", bytes.Repeat([]byte("a"), 8)); err != nil {
+					return err
+				}
+				h, err := f.OpenFile("/a", vfs.OWrite|vfs.OAppend)
+				if err != nil {
+					return err
+				}
+				defer h.Close()
+				// The first write moves all 8 bytes into the buffer (and frees
+				// the sealed blob): 10 pending fits, 18 would not.
+				if _, err := h.Write([]byte("bb")); err != nil {
+					return err
+				}
+				_, err = h.Write(bytes.Repeat([]byte("c"), 8))
+				return err
+			},
+			want: vfs.ErrQuotaExceeded,
+		},
+		{
+			name:  "handle overwrite in place fits",
+			quota: Quota{MaxBytes: 10},
+			run: func(f vfs.FileSystem) error {
+				if err := f.WriteFile("/a", bytes.Repeat([]byte("a"), 8)); err != nil {
+					return err
+				}
+				h, err := f.OpenFile("/a", vfs.OWrite)
+				if err != nil {
+					return err
+				}
+				if _, err := h.Write([]byte("bb")); err != nil { // offset 0: still 8 bytes
+					h.Close()
+					return err
+				}
+				if _, err := h.Write(bytes.Repeat([]byte("c"), 8)); err != nil { // 10 bytes
+					h.Close()
+					return err
+				}
+				return h.Close()
+			},
+		},
+		{
+			name:  "concurrent handles share the headroom",
+			quota: Quota{MaxBytes: 10},
+			run: func(f vfs.FileSystem) error {
+				a, err := f.Create("/a")
+				if err != nil {
+					return err
+				}
+				defer a.Close()
+				b, err := f.Create("/b")
+				if err != nil {
+					return err
+				}
+				defer b.Close()
+				if _, err := a.Write(bytes.Repeat([]byte("a"), 6)); err != nil {
+					return err
+				}
+				_, err = b.Write(bytes.Repeat([]byte("b"), 6))
+				return err
+			},
+			want: vfs.ErrQuotaExceeded,
+		},
+		{
 			name:  "removeall frees a subtree",
 			quota: Quota{MaxBytes: 10, MaxDocs: 4},
 			run: func(f vfs.FileSystem) error {
@@ -174,12 +287,21 @@ func TestQuotaTable(t *testing.T) {
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
 			h, _ := newTestHost(t, 4)
-			addTenant(t, h, "t", tc.quota)
+			hfs := addTenant(t, h, "t", tc.quota)
 			fsys, err := h.Volume("t")
 			if err != nil {
 				t.Fatal(err)
 			}
 			err = tc.run(fsys)
+			// Every handle is closed by now: usage is the store's measured
+			// footprint, and the quota held throughout.
+			used, _, _ := h.Usage("t")
+			if unique := cas.Of(hfs).Store().UniqueBytes(); used != unique {
+				t.Fatalf("usage %d bytes, store holds %d", used, unique)
+			}
+			if tc.quota.MaxBytes > 0 && used > tc.quota.MaxBytes {
+				t.Fatalf("usage %d bytes over quota %d", used, tc.quota.MaxBytes)
+			}
 			if tc.want == nil {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
@@ -270,7 +392,7 @@ func TestQuotaCountersMatchOracle(t *testing.T) {
 // TestRecountAppliesToExistingContent checks quotas bind content that
 // predates AddTenant.
 func TestRecountAppliesToExistingContent(t *testing.T) {
-	hfs := hac.New(vfs.New(), hac.Options{})
+	hfs := hac.New(cas.New(nil), hac.Options{})
 	if err := hfs.WriteFile("/old", make([]byte, 90)); err != nil {
 		t.Fatal(err)
 	}
@@ -284,6 +406,26 @@ func TestRecountAppliesToExistingContent(t *testing.T) {
 	}
 	if err := fsys.WriteFile("/new", make([]byte, 10)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAddTenantRequiresCAS: a volume that is not content-addressed has
+// no unique-byte footprint to charge, so AddTenant refuses it — typed,
+// and before any tenant series is registered.
+func TestAddTenantRequiresCAS(t *testing.T) {
+	h, o := newTestHost(t, 2)
+	err := h.AddTenant("mem", hac.New(vfs.New(), hac.Options{}), Quota{}, "")
+	var pe *vfs.PathError
+	if !errors.As(err, &pe) || !errors.Is(err, vfs.ErrUnsupported) {
+		t.Fatalf("AddTenant of a MemFS volume = %v, want *vfs.PathError wrapping ErrUnsupported", err)
+	}
+	if names := h.Tenants(); len(names) != 0 {
+		t.Fatalf("refused volume registered tenants %v", names)
+	}
+	for series := range o.Registry().Snapshot() {
+		if strings.Contains(series, `tenant="mem"`) {
+			t.Fatalf("refused volume registered series %s", series)
+		}
 	}
 }
 
@@ -428,7 +570,7 @@ func TestFairSchedulingNoStarvation(t *testing.T) {
 func TestCheckpointAndRecover(t *testing.T) {
 	dir := t.TempDir()
 	h, _ := newTestHost(t, 4)
-	hfs := hac.New(vfs.New(), hac.Options{})
+	hfs := hac.New(cas.New(nil), hac.Options{})
 	if err := h.AddTenant("t", hfs, Quota{}, dir+"/t.hac"); err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"hacfs/internal/hac"
 	"hacfs/internal/obs"
 	"hacfs/internal/vfs"
+	"hacfs/internal/vfs/cas"
 )
 
 func TestSLOTrackerBurnMath(t *testing.T) {
@@ -70,7 +71,7 @@ func TestSetSLOUnknownTenant(t *testing.T) {
 func TestHostSLOEndToEnd(t *testing.T) {
 	o := obs.NewObserver()
 	h := NewHost(2, o)
-	if err := h.AddTenant("alice", hac.New(vfs.New(), hac.Options{}), Quota{}, ""); err != nil {
+	if err := h.AddTenant("alice", hac.New(cas.New(nil), hac.Options{}), Quota{}, ""); err != nil {
 		t.Fatal(err)
 	}
 	if err := h.SetSLO("alice", SLO{Latency: 25 * time.Millisecond, Target: 0.5}); err != nil {
@@ -113,7 +114,7 @@ func TestHostSLOEndToEnd(t *testing.T) {
 
 	// Tenants without an objective export no SLO series and pay no
 	// recording cost (nil tracker).
-	if err := h.AddTenant("bob", hac.New(vfs.New(), hac.Options{}), Quota{}, ""); err != nil {
+	if err := h.AddTenant("bob", hac.New(cas.New(nil), hac.Options{}), Quota{}, ""); err != nil {
 		t.Fatal(err)
 	}
 	release, err = h.Admit("bob", "search")

@@ -15,6 +15,7 @@ import (
 	"hacfs/internal/obs"
 	"hacfs/internal/remotefs"
 	"hacfs/internal/vfs"
+	"hacfs/internal/vfs/cas"
 )
 
 // TestMultiTenantSoak is the race/soak harness: several tenants, many
@@ -37,7 +38,7 @@ func TestMultiTenantSoak(t *testing.T) {
 	h := NewHost(0, obs.NewObserver())
 	vols := make([]*hac.FS, tenants)
 	for i := range vols {
-		vols[i] = hac.New(vfs.New(), hac.Options{})
+		vols[i] = hac.New(cas.New(nil), hac.Options{})
 		name := fmt.Sprintf("t%d", i)
 		if err := vols[i].MkdirAll("/docs"); err != nil {
 			t.Fatal(err)
@@ -183,7 +184,7 @@ func TestGracefulShutdownUnderLoad(t *testing.T) {
 	h := NewHost(0, obs.NewObserver())
 	vols := map[string]*hac.FS{}
 	for _, name := range []string{"a", "b"} {
-		v := hac.New(vfs.New(), hac.Options{})
+		v := hac.New(cas.New(nil), hac.Options{})
 		if err := v.MkdirAll("/docs"); err != nil {
 			t.Fatal(err)
 		}

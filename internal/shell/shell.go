@@ -148,20 +148,13 @@ func (sh *Shell) commands() map[string]command {
 	}
 }
 
-// casFS unwraps the volume's substrate layering down to a
-// content-addressed file system, which the snapshot family requires.
+// casFS returns the volume's content-addressed substrate, which the
+// snapshot family requires.
 func (sh *Shell) casFS() (*cas.FS, error) {
-	fsys := sh.fs.Under()
-	for {
-		if c, ok := fsys.(*cas.FS); ok {
-			return c, nil
-		}
-		u, ok := fsys.(interface{ Under() vfs.FileSystem })
-		if !ok {
-			return nil, fmt.Errorf("volume substrate is not content-addressed (run hacsh with -cas)")
-		}
-		fsys = u.Under()
+	if cfs := cas.Of(sh.fs); cfs != nil {
+		return cfs, nil
 	}
+	return nil, fmt.Errorf("volume substrate is not content-addressed")
 }
 
 // cmdSnapshot seals the current volume state under a name (O(1): the
@@ -407,7 +400,7 @@ semantic commands (the paper's extensions):
   save <host-file>            persist the volume to a file on the host
   load <host-file>            replace the volume with a saved one
 
-content-addressed volumes (hacsh -cas):
+content-addressed snapshots:
   snapshot [name]             seal an O(1) named snapshot (no name: list)
   rollback <snapshot>         rewind the volume to a snapshot
   clone                       fork the volume copy-on-write and switch to it

@@ -28,9 +28,11 @@ func runScript(t *testing.T, sh *Shell, lines ...string) string {
 	return buf.String()
 }
 
+// newShell builds a shell over a content-addressed volume, as hacsh
+// does.
 func newShell(t *testing.T) *Shell {
 	t.Helper()
-	return New(hac.New(vfs.New(), hac.Options{}), &bytes.Buffer{})
+	return New(hac.New(cas.New(nil), hac.Options{}), &bytes.Buffer{})
 }
 
 func TestSplitArgs(t *testing.T) {
@@ -385,15 +387,8 @@ func TestQuotedQueries(t *testing.T) {
 	}
 }
 
-// newCASShell builds a shell whose volume sits on the content-addressed
-// substrate, like hacsh -cas does.
-func newCASShell(t *testing.T) *Shell {
-	t.Helper()
-	return New(hac.New(cas.New(nil), hac.Options{}), &bytes.Buffer{})
-}
-
 func TestSnapshotRollback(t *testing.T) {
-	sh := newCASShell(t)
+	sh := newShell(t)
 	out := runScript(t, sh,
 		"mkdir /docs",
 		"write /docs/a.txt apple pie recipe",
@@ -428,7 +423,7 @@ func TestSnapshotRollback(t *testing.T) {
 }
 
 func TestSnapshotErrors(t *testing.T) {
-	sh := newCASShell(t)
+	sh := newShell(t)
 	runScript(t, sh, "snapshot s1")
 	if err := sh.Exec("snapshot s1"); err == nil || !strings.Contains(err.Error(), "already exists") {
 		t.Fatalf("duplicate snapshot: %v", err)
@@ -437,7 +432,7 @@ func TestSnapshotErrors(t *testing.T) {
 		t.Fatalf("rollback of unknown snapshot: %v", err)
 	}
 
-	plain := newShell(t)
+	plain := New(hac.New(vfs.New(), hac.Options{}), &bytes.Buffer{})
 	for _, cmd := range []string{"snapshot s", "rollback s", "clone"} {
 		if err := plain.Exec(cmd); err == nil || !strings.Contains(err.Error(), "not content-addressed") {
 			t.Fatalf("%s on a plain volume: %v", cmd, err)
@@ -446,7 +441,7 @@ func TestSnapshotErrors(t *testing.T) {
 }
 
 func TestCloneDiverges(t *testing.T) {
-	sh := newCASShell(t)
+	sh := newShell(t)
 	out := runScript(t, sh,
 		"write /f.txt original",
 		"snapshot pre",

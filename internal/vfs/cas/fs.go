@@ -117,6 +117,22 @@ func New(store *BlobStore) *FS {
 	return fs
 }
 
+// Of unwraps layering — a HAC volume, vfs.FaultFS, anything else
+// exposing Under() — down to the content-addressed substrate beneath
+// fsys, or nil when there is none.
+func Of(fsys vfs.FileSystem) *FS {
+	for {
+		if c, ok := fsys.(*FS); ok {
+			return c
+		}
+		u, ok := fsys.(interface{ Under() vfs.FileSystem })
+		if !ok {
+			return nil
+		}
+		fsys = u.Under()
+	}
+}
+
 // Store returns the blob store backing this file system.
 func (fs *FS) Store() *BlobStore { return fs.store }
 
@@ -524,6 +540,26 @@ func (fs *FS) ReadFile(p string) ([]byte, error) {
 	out := make([]byte, len(data))
 	copy(out, data)
 	return out, nil
+}
+
+// Reclaimable returns the unique bytes that overwriting or removing the
+// content of the file at p (following symlinks) would return to the
+// store: its size when this volume's live overlay holds the store's only
+// reference to that content, else 0 — a frozen base or another file
+// still holds it, the content is an unsealed buffer, or p is no sealed
+// regular file of this volume.
+func (fs *FS) Reclaimable(p string) int64 {
+	fs.mu.RLock()
+	defer fs.mu.RUnlock()
+	t, err := fs.walk(p, true)
+	if err != nil || t.fs != nil {
+		return 0
+	}
+	n := t.n()
+	if n.gen != fs.gen || n.typ != vfs.TypeFile || !n.owned || !n.hasHash || !fs.store.sole(n.hash) {
+		return 0
+	}
+	return n.size
 }
 
 // WriteFile creates or replaces the file at p with data, sealing the
@@ -1006,7 +1042,7 @@ func (fs *FS) Restore(s *Snap) error {
 // path, with file content referenced by hash. Dirty buffers are sealed
 // first, so the manifest's hashes are always resolvable in the store.
 // Mounted subtrees are not descended into (the mount point appears as
-// an ordinary directory), matching MemFS.Snapshot.
+// an ordinary directory): a mount is not part of the volume.
 func (fs *FS) Manifest() *Manifest {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()

@@ -304,6 +304,57 @@ func TestDedupAccounting(t *testing.T) {
 	}
 }
 
+// TestReclaimable checks the predicted free against what overwriting
+// actually returns to the store.
+func TestReclaimable(t *testing.T) {
+	store := NewStore()
+	fs := New(store)
+	if err := fs.WriteFile("/pinned", []byte("sealed")); err != nil {
+		t.Fatal(err)
+	}
+	h, err := fs.OpenFile("/pinned", vfs.OWrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	_ = fs.Snapshot()
+	for p, data := range map[string]string{"/own": "only here", "/a": "shared", "/b": "shared"} {
+		if err := fs.WriteFile(p, []byte(data)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fs.Symlink("/own", "/link"); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		path string
+		want int64
+	}{
+		{"/own", 9}, {"/link", 9}, // sole reference, through a symlink too
+		{"/a", 0},      // /b still holds the blob
+		{"/pinned", 0}, // the snapshot holds it
+		{"/missing", 0}, {"/", 0},
+	} {
+		if got := fs.Reclaimable(tc.path); got != tc.want {
+			t.Errorf("Reclaimable(%s) = %d, want %d", tc.path, got, tc.want)
+		}
+	}
+	if _, err := h.Write([]byte("x")); err != nil { // now an unsealed buffer
+		t.Fatal(err)
+	}
+	if got := fs.Reclaimable("/pinned"); got != 0 {
+		t.Errorf("Reclaimable of a buffered file = %d, want 0", got)
+	}
+	for _, p := range []string{"/own", "/a"} {
+		want := fs.Reclaimable(p)
+		data := []byte("new content of " + p)
+		added, _ := store.Measured(func() error { return fs.WriteFile(p, data) })
+		if freed := int64(len(data)) - added; freed != want {
+			t.Errorf("overwriting %s freed %d, Reclaimable said %d", p, freed, want)
+		}
+	}
+}
+
 // TestHandleAcrossSeal verifies a handle opened before a snapshot
 // copy-on-writes at its next write instead of mutating the sealed base.
 func TestHandleAcrossSeal(t *testing.T) {
@@ -384,8 +435,8 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotterViaFaultFS ensures cas.FS composes with FaultFS the
-// way model checks use it: ops pass through, Under unwraps.
+// TestUnderFaultFS ensures cas.FS composes with FaultFS the way model
+// checks use it: ops pass through, Under and Of unwrap.
 func TestUnderFaultFS(t *testing.T) {
 	cfs := New(nil)
 	ffs := vfs.NewFaultFS(cfs, vfs.FaultConfig{})
@@ -400,5 +451,11 @@ func TestUnderFaultFS(t *testing.T) {
 	}
 	if ffs.Under() != vfs.FileSystem(cfs) {
 		t.Fatal("Under() must expose the cas substrate")
+	}
+	if Of(ffs) != cfs {
+		t.Fatal("Of must unwrap the fault layer to the cas substrate")
+	}
+	if Of(vfs.NewFaultFS(vfs.New(), vfs.FaultConfig{})) != nil {
+		t.Fatal("Of found a cas substrate under MemFS")
 	}
 }

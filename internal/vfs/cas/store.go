@@ -120,6 +120,14 @@ func (s *BlobStore) Size(h Hash) int64 {
 	return int64(len(b.data))
 }
 
+// sole reports whether exactly one reference holds blob h.
+func (s *BlobStore) sole(h Hash) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	b, ok := s.blobs[h]
+	return ok && b.refs == 1
+}
+
 // Ref acquires an additional reference on h. It reports whether the
 // blob exists.
 func (s *BlobStore) Ref(h Hash) bool {

@@ -62,8 +62,9 @@ type FaultStats struct {
 // test substrate for crash-safety and consistency-recovery tests; see
 // DESIGN.md §8.
 //
-// FaultFS implements FileSystem and, when its substrate does,
-// Snapshotter — so a HAC volume over a FaultFS can still be saved.
+// FaultFS implements FileSystem, and Under exposes the wrapped
+// substrate — so a HAC volume over a FaultFS of a content-addressed
+// substrate can still be saved.
 type FaultFS struct {
 	under FileSystem
 
@@ -75,7 +76,6 @@ type FaultFS struct {
 }
 
 var _ FileSystem = (*FaultFS)(nil)
-var _ Snapshotter = (*FaultFS)(nil)
 
 // NewFaultFS wraps under with fault injection configured by cfg.
 func NewFaultFS(under FileSystem, cfg FaultConfig) *FaultFS {
@@ -323,16 +323,6 @@ func (fs *FaultFS) ReadDir(path string) ([]DirEntry, error) {
 		return nil, err
 	}
 	return fs.under.ReadDir(path)
-}
-
-// Snapshot delegates to the substrate when it can snapshot itself, so
-// volume saves work through the fault layer. A substrate that cannot
-// snapshot yields nil, which savers must reject.
-func (fs *FaultFS) Snapshot() []SnapNode {
-	if s, ok := fs.under.(Snapshotter); ok {
-		return s.Snapshot()
-	}
-	return nil
 }
 
 // faultFile passes handle I/O through the fault layer, so reads and

@@ -167,26 +167,6 @@ func TestFaultFSHandleIO(t *testing.T) {
 	}
 }
 
-func TestFaultFSSnapshotDelegation(t *testing.T) {
-	mem := New()
-	if err := mem.WriteFile("/f.txt", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	fs := NewFaultFS(mem, FaultConfig{})
-	snap := fs.Snapshot()
-	if !reflect.DeepEqual(snap, mem.Snapshot()) {
-		t.Fatal("FaultFS snapshot differs from substrate snapshot")
-	}
-	// A non-snapshotting substrate yields nil.
-	double := NewFaultFS(stubFS{}, FaultConfig{})
-	if double.Snapshot() != nil {
-		t.Fatal("snapshot of non-snapshotter substrate not nil")
-	}
-}
-
-// stubFS is a FileSystem that is not a Snapshotter.
-type stubFS struct{ FileSystem }
-
 func TestCrashWriter(t *testing.T) {
 	var buf bytes.Buffer
 	w := &CrashWriter{W: &buf, Limit: 5}
