@@ -5,13 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"hacfs/internal/bitset"
 	"hacfs/internal/obs"
 	"hacfs/internal/remote"
 	"hacfs/internal/vfs"
@@ -72,12 +70,14 @@ type replica struct {
 	downUntil atomic.Int64
 }
 
-// shardState is the live state of one shard: its replicas and the
-// round-robin read-balancing counter.
+// shardState is the live state of one shard: its replicas, the
+// round-robin read-balancing counter and its cluster_shard_seconds
+// series, resolved once per map install.
 type shardState struct {
 	id       int
 	replicas []*replica
 	next     atomic.Uint32
+	seconds  *obs.Histogram
 }
 
 // state pairs an immutable Map with the dialed shard connections; a
@@ -156,7 +156,7 @@ func (c *Coordinator) install(m *Map, old *state) {
 		}
 	}
 	for _, id := range m.order {
-		sh := &shardState{id: id}
+		sh := &shardState{id: id, seconds: c.met.shardSeconds(id)}
 		for _, addr := range m.shards[id].Replicas {
 			if r, ok := reuse[replicaKey(id, addr)]; ok {
 				sh.replicas = append(sh.replicas, r)
@@ -280,152 +280,6 @@ func (c *Coordinator) callShard(ctx context.Context, st *state, shard int, op st
 		}
 	}
 	return "", failovers, unavailable(op, shard, lastErr)
-}
-
-// shardSlice is one shard's contribution to a scatter.
-type shardSlice struct {
-	shard     int
-	replica   string
-	paths     []string
-	epoch     uint64
-	dur       time.Duration
-	failovers int
-	err       error
-}
-
-// scatterReport describes one scatter-gather run, for Explain and
-// trace annotation.
-type scatterReport struct {
-	Query     string
-	Scope     string
-	Gen       uint64
-	Targets   []int
-	Routed    bool // structure-aware routing (no hash fallback in play)
-	Slices    []shardSlice
-	Partial   []int
-	Straggler time.Duration
-	Merged    int
-	Dups      int
-}
-
-// scatter fans one search out to every target shard concurrently, each
-// shard draining its full result through cursor pages with replica
-// failover, and waits for all of them.
-func (c *Coordinator) scatter(ctx context.Context, st *state, q, scope string, targets []int) []shardSlice {
-	slices := make([]shardSlice, len(targets))
-	var wg sync.WaitGroup
-	for i, shard := range targets {
-		wg.Add(1)
-		go func(i, shard int) {
-			defer wg.Done()
-			sl := &slices[i]
-			sl.shard = shard
-			sp, sctx := c.obsv.Tracer().StartCtx(ctx, "cluster.shard")
-			sp.Annotate("shard", strconv.Itoa(shard))
-			begin := time.Now()
-			sl.replica, sl.failovers, sl.err = c.callShard(sctx, st, shard, "cluster.search",
-				func(actx context.Context, conn ShardConn) error {
-					var all []string
-					after := uint64(0)
-					for {
-						paths, next, epoch, err := conn.SearchPageUnder(actx, q, scope, after, c.opts.PageSize)
-						if err != nil {
-							return err
-						}
-						all = append(all, paths...)
-						sl.epoch = epoch
-						if next == 0 {
-							break
-						}
-						after = next
-					}
-					sl.paths = all
-					return nil
-				})
-			sl.dur = time.Since(begin)
-			c.met.shardSeconds(shard).Observe(sl.dur.Seconds())
-			sp.FinishErr(sl.err)
-		}(i, shard)
-	}
-	wg.Wait()
-	return slices
-}
-
-// gather merges the shard slices: paths dedup across shards with the
-// owner's copy winning (the cluster-level analogue of single-node
-// provenance-chain canonicalization — after a reroute both the old and
-// the new owner may briefly hold a document), and the accepted set is
-// tracked in a bitset.Segmented whose segment IDs are the shard IDs,
-// mirroring the single-node DocID space.
-func (c *Coordinator) gather(st *state, rep *scatterReport) ([]string, error) {
-	owner := make(map[string]int)
-	res := bitset.NewSegmented()
-	ordinals := make(map[int]uint32)
-	for _, sl := range rep.Slices {
-		if sl.err != nil {
-			if !c.opts.AllowPartial {
-				c.met.searchErrors.Add(1)
-				return nil, sl.err
-			}
-			rep.Partial = append(rep.Partial, sl.shard)
-			continue
-		}
-		if sl.dur > rep.Straggler {
-			rep.Straggler = sl.dur
-		}
-		for _, p := range sl.paths {
-			if prev, dup := owner[p]; dup {
-				rep.Dups++
-				if st.m.Route(p) == sl.shard && prev != sl.shard {
-					owner[p] = sl.shard
-				}
-				continue
-			}
-			owner[p] = sl.shard
-			res.Add(uint64(sl.shard)<<32 | uint64(ordinals[sl.shard]))
-			ordinals[sl.shard]++
-		}
-	}
-	if len(rep.Partial) > 0 {
-		c.met.partials.Add(1)
-	}
-	if rep.Dups > 0 {
-		c.met.dupsDropped.Add(int64(rep.Dups))
-	}
-	out := make([]string, 0, res.Len())
-	for p := range owner {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	rep.Merged = len(out)
-	c.met.stragglerSecs.Observe(rep.Straggler.Seconds())
-	return out, nil
-}
-
-// searchScatter is the full scatter-gather search: route, fan out,
-// merge.
-func (c *Coordinator) searchScatter(ctx context.Context, q, scope string) (_ []string, rep *scatterReport, err error) {
-	st := c.st.Load()
-	targets, routed := st.m.RouteScope(scope)
-	rep = &scatterReport{Query: q, Scope: scope, Gen: st.m.gen, Targets: targets, Routed: routed}
-	c.met.searches.Add(1)
-	c.met.fanoutWidth.Observe(float64(len(targets)))
-	sp, ctx := c.obsv.Tracer().StartCtx(ctx, "cluster.search")
-	sp.Annotate("query", q)
-	sp.Annotate("scope", scope)
-	sp.Annotate("fanout", strconv.Itoa(len(targets)))
-	defer func() {
-		if len(rep.Partial) > 0 {
-			sp.Annotate("partial", fmt.Sprint(rep.Partial))
-		}
-		sp.FinishErr(err)
-	}()
-	rep.Slices = c.scatter(ctx, st, q, scope, targets)
-	out, err := c.gather(st, rep)
-	if err != nil {
-		return nil, rep, err
-	}
-	return out, rep, nil
 }
 
 // Fetch implements remote.Backend: route the path to its owning shard
@@ -562,37 +416,34 @@ func (c *Coordinator) Ping(ctx context.Context) error {
 	return nil
 }
 
-// ExplainSearch runs a scatter-gather search and renders the cluster
-// execution plan: routing decision, per-shard slice (replica, epoch,
-// latency, failovers), partial-result mode, merge statistics.
+// ExplainSearch runs the opening fan-out of a cluster search — the one
+// every served search starts with — and renders it: the routing
+// decision, per shard the replica that answered, its epoch, first-page
+// size, latency and failovers, the straggler, and partial-result mode.
+// The cursor it opens is not kept.
 func (c *Coordinator) ExplainSearch(ctx context.Context, q, scope string) (string, error) {
-	_, rep, err := c.searchScatter(ctx, q, scope)
+	cs, fo, err := c.openCursor(ctx, q, scope)
 	if err != nil {
 		return "", err
 	}
-	return rep.render(), nil
-}
-
-func (rep *scatterReport) render() string {
-	var b []byte
 	mode := "hash+routes"
-	if rep.Routed {
+	if fo.routed {
 		mode = "routed"
 	}
-	b = fmt.Appendf(b, "cluster: scope=%s gen=%d fanout=%d mode=%s\n",
-		rep.Scope, rep.Gen, len(rep.Targets), mode)
-	for _, sl := range rep.Slices {
-		if sl.err != nil {
-			b = fmt.Appendf(b, "  shard %d: unavailable (%v)\n", sl.shard, sl.err)
+	var b []byte
+	b = fmt.Appendf(b, "cluster: scope=%s gen=%d fanout=%d mode=%s\n", scope, cs.gen, len(cs.shards), mode)
+	for i, f := range fo.fetches {
+		sh := &cs.shards[i]
+		if f.err != nil {
+			b = fmt.Appendf(b, "  shard %d: unavailable (%v)\n", sh.shard, f.err)
 			continue
 		}
-		b = fmt.Appendf(b, "  shard %d: replica=%s paths=%d epoch=%d failovers=%d %s\n",
-			sl.shard, sl.replica, len(sl.paths), sl.epoch, sl.failovers, sl.dur.Round(time.Microsecond))
+		b = fmt.Appendf(b, "  shard %d: replica=%s epoch=%d first page=%d paths (more=%t) failovers=%d %s\n",
+			sh.shard, f.replica, sh.epoch, len(sh.buf), !sh.done, f.failovers, f.dur.Round(time.Microsecond))
 	}
-	b = fmt.Appendf(b, "merged: %d paths (%d duplicates dropped), straggler %s\n",
-		rep.Merged, rep.Dups, rep.Straggler.Round(time.Microsecond))
-	if len(rep.Partial) > 0 {
-		b = fmt.Appendf(b, "mode: PARTIAL — shards %v unavailable, results incomplete\n", rep.Partial)
+	b = fmt.Appendf(b, "merge: shard-major composite cursor, first-seen dedup; straggler %s\n", fo.straggler.Round(time.Microsecond))
+	if len(cs.partial) > 0 {
+		b = fmt.Appendf(b, "mode: PARTIAL — shards %v unavailable, results incomplete\n", cs.partial)
 	}
-	return string(b)
+	return string(b), nil
 }

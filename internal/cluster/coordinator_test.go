@@ -196,7 +196,7 @@ func TestEmptyShardMergesClean(t *testing.T) {
 
 func TestDuplicatePathCanonicalizes(t *testing.T) {
 	// The same document reported by both shards (mid-reroute overlap):
-	// it must appear exactly once, with the owner's copy winning.
+	// it must appear exactly once.
 	obsv := obs.NewObserver()
 	c := fleet(t, twoShards, map[int][]*fakeConn{
 		0: {newFake(1, "/s0/dup.txt", "/s0/a.txt")},
@@ -289,6 +289,36 @@ func TestPartialModeServesRemainingShards(t *testing.T) {
 	}
 	if !strings.Contains(plan, "PARTIAL") || !strings.Contains(plan, "shard 0: unavailable") {
 		t.Fatalf("Explain lacks partial annotation:\n%s", plan)
+	}
+}
+
+// TestExplainRendersOpeningFanout: the Explain plan is the served
+// path's opening fan-out — routing mode, and per shard the replica that
+// answered, its epoch and first page.
+func TestExplainRendersOpeningFanout(t *testing.T) {
+	c := fleet(t, twoShards, map[int][]*fakeConn{
+		0: {newFake(3, "/s0/a.txt", "/s0/b.txt", "/s0/c.txt")},
+		1: {newFake(5, "/s1/x.txt")},
+	}, Options{PageSize: 2})
+	plan, err := c.ExplainSearch(context.Background(), "q", "/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"fanout=2 mode=hash+routes",
+		"shard 0: replica=a:1 epoch=3 first page=2 paths (more=true)",
+		"shard 1: replica=b:1 epoch=5 first page=1 paths (more=false)",
+		"first-seen dedup",
+	} {
+		if !strings.Contains(plan, want) {
+			t.Fatalf("Explain lacks %q:\n%s", want, plan)
+		}
+	}
+	if plan, err = c.ExplainSearch(context.Background(), "q", "/s1"); err != nil || !strings.Contains(plan, "fanout=1 mode=routed") {
+		t.Fatalf("scoped Explain = %v:\n%s", err, plan)
+	}
+	if strings.Contains(plan, "PARTIAL") {
+		t.Fatalf("Explain of a whole cluster announces partial mode:\n%s", plan)
 	}
 }
 

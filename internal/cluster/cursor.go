@@ -4,6 +4,7 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"hacfs/internal/obs"
 	"hacfs/internal/vfs"
@@ -18,6 +19,9 @@ import (
 // drain shard-major (all of shard A, then shard B, …), which keeps a
 // cursor valid across shard-map reloads: sub-cursors name shard IDs,
 // not replicas, and are re-resolved against the live state each call.
+// This is the one cluster merge: a path two shards both report (a
+// document mid-reroute) is served once, from the first shard to drain
+// it.
 //
 // The table is bounded; the least recently used cursor is evicted
 // first, and resuming an evicted (or never-issued) handle fails with a
@@ -39,13 +43,31 @@ type cursorState struct {
 	q       string
 	scope   string
 	gen     uint64 // map generation at creation
-	shards  []*cursorShard
+	shards  []cursorShard
 	cur     int             // shard currently draining
 	seen    map[string]bool // accepted paths (cross-shard dedup)
 	partial []int
 	drift   bool // a shard's epoch moved mid-cursor (resync raced)
 
 	lastUse atomic.Int64 // LRU tick
+}
+
+// shardFetch is one refill of a sub-cursor, as the Explain plan reports
+// it: the replica that answered, the failovers it took and how long the
+// whole attempt lasted.
+type shardFetch struct {
+	replica   string
+	failovers int
+	dur       time.Duration
+	err       error
+}
+
+// fanout is a cursor's opening fan-out: the routing decision, one fetch
+// per cursor shard and the slowest of them.
+type fanout struct {
+	routed    bool
+	fetches   []shardFetch
+	straggler time.Duration
 }
 
 // cursorTable is the bounded handle table.
@@ -124,7 +146,7 @@ func (c *Coordinator) SearchPageUnder(ctx context.Context, q, scope string, afte
 	var cs *cursorState
 	var handle uint64
 	if after == 0 {
-		cs, err = c.openCursor(ctx, q, scope)
+		cs, _, err = c.openCursor(ctx, q, scope)
 		if err != nil {
 			return nil, 0, 0, err
 		}
@@ -169,50 +191,63 @@ func (c *Coordinator) SearchPageUnder(ctx context.Context, q, scope string, afte
 }
 
 // openCursor scatters the first fetch of a new composite cursor to all
-// target shards concurrently.
-func (c *Coordinator) openCursor(ctx context.Context, q, scope string) (*cursorState, error) {
+// target shards concurrently, and records the fan-out's slowest shard
+// in cluster_straggler_seconds.
+func (c *Coordinator) openCursor(ctx context.Context, q, scope string) (*cursorState, fanout, error) {
 	st := c.st.Load()
-	targets, _ := st.m.RouteScope(scope)
+	targets, routed := st.m.RouteScope(scope)
 	c.met.searches.Add(1)
 	c.met.fanoutWidth.Observe(float64(len(targets)))
-	cs := &cursorState{q: q, scope: scope, gen: st.m.gen, seen: make(map[string]bool)}
-	for _, id := range targets {
-		cs.shards = append(cs.shards, &cursorShard{shard: id})
+	cs := &cursorState{q: q, scope: scope, gen: st.m.gen, shards: make([]cursorShard, len(targets))}
+	for i, id := range targets {
+		cs.shards[i].shard = id
 	}
+	fo := fanout{routed: routed, fetches: make([]shardFetch, len(cs.shards))}
 	var wg sync.WaitGroup
-	errs := make([]error, len(cs.shards))
-	for i, sh := range cs.shards {
+	for i := range cs.shards {
 		wg.Add(1)
-		go func(i int, sh *cursorShard) {
+		go func(i int) {
 			defer wg.Done()
-			errs[i] = c.refill(ctx, st, cs, sh)
-		}(i, sh)
+			fo.fetches[i] = c.refill(ctx, st, cs, &cs.shards[i])
+		}(i)
 	}
 	wg.Wait()
-	for i, err := range errs {
-		if err == nil {
+	for _, f := range fo.fetches {
+		fo.straggler = max(fo.straggler, f.dur)
+	}
+	c.met.stragglerSecs.Observe(fo.straggler.Seconds())
+	buffered := 0
+	for i, f := range fo.fetches {
+		sh := &cs.shards[i]
+		buffered += len(sh.buf)
+		if f.err == nil {
 			continue
 		}
 		if !c.opts.AllowPartial {
-			return nil, err
+			return nil, fo, f.err
 		}
-		cs.partial = append(cs.partial, cs.shards[i].shard)
-		cs.shards[i].done = true
+		cs.partial = append(cs.partial, sh.shard)
+		sh.done = true
 	}
-	return cs, nil
+	cs.seen = make(map[string]bool, buffered)
+	return cs, fo, nil
 }
 
 // refill fetches the shard's next page into its buffer, with replica
-// failover against the given state. Caller holds cs.mu (or the cursor
-// is not yet published).
-func (c *Coordinator) refill(ctx context.Context, st *state, cs *cursorState, sh *cursorShard) error {
+// failover against the given state, and records the attempt in the
+// shard's cluster_shard_seconds. It runs only once the buffer is
+// drained, so the page the connection decoded becomes the buffer as it
+// is. Caller holds cs.mu (or the cursor is not yet published).
+func (c *Coordinator) refill(ctx context.Context, st *state, cs *cursorState, sh *cursorShard) shardFetch {
 	first := sh.after == 0 && sh.epoch == 0 && !sh.done
-	_, _, err := c.callShard(ctx, st, sh.shard, "cluster.searchp", func(actx context.Context, conn ShardConn) error {
+	begin := time.Now()
+	var f shardFetch
+	f.replica, f.failovers, f.err = c.callShard(ctx, st, sh.shard, "cluster.searchp", func(actx context.Context, conn ShardConn) error {
 		paths, next, epoch, ferr := conn.SearchPageUnder(actx, cs.q, cs.scope, sh.after, c.opts.PageSize)
 		if ferr != nil {
 			return ferr
 		}
-		sh.buf = append(sh.buf, paths...)
+		sh.buf = paths
 		sh.after = next
 		sh.done = next == 0
 		if first {
@@ -222,27 +257,38 @@ func (c *Coordinator) refill(ctx context.Context, st *state, cs *cursorState, sh
 		}
 		return nil
 	})
-	return err
+	f.dur = time.Since(begin)
+	if ss, ok := st.shards[sh.shard]; ok {
+		ss.seconds.Observe(f.dur.Seconds())
+	}
+	return f
 }
 
 // fillPage assembles up to limit paths, draining the sub-cursors
 // shard-major and refilling each from the live cluster state as its
 // buffer empties. Returns exhausted=true once every shard is drained.
+// The page is sized to what is buffered, never to the client's limit
+// alone.
 func (c *Coordinator) fillPage(ctx context.Context, cs *cursorState, limit int) (out []string, exhausted bool, err error) {
 	st := c.st.Load()
+	buffered := 0
+	for i := cs.cur; i < len(cs.shards); i++ {
+		buffered += len(cs.shards[i].buf)
+	}
+	out = make([]string, 0, min(limit, buffered))
 	for len(out) < limit {
 		if cs.cur >= len(cs.shards) {
 			return out, true, nil
 		}
-		sh := cs.shards[cs.cur]
+		sh := &cs.shards[cs.cur]
 		if len(sh.buf) == 0 {
 			if sh.done {
 				cs.cur++
 				continue
 			}
-			if rerr := c.refill(ctx, st, cs, sh); rerr != nil {
+			if f := c.refill(ctx, st, cs, sh); f.err != nil {
 				if !c.opts.AllowPartial {
-					return nil, false, rerr
+					return nil, false, f.err
 				}
 				cs.partial = append(cs.partial, sh.shard)
 				sh.done = true

@@ -15,7 +15,7 @@ type metrics struct {
 	searches      *obs.Counter   // cluster_searches_total
 	searchErrors  *obs.Counter   // cluster_search_errors_total
 	fanoutWidth   *obs.Histogram // cluster_fanout_width
-	stragglerSecs *obs.Histogram // cluster_straggler_seconds
+	stragglerSecs *obs.Histogram // cluster_straggler_seconds: slowest fetch of an opening fan-out
 	partials      *obs.Counter   // cluster_partial_results_total
 	dupsDropped   *obs.Counter   // cluster_duplicates_dropped_total
 	resyncs       *obs.Counter   // cluster_resyncs_total
@@ -42,7 +42,8 @@ func newMetrics(o *obs.Observer) *metrics {
 	}
 }
 
-// shardSeconds times one shard's slice of a scatter.
+// shardSeconds times one shard fetch of a composite cursor (a refill),
+// failovers included.
 func (m *metrics) shardSeconds(shard int) *obs.Histogram {
 	return m.reg.Histogram("cluster_shard_seconds", nil, "shard", strconv.Itoa(shard))
 }

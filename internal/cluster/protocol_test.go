@@ -72,6 +72,42 @@ func TestTypedErrorsCrossBothProtocols(t *testing.T) {
 	check(t, err)
 }
 
+// TestServedSearchRecordsShardSeconds: a search served the way a client
+// reaches a cluster — through remote.NewServer(coord) — records every
+// shard fetch in cluster_shard_seconds{shard} and the opening fan-out in
+// cluster_straggler_seconds.
+func TestServedSearchRecordsShardSeconds(t *testing.T) {
+	obsv := obs.NewObserver()
+	coord := fleet(t, twoShards, map[int][]*fakeConn{
+		0: {newFake(1, "/s0/a.txt", "/s0/b.txt", "/s0/c.txt")},
+		1: {newFake(1, "/s1/x.txt")},
+	}, Options{PageSize: 2, Observer: obsv})
+	srv := remote.NewServer(coord, nil)
+	srv.SetObserver(obs.NewObserver())
+	sl, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(sl)
+	defer srv.Close()
+	cl := remote.DialBin("test", sl.Addr().String())
+	defer cl.Close()
+	got, err := cl.SearchUnderContext(context.Background(), "q", "/")
+	if err != nil || len(got) != 4 {
+		t.Fatalf("served search = %v, %v", got, err)
+	}
+	snap := obsv.Registry().Snapshot()
+	for key, atLeast := range map[string]float64{
+		`cluster_shard_seconds{shard="0"}_count`: 2, // the opening fetch and one refill
+		`cluster_shard_seconds{shard="1"}_count`: 1,
+		`cluster_straggler_seconds_count`:        1,
+	} {
+		if snap[key] < atLeast {
+			t.Errorf("%s = %v, want >= %v", key, snap[key], atLeast)
+		}
+	}
+}
+
 // TestMidQueryShardLossIsTyped boots one real shard behind the
 // coordinator, kills it mid-cursor, and asserts the client-visible
 // failure on the next page is typed.

@@ -3,6 +3,7 @@ package remote
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"net"
 	"reflect"
@@ -12,6 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"hacfs/internal/obs"
+	"hacfs/internal/vfs"
 	"hacfs/internal/wire"
 )
 
@@ -117,6 +120,78 @@ func TestBinManyInFlight(t *testing.T) {
 	}
 }
 
+// pacedBackend serves the same page at every cursor, never running out
+// (the client's page budget ends the stream). A page after the first
+// waits until the client has consumed the previous one, so the client
+// never reads a frame ahead of its consumer.
+type pacedBackend struct {
+	page     []string
+	consumed chan struct{}
+}
+
+func (b *pacedBackend) SearchPageUnder(ctx context.Context, _, _ string, after uint64, _ int) ([]string, uint64, uint64, error) {
+	if after == 0 {
+		select { // a token the previous stream's last page left
+		case <-b.consumed:
+		default:
+		}
+	} else {
+		select {
+		case <-b.consumed:
+		case <-ctx.Done():
+			return nil, 0, 0, ctx.Err()
+		}
+	}
+	return b.page, after + 1, 1, nil
+}
+
+func (b *pacedBackend) Fetch(string) ([]byte, error) { return nil, vfs.ErrNotExist }
+
+// TestStreamSearchOneBufferPerStream: streamSearch encodes every page of
+// a stream into one payload buffer, so a stream's allocations do not
+// grow with its page count.
+func TestStreamSearchOneBufferPerStream(t *testing.T) {
+	page := make([]string, 512)
+	for i := range page {
+		page[i] = fmt.Sprintf("/corpus/dir%03d/file-%05d.txt", i%40, i)
+	}
+	b := &pacedBackend{page: page, consumed: make(chan struct{}, 1)}
+	srv := NewServer(b, nil)
+	srv.SetObserver(obs.Discard())
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(l)
+	t.Cleanup(srv.Close)
+	bc := DialBin("paced", l.Addr().String())
+	bc.SetObserver(obs.Discard())
+	t.Cleanup(func() { bc.Close() })
+
+	ctx := context.Background()
+	reqs := map[int][]byte{4: appendSearchReq(nil, "q", "/", 0, len(page), 4), 36: appendSearchReq(nil, "q", "/", 0, len(page), 36)}
+	stream := func(pages int) {
+		n := 0
+		err := bc.c.Stream(ctx, mSearchUnder, fSearch, reqs[pages], func(f wire.Frame) error {
+			n++
+			select {
+			case b.consumed <- struct{}{}:
+			default:
+			}
+			return nil
+		})
+		if err != nil || n != pages {
+			t.Fatalf("stream of %d pages: %d frames, %v", pages, n, err)
+		}
+	}
+	stream(36) // warm the connection and the client's free list
+	few := testing.AllocsPerRun(20, func() { stream(4) })
+	many := testing.AllocsPerRun(20, func() { stream(36) })
+	if perPage := (many - few) / 32; perPage > 0.25 {
+		t.Fatalf("%.2f allocations per streamed page (%.0f for 4 pages, %.0f for 36), want one buffer per stream", perPage, few, many)
+	}
+}
+
 // TestBinVersionRejected checks the versioned-error path: a client
 // with an unsupported framing version receives an error frame, not a
 // hang or a crash.
@@ -179,7 +254,7 @@ func FuzzDecodeFrame(f *testing.F) {
 					t.Fatalf("accepted query of %d bytes, scope of %d", len(q), len(scope))
 				}
 			case fPage:
-				paths, _, _, err := decodePage(fr.Payload)
+				paths, _, _, err := decodePage(nil, fr.Payload)
 				if err == nil {
 					for _, p := range paths {
 						if len(p) > maxField {

@@ -81,18 +81,18 @@ func (c *BinClient) PingContext(ctx context.Context) error {
 
 // search issues one search call and gathers every streamed page frame:
 // all the paths, plus the last page's next cursor and serving epoch.
+// Each page decodes straight onto the end of the result slice, its
+// paths sharing one backing string per page (wire.Dec.AppendStrings),
+// so the result never aliases a frame buffer and is the caller's to
+// keep.
 func (c *BinClient) search(ctx context.Context, m int, q, scope string, after uint64, pageSize, limitPages int) (paths []string, next, epoch uint64, err error) {
 	err = c.c.Stream(ctx, m, fSearch, appendSearchReq(nil, q, scope, after, pageSize, limitPages), func(f wire.Frame) error {
 		if f.Type != fPage {
 			return fmt.Errorf("remote: unexpected frame type %d", f.Type)
 		}
-		page, n, e, err := decodePage(f.Payload)
-		if err != nil {
-			return err
-		}
-		paths = append(paths, page...)
-		next, epoch = n, e
-		return nil
+		var err error
+		paths, next, epoch, err = decodePage(paths, f.Payload)
+		return err
 	}, "query", q)
 	if err != nil {
 		return nil, 0, 0, err

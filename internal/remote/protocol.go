@@ -23,7 +23,11 @@
 // typed error; clients reconstruct the *vfs.PathError and its sentinel.
 package remote
 
-import "hacfs/internal/wire"
+import (
+	"encoding/binary"
+
+	"hacfs/internal/wire"
+)
 
 const (
 	fPing uint8 = iota + 1
@@ -85,11 +89,23 @@ func appendPage(b []byte, epoch, next uint64, paths []string) []byte {
 	return b
 }
 
-// decodePage decodes an fPage payload.
-func decodePage(payload []byte) (paths []string, next, epoch uint64, err error) {
+// encodePage encodes an fPage payload into buf's storage, first growing
+// it to what the page needs (two full-width varints plus the path list),
+// so a stream that passes the previous result back encodes every page
+// into one buffer.
+func encodePage(buf []byte, epoch, next uint64, paths []string) []byte {
+	if need := 2*binary.MaxVarintLen64 + wire.SizeStrings(paths); cap(buf) < need {
+		buf = make([]byte, 0, need)
+	}
+	return appendPage(buf[:0], epoch, next, paths)
+}
+
+// decodePage decodes an fPage payload, appending its paths to dst. The
+// paths share one backing string and never alias the payload.
+func decodePage(dst []string, payload []byte) (paths []string, next, epoch uint64, err error) {
 	d := wire.NewDec(payload)
 	epoch = d.Uvarint()
 	next = d.Uvarint()
-	paths = d.Strings(maxField, maxPageEntries)
+	paths = d.AppendStrings(dst, maxField, maxPageEntries)
 	return paths, next, epoch, d.Close()
 }

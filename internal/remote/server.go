@@ -240,7 +240,9 @@ func (s *Server) ServeFrame(ctx context.Context, w *wire.ResponseWriter, f wire.
 
 // streamSearch answers one fSearch request: it pages the result through
 // the cursor machinery and streams one fPage frame per page, the last
-// carrying FlagFinal.
+// carrying FlagFinal. Every page is encoded into the same buffer, grown
+// only when a page needs more: Send has copied it out by the time it
+// returns.
 func (s *Server) streamSearch(ctx context.Context, w *wire.ResponseWriter, id uint64, q, scope string, after uint64, pageSize, limitPages int) {
 	if pageSize <= 0 {
 		pageSize = 512
@@ -255,6 +257,7 @@ func (s *Server) streamSearch(ctx context.Context, w *wire.ResponseWriter, id ui
 	// Stream pages until the cursor runs out or the client's page
 	// budget is spent.
 	cursor := after
+	var buf []byte
 	for page := 0; ; page++ {
 		paths, next, epoch, err := s.backend.SearchPageUnder(opCtx, q, scope, cursor, pageSize)
 		if err != nil {
@@ -263,7 +266,8 @@ func (s *Server) streamSearch(ctx context.Context, w *wire.ResponseWriter, id ui
 			return
 		}
 		final := next == 0 || (limitPages > 0 && page+1 >= limitPages)
-		fr := wire.Frame{Type: fPage, ID: id, Payload: appendPage(nil, epoch, next, paths)}
+		buf = encodePage(buf, epoch, next, paths)
+		fr := wire.Frame{Type: fPage, ID: id, Payload: buf}
 		if final {
 			fr.Flags = wire.FlagFinal
 		}

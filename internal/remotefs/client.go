@@ -131,14 +131,26 @@ func (c *MuxClient) SearchPage(ctx context.Context, query, scope string, after u
 // SearchStream runs a content query and streams every result page
 // through fn: the server evaluates the query once and ships one framed
 // page of that result per callback, so a large result needs one
-// request and one evaluation, not one of each per page. The paths of a
-// page share one allocation (wire.Dec.Strings): keeping one keeps the
-// page's bytes. pageSize <= 0 uses the server default.
+// request and one evaluation, not one of each per page. pageSize <= 0
+// uses the server default.
+//
+// The page slice is refilled for every page of the stream: it is valid
+// only until fn returns, so fn must copy the slice (append(dst,
+// page...)) to keep it — the contract hac.FS.SearchStream's emit has.
+// The strings themselves stay valid after fn returns; a page's paths
+// share one backing string (wire.Dec.AppendStrings), so keeping one
+// keeps that page's bytes.
 func (c *MuxClient) SearchStream(ctx context.Context, query, scope string, pageSize int, fn func(paths []string) error) error {
 	req := &request{Op: opSearchStream, Tenant: c.tenant, Path: scope, Path2: query, N: pageSize}
+	var resp response
 	return c.c.Stream(ctx, int(opSearchStream)-1, rfReq, appendRequest(nil, req), func(f wire.Frame) error {
-		resp, err := decodeRespFrame(f)
-		if err != nil {
+		if f.Type != rfResp {
+			return fmt.Errorf("remotefs: unexpected frame type %d", f.Type)
+		}
+		// Only Strs carries over: decodeResponse appends the page to its
+		// emptied storage.
+		resp = response{Strs: resp.Strs[:0]}
+		if err := decodeResponse(f.Payload, &resp); err != nil {
 			return err
 		}
 		if resp.Err != nil {

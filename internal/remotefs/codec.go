@@ -128,6 +128,9 @@ func encodeResponse(buf []byte, resp *response) []byte {
 	return appendResponse(buf[:0], resp)
 }
 
+// decodeResponse parses one response payload into resp. Data aliases
+// the payload; the paths are appended to resp.Strs, so a caller that
+// empties it first reuses its storage.
 func decodeResponse(payload []byte, resp *response) error {
 	d := wire.NewDec(payload)
 	if d.Bool() {
@@ -149,7 +152,7 @@ func decodeResponse(payload []byte, resp *response) error {
 		}
 	}
 	resp.Str = d.String(maxPathLen)
-	resp.Strs = d.Strings(maxPathLen, maxEntries)
+	resp.Strs = d.AppendStrings(resp.Strs, maxPathLen, maxEntries)
 	resp.Handle = d.Uvarint()
 	resp.N = d.Int()
 	resp.Off = d.Varint()

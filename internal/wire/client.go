@@ -115,9 +115,11 @@ func (r rpc) end(err error) {
 
 // Call performs one call of method m that a single frame answers. A
 // TypeErr frame comes back as the error it carries. kv pairs annotate
-// the client span.
+// the client span. The frame's payload is the caller's to keep: it is
+// read into a slice of its own, exactly the payload's size, because
+// callers return it as is (a fetched document, a file's bytes).
 //
-// Call and Stream keep everything between the caller and Mux.Call in
+// Call and Stream keep everything between the caller and the mux in
 // their own frame, with no deferred closures: service handlers call
 // them from request goroutines (a cluster coordinator fetching from a
 // shard), where each extra frame on the way down to the socket write
@@ -140,9 +142,14 @@ func (c *Client) Call(ctx context.Context, m int, typ uint8, payload []byte, kv 
 // Stream performs one call of method m and hands every response frame
 // to fn, the last one flagged final. A TypeErr frame ends the call with
 // the error it carries, as does an error from fn.
+//
+// A frame's payload belongs to the wire again once fn returns: the mux
+// reads a later frame — of this stream or another on the connection —
+// into the same buffer. fn must decode or copy what it keeps (Dec's
+// accessors that return strings copy; Bytes aliases).
 func (c *Client) Stream(ctx context.Context, m int, typ uint8, payload []byte, fn func(Frame) error, kv ...string) error {
 	r, sc := c.begin(ctx, m, kv)
-	st, err := c.mux.Call(ctx, sc, typ, payload)
+	st, err := c.mux.call(ctx, sc, typ, payload, true)
 	for err == nil {
 		var f Frame
 		if f, err = st.Next(ctx); err != nil {
@@ -150,7 +157,11 @@ func (c *Client) Stream(ctx context.Context, m int, typ uint8, payload []byte, f
 		}
 		if f.Type == TypeErr {
 			err = frameError(f)
-		} else if err = fn(f); err == nil && f.Final() {
+		} else {
+			err = fn(f)
+		}
+		c.mux.release(f.Payload)
+		if err == nil && f.Final() {
 			break
 		}
 	}

@@ -35,15 +35,17 @@ type Handler interface {
 type ResponseWriter struct {
 	mu      sync.Mutex
 	bw      *bufio.Writer
+	hdr     frameHeader // header scratch, under mu
 	writers atomic.Int64
 }
 
-// Send writes one response frame.
+// Send writes one response frame. The payload has been copied out by the
+// time Send returns, so the caller may reuse it for its next frame.
 func (w *ResponseWriter) Send(f Frame) error {
 	w.writers.Add(1)
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	err := WriteFrame(w.bw, f)
+	err := w.hdr.write(w.bw, f)
 	if w.writers.Add(-1) == 0 && err == nil {
 		err = w.bw.Flush()
 	}

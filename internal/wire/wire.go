@@ -46,6 +46,7 @@ import (
 	"io"
 	"math/bits"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -129,21 +130,27 @@ func ReadHello(r io.Reader) (uint8, error) {
 // FlagTrace) when the frame carries a trace. The caller serializes
 // concurrent writers (frames must not interleave mid-frame).
 func WriteFrame(w io.Writer, f Frame) error {
-	var hdr [4 + headerLen + traceHeaderLen]byte
+	var hdr frameHeader
+	return hdr.write(w, f)
+}
+
+// write is WriteFrame building the header in h, so a writer that keeps
+// one h across frames writes headers without allocating.
+func (h *frameHeader) write(w io.Writer, f Frame) error {
 	n := 4 + headerLen
 	if !f.Trace.IsZero() {
 		f.Flags |= FlagTrace
-		copy(hdr[n:], f.Trace[:])
-		binary.BigEndian.PutUint64(hdr[n+16:], uint64(f.Span))
+		copy(h[n:], f.Trace[:])
+		binary.BigEndian.PutUint64(h[n+16:], uint64(f.Span))
 		n += traceHeaderLen
 	} else {
 		f.Flags &^= FlagTrace
 	}
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(n-4+len(f.Payload)))
-	hdr[4] = f.Type
-	hdr[5] = f.Flags
-	binary.BigEndian.PutUint64(hdr[6:14], f.ID)
-	if _, err := w.Write(hdr[:n]); err != nil {
+	binary.BigEndian.PutUint32(h[0:4], uint32(n-4+len(f.Payload)))
+	h[4] = f.Type
+	h[5] = f.Flags
+	binary.BigEndian.PutUint64(h[6:14], f.ID)
+	if _, err := w.Write(h[:n]); err != nil {
 		return err
 	}
 	if len(f.Payload) > 0 {
@@ -156,51 +163,88 @@ func WriteFrame(w io.Writer, f Frame) error {
 
 // ReadFrame decodes one frame, rejecting any declared length below the
 // fixed header (plus trace header when FlagTrace is set) or above
-// maxPayload before allocating anything.
+// maxPayload before allocating anything. The payload is the caller's.
 func ReadFrame(r io.Reader, maxPayload uint32) (Frame, error) {
-	var lenb [4]byte
-	if _, err := io.ReadFull(r, lenb[:]); err != nil {
+	return readFrameInto(r, maxPayload, nil)
+}
+
+// readFrameInto is ReadFrame reading the payload into buf's storage when
+// buf's capacity covers the validated payload length, and into a new
+// slice otherwise. Whatever buf held before is overwritten or left
+// beyond the payload's end, never read.
+func readFrameInto(r io.Reader, maxPayload uint32, buf []byte) (Frame, error) {
+	var hdr frameHeader
+	f, n, err := hdr.read(r, maxPayload)
+	if err == nil {
+		err = readPayload(r, &f, n, buf)
+	}
+	if err != nil {
 		return Frame{}, err
 	}
-	n := binary.BigEndian.Uint32(lenb[:])
+	return f, nil
+}
+
+// frameHeader is the scratch space one frame's header is written or
+// read through.
+type frameHeader [4 + headerLen + traceHeaderLen]byte
+
+// read decodes one frame's header, returning the frame without its
+// payload and the payload's length, validated against maxPayload before
+// anything is allocated. A reader that keeps one h across frames reads
+// headers without allocating.
+func (h *frameHeader) read(r io.Reader, maxPayload uint32) (Frame, uint32, error) {
+	if _, err := io.ReadFull(r, h[:4]); err != nil {
+		return Frame{}, 0, err
+	}
+	n := binary.BigEndian.Uint32(h[:4])
 	if n < headerLen {
-		return Frame{}, fmt.Errorf("wire: frame length %d below %d-byte header", n, headerLen)
+		return Frame{}, 0, fmt.Errorf("wire: frame length %d below %d-byte header", n, headerLen)
 	}
 	if uint64(n-headerLen) > uint64(maxPayload)+traceHeaderLen {
 		// Early reject of lengths too large under either header shape;
 		// the exact payload bound is re-checked below once the flags say
 		// whether a trace header is present. Nothing is allocated from
 		// the declared length at this point.
-		return Frame{}, fmt.Errorf("wire: frame payload %d exceeds limit %d", n-headerLen, maxPayload)
+		return Frame{}, 0, fmt.Errorf("wire: frame payload %d exceeds limit %d", n-headerLen, maxPayload)
 	}
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Frame{}, err
+	hdr := h[4 : 4+headerLen]
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return Frame{}, 0, err
 	}
 	f := Frame{Type: hdr[0], Flags: hdr[1], ID: binary.BigEndian.Uint64(hdr[2:10])}
 	fixed := uint32(headerLen)
 	if f.Flags&FlagTrace != 0 {
 		fixed += traceHeaderLen
 		if n < fixed {
-			return Frame{}, fmt.Errorf("wire: frame length %d below %d-byte traced header", n, fixed)
+			return Frame{}, 0, fmt.Errorf("wire: frame length %d below %d-byte traced header", n, fixed)
 		}
-		var th [traceHeaderLen]byte
-		if _, err := io.ReadFull(r, th[:]); err != nil {
-			return Frame{}, err
+		th := h[4+headerLen:]
+		if _, err := io.ReadFull(r, th); err != nil {
+			return Frame{}, 0, err
 		}
 		copy(f.Trace[:], th[:16])
 		f.Span = obs.SpanID(binary.BigEndian.Uint64(th[16:]))
 	}
 	if n-fixed > maxPayload {
-		return Frame{}, fmt.Errorf("wire: frame payload %d exceeds limit %d", n-fixed, maxPayload)
+		return Frame{}, 0, fmt.Errorf("wire: frame payload %d exceeds limit %d", n-fixed, maxPayload)
 	}
-	if pl := n - fixed; pl > 0 {
-		f.Payload = make([]byte, pl)
-		if _, err := io.ReadFull(r, f.Payload); err != nil {
-			return Frame{}, err
-		}
+	return f, n - fixed, nil
+}
+
+// readPayload reads f's n-byte payload into buf's storage when its
+// capacity covers n, into a new slice otherwise. An empty payload stays
+// nil.
+func readPayload(r io.Reader, f *Frame, n uint32, buf []byte) error {
+	if n == 0 {
+		return nil
 	}
-	return f, nil
+	if int(n) <= cap(buf) {
+		f.Payload = buf[:n]
+	} else {
+		f.Payload = make([]byte, n)
+	}
+	_, err := io.ReadFull(r, f.Payload)
+	return err
 }
 
 // ---------------------------------------------------------------------
@@ -360,31 +404,46 @@ func (d *Dec) Count(max int) int {
 	return int(n)
 }
 
-// Strings decodes a count-prefixed list of strings, bounding both the
-// element size and the total element count. The list's bytes are copied
-// once, into one string that every element is a substring of — two
-// allocations a page instead of one per path. The price is retention: a
-// single element kept alive keeps the whole list's bytes alive.
+// Strings decodes a count-prefixed list of strings into a new slice: it
+// is AppendStrings with no slice to reuse, and returns nil on a decode
+// error.
 func (d *Dec) Strings(maxEach, maxCount int) []string {
+	return d.AppendStrings(nil, maxEach, maxCount)
+}
+
+// AppendStrings decodes a count-prefixed list of strings and appends
+// them to dst, bounding both the element size and the total element
+// count before anything is allocated. The list's bytes are copied once,
+// into one string that every element is a substring of, so the elements
+// never alias the payload and stay valid after it is reused. A caller
+// that passes the previous page's slice back (dst[:0]) decodes a page
+// with that one allocation. The price is retention: a single element
+// kept alive keeps the whole list's bytes alive. On a decode error dst
+// is returned unchanged.
+func (d *Dec) AppendStrings(dst []string, maxEach, maxCount int) []string {
 	n := d.Count(maxCount)
 	list := d.b
 	for i := 0; i < n; i++ {
 		d.Bytes(maxEach)
 	}
 	if d.err != nil {
-		return nil
+		return dst
 	}
 	// Validated above: the second walk only re-reads the lengths.
 	list = list[:len(list)-len(d.b)]
 	backing := string(list)
-	out := make([]string, n)
+	if dst == nil {
+		dst = make([]string, 0, n)
+	} else {
+		dst = slices.Grow(dst, n)
+	}
 	pos := 0
-	for i := range out {
+	for i := 0; i < n; i++ {
 		l, w := binary.Uvarint(list[pos:])
-		out[i] = backing[pos+w : pos+w+int(l)]
+		dst = append(dst, backing[pos+w:pos+w+int(l)])
 		pos += w + int(l)
 	}
-	return out
+	return dst
 }
 
 // SizeStrings returns the number of bytes AppendStrings(nil, ss) takes.
@@ -421,16 +480,19 @@ func AppendBool(b []byte, v bool) []byte {
 
 // pendingCall collects the response frames for one request ID without
 // ever blocking the connection's reader: frames queue under the call's
-// own lock and a 1-slot ready channel wakes the waiter.
+// own lock and a 1-slot ready channel wakes the waiter. A recycling call
+// (Client.Stream) gives each frame's payload back to the mux once it is
+// consumed, so the reader reads its frames into recycled buffers.
 type pendingCall struct {
-	mu     sync.Mutex
-	frames []Frame
-	err    error
-	ready  chan struct{}
+	mu      sync.Mutex
+	frames  []Frame
+	err     error
+	ready   chan struct{}
+	recycle bool
 }
 
-func newPendingCall() *pendingCall {
-	return &pendingCall{ready: make(chan struct{}, 1)}
+func newPendingCall(recycle bool) *pendingCall {
+	return &pendingCall{ready: make(chan struct{}, 1), recycle: recycle}
 }
 
 func (pc *pendingCall) push(f Frame) {
@@ -462,8 +524,12 @@ func (pc *pendingCall) next(ctx context.Context) (Frame, error) {
 	for {
 		pc.mu.Lock()
 		if len(pc.frames) > 0 {
+			// Shift rather than reslice, so the queue keeps its storage and
+			// a stream's frames queue without allocating.
 			f := pc.frames[0]
-			pc.frames = pc.frames[1:]
+			n := copy(pc.frames, pc.frames[1:])
+			pc.frames[n] = Frame{}
+			pc.frames = pc.frames[:n]
 			pc.mu.Unlock()
 			return f, nil
 		}
@@ -497,10 +563,21 @@ type Mux struct {
 	writers atomic.Int64 // senders in flight, for flush coalescing
 	pending map[uint64]*pendingCall
 	nextID  uint64
-	gen     uint64 // bumped every re-dial, keys reader teardown
+	gen     uint64      // bumped every re-dial, keys reader teardown
+	hdr     frameHeader // request header scratch, under wmu
+
+	freeMu sync.Mutex
+	free   [][]byte // stream payloads given back, at most maxFree
 
 	dialFailures *obs.Counter // counts failed dials and hello exchanges
 }
+
+// The free list of stream payload buffers: a few, none large, so a mux
+// holds at most maxFree*maxFreeCap bytes it is not using.
+const (
+	maxFree    = 16
+	maxFreeCap = 256 << 10
+)
 
 // NewMux returns a lazy client mux for the server at addr. maxPayload
 // bounds one received frame's payload.
@@ -591,12 +668,17 @@ func (m *Mux) dial(ctx context.Context) (net.Conn, error) {
 	return conn, nil
 }
 
-// readLoop demultiplexes response frames until the connection dies.
+// readLoop demultiplexes response frames until the connection dies. It
+// reads each header first and looks the request up once, so it knows
+// where the payload goes before reading it: a recycling call's payload
+// into a buffer from the free list, a plain call's into a slice of its
+// own, a dropped frame's nowhere.
 func (m *Mux) readLoop(conn net.Conn, gen uint64) {
 	r := bufio.NewReader(conn)
+	var hdr frameHeader
 	var cause error
 	for {
-		f, err := ReadFrame(r, m.maxPayload)
+		f, n, err := hdr.read(r, m.maxPayload)
 		if err != nil {
 			cause = err
 			break
@@ -615,7 +697,19 @@ func (m *Mux) readLoop(conn net.Conn, gen uint64) {
 			// A frame for a request nobody is waiting on: either a
 			// canceled call (harmless, drop it) — unsolicited IDs also
 			// land here and are ignored rather than trusted.
+			if _, err := r.Discard(int(n)); err != nil {
+				cause = err
+				break
+			}
 			continue
+		}
+		var buf []byte
+		if pc.recycle && n > 0 {
+			buf = m.take(n)
+		}
+		if err := readPayload(r, &f, n, buf); err != nil {
+			cause = err
+			break
 		}
 		pc.push(f)
 	}
@@ -624,6 +718,53 @@ func (m *Mux) readLoop(conn net.Conn, gen uint64) {
 		m.dropLocked(fmt.Errorf("wire: %s: connection lost: %w", m.addr, cause))
 	}
 	m.mu.Unlock()
+}
+
+// take removes and returns the free buffer that best fits an n-byte
+// payload — the smallest whose capacity covers n — or nil when none
+// does, and the reader allocates.
+func (m *Mux) take(n uint32) []byte {
+	m.freeMu.Lock()
+	defer m.freeMu.Unlock()
+	best := -1
+	for i, b := range m.free {
+		if cap(b) >= int(n) && (best < 0 || cap(b) < cap(m.free[best])) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return nil
+	}
+	b := m.free[best]
+	last := len(m.free) - 1
+	m.free[best] = m.free[last]
+	m.free[last] = nil
+	m.free = m.free[:last]
+	return b
+}
+
+// release gives a recycling call's payload back once its consumer is
+// done with it. A full list keeps the larger buffers, which fit the
+// most frames.
+func (m *Mux) release(b []byte) {
+	if cap(b) == 0 || cap(b) > maxFreeCap {
+		return
+	}
+	m.freeMu.Lock()
+	defer m.freeMu.Unlock()
+	if len(m.free) < maxFree {
+		m.free = append(m.free, b)
+		return
+	}
+	small := 0
+	for i, fb := range m.free {
+		if cap(fb) < cap(m.free[small]) {
+			small = i
+		}
+	}
+	if cap(b) > cap(m.free[small]) {
+		m.free[small] = b
+	}
 }
 
 // Stream is the response side of one call: a sequence of frames ending
@@ -664,8 +805,14 @@ func (s *Stream) Cancel() {
 // the response stream. A valid sc rides the frame as the FlagTrace
 // header, so the server joins the caller's trace; a zero sc sends an
 // untraced frame. Dial errors are returned as-is; write errors drop the
-// connection.
+// connection. Every response payload is the caller's to keep.
 func (m *Mux) Call(ctx context.Context, sc obs.SpanContext, typ uint8, payload []byte) (*Stream, error) {
+	return m.call(ctx, sc, typ, payload, false)
+}
+
+// call is Call; a recycling call's response payloads are read into
+// buffers from the free list and must be given back with release.
+func (m *Mux) call(ctx context.Context, sc obs.SpanContext, typ uint8, payload []byte, recycle bool) (*Stream, error) {
 	m.mu.Lock()
 	if err := m.ensureLocked(ctx); err != nil {
 		m.mu.Unlock()
@@ -673,7 +820,7 @@ func (m *Mux) Call(ctx context.Context, sc obs.SpanContext, typ uint8, payload [
 	}
 	m.nextID++
 	id := m.nextID
-	pc := newPendingCall()
+	pc := newPendingCall(recycle)
 	m.pending[id] = pc
 	conn, w := m.conn, m.w
 	m.mu.Unlock()
@@ -688,7 +835,7 @@ func (m *Mux) Call(ctx context.Context, sc obs.SpanContext, typ uint8, payload [
 	} else if m.timeout > 0 {
 		conn.SetWriteDeadline(time.Now().Add(m.timeout))
 	}
-	err := WriteFrame(w, Frame{Type: typ, ID: id, Flags: FlagFinal, Trace: sc.Trace, Span: sc.Span, Payload: payload})
+	err := m.hdr.write(w, Frame{Type: typ, ID: id, Flags: FlagFinal, Trace: sc.Trace, Span: sc.Span, Payload: payload})
 	if m.writers.Add(-1) == 0 && err == nil {
 		err = w.Flush()
 	}
