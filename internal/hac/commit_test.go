@@ -1,0 +1,128 @@
+package hac
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"hacfs/internal/vfs"
+	"hacfs/internal/vfs/cas"
+)
+
+// opDelta returns the per-operation substrate calls fault counted since
+// before.
+func opDelta(fault *vfs.FaultFS, before vfs.FaultStats) map[string]uint64 {
+	d := map[string]uint64{}
+	for op, n := range fault.Stats().PerOp {
+		if n > before.PerOp[op] {
+			d[op] = n - before.PerOp[op]
+		}
+	}
+	return d
+}
+
+// TestCommitSubstrateCalls pins what a consistency pass costs the
+// substrate (DESIGN.md §8): one call per link it adds, one Lstat per
+// link it keeps, and nothing per link beyond that — no free-name probe,
+// no Readlink, no re-check of a link it just made.
+func TestCommitSubstrateCalls(t *testing.T) {
+	probes := map[int]uint64{}
+	for _, n := range []int{10, 300} {
+		fault := vfs.NewFaultFS(cas.New(nil), vfs.FaultConfig{})
+		fs := New(fault, Options{})
+		if err := fs.MkdirAll("/docs"); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			if err := fs.WriteFile(fmt.Sprintf("/docs/d%03d.txt", i), []byte("apple")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := fs.Reindex("/"); err != nil {
+			t.Fatal(err)
+		}
+
+		before := fault.Stats()
+		if err := fs.SemDir("/s", "apple"); err != nil {
+			t.Fatal(err)
+		}
+		d := opDelta(fault, before)
+		if d["symlink"] != uint64(n) {
+			t.Fatalf("N=%d: SemDir made %d symlink calls, want %d (%v)", n, d["symlink"], n, d)
+		}
+		probes[n] = d["lstat"] + d["readlink"]
+
+		before = fault.Stats()
+		if err := fs.Sync("/s"); err != nil {
+			t.Fatal(err)
+		}
+		d = opDelta(fault, before)
+		if d["lstat"] != uint64(n) || d["readlink"] != 0 || d["symlink"] != 0 || d["remove"] != 0 {
+			t.Fatalf("N=%d: a clean Sync made %v, want %d lstat and no readlink, symlink or remove", n, d, n)
+		}
+	}
+	if probes[10] != probes[300] {
+		t.Fatalf("SemDir lstat+readlink calls grow with N: %d at N=10, %d at N=300", probes[10], probes[300])
+	}
+}
+
+// TestRepairNameCollision: /s links /a/x.txt as x.txt, the substrate
+// loses that symlink, and /b/x.txt starts matching. The repair restores
+// x.txt for /a/x.txt before the add names /b/x.txt, so the new link is
+// x.txt~2 — not a second target recorded under x.txt, which every later
+// pass would re-point from one target to the other.
+func TestRepairNameCollision(t *testing.T) {
+	for _, sub := range mcSubstrates {
+		t.Run(sub.name, func(t *testing.T) {
+			fault := vfs.NewFaultFS(sub.mk(), vfs.FaultConfig{})
+			fs := New(fault, Options{})
+			for p, content := range map[string]string{"/a/x.txt": "apple", "/b/x.txt": "pear"} {
+				if err := fs.MkdirAll(vfs.Dir(p)); err != nil {
+					t.Fatal(err)
+				}
+				if err := fs.WriteFile(p, []byte(content)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := fs.Reindex("/"); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.SemDir("/s", "apple"); err != nil {
+				t.Fatal(err)
+			}
+			if err := fault.Under().Remove("/s/x.txt"); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.WriteFile("/b/x.txt", []byte("apple")); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fs.Reindex("/"); err != nil {
+				t.Fatal(err)
+			}
+			want := []Link{
+				{Name: "x.txt", Target: "/a/x.txt", Class: Transient},
+				{Name: "x.txt~2", Target: "/b/x.txt", Class: Transient},
+			}
+			for pass := 0; pass < 2; pass++ {
+				before := fault.Stats()
+				if err := fs.Sync("/s"); err != nil {
+					t.Fatalf("pass %d: %v", pass, err)
+				}
+				if d := opDelta(fault, before); d["symlink"]+d["remove"] != 0 {
+					t.Fatalf("pass %d: a settled Sync rewrote links: %v", pass, d)
+				}
+				if links, _ := fs.Links("/s"); !reflect.DeepEqual(links, want) {
+					t.Fatalf("pass %d: links = %+v, want %+v", pass, links, want)
+				}
+				for _, l := range want {
+					if got, err := fs.Readlink(vfs.Join("/s", l.Name)); err != nil || got != l.Target {
+						t.Fatalf("pass %d: /s/%s -> %q, %v; want %s", pass, l.Name, got, err, l.Target)
+					}
+				}
+				if problems := fs.CheckConsistency(); len(problems) != 0 {
+					t.Fatalf("pass %d: %v", pass, problems)
+				}
+			}
+		})
+	}
+}

@@ -604,12 +604,8 @@ func (fs *FS) removeLocked(clean string, recursive bool) error {
 	}
 	if lerr == nil && info.Type == vfs.TypeSymlink {
 		if ds, ok := fs.stateAtLocked(dir); ok && ds.semantic {
-			target, rerr := fs.under.Readlink(clean)
-			if rerr != nil {
-				return rerr
-			}
 			prohibitIn = ds
-			prohibitTarget = target
+			prohibitTarget = info.Target
 		}
 	}
 
@@ -696,16 +692,19 @@ func (fs *FS) Rename(oldPath, newPath string) error {
 	defer fs.mu.Unlock()
 	fs.gen++
 
+	// Inspect the source before the substrate moves it, and abort on an
+	// inspection failure as removeLocked does: a directory taken for a
+	// file would move without its names and index entries following, and
+	// a link taken for a file without its prohibition. A missing source
+	// is left to the substrate's Rename to report.
 	info, statErr := fs.under.Lstat(oldClean)
-
-	// Moving a symlink: capture its target and the directories involved.
-	var linkTarget string
-	isLink := statErr == nil && info.Type == vfs.TypeSymlink
-	if isLink {
-		if t, err := fs.under.Readlink(oldClean); err == nil {
-			linkTarget = t
-		}
+	if statErr != nil && !isNotExist(statErr) {
+		return statErr
 	}
+
+	// Moving a symlink: Lstat carried its target.
+	isLink := statErr == nil && info.Type == vfs.TypeSymlink
+	linkTarget := info.Target
 
 	if err := fs.under.Rename(oldClean, newClean); err != nil {
 		return err
@@ -720,6 +719,10 @@ func (fs *FS) Rename(oldPath, newPath string) error {
 	oldDir, _ := vfs.Split(oldClean)
 	newDir, newBase := vfs.Split(newClean)
 	autoSynced := fs.autoSync.covers(oldClean) || fs.autoSync.covers(newClean)
+	// A classified link the move wrote over is gone. The link branch
+	// below re-syncs its directory anyway; the file branch does so for
+	// overwritten. A directory cannot replace a link.
+	overwritten := fs.dropOverwrittenLinkLocked(newDir, newBase, linkTarget)
 
 	if isLink {
 		var resync []uint64
@@ -788,8 +791,37 @@ func (fs *FS) Rename(oldPath, newPath string) error {
 	if err := fs.rewriteTargetsLocked(oldClean, newClean); err != nil {
 		return err
 	}
+	if overwritten != nil {
+		fs.bumpScopeEpochLocked(overwritten.uid)
+		if err := fs.resyncLocked(fs.graph.AffectedBy(overwritten.uid, false), fs.evalCfg(nil)); err != nil {
+			return err
+		}
+	}
 	if autoSynced {
 		return fs.deltaSyncLocked(newClean, false)
+	}
+	return nil
+}
+
+// dropOverwrittenLinkLocked records that a rename replaced the entry
+// name of the directory at dirPath. A classified link of a semantic
+// directory there — other than one to keep, the moved link's own target
+// — was deleted by the user and becomes a prohibition, as in Remove
+// (§2.3); so no two classified targets ever share a link name. It
+// returns the directory it changed, or nil. Caller holds fs.mu for
+// writing.
+func (fs *FS) dropOverwrittenLinkLocked(dirPath, name, keep string) *dirState {
+	ds, ok := fs.stateAtLocked(dirPath)
+	if !ok || !ds.semantic {
+		return nil
+	}
+	for t, n := range ds.linkName {
+		if n == name && t != keep {
+			delete(ds.class, t)
+			delete(ds.linkName, t)
+			ds.prohibited[t] = true
+			return ds
+		}
 	}
 	return nil
 }

@@ -704,8 +704,14 @@ func keys(m map[string]bool) []string {
 	return out
 }
 
-// mcSeeds are the per-run seeds; ≥ 8 per the acceptance criteria.
-var mcSeeds = []int64{1, 2, 3, 4, 5, 6, 7, 8}
+// mcSeeds are the per-run seeds, 1..32.
+var mcSeeds = func() []int64 {
+	seeds := make([]int64, 32)
+	for i := range seeds {
+		seeds[i] = int64(i + 1)
+	}
+	return seeds
+}()
 
 const mcStepsPerSeed = 250
 

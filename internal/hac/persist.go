@@ -1,6 +1,7 @@
 package hac
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
@@ -192,18 +193,24 @@ func (fs *FS) SaveVolume(w io.Writer) error {
 	if err := gob.NewEncoder(&payload).Encode(&img); err != nil {
 		return volErr("savevolume", fmt.Errorf("encoding volume: %w", err))
 	}
-	if err := writeVolumeFrame(w, volumeVersion, payload.Bytes()); err != nil {
+	// One buffer under the three sections: the blob section alone is two
+	// small writes per blob, and most blobs are a few hundred bytes.
+	bw := bufio.NewWriterSize(w, 64<<10)
+	if err := writeVolumeFrame(bw, volumeVersion, payload.Bytes()); err != nil {
 		return volErr("savevolume", err)
 	}
 	// The blob section: every distinct content blob the manifest
 	// references, hash-framed, before the index section.
-	if err := writeBlobSection(w, manifest, blobs); err != nil {
+	if err := writeBlobSection(bw, manifest, blobs); err != nil {
 		return volErr("savevolume", err)
 	}
 	// The index section: the segmented image, one framed block per
 	// segment (see internal/index/persist.go).
-	if err := fs.ix.Save(w); err != nil {
+	if err := fs.ix.Save(bw); err != nil {
 		return volErr("savevolume", fmt.Errorf("writing index section: %w", err))
+	}
+	if err := bw.Flush(); err != nil {
+		return volErr("savevolume", err)
 	}
 	return nil
 }

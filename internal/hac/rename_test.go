@@ -173,6 +173,52 @@ func TestRenameOntoLinkedFile(t *testing.T) {
 	}
 }
 
+// TestRenameOverLink moves a link, then a file, onto another link of
+// the semantic directory. The link written over is gone as if removed
+// — its target prohibited — so no two classified targets share a link
+// name and later passes neither fail nor re-point the survivor.
+func TestRenameOverLink(t *testing.T) {
+	for name, under := range map[string]func() vfs.FileSystem{
+		"memfs": func() vfs.FileSystem { return vfs.New() },
+		"cas":   func() vfs.FileSystem { return cas.New(nil) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			fs := newTestFSOn(t, under())
+			if err := fs.SemDir("/sel", "apple"); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.Rename("/sel/apple1.txt", "/sel/apple2.txt"); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.WriteFile("/notes.txt", []byte("plain note")); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.Rename("/notes.txt", "/sel/m1.txt"); err != nil {
+				t.Fatal(err)
+			}
+			want := []Link{
+				{Name: "apple2.txt", Target: "/docs/apple1.txt", Class: Permanent},
+				{Target: "/docs/apple2.txt", Class: Prohibited},
+				{Target: "/mail/m1.txt", Class: Prohibited},
+			}
+			for pass := 0; pass < 2; pass++ {
+				if err := fs.SyncAll(); err != nil {
+					t.Fatalf("pass %d: %v", pass, err)
+				}
+				if links, _ := fs.Links("/sel"); !reflect.DeepEqual(links, want) {
+					t.Fatalf("pass %d: links = %+v, want %+v", pass, links, want)
+				}
+				if got, err := fs.Readlink("/sel/apple2.txt"); err != nil || got != "/docs/apple1.txt" {
+					t.Fatalf("pass %d: /sel/apple2.txt -> %q, %v", pass, got, err)
+				}
+				if problems := fs.CheckConsistency(); len(problems) != 0 {
+					t.Fatalf("pass %d: %v", pass, problems)
+				}
+			}
+		})
+	}
+}
+
 func TestLinksFollowDirectoryRename(t *testing.T) {
 	fs := newTestFS(t)
 	if err := fs.SemDir("/sel", "apple"); err != nil {

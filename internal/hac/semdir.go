@@ -1,6 +1,7 @@
 package hac
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -443,22 +444,24 @@ func (fs *FS) Unprohibit(dirPath, target string) error {
 	return fs.resyncLocked(fs.graph.AffectedBy(ds.uid, true), fs.evalCfg(nil))
 }
 
-// materializeLinkLocked creates the symlink for target inside dir,
-// choosing a collision-free name, and returns the name. Caller holds
-// fs.mu.
+// materializeLinkLocked creates the symlink for target inside dir under
+// the first free name of base, base~2, base~3, … and returns the name.
+// Symlink itself is the probe: a taken name fails with vfs.ErrExist and
+// the next suffix is tried, so a free name costs one substrate call.
+// Caller holds fs.mu.
 func (fs *FS) materializeLinkLocked(ds *dirState, dirPath, target string) (string, error) {
 	base := linkBaseName(target)
 	name := base
 	for n := 2; ; n++ {
-		if _, err := fs.under.Lstat(vfs.Join(dirPath, name)); err != nil {
-			break // name is free
+		err := fs.under.Symlink(target, vfs.Join(dirPath, name))
+		if err == nil {
+			return name, nil
+		}
+		if !errors.Is(err, vfs.ErrExist) {
+			return "", err
 		}
 		name = fmt.Sprintf("%s~%d", base, n)
 	}
-	if err := fs.under.Symlink(target, vfs.Join(dirPath, name)); err != nil {
-		return "", err
-	}
-	return name, nil
 }
 
 // linkBaseName derives a symlink name from a target path or remote

@@ -215,10 +215,11 @@ func (fs *FS) computeTargetsLocked(ds *dirState, cfg evalConfig) (map[string]boo
 }
 
 // commitTargetsLocked diffs newTargets against ds's current transient
-// set, mutating the underlying directory to match. Targets are
-// processed in sorted order so the substrate mutations — and therefore
-// collision-suffixed link names — are deterministic. Caller holds
-// fs.mu for writing.
+// set, mutating the underlying directory to match: drop, repair, add
+// (DESIGN.md §8). Each link dropped or added costs one substrate call
+// and each link kept one Lstat. Targets are processed in sorted order so
+// the substrate mutations — and therefore collision-suffixed link names
+// — are deterministic. Caller holds fs.mu for writing.
 func (fs *FS) commitTargetsLocked(ds *dirState, newTargets map[string]bool) error {
 	dirPath, ok := fs.pathOfLocked(ds.uid)
 	if !ok {
@@ -237,35 +238,21 @@ func (fs *FS) commitTargetsLocked(ds *dirState, newTargets map[string]bool) erro
 			return err
 		}
 	}
-	var add []string
-	for t := range newTargets {
-		if _, ok := ds.class[t]; !ok {
-			add = append(add, t)
-		}
-	}
-	sort.Strings(add)
-	for _, t := range add {
-		if err := fs.addTransientLocked(ds, dirPath, t); err != nil {
-			return err
-		}
-	}
-	if len(drop)+len(add) > 0 {
-		fs.bumpScopeEpochLocked(ds.uid)
-	}
-	fs.met.linksDropped.Add(int64(len(drop)))
-	fs.met.linksAdded.Add(int64(len(add)))
-	fs.met.phaseCommit.ObserveSince(commitStart)
+	commit := time.Since(commitStart)
+
 	repairStart := time.Now()
-	// Crash repair (DESIGN.md §8): a fault between an unlink and a
-	// relink — a torn rename rewrite, an interrupted commit — can leave
-	// a classified target with its physical symlink missing, or (when
-	// the fault hit a rename's link-rewrite pass) still pointing at the
-	// pre-rename path. New transient targets were just materialized
-	// above, but a previously-classified target is skipped by the add
-	// loop and a permanent link is never re-derived at all, so both
-	// would stay broken forever. The classification is authoritative:
-	// re-create missing symlinks and re-point wrong ones, making every
-	// consistency pass also a repair pass.
+	// Crash repair: a fault between an unlink and a relink — a torn
+	// rename rewrite, an interrupted commit — can leave a classified
+	// target with its physical symlink missing, or (when the fault hit a
+	// rename's link-rewrite pass) still pointing at the pre-rename path.
+	// A permanent link is never re-derived and a kept transient one is
+	// skipped by the adds, so both would stay broken forever. The
+	// classification is authoritative: re-create missing symlinks and
+	// re-point wrong ones, making every consistency pass also a repair
+	// pass. It covers the links classified before this commit only — a
+	// link whose Symlink returns nil below, under fs.mu, is known good —
+	// and runs before the adds, so a missing link gets its recorded name
+	// back before a new target can take that name.
 	var repair []string
 	for t := range ds.class {
 		broken, err := fs.linkBrokenLocked(ds, dirPath, t)
@@ -284,6 +271,26 @@ func (fs *FS) commitTargetsLocked(ds *dirState, newTargets map[string]bool) erro
 	}
 	fs.met.linksRepaired.Add(int64(len(repair)))
 	fs.met.phaseRepair.ObserveSince(repairStart)
+
+	addStart := time.Now()
+	var add []string
+	for t := range newTargets {
+		if _, ok := ds.class[t]; !ok {
+			add = append(add, t)
+		}
+	}
+	sort.Strings(add)
+	for _, t := range add {
+		if err := fs.addTransientLocked(ds, dirPath, t); err != nil {
+			return err
+		}
+	}
+	if len(drop)+len(add) > 0 {
+		fs.bumpScopeEpochLocked(ds.uid)
+	}
+	fs.met.linksDropped.Add(int64(len(drop)))
+	fs.met.linksAdded.Add(int64(len(add)))
+	fs.met.phaseCommit.ObserveDuration(commit + time.Since(addStart))
 	return nil
 }
 
@@ -314,7 +321,8 @@ func (fs *FS) addTransientLocked(ds *dirState, dirPath, t string) error {
 
 // linkBrokenLocked reports whether the symlink behind ds's classified
 // target t is missing or points elsewhere; a wrong one is removed so
-// relinkLocked can take its place. Caller holds fs.mu for writing.
+// relinkLocked can take its place. One Lstat: its Info carries the
+// link's target. Caller holds fs.mu for writing.
 func (fs *FS) linkBrokenLocked(ds *dirState, dirPath, t string) (bool, error) {
 	name, ok := ds.linkName[t]
 	if !ok || name == "" {
@@ -327,25 +335,20 @@ func (fs *FS) linkBrokenLocked(ds *dirState, dirPath, t string) (bool, error) {
 		return true, nil
 	case err != nil:
 		return false, err
-	case info.Type == vfs.TypeSymlink:
-		if got, rerr := fs.under.Readlink(lp); rerr == nil && got != t {
-			if err := fs.under.Remove(lp); err != nil && !isNotExist(err) {
-				return false, err
-			}
-			return true, nil
+	case info.Type == vfs.TypeSymlink && info.Target != t:
+		if err := fs.under.Remove(lp); err != nil && !isNotExist(err) {
+			return false, err
 		}
+		return true, nil
 	}
 	return false, nil
 }
 
 // relinkLocked re-creates the symlink of ds's classified target t under
-// its recorded name. Caller holds fs.mu for writing.
+// its recorded name, which linkBrokenLocked just found free. Caller
+// holds fs.mu for writing.
 func (fs *FS) relinkLocked(ds *dirState, dirPath, t string) error {
-	err := fs.under.Symlink(t, vfs.Join(dirPath, ds.linkName[t]))
-	if errors.Is(err, vfs.ErrExist) {
-		return nil
-	}
-	return err
+	return fs.under.Symlink(t, vfs.Join(dirPath, ds.linkName[t]))
 }
 
 func isNotExist(err error) bool { return errors.Is(err, vfs.ErrNotExist) }
@@ -415,10 +418,7 @@ func (fs *FS) resolveToIndexedLocked(target string) (string, bool) {
 		if err != nil || info.Type != vfs.TypeSymlink {
 			return "", false
 		}
-		next, err := fs.under.Readlink(p)
-		if err != nil {
-			return "", false
-		}
+		next := info.Target
 		if !vfs.IsAbs(next) {
 			next = vfs.Join(vfs.Dir(p), next)
 		}
