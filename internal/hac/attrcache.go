@@ -10,18 +10,24 @@ import (
 // attrCache is HAC's attribute cache. The paper keeps it in UNIX shared
 // memory so every process sees it; here the FS itself is shared, so a
 // process-local map with the same hit/miss semantics plays that role.
-// It speeds up the Scan and Read phases of the Andrew benchmark and its
+// It answers repeated Stats (the Andrew benchmark's Scan phase) and its
 // size is reported by the space-overhead experiment.
+//
+// An object is cached under at most one path, the one Stat reached it
+// by without following a link (FS.Stat), and byIno finds that path from
+// the object's inode: a write through a link invalidates the object
+// where it is cached.
 type attrCache struct {
 	mu     sync.Mutex
 	m      map[string]vfs.Info
+	byIno  map[uint64]string
 	cap    int
 	hits   atomic.Int64
 	misses atomic.Int64
 }
 
 func newAttrCache(capacity int) *attrCache {
-	return &attrCache{m: make(map[string]vfs.Info, capacity), cap: capacity}
+	return &attrCache{m: make(map[string]vfs.Info, capacity), byIno: make(map[uint64]string), cap: capacity}
 }
 
 func (c *attrCache) get(path string) (vfs.Info, bool) {
@@ -43,17 +49,45 @@ func (c *attrCache) put(path string, info vfs.Info) {
 		// Evict an arbitrary entry; map iteration order serves as a
 		// cheap random-replacement policy.
 		for k := range c.m {
-			delete(c.m, k)
+			c.dropLocked(k)
 			break
 		}
+	}
+	// Inode 0 is a substrate that numbers nothing; one object per inode.
+	if info.Ino != 0 {
+		if old, ok := c.byIno[info.Ino]; ok && old != path {
+			c.dropLocked(old)
+		}
+		c.byIno[info.Ino] = path
 	}
 	c.m[path] = info
 }
 
 func (c *attrCache) invalidate(path string) {
 	c.mu.Lock()
-	delete(c.m, path)
+	c.dropLocked(path)
 	c.mu.Unlock()
+}
+
+// invalidateFile drops the entry of the file at path and, by its inode
+// ino, the entry the file has under another path.
+func (c *attrCache) invalidateFile(path string, ino uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.dropLocked(path)
+	if p, ok := c.byIno[ino]; ok && ino != 0 {
+		c.dropLocked(p)
+	}
+}
+
+// dropLocked removes path's entry. Caller holds c.mu.
+func (c *attrCache) dropLocked(path string) {
+	if info, ok := c.m[path]; ok {
+		delete(c.m, path)
+		if c.byIno[info.Ino] == path {
+			delete(c.byIno, info.Ino)
+		}
+	}
 }
 
 // invalidatePrefix drops every entry at or under path; used on renames
@@ -63,7 +97,7 @@ func (c *attrCache) invalidatePrefix(path string) {
 	defer c.mu.Unlock()
 	for k := range c.m {
 		if vfs.HasPrefix(k, path) {
-			delete(c.m, k)
+			c.dropLocked(k)
 		}
 	}
 }
@@ -128,6 +162,7 @@ type trackedFile struct {
 	vfs.File
 	fs     *FS
 	path   string
+	ino    uint64 // the written file's inode (write handles)
 	closed bool
 	// dirty records that the handle truncated or wrote the file, so Close
 	// owes it an auto-sync; whole, when hasWhole, is the file's entire
@@ -150,7 +185,7 @@ func (f *trackedFile) ReadAt(p []byte, off int64) (int, error) {
 func (f *trackedFile) Write(p []byte) (int, error) {
 	n, err := f.File.Write(p)
 	if n > 0 {
-		f.fs.attrs.invalidate(f.path)
+		f.invalidate()
 		f.dirty = true
 	}
 	return n, err
@@ -159,7 +194,7 @@ func (f *trackedFile) Write(p []byte) (int, error) {
 func (f *trackedFile) WriteAt(p []byte, off int64) (int, error) {
 	n, err := f.File.WriteAt(p, off)
 	if n > 0 {
-		f.fs.attrs.invalidate(f.path)
+		f.invalidate()
 		f.dirty = true
 	}
 	return n, err
@@ -168,11 +203,14 @@ func (f *trackedFile) WriteAt(p []byte, off int64) (int, error) {
 func (f *trackedFile) Truncate(size int64) error {
 	err := f.File.Truncate(size)
 	if err == nil {
-		f.fs.attrs.invalidate(f.path)
+		f.invalidate()
 		f.dirty = true
 	}
 	return err
 }
+
+// invalidate drops the written file from the attribute cache.
+func (f *trackedFile) invalidate() { f.fs.attrs.invalidateFile(f.path, f.ino) }
 
 // Close releases the handle. A handle that changed a file under an
 // auto-sync prefix re-indexes it and settles its links before Close

@@ -103,6 +103,7 @@ func TestAutoSyncReportsConsistencyError(t *testing.T) {
 		path    string // the file the call changes
 		want    string // its content afterwards; "" = removed
 	}{{
+		// Adding a link reads the directory to pick a free name.
 		name: "WriteFile",
 		call: func(fs *FS) error { return fs.WriteFile("/mail/new.txt", []byte("apple pie")) },
 		path: "/mail/new.txt", want: "apple pie",
@@ -123,11 +124,6 @@ func TestAutoSyncReportsConsistencyError(t *testing.T) {
 		// A permanent link outlives its target; the delta pass re-checks
 		// the symlink behind it and finds it gone.
 		name: "Remove",
-		prepare: func(t *testing.T, fs *FS) {
-			if err := fs.MarkPermanent("/sel", "/mail/m1.txt"); err != nil {
-				t.Fatal(err)
-			}
-		},
 		call: func(fs *FS) error { return fs.Remove("/mail/m1.txt") },
 		path: "/mail/m1.txt",
 	}, {
@@ -160,19 +156,23 @@ func TestAutoSyncReportsConsistencyError(t *testing.T) {
 			if err := fs.WriteFile("/mail/m1.txt", []byte("apple message")); err != nil {
 				t.Fatal(err)
 			}
+			if err := fs.MarkPermanent("/sel", "/mail/m1.txt"); err != nil {
+				t.Fatal(err)
+			}
 			if tc.prepare != nil {
 				tc.prepare(t, fs)
 			}
 			if problems := fs.CheckConsistency(); len(problems) != 0 {
 				t.Fatalf("before the fault: %v", problems)
 			}
-			// m1's symlink vanishes behind HAC's back and cannot be
-			// re-created: any pass that touches it, like any pass that adds
-			// a link, now fails.
+			// m1's permanent symlink vanishes behind HAC's back and cannot
+			// be re-created, and the directory cannot be read: any pass
+			// that touches m1, like any pass that adds a link, now fails.
 			if err := under.Under().Remove("/sel/m1.txt"); err != nil {
 				t.Fatal(err)
 			}
 			under.SetOpErrorRate("symlink", 1)
+			under.SetOpErrorRate("readdir", 1)
 
 			if err := tc.call(fs); !errors.Is(err, vfs.ErrInjected) {
 				t.Fatalf("%s under a failing consistency pass = %v, want the injected error", tc.name, err)
@@ -189,6 +189,7 @@ func TestAutoSyncReportsConsistencyError(t *testing.T) {
 			}
 
 			under.SetOpErrorRate("symlink", 0)
+			under.SetOpErrorRate("readdir", 0)
 			if err := fs.Sync("/"); err != nil {
 				t.Fatal(err)
 			}

@@ -2,6 +2,7 @@ package hac
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"hacfs/internal/bitset"
@@ -23,8 +24,12 @@ import (
 //     last Reindex is not looked at (§2.4), but an index that moved
 //     without a Sync after it — Index().Add, a file rename — shows up;
 //   - I4: no prohibited target is currently linked;
-//   - the physical symlinks in the directory match the classification
-//     exactly (same names, same targets);
+//   - the physical symlinks in the directory are exactly its permanent
+//     links (same names, same targets);
+//   - the view — the transient set — is sorted, links no target twice or
+//     also permanently, and its link names are unique and disjoint from
+//     the directory's physical entries, so that every name resolves to
+//     one object;
 //   - the dependency graph has a node for the directory and an edge to
 //     its parent.
 //
@@ -65,18 +70,20 @@ func (fs *FS) CheckConsistency() []string {
 		}
 		// I4: prohibited ∩ linked = ∅.
 		for target := range ds.prohibited {
-			if _, linked := ds.class[target]; linked {
+			if _, linked := ds.linked(target); linked {
 				report("%s: I4 violated: %s is both prohibited and linked", dirPath, target)
 			}
 		}
-		// Physical links mirror the classification.
+		// Physical symlinks are the permanent links.
 		entries, err := fs.under.ReadDir(dirPath)
 		if err != nil {
 			report("%s: unreadable: %v", dirPath, err)
 			continue
 		}
+		onDisk := make(map[string]bool, len(entries))
 		physical := map[string]string{} // name → target
 		for _, e := range entries {
+			onDisk[e.Name] = true
 			if e.Type != vfs.TypeSymlink {
 				continue
 			}
@@ -84,11 +91,11 @@ func (fs *FS) CheckConsistency() []string {
 				physical[e.Name] = target
 			}
 		}
-		for target, name := range ds.linkName {
+		for target, name := range ds.perm {
 			got, ok := physical[name]
 			switch {
 			case !ok:
-				report("%s: classified link %s (→ %s) has no symlink", dirPath, name, target)
+				report("%s: permanent link %s (→ %s) has no symlink", dirPath, name, target)
 			case got != target:
 				report("%s: symlink %s points to %s, classified as %s", dirPath, name, got, target)
 			}
@@ -97,6 +104,36 @@ func (fs *FS) CheckConsistency() []string {
 		for name, target := range physical {
 			report("%s: unclassified symlink %s → %s", dirPath, name, target)
 		}
+		for _, problem := range auditViewLocked(ds, onDisk) {
+			report("%s: %s", dirPath, problem)
+		}
+	}
+	return problems
+}
+
+// auditViewLocked checks ds's transient set against itself, its
+// permanent links, the names physically in the directory (onDisk) and
+// the name index serving it. Caller holds fs.mu.
+func auditViewLocked(ds *dirState, onDisk map[string]bool) []string {
+	var problems []string
+	byName := make(map[string]string, len(ds.trans))
+	for i, t := range ds.trans {
+		name := ds.nameOf(t)
+		switch prev, dup := byName[name]; {
+		case i > 0 && ds.trans[i-1] >= t:
+			problems = append(problems, fmt.Sprintf("transient set out of order or repeated at %s", t))
+		case dup:
+			problems = append(problems, fmt.Sprintf("transient links to %s and %s share the name %s", prev, t, name))
+		case onDisk[name]:
+			problems = append(problems, fmt.Sprintf("transient link %s (→ %s) shares its name with a physical entry", name, t))
+		}
+		if _, perm := ds.perm[t]; perm {
+			problems = append(problems, fmt.Sprintf("%s is linked both transient and permanent", t))
+		}
+		byName[name] = t
+	}
+	if index := ds.viewIndex(); !maps.Equal(index, byName) {
+		problems = append(problems, fmt.Sprintf("view index holds %d links, the transient set %d", len(index), len(byName)))
 	}
 	return problems
 }
@@ -122,14 +159,14 @@ func (fs *FS) auditI2Locked(ds *dirState, dirPath string) []string {
 			res.And(fs.providedScopeLocalLocked(b.env.Snap, vfs.Dir(dirPath)))
 		}
 		for _, p := range b.env.Snap.Paths(res) {
-			if !ds.prohibited[p] && ds.class[p] != Permanent {
+			if _, perm := ds.perm[p]; !perm && !ds.prohibited[p] {
 				want[p] = true
 			}
 		}
 	}
 	var problems []string
-	for target, class := range ds.class {
-		if class != Transient || IsRemoteTarget(target) {
+	for _, target := range ds.trans {
+		if IsRemoteTarget(target) {
 			continue
 		}
 		if !want[target] {

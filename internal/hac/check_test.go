@@ -52,7 +52,10 @@ func TestCheckConsistencyDetectsMissingLink(t *testing.T) {
 	if err := fs.SemDir("/sel", "apple"); err != nil {
 		t.Fatal(err)
 	}
-	// Delete a classified symlink behind HAC's back.
+	// Delete a permanent link's symlink behind HAC's back.
+	if err := fs.MarkPermanent("/sel", "/docs/apple1.txt"); err != nil {
+		t.Fatal(err)
+	}
 	if err := fs.Under().Remove("/sel/apple1.txt"); err != nil {
 		t.Fatal(err)
 	}

@@ -22,11 +22,11 @@ func opDelta(fault *vfs.FaultFS, before vfs.FaultStats) map[string]uint64 {
 }
 
 // TestCommitSubstrateCalls pins what a consistency pass costs the
-// substrate (DESIGN.md §8): one call per link it adds, one Lstat per
-// link it keeps, and nothing per link beyond that — no free-name probe,
-// no Readlink, no re-check of a link it just made.
+// substrate (DESIGN.md §8): transient links are a view, so a SemDir over
+// N matches writes no symlink and makes as many substrate calls at
+// N = 300 as at N = 10, and so does a clean Sync.
 func TestCommitSubstrateCalls(t *testing.T) {
-	probes := map[int]uint64{}
+	calls := map[int][2]map[string]uint64{}
 	for _, n := range []int{10, 300} {
 		fault := vfs.NewFaultFS(cas.New(nil), vfs.FaultConfig{})
 		fs := New(fault, Options{})
@@ -46,31 +46,30 @@ func TestCommitSubstrateCalls(t *testing.T) {
 		if err := fs.SemDir("/s", "apple"); err != nil {
 			t.Fatal(err)
 		}
-		d := opDelta(fault, before)
-		if d["symlink"] != uint64(n) {
-			t.Fatalf("N=%d: SemDir made %d symlink calls, want %d (%v)", n, d["symlink"], n, d)
+		semdir := opDelta(fault, before)
+		if semdir["symlink"] != 0 {
+			t.Fatalf("N=%d: SemDir made %d symlink calls, want none (%v)", n, semdir["symlink"], semdir)
 		}
-		probes[n] = d["lstat"] + d["readlink"]
+		if links, _ := fs.LinkTargets("/s"); len(links) != n {
+			t.Fatalf("N=%d: SemDir linked %d targets", n, len(links))
+		}
 
 		before = fault.Stats()
 		if err := fs.Sync("/s"); err != nil {
 			t.Fatal(err)
 		}
-		d = opDelta(fault, before)
-		if d["lstat"] != uint64(n) || d["readlink"] != 0 || d["symlink"] != 0 || d["remove"] != 0 {
-			t.Fatalf("N=%d: a clean Sync made %v, want %d lstat and no readlink, symlink or remove", n, d, n)
-		}
+		calls[n] = [2]map[string]uint64{semdir, opDelta(fault, before)}
 	}
-	if probes[10] != probes[300] {
-		t.Fatalf("SemDir lstat+readlink calls grow with N: %d at N=10, %d at N=300", probes[10], probes[300])
+	if !reflect.DeepEqual(calls[10], calls[300]) {
+		t.Fatalf("substrate calls grow with N: SemDir and Sync made %v at N=10, %v at N=300", calls[10], calls[300])
 	}
 }
 
-// TestRepairNameCollision: /s links /a/x.txt as x.txt, the substrate
-// loses that symlink, and /b/x.txt starts matching. The repair restores
-// x.txt for /a/x.txt before the add names /b/x.txt, so the new link is
-// x.txt~2 — not a second target recorded under x.txt, which every later
-// pass would re-point from one target to the other.
+// TestRepairNameCollision: /s links /a/x.txt permanently as x.txt, the
+// substrate loses that symlink, and /b/x.txt starts matching. The repair
+// restores x.txt for /a/x.txt and the add names /b/x.txt x.txt~2 — not a
+// second target recorded under x.txt, which every later pass would
+// re-point from one target to the other.
 func TestRepairNameCollision(t *testing.T) {
 	for _, sub := range mcSubstrates {
 		t.Run(sub.name, func(t *testing.T) {
@@ -90,6 +89,9 @@ func TestRepairNameCollision(t *testing.T) {
 			if err := fs.SemDir("/s", "apple"); err != nil {
 				t.Fatal(err)
 			}
+			if err := fs.MarkPermanent("/s", "/a/x.txt"); err != nil {
+				t.Fatal(err)
+			}
 			if err := fault.Under().Remove("/s/x.txt"); err != nil {
 				t.Fatal(err)
 			}
@@ -100,7 +102,7 @@ func TestRepairNameCollision(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := []Link{
-				{Name: "x.txt", Target: "/a/x.txt", Class: Transient},
+				{Name: "x.txt", Target: "/a/x.txt", Class: Permanent},
 				{Name: "x.txt~2", Target: "/b/x.txt", Class: Transient},
 			}
 			for pass := 0; pass < 2; pass++ {

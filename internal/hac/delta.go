@@ -118,29 +118,28 @@ func (fs *FS) deltaOneLocked(ds *dirState, doc *docEnv, indexed bool) error {
 			verifyMatches(fs.under, []string{doc.path}, query.Terms(ds.ast))
 		}
 	}
-	class, linked := ds.class[doc.path]
+	class, linked := ds.linked(doc.path)
 	switch {
 	case linked && class == Transient && !member:
-		if err := fs.dropLinkLocked(ds, dirPath, doc.path); err != nil {
-			return err
-		}
+		ds.dropTrans(doc.path)
 		fs.bumpScopeEpochLocked(ds.uid)
 		fs.met.linksDropped.Add(1)
-	case linked:
+	case class == Permanent:
 		// The link stays (a permanent link is never re-derived); make
 		// sure the symlink behind it is still there and still right.
-		broken, err := fs.linkBrokenLocked(ds, dirPath, doc.path)
-		if err != nil || !broken {
+		if name := ds.perm[doc.path]; name != "" {
+			repaired, err := fs.repairLinkLocked(doc.path, vfs.Join(dirPath, name))
+			if repaired {
+				fs.met.linksRepaired.Add(1)
+			}
 			return err
 		}
-		if err := fs.relinkLocked(ds, dirPath, doc.path); err != nil {
+	case !linked && member && !ds.prohibited[doc.path]:
+		name, err := fs.newLinkNameLocked(ds, dirPath, doc.path)
+		if err != nil {
 			return err
 		}
-		fs.met.linksRepaired.Add(1)
-	case member && !ds.prohibited[doc.path]:
-		if err := fs.addTransientLocked(ds, dirPath, doc.path); err != nil {
-			return err
-		}
+		ds.addTrans(doc.path, name)
 		fs.bumpScopeEpochLocked(ds.uid)
 		fs.met.linksAdded.Add(1)
 	}
@@ -160,7 +159,7 @@ func (fs *FS) inProvidedScopeLocked(provider, path string) (bool, error) {
 	if !ok || !ds.semantic {
 		return vfs.HasPrefix(path, provider), nil
 	}
-	if _, linked := ds.class[path]; linked {
+	if _, linked := ds.linked(path); linked {
 		return true, nil
 	}
 	if vfs.Dir(path) == provider {
@@ -172,8 +171,8 @@ func (fs *FS) inProvidedScopeLocked(provider, path string) (bool, error) {
 	// themselves; only a directory that was ever handed a permanent link
 	// can hold anything else.
 	if ds.everPermanent {
-		for t, c := range ds.class {
-			if c != Permanent || IsRemoteTarget(t) {
+		for t := range ds.perm {
+			if IsRemoteTarget(t) {
 				continue
 			}
 			if _, ok := fs.ix.IDOf(t); !ok {

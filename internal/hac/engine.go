@@ -144,10 +144,9 @@ func (fs *FS) evalCfg(opts []Option) evalConfig {
 // evaluates all semantic directories concurrently under the volume's
 // read lock. Evaluation is pure — it only reads the index, the name
 // map and the scopes committed by earlier levels — and stages each
-// directory's new transient target set. Link mutations then commit
-// under the write lock, in ascending path order, so symlink names and
-// substrate mutation order are deterministic regardless of worker
-// scheduling.
+// directory's new transient target set. The sets then commit under the
+// write lock, in ascending path order, so link names are deterministic
+// regardless of worker scheduling.
 //
 // Lock hierarchy (see DESIGN.md "Evaluation engine"): fs.mu (RW) >
 // index.mu > namemap.mu > substrate locks. Evaluation holds fs.mu.R,
@@ -166,7 +165,7 @@ func (fs *FS) evalCfg(opts []Option) evalConfig {
 type stagedResult struct {
 	uid     uint64
 	path    string
-	targets map[string]bool
+	targets []string
 	err     error
 }
 
@@ -239,7 +238,7 @@ func (fs *FS) syncOneLevel(level []uint64, cfg evalConfig) error {
 	fs.mu.RUnlock()
 
 	// Commit phase: apply in ascending path order under the write
-	// lock, so link materialization is deterministic.
+	// lock, so link names are deterministic.
 	sort.Slice(staged, func(i, j int) bool { return staged[i].path < staged[j].path })
 	fs.mu.Lock()
 	defer fs.mu.Unlock()

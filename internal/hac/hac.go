@@ -5,8 +5,9 @@
 // vfs.FileSystem) that adds content-based access while preserving every
 // hierarchical operation:
 //
-//   - Semantic directories (SemDir) carry a query; HAC materializes
-//     the query result as symbolic links inside the directory.
+//   - Semantic directories (SemDir) carry a query; HAC keeps the query
+//     result as a set and serves it as symbolic links inside the
+//     directory.
 //   - Every link in a semantic directory is classified transient
 //     (query-produced), permanent (user-added) or prohibited
 //     (user-deleted; never silently re-added) — §2.3.
@@ -28,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sort"
 	"sync"
 	"time"
 
@@ -85,47 +87,39 @@ type Link struct {
 // dirState is HAC's per-directory bookkeeping — the "data structures
 // that store its query, its query-result, and its set of permanent and
 // prohibited symbolic links" the paper creates at mkdir time.
+//
+// The query result is stored as the paper stores it, a set: trans, the
+// transient targets the last consistency pass committed, sorted. Its
+// links exist only as a view HAC serves (view.go). Permanent links are
+// physical symlinks on the substrate.
 type dirState struct {
 	uid       uint64
 	semantic  bool
 	queryText string     // canonical bound form ("" when no query)
 	ast       query.Node // nil when no query
 
-	// Link bookkeeping, all keyed by target.
-	class      map[string]LinkClass // transient and permanent links
+	trans     []string          // transient targets, sorted
+	transName map[string]string // transient target → link name, where not linkBaseName(target)
+	changed   time.Time         // when trans last changed: the ModTime of its links
+
+	perm       map[string]string // permanent target → symlink base name
 	prohibited map[string]bool
-	linkName   map[string]string // target → symlink base name
 
 	// everPermanent is set once the directory has been handed a
-	// permanent link and never cleared: only then can class hold a target
+	// permanent link and never cleared: only then can it link a target
 	// that is not an indexed document (delta.go scans for those).
 	everPermanent bool
-}
 
-// setClass classifies target, keeping everPermanent true to its name.
-// Every write of a Permanent class goes through it.
-func (ds *dirState) setClass(target string, c LinkClass) {
-	ds.class[target] = c
-	ds.everPermanent = ds.everPermanent || c == Permanent
+	viewMu sync.Mutex // serializes building view under fs.mu's read lock
+	view   *linkView  // name index of trans; nil until used after a commit
 }
 
 func newDirState(uid uint64) *dirState {
 	return &dirState{
 		uid:        uid,
-		class:      make(map[string]LinkClass),
+		perm:       make(map[string]string),
 		prohibited: make(map[string]bool),
-		linkName:   make(map[string]string),
 	}
-}
-
-// targets returns all linked targets (transient + permanent), which is
-// the scope this directory provides (§2.3), in map form.
-func (ds *dirState) targets() map[string]bool {
-	out := make(map[string]bool, len(ds.class))
-	for t := range ds.class {
-		out[t] = true
-	}
-	return out
 }
 
 // Options configures a HAC file system.
@@ -351,47 +345,84 @@ func (fs *FS) IsSemantic(path string) bool {
 // consulting its own global name map and validating each prefix — the
 // same mechanism that gives every user-level file system in Table 2 its
 // overhead. The substrate remains authoritative for errors, so failures
-// here are ignored.
-func (fs *FS) resolvePath(p string) {
+// here are ignored. It reports whether every directory on the way was a
+// plain directory: then no link — symlink or view link — lies on the way
+// to p's parent.
+func (fs *FS) resolvePath(p string) (direct bool) {
 	clean, err := vfs.Clean(p)
 	if err != nil {
-		return
+		return false
 	}
 	dir, _ := vfs.Split(clean)
 	if dir == "/" {
-		return
+		return true
 	}
-	cur := "/"
-	for _, c := range splitComponents(dir) {
-		cur = vfs.Join(cur, c)
-		fs.names.UIDOf(cur) // HAC name-space lookup
-		if _, err := fs.under.Lstat(cur); err != nil {
-			return
+	direct = true
+	// Every prefix of the clean dir is a slice of it: no path is built.
+	for i := 1; i <= len(dir); i++ {
+		if i < len(dir) && dir[i] != '/' {
+			continue
 		}
+		cur := dir[:i]
+		fs.names.UIDOf(cur) // HAC name-space lookup
+		info, err := fs.under.Lstat(cur)
+		if err != nil {
+			return false
+		}
+		direct = direct && info.Type == vfs.TypeDir
 	}
+	return direct
 }
 
 // Mkdir creates a (syntactic) directory. As in the paper, HAC also
 // creates and initializes the directory's query structures, registers
 // it in the global name map, and adds a node to the dependency graph.
+// A view link's name is taken, as a symlink's would be.
 func (fs *FS) Mkdir(path string) error {
-	fs.resolvePath(path)
-	if err := fs.under.Mkdir(path); err != nil {
+	direct := fs.resolvePath(path)
+	clean, err := vfs.Clean(path)
+	if err != nil {
+		return fs.under.Mkdir(path)
+	}
+	fs.mu.RLock()
+	clean, err = fs.canonicalLocked(clean, direct)
+	if err == nil {
+		if _, _, ok := fs.viewLinkLocked(vfs.Split(clean)); ok {
+			err = &vfs.PathError{Op: "mkdir", Path: path, Err: vfs.ErrExist}
+		}
+	}
+	fs.mu.RUnlock()
+	if err != nil {
 		return err
 	}
-	clean, _ := vfs.Clean(path)
+	if err := fs.under.Mkdir(clean); err != nil {
+		return err
+	}
 	fs.mu.Lock()
 	fs.registerDirLocked(clean)
 	fs.mu.Unlock()
 	return nil
 }
 
-// MkdirAll creates a directory and any missing parents.
+// MkdirAll creates a directory and any missing parents. A view link on
+// the way is followed, as a symlink would be.
 func (fs *FS) MkdirAll(path string) error {
-	if err := fs.under.MkdirAll(path); err != nil {
+	clean, err := vfs.Clean(path)
+	if err != nil {
+		return fs.under.MkdirAll(path)
+	}
+	fs.mu.RLock()
+	via, err := fs.mkdirAllViaViewLocked(clean)
+	fs.mu.RUnlock()
+	switch {
+	case err != nil:
+		return err
+	case via != clean:
+		return fs.MkdirAll(via)
+	}
+	if err := fs.under.MkdirAll(clean); err != nil {
 		return err
 	}
-	clean, _ := vfs.Clean(path)
 	fs.mu.Lock()
 	// Register every component so any of them can act as a parent or a
 	// query reference later.
@@ -403,6 +434,30 @@ func (fs *FS) MkdirAll(path string) error {
 	}
 	fs.mu.Unlock()
 	return nil
+}
+
+// mkdirAllViaViewLocked returns the path MkdirAll creates: clean itself,
+// or — when one of its components is a view link — the rest of clean
+// under the directory that link leads to. A link to anything else fails
+// as MkdirAll through a symlink does. Caller holds fs.mu.
+func (fs *FS) mkdirAllViaViewLocked(clean string) (string, error) {
+	comps := splitComponents(clean)
+	cur := "/"
+	for i, c := range comps {
+		if _, _, ok := fs.viewLinkLocked(cur, c); ok {
+			link := vfs.Join(cur, c)
+			end, err := fs.resolveLocked(link, true)
+			if err != nil {
+				return "", &vfs.PathError{Op: "mkdir", Path: link, Err: vfs.ErrExist}
+			}
+			if info, err := fs.under.Stat(end.path); err != nil || !info.IsDir() {
+				return "", &vfs.PathError{Op: "mkdir", Path: link, Err: vfs.ErrNotDir}
+			}
+			return vfs.Join(append([]string{end.path}, comps[i+1:]...)...), nil
+		}
+		cur = vfs.Join(cur, c)
+	}
+	return clean, nil
 }
 
 func splitComponents(clean string) []string {
@@ -443,22 +498,71 @@ func (fs *FS) Open(path string) (vfs.File, error) {
 }
 
 // OpenFile opens path with the given flags, tracking the handle in the
-// descriptor table and keeping the attribute cache coherent.
+// descriptor table and keeping the attribute cache coherent. A view link
+// is followed as a symlink would be: the handle reads and writes its
+// target, and a create through one whose target is missing fails with
+// vfs.ErrExist, as through a dangling symlink. Nothing an open learns is
+// cached: it cannot tell whether it followed a link (Stat can).
 func (fs *FS) OpenFile(path string, flag int) (vfs.File, error) {
-	fs.resolvePath(path)
-	f, err := fs.under.OpenFile(path, flag)
+	direct := fs.resolvePath(path)
+	clean, err := vfs.Clean(path)
+	if err != nil {
+		return fs.under.OpenFile(path, flag)
+	}
+	if flag&vfs.OCreate != 0 {
+		fs.mu.RLock()
+		clean, err = fs.createPathLocked(clean, direct)
+		fs.mu.RUnlock()
+		if err != nil {
+			return nil, err
+		}
+	}
+	f, err := fs.under.OpenFile(clean, flag)
+	// A symlink leading to a view link looks dangling to a substrate
+	// create, which reports vfs.ErrExist rather than a missing name.
+	if isNotExist(err) || flag&(vfs.OCreate|vfs.OExcl) == vfs.OCreate && errors.Is(err, vfs.ErrExist) {
+		fs.mu.RLock()
+		p, ferr := fs.followLocked(clean, err)
+		fs.mu.RUnlock()
+		if err = ferr; err == nil {
+			clean = p
+			f, err = fs.under.OpenFile(clean, flag)
+		}
+	}
 	if err != nil {
 		return nil, err
 	}
-	clean, _ := vfs.Clean(path)
+	tf := &trackedFile{File: f, fs: fs, path: clean, dirty: flag&vfs.OTrunc != 0}
 	if flag&(vfs.OWrite|vfs.OTrunc) != 0 {
-		fs.attrs.invalidate(clean)
+		// Through a link the handle writes an object cached, if at all,
+		// under another path: it invalidates by inode too.
+		if info, err := f.Stat(); err == nil {
+			tf.ino = info.Ino
+		}
+		tf.invalidate()
 	}
 	fs.fds.open()
-	if info, err := f.Stat(); err == nil {
-		fs.attrs.put(clean, info)
+	return tf, nil
+}
+
+// createPathLocked returns the path a create of clean writes: clean with
+// its directory part resolved (canonicalLocked), or the target of the
+// view link that names, as a create through a symlink writes its target.
+// Caller holds fs.mu.
+func (fs *FS) createPathLocked(clean string, direct bool) (string, error) {
+	clean, err := fs.canonicalLocked(clean, direct)
+	if err != nil {
+		return "", err
 	}
-	return &trackedFile{File: f, fs: fs, path: clean, dirty: flag&vfs.OTrunc != 0}, nil
+	if _, _, ok := fs.viewLinkLocked(vfs.Split(clean)); !ok {
+		return clean, nil
+	}
+	end, err := fs.resolveLocked(clean, true)
+	if isNotExist(err) {
+		// Nothing is created through a dangling link.
+		return "", &vfs.PathError{Op: "open", Path: clean, Err: vfs.ErrExist}
+	}
+	return end.path, err
 }
 
 // ReadFile returns the contents of the file at path. As in the paper,
@@ -505,48 +609,101 @@ func (fs *FS) WriteFile(path string, data []byte) error {
 // Symlink creates a symbolic link. When the link is created inside a
 // semantic directory, HAC classifies it as a permanent link (§2.3:
 // "links that were explicitly added by the user") and restores scope
-// consistency for the directories that depend on it.
+// consistency for the directories that depend on it. A view link's name
+// is taken, as a symlink's would be.
 func (fs *FS) Symlink(target, link string) error {
-	fs.resolvePath(link)
-	clean, cerr := vfs.Clean(link)
-	if cerr != nil {
-		return &vfs.PathError{Op: "symlink", Path: link, Err: cerr}
+	direct := fs.resolvePath(link)
+	clean, err := vfs.Clean(link)
+	if err != nil {
+		return &vfs.PathError{Op: "symlink", Path: link, Err: err}
 	}
-	dir, base := vfs.Split(clean)
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.gen++
-	if ds, ok := fs.stateAtLocked(dir); ok && ds.semantic {
-		// If the target already had a (transient) link under another
-		// name, the user's new link supersedes it; drop the old one so
-		// the directory holds a single link per target. The removal
-		// comes first: if creating the new symlink then fails, the old
-		// one is still classified and the Sync repair pass (sync.go)
-		// rematerializes it. The reverse order could fail with the new
-		// symlink on disk but unclassified — a state no repair pass can
-		// distinguish from a user link that was never registered.
-		if old, had := ds.linkName[target]; had && old != base {
-			if err := fs.under.Remove(vfs.Join(dir, old)); err != nil && !isNotExist(err) {
-				return err
-			}
-		}
-		if err := fs.under.Symlink(target, clean); err != nil {
-			return err
-		}
-		ds.setClass(target, Permanent)
-		ds.linkName[target] = base
-		// The user may be re-adding a link they once deleted; an
-		// explicit action overrides the prohibition (§2.3).
-		delete(ds.prohibited, target)
-		fs.bumpScopeEpochLocked(ds.uid)
-		return fs.resyncLocked(fs.graph.AffectedBy(ds.uid, false), fs.evalCfg(nil))
+	if clean, err = fs.canonicalLocked(clean, direct); err != nil {
+		return err
 	}
-	return fs.under.Symlink(target, clean)
+	dir, base := vfs.Split(clean)
+	ds, ok := fs.stateAtLocked(dir)
+	if !ok || !ds.semantic {
+		return fs.under.Symlink(target, clean)
+	}
+	if _, _, taken := fs.viewLinkLocked(dir, base); taken {
+		return &vfs.PathError{Op: "symlink", Path: link, Err: vfs.ErrExist}
+	}
+	// The superseded permanent link is removed first: if creating the new
+	// symlink then fails, the old one is still classified and the Sync
+	// repair pass (sync.go) rematerializes it. The reverse order could fail
+	// with the new symlink on disk but unclassified — a state no repair
+	// pass can distinguish from a user link that was never registered.
+	if err := fs.removeSupersededLocked(ds, dir, target, base); err != nil {
+		return err
+	}
+	if err := fs.under.Symlink(target, clean); err != nil {
+		return err
+	}
+	ds.setPermanent(target, base)
+	// The user may be re-adding a link they once deleted; an explicit
+	// action overrides the prohibition (§2.3).
+	delete(ds.prohibited, target)
+	fs.bumpScopeEpochLocked(ds.uid)
+	return fs.resyncLocked(fs.graph.AffectedBy(ds.uid, false), fs.evalCfg(nil))
 }
 
-// Readlink returns the target of the symlink at path.
+// removeSupersededLocked removes the symlink of ds's permanent link to t
+// if it has one under a name other than name, where a new link to t is
+// arriving: the directory links each target once. The classification is
+// left for setPermanent to replace; a transient link to t goes there
+// too. Caller holds fs.mu for writing.
+func (fs *FS) removeSupersededLocked(ds *dirState, dirPath, t, name string) error {
+	old, had := ds.perm[t]
+	if !had || old == name || old == "" {
+		return nil
+	}
+	if err := fs.under.Remove(vfs.Join(dirPath, old)); err != nil && !isNotExist(err) {
+		return err
+	}
+	return nil
+}
+
+// repairLinkLocked re-creates the symlink at lp to t, or re-points it,
+// when it is missing or points elsewhere, reporting whether it had to.
+// Caller holds fs.mu for writing.
+func (fs *FS) repairLinkLocked(t, lp string) (bool, error) {
+	info, err := fs.under.Lstat(lp)
+	switch {
+	case isNotExist(err):
+	case err != nil:
+		return false, err
+	case info.Type == vfs.TypeSymlink && info.Target != t:
+		if err := fs.under.Remove(lp); err != nil && !isNotExist(err) {
+			return false, err
+		}
+	default:
+		return false, nil
+	}
+	if err := fs.under.Symlink(t, lp); err != nil {
+		return false, err
+	}
+	return true, nil
+}
+
+// Readlink returns the target of the symlink or view link at path.
 func (fs *FS) Readlink(path string) (string, error) {
-	return fs.under.Readlink(path)
+	target, err := fs.under.Readlink(path)
+	if !isNotExist(err) {
+		return target, err
+	}
+	fs.mu.RLock()
+	defer fs.mu.RUnlock()
+	info, err := fs.lstatViewLocked(path, err)
+	switch {
+	case err != nil:
+		return "", err
+	case info.Type != vfs.TypeSymlink:
+		return "", &vfs.PathError{Op: "readlink", Path: path, Err: vfs.ErrInvalid}
+	}
+	return info.Target, nil
 }
 
 // Remove deletes the object at path. Deleting a symbolic link from a
@@ -554,42 +711,36 @@ func (fs *FS) Readlink(path string) (string, error) {
 // be implicitly added later without a direct action by the user"
 // (§2.3). Deleting a semantic directory referenced by other queries is
 // refused.
-func (fs *FS) Remove(path string) error {
-	fs.resolvePath(path)
-	clean, err := vfs.Clean(path)
-	if err != nil {
-		return err
-	}
-	fs.mu.Lock()
-	err = fs.removeLocked(clean, false)
-	fs.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return fs.autoSyncRemoved(clean, false)
-}
+func (fs *FS) Remove(path string) error { return fs.remove(path, false) }
 
 // RemoveAll deletes path and everything beneath it, with the same
 // semantic-directory rules as Remove.
-func (fs *FS) RemoveAll(path string) error {
-	fs.resolvePath(path)
+func (fs *FS) RemoveAll(path string) error { return fs.remove(path, true) }
+
+func (fs *FS) remove(path string, recursive bool) error {
+	direct := fs.resolvePath(path)
 	clean, err := vfs.Clean(path)
 	if err != nil {
 		return err
 	}
 	fs.mu.Lock()
-	err = fs.removeLocked(clean, true)
+	clean, err = fs.canonicalLocked(clean, direct)
+	if err == nil {
+		err = fs.removeLocked(clean, recursive)
+	}
 	fs.mu.Unlock()
-	if err != nil {
+	switch {
+	case recursive && isNotExist(err):
+		return nil // as the substrates' RemoveAll of a missing path
+	case err != nil:
 		return err
 	}
-	return fs.autoSyncRemoved(clean, true)
+	return fs.autoSyncRemoved(clean, recursive)
 }
 
 func (fs *FS) removeLocked(clean string, recursive bool) error {
 	fs.gen++
 	dir, base := vfs.Split(clean)
-	_ = base
 
 	// A symlink disappearing from a semantic directory becomes a
 	// prohibition. Inspect before the substrate removes it — and abort
@@ -599,19 +750,31 @@ func (fs *FS) removeLocked(clean string, recursive bool) error {
 	var prohibitIn *dirState
 	var prohibitTarget string
 	info, lerr := fs.under.Lstat(clean)
-	if lerr != nil && !isNotExist(lerr) {
+	switch {
+	case isNotExist(lerr):
+		// A view link has nothing on the substrate to remove: its removal
+		// is the prohibition alone.
+		if ds, t, ok := fs.viewLinkLocked(dir, base); ok {
+			ds.dropTrans(t)
+			ds.prohibited[t] = true
+			fs.bumpScopeEpochLocked(ds.uid)
+			return fs.resyncLocked(fs.graph.AffectedBy(ds.uid, false), fs.evalCfg(nil))
+		}
+	case lerr != nil:
 		return lerr
-	}
-	if lerr == nil && info.Type == vfs.TypeSymlink {
+	case info.Type == vfs.TypeSymlink:
 		if ds, ok := fs.stateAtLocked(dir); ok && ds.semantic {
 			prohibitIn = ds
 			prohibitTarget = info.Target
 		}
-	}
-
-	// Removing a directory subtree must not orphan queries that
-	// reference directories inside it.
-	if lerr == nil && info.Type == vfs.TypeDir {
+	case info.Type == vfs.TypeDir:
+		// A semantic directory's view links keep it from being empty, as
+		// its symlinks would.
+		if ds, ok := fs.stateAtLocked(clean); ok && !recursive && ds.semantic && len(ds.trans) > 0 {
+			return &vfs.PathError{Op: "remove", Path: clean, Err: vfs.ErrNotEmpty}
+		}
+		// Removing a directory subtree must not orphan queries that
+		// reference directories inside it.
 		if err := fs.checkRemovableLocked(clean); err != nil {
 			return err
 		}
@@ -629,15 +792,11 @@ func (fs *FS) removeLocked(clean string, recursive bool) error {
 	fs.attrs.invalidatePrefix(clean)
 
 	if prohibitIn != nil {
-		if _, had := prohibitIn.class[prohibitTarget]; had {
-			delete(prohibitIn.class, prohibitTarget)
-			delete(prohibitIn.linkName, prohibitTarget)
-			prohibitIn.prohibited[prohibitTarget] = true
-		} else {
-			// An unclassified (pre-existing) link: still record the
-			// explicit deletion.
-			prohibitIn.prohibited[prohibitTarget] = true
-		}
+		// The link's classification goes — an unclassified (pre-existing)
+		// link has none — and the explicit deletion is recorded.
+		delete(prohibitIn.perm, prohibitTarget)
+		prohibitIn.dropTrans(prohibitTarget)
+		prohibitIn.prohibited[prohibitTarget] = true
 		fs.bumpScopeEpochLocked(prohibitIn.uid)
 		return fs.resyncLocked(fs.graph.AffectedBy(prohibitIn.uid, false), fs.evalCfg(nil))
 	}
@@ -678,8 +837,8 @@ func (fs *FS) checkRemovableLocked(clean string) error {
 // reclassifies it: a prohibition where it left, a permanent link where
 // it arrived.
 func (fs *FS) Rename(oldPath, newPath string) error {
-	fs.resolvePath(oldPath)
-	fs.resolvePath(newPath)
+	oldDirect := fs.resolvePath(oldPath)
+	newDirect := fs.resolvePath(newPath)
 	oldClean, err := vfs.Clean(oldPath)
 	if err != nil {
 		return err
@@ -691,15 +850,38 @@ func (fs *FS) Rename(oldPath, newPath string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.gen++
+	if oldClean, err = fs.canonicalLocked(oldClean, oldDirect); err != nil {
+		return err
+	}
+	if newClean, err = fs.canonicalLocked(newClean, newDirect); err != nil {
+		return err
+	}
+	oldDir, oldBase := vfs.Split(oldClean)
+	newDir, newBase := vfs.Split(newClean)
 
 	// Inspect the source before the substrate moves it, and abort on an
 	// inspection failure as removeLocked does: a directory taken for a
 	// file would move without its names and index entries following, and
 	// a link taken for a file without its prohibition. A missing source
-	// is left to the substrate's Rename to report.
+	// is left to the substrate's Rename to report — unless it is a view
+	// link.
 	info, statErr := fs.under.Lstat(oldClean)
-	if statErr != nil && !isNotExist(statErr) {
+	switch {
+	case isNotExist(statErr):
+		if ds, t, ok := fs.viewLinkLocked(oldDir, oldBase); ok {
+			return fs.renameViewLinkLocked(ds, t, oldClean, newClean)
+		}
+	case statErr != nil:
 		return statErr
+	case info.Type == vfs.TypeDir && oldClean != newClean:
+		// A view link or a semantic directory's view links refuse a
+		// directory as the symlinks would.
+		if _, _, ok := fs.viewLinkLocked(newDir, newBase); ok {
+			return &vfs.PathError{Op: "rename", Path: newPath, Err: vfs.ErrNotDir}
+		}
+		if ds, ok := fs.stateAtLocked(newClean); ok && ds.semantic && len(ds.trans) > 0 {
+			return &vfs.PathError{Op: "rename", Path: newPath, Err: vfs.ErrNotEmpty}
+		}
 	}
 
 	// Moving a symlink: Lstat carried its target.
@@ -716,8 +898,6 @@ func (fs *FS) Rename(oldPath, newPath string) error {
 	fs.attrs.invalidatePrefix(oldClean)
 	fs.attrs.invalidatePrefix(newClean)
 
-	oldDir, _ := vfs.Split(oldClean)
-	newDir, newBase := vfs.Split(newClean)
 	autoSynced := fs.autoSync.covers(oldClean) || fs.autoSync.covers(newClean)
 	// A classified link the move wrote over is gone. The link branch
 	// below re-syncs its directory anyway; the file branch does so for
@@ -727,26 +907,21 @@ func (fs *FS) Rename(oldPath, newPath string) error {
 	if isLink {
 		var resync []uint64
 		if ds, ok := fs.stateAtLocked(oldDir); ok && ds.semantic && linkTarget != "" {
-			if _, had := ds.class[linkTarget]; had {
-				delete(ds.class, linkTarget)
-				delete(ds.linkName, linkTarget)
+			if _, had := ds.perm[linkTarget]; had {
+				delete(ds.perm, linkTarget)
 				ds.prohibited[linkTarget] = true
 				resync = append(resync, ds.uid)
 			}
 		}
 		if ds, ok := fs.stateAtLocked(newDir); ok && ds.semantic && linkTarget != "" {
-			ds.setClass(linkTarget, Permanent)
-			ds.linkName[linkTarget] = newBase
+			if err := fs.removeSupersededLocked(ds, newDir, linkTarget, newBase); err != nil {
+				return err
+			}
+			ds.setPermanent(linkTarget, newBase)
 			delete(ds.prohibited, linkTarget)
 			resync = append(resync, ds.uid)
 		}
-		for _, uid := range resync {
-			fs.bumpScopeEpochLocked(uid)
-			if err := fs.resyncLocked(fs.graph.AffectedBy(uid, false), fs.evalCfg(nil)); err != nil {
-				return err
-			}
-		}
-		return nil
+		return fs.resyncEachLocked(resync)
 	}
 
 	if statErr == nil && info.Type == vfs.TypeDir {
@@ -803,6 +978,62 @@ func (fs *FS) Rename(oldPath, newPath string) error {
 	return nil
 }
 
+// resyncEachLocked records that the link sets of the directories uids
+// changed and restores consistency below each. Caller holds fs.mu for
+// writing.
+func (fs *FS) resyncEachLocked(uids []uint64) error {
+	for _, uid := range uids {
+		fs.bumpScopeEpochLocked(uid)
+		if err := fs.resyncLocked(fs.graph.AffectedBy(uid, false), fs.evalCfg(nil)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// renameViewLinkLocked moves ds's view link oldClean, to t, onto
+// newClean, replacing what is there as a rename would. It is the one
+// move that writes a symlink: a link the user moved out of the view, even
+// to another name in the same directory, is the user's own (§2.3) — a
+// prohibition where it left, a permanent link where it arrived. Caller
+// holds fs.mu for writing.
+func (fs *FS) renameViewLinkLocked(ds *dirState, t, oldClean, newClean string) error {
+	if oldClean == newClean {
+		return nil
+	}
+	info, err := fs.under.Lstat(newClean)
+	switch {
+	case err == nil && info.Type == vfs.TypeDir:
+		return &vfs.PathError{Op: "rename", Path: newClean, Err: vfs.ErrIsDir}
+	case err == nil:
+		if err := fs.under.Remove(newClean); err != nil {
+			return err
+		}
+	case !isNotExist(err):
+		return err
+	}
+	if err := fs.under.Symlink(t, newClean); err != nil {
+		return err
+	}
+	fs.attrs.invalidatePrefix(newClean)
+	ds.dropTrans(t)
+	ds.prohibited[t] = true
+	resync := []uint64{ds.uid}
+	newDir, newBase := vfs.Split(newClean)
+	fs.dropOverwrittenLinkLocked(newDir, newBase, t)
+	if nds, ok := fs.stateAtLocked(newDir); ok && nds.semantic {
+		if err := fs.removeSupersededLocked(nds, newDir, t, newBase); err != nil {
+			return err
+		}
+		nds.setPermanent(t, newBase)
+		delete(nds.prohibited, t)
+		if nds != ds {
+			resync = append(resync, nds.uid)
+		}
+	}
+	return fs.resyncEachLocked(resync)
+}
+
 // dropOverwrittenLinkLocked records that a rename replaced the entry
 // name of the directory at dirPath. A classified link of a semantic
 // directory there — other than one to keep, the moved link's own target
@@ -815,25 +1046,37 @@ func (fs *FS) dropOverwrittenLinkLocked(dirPath, name, keep string) *dirState {
 	if !ok || !ds.semantic {
 		return nil
 	}
-	for t, n := range ds.linkName {
+	for t, n := range ds.perm {
 		if n == name && t != keep {
-			delete(ds.class, t)
-			delete(ds.linkName, t)
+			delete(ds.perm, t)
 			ds.prohibited[t] = true
 			return ds
 		}
+	}
+	if t, ok := ds.viewIndex()[name]; ok && t != keep {
+		ds.dropTrans(t)
+		ds.prohibited[t] = true
+		return ds
 	}
 	return nil
 }
 
 // rewriteTargetsLocked updates every classified link target at or under
 // oldPrefix to the corresponding path under newPrefix, re-pointing the
-// physical symlinks. Prohibitions follow too: the user prohibited the
-// document, not its path. A link or prohibition already at a path an
-// entry moves onto named the document the rename wrote over; it is
-// displaced — the link dropped, the prohibition lifted — so the moved
-// entry is the only one left there. Caller holds fs.mu.
+// physical symlinks of permanent links; a link keeps its name. Prohibitions
+// follow too: the user prohibited the document, not its path. A link or
+// prohibition already at a path an entry moves onto named the document
+// the rename wrote over; it is displaced — the link dropped, the
+// prohibition lifted — so the moved entry is the only one left there.
+// Caller holds fs.mu.
 func (fs *FS) rewriteTargetsLocked(oldPrefix, newPrefix string) error {
+	moved := func(t string) (string, bool) {
+		if IsRemoteTarget(t) || !vfs.HasPrefix(t, oldPrefix) {
+			return "", false
+		}
+		return newPrefix + t[len(oldPrefix):], true
+	}
+	type move struct{ old, new string }
 	for _, ds := range fs.dirs {
 		if !ds.semantic {
 			continue
@@ -842,22 +1085,26 @@ func (fs *FS) rewriteTargetsLocked(oldPrefix, newPrefix string) error {
 		if !ok {
 			continue
 		}
-		type move struct{ old, new string }
-		var moves, prohMoves []move
-		for t := range ds.class {
-			if !IsRemoteTarget(t) && vfs.HasPrefix(t, oldPrefix) {
-				moves = append(moves, move{t, newPrefix + t[len(oldPrefix):]})
+		var transMoves, permMoves, prohMoves []move
+		for _, t := range ds.trans {
+			if n, ok := moved(t); ok {
+				transMoves = append(transMoves, move{t, n})
+			}
+		}
+		for t := range ds.perm {
+			if n, ok := moved(t); ok {
+				permMoves = append(permMoves, move{t, n})
 			}
 		}
 		for t := range ds.prohibited {
-			if !IsRemoteTarget(t) && vfs.HasPrefix(t, oldPrefix) {
-				prohMoves = append(prohMoves, move{t, newPrefix + t[len(oldPrefix):]})
+			if n, ok := moved(t); ok {
+				prohMoves = append(prohMoves, move{t, n})
 			}
 		}
-		changed := len(moves) > 0
-		for _, ms := range [2][]move{moves, prohMoves} {
+		changed := len(transMoves)+len(permMoves) > 0
+		for _, ms := range [3][]move{transMoves, permMoves, prohMoves} {
 			for _, m := range ms {
-				if _, linked := ds.class[m.new]; linked {
+				if _, linked := ds.linked(m.new); linked {
 					if err := fs.dropLinkLocked(ds, dirPath, m.new); err != nil {
 						return err
 					}
@@ -866,16 +1113,35 @@ func (fs *FS) rewriteTargetsLocked(oldPrefix, newPrefix string) error {
 				delete(ds.prohibited, m.new)
 			}
 		}
-		for _, m := range moves {
-			class := ds.class[m.old]
-			name := ds.linkName[m.old]
-			delete(ds.class, m.old)
-			delete(ds.linkName, m.old)
-			ds.class[m.new] = class
+		if len(transMoves) > 0 {
+			names := make([]string, len(transMoves))
+			for i, m := range transMoves {
+				names[i] = ds.nameOf(m.old)
+				delete(ds.transName, m.old)
+			}
+			for i, t := range ds.trans {
+				if n, ok := moved(t); ok {
+					ds.trans[i] = n
+				}
+			}
+			sort.Strings(ds.trans)
+			for i, m := range transMoves {
+				if names[i] != linkBaseName(m.new) {
+					ds.setTransName(m.new, names[i])
+				}
+				if ds.view != nil {
+					ds.view.byName[names[i]] = m.new
+				}
+			}
+			ds.changed = time.Now()
+		}
+		for _, m := range permMoves {
+			name := ds.perm[m.old]
+			delete(ds.perm, m.old)
+			ds.perm[m.new] = name
 			if name == "" {
 				continue
 			}
-			ds.linkName[m.new] = name
 			lp := vfs.Join(dirPath, name)
 			if err := fs.under.Remove(lp); err != nil && !isNotExist(err) {
 				return err
@@ -897,7 +1163,9 @@ func (fs *FS) rewriteTargetsLocked(oldPrefix, newPrefix string) error {
 
 // Stat returns metadata for path, consulting the attribute cache first
 // (the paper's shared-memory attribute cache, which speeds the Scan
-// phase of the Andrew benchmark).
+// phase of the Andrew benchmark). Only an answer reached without
+// following a link is cached: a link's target can change under another
+// name, and a link can go, without anything invalidating the link's path.
 func (fs *FS) Stat(path string) (vfs.Info, error) {
 	clean, err := vfs.Clean(path)
 	if err != nil {
@@ -906,23 +1174,70 @@ func (fs *FS) Stat(path string) (vfs.Info, error) {
 	if info, ok := fs.attrs.get(clean); ok {
 		return info, nil
 	}
-	fs.resolvePath(clean)
-	info, err := fs.under.Stat(clean)
+	direct := fs.resolvePath(clean)
+	// Lstat answers as Stat for anything but a symlink, and says whether
+	// the answer followed one.
+	info, err := fs.under.Lstat(clean)
+	if err == nil && info.Type != vfs.TypeSymlink {
+		if direct {
+			fs.attrs.put(clean, info)
+		}
+		return info, nil
+	}
+	missing := isNotExist(err)
+	// A symlink, or an error: the substrate's Stat follows the one and
+	// words the other.
+	if info, err = fs.under.Stat(clean); !isNotExist(err) {
+		return info, err
+	}
+	fs.mu.RLock()
+	defer fs.mu.RUnlock()
+	if missing && direct {
+		// No link lies on the way to clean's parent: only its own name
+		// can be one, in the view.
+		if _, _, ok := fs.viewLinkLocked(vfs.Split(clean)); !ok {
+			return vfs.Info{}, err
+		}
+	}
+	p, err := fs.followLocked(clean, err)
 	if err != nil {
 		return vfs.Info{}, err
 	}
-	fs.attrs.put(clean, info)
-	return info, nil
+	return fs.under.Stat(p)
 }
 
-// Lstat returns metadata without following a final symlink. Results are
+// Lstat returns metadata without following a final symlink; a view
+// link answers as a symlink with no size and no inode number, last
+// modified when its directory's transient set last changed. Results are
 // not cached (the cache stores followed attributes).
 func (fs *FS) Lstat(path string) (vfs.Info, error) {
-	return fs.under.Lstat(path)
+	info, err := fs.under.Lstat(path)
+	if !isNotExist(err) {
+		return info, err
+	}
+	fs.mu.RLock()
+	defer fs.mu.RUnlock()
+	return fs.lstatViewLocked(path, err)
 }
 
-// ReadDir lists a directory.
+// ReadDir lists a directory: its substrate entries and, for a semantic
+// directory, its view links, in name order.
 func (fs *FS) ReadDir(path string) ([]vfs.DirEntry, error) {
 	fs.resolvePath(path)
-	return fs.under.ReadDir(path)
+	entries, err := fs.under.ReadDir(path)
+	clean, cerr := vfs.Clean(path)
+	if cerr != nil {
+		return entries, err
+	}
+	fs.mu.RLock()
+	defer fs.mu.RUnlock()
+	if isNotExist(err) {
+		if clean, err = fs.followLocked(clean, err); err == nil {
+			entries, err = fs.under.ReadDir(clean)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	return fs.withViewLocked(clean, entries), nil
 }

@@ -106,7 +106,7 @@ func TestSemDirPopulates(t *testing.T) {
 	wantTargets(t, fs, "/sel",
 		"/docs/apple1.txt", "/docs/apple2.txt", "/mail/m1.txt")
 
-	// The links exist as real symlinks in the underlying FS.
+	// Through HAC the links list as symlinks.
 	entries, err := fs.ReadDir("/sel")
 	if err != nil {
 		t.Fatal(err)
@@ -756,6 +756,64 @@ func TestAttrCacheCoherence(t *testing.T) {
 	if s.AttrHits == 0 {
 		t.Fatal("attribute cache never hit")
 	}
+}
+
+// TestAttrCacheSkipsLinks: the attribute cache holds only paths reached
+// without following a link. Nothing invalidates a link's path when its
+// target is rewritten under the target's own name, or when the link
+// goes with its directory's next consistency pass.
+func TestAttrCacheSkipsLinks(t *testing.T) {
+	t.Run("target rewritten", func(t *testing.T) {
+		fs := newTestFS(t)
+		if err := fs.SemDir("/sel", "apple"); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.Symlink("/docs/cherry.txt", "/sel/pinned.txt"); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.Symlink("/docs", "/alias"); err != nil {
+			t.Fatal(err)
+		}
+		// A view link, a permanent link, and a path through a symlinked
+		// directory.
+		for link, target := range map[string]string{
+			"/sel/apple1.txt":   "/docs/apple1.txt",
+			"/sel/pinned.txt":   "/docs/cherry.txt",
+			"/alias/banana.txt": "/docs/banana.txt",
+		} {
+			if _, err := fs.Stat(link); err != nil {
+				t.Fatal(err)
+			}
+			grown := []byte("rewritten well past its former size")
+			if err := fs.WriteFile(target, grown); err != nil {
+				t.Fatal(err)
+			}
+			if info, err := fs.Stat(link); err != nil || info.Size != int64(len(grown)) {
+				t.Fatalf("Stat(%s) after rewriting %s = size %d, %v; want %d", link, target, info.Size, err, len(grown))
+			}
+		}
+	})
+	t.Run("link dropped", func(t *testing.T) {
+		fs := newTestFS(t)
+		if err := fs.SemDir("/sel", "apple"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fs.Stat("/sel/m1.txt"); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.WriteFile("/mail/m1.txt", []byte("no match")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fs.Reindex("/"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fs.Lstat("/sel/m1.txt"); !errors.Is(err, vfs.ErrNotExist) {
+			t.Fatalf("Lstat of the dropped link = %v", err)
+		}
+		if info, err := fs.Stat("/sel/m1.txt"); !errors.Is(err, vfs.ErrNotExist) {
+			t.Fatalf("Stat of the dropped link = size %d, %v; Lstat says it is gone", info.Size, err)
+		}
+	})
 }
 
 func TestRenameDirKeepsIndexAndCache(t *testing.T) {

@@ -207,11 +207,18 @@ func (fs *FS) evalRemoteLocked(ctx context.Context, ds *dirState, parentPath str
 		// namespace that contributed and intersect.
 		scope := make(map[string]bool)
 		nsNames := make(map[string]bool)
-		for t := range parentDS.class {
+		addScope := func(t string) {
 			if name, _, isRemote := splitRemoteTarget(t); isRemote {
 				scope[t] = true
 				nsNames[name] = true
 			}
+		}
+		// Remote targets sort after every local path.
+		for _, t := range parentDS.trans[sort.SearchStrings(parentDS.trans, remoteScheme):] {
+			addScope(t)
+		}
+		for t := range parentDS.perm {
+			addScope(t)
 		}
 		if len(scope) == 0 {
 			return nil, nil
@@ -264,17 +271,14 @@ func (fs *FS) Extract(linkPath string) ([]byte, error) {
 	if err != nil {
 		return nil, &vfs.PathError{Op: "sact", Path: linkPath, Err: err}
 	}
-	info, err := fs.under.Lstat(clean)
+	info, err := fs.Lstat(clean)
 	if err != nil {
 		return nil, err
 	}
 	if info.Type != vfs.TypeSymlink {
 		return fs.under.ReadFile(clean)
 	}
-	target, err := fs.under.Readlink(clean)
-	if err != nil {
-		return nil, err
-	}
+	target := info.Target
 	if nsName, rpath, ok := splitRemoteTarget(target); ok {
 		ns := fs.namespaceByName(nsName)
 		if ns == nil {
@@ -285,7 +289,7 @@ func (fs *FS) Extract(linkPath string) ([]byte, error) {
 	if !vfs.IsAbs(target) {
 		target = vfs.Join(vfs.Dir(clean), target)
 	}
-	return fs.under.ReadFile(target)
+	return fs.ReadFile(target)
 }
 
 func (fs *FS) namespaceByName(name string) Namespace {

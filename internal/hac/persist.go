@@ -9,9 +9,13 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
+	"time"
 
 	"hacfs/internal/index"
 	"hacfs/internal/vfs"
@@ -93,9 +97,15 @@ type dirImage struct {
 	Path       string
 	Semantic   bool
 	Query      string
-	Class      map[string]int    // target → LinkClass (transient/permanent)
-	LinkNames  map[string]string // target → symlink base name
+	Class      map[string]int    // target → LinkClass of a physical link: permanent
+	LinkNames  map[string]string // target → symlink base name, for Class
 	Prohibited []string
+	// The transient set, sorted, and the link names in it that are not
+	// the target's base name. Images written before transient links were
+	// a view have neither: they list transient links in Class, with a
+	// symlink each in the manifest.
+	Trans      []string
+	TransNames map[string]string
 }
 
 // CASManifest returns the live manifest of the volume's
@@ -154,12 +164,15 @@ func (fs *FS) SaveVolume(w io.Writer) error {
 		}
 		di := dirImage{Path: p, Semantic: ds.semantic}
 		if ds.semantic {
-			di.Class = make(map[string]int, len(ds.class))
-			di.LinkNames = make(map[string]string, len(ds.linkName))
-			for t, c := range ds.class {
-				di.Class[t] = int(c)
-				di.LinkNames[t] = ds.linkName[t]
+			di.Class = make(map[string]int, len(ds.perm))
+			di.LinkNames = make(map[string]string, len(ds.perm))
+			for t, name := range ds.perm {
+				di.Class[t] = int(Permanent)
+				di.LinkNames[t] = name
 			}
+			// Copied: the encoder runs after the lock is released.
+			di.Trans = slices.Clone(ds.trans)
+			di.TransNames = maps.Clone(ds.transName)
 			for t := range ds.prohibited {
 				di.Prohibited = append(di.Prohibited, t)
 			}
@@ -452,14 +465,12 @@ func LoadVolume(r io.Reader, opts Options) (fs *FS, err error) {
 		}
 		ds, _ := fs.stateAtLocked(di.Path)
 		ds.semantic = true
-		for t, c := range di.Class {
-			ds.setClass(t, LinkClass(c))
-			if name, ok := di.LinkNames[t]; ok {
-				ds.linkName[t] = name
-			}
-		}
 		for _, t := range di.Prohibited {
 			ds.prohibited[t] = true
+		}
+		if err := fs.restoreLinksLocked(ds, di); err != nil {
+			fs.mu.Unlock()
+			return nil, volErr("loadvolume", fmt.Errorf("restoring links of %s: %w", di.Path, err))
 		}
 	}
 	// Bind queries (display form → UIDs) and dependency edges.
@@ -486,6 +497,56 @@ func LoadVolume(r io.Reader, opts Options) (fs *FS, err error) {
 		return nil, err
 	}
 	return fs, nil
+}
+
+// restoreLinksLocked re-attaches a saved directory's links to ds, whose
+// prohibitions are restored. An image written before transient links
+// were a view lists them in Class, each with a symlink in the restored
+// tree: the symlinks are removed and the links join the transient set.
+// Caller holds fs.mu for writing.
+func (fs *FS) restoreLinksLocked(ds *dirState, di dirImage) error {
+	trans := di.Trans
+	names := di.TransNames
+	for t, c := range di.Class {
+		name := di.LinkNames[t]
+		if LinkClass(c) == Permanent {
+			ds.setPermanent(t, name)
+			continue
+		}
+		trans = append(trans, t)
+		if !validLinkName(name) {
+			continue
+		}
+		if names == nil {
+			names = make(map[string]string)
+		}
+		names[t] = name
+		lp := vfs.Join(di.Path, name)
+		if info, err := fs.under.Lstat(lp); err == nil && info.Type == vfs.TypeSymlink && info.Target == t {
+			if err := fs.under.Remove(lp); err != nil {
+				return err
+			}
+		}
+	}
+	sort.Strings(trans)
+	trans = slices.Compact(trans)
+	ds.trans = slices.DeleteFunc(trans, func(t string) bool {
+		_, perm := ds.perm[t]
+		return t == "" || perm || ds.prohibited[t]
+	})
+	for _, t := range ds.trans {
+		if name, ok := names[t]; ok && validLinkName(name) && name != linkBaseName(t) {
+			ds.setTransName(t, name)
+		}
+	}
+	ds.changed = time.Now()
+	return nil
+}
+
+// validLinkName reports whether name, read from an image, can name an
+// entry of a directory.
+func validLinkName(name string) bool {
+	return name != "" && name != "." && name != ".." && !strings.Contains(name, "/")
 }
 
 // SaveVolumeFile atomically saves the volume to path: the image is

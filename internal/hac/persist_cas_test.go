@@ -343,6 +343,26 @@ func TestLoadVolumeWrittenByParent(t *testing.T) {
 		if !reflect.DeepEqual(got, want) || len(got) == 0 {
 			t.Fatalf("%s: loaded image links %d targets, rebuilt volume %d", sd[0], len(got), len(want))
 		}
+		gotLinks, _ := loaded.Links(sd[0])
+		wantLinks, _ := live.Links(sd[0])
+		if !reflect.DeepEqual(gotLinks, wantLinks) {
+			t.Fatalf("%s: loaded links %v, rebuilt volume %v", sd[0], gotLinks, wantLinks)
+		}
+	}
+	// The image's transient symlinks left the substrate during the load:
+	// the one symlink left is the permanent link.
+	var symlinks []string
+	err = vfs.Walk(loaded.Under(), "/", func(p string, info vfs.Info) error {
+		if info.Type == vfs.TypeSymlink {
+			symlinks = append(symlinks, p)
+		}
+		return nil
+	})
+	if err != nil || !reflect.DeepEqual(symlinks, []string{"/s-even/mine.txt"}) {
+		t.Fatalf("symlinks on the loaded substrate = %v, %v", symlinks, err)
+	}
+	if problems := loaded.CheckConsistency(); len(problems) != 0 {
+		t.Fatalf("loaded volume: %v", problems)
 	}
 	links, err := loaded.Links("/s-even")
 	if err != nil {

@@ -219,6 +219,47 @@ func TestRenameOverLink(t *testing.T) {
 	}
 }
 
+// TestMoveLinkSupersedes: a link moved into a semantic directory that
+// links its target permanently under another name supersedes that link,
+// as Symlink does — the directory links each target once and no
+// unclassified symlink is left behind — whether the moved link was
+// transient or permanent.
+func TestMoveLinkSupersedes(t *testing.T) {
+	for _, permanent := range []bool{false, true} {
+		t.Run(fmt.Sprintf("permanent=%v", permanent), func(t *testing.T) {
+			fs := newTestFS(t)
+			for _, sd := range [][2]string{{"/a", "apple"}, {"/b", "cherry"}} {
+				if err := fs.SemDir(sd[0], sd[1]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if permanent {
+				if err := fs.MarkPermanent("/a", "/docs/apple1.txt"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := fs.Symlink("/docs/apple1.txt", "/b/keep.txt"); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.Rename("/a/apple1.txt", "/b/moved.txt"); err != nil {
+				t.Fatal(err)
+			}
+			if problems := fs.CheckConsistency(); len(problems) != 0 {
+				t.Fatalf("after the move: %v", problems)
+			}
+			if _, err := fs.Lstat("/b/keep.txt"); !errors.Is(err, vfs.ErrNotExist) {
+				t.Fatalf("superseded link still there: %v", err)
+			}
+			links, _ := fs.Links("/b")
+			for _, l := range links {
+				if l.Target == "/docs/apple1.txt" && (l.Name != "moved.txt" || l.Class != Permanent) {
+					t.Fatalf("/b links /docs/apple1.txt as %+v", l)
+				}
+			}
+		})
+	}
+}
+
 func TestLinksFollowDirectoryRename(t *testing.T) {
 	fs := newTestFS(t)
 	if err := fs.SemDir("/sel", "apple"); err != nil {

@@ -1,8 +1,8 @@
 package hac
 
 import (
-	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -21,8 +21,8 @@ import (
 // The query may be empty, in which case the directory starts with no
 // transient links and can be given a query later with SetQuery.
 // Otherwise the directory is populated immediately: HAC evaluates the
-// query over the scope provided by the parent and creates a transient
-// symbolic link for every match.
+// query over the scope provided by the parent and links every match
+// (transient links, served as a view: view.go).
 func (fs *FS) SemDir(path, queryStr string) error {
 	clean, err := vfs.Clean(path)
 	if err != nil {
@@ -33,7 +33,7 @@ func (fs *FS) SemDir(path, queryStr string) error {
 		return err
 	}
 	created := false
-	if _, lerr := fs.under.Lstat(clean); lerr != nil {
+	if _, lerr := fs.Lstat(clean); lerr != nil {
 		if !isNotExist(lerr) {
 			return lerr
 		}
@@ -42,7 +42,7 @@ func (fs *FS) SemDir(path, queryStr string) error {
 		}
 		created = true
 	} else {
-		info, err := fs.under.Stat(clean)
+		info, err := fs.Stat(clean)
 		if err != nil {
 			return err
 		}
@@ -86,8 +86,7 @@ func (fs *FS) makeSemanticLocked(ds *dirState, clean string, ast query.Node, ado
 				}
 				lp := vfs.Join(clean, e.Name)
 				if target, err := fs.under.Readlink(lp); err == nil {
-					ds.setClass(target, Permanent)
-					ds.linkName[target] = e.Name
+					ds.setPermanent(target, e.Name)
 				}
 			}
 		}
@@ -98,11 +97,11 @@ func (fs *FS) makeSemanticLocked(ds *dirState, clean string, ast query.Node, ado
 // MakeSyntactic discards a directory's content-based behavior (the
 // paper: CBA features "can be discarded and added at any time"). The
 // directory keeps every current link — they become plain symlinks the
-// consistency machinery no longer touches — and its query, link
-// classifications and prohibitions are dropped. Directories whose
-// queries reference it keep working: it now provides scope like any
-// syntactic directory. It fails with ErrNotSemantic if the directory is
-// not semantic.
+// consistency machinery no longer touches, so each transient link is
+// written to the substrate — and its query, link classifications and
+// prohibitions are dropped. Directories whose queries reference it keep
+// working: it now provides scope like any syntactic directory. It fails
+// with ErrNotSemantic if the directory is not semantic.
 func (fs *FS) MakeSyntactic(path string) error {
 	clean, err := vfs.Clean(path)
 	if err != nil {
@@ -115,12 +114,23 @@ func (fs *FS) MakeSyntactic(path string) error {
 		return &vfs.PathError{Op: "smkdir", Path: path, Err: ErrNotSemantic}
 	}
 	fs.gen++
+	for i, t := range ds.trans {
+		if err := fs.under.Symlink(t, vfs.Join(clean, ds.nameOf(t))); err != nil {
+			// The directory stays semantic; the links already written are
+			// physical now, so they stay as permanent links.
+			for _, w := range slices.Clone(ds.trans[:i]) {
+				ds.setPermanent(w, ds.nameOf(w))
+			}
+			fs.bumpScopeEpochLocked(ds.uid)
+			return err
+		}
+	}
 	ds.semantic = false
 	ds.ast = nil
 	ds.queryText = ""
-	ds.class = make(map[string]LinkClass)
+	ds.trans, ds.transName, ds.view = nil, nil, nil
+	ds.perm = make(map[string]string)
 	ds.prohibited = make(map[string]bool)
-	ds.linkName = make(map[string]string)
 	// Keep only the implicit parent dependency so moves stay tracked.
 	if err := fs.rebindDepsLocked(ds); err != nil {
 		return err
@@ -341,9 +351,12 @@ func (fs *FS) Links(path string) ([]Link, error) {
 	if !ok || !ds.semantic {
 		return nil, &vfs.PathError{Op: "slinks", Path: path, Err: ErrNotSemantic}
 	}
-	out := make([]Link, 0, len(ds.class)+len(ds.prohibited))
-	for target, class := range ds.class {
-		out = append(out, Link{Name: ds.linkName[target], Target: target, Class: class})
+	out := make([]Link, 0, len(ds.trans)+len(ds.perm)+len(ds.prohibited))
+	for _, target := range ds.trans {
+		out = append(out, Link{Name: ds.nameOf(target), Target: target, Class: Transient})
+	}
+	for target, name := range ds.perm {
+		out = append(out, Link{Name: name, Target: target, Class: Permanent})
 	}
 	for target := range ds.prohibited {
 		out = append(out, Link{Target: target, Class: Prohibited})
@@ -371,7 +384,8 @@ func (fs *FS) LinkTargets(path string) ([]string, error) {
 // MarkPermanent promotes an existing link to permanent, or creates a
 // new permanent link to target. This is one of the paper's "special API
 // routines to directly modify the set of permanent and prohibited
-// symbolic links" (§2.3, footnote).
+// symbolic links" (§2.3, footnote). A permanent link is a physical
+// symlink: promoting a transient link writes it under its name.
 func (fs *FS) MarkPermanent(dirPath, target string) error {
 	clean, err := vfs.Clean(dirPath)
 	if err != nil {
@@ -385,14 +399,18 @@ func (fs *FS) MarkPermanent(dirPath, target string) error {
 	}
 	fs.gen++
 	delete(ds.prohibited, target)
-	if _, had := ds.class[target]; !had {
-		name, err := fs.materializeLinkLocked(ds, clean, target)
-		if err != nil {
+	if _, had := ds.perm[target]; !had {
+		var name string
+		if _, transient := ds.transAt(target); transient {
+			name = ds.nameOf(target)
+		} else if name, err = fs.newLinkNameLocked(ds, clean, target); err != nil {
 			return err
 		}
-		ds.linkName[target] = name
+		if err := fs.under.Symlink(target, vfs.Join(clean, name)); err != nil {
+			return err
+		}
+		ds.setPermanent(target, name)
 	}
-	ds.setClass(target, Permanent)
 	fs.bumpScopeEpochLocked(ds.uid)
 	return fs.resyncLocked(fs.graph.AffectedBy(ds.uid, false), fs.evalCfg(nil))
 }
@@ -412,12 +430,8 @@ func (fs *FS) MarkProhibited(dirPath, target string) error {
 		return &vfs.PathError{Op: "sprohibit", Path: dirPath, Err: ErrNotSemantic}
 	}
 	fs.gen++
-	if name, had := ds.linkName[target]; had {
-		if err := fs.under.Remove(vfs.Join(clean, name)); err != nil && !isNotExist(err) {
-			return err
-		}
-		delete(ds.class, target)
-		delete(ds.linkName, target)
+	if err := fs.dropLinkLocked(ds, clean, target); err != nil {
+		return err
 	}
 	ds.prohibited[target] = true
 	fs.bumpScopeEpochLocked(ds.uid)
@@ -442,26 +456,6 @@ func (fs *FS) Unprohibit(dirPath, target string) error {
 	delete(ds.prohibited, target)
 	fs.bumpScopeEpochLocked(ds.uid)
 	return fs.resyncLocked(fs.graph.AffectedBy(ds.uid, true), fs.evalCfg(nil))
-}
-
-// materializeLinkLocked creates the symlink for target inside dir under
-// the first free name of base, base~2, base~3, … and returns the name.
-// Symlink itself is the probe: a taken name fails with vfs.ErrExist and
-// the next suffix is tried, so a free name costs one substrate call.
-// Caller holds fs.mu.
-func (fs *FS) materializeLinkLocked(ds *dirState, dirPath, target string) (string, error) {
-	base := linkBaseName(target)
-	name := base
-	for n := 2; ; n++ {
-		err := fs.under.Symlink(target, vfs.Join(dirPath, name))
-		if err == nil {
-			return name, nil
-		}
-		if !errors.Is(err, vfs.ErrExist) {
-			return "", err
-		}
-		name = fmt.Sprintf("%s~%d", base, n)
-	}
 }
 
 // linkBaseName derives a symlink name from a target path or remote

@@ -42,6 +42,12 @@ func (fs *FS) Sync(path string, opts ...Option) error {
 	cfg.span.Annotate("path", clean)
 	fs.mu.Lock()
 	info, err := fs.under.Stat(clean)
+	if isNotExist(err) {
+		var p string
+		if p, err = fs.followLocked(clean, err); err == nil {
+			info, err = fs.under.Stat(p)
+		}
+	}
 	if err != nil {
 		fs.mu.Unlock()
 		cfg.span.FinishErr(err)
@@ -156,7 +162,7 @@ func (fs *FS) matchLocalLocked(ds *dirState, dirPath string, verify bool) ([]str
 }
 
 // computeTargetsLocked evaluates ds's query and returns its new
-// transient target set — the read-only half of the paper's
+// transient target set, sorted — the read-only half of the paper's
 // scope-consistency algorithm:
 //
 //  1. re-evaluate the query over the scope provided by the parent — the
@@ -167,7 +173,7 @@ func (fs *FS) matchLocalLocked(ds *dirState, dirPath string, verify bool) ([]str
 //
 // It mutates nothing, so the engine may run many of these concurrently
 // under the read lock. Caller holds fs.mu (read suffices).
-func (fs *FS) computeTargetsLocked(ds *dirState, cfg evalConfig) (map[string]bool, error) {
+func (fs *FS) computeTargetsLocked(ds *dirState, cfg evalConfig) ([]string, error) {
 	dirPath, ok := fs.pathOfLocked(ds.uid)
 	if !ok {
 		return nil, fmt.Errorf("%w: uid %d", ErrDanglingRef, ds.uid)
@@ -176,7 +182,7 @@ func (fs *FS) computeTargetsLocked(ds *dirState, cfg evalConfig) (map[string]boo
 	sp := cfg.span.Child("hac.eval")
 	sp.Annotate("dir", dirPath)
 
-	newTargets := make(map[string]bool)
+	var targets []string
 	if ds.ast != nil {
 		matched, err := fs.matchLocalLocked(ds, dirPath, cfg.verify)
 		if err != nil {
@@ -184,9 +190,7 @@ func (fs *FS) computeTargetsLocked(ds *dirState, cfg evalConfig) (map[string]boo
 			sp.FinishErr(err)
 			return nil, err
 		}
-		for _, p := range matched {
-			newTargets[p] = true
-		}
+		targets = matched // sorted by Snapshot.Paths
 		remoteStart := time.Now()
 		remote, err := fs.evalRemoteLocked(cfg.ctx, ds, vfs.Dir(dirPath))
 		fs.met.phaseRemote.ObserveSince(remoteStart)
@@ -194,161 +198,163 @@ func (fs *FS) computeTargetsLocked(ds *dirState, cfg evalConfig) (map[string]boo
 			sp.FinishErr(err)
 			return nil, err
 		}
-		for t := range remote {
-			newTargets[t] = true
+		if len(remote) > 0 {
+			rs := make([]string, 0, len(remote))
+			for t := range remote {
+				rs = append(rs, t)
+			}
+			sort.Strings(rs)
+			// "remote://…" sorts after every local path, "/…".
+			targets = append(targets, rs...)
 		}
 	}
 
 	// Never add what the user prohibited; never duplicate what the user
 	// made permanent.
-	for t := range ds.prohibited {
-		delete(newTargets, t)
-	}
-	for t, c := range ds.class {
-		if c == Permanent {
-			delete(newTargets, t)
+	if len(ds.prohibited)+len(ds.perm) > 0 {
+		kept := targets[:0]
+		for _, t := range targets {
+			if _, perm := ds.perm[t]; !perm && !ds.prohibited[t] {
+				kept = append(kept, t)
+			}
 		}
+		targets = kept
 	}
-	sp.Annotate("targets", strconv.Itoa(len(newTargets)))
+	sp.Annotate("targets", strconv.Itoa(len(targets)))
 	sp.Finish()
-	return newTargets, nil
+	return targets, nil
 }
 
-// commitTargetsLocked diffs newTargets against ds's current transient
-// set, mutating the underlying directory to match: drop, repair, add
-// (DESIGN.md §8). Each link dropped or added costs one substrate call
-// and each link kept one Lstat. Targets are processed in sorted order so
-// the substrate mutations — and therefore collision-suffixed link names
-// — are deterministic. Caller holds fs.mu for writing.
-func (fs *FS) commitTargetsLocked(ds *dirState, newTargets map[string]bool) error {
+// commitTargetsLocked makes targets, sorted, ds's transient set
+// (DESIGN.md §8): one linear merge of the old and the new list. A target
+// in both keeps its link name; one only in the old list is dropped; one
+// only in the new list is added under its base name or the first free
+// ~n, in target order. None of it touches the substrate but one ReadDir
+// when there are adds, to learn the names taken physically. The
+// permanent links, which are physical, are repaired first. Caller holds
+// fs.mu for writing.
+func (fs *FS) commitTargetsLocked(ds *dirState, targets []string) error {
 	dirPath, ok := fs.pathOfLocked(ds.uid)
 	if !ok {
 		return fmt.Errorf("%w: uid %d", ErrDanglingRef, ds.uid)
 	}
-	commitStart := time.Now()
-	var drop []string
-	for t, c := range ds.class {
-		if c == Transient && !newTargets[t] {
-			drop = append(drop, t)
-		}
-	}
-	sort.Strings(drop)
-	for _, t := range drop {
-		if err := fs.dropLinkLocked(ds, dirPath, t); err != nil {
-			return err
-		}
-	}
-	commit := time.Since(commitStart)
-
 	repairStart := time.Now()
-	// Crash repair: a fault between an unlink and a relink — a torn
-	// rename rewrite, an interrupted commit — can leave a classified
-	// target with its physical symlink missing, or (when the fault hit a
-	// rename's link-rewrite pass) still pointing at the pre-rename path.
-	// A permanent link is never re-derived and a kept transient one is
-	// skipped by the adds, so both would stay broken forever. The
-	// classification is authoritative: re-create missing symlinks and
-	// re-point wrong ones, making every consistency pass also a repair
-	// pass. It covers the links classified before this commit only — a
-	// link whose Symlink returns nil below, under fs.mu, is known good —
-	// and runs before the adds, so a missing link gets its recorded name
-	// back before a new target can take that name.
-	var repair []string
-	for t := range ds.class {
-		broken, err := fs.linkBrokenLocked(ds, dirPath, t)
-		if err != nil {
-			return err
-		}
-		if broken {
-			repair = append(repair, t)
-		}
-	}
-	sort.Strings(repair)
-	for _, t := range repair {
-		if err := fs.relinkLocked(ds, dirPath, t); err != nil {
-			return err
-		}
-	}
-	fs.met.linksRepaired.Add(int64(len(repair)))
+	repaired, err := fs.repairPermanentLocked(ds, dirPath)
+	fs.met.linksRepaired.Add(int64(repaired))
 	fs.met.phaseRepair.ObserveSince(repairStart)
-
-	addStart := time.Now()
-	var add []string
-	for t := range newTargets {
-		if _, ok := ds.class[t]; !ok {
-			add = append(add, t)
-		}
-	}
-	sort.Strings(add)
-	for _, t := range add {
-		if err := fs.addTransientLocked(ds, dirPath, t); err != nil {
-			return err
-		}
-	}
-	if len(drop)+len(add) > 0 {
-		fs.bumpScopeEpochLocked(ds.uid)
-	}
-	fs.met.linksDropped.Add(int64(len(drop)))
-	fs.met.linksAdded.Add(int64(len(add)))
-	fs.met.phaseCommit.ObserveDuration(commit + time.Since(addStart))
-	return nil
-}
-
-// dropLinkLocked removes ds's link to t: the symlink, then the
-// classification. Caller holds fs.mu for writing.
-func (fs *FS) dropLinkLocked(ds *dirState, dirPath, t string) error {
-	if name, ok := ds.linkName[t]; ok {
-		if err := fs.under.Remove(vfs.Join(dirPath, name)); err != nil && !isNotExist(err) {
-			return err
-		}
-	}
-	delete(ds.class, t)
-	delete(ds.linkName, t)
-	return nil
-}
-
-// addTransientLocked materializes a transient link from ds to t. Caller
-// holds fs.mu for writing.
-func (fs *FS) addTransientLocked(ds *dirState, dirPath, t string) error {
-	name, err := fs.materializeLinkLocked(ds, dirPath, t)
 	if err != nil {
 		return err
 	}
-	ds.class[t] = Transient
-	ds.linkName[t] = name
+
+	commitStart := time.Now()
+	old := ds.trans
+	var drops, adds []string
+	if len(old) == 0 {
+		adds = targets
+	} else {
+		for i, j := 0, 0; i < len(old) || j < len(targets); {
+			switch {
+			case j == len(targets) || i < len(old) && old[i] < targets[j]:
+				drops = append(drops, old[i])
+				i++
+			case i == len(old) || targets[j] < old[i]:
+				adds = append(adds, targets[j])
+				j++
+			default:
+				i++
+				j++
+			}
+		}
+	}
+	if len(drops)+len(adds) == 0 {
+		return nil
+	}
+	var taken map[string]bool
+	if len(adds) > 0 {
+		if taken, err = fs.takenNamesLocked(ds, dirPath); err != nil {
+			return err
+		}
+	}
+
+	// The adds must not take a kept link's name: the name index, once the
+	// drops leave it, says which are taken — built here unless a lookup
+	// built it since the last commit — and serves the lookups after. A
+	// commit with no adds edits a built index and builds none.
+	var view map[string]string
+	switch {
+	case len(adds) > 0 && len(old) > len(drops):
+		view = ds.viewIndex()
+	case len(adds) > 0:
+		view = make(map[string]string, len(adds))
+	case ds.view != nil:
+		view = ds.view.byName
+	}
+	for _, t := range drops {
+		delete(view, ds.nameOf(t))
+		delete(ds.transName, t)
+	}
+	for _, t := range adds {
+		base := linkBaseName(t)
+		name := freeName(base, view, taken)
+		view[name] = t
+		if name != base {
+			ds.setTransName(t, name)
+		}
+	}
+	ds.trans = targets
+	ds.view = nil
+	if view != nil {
+		ds.view = &linkView{byName: view}
+	}
+	ds.changed = time.Now()
+	fs.bumpScopeEpochLocked(ds.uid)
+	fs.met.linksDropped.Add(int64(len(drops)))
+	fs.met.linksAdded.Add(int64(len(adds)))
+	fs.met.phaseCommit.ObserveSince(commitStart)
 	return nil
 }
 
-// linkBrokenLocked reports whether the symlink behind ds's classified
-// target t is missing or points elsewhere; a wrong one is removed so
-// relinkLocked can take its place. One Lstat: its Info carries the
-// link's target. Caller holds fs.mu for writing.
-func (fs *FS) linkBrokenLocked(ds *dirState, dirPath, t string) (bool, error) {
-	name, ok := ds.linkName[t]
-	if !ok || name == "" {
-		return false, nil
-	}
-	lp := vfs.Join(dirPath, name)
-	info, err := fs.under.Lstat(lp)
-	switch {
-	case isNotExist(err):
-		return true, nil
-	case err != nil:
-		return false, err
-	case info.Type == vfs.TypeSymlink && info.Target != t:
-		if err := fs.under.Remove(lp); err != nil && !isNotExist(err) {
-			return false, err
+// repairPermanentLocked is the crash repair of ds's permanent links, the
+// one part of a directory that lives on the substrate. A fault between
+// an unlink and a relink — a torn rename rewrite, an interrupted
+// Symlink — can leave a permanent target with its symlink missing, or
+// (when the fault hit a rename's link-rewrite pass) still pointing at
+// the pre-rename path. A permanent link is never re-derived, so it would
+// stay broken: the classification is authoritative, and the symlink is
+// re-created or re-pointed. One Lstat per permanent link, whose Info
+// carries the link's target; transient links have nothing on the
+// substrate to tear. Caller holds fs.mu for writing.
+func (fs *FS) repairPermanentLocked(ds *dirState, dirPath string) (int, error) {
+	repaired := 0
+	for t, name := range ds.perm {
+		if name == "" {
+			continue
 		}
-		return true, nil
+		ok, err := fs.repairLinkLocked(t, vfs.Join(dirPath, name))
+		if err != nil {
+			return repaired, err
+		}
+		if ok {
+			repaired++
+		}
 	}
-	return false, nil
+	return repaired, nil
 }
 
-// relinkLocked re-creates the symlink of ds's classified target t under
-// its recorded name, which linkBrokenLocked just found free. Caller
-// holds fs.mu for writing.
-func (fs *FS) relinkLocked(ds *dirState, dirPath, t string) error {
-	return fs.under.Symlink(t, vfs.Join(dirPath, ds.linkName[t]))
+// dropLinkLocked removes ds's link to t: a permanent link's symlink and
+// classification, or the transient link. Caller holds fs.mu for writing.
+func (fs *FS) dropLinkLocked(ds *dirState, dirPath, t string) error {
+	if name, ok := ds.perm[t]; ok {
+		if name != "" {
+			if err := fs.under.Remove(vfs.Join(dirPath, name)); err != nil && !isNotExist(err) {
+				return err
+			}
+		}
+		delete(ds.perm, t)
+		return nil
+	}
+	ds.dropTrans(t)
+	return nil
 }
 
 func isNotExist(err error) bool { return errors.Is(err, vfs.ErrNotExist) }
@@ -386,14 +392,20 @@ func (fs *FS) providedScopeLocalLocked(snap *index.Snapshot, dirPath string) *bi
 	if !ok || !ds.semantic {
 		return snap.DocsUnder(dirPath)
 	}
-	var paths []string
-	for t := range ds.class {
-		if _, _, remote := splitRemoteTarget(t); remote {
-			continue
+	paths := make([]string, 0, len(ds.trans)+len(ds.perm))
+	add := func(t string) {
+		if IsRemoteTarget(t) {
+			return
 		}
 		if p, ok := fs.resolveToIndexedLocked(t); ok {
 			paths = append(paths, p)
 		}
+	}
+	for _, t := range ds.trans {
+		add(t)
+	}
+	for t := range ds.perm {
+		add(t)
 	}
 	if entries, err := fs.under.ReadDir(dirPath); err == nil {
 		for _, e := range entries {
@@ -406,15 +418,15 @@ func (fs *FS) providedScopeLocalLocked(snap *index.Snapshot, dirPath string) *bi
 }
 
 // resolveToIndexedLocked maps a link target to an indexed document
-// path, following symlink chains (a link in one semantic directory may
-// point at a link in another). Caller holds fs.mu.
+// path, following symlink chains — view links included: a link in one
+// semantic directory may point at a link in another. Caller holds fs.mu.
 func (fs *FS) resolveToIndexedLocked(target string) (string, bool) {
 	p := target
 	for depth := 0; depth < 10; depth++ {
 		if _, ok := fs.ix.IDOf(p); ok {
 			return p, true
 		}
-		info, err := fs.under.Lstat(p)
+		info, err := fs.lstatLocked(p)
 		if err != nil || info.Type != vfs.TypeSymlink {
 			return "", false
 		}
@@ -532,8 +544,15 @@ func (fs *FS) MetadataBytes() int {
 	for _, ds := range fs.dirs {
 		total += 48 // fixed per-directory record
 		total += len(ds.queryText)
-		for t := range ds.class {
-			total += len(t) + len(ds.linkName[t]) + 8
+		// The transient set is a sorted list: each target and its length.
+		for _, t := range ds.trans {
+			total += len(t) + 1
+		}
+		for t, name := range ds.transName {
+			total += len(t) + len(name) + 8
+		}
+		for t, name := range ds.perm {
+			total += len(t) + len(name) + 8
 		}
 		for t := range ds.prohibited {
 			total += len(t) + 8

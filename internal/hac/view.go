@@ -1,0 +1,366 @@
+package hac
+
+import (
+	"slices"
+	"sort"
+	"strconv"
+	"time"
+
+	"hacfs/internal/vfs"
+)
+
+// Transient links are a view (DESIGN.md §3). A semantic directory keeps
+// its transient set as the sorted target list its last consistency pass
+// committed — dirState.trans, plus the few link names that are not the
+// target's base name — and writes nothing for it to the substrate. FS
+// serves each of those links as a symlink through its vfs.FileSystem
+// methods, so that through FS the directory reads as if the links were
+// real (I8). A path the substrate resolves never consults the view: it
+// is read for a ReadDir of a semantic directory, a name the substrate
+// reports missing, and a create, mkdir or symlink that could land on a
+// view name.
+
+// maxLinkHops bounds the links one path resolution follows, as the
+// substrates' own walks do: vfs.ErrLoop beyond it.
+const maxLinkHops = 40
+
+// linkView indexes a directory's transient links by name. It is built
+// from trans on first use after a commit replaced the set — at most once
+// per commit — and edits of single links keep a built one current.
+type linkView struct {
+	byName  map[string]string // link name → target
+	entries []vfs.DirEntry    // the links in name order; nil until a ReadDir needs them
+}
+
+// nameOf returns the link name of transient target t.
+func (ds *dirState) nameOf(t string) string {
+	if name, ok := ds.transName[t]; ok {
+		return name
+	}
+	return linkBaseName(t)
+}
+
+// transAt returns where t is, or would be inserted, in trans.
+func (ds *dirState) transAt(t string) (int, bool) {
+	i := sort.SearchStrings(ds.trans, t)
+	return i, i < len(ds.trans) && ds.trans[i] == t
+}
+
+// linked reports whether the directory links t, and how.
+func (ds *dirState) linked(t string) (LinkClass, bool) {
+	if _, ok := ds.perm[t]; ok {
+		return Permanent, true
+	}
+	if _, ok := ds.transAt(t); ok {
+		return Transient, true
+	}
+	return 0, false
+}
+
+// viewIndex returns the name → target index of the transient links,
+// building it if a commit left it stale. Readers holding fs.mu for
+// reading may call it concurrently.
+func (ds *dirState) viewIndex() map[string]string {
+	ds.viewMu.Lock()
+	defer ds.viewMu.Unlock()
+	return ds.viewLocked().byName
+}
+
+// viewEntries returns the transient links as directory entries, in
+// name order. The slice is shared: callers copy, never modify.
+func (ds *dirState) viewEntries() []vfs.DirEntry {
+	ds.viewMu.Lock()
+	defer ds.viewMu.Unlock()
+	v := ds.viewLocked()
+	if v.entries == nil {
+		v.entries = make([]vfs.DirEntry, 0, len(v.byName))
+		for name := range v.byName {
+			v.entries = append(v.entries, vfs.DirEntry{Name: name, Type: vfs.TypeSymlink})
+		}
+		sort.Slice(v.entries, func(i, j int) bool { return v.entries[i].Name < v.entries[j].Name })
+	}
+	return v.entries
+}
+
+// viewLocked returns ds.view, building it first if nil. Caller holds
+// ds.viewMu.
+func (ds *dirState) viewLocked() *linkView {
+	if ds.view == nil {
+		v := &linkView{byName: make(map[string]string, len(ds.trans))}
+		for _, t := range ds.trans {
+			v.byName[ds.nameOf(t)] = t
+		}
+		ds.view = v
+	}
+	return ds.view
+}
+
+// The mutators below run with fs.mu held for writing, so no reader is
+// inside viewIndex or viewEntries: a built index is edited in place.
+
+// addTrans links transient target t under name.
+func (ds *dirState) addTrans(t, name string) {
+	i, _ := ds.transAt(t)
+	ds.trans = slices.Insert(ds.trans, i, t)
+	if name != linkBaseName(t) {
+		ds.setTransName(t, name)
+	}
+	if v := ds.view; v != nil {
+		v.byName[name] = t
+		v.entries = nil
+	}
+	ds.changed = time.Now()
+}
+
+// dropTrans unlinks transient target t, if linked.
+func (ds *dirState) dropTrans(t string) {
+	i, ok := ds.transAt(t)
+	if !ok {
+		return
+	}
+	if v := ds.view; v != nil {
+		delete(v.byName, ds.nameOf(t))
+		v.entries = nil
+	}
+	delete(ds.transName, t)
+	ds.trans = slices.Delete(ds.trans, i, i+1)
+	ds.changed = time.Now()
+}
+
+func (ds *dirState) setTransName(t, name string) {
+	if ds.transName == nil {
+		ds.transName = make(map[string]string)
+	}
+	ds.transName[t] = name
+}
+
+// setPermanent makes t a permanent link named name, replacing a
+// transient link to t: the directory links each target once. The
+// caller has written the symlink.
+func (ds *dirState) setPermanent(t, name string) {
+	ds.dropTrans(t)
+	ds.perm[t] = name
+	ds.everPermanent = true
+}
+
+// freeName returns base, or the first of base~2, base~3, … that is
+// neither a transient link's name in view nor in taken.
+func freeName(base string, view map[string]string, taken map[string]bool) string {
+	name := base
+	for n := 2; ; n++ {
+		if _, linked := view[name]; !linked && !taken[name] {
+			return name
+		}
+		name = base + "~" + strconv.Itoa(n)
+	}
+}
+
+// takenNamesLocked returns the names a new link of ds may not take
+// besides the view's own: every physical entry of the directory, and
+// every permanent link's name even when a fault lost its symlink (the
+// repair restores it under that name). One ReadDir. Caller holds fs.mu.
+func (fs *FS) takenNamesLocked(ds *dirState, dirPath string) (map[string]bool, error) {
+	entries, err := fs.under.ReadDir(dirPath)
+	if err != nil {
+		return nil, err
+	}
+	taken := make(map[string]bool, len(entries)+len(ds.perm))
+	for _, e := range entries {
+		taken[e.Name] = true
+	}
+	for _, name := range ds.perm {
+		taken[name] = true
+	}
+	return taken, nil
+}
+
+// newLinkNameLocked picks the name a new link to t in ds takes: its base
+// name, or the first free ~n. Caller holds fs.mu.
+func (fs *FS) newLinkNameLocked(ds *dirState, dirPath, t string) (string, error) {
+	taken, err := fs.takenNamesLocked(ds, dirPath)
+	if err != nil {
+		return "", err
+	}
+	return freeName(linkBaseName(t), ds.viewIndex(), taken), nil
+}
+
+// viewLinkLocked returns the transient link named name in the directory
+// at dir, if dir is a semantic directory that has one. Caller holds
+// fs.mu.
+func (fs *FS) viewLinkLocked(dir, name string) (*dirState, string, bool) {
+	ds, ok := fs.stateAtLocked(dir)
+	if !ok || !ds.semantic || len(ds.trans) == 0 {
+		return nil, "", false
+	}
+	t, ok := ds.viewIndex()[name]
+	return ds, t, ok
+}
+
+// viewInfo is the Lstat answer for a transient link.
+func viewInfo(ds *dirState, name, target string) vfs.Info {
+	return vfs.Info{Name: name, Type: vfs.TypeSymlink, ModTime: ds.changed, Target: target}
+}
+
+// walkEnd is where resolveLocked's walk stopped.
+type walkEnd struct {
+	path    string // the path reached: no link left in it but an unfollowed last component
+	viaView bool   // the walk met a view link
+	// When the unfollowed last component is a view link: its directory
+	// and target.
+	dir    *dirState
+	target string
+}
+
+// resolveLocked walks clean the way a substrate walk would if every view
+// link were a real symlink: each link met is followed — the last
+// component's too when follow is set — for at most maxLinkHops links. The
+// substrate answers for every name it holds; a name it reports missing
+// is looked up in its directory's view. It costs one substrate Lstat per
+// component, and runs only where the substrate alone could not answer.
+// Caller holds fs.mu.
+func (fs *FS) resolveLocked(clean string, follow bool) (walkEnd, error) {
+	var end walkEnd
+	comps := splitComponents(clean)
+	cur := "/"
+	hops := 0
+	for i := 0; i < len(comps); i++ {
+		next := vfs.Join(cur, comps[i])
+		last := i == len(comps)-1
+		info, err := fs.under.Lstat(next)
+		var target string
+		switch {
+		case err == nil && info.Type == vfs.TypeSymlink && (follow || !last):
+			target = info.Target
+		case err == nil:
+			if !last && info.Type != vfs.TypeDir {
+				return end, &vfs.PathError{Op: "lstat", Path: next, Err: vfs.ErrNotDir}
+			}
+			cur = next
+			continue
+		case !isNotExist(err):
+			return end, err
+		default:
+			ds, t, ok := fs.viewLinkLocked(cur, comps[i])
+			if !ok {
+				return end, err
+			}
+			end.viaView = true
+			if last && !follow {
+				end.path, end.dir, end.target = next, ds, t
+				return end, nil
+			}
+			target = t
+		}
+		if hops++; hops > maxLinkHops {
+			return end, &vfs.PathError{Op: "lstat", Path: clean, Err: vfs.ErrLoop}
+		}
+		// An absolute target restarts at the root, a relative one at the
+		// link's directory.
+		if vfs.IsAbs(target) {
+			cur = "/"
+		}
+		comps = append(splitComponents(vfs.Join("/", target)), comps[i+1:]...)
+		i = -1
+	}
+	end.path = cur
+	return end, nil
+}
+
+// followLocked returns the path clean leads to with every link on the
+// way followed, for retrying a substrate call that reported clean
+// missing (miss). Unless a view link lies on the way, the substrate's
+// answer stands and miss is returned. Caller holds fs.mu.
+func (fs *FS) followLocked(clean string, miss error) (string, error) {
+	end, err := fs.resolveLocked(clean, true)
+	switch {
+	case !end.viaView:
+		return "", miss
+	case err != nil:
+		return "", err
+	}
+	return end.path, nil
+}
+
+// lstatViewLocked answers Lstat for a path the substrate reported
+// missing (miss). Caller holds fs.mu.
+func (fs *FS) lstatViewLocked(p string, miss error) (vfs.Info, error) {
+	clean, err := vfs.Clean(p)
+	if err != nil {
+		return vfs.Info{}, miss
+	}
+	dir, name := vfs.Split(clean)
+	if ds, t, ok := fs.viewLinkLocked(dir, name); ok {
+		return viewInfo(ds, name, t), nil
+	}
+	end, err := fs.resolveLocked(clean, false)
+	switch {
+	case !end.viaView:
+		return vfs.Info{}, miss
+	case err != nil:
+		return vfs.Info{}, err
+	case end.dir != nil:
+		return viewInfo(end.dir, vfs.Base(end.path), end.target), nil
+	}
+	return fs.under.Lstat(end.path)
+}
+
+// lstatLocked is Lstat for a caller holding fs.mu.
+func (fs *FS) lstatLocked(p string) (vfs.Info, error) {
+	info, err := fs.under.Lstat(p)
+	if !isNotExist(err) {
+		return info, err
+	}
+	return fs.lstatViewLocked(p, err)
+}
+
+// canonicalLocked returns clean with the links in its directory part
+// followed, when direct (resolvePath's answer) says some may be there —
+// a symlink, or a view link the substrate cannot see — so that a
+// mutation finds the semantic directory it lands in. Where the walk
+// fails, the substrate's own call reports it. Caller holds fs.mu.
+func (fs *FS) canonicalLocked(clean string, direct bool) (string, error) {
+	if direct || clean == "/" {
+		return clean, nil
+	}
+	dir, base := vfs.Split(clean)
+	end, err := fs.resolveLocked(dir, true)
+	switch {
+	case err != nil && end.viaView:
+		return "", err
+	case err != nil:
+		return clean, nil
+	}
+	return vfs.Join(end.path, base), nil
+}
+
+// withViewLocked adds the transient links of the directory at dir to its
+// substrate listing entries; both are in name order. A path HAC has not
+// registered may still reach a semantic directory through a symlink, so
+// it is resolved first. Caller holds fs.mu.
+func (fs *FS) withViewLocked(dir string, entries []vfs.DirEntry) []vfs.DirEntry {
+	ds, ok := fs.stateAtLocked(dir)
+	if !ok {
+		end, err := fs.resolveLocked(dir, true)
+		if err != nil {
+			return entries
+		}
+		ds, ok = fs.stateAtLocked(end.path)
+	}
+	if !ok || !ds.semantic || len(ds.trans) == 0 {
+		return entries
+	}
+	view := ds.viewEntries()
+	out := make([]vfs.DirEntry, 0, len(entries)+len(view))
+	i, j := 0, 0
+	for i < len(entries) && j < len(view) {
+		if view[j].Name < entries[i].Name {
+			out = append(out, view[j])
+			j++
+		} else {
+			out = append(out, entries[i])
+			i++
+		}
+	}
+	out = append(out, entries[i:]...)
+	return append(out, view[j:]...)
+}

@@ -289,7 +289,10 @@ func (h *Host) Drain(ctx context.Context) error {
 }
 
 // Checkpoint atomically saves every tenant volume that has a save
-// path, returning the first error (but attempting all).
+// path, returning the first error (but attempting all). A save seals
+// open handles' buffers into the store, so it runs in the store's
+// measured section and the tenant is charged what the seal adds; other
+// measured writes to the store wait for it.
 func (h *Host) Checkpoint() error {
 	h.mu.Lock()
 	tenants := make([]*tenant, 0, len(h.tenants))
@@ -302,7 +305,8 @@ func (h *Host) Checkpoint() error {
 		if t.savePath == "" {
 			continue
 		}
-		if err := t.fs.SaveVolumeFile(t.savePath); err != nil && firstErr == nil {
+		save := func() error { return t.fs.SaveVolumeFile(t.savePath) }
+		if err := t.qfs.measuredOp("checkpoint", "/", 0, 0, save); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("serve: checkpoint %s: %w", t.name, err)
 		}
 	}

@@ -214,7 +214,10 @@ func (f *quotaFS) SyncPathContext(ctx context.Context, path string) error {
 // Manifest-diff replication surface (remotefs.BlobSource): forwarded so
 // a content-addressed tenant volume can serve manifests and blobs to
 // mirroring replicas through the quota wrapper. Reads carry no quota
-// weight, matching ReadFile.
+// weight, matching ReadFile — but taking a manifest seals open handles'
+// buffers into the store, so it runs measured: the tenant is charged
+// what the seal adds, as the handles' Close would have been, and their
+// Close then adds nothing.
 
 func (f *quotaFS) CASManifest() (*cas.Manifest, error) {
 	type source interface {
@@ -224,7 +227,13 @@ func (f *quotaFS) CASManifest() (*cas.Manifest, error) {
 	if !ok {
 		return nil, &vfs.PathError{Op: "manifest", Path: "/", Err: vfs.ErrUnsupported}
 	}
-	return bs.CASManifest()
+	var m *cas.Manifest
+	err := f.measuredOp("manifest", "/", 0, 0, func() error {
+		var err error
+		m, err = bs.CASManifest()
+		return err
+	})
+	return m, err
 }
 
 func (f *quotaFS) CASBlobs(hashes []cas.Hash) ([][]byte, error) {

@@ -167,6 +167,52 @@ func TestCASQuotaHandleWritesChargeAtSeal(t *testing.T) {
 	}
 }
 
+// A mirroring peer's manifest request and a checkpoint seal an open
+// handle's buffer into the store before the handle's Close does. The
+// seal is charged where it happens, so once the handle closes the
+// tenant's usage is the store's unique bytes.
+func TestCASQuotaSealBeforeClose(t *testing.T) {
+	for _, seal := range []struct {
+		name string
+		run  func(h *Host, v vfs.FileSystem) error
+	}{
+		{"manifest", func(h *Host, v vfs.FileSystem) error {
+			_, err := v.(interface{ CASManifest() (*cas.Manifest, error) }).CASManifest()
+			return err
+		}},
+		{"checkpoint", func(h *Host, v vfs.FileSystem) error { return h.Checkpoint() }},
+	} {
+		t.Run(seal.name, func(t *testing.T) {
+			h, _ := newTestHost(t, 2)
+			store := cas.NewStore()
+			hfs := hac.New(cas.New(store), hac.Options{})
+			if err := h.AddTenant("a", hfs, Quota{}, t.TempDir()+"/a.hac"); err != nil {
+				t.Fatal(err)
+			}
+			v, err := h.Volume("a")
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := v.Create("/doc.bin")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write(bytes.Repeat([]byte("buffered "), 100)); err != nil {
+				t.Fatal(err)
+			}
+			if err := seal.run(h, v); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if used, _ := usageOf(t, h, "a"); used != store.UniqueBytes() {
+				t.Fatalf("usage %d after Close, store holds %d unique bytes", used, store.UniqueBytes())
+			}
+		})
+	}
+}
+
 // AddTenant recounts a pre-populated content-addressed volume by its
 // self-deduplicated footprint, and the store's gauges join the
 // observer's registry.

@@ -133,6 +133,7 @@ func (sh *Shell) commands() map[string]command {
 		"search":   sh.cmdSearch,
 		"explain":  sh.cmdExplain,
 		"sstat":    sh.cmdSstat,
+		"check":    sh.cmdCheck,
 		"stats":    sh.cmdStats,
 		"slow":     sh.cmdSlow,
 		"save":     sh.cmdSave,
@@ -389,6 +390,7 @@ semantic commands (the paper's extensions):
   explain <scope> <query...>  show the cost-based evaluation plan
   explain <semdir>            show the plan behind a directory's links
   sstat                       show HAC layer statistics
+  check                       audit links and invariants; fails on a problem
   stats [prefix]              dump live observability metrics
   slow                        show recent over-threshold operations
 
@@ -770,6 +772,20 @@ func (sh *Shell) cmdSstat([]string) error {
 			sh.printf("semantic mount:  %s -> %s\n", p, strings.Join(mounts[p], ", "))
 		}
 	}
+	return nil
+}
+
+// cmdCheck prints every problem the volume's audit (FS.CheckConsistency)
+// finds, and fails when there is one.
+func (sh *Shell) cmdCheck([]string) error {
+	problems := sh.fs.CheckConsistency()
+	for _, p := range problems {
+		sh.printf("%s\n", p)
+	}
+	if len(problems) > 0 {
+		return fmt.Errorf("check: %d problem%s", len(problems), plural(len(problems), "", "s"))
+	}
+	sh.printf("consistent\n")
 	return nil
 }
 

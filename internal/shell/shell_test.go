@@ -496,3 +496,35 @@ func TestExplainSemanticDirectory(t *testing.T) {
 		t.Fatalf("smkdir on an existing file = %v", err)
 	}
 }
+
+// TestCheckReportsTampering: check is quiet on a consistent volume, and
+// prints and fails on a permanent link re-pointed behind its back.
+func TestCheckReportsTampering(t *testing.T) {
+	sh := newShell(t)
+	out := runScript(t, sh,
+		"write /a.txt apple pie",
+		"write /b.txt banana bread",
+		"sreindex /",
+		"smkdir /sel apple",
+		"ln /b.txt /sel/kept",
+		"check",
+	)
+	if !strings.HasSuffix(out, "consistent\n") {
+		t.Fatalf("check of a consistent volume: %q", out)
+	}
+	under := sh.FS().Under()
+	if err := under.Remove("/sel/kept"); err != nil {
+		t.Fatal(err)
+	}
+	if err := under.Symlink("/a.txt", "/sel/kept"); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	sh.out = &buf
+	if err := sh.Exec("check"); err == nil || !strings.Contains(err.Error(), "1 problem") {
+		t.Fatalf("check of a tampered volume = %v", err)
+	}
+	if !strings.Contains(buf.String(), "/sel: symlink kept points to /a.txt, classified as /b.txt") {
+		t.Fatalf("check output: %q", buf.String())
+	}
+}
