@@ -248,6 +248,32 @@ func (c *Container) Slice() []uint32 {
 	return out
 }
 
+// Words returns the set as a dense bitmap in dst's storage (reused when
+// it is large enough): bit id%64 of word id/64 is set exactly for the
+// members, and words past the last one are absent. It lets a caller test
+// many ids for membership at one word load each.
+func (c *Container) Words(dst []uint64) []uint64 {
+	n := 0
+	if c.n > 0 {
+		n = int(c.max())/wordBits + 1
+	}
+	if cap(dst) < n {
+		dst = make([]uint64, n)
+	} else {
+		dst = dst[:n]
+		clear(dst)
+	}
+	if c.kind == kindBitmap {
+		copy(dst, c.words)
+		return dst
+	}
+	c.Range(func(id uint32) bool {
+		dst[id/wordBits] |= 1 << (id % wordBits)
+		return true
+	})
+	return dst
+}
+
 // Clone returns a deep copy.
 func (c *Container) Clone() *Container {
 	out := &Container{kind: c.kind, n: c.n}

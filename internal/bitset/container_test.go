@@ -223,6 +223,7 @@ func TestContainerPackSizesExactly(t *testing.T) {
 // operation, leaves a container's representation untouched.
 func TestContainerReadsDoNotMutate(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
+	var words []uint64
 	for trial := 0; trial < 200; trial++ {
 		o, _ := randomContainer(rng, trial)
 		kind, img := o.Kind(), o.AppendBinary(nil)
@@ -232,6 +233,8 @@ func TestContainerReadsDoNotMutate(t *testing.T) {
 			c.Clone().Or(o)
 			c.Clone().AndNot(o)
 			c.Equal(o)
+			words = o.Words(words)
+			words = c.Words(words) // reuses what o's call returned
 		}
 		o.Contains(rng.Uint32() % 10000)
 		o.Slice()
@@ -239,6 +242,32 @@ func TestContainerReadsDoNotMutate(t *testing.T) {
 		o.Clone().Add(1 << 20)
 		if o.Kind() != kind || !bytes.Equal(o.AppendBinary(nil), img) {
 			t.Fatalf("trial %d: a read changed the container (%s → %s)", trial, kind, o.Kind())
+		}
+	}
+}
+
+// Words spreads every representation into a dense word array, whatever
+// the scratch it is handed held before.
+func TestContainerWords(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	dirty := make([]uint64, 200)
+	for trial := 0; trial < 200; trial++ {
+		c, ref := randomContainer(rng, trial)
+		for i := range dirty {
+			dirty[i] = ^uint64(0)
+		}
+		w := c.Words(dirty[:rng.Intn(len(dirty))])
+		wantLen := 0
+		if m, ok := c.Max(); ok {
+			wantLen = int(m)/64 + 1
+		}
+		if len(w) != wantLen {
+			t.Fatalf("trial %d (%s): %d words, want %d", trial, c.Kind(), len(w), wantLen)
+		}
+		for v := uint32(0); v < uint32(64*len(w)); v++ {
+			if got := w[v/64]&(1<<(v%64)) != 0; got != ref[v] {
+				t.Fatalf("trial %d (%s): bit %d = %v, want %v", trial, c.Kind(), v, got, ref[v])
+			}
 		}
 	}
 }

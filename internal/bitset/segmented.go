@@ -293,6 +293,14 @@ func (s *Segmented) SegContainer(seg uint32) *Container {
 	return s.segs[seg]
 }
 
+// EachSeg visits every segment's local set, in no particular order. The
+// containers are shared, not copied; treat them as read-only.
+func (s *Segmented) EachSeg(fn func(seg uint32, c *Container)) {
+	for seg, c := range s.segs {
+		fn(seg, c)
+	}
+}
+
 // PutSegContainer installs c as the local set of one segment, taking
 // ownership of c. An empty or nil c clears the segment.
 func (s *Segmented) PutSegContainer(seg uint32, c *Container) {

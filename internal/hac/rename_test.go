@@ -173,6 +173,53 @@ func TestRenameOntoLinkedFile(t *testing.T) {
 	}
 }
 
+// TestDirRenameOntoStaleIndexedPath removes files outside an auto-sync
+// prefix, so the index still holds them, then renames a directory onto
+// their directory's name: each moved document replaces the stale one at
+// its new path, which neither stays indexed nor lends the moved file its
+// old content's matches.
+func TestDirRenameOntoStaleIndexedPath(t *testing.T) {
+	fs := newTestFS(t)
+	if err := fs.MkdirAll("/new"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteFile("/new/m1.txt", []byte("plum")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.Reindex("/"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.RemoveAll("/mail"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Rename("/new", "/mail"); err != nil {
+		t.Fatal(err)
+	}
+	sn := fs.Index().Snapshot()
+	all, n := sn.Paths(sn.AllDocs()), 0
+	for _, p := range all {
+		if p == "/mail/m1.txt" {
+			n++
+		}
+	}
+	if n != 1 {
+		t.Fatalf("the index names /mail/m1.txt %d times: %v", n, all)
+	}
+	for _, p := range sn.Paths(sn.Lookup("apple")) {
+		if p == "/mail/m1.txt" {
+			t.Fatal("/mail/m1.txt still matches the content of the file it replaced")
+		}
+	}
+	if err := fs.SemDir("/sel", "apple"); err != nil {
+		t.Fatal(err)
+	}
+	for _, target := range targetsOf(t, fs, "/sel") {
+		if target == "/mail/m1.txt" {
+			t.Fatal("/sel links /mail/m1.txt, which holds plum")
+		}
+	}
+}
+
 // TestRenameOverLink moves a link, then a file, onto another link of
 // the semantic directory. The link written over is gone as if removed
 // — its target prohibited — so no two classified targets share a link

@@ -24,6 +24,7 @@ package index
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -61,12 +62,12 @@ type docEntry struct {
 // segment is one unit of index storage. The active segment is mutable
 // — slots are appended, replaced in place and reclaimed (active.go);
 // sealed segments never change their docs slice length or their
-// postings — only the tombstone state (dead, deadCount) and the doc
-// entries' path/modTime fields (renames) move under the index write
-// lock. Postings are packed (Container.Pack) once, at the moment the
-// segment becomes immutable, and from then on only read: every lookup
-// clones before it combines, so the off-lock merge build can walk them
-// without a lock. A segment produced by a merge additionally carries
+// postings — only the tombstone state (dead, deadCount), the doc
+// entries' path/modTime fields and the path order (renames) move under
+// the index write lock. Postings are packed (Container.Pack) once, at
+// the moment the segment becomes immutable, and from then on only read:
+// every lookup clones before it combines, so the off-lock merge build
+// can walk them without a lock. A segment produced by a merge additionally carries
 // prev, the pre-merge DocID of each local slot, so snapshots pinned
 // before the merge can map current IDs back into their own segment set.
 type segment struct {
@@ -79,6 +80,7 @@ type segment struct {
 	sealed    bool
 	slotTerms []string // packed terms of each slot (active.go); active only, nil once sealed
 	prev      []DocID  // merge provenance: local → pre-merge DocID (nil unless merged)
+	order     []uint32 // slots in path order (order.go); sealed only
 	dict      termDict // lazy sorted/length-bucketed vocabulary (dict.go); sealed only
 }
 
@@ -99,9 +101,9 @@ func (s *segment) aliveLocal(n int) *bitset.Container {
 	return c
 }
 
-// seal marks the segment immutable and packs its postings and dirs —
-// the one point after which they are only read. Caller owns s (it is
-// being built) or holds ix.mu for writing.
+// seal marks the segment immutable, packs its postings and dirs — the
+// one point after which they are only read — and builds its path order.
+// Caller owns s (it is being built) or holds ix.mu for writing.
 func (s *segment) seal() {
 	s.sealed = true
 	s.slotTerms = nil
@@ -109,6 +111,7 @@ func (s *segment) seal() {
 		c.Pack()
 	}
 	s.packDirs()
+	s.buildOrder()
 }
 
 // DefaultSealThreshold is the active-segment size at which it seals.
@@ -405,6 +408,7 @@ func (ix *Index) RenamePath(oldPath, newPath string) bool {
 	}
 	delete(ix.byPath, oldPath)
 	s.dirsRename(s.docs[local].path, newPath, local)
+	s.orderRename(local, newPath)
 	s.docs[local].path = newPath
 	ix.byPath[newPath] = id
 	ix.version.Add(1)
@@ -412,8 +416,9 @@ func (ix *Index) RenamePath(oldPath, newPath string) bool {
 }
 
 // RenamePrefix records that the directory at oldRoot moved to newRoot,
-// rewriting the paths of every indexed document beneath it. It returns
-// the number of documents updated.
+// rewriting the paths of every indexed document beneath it. A moved
+// document replaces whatever was indexed at its new path, as RenamePath
+// does. It returns the number of documents updated.
 func (ix *Index) RenamePrefix(oldRoot, newRoot string) int {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -427,16 +432,31 @@ func (ix *Index) RenamePrefix(oldRoot, newRoot string) int {
 			moves = append(moves, move{p, id})
 		}
 	}
+	// Every moved path leaves byPath first, so what is still indexed at a
+	// new path afterwards is a document the move displaces, never one
+	// that is itself about to move.
+	for _, m := range moves {
+		delete(ix.byPath, m.old)
+	}
+	var touched []*segment
 	for _, m := range moves {
 		s, local, ok := ix.resolveLocked(m.id)
 		if !ok {
 			continue
 		}
 		np := newRoot + m.old[len(oldRoot):]
-		delete(ix.byPath, m.old)
+		if prior, ok := ix.byPath[np]; ok {
+			ix.tombstoneLocked(prior)
+		}
 		s.dirsRename(s.docs[local].path, np, local)
 		s.docs[local].path = np
 		ix.byPath[np] = m.id
+		if s.order != nil && !slices.Contains(touched, s) {
+			touched = append(touched, s)
+		}
+	}
+	for _, s := range touched {
+		s.resortOrder()
 	}
 	if len(moves) > 0 {
 		ix.version.Add(1)

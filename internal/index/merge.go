@@ -220,6 +220,7 @@ func (ix *Index) mergeSealedLocked() {
 	// it.
 	ix.mu.Lock()
 
+	moved := false
 	for i, v := range victims {
 		for l := range v.s.docs {
 			nl := remap[i][l]
@@ -236,10 +237,14 @@ func (ix *Index) mergeSealedLocked() {
 			} else {
 				// Renames after the plan rewrote path/modTime in place;
 				// refresh so the merged entry is current.
+				moved = moved || merged.docs[nl].path != cur.path
 				merged.dirsRename(merged.docs[nl].path, cur.path, nl)
 				merged.docs[nl] = *cur
 			}
 		}
+	}
+	if moved {
+		merged.resortOrder() // the build sorted the paths the plan saw
 	}
 
 	// Install forward tables for the victims.

@@ -44,6 +44,9 @@ type walker struct {
 	fs   *vfs.MemFS // holds /bulk, the part of the corpus SyncTree owns
 	next int        // document counter: unique names and unique terms
 	live []string   // /live directory names currently in use
+	// held is a result of the previous check's snapshot, read through
+	// the next one: the forward-table half of Snapshot.Paths.
+	held *bitset.Segmented
 }
 
 func (w *walker) content() string {
@@ -147,10 +150,17 @@ func (w *walker) step() string {
 			w.m.Rename(old, to)
 		}
 		return "rename"
-	case 8:
+	case 8: // rename a directory, sometimes onto paths indexed already (which it replaces)
 		i := w.rng.Intn(len(w.live))
 		w.next++
 		fresh := fmt.Sprintf("r%d", w.next)
+		if w.rng.Intn(2) == 0 {
+			for _, p := range w.m.Under("/live/" + w.live[i]) {
+				if w.rng.Intn(3) == 0 {
+					w.add("/live/" + fresh + p[len("/live/"+w.live[i]):])
+				}
+			}
+		}
 		n := w.ix.RenamePrefix("/live/"+w.live[i], "/live/"+fresh)
 		if want := len(w.m.Under("/live/" + w.live[i])); n != want {
 			w.t.Fatalf("RenamePrefix moved %d documents, model has %d", n, want)
@@ -176,6 +186,7 @@ func (w *walker) reload() {
 	}
 	ix.SetSealThreshold(w.ix.sealThreshold)
 	w.ix = ix
+	w.held = nil // IDs do not survive a save and load
 }
 
 // pathSet resolves a result to its set of paths (PathsOf does not sort,
@@ -196,7 +207,30 @@ func pathSet(t *testing.T, sn *Snapshot, res *bitset.Segmented) map[string]bool 
 	return out
 }
 
-// checkSnapshot compares every read of sn against model m.
+// sortedPaths fails unless got is exactly want, sorted: strictly
+// ascending, as long, and naming only paths of want. (Checked this way
+// it costs no sort of the model.)
+func sortedPaths(t *testing.T, what string, got, want []string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d paths, want %d", what, len(got), len(want))
+	}
+	in := make(map[string]bool, len(want))
+	for _, p := range want {
+		in[p] = true
+	}
+	for i, p := range got {
+		if i > 0 && got[i-1] >= p {
+			t.Fatalf("%s: %q before %q: not sorted, or a path twice", what, got[i-1], p)
+		}
+		if !in[p] {
+			t.Fatalf("%s: names %s, which it should not", what, p)
+		}
+	}
+}
+
+// checkSnapshot compares every read of sn against model m: the result
+// as a set of paths, and Paths of it as the model's paths sorted.
 func checkSnapshot(t *testing.T, tag string, sn *Snapshot, m indextest.Model, scopes []string) {
 	t.Helper()
 	same := func(what string, got *bitset.Segmented, want []string) {
@@ -210,6 +244,7 @@ func checkSnapshot(t *testing.T, tag string, sn *Snapshot, m indextest.Model, sc
 				t.Fatalf("%s: %s misses %s", tag, what, p)
 			}
 		}
+		sortedPaths(t, tag+": Paths of "+what, sn.Paths(got), want)
 	}
 	for _, v := range walkVocab {
 		same("Lookup "+v.word, sn.Lookup(v.word), m.Term(v.word))
@@ -239,7 +274,21 @@ func (w *walker) check(tag string) {
 	if p := w.pick("/"); p != "" {
 		scopes = append(scopes, p) // a file path is a scope of one
 	}
-	checkSnapshot(w.t, tag, w.ix.Snapshot(), w.m, scopes)
+	sn := w.ix.Snapshot()
+	checkSnapshot(w.t, tag, sn, w.m, scopes)
+	if w.held != nil {
+		// An older result names some documents that have since gone or been
+		// rewritten under a new ID; PathsOf resolves it the same way.
+		want := sn.PathsOf(w.held.Slice())
+		for _, p := range want {
+			if _, ok := w.m[p]; !ok {
+				w.t.Fatalf("%s: an older result resolves to %s, which is not indexed", tag, p)
+			}
+		}
+		sortedPaths(w.t, tag+": Paths of an older result", sn.Paths(w.held), want)
+	}
+	w.held = sn.Lookup("half")
+	w.checkOrder(tag)
 	for _, root := range scopes {
 		if got, want := w.ix.DocsUnderCount(root), len(w.m.Under(root)); got != want {
 			w.t.Fatalf("%s: DocsUnderCount(%s) = %d, model has %d", tag, root, got, want)
@@ -247,6 +296,28 @@ func (w *walker) check(tag string) {
 	}
 	if got := w.ix.NumDocs(); got != len(w.m) {
 		w.t.Fatalf("%s: NumDocs = %d, model has %d", tag, got, len(w.m))
+	}
+}
+
+// checkOrder fails unless every resident sealed segment's order holds
+// each of its slots once, sorted by path and then slot.
+func (w *walker) checkOrder(tag string) {
+	w.t.Helper()
+	for _, s := range w.ix.sealed {
+		if len(s.order) != len(s.docs) {
+			w.t.Fatalf("%s: segment %d orders %d of %d slots", tag, s.id, len(s.order), len(s.docs))
+		}
+		seen := make([]bool, len(s.docs))
+		for i, l := range s.order {
+			if seen[l] {
+				w.t.Fatalf("%s: segment %d orders slot %d twice", tag, s.id, l)
+			}
+			seen[l] = true
+			if i > 0 && s.cmpSlots(s.order[i-1], l) >= 0 {
+				w.t.Fatalf("%s: segment %d order has %q (slot %d) before %q (slot %d)", tag, s.id,
+					s.docs[s.order[i-1]].path, s.order[i-1], s.docs[l].path, l)
+			}
+		}
 	}
 }
 
@@ -308,7 +379,11 @@ func TestDifferentialWalk(t *testing.T) {
 	// Pin a snapshot, merge everything underneath it, add on top: the
 	// pinned view still answers as the model did at pin time.
 	pinned, atPin := w.ix.Snapshot(), w.m.Clone()
+	heldEvery := pinned.Lookup("every")
 	w.ix.ForceMerge()
+	// A result of the pinned set, read through the merged index, is still
+	// the pin-time corpus: its IDs resolve through the forward tables.
+	sortedPaths(t, "pre-merge result after the merge", w.ix.Snapshot().Paths(heldEvery), atPin.All())
 	w.check("force merge")
 	if kinds := w.postingKinds(true); !kinds["array"] || !kinds["bitmap"] || !kinds["run"] {
 		t.Fatalf("sealed postings use %v, want all three representations", kinds)

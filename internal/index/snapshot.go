@@ -259,28 +259,66 @@ func (sn *Snapshot) ScopeCost(root string) int {
 	return n
 }
 
-// Paths maps a result set to its sorted document paths. IDs outside the
+// pathsDenseDiv sets when Paths walks a segment's path order: when the
+// result holds at least 1/pathsDenseDiv of the segment's slots. A
+// smaller share sorts its own few paths, which is cheaper than testing
+// every slot.
+const pathsDenseDiv = 64
+
+// Paths maps a result set to its sorted document paths. Each segment's
+// share of res becomes one sorted run: a pinned sealed segment holding a
+// dense share walks its path order (order.go) and keeps the members; a
+// sparse share, the active segment's share and the IDs of a segment
+// outside the pinned set sort their own paths. The runs are then merged
+// in one pass, so no sort runs over the whole result. IDs outside the
 // pinned set are resolved through the index's forward tables first, so
 // mixing an older result into a newer snapshot degrades gracefully.
 func (sn *Snapshot) Paths(res *bitset.Segmented) []string {
 	sn.ix.mu.RLock()
 	defer sn.ix.mu.RUnlock()
-	out := make([]string, 0, res.Len())
-	res.Range(func(id uint64) bool {
-		seg, local := splitID(id)
-		if s, ok := sn.bySeg[seg]; ok {
-			if int(local) < sn.segLen(s) && s.docs[local].alive {
-				out = append(out, s.docs[local].path)
+	buf := make([]string, 0, res.Len())
+	var runs [][]string
+	var words []uint64
+	res.EachSeg(func(seg uint32, c *bitset.Container) {
+		start := len(buf)
+		s, pinned := sn.bySeg[seg]
+		switch {
+		case !pinned:
+			c.Range(func(local uint32) bool {
+				if s, l, ok := sn.ix.resolveLocked(makeID(seg, local)); ok && s.docs[l].alive {
+					buf = append(buf, s.docs[l].path)
+				}
+				return true
+			})
+			sortStrings(buf[start:])
+		case s.order != nil && c.Len()*pathsDenseDiv >= len(s.order):
+			// The pinned active segment may have sealed since the pin: the
+			// cap still holds.
+			lim := uint32(sn.segLen(s))
+			words = c.Words(words)
+			for _, l := range s.order {
+				if w := int(l / 64); l < lim && w < len(words) && words[w]&(1<<(l%64)) != 0 && s.docs[l].alive {
+					buf = append(buf, s.docs[l].path)
+				}
 			}
-			return true
+		default:
+			lim := sn.segLen(s)
+			c.Range(func(l uint32) bool {
+				if int(l) < lim && s.docs[l].alive {
+					buf = append(buf, s.docs[l].path)
+				}
+				return true
+			})
+			sortStrings(buf[start:])
 		}
-		if s, local2, ok := sn.ix.resolveLocked(id); ok && s.docs[local2].alive {
-			out = append(out, s.docs[local2].path)
+		if len(buf) > start {
+			runs = append(runs, buf[start:])
 		}
-		return true
 	})
-	sortStrings(out)
-	return out
+	if len(runs) <= 1 {
+		return buf
+	}
+	return mergeRuns(make([]string, 0, len(buf)), runs)
 }
 
 // PathsOf maps a batch of pinned IDs to their paths, in input order,

@@ -26,12 +26,12 @@ type method struct {
 	seconds *obs.Histogram // <family>_rpc_seconds{<label>=...}
 }
 
-// Client is the call layer every service's client shares: one Mux
+// Client is the call layer every service's client shares: one mux
 // plus, around each call, the method's metrics, the client span whose
 // context rides the request frame, the dial-failure count and the
 // typed-error decode.
 type Client struct {
-	mux     *Mux
+	mux     *mux
 	family  string
 	label   string
 	obsv    *obs.Observer
@@ -45,7 +45,7 @@ type Client struct {
 // obs.Default() until SetObserver.
 func NewClient(addr string, maxPayload uint32, family, label string, methods []Method) *Client {
 	c := &Client{
-		mux:     NewMux(addr, 10*time.Second, maxPayload),
+		mux:     newMux(addr, 10*time.Second, maxPayload),
 		family:  family,
 		label:   label,
 		methods: make([]method, len(methods)),
@@ -127,7 +127,7 @@ func (r rpc) end(err error) {
 func (c *Client) Call(ctx context.Context, m int, typ uint8, payload []byte, kv ...string) (Frame, error) {
 	r, sc := c.begin(ctx, m, kv)
 	var f Frame
-	st, err := c.mux.Call(ctx, sc, typ, payload)
+	st, err := c.mux.call(ctx, sc, typ, payload, false)
 	if err == nil {
 		f, err = st.Next(ctx)
 		st.Cancel()

@@ -197,7 +197,7 @@ func TestReadFrameIntoDirtyBuffer(t *testing.T) {
 // none above maxFreeCap, prefers the larger ones when full, and hands
 // out the smallest buffer that covers a request.
 func TestMuxFreeListBounded(t *testing.T) {
-	m := NewMux("unused", 0, 1<<20)
+	m := newMux("unused", 0, 1<<20)
 	m.release(make([]byte, maxFreeCap+1))
 	m.release(nil)
 	if len(m.free) != 0 {

@@ -2,7 +2,7 @@
 // content-based access namespace (internal/remote), the file-system
 // export (internal/remotefs) and the shared catalog (internal/catalog):
 // a length-prefixed, multiplexed binary framing, the Server loop that
-// accepts and answers it, the client Mux and call layer that speak it,
+// accepts and answers it, the client mux and call layer that speak it,
 // and the typed-error codec both ends share (DESIGN.md §12).
 //
 // A connection opens with a 5-byte hello in each direction:
@@ -546,12 +546,12 @@ func (pc *pendingCall) next(ctx context.Context) (Frame, error) {
 	}
 }
 
-// Mux is the client side of one multiplexed binary connection: it
+// mux is the client side of one multiplexed binary connection: it
 // assigns request IDs, serializes frame writes, and demultiplexes
 // response frames to their callers by ID. It re-dials lazily after
 // failures; in-flight calls on a dying connection fail fast rather
-// than retry (the request may have executed).
-type Mux struct {
+// than retry (the request may have executed). Client is its one user.
+type mux struct {
 	addr       string
 	timeout    time.Duration
 	maxPayload uint32
@@ -579,23 +579,23 @@ const (
 	maxFreeCap = 256 << 10
 )
 
-// NewMux returns a lazy client mux for the server at addr. maxPayload
+// newMux returns a lazy client mux for the server at addr. maxPayload
 // bounds one received frame's payload.
-func NewMux(addr string, timeout time.Duration, maxPayload uint32) *Mux {
-	return &Mux{addr: addr, timeout: timeout, maxPayload: maxPayload}
+func newMux(addr string, timeout time.Duration, maxPayload uint32) *mux {
+	return &mux{addr: addr, timeout: timeout, maxPayload: maxPayload}
 }
 
 // Addr returns the server address the mux dials.
-func (m *Mux) Addr() string { return m.addr }
+func (m *mux) Addr() string { return m.addr }
 
 // SetTimeout changes the dial and frame-write deadline.
-func (m *Mux) SetTimeout(d time.Duration) {
+func (m *mux) SetTimeout(d time.Duration) {
 	m.mu.Lock()
 	m.timeout = d
 	m.mu.Unlock()
 }
 
-func (m *Mux) setDialFailures(c *obs.Counter) {
+func (m *mux) setDialFailures(c *obs.Counter) {
 	m.mu.Lock()
 	m.dialFailures = c
 	m.mu.Unlock()
@@ -603,13 +603,13 @@ func (m *Mux) setDialFailures(c *obs.Counter) {
 
 // Close drops the connection, failing all in-flight calls; later calls
 // re-dial.
-func (m *Mux) Close() error {
+func (m *mux) Close() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.dropLocked(errors.New("wire: connection closed"))
 }
 
-func (m *Mux) dropLocked(cause error) error {
+func (m *mux) dropLocked(cause error) error {
 	var err error
 	if m.conn != nil {
 		err = m.conn.Close()
@@ -624,7 +624,7 @@ func (m *Mux) dropLocked(cause error) error {
 
 // ensureLocked makes sure a connection is live, counting a dial or
 // hello exchange that fails.
-func (m *Mux) ensureLocked(ctx context.Context) error {
+func (m *mux) ensureLocked(ctx context.Context) error {
 	if m.conn != nil {
 		return nil
 	}
@@ -642,7 +642,7 @@ func (m *Mux) ensureLocked(ctx context.Context) error {
 }
 
 // dial connects and performs the hello exchange.
-func (m *Mux) dial(ctx context.Context) (net.Conn, error) {
+func (m *mux) dial(ctx context.Context) (net.Conn, error) {
 	d := net.Dialer{Timeout: m.timeout}
 	conn, err := d.DialContext(ctx, "tcp", m.addr)
 	if err != nil {
@@ -673,7 +673,7 @@ func (m *Mux) dial(ctx context.Context) (net.Conn, error) {
 // where the payload goes before reading it: a recycling call's payload
 // into a buffer from the free list, a plain call's into a slice of its
 // own, a dropped frame's nowhere.
-func (m *Mux) readLoop(conn net.Conn, gen uint64) {
+func (m *mux) readLoop(conn net.Conn, gen uint64) {
 	r := bufio.NewReader(conn)
 	var hdr frameHeader
 	var cause error
@@ -723,7 +723,7 @@ func (m *Mux) readLoop(conn net.Conn, gen uint64) {
 // take removes and returns the free buffer that best fits an n-byte
 // payload — the smallest whose capacity covers n — or nil when none
 // does, and the reader allocates.
-func (m *Mux) take(n uint32) []byte {
+func (m *mux) take(n uint32) []byte {
 	m.freeMu.Lock()
 	defer m.freeMu.Unlock()
 	best := -1
@@ -746,7 +746,7 @@ func (m *Mux) take(n uint32) []byte {
 // release gives a recycling call's payload back once its consumer is
 // done with it. A full list keeps the larger buffers, which fit the
 // most frames.
-func (m *Mux) release(b []byte) {
+func (m *mux) release(b []byte) {
 	if cap(b) == 0 || cap(b) > maxFreeCap {
 		return
 	}
@@ -770,7 +770,7 @@ func (m *Mux) release(b []byte) {
 // Stream is the response side of one call: a sequence of frames ending
 // with FlagFinal.
 type Stream struct {
-	m    *Mux
+	m    *mux
 	id   uint64
 	pc   *pendingCall
 	done bool
@@ -801,18 +801,14 @@ func (s *Stream) Cancel() {
 	s.m.mu.Unlock()
 }
 
-// Call sends one request frame (the mux assigns its ID) and returns
+// call sends one request frame (the mux assigns its ID) and returns
 // the response stream. A valid sc rides the frame as the FlagTrace
 // header, so the server joins the caller's trace; a zero sc sends an
 // untraced frame. Dial errors are returned as-is; write errors drop the
-// connection. Every response payload is the caller's to keep.
-func (m *Mux) Call(ctx context.Context, sc obs.SpanContext, typ uint8, payload []byte) (*Stream, error) {
-	return m.call(ctx, sc, typ, payload, false)
-}
-
-// call is Call; a recycling call's response payloads are read into
-// buffers from the free list and must be given back with release.
-func (m *Mux) call(ctx context.Context, sc obs.SpanContext, typ uint8, payload []byte, recycle bool) (*Stream, error) {
+// connection. A plain call's response payloads are the caller's to
+// keep; a recycling call's are read into buffers from the free list and
+// must be given back with release.
+func (m *mux) call(ctx context.Context, sc obs.SpanContext, typ uint8, payload []byte, recycle bool) (*Stream, error) {
 	m.mu.Lock()
 	if err := m.ensureLocked(ctx); err != nil {
 		m.mu.Unlock()

@@ -258,8 +258,8 @@ func echoServer(t *testing.T, split bool) string {
 }
 
 // callOne performs a single-frame untraced round trip on a bare mux.
-func callOne(ctx context.Context, m *Mux, typ uint8, payload []byte) (Frame, error) {
-	st, err := m.Call(ctx, obs.SpanContext{}, typ, payload)
+func callOne(ctx context.Context, m *mux, typ uint8, payload []byte) (Frame, error) {
+	st, err := m.call(ctx, obs.SpanContext{}, typ, payload, false)
 	if err != nil {
 		return Frame{}, err
 	}
@@ -269,7 +269,7 @@ func callOne(ctx context.Context, m *Mux, typ uint8, payload []byte) (Frame, err
 
 func TestMuxConcurrentCalls(t *testing.T) {
 	addr := echoServer(t, false)
-	m := NewMux(addr, 5*time.Second, 1<<20)
+	m := newMux(addr, 5*time.Second, 1<<20)
 	defer m.Close()
 	ctx := context.Background()
 	const n = 64
@@ -293,10 +293,10 @@ func TestMuxConcurrentCalls(t *testing.T) {
 
 func TestMuxStreamedResponse(t *testing.T) {
 	addr := echoServer(t, true)
-	m := NewMux(addr, 5*time.Second, 1<<20)
+	m := newMux(addr, 5*time.Second, 1<<20)
 	defer m.Close()
 	ctx := context.Background()
-	st, err := m.Call(ctx, obs.SpanContext{}, 3, []byte("xyz"))
+	st, err := m.call(ctx, obs.SpanContext{}, 3, []byte("xyz"), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestMuxVersionMismatch(t *testing.T) {
 		buf := make([]byte, 1)
 		conn.Read(buf) // hold until client gives up
 	}()
-	m := NewMux(l.Addr().String(), 2*time.Second, 1<<20)
+	m := newMux(l.Addr().String(), 2*time.Second, 1<<20)
 	defer m.Close()
 	if _, err := callOne(context.Background(), m, 1, nil); !errors.Is(err, ErrVersion) {
 		t.Fatalf("err = %v, want ErrVersion", err)
