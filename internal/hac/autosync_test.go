@@ -94,7 +94,9 @@ func TestAutoSyncDisable(t *testing.T) {
 // TestAutoSyncReportsConsistencyError: when the consistency pass of an
 // auto-synced mutation fails, the call says so. The mutation itself
 // stands — the bytes are written, the file is gone — the volume is
-// inconsistent until the next Sync, and one Sync repairs it.
+// inconsistent until the next Sync, and one Sync repairs it. A pass reads
+// the substrate only to name a link it adds; a lone removal adds none, so
+// its pass cannot fail.
 func TestAutoSyncReportsConsistencyError(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -102,11 +104,12 @@ func TestAutoSyncReportsConsistencyError(t *testing.T) {
 		call    func(fs *FS) error
 		path    string // the file the call changes
 		want    string // its content afterwards; "" = removed
+		fails   bool   // the call's pass adds a link, and fails
 	}{{
 		// Adding a link reads the directory to pick a free name.
 		name: "WriteFile",
 		call: func(fs *FS) error { return fs.WriteFile("/mail/new.txt", []byte("apple pie")) },
-		path: "/mail/new.txt", want: "apple pie",
+		path: "/mail/new.txt", want: "apple pie", fails: true,
 	}, {
 		name: "Close",
 		call: func(fs *FS) error {
@@ -119,26 +122,30 @@ func TestAutoSyncReportsConsistencyError(t *testing.T) {
 			}
 			return f.Close()
 		},
-		path: "/mail/new.txt", want: "apple pie",
+		path: "/mail/new.txt", want: "apple pie", fails: true,
 	}, {
-		// A permanent link outlives its target; the delta pass re-checks
-		// the symlink behind it and finds it gone.
+		// The delta pass only drops m1's links: the permanent one stays,
+		// outliving its target, and nothing is read.
 		name: "Remove",
 		call: func(fs *FS) error { return fs.Remove("/mail/m1.txt") },
 		path: "/mail/m1.txt",
 	}, {
 		// Two documents leave at once: every directory takes the full
-		// evaluation, whose repair pass finds m1's symlink gone.
+		// evaluation, which also meets a match the index took without a
+		// pass, and adds its link.
 		name: "RemoveAll",
 		prepare: func(t *testing.T, fs *FS) {
-			for _, p := range []string{"/mail/sub/a.txt", "/mail/sub/b.txt"} {
+			for _, p := range []string{"/mail/sub/a.txt", "/mail/sub/b.txt", "/late.txt"} {
 				if err := fs.WriteFile(p, []byte("apple")); err != nil {
 					t.Fatal(err)
 				}
 			}
 		},
-		call: func(fs *FS) error { return fs.RemoveAll("/mail/sub") },
-		path: "/mail/sub/a.txt",
+		call: func(fs *FS) error {
+			fs.Index().Add("/late.txt", []byte("apple"))
+			return fs.RemoveAll("/mail/sub")
+		},
+		path: "/mail/sub/a.txt", fails: true,
 	}}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -165,17 +172,16 @@ func TestAutoSyncReportsConsistencyError(t *testing.T) {
 			if problems := fs.CheckConsistency(); len(problems) != 0 {
 				t.Fatalf("before the fault: %v", problems)
 			}
-			// m1's permanent symlink vanishes behind HAC's back and cannot
-			// be re-created, and the directory cannot be read: any pass
-			// that touches m1, like any pass that adds a link, now fails.
-			if err := under.Under().Remove("/sel/m1.txt"); err != nil {
-				t.Fatal(err)
-			}
-			under.SetOpErrorRate("symlink", 1)
+			// The directory cannot be read: any pass that adds a link now
+			// fails.
 			under.SetOpErrorRate("readdir", 1)
 
-			if err := tc.call(fs); !errors.Is(err, vfs.ErrInjected) {
+			err := tc.call(fs)
+			switch {
+			case tc.fails && !errors.Is(err, vfs.ErrInjected):
 				t.Fatalf("%s under a failing consistency pass = %v, want the injected error", tc.name, err)
+			case !tc.fails && err != nil:
+				t.Fatalf("%s = %v, want a pass that reads nothing", tc.name, err)
 			}
 			data, err := fs.ReadFile(tc.path)
 			switch {
@@ -184,12 +190,10 @@ func TestAutoSyncReportsConsistencyError(t *testing.T) {
 			case tc.want != "" && (err != nil || string(data) != tc.want):
 				t.Fatalf("%s = %q, %v; want %q", tc.path, data, err, tc.want)
 			}
-			if problems := fs.CheckConsistency(); len(problems) == 0 {
-				t.Fatal("the failed pass left nothing for CheckConsistency to report")
-			}
-
-			under.SetOpErrorRate("symlink", 0)
 			under.SetOpErrorRate("readdir", 0)
+			if problems := fs.CheckConsistency(); tc.fails == (len(problems) == 0) {
+				t.Fatalf("after the call, CheckConsistency reports %v", problems)
+			}
 			if err := fs.Sync("/"); err != nil {
 				t.Fatal(err)
 			}

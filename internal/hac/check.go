@@ -24,12 +24,11 @@ import (
 //     last Reindex is not looked at (§2.4), but an index that moved
 //     without a Sync after it — Index().Add, a file rename — shows up;
 //   - I4: no prohibited target is currently linked;
-//   - the physical symlinks in the directory are exactly its permanent
-//     links (same names, same targets);
-//   - the view — the transient set — is sorted, links no target twice or
-//     also permanently, and its link names are unique and disjoint from
-//     the directory's physical entries, so that every name resolves to
-//     one object;
+//   - the directory holds no physical symlink: its links, transient and
+//     permanent, are a view;
+//   - the view is sorted, links no target twice, and its link names are
+//     unique and disjoint from the directory's physical entries, so that
+//     every name resolves to one object;
 //   - the dependency graph has a node for the directory and an edge to
 //     its parent.
 //
@@ -74,35 +73,22 @@ func (fs *FS) CheckConsistency() []string {
 				report("%s: I4 violated: %s is both prohibited and linked", dirPath, target)
 			}
 		}
-		// Physical symlinks are the permanent links.
+		// A semantic directory's links are a view: the substrate holds
+		// none. Each physical entry is reported once, so a symlink is not
+		// also reported as a name the view shares.
 		entries, err := fs.under.ReadDir(dirPath)
 		if err != nil {
 			report("%s: unreadable: %v", dirPath, err)
 			continue
 		}
 		onDisk := make(map[string]bool, len(entries))
-		physical := map[string]string{} // name → target
 		for _, e := range entries {
-			onDisk[e.Name] = true
 			if e.Type != vfs.TypeSymlink {
+				onDisk[e.Name] = true
 				continue
 			}
-			if target, err := fs.under.Readlink(vfs.Join(dirPath, e.Name)); err == nil {
-				physical[e.Name] = target
-			}
-		}
-		for target, name := range ds.perm {
-			got, ok := physical[name]
-			switch {
-			case !ok:
-				report("%s: permanent link %s (→ %s) has no symlink", dirPath, name, target)
-			case got != target:
-				report("%s: symlink %s points to %s, classified as %s", dirPath, name, got, target)
-			}
-			delete(physical, name)
-		}
-		for name, target := range physical {
-			report("%s: unclassified symlink %s → %s", dirPath, name, target)
+			target, _ := fs.under.Readlink(vfs.Join(dirPath, e.Name)) // the report stands without it
+			report("%s: unclassified symlink %s → %s", dirPath, e.Name, target)
 		}
 		for _, problem := range auditViewLocked(ds, onDisk) {
 			report("%s: %s", dirPath, problem)
@@ -111,29 +97,35 @@ func (fs *FS) CheckConsistency() []string {
 	return problems
 }
 
-// auditViewLocked checks ds's transient set against itself, its
-// permanent links, the names physically in the directory (onDisk) and
-// the name index serving it. Caller holds fs.mu.
+// auditViewLocked checks ds's links against themselves, the names
+// physically in the directory (onDisk) and the name index serving them.
+// Caller holds fs.mu.
 func auditViewLocked(ds *dirState, onDisk map[string]bool) []string {
 	var problems []string
-	byName := make(map[string]string, len(ds.trans))
-	for i, t := range ds.trans {
-		name := ds.nameOf(t)
+	byName := make(map[string]string, len(ds.trans)+len(ds.perm))
+	add := func(name, t string) {
 		switch prev, dup := byName[name]; {
-		case i > 0 && ds.trans[i-1] >= t:
-			problems = append(problems, fmt.Sprintf("transient set out of order or repeated at %s", t))
 		case dup:
-			problems = append(problems, fmt.Sprintf("transient links to %s and %s share the name %s", prev, t, name))
+			problems = append(problems, fmt.Sprintf("links to %s and %s share the name %s", prev, t, name))
 		case onDisk[name]:
-			problems = append(problems, fmt.Sprintf("transient link %s (→ %s) shares its name with a physical entry", name, t))
+			problems = append(problems, fmt.Sprintf("link %s (→ %s) shares its name with a physical entry", name, t))
+		}
+		byName[name] = t
+	}
+	for i, t := range ds.trans {
+		if i > 0 && ds.trans[i-1] >= t {
+			problems = append(problems, fmt.Sprintf("transient set out of order or repeated at %s", t))
 		}
 		if _, perm := ds.perm[t]; perm {
 			problems = append(problems, fmt.Sprintf("%s is linked both transient and permanent", t))
 		}
-		byName[name] = t
+		add(ds.nameOf(t), t)
+	}
+	for t, name := range ds.perm {
+		add(name, t)
 	}
 	if index := ds.viewIndex(); !maps.Equal(index, byName) {
-		problems = append(problems, fmt.Sprintf("view index holds %d links, the transient set %d", len(index), len(byName)))
+		problems = append(problems, fmt.Sprintf("view index holds %d links, the directory %d", len(index), len(byName)))
 	}
 	return problems
 }

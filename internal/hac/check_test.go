@@ -47,39 +47,32 @@ func TestCheckConsistencyDetectsTampering(t *testing.T) {
 	}
 }
 
-func TestCheckConsistencyDetectsMissingLink(t *testing.T) {
+// TestCheckConsistencyDetectsPlantedSymlink: a symlink planted on the
+// substrate under a permanent link's name hides the link, and is reported
+// once; removing it brings the link back.
+func TestCheckConsistencyDetectsPlantedSymlink(t *testing.T) {
 	fs := newTestFS(t)
 	if err := fs.SemDir("/sel", "apple"); err != nil {
 		t.Fatal(err)
 	}
-	// Delete a permanent link's symlink behind HAC's back.
 	if err := fs.MarkPermanent("/sel", "/docs/apple1.txt"); err != nil {
 		t.Fatal(err)
+	}
+	if err := fs.Under().Symlink("/docs/banana.txt", "/sel/apple1.txt"); err != nil {
+		t.Fatal(err)
+	}
+	problems := fs.CheckConsistency()
+	if want := "/sel: unclassified symlink apple1.txt → /docs/banana.txt"; len(problems) != 1 || problems[0] != want {
+		t.Fatalf("planted symlink reported as %q, want %q", problems, want)
 	}
 	if err := fs.Under().Remove("/sel/apple1.txt"); err != nil {
 		t.Fatal(err)
 	}
-	problems := fs.CheckConsistency()
-	found := false
-	for _, p := range problems {
-		if strings.Contains(p, "has no symlink") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("missing link not detected: %v", problems)
-	}
-	// Repair: prohibit the target (dropping the stale classification,
-	// tolerating the already-missing symlink) and lift the prohibition
-	// so the next pass re-materializes the link cleanly.
-	if err := fs.MarkProhibited("/sel", "/docs/apple1.txt"); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Unprohibit("/sel", "/docs/apple1.txt"); err != nil {
-		t.Fatal(err)
-	}
 	if problems := fs.CheckConsistency(); len(problems) != 0 {
-		t.Fatalf("repair failed: %v", problems)
+		t.Fatalf("after removing the planted symlink: %v", problems)
+	}
+	if target, err := fs.Readlink("/sel/apple1.txt"); err != nil || target != "/docs/apple1.txt" {
+		t.Fatalf("permanent link after removing the planted symlink: %q, %v", target, err)
 	}
 }
 

@@ -22,11 +22,12 @@ func opDelta(fault *vfs.FaultFS, before vfs.FaultStats) map[string]uint64 {
 }
 
 // TestCommitSubstrateCalls pins what a consistency pass costs the
-// substrate (DESIGN.md §8): transient links are a view, so a SemDir over
-// N matches writes no symlink and makes as many substrate calls at
-// N = 300 as at N = 10, and so does a clean Sync.
+// substrate (DESIGN.md §8): links are a view, so a SemDir over N matches
+// writes no symlink and makes as many substrate calls at N = 300 as at
+// N = 10, and so does a clean Sync — of that directory, and of one
+// holding N permanent links.
 func TestCommitSubstrateCalls(t *testing.T) {
-	calls := map[int][2]map[string]uint64{}
+	calls := map[int][3]map[string]uint64{}
 	for _, n := range []int{10, 300} {
 		fault := vfs.NewFaultFS(cas.New(nil), vfs.FaultConfig{})
 		fs := New(fault, Options{})
@@ -58,18 +59,31 @@ func TestCommitSubstrateCalls(t *testing.T) {
 		if err := fs.Sync("/s"); err != nil {
 			t.Fatal(err)
 		}
-		calls[n] = [2]map[string]uint64{semdir, opDelta(fault, before)}
+		sync := opDelta(fault, before)
+
+		if err := fs.SemDir("/p", "pear"); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			if err := fs.Symlink(fmt.Sprintf("/docs/d%03d.txt", i), fmt.Sprintf("/p/l%03d", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before = fault.Stats()
+		if err := fs.Sync("/p"); err != nil {
+			t.Fatal(err)
+		}
+		calls[n] = [3]map[string]uint64{semdir, sync, opDelta(fault, before)}
 	}
 	if !reflect.DeepEqual(calls[10], calls[300]) {
-		t.Fatalf("substrate calls grow with N: SemDir and Sync made %v at N=10, %v at N=300", calls[10], calls[300])
+		t.Fatalf("substrate calls grow with N: SemDir, Sync and Sync of permanent links made %v at N=10, %v at N=300", calls[10], calls[300])
 	}
 }
 
-// TestRepairNameCollision: /s links /a/x.txt permanently as x.txt, the
-// substrate loses that symlink, and /b/x.txt starts matching. The repair
-// restores x.txt for /a/x.txt and the add names /b/x.txt x.txt~2 — not a
-// second target recorded under x.txt, which every later pass would
-// re-point from one target to the other.
+// TestRepairNameCollision: /s links /a/x.txt permanently as x.txt, and
+// /b/x.txt starts matching. The permanent link keeps reserving its name:
+// the add names /b/x.txt x.txt~2 — not a second target recorded under
+// x.txt — and settled passes leave both links as they are.
 func TestRepairNameCollision(t *testing.T) {
 	for _, sub := range mcSubstrates {
 		t.Run(sub.name, func(t *testing.T) {
@@ -90,9 +104,6 @@ func TestRepairNameCollision(t *testing.T) {
 				t.Fatal(err)
 			}
 			if err := fs.MarkPermanent("/s", "/a/x.txt"); err != nil {
-				t.Fatal(err)
-			}
-			if err := fault.Under().Remove("/s/x.txt"); err != nil {
 				t.Fatal(err)
 			}
 			if err := fs.WriteFile("/b/x.txt", []byte("apple")); err != nil {

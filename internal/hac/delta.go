@@ -124,16 +124,6 @@ func (fs *FS) deltaOneLocked(ds *dirState, doc *docEnv, indexed bool) error {
 		ds.dropTrans(doc.path)
 		fs.bumpScopeEpochLocked(ds.uid)
 		fs.met.linksDropped.Add(1)
-	case class == Permanent:
-		// The link stays (a permanent link is never re-derived); make
-		// sure the symlink behind it is still there and still right.
-		if name := ds.perm[doc.path]; name != "" {
-			repaired, err := fs.repairLinkLocked(doc.path, vfs.Join(dirPath, name))
-			if repaired {
-				fs.met.linksRepaired.Add(1)
-			}
-			return err
-		}
 	case !linked && member && !ds.prohibited[doc.path]:
 		name, err := fs.newLinkNameLocked(ds, dirPath, doc.path)
 		if err != nil {
@@ -168,16 +158,13 @@ func (fs *FS) inProvidedScopeLocked(provider, path string) (bool, error) {
 		}
 	}
 	// Transient targets are indexed documents, which resolve to
-	// themselves; only a directory that was ever handed a permanent link
-	// can hold anything else.
-	if ds.everPermanent {
-		for t := range ds.perm {
-			if IsRemoteTarget(t) {
-				continue
-			}
-			if _, ok := fs.ix.IDOf(t); !ok {
-				return false, errUndecided
-			}
+	// themselves; only a permanent link can lead anywhere else.
+	for t := range ds.perm {
+		if IsRemoteTarget(t) {
+			continue
+		}
+		if _, ok := fs.ix.IDOf(t); !ok {
+			return false, errUndecided
 		}
 	}
 	return false, nil

@@ -90,8 +90,8 @@ type Link struct {
 //
 // The query result is stored as the paper stores it, a set: trans, the
 // transient targets the last consistency pass committed, sorted. Its
-// links exist only as a view HAC serves (view.go). Permanent links are
-// physical symlinks on the substrate.
+// links, and the permanent links, exist only as a view HAC serves
+// (view.go): the substrate holds none of a semantic directory's links.
 type dirState struct {
 	uid       uint64
 	semantic  bool
@@ -100,18 +100,13 @@ type dirState struct {
 
 	trans     []string          // transient targets, sorted
 	transName map[string]string // transient target → link name, where not linkBaseName(target)
-	changed   time.Time         // when trans last changed: the ModTime of its links
+	changed   time.Time         // when a link last changed: the ModTime of the links
 
-	perm       map[string]string // permanent target → symlink base name
+	perm       map[string]string // permanent target → link name
 	prohibited map[string]bool
 
-	// everPermanent is set once the directory has been handed a
-	// permanent link and never cleared: only then can it link a target
-	// that is not an indexed document (delta.go scans for those).
-	everPermanent bool
-
 	viewMu sync.Mutex // serializes building view under fs.mu's read lock
-	view   *linkView  // name index of trans; nil until used after a commit
+	view   *linkView  // name index of trans and perm; nil until used after a commit
 }
 
 func newDirState(uid uint64) *dirState {
@@ -608,8 +603,9 @@ func (fs *FS) WriteFile(path string, data []byte) error {
 
 // Symlink creates a symbolic link. When the link is created inside a
 // semantic directory, HAC classifies it as a permanent link (§2.3:
-// "links that were explicitly added by the user") and restores scope
-// consistency for the directories that depend on it. A view link's name
+// "links that were explicitly added by the user"), which is a view entry
+// (view.go), and restores scope consistency for the directories that
+// depend on it. A name the directory holds, physically or in the view,
 // is taken, as a symlink's would be.
 func (fs *FS) Symlink(target, link string) error {
 	direct := fs.resolvePath(link)
@@ -628,18 +624,16 @@ func (fs *FS) Symlink(target, link string) error {
 	if !ok || !ds.semantic {
 		return fs.under.Symlink(target, clean)
 	}
+	if target == "" {
+		return &vfs.PathError{Op: "symlink", Path: link, Err: vfs.ErrInvalid}
+	}
 	if _, _, taken := fs.viewLinkLocked(dir, base); taken {
 		return &vfs.PathError{Op: "symlink", Path: link, Err: vfs.ErrExist}
 	}
-	// The superseded permanent link is removed first: if creating the new
-	// symlink then fails, the old one is still classified and the Sync
-	// repair pass (sync.go) rematerializes it. The reverse order could fail
-	// with the new symlink on disk but unclassified — a state no repair
-	// pass can distinguish from a user link that was never registered.
-	if err := fs.removeSupersededLocked(ds, dir, target, base); err != nil {
-		return err
-	}
-	if err := fs.under.Symlink(target, clean); err != nil {
+	if _, err := fs.under.Lstat(clean); !isNotExist(err) {
+		if err == nil {
+			err = &vfs.PathError{Op: "symlink", Path: link, Err: vfs.ErrExist}
+		}
 		return err
 	}
 	ds.setPermanent(target, base)
@@ -648,44 +642,6 @@ func (fs *FS) Symlink(target, link string) error {
 	delete(ds.prohibited, target)
 	fs.bumpScopeEpochLocked(ds.uid)
 	return fs.resyncLocked(fs.graph.AffectedBy(ds.uid, false), fs.evalCfg(nil))
-}
-
-// removeSupersededLocked removes the symlink of ds's permanent link to t
-// if it has one under a name other than name, where a new link to t is
-// arriving: the directory links each target once. The classification is
-// left for setPermanent to replace; a transient link to t goes there
-// too. Caller holds fs.mu for writing.
-func (fs *FS) removeSupersededLocked(ds *dirState, dirPath, t, name string) error {
-	old, had := ds.perm[t]
-	if !had || old == name || old == "" {
-		return nil
-	}
-	if err := fs.under.Remove(vfs.Join(dirPath, old)); err != nil && !isNotExist(err) {
-		return err
-	}
-	return nil
-}
-
-// repairLinkLocked re-creates the symlink at lp to t, or re-points it,
-// when it is missing or points elsewhere, reporting whether it had to.
-// Caller holds fs.mu for writing.
-func (fs *FS) repairLinkLocked(t, lp string) (bool, error) {
-	info, err := fs.under.Lstat(lp)
-	switch {
-	case isNotExist(err):
-	case err != nil:
-		return false, err
-	case info.Type == vfs.TypeSymlink && info.Target != t:
-		if err := fs.under.Remove(lp); err != nil && !isNotExist(err) {
-			return false, err
-		}
-	default:
-		return false, nil
-	}
-	if err := fs.under.Symlink(t, lp); err != nil {
-		return false, err
-	}
-	return true, nil
 }
 
 // Readlink returns the target of the symlink or view link at path.
@@ -706,8 +662,8 @@ func (fs *FS) Readlink(path string) (string, error) {
 	return info.Target, nil
 }
 
-// Remove deletes the object at path. Deleting a symbolic link from a
-// semantic directory marks its target prohibited, so that it "will not
+// Remove deletes the object at path. Deleting a link from a semantic
+// directory marks its target prohibited, so that it "will not
 // be implicitly added later without a direct action by the user"
 // (§2.3). Deleting a semantic directory referenced by other queries is
 // refused.
@@ -742,35 +698,27 @@ func (fs *FS) removeLocked(clean string, recursive bool) error {
 	fs.gen++
 	dir, base := vfs.Split(clean)
 
-	// A symlink disappearing from a semantic directory becomes a
-	// prohibition. Inspect before the substrate removes it — and abort
-	// on an inspection failure: proceeding would delete the link without
-	// recording the prohibition (or skip the referenced-by check below),
-	// silently losing §2.3 state on a transient substrate fault.
-	var prohibitIn *dirState
-	var prohibitTarget string
+	// A link disappearing from a semantic directory becomes a prohibition.
+	// Inspect before the substrate removes anything — and abort on an
+	// inspection failure: proceeding could delete a directory that is
+	// referenced by other queries, or lose a link's removal.
 	info, lerr := fs.under.Lstat(clean)
 	switch {
 	case isNotExist(lerr):
-		// A view link has nothing on the substrate to remove: its removal
-		// is the prohibition alone.
+		// A link has nothing on the substrate to remove: its removal is
+		// the prohibition alone.
 		if ds, t, ok := fs.viewLinkLocked(dir, base); ok {
-			ds.dropTrans(t)
+			ds.dropLink(t)
 			ds.prohibited[t] = true
 			fs.bumpScopeEpochLocked(ds.uid)
 			return fs.resyncLocked(fs.graph.AffectedBy(ds.uid, false), fs.evalCfg(nil))
 		}
 	case lerr != nil:
 		return lerr
-	case info.Type == vfs.TypeSymlink:
-		if ds, ok := fs.stateAtLocked(dir); ok && ds.semantic {
-			prohibitIn = ds
-			prohibitTarget = info.Target
-		}
 	case info.Type == vfs.TypeDir:
-		// A semantic directory's view links keep it from being empty, as
-		// its symlinks would.
-		if ds, ok := fs.stateAtLocked(clean); ok && !recursive && ds.semantic && len(ds.trans) > 0 {
+		// A semantic directory's links keep it from being empty, as
+		// symlinks would.
+		if ds, ok := fs.stateAtLocked(clean); ok && !recursive && ds.semantic && ds.hasLinks() {
 			return &vfs.PathError{Op: "remove", Path: clean, Err: vfs.ErrNotEmpty}
 		}
 		// Removing a directory subtree must not orphan queries that
@@ -790,16 +738,6 @@ func (fs *FS) removeLocked(clean string, recursive bool) error {
 		return err
 	}
 	fs.attrs.invalidatePrefix(clean)
-
-	if prohibitIn != nil {
-		// The link's classification goes — an unclassified (pre-existing)
-		// link has none — and the explicit deletion is recorded.
-		delete(prohibitIn.perm, prohibitTarget)
-		prohibitIn.dropTrans(prohibitTarget)
-		prohibitIn.prohibited[prohibitTarget] = true
-		fs.bumpScopeEpochLocked(prohibitIn.uid)
-		return fs.resyncLocked(fs.graph.AffectedBy(prohibitIn.uid, false), fs.evalCfg(nil))
-	}
 
 	// Drop bookkeeping for removed directories.
 	for _, uid := range fs.names.RemoveSubtree(clean) {
@@ -833,9 +771,9 @@ func (fs *FS) checkRemovableLocked(clean string) error {
 // Rename moves oldPath to newPath. HAC updates the global UID→path map
 // (§2.5) — so queries referencing renamed directories stay valid — and
 // re-establishes scope consistency for any semantic directory whose
-// parent changed. Moving a symlink between semantic directories
+// parent changed. Moving a link out of or into a semantic directory
 // reclassifies it: a prohibition where it left, a permanent link where
-// it arrived.
+// it arrived (moveLinkLocked).
 func (fs *FS) Rename(oldPath, newPath string) error {
 	oldDirect := fs.resolvePath(oldPath)
 	newDirect := fs.resolvePath(newPath)
@@ -862,31 +800,31 @@ func (fs *FS) Rename(oldPath, newPath string) error {
 	// Inspect the source before the substrate moves it, and abort on an
 	// inspection failure as removeLocked does: a directory taken for a
 	// file would move without its names and index entries following, and
-	// a link taken for a file without its prohibition. A missing source
-	// is left to the substrate's Rename to report — unless it is a view
-	// link.
+	// a link taken for a file without its reclassification. A missing
+	// source is left to the substrate's Rename to report — unless it is a
+	// view link.
 	info, statErr := fs.under.Lstat(oldClean)
 	switch {
 	case isNotExist(statErr):
 		if ds, t, ok := fs.viewLinkLocked(oldDir, oldBase); ok {
-			return fs.renameViewLinkLocked(ds, t, oldClean, newClean)
+			return fs.moveLinkLocked(t, oldClean, newClean, ds)
 		}
 	case statErr != nil:
 		return statErr
+	case info.Type == vfs.TypeSymlink:
+		if ds, ok := fs.stateAtLocked(newDir); ok && ds.semantic {
+			return fs.moveLinkLocked(info.Target, oldClean, newClean, nil)
+		}
 	case info.Type == vfs.TypeDir && oldClean != newClean:
-		// A view link or a semantic directory's view links refuse a
-		// directory as the symlinks would.
+		// A link or a semantic directory's links refuse a directory as
+		// symlinks would.
 		if _, _, ok := fs.viewLinkLocked(newDir, newBase); ok {
 			return &vfs.PathError{Op: "rename", Path: newPath, Err: vfs.ErrNotDir}
 		}
-		if ds, ok := fs.stateAtLocked(newClean); ok && ds.semantic && len(ds.trans) > 0 {
+		if ds, ok := fs.stateAtLocked(newClean); ok && ds.semantic && ds.hasLinks() {
 			return &vfs.PathError{Op: "rename", Path: newPath, Err: vfs.ErrNotEmpty}
 		}
 	}
-
-	// Moving a symlink: Lstat carried its target.
-	isLink := statErr == nil && info.Type == vfs.TypeSymlink
-	linkTarget := info.Target
 
 	if err := fs.under.Rename(oldClean, newClean); err != nil {
 		return err
@@ -897,32 +835,15 @@ func (fs *FS) Rename(oldPath, newPath string) error {
 	}
 	fs.attrs.invalidatePrefix(oldClean)
 	fs.attrs.invalidatePrefix(newClean)
+	if info.Type == vfs.TypeSymlink {
+		// A symlink outside the semantic directories is no link HAC keeps.
+		return nil
+	}
 
 	autoSynced := fs.autoSync.covers(oldClean) || fs.autoSync.covers(newClean)
-	// A classified link the move wrote over is gone. The link branch
-	// below re-syncs its directory anyway; the file branch does so for
-	// overwritten. A directory cannot replace a link.
-	overwritten := fs.dropOverwrittenLinkLocked(newDir, newBase, linkTarget)
-
-	if isLink {
-		var resync []uint64
-		if ds, ok := fs.stateAtLocked(oldDir); ok && ds.semantic && linkTarget != "" {
-			if _, had := ds.perm[linkTarget]; had {
-				delete(ds.perm, linkTarget)
-				ds.prohibited[linkTarget] = true
-				resync = append(resync, ds.uid)
-			}
-		}
-		if ds, ok := fs.stateAtLocked(newDir); ok && ds.semantic && linkTarget != "" {
-			if err := fs.removeSupersededLocked(ds, newDir, linkTarget, newBase); err != nil {
-				return err
-			}
-			ds.setPermanent(linkTarget, newBase)
-			delete(ds.prohibited, linkTarget)
-			resync = append(resync, ds.uid)
-		}
-		return fs.resyncEachLocked(resync)
-	}
+	// A link the move wrote over is gone. The file branch below re-syncs
+	// its directory; a directory cannot replace a link.
+	overwritten := fs.dropOverwrittenLinkLocked(newDir, newBase, "")
 
 	if statErr == nil && info.Type == vfs.TypeDir {
 		// One global-map update instead of rewriting queries (§2.5).
@@ -932,9 +853,7 @@ func (fs *FS) Rename(oldPath, newPath string) error {
 		// observed the rename, so the user's permanent links and
 		// prohibitions keep tracking the same documents instead of
 		// dangling until they notice.
-		if err := fs.rewriteTargetsLocked(oldClean, newClean); err != nil {
-			return err
-		}
+		fs.rewriteTargetsLocked(oldClean, newClean)
 		// If a semantic directory changed parents its scope changed;
 		// re-establish consistency from it downward.
 		var moved *dirState
@@ -963,9 +882,7 @@ func (fs *FS) Rename(oldPath, newPath string) error {
 	// Content re-checks remain lazy (§2.4) — except under an auto-sync
 	// prefix, where the one moved document's links are settled now.
 	fs.ix.RenamePath(oldClean, newClean)
-	if err := fs.rewriteTargetsLocked(oldClean, newClean); err != nil {
-		return err
-	}
+	fs.rewriteTargetsLocked(oldClean, newClean)
 	if overwritten != nil {
 		fs.bumpScopeEpochLocked(overwritten.uid)
 		if err := fs.resyncLocked(fs.graph.AffectedBy(overwritten.uid, false), fs.evalCfg(nil)); err != nil {
@@ -978,28 +895,22 @@ func (fs *FS) Rename(oldPath, newPath string) error {
 	return nil
 }
 
-// resyncEachLocked records that the link sets of the directories uids
-// changed and restores consistency below each. Caller holds fs.mu for
-// writing.
-func (fs *FS) resyncEachLocked(uids []uint64) error {
-	for _, uid := range uids {
-		fs.bumpScopeEpochLocked(uid)
-		if err := fs.resyncLocked(fs.graph.AffectedBy(uid, false), fs.evalCfg(nil)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// renameViewLinkLocked moves ds's view link oldClean, to t, onto
-// newClean, replacing what is there as a rename would. It is the one
-// move that writes a symlink: a link the user moved out of the view, even
-// to another name in the same directory, is the user's own (§2.3) — a
-// prohibition where it left, a permanent link where it arrived. Caller
+// moveLinkLocked renames the link oldClean, to t, onto newClean, replacing
+// what is there as a rename would. from is the semantic directory whose
+// view holds the link, or nil for a physical symlink, which is removed. A
+// link the user moved is the user's own (§2.3), even at another name in
+// the same directory: where it leaves a view its target is prohibited,
+// and where it arrives it is a permanent link in a semantic directory and
+// a symlink in any other — the one move that writes a symlink. Caller
 // holds fs.mu for writing.
-func (fs *FS) renameViewLinkLocked(ds *dirState, t, oldClean, newClean string) error {
+func (fs *FS) moveLinkLocked(t, oldClean, newClean string, from *dirState) error {
 	if oldClean == newClean {
 		return nil
+	}
+	newDir, newBase := vfs.Split(newClean)
+	to, ok := fs.stateAtLocked(newDir)
+	if ok && !to.semantic {
+		to = nil
 	}
 	info, err := fs.under.Lstat(newClean)
 	switch {
@@ -1012,64 +923,64 @@ func (fs *FS) renameViewLinkLocked(ds *dirState, t, oldClean, newClean string) e
 	case !isNotExist(err):
 		return err
 	}
-	if err := fs.under.Symlink(t, newClean); err != nil {
-		return err
-	}
-	fs.attrs.invalidatePrefix(newClean)
-	ds.dropTrans(t)
-	ds.prohibited[t] = true
-	resync := []uint64{ds.uid}
-	newDir, newBase := vfs.Split(newClean)
-	fs.dropOverwrittenLinkLocked(newDir, newBase, t)
-	if nds, ok := fs.stateAtLocked(newDir); ok && nds.semantic {
-		if err := fs.removeSupersededLocked(nds, newDir, t, newBase); err != nil {
+	if to == nil {
+		if err := fs.under.Symlink(t, newClean); err != nil {
 			return err
 		}
-		nds.setPermanent(t, newBase)
-		delete(nds.prohibited, t)
-		if nds != ds {
-			resync = append(resync, nds.uid)
+	}
+	if from == nil {
+		if err := fs.under.Remove(oldClean); err != nil {
+			return err
 		}
 	}
-	return fs.resyncEachLocked(resync)
-}
-
-// dropOverwrittenLinkLocked records that a rename replaced the entry
-// name of the directory at dirPath. A classified link of a semantic
-// directory there — other than one to keep, the moved link's own target
-// — was deleted by the user and becomes a prohibition, as in Remove
-// (§2.3); so no two classified targets ever share a link name. It
-// returns the directory it changed, or nil. Caller holds fs.mu for
-// writing.
-func (fs *FS) dropOverwrittenLinkLocked(dirPath, name, keep string) *dirState {
-	ds, ok := fs.stateAtLocked(dirPath)
-	if !ok || !ds.semantic {
-		return nil
+	fs.attrs.invalidatePrefix(newClean)
+	var resync []uint64
+	if from != nil {
+		from.dropLink(t)
+		from.prohibited[t] = true
+		resync = append(resync, from.uid)
 	}
-	for t, n := range ds.perm {
-		if n == name && t != keep {
-			delete(ds.perm, t)
-			ds.prohibited[t] = true
-			return ds
+	if to != nil {
+		fs.dropOverwrittenLinkLocked(newDir, newBase, t)
+		to.setPermanent(t, newBase)
+		delete(to.prohibited, t)
+		if to != from {
+			resync = append(resync, to.uid)
 		}
 	}
-	if t, ok := ds.viewIndex()[name]; ok && t != keep {
-		ds.dropTrans(t)
-		ds.prohibited[t] = true
-		return ds
+	for _, uid := range resync {
+		fs.bumpScopeEpochLocked(uid)
+		if err := fs.resyncLocked(fs.graph.AffectedBy(uid, false), fs.evalCfg(nil)); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
+// dropOverwrittenLinkLocked records that a rename replaced the entry
+// name of the directory at dirPath. A link of a semantic directory there
+// — other than one to keep, the moved link's own target — was deleted by
+// the user and becomes a prohibition, as in Remove (§2.3); so no two
+// classified targets ever share a link name. It returns the directory it
+// changed, or nil. Caller holds fs.mu for writing.
+func (fs *FS) dropOverwrittenLinkLocked(dirPath, name, keep string) *dirState {
+	ds, t, ok := fs.viewLinkLocked(dirPath, name)
+	if !ok || t == keep {
+		return nil
+	}
+	ds.dropLink(t)
+	ds.prohibited[t] = true
+	return ds
+}
+
 // rewriteTargetsLocked updates every classified link target at or under
-// oldPrefix to the corresponding path under newPrefix, re-pointing the
-// physical symlinks of permanent links; a link keeps its name. Prohibitions
-// follow too: the user prohibited the document, not its path. A link or
-// prohibition already at a path an entry moves onto named the document
-// the rename wrote over; it is displaced — the link dropped, the
-// prohibition lifted — so the moved entry is the only one left there.
+// oldPrefix to the corresponding path under newPrefix; a link keeps its
+// name. Prohibitions follow too: the user prohibited the document, not its
+// path. A link or prohibition already at a path an entry moves onto named
+// the document the rename wrote over; it is displaced — the link dropped,
+// the prohibition lifted — so the moved entry is the only one left there.
 // Caller holds fs.mu.
-func (fs *FS) rewriteTargetsLocked(oldPrefix, newPrefix string) error {
+func (fs *FS) rewriteTargetsLocked(oldPrefix, newPrefix string) {
 	moved := func(t string) (string, bool) {
 		if IsRemoteTarget(t) || !vfs.HasPrefix(t, oldPrefix) {
 			return "", false
@@ -1079,10 +990,6 @@ func (fs *FS) rewriteTargetsLocked(oldPrefix, newPrefix string) error {
 	type move struct{ old, new string }
 	for _, ds := range fs.dirs {
 		if !ds.semantic {
-			continue
-		}
-		dirPath, ok := fs.pathOfLocked(ds.uid)
-		if !ok {
 			continue
 		}
 		var transMoves, permMoves, prohMoves []move
@@ -1105,9 +1012,7 @@ func (fs *FS) rewriteTargetsLocked(oldPrefix, newPrefix string) error {
 		for _, ms := range [3][]move{transMoves, permMoves, prohMoves} {
 			for _, m := range ms {
 				if _, linked := ds.linked(m.new); linked {
-					if err := fs.dropLinkLocked(ds, dirPath, m.new); err != nil {
-						return err
-					}
+					ds.dropLink(m.new)
 					changed = true
 				}
 				delete(ds.prohibited, m.new)
@@ -1133,21 +1038,13 @@ func (fs *FS) rewriteTargetsLocked(oldPrefix, newPrefix string) error {
 					ds.view.byName[names[i]] = m.new
 				}
 			}
-			ds.changed = time.Now()
 		}
 		for _, m := range permMoves {
 			name := ds.perm[m.old]
 			delete(ds.perm, m.old)
 			ds.perm[m.new] = name
-			if name == "" {
-				continue
-			}
-			lp := vfs.Join(dirPath, name)
-			if err := fs.under.Remove(lp); err != nil && !isNotExist(err) {
-				return err
-			}
-			if err := fs.under.Symlink(m.new, lp); err != nil {
-				return err
+			if ds.view != nil {
+				ds.view.byName[name] = m.new
 			}
 		}
 		for _, m := range prohMoves {
@@ -1155,10 +1052,10 @@ func (fs *FS) rewriteTargetsLocked(oldPrefix, newPrefix string) error {
 			ds.prohibited[m.new] = true
 		}
 		if changed {
+			ds.changed = time.Now()
 			fs.bumpScopeEpochLocked(ds.uid)
 		}
 	}
-	return nil
 }
 
 // Stat returns metadata for path, consulting the attribute cache first

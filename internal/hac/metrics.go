@@ -18,19 +18,17 @@ type fsMetrics struct {
 
 	// Per-phase timings of one evaluation pass (the paper's "where
 	// does the time go": scope gather vs. query eval vs. remote import
-	// vs. link commit vs. crash repair).
+	// vs. link commit).
 	phaseScope  *obs.Histogram // hac_sync_phase_seconds{phase="scope"}
 	phaseEval   *obs.Histogram // hac_sync_phase_seconds{phase="eval"}
 	phaseRemote *obs.Histogram // hac_sync_phase_seconds{phase="remote"}
 	phaseCommit *obs.Histogram // hac_sync_phase_seconds{phase="commit"}
-	phaseRepair *obs.Histogram // hac_sync_phase_seconds{phase="repair"}
 
 	// Per-semantic-directory evaluation counts and fallbacks.
-	semdirEvals   *obs.Counter // hac_semdir_evals_total
-	genFallbacks  *obs.Counter // hac_eval_gen_fallbacks_total
-	linksAdded    *obs.Counter // hac_links_added_total
-	linksDropped  *obs.Counter // hac_links_dropped_total
-	linksRepaired *obs.Counter // hac_links_repaired_total
+	semdirEvals  *obs.Counter // hac_semdir_evals_total
+	genFallbacks *obs.Counter // hac_eval_gen_fallbacks_total
+	linksAdded   *obs.Counter // hac_links_added_total
+	linksDropped *obs.Counter // hac_links_dropped_total
 
 	// Auto-synced mutations (delta.go): passes run, single-link
 	// membership checks made, directories that took the full evaluation.
@@ -75,13 +73,11 @@ func newFSMetrics(o *obs.Observer) *fsMetrics {
 		phaseEval:   phase("eval"),
 		phaseRemote: phase("remote"),
 		phaseCommit: phase("commit"),
-		phaseRepair: phase("repair"),
 
-		semdirEvals:   r.Counter("hac_semdir_evals_total"),
-		genFallbacks:  r.Counter("hac_eval_gen_fallbacks_total"),
-		linksAdded:    r.Counter("hac_links_added_total"),
-		linksDropped:  r.Counter("hac_links_dropped_total"),
-		linksRepaired: r.Counter("hac_links_repaired_total"),
+		semdirEvals:  r.Counter("hac_semdir_evals_total"),
+		genFallbacks: r.Counter("hac_eval_gen_fallbacks_total"),
+		linksAdded:   r.Counter("hac_links_added_total"),
+		linksDropped: r.Counter("hac_links_dropped_total"),
 
 		autoSyncs:         r.Counter("hac_autosync_total"),
 		autoSyncChecks:    r.Counter("hac_autosync_delta_checks_total"),

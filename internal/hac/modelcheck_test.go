@@ -20,8 +20,8 @@ package hac
 // the corpus at the last reindex (the paper's lazy data consistency).
 // Within that restriction the check is total: the harness compares the
 // complete classified link sets, which subsumes all three invariants,
-// and additionally runs FS.CheckConsistency (I2/I4, the permanent links'
-// symlinks and the view's names) every step.
+// and additionally runs FS.CheckConsistency (I2/I4, no symlink in a
+// semantic directory and the view's names) every step.
 //
 // When an injected fault makes an operation fail, the harness settles
 // the volume (faults off, full Reindex — the paper's recovery story),

@@ -97,13 +97,14 @@ type dirImage struct {
 	Path       string
 	Semantic   bool
 	Query      string
-	Class      map[string]int    // target → LinkClass of a physical link: permanent
-	LinkNames  map[string]string // target → symlink base name, for Class
+	Class      map[string]int    // target → LinkClass: permanent
+	LinkNames  map[string]string // target → link name, for Class
 	Prohibited []string
 	// The transient set, sorted, and the link names in it that are not
 	// the target's base name. Images written before transient links were
-	// a view have neither: they list transient links in Class, with a
-	// symlink each in the manifest.
+	// a view have neither: they list transient links in Class. Images
+	// written before links were a view hold a symlink in the manifest for
+	// each link in Class.
 	Trans      []string
 	TransNames map[string]string
 }
@@ -500,33 +501,36 @@ func LoadVolume(r io.Reader, opts Options) (fs *FS, err error) {
 }
 
 // restoreLinksLocked re-attaches a saved directory's links to ds, whose
-// prohibitions are restored. An image written before transient links
-// were a view lists them in Class, each with a symlink in the restored
-// tree: the symlinks are removed and the links join the transient set.
+// prohibitions are restored. An image written before links were a view
+// holds a symlink in the restored tree for each link in Class, transient
+// or permanent: the symlinks are removed, and the links join the view.
 // Caller holds fs.mu for writing.
 func (fs *FS) restoreLinksLocked(ds *dirState, di dirImage) error {
 	trans := di.Trans
 	names := di.TransNames
 	for t, c := range di.Class {
+		if t == "" {
+			continue
+		}
 		name := di.LinkNames[t]
-		if LinkClass(c) == Permanent {
-			ds.setPermanent(t, name)
-			continue
-		}
-		trans = append(trans, t)
 		if !validLinkName(name) {
-			continue
+			name = linkBaseName(t)
 		}
-		if names == nil {
-			names = make(map[string]string)
-		}
-		names[t] = name
 		lp := vfs.Join(di.Path, name)
 		if info, err := fs.under.Lstat(lp); err == nil && info.Type == vfs.TypeSymlink && info.Target == t {
 			if err := fs.under.Remove(lp); err != nil {
 				return err
 			}
 		}
+		if LinkClass(c) == Permanent {
+			ds.setPermanent(t, name)
+			continue
+		}
+		trans = append(trans, t)
+		if names == nil {
+			names = make(map[string]string)
+		}
+		names[t] = name
 	}
 	sort.Strings(trans)
 	trans = slices.Compact(trans)

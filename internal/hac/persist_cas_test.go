@@ -349,17 +349,10 @@ func TestLoadVolumeWrittenByParent(t *testing.T) {
 			t.Fatalf("%s: loaded links %v, rebuilt volume %v", sd[0], gotLinks, wantLinks)
 		}
 	}
-	// The image's transient symlinks left the substrate during the load:
-	// the one symlink left is the permanent link.
-	var symlinks []string
-	err = vfs.Walk(loaded.Under(), "/", func(p string, info vfs.Info) error {
-		if info.Type == vfs.TypeSymlink {
-			symlinks = append(symlinks, p)
-		}
-		return nil
-	})
-	if err != nil || !reflect.DeepEqual(symlinks, []string{"/s-even/mine.txt"}) {
-		t.Fatalf("symlinks on the loaded substrate = %v, %v", symlinks, err)
+	// The image's symlinks, transient and permanent, left the substrate
+	// during the load.
+	if symlinks := symlinksOn(t, loaded); len(symlinks) != 0 {
+		t.Fatalf("symlinks on the loaded substrate = %v", symlinks)
 	}
 	if problems := loaded.CheckConsistency(); len(problems) != 0 {
 		t.Fatalf("loaded volume: %v", problems)
@@ -397,5 +390,86 @@ func TestLoadVolumeWrittenByParent(t *testing.T) {
 	// The index section was usable as loaded: a reindex finds nothing to do.
 	if rep, err := loaded.Reindex("/"); err != nil || rep.Added+rep.Updated+rep.Removed != 0 {
 		t.Fatalf("reindex after load = %+v, %v", rep, err)
+	}
+}
+
+// symlinksOn lists every symlink on fs's substrate.
+func symlinksOn(t *testing.T, fs *FS) []string {
+	t.Helper()
+	var symlinks []string
+	err := vfs.Walk(fs.Under(), "/", func(p string, info vfs.Info) error {
+		if info.Type == vfs.TypeSymlink {
+			symlinks = append(symlinks, p)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return symlinks
+}
+
+// permFixtureVolume builds the volume testdata/parent-4496245-perm.hac
+// holds, saved by commit 4496245, where permanent links were symlinks:
+// a permanent link made each way a user makes one.
+func permFixtureVolume(t *testing.T) *FS {
+	t.Helper()
+	fs := newCASTestFS(t, nil)
+	steps := []func() error{
+		func() error { return fs.SemDir("/sel", "apple") },
+		func() error { return fs.MarkPermanent("/sel", "/docs/apple1.txt") },
+		func() error { return fs.MarkPermanent("/sel", "/docs/cherry.txt") },
+		func() error { return fs.Symlink("/docs/banana.txt", "/sel/yellow") },
+		func() error { return fs.Mkdir("/old") },
+		func() error { return fs.Symlink("/mail/m2.txt", "/old/m2") },
+		func() error { return fs.SemDir("/old", "cherry") },
+		func() error { return fs.Rename("/sel/apple2.txt", "/old/a2.txt") },
+	}
+	for i, step := range steps {
+		if err := step(); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+	}
+	return fs
+}
+
+// TestLoadPermanentLinksWrittenByParent: an image whose permanent links
+// are symlinks in the manifest loads with the links its saving volume
+// listed, and none of them left on the substrate.
+func TestLoadPermanentLinksWrittenByParent(t *testing.T) {
+	loaded, err := LoadVolumeFile("testdata/parent-4496245-perm.hac", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]Link{
+		"/old": {
+			{Name: "a2.txt", Target: "/docs/apple2.txt", Class: Permanent},
+			{Name: "cherry.txt", Target: "/docs/cherry.txt", Class: Transient},
+			{Name: "m2", Target: "/mail/m2.txt", Class: Permanent},
+		},
+		"/sel": {
+			{Name: "apple1.txt", Target: "/docs/apple1.txt", Class: Permanent},
+			{Target: "/docs/apple2.txt", Class: Prohibited},
+			{Name: "yellow", Target: "/docs/banana.txt", Class: Permanent},
+			{Name: "cherry.txt", Target: "/docs/cherry.txt", Class: Permanent},
+			{Name: "m1.txt", Target: "/mail/m1.txt", Class: Transient},
+		},
+	}
+	live := permFixtureVolume(t)
+	for _, fs := range []*FS{loaded, live} {
+		for dir, links := range want {
+			if got, err := fs.Links(dir); err != nil || !reflect.DeepEqual(got, links) {
+				t.Fatalf("%s links %+v, %v; want %+v", dir, got, err, links)
+			}
+		}
+		if symlinks := symlinksOn(t, fs); len(symlinks) != 0 {
+			t.Fatalf("symlinks on the substrate = %v", symlinks)
+		}
+		if problems := fs.CheckConsistency(); len(problems) != 0 {
+			t.Fatal(problems)
+		}
+	}
+	if target, err := loaded.Readlink("/sel/yellow"); err != nil || target != "/docs/banana.txt" {
+		t.Fatalf("loaded /sel/yellow -> %q, %v", target, err)
 	}
 }

@@ -2,7 +2,6 @@ package hac
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"time"
 
@@ -16,7 +15,9 @@ import (
 // exist the directory is created (and removed again should query
 // installation fail, so creation is atomic). If path is an existing
 // directory it is converted in place, keeping its contents; existing
-// symbolic links are classified permanent (the user put them there).
+// symbolic links are classified permanent (the user put them there) and,
+// like every link of a semantic directory, leave the substrate for the
+// view.
 //
 // The query may be empty, in which case the directory starts with no
 // transient links and can be given a query later with SetQuery.
@@ -70,7 +71,10 @@ func (fs *FS) SemDir(path, queryStr string) error {
 
 // makeSemanticLocked promotes ds to semantic (adopting the directory's
 // pre-existing symlinks as permanent links when adoptLinks is set) and
-// installs the query. Caller holds fs.mu for writing.
+// installs the query. An adopted symlink is removed from the substrate
+// before it joins the view; should a removal fail, the directory is left
+// semantic with the symlinks not yet adopted still physical, which
+// CheckConsistency reports. Caller holds fs.mu for writing.
 func (fs *FS) makeSemanticLocked(ds *dirState, clean string, ast query.Node, adoptLinks bool) error {
 	if !ds.semantic {
 		ds.semantic = true
@@ -85,9 +89,14 @@ func (fs *FS) makeSemanticLocked(ds *dirState, clean string, ast query.Node, ado
 					continue
 				}
 				lp := vfs.Join(clean, e.Name)
-				if target, err := fs.under.Readlink(lp); err == nil {
-					ds.setPermanent(target, e.Name)
+				target, err := fs.under.Readlink(lp)
+				if err != nil {
+					return err
 				}
+				if err := fs.under.Remove(lp); err != nil {
+					return err
+				}
+				ds.setPermanent(target, e.Name)
 			}
 		}
 	}
@@ -97,9 +106,11 @@ func (fs *FS) makeSemanticLocked(ds *dirState, clean string, ast query.Node, ado
 // MakeSyntactic discards a directory's content-based behavior (the
 // paper: CBA features "can be discarded and added at any time"). The
 // directory keeps every current link — they become plain symlinks the
-// consistency machinery no longer touches, so each transient link is
-// written to the substrate — and its query, link classifications and
-// prohibitions are dropped. Directories whose queries reference it keep
+// consistency machinery no longer touches, so each link, transient or
+// permanent, is written to the substrate — and its query, link
+// classifications and prohibitions are dropped. Should a write fail, the
+// symlinks already written are removed again and the directory stays
+// semantic. Directories whose queries reference it keep
 // working: it now provides scope like any syntactic directory. It fails
 // with ErrNotSemantic if the directory is not semantic.
 func (fs *FS) MakeSyntactic(path string) error {
@@ -114,16 +125,21 @@ func (fs *FS) MakeSyntactic(path string) error {
 		return &vfs.PathError{Op: "smkdir", Path: path, Err: ErrNotSemantic}
 	}
 	fs.gen++
-	for i, t := range ds.trans {
-		if err := fs.under.Symlink(t, vfs.Join(clean, ds.nameOf(t))); err != nil {
-			// The directory stays semantic; the links already written are
-			// physical now, so they stay as permanent links.
-			for _, w := range slices.Clone(ds.trans[:i]) {
-				ds.setPermanent(w, ds.nameOf(w))
+	var written []string
+	for _, l := range ds.links() {
+		if l.Class == Prohibited {
+			continue
+		}
+		lp := vfs.Join(clean, l.Name)
+		if err := fs.under.Symlink(l.Target, lp); err != nil {
+			// The write error is the one to report; a symlink a removal
+			// leaves behind is CheckConsistency's to report.
+			for _, w := range written {
+				_ = fs.under.Remove(w)
 			}
-			fs.bumpScopeEpochLocked(ds.uid)
 			return err
 		}
+		written = append(written, lp)
 	}
 	ds.semantic = false
 	ds.ast = nil
@@ -351,18 +367,7 @@ func (fs *FS) Links(path string) ([]Link, error) {
 	if !ok || !ds.semantic {
 		return nil, &vfs.PathError{Op: "slinks", Path: path, Err: ErrNotSemantic}
 	}
-	out := make([]Link, 0, len(ds.trans)+len(ds.perm)+len(ds.prohibited))
-	for _, target := range ds.trans {
-		out = append(out, Link{Name: ds.nameOf(target), Target: target, Class: Transient})
-	}
-	for target, name := range ds.perm {
-		out = append(out, Link{Name: name, Target: target, Class: Permanent})
-	}
-	for target := range ds.prohibited {
-		out = append(out, Link{Target: target, Class: Prohibited})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Target < out[j].Target })
-	return out, nil
+	return ds.links(), nil
 }
 
 // LinkTargets returns the targets of the directory's current links
@@ -384,8 +389,9 @@ func (fs *FS) LinkTargets(path string) ([]string, error) {
 // MarkPermanent promotes an existing link to permanent, or creates a
 // new permanent link to target. This is one of the paper's "special API
 // routines to directly modify the set of permanent and prohibited
-// symbolic links" (§2.3, footnote). A permanent link is a physical
-// symlink: promoting a transient link writes it under its name.
+// symbolic links" (§2.3, footnote). A promoted transient link keeps its
+// name; either way the link is a view entry and nothing is written to the
+// substrate.
 func (fs *FS) MarkPermanent(dirPath, target string) error {
 	clean, err := vfs.Clean(dirPath)
 	if err != nil {
@@ -397,17 +403,17 @@ func (fs *FS) MarkPermanent(dirPath, target string) error {
 	if !ok || !ds.semantic {
 		return &vfs.PathError{Op: "spermanent", Path: dirPath, Err: ErrNotSemantic}
 	}
+	if !validLinkName(linkBaseName(target)) {
+		return &vfs.PathError{Op: "spermanent", Path: target, Err: vfs.ErrInvalid}
+	}
 	fs.gen++
 	delete(ds.prohibited, target)
 	if _, had := ds.perm[target]; !had {
-		var name string
-		if _, transient := ds.transAt(target); transient {
-			name = ds.nameOf(target)
-		} else if name, err = fs.newLinkNameLocked(ds, clean, target); err != nil {
-			return err
-		}
-		if err := fs.under.Symlink(target, vfs.Join(clean, name)); err != nil {
-			return err
+		name := ds.nameOf(target)
+		if _, transient := ds.transAt(target); !transient {
+			if name, err = fs.newLinkNameLocked(ds, clean, target); err != nil {
+				return err
+			}
 		}
 		ds.setPermanent(target, name)
 	}
@@ -430,9 +436,7 @@ func (fs *FS) MarkProhibited(dirPath, target string) error {
 		return &vfs.PathError{Op: "sprohibit", Path: dirPath, Err: ErrNotSemantic}
 	}
 	fs.gen++
-	if err := fs.dropLinkLocked(ds, clean, target); err != nil {
-		return err
-	}
+	ds.dropLink(target)
 	ds.prohibited[target] = true
 	fs.bumpScopeEpochLocked(ds.uid)
 	return fs.resyncLocked(fs.graph.AffectedBy(ds.uid, false), fs.evalCfg(nil))

@@ -230,22 +230,13 @@ func (fs *FS) computeTargetsLocked(ds *dirState, cfg evalConfig) ([]string, erro
 // in both keeps its link name; one only in the old list is dropped; one
 // only in the new list is added under its base name or the first free
 // ~n, in target order. None of it touches the substrate but one ReadDir
-// when there are adds, to learn the names taken physically. The
-// permanent links, which are physical, are repaired first. Caller holds
+// when there are adds, to learn the names taken physically. Caller holds
 // fs.mu for writing.
 func (fs *FS) commitTargetsLocked(ds *dirState, targets []string) error {
 	dirPath, ok := fs.pathOfLocked(ds.uid)
 	if !ok {
 		return fmt.Errorf("%w: uid %d", ErrDanglingRef, ds.uid)
 	}
-	repairStart := time.Now()
-	repaired, err := fs.repairPermanentLocked(ds, dirPath)
-	fs.met.linksRepaired.Add(int64(repaired))
-	fs.met.phaseRepair.ObserveSince(repairStart)
-	if err != nil {
-		return err
-	}
-
 	commitStart := time.Now()
 	old := ds.trans
 	var drops, adds []string
@@ -271,21 +262,23 @@ func (fs *FS) commitTargetsLocked(ds *dirState, targets []string) error {
 	}
 	var taken map[string]bool
 	if len(adds) > 0 {
-		if taken, err = fs.takenNamesLocked(ds, dirPath); err != nil {
+		var err error
+		if taken, err = fs.takenNamesLocked(dirPath); err != nil {
 			return err
 		}
 	}
 
-	// The adds must not take a kept link's name: the name index, once the
-	// drops leave it, says which are taken — built here unless a lookup
-	// built it since the last commit — and serves the lookups after. A
-	// commit with no adds edits a built index and builds none.
+	// The adds must not take a kept or permanent link's name: the name
+	// index, once the drops leave it, says which are taken — built here
+	// unless a lookup built it since the last commit — and serves the
+	// lookups after. A commit with no adds edits a built index and builds
+	// none.
 	var view map[string]string
 	switch {
 	case len(adds) > 0 && len(old) > len(drops):
 		view = ds.viewIndex()
 	case len(adds) > 0:
-		view = make(map[string]string, len(adds))
+		view = ds.permIndex(len(adds))
 	case ds.view != nil:
 		view = ds.view.byName
 	}
@@ -311,49 +304,6 @@ func (fs *FS) commitTargetsLocked(ds *dirState, targets []string) error {
 	fs.met.linksDropped.Add(int64(len(drops)))
 	fs.met.linksAdded.Add(int64(len(adds)))
 	fs.met.phaseCommit.ObserveSince(commitStart)
-	return nil
-}
-
-// repairPermanentLocked is the crash repair of ds's permanent links, the
-// one part of a directory that lives on the substrate. A fault between
-// an unlink and a relink — a torn rename rewrite, an interrupted
-// Symlink — can leave a permanent target with its symlink missing, or
-// (when the fault hit a rename's link-rewrite pass) still pointing at
-// the pre-rename path. A permanent link is never re-derived, so it would
-// stay broken: the classification is authoritative, and the symlink is
-// re-created or re-pointed. One Lstat per permanent link, whose Info
-// carries the link's target; transient links have nothing on the
-// substrate to tear. Caller holds fs.mu for writing.
-func (fs *FS) repairPermanentLocked(ds *dirState, dirPath string) (int, error) {
-	repaired := 0
-	for t, name := range ds.perm {
-		if name == "" {
-			continue
-		}
-		ok, err := fs.repairLinkLocked(t, vfs.Join(dirPath, name))
-		if err != nil {
-			return repaired, err
-		}
-		if ok {
-			repaired++
-		}
-	}
-	return repaired, nil
-}
-
-// dropLinkLocked removes ds's link to t: a permanent link's symlink and
-// classification, or the transient link. Caller holds fs.mu for writing.
-func (fs *FS) dropLinkLocked(ds *dirState, dirPath, t string) error {
-	if name, ok := ds.perm[t]; ok {
-		if name != "" {
-			if err := fs.under.Remove(vfs.Join(dirPath, name)); err != nil && !isNotExist(err) {
-				return err
-			}
-		}
-		delete(ds.perm, t)
-		return nil
-	}
-	ds.dropTrans(t)
 	return nil
 }
 

@@ -9,28 +9,33 @@ import (
 	"hacfs/internal/vfs"
 )
 
-// Transient links are a view (DESIGN.md §3). A semantic directory keeps
-// its transient set as the sorted target list its last consistency pass
+// Links are a view (DESIGN.md §3). A semantic directory keeps its
+// transient set as the sorted target list its last consistency pass
 // committed — dirState.trans, plus the few link names that are not the
-// target's base name — and writes nothing for it to the substrate. FS
-// serves each of those links as a symlink through its vfs.FileSystem
-// methods, so that through FS the directory reads as if the links were
-// real (I8). A path the substrate resolves never consults the view: it
-// is read for a ReadDir of a semantic directory, a name the substrate
-// reports missing, and a create, mkdir or symlink that could land on a
-// view name.
+// target's base name — and its permanent links as dirState.perm, and
+// writes nothing for either to the substrate, which holds only the
+// directory's files and subdirectories. FS serves each link as a symlink
+// through its vfs.FileSystem methods, so that through FS the directory
+// reads as if the links were real (I8). A path the substrate resolves
+// never consults the view: it is read for a ReadDir of a semantic
+// directory, a name the substrate reports missing, and a create, mkdir or
+// symlink that could land on a view name.
 
 // maxLinkHops bounds the links one path resolution follows, as the
 // substrates' own walks do: vfs.ErrLoop beyond it.
 const maxLinkHops = 40
 
-// linkView indexes a directory's transient links by name. It is built
-// from trans on first use after a commit replaced the set — at most once
-// per commit — and edits of single links keep a built one current.
+// linkView indexes a directory's links, transient and permanent, by name.
+// It is built from trans and perm on first use after a commit replaced
+// the transient set — at most once per commit — and edits of single links
+// keep a built one current.
 type linkView struct {
 	byName  map[string]string // link name → target
 	entries []vfs.DirEntry    // the links in name order; nil until a ReadDir needs them
 }
+
+// hasLinks reports whether the directory links anything.
+func (ds *dirState) hasLinks() bool { return len(ds.trans)+len(ds.perm) > 0 }
 
 // nameOf returns the link name of transient target t.
 func (ds *dirState) nameOf(t string) string {
@@ -57,7 +62,7 @@ func (ds *dirState) linked(t string) (LinkClass, bool) {
 	return 0, false
 }
 
-// viewIndex returns the name → target index of the transient links,
+// viewIndex returns the name → target index of the links,
 // building it if a commit left it stale. Readers holding fs.mu for
 // reading may call it concurrently.
 func (ds *dirState) viewIndex() map[string]string {
@@ -66,7 +71,7 @@ func (ds *dirState) viewIndex() map[string]string {
 	return ds.viewLocked().byName
 }
 
-// viewEntries returns the transient links as directory entries, in
+// viewEntries returns the links as directory entries, in
 // name order. The slice is shared: callers copy, never modify.
 func (ds *dirState) viewEntries() []vfs.DirEntry {
 	ds.viewMu.Lock()
@@ -86,13 +91,23 @@ func (ds *dirState) viewEntries() []vfs.DirEntry {
 // ds.viewMu.
 func (ds *dirState) viewLocked() *linkView {
 	if ds.view == nil {
-		v := &linkView{byName: make(map[string]string, len(ds.trans))}
+		v := &linkView{byName: ds.permIndex(len(ds.trans))}
 		for _, t := range ds.trans {
 			v.byName[ds.nameOf(t)] = t
 		}
 		ds.view = v
 	}
 	return ds.view
+}
+
+// permIndex returns a new name → target index of the permanent links,
+// with room for extra more.
+func (ds *dirState) permIndex(extra int) map[string]string {
+	m := make(map[string]string, len(ds.perm)+extra)
+	for t, name := range ds.perm {
+		m[name] = t
+	}
+	return m
 }
 
 // The mutators below run with fs.mu held for writing, so no reader is
@@ -134,17 +149,51 @@ func (ds *dirState) setTransName(t, name string) {
 	ds.transName[t] = name
 }
 
-// setPermanent makes t a permanent link named name, replacing a
-// transient link to t: the directory links each target once. The
-// caller has written the symlink.
+// setPermanent makes t a permanent link named name, replacing a link to t
+// of either class: the directory links each target once.
 func (ds *dirState) setPermanent(t, name string) {
-	ds.dropTrans(t)
+	ds.dropLink(t)
 	ds.perm[t] = name
-	ds.everPermanent = true
+	if v := ds.view; v != nil {
+		v.byName[name] = t
+		v.entries = nil
+	}
+	ds.changed = time.Now()
+}
+
+// dropLink unlinks t, if linked, whatever its class.
+func (ds *dirState) dropLink(t string) {
+	name, ok := ds.perm[t]
+	if !ok {
+		ds.dropTrans(t)
+		return
+	}
+	delete(ds.perm, t)
+	if v := ds.view; v != nil {
+		delete(v.byName, name)
+		v.entries = nil
+	}
+	ds.changed = time.Now()
+}
+
+// links returns the directory's classified links, sorted by target.
+func (ds *dirState) links() []Link {
+	out := make([]Link, 0, len(ds.trans)+len(ds.perm)+len(ds.prohibited))
+	for _, target := range ds.trans {
+		out = append(out, Link{Name: ds.nameOf(target), Target: target, Class: Transient})
+	}
+	for target, name := range ds.perm {
+		out = append(out, Link{Name: name, Target: target, Class: Permanent})
+	}
+	for target := range ds.prohibited {
+		out = append(out, Link{Target: target, Class: Prohibited})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Target < out[j].Target })
+	return out
 }
 
 // freeName returns base, or the first of base~2, base~3, … that is
-// neither a transient link's name in view nor in taken.
+// neither a link's name in view nor in taken.
 func freeName(base string, view map[string]string, taken map[string]bool) string {
 	name := base
 	for n := 2; ; n++ {
@@ -156,20 +205,16 @@ func freeName(base string, view map[string]string, taken map[string]bool) string
 }
 
 // takenNamesLocked returns the names a new link of ds may not take
-// besides the view's own: every physical entry of the directory, and
-// every permanent link's name even when a fault lost its symlink (the
-// repair restores it under that name). One ReadDir. Caller holds fs.mu.
-func (fs *FS) takenNamesLocked(ds *dirState, dirPath string) (map[string]bool, error) {
+// besides the view's own: every physical entry of the directory. One
+// ReadDir. Caller holds fs.mu.
+func (fs *FS) takenNamesLocked(dirPath string) (map[string]bool, error) {
 	entries, err := fs.under.ReadDir(dirPath)
 	if err != nil {
 		return nil, err
 	}
-	taken := make(map[string]bool, len(entries)+len(ds.perm))
+	taken := make(map[string]bool, len(entries))
 	for _, e := range entries {
 		taken[e.Name] = true
-	}
-	for _, name := range ds.perm {
-		taken[name] = true
 	}
 	return taken, nil
 }
@@ -177,26 +222,25 @@ func (fs *FS) takenNamesLocked(ds *dirState, dirPath string) (map[string]bool, e
 // newLinkNameLocked picks the name a new link to t in ds takes: its base
 // name, or the first free ~n. Caller holds fs.mu.
 func (fs *FS) newLinkNameLocked(ds *dirState, dirPath, t string) (string, error) {
-	taken, err := fs.takenNamesLocked(ds, dirPath)
+	taken, err := fs.takenNamesLocked(dirPath)
 	if err != nil {
 		return "", err
 	}
 	return freeName(linkBaseName(t), ds.viewIndex(), taken), nil
 }
 
-// viewLinkLocked returns the transient link named name in the directory
-// at dir, if dir is a semantic directory that has one. Caller holds
-// fs.mu.
+// viewLinkLocked returns the link named name in the directory at dir, if
+// dir is a semantic directory that has one. Caller holds fs.mu.
 func (fs *FS) viewLinkLocked(dir, name string) (*dirState, string, bool) {
 	ds, ok := fs.stateAtLocked(dir)
-	if !ok || !ds.semantic || len(ds.trans) == 0 {
+	if !ok || !ds.semantic || !ds.hasLinks() {
 		return nil, "", false
 	}
 	t, ok := ds.viewIndex()[name]
 	return ds, t, ok
 }
 
-// viewInfo is the Lstat answer for a transient link.
+// viewInfo is the Lstat answer for a link.
 func viewInfo(ds *dirState, name, target string) vfs.Info {
 	return vfs.Info{Name: name, Type: vfs.TypeSymlink, ModTime: ds.changed, Target: target}
 }
@@ -333,7 +377,7 @@ func (fs *FS) canonicalLocked(clean string, direct bool) (string, error) {
 	return vfs.Join(end.path, base), nil
 }
 
-// withViewLocked adds the transient links of the directory at dir to its
+// withViewLocked adds the links of the directory at dir to its
 // substrate listing entries; both are in name order. A path HAC has not
 // registered may still reach a semantic directory through a symlink, so
 // it is resolved first. Caller holds fs.mu.
@@ -346,7 +390,7 @@ func (fs *FS) withViewLocked(dir string, entries []vfs.DirEntry) []vfs.DirEntry 
 		}
 		ds, ok = fs.stateAtLocked(end.path)
 	}
-	if !ok || !ds.semantic || len(ds.trans) == 0 {
+	if !ok || !ds.semantic || !ds.hasLinks() {
 		return entries
 	}
 	view := ds.viewEntries()

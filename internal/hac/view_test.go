@@ -13,14 +13,14 @@ import (
 	"hacfs/internal/vfs"
 )
 
-// I8 for semantic directories (DESIGN.md §3, §6): transient links are a
-// view HAC serves, and through FS a semantic directory must read exactly
-// like one whose transient links are real symlinks. The reference is a
-// plain MemFS holding the volume's substrate tree with every transient
-// link of Links() written out as a symlink.
+// I8 for semantic directories (DESIGN.md §3, §6): links, transient and
+// permanent, are a view HAC serves, and through FS a semantic directory
+// must read exactly like one whose links are real symlinks. The reference
+// is a plain MemFS holding the volume's substrate tree with every link of
+// Links() written out as a symlink.
 
 // materialized returns the reference for fs: its substrate tree copied
-// into a MemFS, plus a real symlink per transient link.
+// into a MemFS, plus a real symlink per link that is not prohibited.
 func materialized(t *testing.T, fs *FS) *vfs.MemFS {
 	t.Helper()
 	ref := vfs.New()
@@ -33,7 +33,7 @@ func materialized(t *testing.T, fs *FS) *vfs.MemFS {
 			t.Fatal(err)
 		}
 		for _, l := range links {
-			if l.Class != Transient {
+			if l.Class == Prohibited {
 				continue
 			}
 			if err := ref.Symlink(l.Target, vfs.Join(d, l.Name)); err != nil {
@@ -136,7 +136,7 @@ func (w *viewWalk) step() {
 	dir := w.pick(w.dirs)
 	var op string
 	var err error
-	switch k := w.rng.Intn(15); k {
+	switch k := w.rng.Intn(17); k {
 	case 0:
 		d := "/" + w.fresh("s")
 		if w.rng.Intn(3) == 0 {
@@ -215,6 +215,27 @@ func (w *viewWalk) step() {
 	case 14:
 		p := w.linkIn(dir)
 		op, err = "write through "+p, fs.WriteFile(p, []byte(w.words()))
+	case 15:
+		// A physical symlink moves into the view, as a permanent link —
+		// one to a document: a link to a link in another semantic
+		// directory forms a chain the dependency graph does not see
+		// (DESIGN.md §11).
+		p := w.linkIn("/chains")
+		if target, _ := fs.Readlink(p); strings.HasPrefix(target, "/docs/") {
+			to := vfs.Join(dir, w.fresh("in"))
+			if other := w.linkIn(dir); w.rng.Intn(3) == 0 && other != "" {
+				to = other
+			}
+			op, err = "rename chain "+p+" "+to, fs.Rename(p, to)
+		}
+	case 16:
+		// A link leaves the view, as a physical symlink.
+		p := w.linkIn(dir)
+		to := vfs.Join("/chains", w.fresh("out"))
+		if other := w.linkIn("/chains"); w.rng.Intn(3) == 0 && other != "" {
+			to = other
+		}
+		op, err = "rename link out "+p+" "+to, fs.Rename(p, to)
 	}
 	w.trail = append(w.trail, fmt.Sprintf("%s (%v)", op, err))
 }
@@ -370,6 +391,34 @@ func TestViewWritePaths(t *testing.T) {
 		name:   "rename a view link within its directory",
 		call:   func(fs vfs.FileSystem) error { return fs.Rename("/sel/apple1.txt", "/sel/first.txt") },
 		links:  map[string]LinkClass{"/docs/apple1.txt": Permanent, "/docs/apple2.txt": Transient, "/mail/m1.txt": Transient},
+		writes: 0,
+	}, {
+		name: "rename a view link into another semantic directory",
+		setup: func(fs vfs.FileSystem) error {
+			if hfs, ok := fs.(*FS); ok {
+				return hfs.SemDir("/other", "")
+			}
+			return fs.Mkdir("/other")
+		},
+		call:   func(fs vfs.FileSystem) error { return fs.Rename("/sel/apple1.txt", "/other/first.txt") },
+		links:  map[string]LinkClass{"/docs/apple1.txt": Prohibited, "/docs/apple2.txt": Transient, "/mail/m1.txt": Transient},
+		writes: 0,
+	}, {
+		name:   "rename a symlink into a semantic directory",
+		setup:  func(fs vfs.FileSystem) error { return fs.Symlink("/docs/cherry.txt", "/chain") },
+		call:   func(fs vfs.FileSystem) error { return fs.Rename("/chain", "/sel/cherry.txt") },
+		links:  map[string]LinkClass{"/docs/apple1.txt": Transient, "/docs/apple2.txt": Transient, "/docs/cherry.txt": Permanent, "/mail/m1.txt": Transient},
+		writes: 1,
+	}, {
+		name: "rename a permanent link out of its directory",
+		setup: func(fs vfs.FileSystem) error {
+			if hfs, ok := fs.(*FS); ok {
+				return hfs.MarkPermanent("/sel", "/docs/apple1.txt")
+			}
+			return nil
+		},
+		call:   func(fs vfs.FileSystem) error { return fs.Rename("/sel/apple1.txt", "/docs/keep.txt") },
+		links:  map[string]LinkClass{"/docs/apple1.txt": Prohibited, "/docs/apple2.txt": Transient, "/mail/m1.txt": Transient},
 		writes: 1,
 	}, {
 		name:   "rename a view link out of its directory",
@@ -404,7 +453,7 @@ func TestViewWritePaths(t *testing.T) {
 			return nil
 		},
 		links:     map[string]LinkClass{"/docs/apple1.txt": Transient, "/docs/apple2.txt": Transient, "/mail/m1.txt": Permanent},
-		writes:    1,
+		writes:    0,
 		skipRefOp: true,
 	}, {
 		name: "make the directory syntactic",

@@ -282,6 +282,8 @@ func (ix *Index) mergeSealedLocked() {
 	ix.deadDocs += merged.deadCount - deadBefore
 	ix.epoch++
 	ix.version.Add(1)
+	// Read while the lock keeps tombstones off the merged segment.
+	out := len(merged.docs) - merged.deadCount
 	ix.mu.Unlock()
 
 	// Repoint byPath at the moved documents in batches, each under its
@@ -362,7 +364,7 @@ func (ix *Index) mergeSealedLocked() {
 
 	ix.met.merges.Add(1)
 	ix.met.mergeSeconds.ObserveSince(start)
-	if out := len(merged.docs) - merged.deadCount; out > 0 {
+	if out > 0 {
 		ix.met.mergeAmp.Observe(float64(inputSlots) / float64(out))
 	}
 }

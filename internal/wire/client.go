@@ -129,8 +129,8 @@ func (c *Client) Call(ctx context.Context, m int, typ uint8, payload []byte, kv 
 	var f Frame
 	st, err := c.mux.call(ctx, sc, typ, payload, false)
 	if err == nil {
-		f, err = st.Next(ctx)
-		st.Cancel()
+		f, err = st.next(ctx)
+		st.cancel()
 		if err == nil && f.Type == TypeErr {
 			err = frameError(f)
 		}
@@ -152,7 +152,7 @@ func (c *Client) Stream(ctx context.Context, m int, typ uint8, payload []byte, f
 	st, err := c.mux.call(ctx, sc, typ, payload, true)
 	for err == nil {
 		var f Frame
-		if f, err = st.Next(ctx); err != nil {
+		if f, err = st.next(ctx); err != nil {
 			break
 		}
 		if f.Type == TypeErr {
@@ -166,7 +166,7 @@ func (c *Client) Stream(ctx context.Context, m int, typ uint8, payload []byte, f
 		}
 	}
 	if st != nil {
-		st.Cancel()
+		st.cancel()
 	}
 	r.end(err)
 	return err

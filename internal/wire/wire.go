@@ -767,24 +767,24 @@ func (m *mux) release(b []byte) {
 	}
 }
 
-// Stream is the response side of one call: a sequence of frames ending
+// respStream is the response side of one call: a sequence of frames ending
 // with FlagFinal.
-type Stream struct {
+type respStream struct {
 	m    *mux
 	id   uint64
 	pc   *pendingCall
 	done bool
 }
 
-// Next returns the next response frame. After the FlagFinal frame has
+// next returns the next response frame. After the FlagFinal frame has
 // been returned it reports io.EOF.
-func (s *Stream) Next(ctx context.Context) (Frame, error) {
+func (s *respStream) next(ctx context.Context) (Frame, error) {
 	if s.done {
 		return Frame{}, io.EOF
 	}
 	f, err := s.pc.next(ctx)
 	if err != nil {
-		s.Cancel()
+		s.cancel()
 		return Frame{}, err
 	}
 	if f.Final() {
@@ -793,9 +793,9 @@ func (s *Stream) Next(ctx context.Context) (Frame, error) {
 	return f, nil
 }
 
-// Cancel abandons the call: later frames for its ID are dropped by the
+// cancel abandons the call: later frames for its ID are dropped by the
 // reader. It is safe to call at any time, including after completion.
-func (s *Stream) Cancel() {
+func (s *respStream) cancel() {
 	s.m.mu.Lock()
 	delete(s.m.pending, s.id)
 	s.m.mu.Unlock()
@@ -808,7 +808,7 @@ func (s *Stream) Cancel() {
 // connection. A plain call's response payloads are the caller's to
 // keep; a recycling call's are read into buffers from the free list and
 // must be given back with release.
-func (m *mux) call(ctx context.Context, sc obs.SpanContext, typ uint8, payload []byte, recycle bool) (*Stream, error) {
+func (m *mux) call(ctx context.Context, sc obs.SpanContext, typ uint8, payload []byte, recycle bool) (*respStream, error) {
 	m.mu.Lock()
 	if err := m.ensureLocked(ctx); err != nil {
 		m.mu.Unlock()
@@ -845,5 +845,5 @@ func (m *mux) call(ctx context.Context, sc obs.SpanContext, typ uint8, payload [
 		m.mu.Unlock()
 		return nil, err
 	}
-	return &Stream{m: m, id: id, pc: pc}, nil
+	return &respStream{m: m, id: id, pc: pc}, nil
 }

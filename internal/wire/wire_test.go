@@ -263,8 +263,8 @@ func callOne(ctx context.Context, m *mux, typ uint8, payload []byte) (Frame, err
 	if err != nil {
 		return Frame{}, err
 	}
-	defer st.Cancel()
-	return st.Next(ctx)
+	defer st.cancel()
+	return st.next(ctx)
 }
 
 func TestMuxConcurrentCalls(t *testing.T) {
@@ -302,7 +302,7 @@ func TestMuxStreamedResponse(t *testing.T) {
 	}
 	var got []byte
 	for {
-		f, err := st.Next(ctx)
+		f, err := st.next(ctx)
 		if err == io.EOF {
 			break
 		}
