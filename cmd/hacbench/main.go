@@ -35,9 +35,8 @@ var (
 	words       = flag.Int("words", 150, "corpus: mean words per file (paper-scale: ~1200)")
 	seed        = flag.Int64("seed", 1, "corpus: generator seed")
 	reps        = flag.Int("reps", 3, "repetitions per timed measurement")
-	semDirs     = flag.Int("sem-dirs", 12, "parallel: independent semantic directories")
-	maxWorkers  = flag.Int("workers", 4, "parallel: highest worker count measured")
-	ioLatency   = flag.Duration("io-latency", 200*time.Microsecond, "parallel: emulated per-read device latency (0 = pure in-memory)")
+	semDirs     = flag.Int("sem-dirs", 12, "obs: independent semantic directories")
+	maxWorkers  = flag.Int("workers", 4, "obs: serving-host workers in the wire phase")
 	obsAddr     = flag.String("obs", "", "serve /metrics and /debug/pprof on this address while benchmarks run")
 	obsJSON     = flag.String("obs-json", "BENCH_obs.json", "obs experiment: write machine-readable results here (empty = skip)")
 	searchReps  = flag.Int("search-samples", 1500, "compaction: timed Search calls per phase")
@@ -110,8 +109,6 @@ func main() {
 			err = table4(cspec)
 		case "space":
 			err = space(aspec)
-		case "parallel":
-			err = parallel(cspec)
 		case "obs":
 			err = obsOverhead(cspec)
 		case "compaction":
@@ -155,7 +152,6 @@ Experiments (default: all):
   table3        indexing time/space, direct vs HAC     (paper Table 3)
   table4        query cost, smkdir vs direct search    (paper Table 4)
   space         metadata and shared-memory footprints  (§4 in-text)
-  parallel      evaluation engine vs worker count      (EXPERIMENTS.md)
   obs           instrumentation overhead, on vs off    (EXPERIMENTS.md)
   compaction    Search latency under concurrent merge  (EXPERIMENTS.md)
   planner       cost-based planner vs naive pipeline   (EXPERIMENTS.md)
@@ -180,7 +176,6 @@ func runAll(aspec andrew.Spec, cspec corpus.Spec) error {
 		func() error { return table3(cspec) },
 		func() error { return table4(cspec) },
 		func() error { return space(aspec) },
-		func() error { return parallel(cspec) },
 		func() error { return obsOverhead(cspec) },
 		func() error { return compaction(cspec) },
 		func() error { return planner(cspec) },
@@ -320,28 +315,6 @@ func space(spec andrew.Spec) error {
 		res.SharedMemoryBytes/1024)
 	fmt.Fprintf(w, "result bitmap per semantic dir\t%d B\t(paper: N/8 ≈ 2KB at N=17000)\n",
 		res.BitmapBytesPerDir)
-	w.Flush()
-	fmt.Println()
-	return nil
-}
-
-func parallel(spec corpus.Spec) error {
-	fmt.Printf("== Parallel evaluation engine (files=%d sem-dirs=%d io-latency=%s) ==\n",
-		spec.Files, *semDirs, *ioLatency)
-	counts := []int{1}
-	for w := 2; w <= *maxWorkers; w *= 2 {
-		counts = append(counts, w)
-	}
-	rows, err := bench.ParallelEval(spec, counts, *semDirs, *reps, *ioLatency)
-	if err != nil {
-		return err
-	}
-	w := newTab()
-	fmt.Fprintln(w, "Workers\tReindex\tspeedup\tSyncAll\tspeedup")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%d\t%s\t%.2fx\t%s\t%.2fx\n",
-			r.Workers, ms(r.Reindex), r.ReindexSpeedup, ms(r.SyncAll), r.SyncAllSpeedup)
-	}
 	w.Flush()
 	fmt.Println()
 	return nil

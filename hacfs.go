@@ -26,10 +26,9 @@
 // Volumes and evaluation passes are configured with functional options:
 //
 //	fs := hacfs.New(hacfs.NewMemFS(),
-//	        hacfs.WithParallelism(0),  // 0 = NumCPU workers
-//	        hacfs.WithVerify(true))
-//	fs.Reindex("/")                               // parallel tokenize
-//	fs.SyncAll(hacfs.WithParallelism(1))          // serial, this pass only
+//	        hacfs.WithVerify(true))               // confirm every match
+//	fs.Reindex("/")
+//	fs.SyncAll(hacfs.WithVerify(false))           // this pass only
 //
 // Options given to New become the volume's defaults; options given to
 // Sync, SyncAll or Reindex override them for that pass.
@@ -80,18 +79,12 @@ type Option = hac.Option
 
 // Functional options.
 var (
-	// WithParallelism sets the worker count for Reindex tokenization
-	// and within-level query re-evaluation (0 = NumCPU, 1 = serial).
-	WithParallelism = hac.WithParallelism
 	// WithVerify toggles Glimpse-style verification of query matches.
 	WithVerify = hac.WithVerify
 	// WithContext bounds one evaluation pass with a context.
 	WithContext = hac.WithContext
 	// WithAttrCacheSize bounds the attribute cache (construction only).
 	WithAttrCacheSize = hac.WithAttrCacheSize
-	// WithRemoteTimeout bounds each remote-namespace RPC (construction
-	// only; default 10s).
-	WithRemoteTimeout = hac.WithRemoteTimeout
 	// WithTransducer registers an attribute transducer (construction
 	// only).
 	WithTransducer = hac.WithTransducer

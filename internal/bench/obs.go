@@ -20,14 +20,13 @@ import (
 // Instrumentation overhead — enabled-but-unscraped metrics vs disabled
 // ---------------------------------------------------------------------
 
-// ObsOverheadResult compares the parallel engine's Reindex and SyncAll
-// with observability fully enabled (live registry + tracer, nobody
-// scraping) against the same passes with a discard observer (every
-// metric handle nil). The substrate is pure in-memory with no emulated
+// ObsOverheadResult compares Reindex and SyncAll with observability
+// fully enabled (live registry + tracer, nobody scraping) against the
+// same passes with a discard observer (every metric handle nil). The substrate is pure in-memory with no emulated
 // I/O latency — the worst case for *relative* instrumentation cost,
 // since there is no device time to hide behind.
 type ObsOverheadResult struct {
-	Workers int          `json:"workers"`
+	Workers int          `json:"workers"` // the wire phase's serve.Host workers
 	Reps    int          `json:"reps"`
 	Files   int          `json:"files"`
 	SemDirs int          `json:"sem_dirs"`
@@ -83,7 +82,7 @@ func (r *ObsOverheadResult) WireOverheadPct() float64 {
 // cold Reindex plus a full SyncAll over ndirs independent semantic
 // directories on each. Modes are interleaved within a repetition so
 // drift hits both equally; the median per mode is reported (see
-// ObsModeTimes).
+// ObsModeTimes). workers sizes the wire phase's serving host.
 func ObsOverhead(spec corpus.Spec, ndirs, reps, workers int) (*ObsOverheadResult, error) {
 	if reps <= 0 {
 		reps = 1
@@ -116,7 +115,7 @@ func ObsOverhead(spec corpus.Spec, ndirs, reps, workers int) (*ObsOverheadResult
 		runtime.GC()
 		hfs := hac.New(sub, hac.Options{VerifyMatches: true, Observer: o})
 		start := time.Now()
-		if _, err := hfs.Reindex("/db", hac.WithParallelism(workers)); err != nil {
+		if _, err := hfs.Reindex("/db"); err != nil {
 			return err
 		}
 		into.reindex = append(into.reindex, time.Since(start))
@@ -134,7 +133,7 @@ func ObsOverhead(spec corpus.Spec, ndirs, reps, workers int) (*ObsOverheadResult
 		}
 		runtime.GC()
 		start = time.Now()
-		if err := hfs.SyncAll(hac.WithParallelism(workers)); err != nil {
+		if err := hfs.SyncAll(); err != nil {
 			return err
 		}
 		into.syncall = append(into.syncall, time.Since(start))
@@ -175,7 +174,7 @@ func ObsOverhead(spec corpus.Spec, ndirs, reps, workers int) (*ObsOverheadResult
 	res.WireOps = 400
 	setupWire := func(o *obs.Observer) (run func(n int) error, cleanup func(), err error) {
 		hfs := hac.New(sub, hac.Options{Observer: o})
-		if _, err := hfs.Reindex("/db", hac.WithParallelism(workers)); err != nil {
+		if _, err := hfs.Reindex("/db"); err != nil {
 			return nil, nil, err
 		}
 		host := serve.NewHost(workers, o)
@@ -258,4 +257,21 @@ func ObsOverhead(spec corpus.Spec, ndirs, reps, workers int) (*ObsOverheadResult
 	res.WireOff = p10(offNS) * time.Duration(res.WireOps)
 	res.WireOn = p10(onNS) * time.Duration(res.WireOps)
 	return res, nil
+}
+
+// parallelQueries derives independent semantic-directory queries with
+// known, overlapping result sets from the generated manifest: each one
+// combines a planted marker with a topic term, so every directory has
+// enough candidate files that verification does real work.
+func parallelQueries(man *corpus.Manifest, n int) []string {
+	out := make([]string, 0, n)
+	for i := 0; i < n; i++ {
+		topic := man.TopicTerm[i%len(man.TopicTerm)]
+		if i%2 == 0 {
+			out = append(out, fmt.Sprintf("markermid OR %s", topic))
+		} else {
+			out = append(out, fmt.Sprintf("markermid AND NOT %s", topic))
+		}
+	}
+	return out
 }

@@ -163,12 +163,6 @@ func (g *Graph) Dependents(id uint64) []uint64 {
 func (g *Graph) AffectedBy(id uint64, includeSelf bool) []uint64 {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return g.topoLocked(g.affectedLocked(id, includeSelf))
-}
-
-// affectedLocked collects the transitive dependents of id, and id
-// itself when includeSelf is set. Caller holds g.mu.
-func (g *Graph) affectedLocked(id uint64, includeSelf bool) map[uint64]bool {
 	affected := map[uint64]bool{}
 	if includeSelf {
 		affected[id] = true
@@ -184,7 +178,7 @@ func (g *Graph) affectedLocked(id uint64, includeSelf bool) map[uint64]bool {
 			}
 		}
 	}
-	return affected
+	return g.topoLocked(affected)
 }
 
 // TopoOf returns the given nodes in topological order of the subgraph
@@ -197,76 +191,6 @@ func (g *Graph) TopoOf(ids []uint64) []uint64 {
 		subset[id] = true
 	}
 	return g.topoLocked(subset)
-}
-
-// TopoLevels returns all nodes partitioned into dependency levels
-// (antichains): every node in level i has all of its dependencies in
-// levels < i, so the nodes of one level may be evaluated concurrently
-// once all earlier levels have committed. Levels are emitted in
-// topological order and each level is sorted by id.
-func (g *Graph) TopoLevels() [][]uint64 {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	all := make(map[uint64]bool, len(g.deps))
-	for id := range g.deps {
-		all[id] = true
-	}
-	return g.levelsLocked(all)
-}
-
-// AffectedLevels is AffectedBy partitioned into dependency levels, with
-// the same antichain guarantee as TopoLevels. When includeSelf is true,
-// id itself is part of the subset (as level 0, alone or with other
-// roots).
-func (g *Graph) AffectedLevels(id uint64, includeSelf bool) [][]uint64 {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.levelsLocked(g.affectedLocked(id, includeSelf))
-}
-
-// levelsLocked runs layered Kahn over the induced subgraph: level 0 is
-// every node with no in-subset dependencies, level i+1 every node whose
-// last in-subset dependency sits in level i. Caller holds g.mu.
-func (g *Graph) levelsLocked(subset map[uint64]bool) [][]uint64 {
-	g.met.recomputes.Add(1)
-	indeg := make(map[uint64]int, len(subset))
-	for id := range subset {
-		n := 0
-		for d := range g.deps[id] {
-			if subset[d] {
-				n++
-			}
-		}
-		indeg[id] = n
-	}
-	var frontier []uint64
-	for id, n := range indeg {
-		if n == 0 {
-			frontier = append(frontier, id)
-		}
-	}
-	sort.Slice(frontier, func(i, j int) bool { return frontier[i] < frontier[j] })
-
-	var levels [][]uint64
-	for len(frontier) > 0 {
-		level := frontier
-		g.met.levelWidth.Observe(float64(len(level)))
-		levels = append(levels, level)
-		frontier = nil
-		for _, cur := range level {
-			for dep := range g.dependents[cur] {
-				if !subset[dep] {
-					continue
-				}
-				indeg[dep]--
-				if indeg[dep] == 0 {
-					frontier = append(frontier, dep)
-				}
-			}
-		}
-		sort.Slice(frontier, func(i, j int) bool { return frontier[i] < frontier[j] })
-	}
-	return levels
 }
 
 // topoLocked runs Kahn's algorithm restricted to the given node subset,

@@ -5,9 +5,6 @@ import "hacfs/internal/obs"
 // graphMetrics is the graph's metric handle bundle. Handles are nil
 // (no-op) until SetObserver is called.
 type graphMetrics struct {
-	// levelWidth observes the width of every antichain emitted by
-	// TopoLevels/AffectedLevels — the available evaluation parallelism.
-	levelWidth *obs.Histogram // hac_depgraph_level_width
 	// recomputes counts topological-order computations (full or
 	// affected-subset).
 	recomputes *obs.Counter // hac_depgraph_topo_recomputes_total
@@ -19,7 +16,6 @@ func (g *Graph) SetObserver(o *obs.Observer) {
 	r := o.Registry()
 	g.mu.Lock()
 	g.met = graphMetrics{
-		levelWidth: r.Histogram("hac_depgraph_level_width", obs.DefWidthBuckets),
 		recomputes: r.Counter("hac_depgraph_topo_recomputes_total"),
 	}
 	g.mu.Unlock()

@@ -84,7 +84,6 @@ func (fs *FS) autoSyncWritten(path string, data []byte, info vfs.Info) error {
 	fs.ix.AddWithTime(path, data, info.ModTime)
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	fs.gen++ // the index changed; staged engine results are stale
 	return fs.deltaSyncLocked(path, false)
 }
 
@@ -111,6 +110,5 @@ func (fs *FS) autoSyncRemoved(path string, subtree bool) error {
 	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	fs.gen++
 	return fs.deltaSyncLocked(path, many)
 }

@@ -74,8 +74,8 @@ func (fs *FS) deltaSyncLocked(path string, full bool) error {
 }
 
 // semanticOrderLocked returns every semantic directory, dependencies
-// before dependents — the whole-volume order of the passes that run
-// under the write lock. Caller holds fs.mu.
+// before dependents — the order of every whole-volume pass. Caller
+// holds fs.mu.
 func (fs *FS) semanticOrderLocked() []uint64 {
 	var sem []uint64
 	for uid, ds := range fs.dirs {

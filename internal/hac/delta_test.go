@@ -170,7 +170,7 @@ func newDeltaHarness(t *testing.T, seed int64, under vfs.FileSystem) *deltaHarne
 	h := &deltaHarness{
 		t:    t,
 		rng:  rand.New(rand.NewSource(seed)),
-		fs:   New(under, Options{Observer: obs.NewObserver(), Parallelism: 1}),
+		fs:   New(under, Options{Observer: obs.NewObserver()}),
 		dirs: []string{"/spool", "/spool/a", "/spool/b", "/spool/tmp", "/spool/tmp/sub"},
 	}
 	// A small seal threshold makes documents cross from the active

@@ -126,15 +126,6 @@ type Options struct {
 	// its candidate files. Slower, but the engine cost then matches a
 	// standalone Glimpse run (used by the Table 4 experiment).
 	VerifyMatches bool
-	// Parallelism is the default worker count for Reindex tokenization
-	// and within-level query re-evaluation (see engine.go). 0 selects
-	// runtime.NumCPU(); 1 keeps every pass serial. Per-pass overrides
-	// are available via WithParallelism.
-	Parallelism int
-	// RemoteTimeout bounds each dial/RPC issued to a mounted remote
-	// namespace during evaluation, so a hung server cannot wedge Sync.
-	// 0 selects the 10s default; negative disables the bound.
-	RemoteTimeout time.Duration
 	// Transducers registers attribute extractors at creation, keyed by
 	// file extension ("" = every file). Transducers are code and are
 	// not part of a saved volume; pass the same set to LoadVolume that
@@ -154,8 +145,8 @@ type Options struct {
 	BlobStore *cas.BlobStore
 }
 
-// DefaultRemoteTimeout bounds remote-namespace RPCs when
-// Options.RemoteTimeout is zero.
+// DefaultRemoteTimeout bounds each remote-namespace RPC issued during
+// evaluation, so a hung server cannot wedge Sync.
 const DefaultRemoteTimeout = 10 * time.Second
 
 // FS is a HAC file system layered over a substrate. It implements
@@ -167,14 +158,10 @@ type FS struct {
 	names *namemap.Map
 	graph *depgraph.Graph
 
-	// mu is a read/write lock: mutations and link commits hold it for
-	// writing; Search, Links, Stats, CheckConsistency and the engine's
-	// evaluation phase hold it for reading, so readers no longer
-	// serialize behind re-evaluation. gen is bumped by every mutation
-	// under the write lock; the engine uses it to detect interleaved
-	// mutations between its evaluation and commit phases (engine.go).
+	// mu is a read/write lock: mutations and consistency passes hold it
+	// for writing; Search, Links, Stats and CheckConsistency hold it for
+	// reading.
 	mu     sync.RWMutex
-	gen    uint64
 	dirs   map[uint64]*dirState
 	mounts map[string][]Namespace // mount point path → mounted namespaces
 
@@ -187,12 +174,10 @@ type FS struct {
 	scopeEpoch map[uint64]uint64
 	qcache     *plan.Cache // ad-hoc Search result cache
 
-	attrs         *attrCache
-	fds           *fdTable
-	verify        bool
-	par           int // default evaluation parallelism (0 = NumCPU)
-	remoteTimeout time.Duration
-	autoSync      autoSyncSet
+	attrs    *attrCache
+	fds      *fdTable
+	verify   bool
+	autoSync autoSyncSet
 
 	obsv *obs.Observer // never nil; Discard() when observability is off
 	met  *fsMetrics    // pre-resolved handles into obsv's registry
@@ -213,9 +198,6 @@ func newFS(under vfs.FileSystem, opts Options, preIx *index.Index) *FS {
 	if opts.AttrCacheSize <= 0 {
 		opts.AttrCacheSize = 4096
 	}
-	if opts.RemoteTimeout == 0 {
-		opts.RemoteTimeout = DefaultRemoteTimeout
-	}
 	if opts.Observer == nil {
 		opts.Observer = obs.Default()
 	}
@@ -224,21 +206,19 @@ func newFS(under vfs.FileSystem, opts Options, preIx *index.Index) *FS {
 		ix = index.New()
 	}
 	fs := &FS{
-		under:         under,
-		ix:            ix,
-		names:         namemap.New(),
-		graph:         depgraph.New(),
-		dirs:          make(map[uint64]*dirState),
-		mounts:        make(map[string][]Namespace),
-		scopeEpoch:    make(map[uint64]uint64),
-		qcache:        plan.NewCache(plan.DefaultCacheSize),
-		attrs:         newAttrCache(opts.AttrCacheSize),
-		fds:           newFDTable(),
-		verify:        opts.VerifyMatches,
-		par:           opts.Parallelism,
-		remoteTimeout: opts.RemoteTimeout,
-		obsv:          opts.Observer,
-		met:           newFSMetrics(opts.Observer),
+		under:      under,
+		ix:         ix,
+		names:      namemap.New(),
+		graph:      depgraph.New(),
+		dirs:       make(map[uint64]*dirState),
+		mounts:     make(map[string][]Namespace),
+		scopeEpoch: make(map[uint64]uint64),
+		qcache:     plan.NewCache(plan.DefaultCacheSize),
+		attrs:      newAttrCache(opts.AttrCacheSize),
+		fds:        newFDTable(),
+		verify:     opts.VerifyMatches,
+		obsv:       opts.Observer,
+		met:        newFSMetrics(opts.Observer),
 	}
 	fs.ix.SetObserver(opts.Observer)
 	fs.graph.SetObserver(opts.Observer)
@@ -260,8 +240,7 @@ func newFS(under vfs.FileSystem, opts Options, preIx *index.Index) *FS {
 // NewWith wraps a substrate file system in a HAC layer configured by
 // functional options — the preferred constructor. NewWith(u) is
 // equivalent to New(u, Options{}); construction-time options are
-// WithParallelism, WithVerify, WithAttrCacheSize, WithRemoteTimeout and
-// WithTransducer.
+// WithVerify, WithAttrCacheSize, WithObserver and WithTransducer.
 func NewWith(under vfs.FileSystem, opts ...Option) *FS {
 	var c config
 	for _, o := range opts {
@@ -285,7 +264,6 @@ func (fs *FS) registerDirLocked(path string) *dirState {
 		ds = newDirState(uid)
 		fs.dirs[uid] = ds
 		fs.graph.Add(uid)
-		fs.gen++
 	}
 	return ds
 }
@@ -615,7 +593,6 @@ func (fs *FS) Symlink(target, link string) error {
 	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	fs.gen++
 	if clean, err = fs.canonicalLocked(clean, direct); err != nil {
 		return err
 	}
@@ -695,7 +672,6 @@ func (fs *FS) remove(path string, recursive bool) error {
 }
 
 func (fs *FS) removeLocked(clean string, recursive bool) error {
-	fs.gen++
 	dir, base := vfs.Split(clean)
 
 	// A link disappearing from a semantic directory becomes a prohibition.
@@ -787,7 +763,6 @@ func (fs *FS) Rename(oldPath, newPath string) error {
 	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	fs.gen++
 	if oldClean, err = fs.canonicalLocked(oldClean, oldDirect); err != nil {
 		return err
 	}

@@ -24,9 +24,8 @@ type fsMetrics struct {
 	phaseRemote *obs.Histogram // hac_sync_phase_seconds{phase="remote"}
 	phaseCommit *obs.Histogram // hac_sync_phase_seconds{phase="commit"}
 
-	// Per-semantic-directory evaluation counts and fallbacks.
+	// Per-semantic-directory evaluation counts.
 	semdirEvals  *obs.Counter // hac_semdir_evals_total
-	genFallbacks *obs.Counter // hac_eval_gen_fallbacks_total
 	linksAdded   *obs.Counter // hac_links_added_total
 	linksDropped *obs.Counter // hac_links_dropped_total
 
@@ -46,10 +45,6 @@ type fsMetrics struct {
 	planCacheHits   *obs.Counter // hac_plan_cache_hits_total
 	planCacheMisses *obs.Counter // hac_plan_cache_misses_total
 	postingsSkipped *obs.Counter // hac_postings_skipped_total
-
-	// Evaluation worker pool.
-	workersBusy *obs.Gauge // hac_eval_workers_busy
-	queueDepth  *obs.Gauge // hac_eval_queue_depth
 
 	// Remote namespace calls issued during evaluation.
 	nsSearchSeconds *obs.Histogram // hac_ns_search_seconds
@@ -75,7 +70,6 @@ func newFSMetrics(o *obs.Observer) *fsMetrics {
 		phaseCommit: phase("commit"),
 
 		semdirEvals:  r.Counter("hac_semdir_evals_total"),
-		genFallbacks: r.Counter("hac_eval_gen_fallbacks_total"),
 		linksAdded:   r.Counter("hac_links_added_total"),
 		linksDropped: r.Counter("hac_links_dropped_total"),
 
@@ -91,9 +85,6 @@ func newFSMetrics(o *obs.Observer) *fsMetrics {
 		planCacheHits:   r.Counter("hac_plan_cache_hits_total"),
 		planCacheMisses: r.Counter("hac_plan_cache_misses_total"),
 		postingsSkipped: r.Counter("hac_postings_skipped_total"),
-
-		workersBusy: r.Gauge("hac_eval_workers_busy"),
-		queueDepth:  r.Gauge("hac_eval_queue_depth"),
 
 		nsSearchSeconds: r.Histogram("hac_ns_search_seconds", nil),
 		nsErrors:        r.Counter("hac_ns_errors_total"),

@@ -28,8 +28,8 @@ type Namespace interface {
 
 // ContextNamespace is implemented by namespaces whose calls honor a
 // context (cancellation and deadlines). HAC bounds every evaluation-time
-// remote call with the volume's RemoteTimeout through this interface;
-// plain Namespaces are called without a bound.
+// remote call with DefaultRemoteTimeout through this interface; plain
+// Namespaces are called without a bound.
 type ContextNamespace interface {
 	Namespace
 	SearchContext(ctx context.Context, query string) ([]string, error)
@@ -37,15 +37,12 @@ type ContextNamespace interface {
 }
 
 // rpcCtx derives the context for one remote namespace call: the pass
-// context bounded by the volume's RemoteTimeout.
-func (fs *FS) rpcCtx(ctx context.Context) (context.Context, context.CancelFunc) {
+// context bounded by DefaultRemoteTimeout.
+func rpcCtx(ctx context.Context) (context.Context, context.CancelFunc) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if fs.remoteTimeout > 0 {
-		return context.WithTimeout(ctx, fs.remoteTimeout)
-	}
-	return ctx, func() {}
+	return context.WithTimeout(ctx, DefaultRemoteTimeout)
 }
 
 // nsSearch runs one namespace search, context-bounded when the
@@ -56,7 +53,7 @@ func (fs *FS) nsSearch(ctx context.Context, ns Namespace, q string) ([]string, e
 	var results []string
 	var err error
 	if cns, ok := ns.(ContextNamespace); ok {
-		cctx, cancel := fs.rpcCtx(ctx)
+		cctx, cancel := rpcCtx(ctx)
 		defer cancel()
 		results, err = cns.SearchContext(cctx, q)
 	} else {
@@ -72,7 +69,7 @@ func (fs *FS) nsSearch(ctx context.Context, ns Namespace, q string) ([]string, e
 // supports it.
 func (fs *FS) nsFetch(ctx context.Context, ns Namespace, path string) ([]byte, error) {
 	if cns, ok := ns.(ContextNamespace); ok {
-		cctx, cancel := fs.rpcCtx(ctx)
+		cctx, cancel := rpcCtx(ctx)
 		defer cancel()
 		return cns.FetchContext(cctx, path)
 	}
@@ -145,7 +142,6 @@ func (fs *FS) SemanticMount(path string, ns Namespace) error {
 	}
 	fs.registerDirLocked(clean)
 	fs.mounts[clean] = append(fs.mounts[clean], ns)
-	fs.gen++
 	// Queries whose scope covers the new mount must import its results.
 	return fs.resyncLocked(fs.semanticOrderLocked(), fs.evalCfg(nil))
 }
@@ -166,7 +162,6 @@ func (fs *FS) SemanticUnmount(path, nsName string) error {
 			if len(fs.mounts[clean]) == 0 {
 				delete(fs.mounts, clean)
 			}
-			fs.gen++
 			return fs.resyncLocked(fs.semanticOrderLocked(), fs.evalCfg(nil))
 		}
 	}
@@ -194,7 +189,7 @@ func (fs *FS) SemanticMounts() map[string][]string {
 // parentPath evaluates the query independently; when the parent is
 // itself semantic, results are further restricted to the remote
 // targets the parent provides. Each remote call is bounded by ctx and
-// the volume's RemoteTimeout. Caller holds fs.mu (read suffices).
+// DefaultRemoteTimeout. Caller holds fs.mu (read suffices).
 func (fs *FS) evalRemoteLocked(ctx context.Context, ds *dirState, parentPath string) (map[string]bool, error) {
 	if len(fs.mounts) == 0 || ds.queryText == "" {
 		return nil, nil

@@ -161,7 +161,7 @@ func TestObserverConcurrentScrape(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				if err := fs.SyncAll(WithParallelism(2)); err != nil {
+				if err := fs.SyncAll(); err != nil {
 					t.Errorf("SyncAll: %v", err)
 					return
 				}

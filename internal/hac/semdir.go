@@ -78,7 +78,6 @@ func (fs *FS) SemDir(path, queryStr string) error {
 func (fs *FS) makeSemanticLocked(ds *dirState, clean string, ast query.Node, adoptLinks bool) error {
 	if !ds.semantic {
 		ds.semantic = true
-		fs.gen++
 		if adoptLinks {
 			entries, err := fs.under.ReadDir(clean)
 			if err != nil {
@@ -124,7 +123,6 @@ func (fs *FS) MakeSyntactic(path string) error {
 	if !ok || !ds.semantic {
 		return &vfs.PathError{Op: "smkdir", Path: path, Err: ErrNotSemantic}
 	}
-	fs.gen++
 	var written []string
 	for _, l := range ds.links() {
 		if l.Class == Prohibited {
@@ -174,7 +172,6 @@ func (fs *FS) SetQuery(path, queryStr string) error {
 	if !ok || !ds.semantic {
 		return &vfs.PathError{Op: "squery", Path: path, Err: ErrNotSemantic}
 	}
-	fs.gen++
 	if err := fs.installQueryLocked(ds, clean, ast); err != nil {
 		return err
 	}
@@ -406,7 +403,6 @@ func (fs *FS) MarkPermanent(dirPath, target string) error {
 	if !validLinkName(linkBaseName(target)) {
 		return &vfs.PathError{Op: "spermanent", Path: target, Err: vfs.ErrInvalid}
 	}
-	fs.gen++
 	delete(ds.prohibited, target)
 	if _, had := ds.perm[target]; !had {
 		name := ds.nameOf(target)
@@ -435,7 +431,6 @@ func (fs *FS) MarkProhibited(dirPath, target string) error {
 	if !ok || !ds.semantic {
 		return &vfs.PathError{Op: "sprohibit", Path: dirPath, Err: ErrNotSemantic}
 	}
-	fs.gen++
 	ds.dropLink(target)
 	ds.prohibited[target] = true
 	fs.bumpScopeEpochLocked(ds.uid)
@@ -456,7 +451,6 @@ func (fs *FS) Unprohibit(dirPath, target string) error {
 	if !ok || !ds.semantic {
 		return &vfs.PathError{Op: "sunprohibit", Path: dirPath, Err: ErrNotSemantic}
 	}
-	fs.gen++
 	delete(ds.prohibited, target)
 	fs.bumpScopeEpochLocked(ds.uid)
 	return fs.resyncLocked(fs.graph.AffectedBy(ds.uid, true), fs.evalCfg(nil))

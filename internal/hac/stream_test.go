@@ -23,7 +23,7 @@ var streamVocab = []string{"alpha", "alpine", "beta", "gamma", "delta", "epsilon
 func newStreamFS(t testing.TB, seed int64, under vfs.FileSystem, files int) (*FS, *rand.Rand) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	fs := New(under, Options{Parallelism: 1})
+	fs := New(under, Options{})
 	fs.Index().SetSealThreshold(16)
 	for d := 0; d < 5; d++ {
 		if err := fs.MkdirAll(fmt.Sprintf("/c/d%d", d)); err != nil {

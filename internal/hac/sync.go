@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -25,12 +26,10 @@ func pathErr(op, path string, err error) error {
 
 // Sync restores scope consistency (§2.3) for the directory at path and
 // everything that directly or indirectly depends on it — the paper's
-// ssync command. Directories are re-evaluated level by level in
-// topological order of the dependency DAG (§2.5); within one level
-// (an antichain of the DAG) directories are independent and are
-// evaluated concurrently by the engine in engine.go. Options override
-// the volume defaults for this pass (WithParallelism, WithVerify,
-// WithContext).
+// ssync command. Directories are re-evaluated one at a time in
+// topological order of the dependency DAG (§2.5), under one hold of the
+// write lock. Options override the volume defaults for this pass
+// (WithVerify, WithContext).
 func (fs *FS) Sync(path string, opts ...Option) error {
 	clean, err := vfs.Clean(path)
 	if err != nil {
@@ -48,21 +47,17 @@ func (fs *FS) Sync(path string, opts ...Option) error {
 			info, err = fs.under.Stat(p)
 		}
 	}
+	if err == nil && !info.IsDir() {
+		err = pathErr("ssync", path, vfs.ErrNotDir)
+	}
 	if err != nil {
 		fs.mu.Unlock()
 		cfg.span.FinishErr(err)
 		return err
 	}
-	if !info.IsDir() {
-		fs.mu.Unlock()
-		err = pathErr("ssync", path, vfs.ErrNotDir)
-		cfg.span.FinishErr(err)
-		return err
-	}
-	ds := fs.registerDirLocked(clean)
-	uid := ds.uid
+	uid := fs.registerDirLocked(clean).uid
+	err = fs.resyncLocked(fs.graph.AffectedBy(uid, true), cfg)
 	fs.mu.Unlock()
-	err = fs.syncLevels(fs.graph.AffectedLevels(uid, true), cfg)
 	fs.met.syncTotal.Add(1)
 	fs.met.syncSeconds.ObserveSince(start)
 	cfg.span.FinishErr(err)
@@ -81,29 +76,29 @@ func (fs *FS) SyncPathContext(ctx context.Context, path string) error {
 	return fs.Sync(path, WithContext(ctx))
 }
 
-// SyncAll restores scope consistency for the whole volume, level by
-// level (see Sync).
+// SyncAll restores scope consistency for the whole volume: every
+// semantic directory, in topological order (see Sync).
 func (fs *FS) SyncAll(opts ...Option) error {
 	cfg := fs.evalCfg(opts)
 	start := time.Now()
 	cfg.span, cfg.ctx = fs.obsv.Tracer().StartCtx(cfg.ctx, "hac.SyncAll")
-	err := fs.syncLevels(fs.graph.TopoLevels(), cfg)
+	fs.mu.Lock()
+	err := fs.resyncLocked(fs.semanticOrderLocked(), cfg)
+	fs.mu.Unlock()
 	fs.met.syncTotal.Add(1)
 	fs.met.syncSeconds.ObserveSince(start)
 	cfg.span.FinishErr(err)
 	return err
 }
 
-// resyncLocked is the one walker under every consistency pass that runs
-// with the write lock held — mutation paths, the engine's serial and
-// generation-fallback branches, the delta pass's fallback: it
+// resyncLocked is the one consistency walker — Sync, SyncAll, mutation
+// paths, mounts and the delta pass's fallback all run it: it
 // re-evaluates the semantic directories among uids, computing and
 // committing each before the next reads its links. uids must list
 // dependencies before dependents (depgraph orders them); a mutation
 // path passes fs.evalCfg(nil), the volume's standing settings. Caller
 // holds fs.mu for writing.
 func (fs *FS) resyncLocked(uids []uint64, cfg evalConfig) error {
-	fs.gen++ // links are about to move; results the engine staged are stale
 	for _, uid := range uids {
 		ds, ok := fs.dirs[uid]
 		if !ok || !ds.semantic {
@@ -171,8 +166,8 @@ func (fs *FS) matchLocalLocked(ds *dirState, dirPath string, verify bool) ([]str
 //  3. the remainder is the new transient set (permanent and prohibited
 //     sets are never touched).
 //
-// It mutates nothing, so the engine may run many of these concurrently
-// under the read lock. Caller holds fs.mu (read suffices).
+// It mutates nothing; resyncLocked commits the result. Caller holds
+// fs.mu (read suffices).
 func (fs *FS) computeTargetsLocked(ds *dirState, cfg evalConfig) ([]string, error) {
 	dirPath, ok := fs.pathOfLocked(ds.uid)
 	if !ok {
@@ -404,8 +399,7 @@ type IndexReport struct {
 // settled"). The file walk goes through the HAC layer itself, as in
 // the paper's Table 3 setup.
 //
-// Files are read and tokenized by a pool of cfg.parallelism workers
-// (WithParallelism, default Options.Parallelism, 0 = NumCPU); index
+// Files are read and tokenized by a pool of GOMAXPROCS workers; index
 // insertion stays single-writer in walk order, so document IDs — and
 // therefore all downstream bitmaps — are identical to a serial run.
 func (fs *FS) Reindex(root string, opts ...Option) (IndexReport, error) {
@@ -432,14 +426,8 @@ func (fs *FS) Reindex(root string, opts ...Option) (IndexReport, error) {
 		sp.FinishErr(err)
 		return rep, err
 	}
-	added, updated, removed, err := fs.ix.SyncTreeParallel(fs, root, cfg.parallelism)
+	added, updated, removed, err := fs.ix.SyncTreeParallel(fs, root, runtime.GOMAXPROCS(0))
 	rep = IndexReport{Added: added, Updated: updated, Removed: removed}
-	// The index changed outside fs.mu; bump the generation so any
-	// evaluation pass that overlapped the re-index falls back rather
-	// than committing results staged against the old index.
-	fs.mu.Lock()
-	fs.gen++
-	fs.mu.Unlock()
 	if err != nil {
 		sp.FinishErr(err)
 		return rep, err

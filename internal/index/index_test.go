@@ -3,7 +3,9 @@ package index
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -281,6 +283,47 @@ func TestSyncTreeScoped(t *testing.T) {
 	}
 	if _, _, removed, _ := ix.SyncTree(fs, "/y"); removed != 1 {
 		t.Fatal("in-scope removal not detected")
+	}
+}
+
+// TestSyncTreeParallelMatchesSerial checks the single-writer merge: a
+// parallel SyncTree reports the same counts and answers every lookup
+// with the same paths as a serial one over the same tree.
+func TestSyncTreeParallelMatchesSerial(t *testing.T) {
+	fs := vfs.New()
+	if err := fs.MkdirAll("/corpus"); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	words := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta"}
+	for i := 0; i < 60; i++ {
+		terms := make([]string, 2+rng.Intn(4))
+		for j := range terms {
+			terms[j] = words[rng.Intn(len(words))]
+		}
+		p := fmt.Sprintf("/corpus/doc%02d.txt", i)
+		if err := fs.WriteFile(p, []byte(strings.Join(terms, " "))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	serial, par := New(), New()
+	a1, u1, r1, err := serial.SyncTree(fs, "/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a2, u2, r2, err := par.SyncTreeParallel(fs, "/", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a1 != a2 || u1 != u2 || r1 != r2 {
+		t.Fatalf("report differs: serial %d/%d/%d, parallel %d/%d/%d", a1, u1, r1, a2, u2, r2)
+	}
+	ss, ps := serial.Snapshot(), par.Snapshot()
+	for _, w := range words {
+		sa, pb := ss.Paths(ss.Lookup(w)), ps.Paths(ps.Lookup(w))
+		if len(sa) == 0 || !reflect.DeepEqual(sa, pb) {
+			t.Fatalf("Lookup(%q) = %v (serial) vs %v (parallel)", w, sa, pb)
+		}
 	}
 }
 

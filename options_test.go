@@ -11,7 +11,7 @@ import (
 // evaluation API: functional options on the constructor set volume
 // defaults, and per-pass options override them.
 func TestFunctionalOptions(t *testing.T) {
-	fs := hacfs.NewVolume(hacfs.WithParallelism(2), hacfs.WithVerify(true))
+	fs := hacfs.NewVolume(hacfs.WithVerify(true))
 	if err := fs.MkdirAll("/docs"); err != nil {
 		t.Fatal(err)
 	}
@@ -21,13 +21,13 @@ func TestFunctionalOptions(t *testing.T) {
 	if err := fs.WriteFile("/docs/b.txt", []byte("banana bread recipe")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fs.Reindex("/", hacfs.WithParallelism(4)); err != nil {
+	if _, err := fs.Reindex("/"); err != nil {
 		t.Fatal(err)
 	}
 	if err := fs.SemDir("/recipes", "recipe"); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.SyncAll(hacfs.WithParallelism(1)); err != nil {
+	if err := fs.SyncAll(hacfs.WithVerify(false)); err != nil {
 		t.Fatal(err)
 	}
 	targets, err := fs.LinkTargets("/recipes")
