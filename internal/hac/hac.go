@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -313,25 +314,33 @@ func (fs *FS) IsSemantic(path string) bool {
 
 // resolvePath is HAC's user-space path resolution. The paper's HAC is a
 // user-level library that "intercepts all file system calls" and "uses
-// this name space to resolve the users' path names": before an
-// operation reaches the substrate, HAC walks the directory components,
-// consulting its own global name map and validating each prefix — the
-// same mechanism that gives every user-level file system in Table 2 its
-// overhead. The substrate remains authoritative for errors, so failures
-// here are ignored. It reports whether every directory on the way was a
-// plain directory: then no link — symlink or view link — lies on the way
-// to p's parent.
+// this name space to resolve the users' path names": it walks the
+// directory components of p, consulting its own global name map and
+// validating each prefix with one substrate Lstat. It reports whether
+// every directory on the way was a plain directory: then no link —
+// symlink or view link — lies on the way to p's parent. Errors are the
+// substrate's to report, so a failed walk only answers false.
+//
+// Only the operations that use that answer pay the walk: a mutation that
+// must find the semantic directory it lands in (Mkdir, Symlink, a create,
+// Remove and RemoveAll, Rename — through canonicalLocked) and a Stat
+// that misses the attribute cache, which caches only an answer reached
+// without following a link. A read (Open, ReadFile, ReadDir, Lstat,
+// Readlink) goes straight to the substrate, which resolves the path
+// itself, and follows view links only where the substrate reports a name
+// missing (followLocked, lstatViewLocked).
 func (fs *FS) resolvePath(p string) (direct bool) {
 	clean, err := vfs.Clean(p)
 	if err != nil {
 		return false
 	}
-	dir, _ := vfs.Split(clean)
+	// The directory part, and every prefix of it, is a slice of clean: no
+	// path is built.
+	dir := clean[:max(strings.LastIndexByte(clean, '/'), 1)]
 	if dir == "/" {
 		return true
 	}
 	direct = true
-	// Every prefix of the clean dir is a slice of it: no path is built.
 	for i := 1; i <= len(dir); i++ {
 		if i < len(dir) && dir[i] != '/' {
 			continue
@@ -477,12 +486,12 @@ func (fs *FS) Open(path string) (vfs.File, error) {
 // vfs.ErrExist, as through a dangling symlink. Nothing an open learns is
 // cached: it cannot tell whether it followed a link (Stat can).
 func (fs *FS) OpenFile(path string, flag int) (vfs.File, error) {
-	direct := fs.resolvePath(path)
 	clean, err := vfs.Clean(path)
 	if err != nil {
 		return fs.under.OpenFile(path, flag)
 	}
 	if flag&vfs.OCreate != 0 {
+		direct := fs.resolvePath(clean)
 		fs.mu.RLock()
 		clean, err = fs.createPathLocked(clean, direct)
 		fs.mu.RUnlock()
@@ -715,31 +724,39 @@ func (fs *FS) removeLocked(clean string, recursive bool) error {
 	}
 	fs.attrs.invalidatePrefix(clean)
 
-	// Drop bookkeeping for removed directories.
+	// Drop bookkeeping for removed directories. UIDs are never reused,
+	// so no later directory can inherit a dropped scope epoch.
 	for _, uid := range fs.names.RemoveSubtree(clean) {
 		fs.graph.Remove(uid)
 		delete(fs.dirs, uid)
+		delete(fs.scopeEpoch, uid)
 	}
 	return nil
 }
 
 // checkRemovableLocked fails if any directory in the subtree at clean
-// is referenced by a query outside that subtree.
+// is referenced by a query outside that subtree. Only a semantic
+// directory's query references directories; the offender reported is the
+// least referenced path, then the least referencing one.
 func (fs *FS) checkRemovableLocked(clean string) error {
-	for _, p := range fs.names.Paths() {
-		if !vfs.HasPrefix(p, clean) {
+	var ref, by string
+	for _, ds := range fs.dirs {
+		if !ds.semantic {
 			continue
 		}
-		uid, _ := fs.names.UIDOf(p)
-		for _, dep := range fs.graph.Dependents(uid) {
-			dp, ok := fs.pathOfLocked(dep)
-			if !ok {
-				continue
-			}
-			if !vfs.HasPrefix(dp, clean) {
-				return fmt.Errorf("%w: %s referenced by query of %s", ErrDependedOn, p, dp)
+		dp, ok := fs.pathOfLocked(ds.uid)
+		if !ok || vfs.HasPrefix(dp, clean) {
+			continue
+		}
+		for _, dep := range fs.graph.Deps(ds.uid) {
+			p, ok := fs.pathOfLocked(dep)
+			if ok && vfs.HasPrefix(p, clean) && (by == "" || p < ref || p == ref && dp < by) {
+				ref, by = p, dp
 			}
 		}
+	}
+	if by != "" {
+		return fmt.Errorf("%w: %s referenced by query of %s", ErrDependedOn, ref, by)
 	}
 	return nil
 }
@@ -1095,7 +1112,6 @@ func (fs *FS) Lstat(path string) (vfs.Info, error) {
 // ReadDir lists a directory: its substrate entries and, for a semantic
 // directory, its view links, in name order.
 func (fs *FS) ReadDir(path string) ([]vfs.DirEntry, error) {
-	fs.resolvePath(path)
 	entries, err := fs.under.ReadDir(path)
 	clean, cerr := vfs.Clean(path)
 	if cerr != nil {

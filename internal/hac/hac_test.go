@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"hacfs/internal/vfs"
@@ -517,6 +518,85 @@ func TestRemoveReferencedDirRefused(t *testing.T) {
 	}
 	if err := fs.RemoveAll("/curated"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRemoveReferencedSubtreeNamesOffender checks the subtree rule of
+// Remove: references from inside the removed subtree do not block it, a
+// reference from outside does, and the error names the least referenced
+// path, then the least referencing one, however the maps iterate.
+func TestRemoveReferencedSubtreeNamesOffender(t *testing.T) {
+	fs := newTestFS(t)
+	for _, d := range []string{"/t", "/t/y", "/t/x"} {
+		if err := fs.Mkdir(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, sd := range []struct{ path, query string }{
+		{"/t/inner", "dir:/t/x"},
+		{"/q2", "dir:/t/y OR dir:/t/x"},
+		{"/q1", "dir:/t/y"},
+		{"/q0", "dir:/t/x"},
+	} {
+		if err := fs.SemDir(sd.path, sd.query); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		err := fs.RemoveAll("/t")
+		if !errors.Is(err, ErrDependedOn) {
+			t.Fatalf("RemoveAll /t err = %v", err)
+		}
+		if want := "/t/x referenced by query of /q0"; !strings.Contains(err.Error(), want) {
+			t.Fatalf("RemoveAll /t err = %v, want it to name %q", err, want)
+		}
+	}
+	for _, q := range []string{"/q0", "/q1", "/q2"} {
+		if err := fs.RemoveAll(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fs.RemoveAll("/t"); err != nil {
+		t.Fatalf("RemoveAll /t referenced only from inside: %v", err)
+	}
+}
+
+// TestRemoveDropsScopeEpochs is a regression test: removing a directory
+// drops its scope epoch with the rest of its bookkeeping, so repeated
+// SemDir + RemoveAll leaves the epoch map no larger.
+func TestRemoveDropsScopeEpochs(t *testing.T) {
+	fs := newTestFS(t)
+	cycle := func() {
+		t.Helper()
+		if err := fs.SemDir("/s", "apple"); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.SemDir("/s/t", "dir:/s OR banana"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fs.Search(context.Background(), "apple", WithScope("/s")); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.RemoveAll("/s"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle()
+	fs.mu.RLock()
+	after1 := len(fs.scopeEpoch)
+	fs.mu.RUnlock()
+	for i := 0; i < 50; i++ {
+		cycle()
+	}
+	fs.mu.RLock()
+	defer fs.mu.RUnlock()
+	if n := len(fs.scopeEpoch); n != after1 {
+		t.Errorf("scope epochs after 51 cycles = %d, after 1 = %d", n, after1)
+	}
+	for uid := range fs.scopeEpoch {
+		if _, ok := fs.dirs[uid]; !ok {
+			t.Errorf("scope epoch kept for removed directory uid %d", uid)
+		}
 	}
 }
 

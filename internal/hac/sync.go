@@ -411,23 +411,15 @@ func (fs *FS) Reindex(root string, opts ...Option) (IndexReport, error) {
 		fs.met.reindexTotal.Add(1)
 		fs.met.reindexSeconds.ObserveSince(reindexStart)
 	}()
-	var rep IndexReport
-	// Register directories first — the paper's per-directory structures
-	// and global-map entries are part of HAC's indexing cost.
-	err := vfs.Walk(fs, root, func(p string, info vfs.Info) error {
-		if info.IsDir() {
-			fs.mu.Lock()
-			fs.registerDirLocked(p)
-			fs.mu.Unlock()
-		}
-		return nil
+	// The index's walk registers each directory as it reaches it — the
+	// paper's per-directory structures and global-map entries are part of
+	// HAC's indexing cost — so the tree is walked once.
+	added, updated, removed, err := fs.ix.SyncTreeParallel(fs, root, runtime.GOMAXPROCS(0), func(dir string) {
+		fs.mu.Lock()
+		fs.registerDirLocked(dir)
+		fs.mu.Unlock()
 	})
-	if err != nil {
-		sp.FinishErr(err)
-		return rep, err
-	}
-	added, updated, removed, err := fs.ix.SyncTreeParallel(fs, root, runtime.GOMAXPROCS(0))
-	rep = IndexReport{Added: added, Updated: updated, Removed: removed}
+	rep := IndexReport{Added: added, Updated: updated, Removed: removed}
 	if err != nil {
 		sp.FinishErr(err)
 		return rep, err

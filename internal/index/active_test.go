@@ -294,7 +294,7 @@ func TestSyncTreeParallelHonoursSealThreshold(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		ix := New()
 		ix.SetSealThreshold(2)
-		if _, _, _, err := ix.SyncTreeParallel(fsys, "/", workers); err != nil {
+		if _, _, _, err := ix.SyncTreeParallel(fsys, "/", workers, nil); err != nil {
 			t.Fatal(err)
 		}
 		if got := ix.Stats().Segments; got != 4 { // three sealed pairs and the empty active segment

@@ -568,10 +568,13 @@ func (ix *Index) Stats() Stats {
 // document. Chunks are cut from the walk (sorted-path) order, so link
 // materialization and Search results downstream are identical to a
 // serial SyncTree over the same tree; only the segment layout differs.
-// workers <= 1 falls back to the serial path.
-func (ix *Index) SyncTreeParallel(fsys vfs.FileSystem, root string, workers int) (added, updated, removed int, err error) {
+// workers <= 1 falls back to the serial path. onDir, when not nil, is
+// called with every directory the walk visits, in walk order and before
+// the directory's entries, so a caller that needs the tree's directories
+// too (hac.Reindex registers them) walks it once.
+func (ix *Index) SyncTreeParallel(fsys vfs.FileSystem, root string, workers int, onDir func(dir string)) (added, updated, removed int, err error) {
 	if workers <= 1 {
-		return ix.SyncTree(fsys, root)
+		return ix.syncTree(fsys, root, onDir)
 	}
 
 	// Phase 1: one cheap serial walk decides what needs (re)indexing.
@@ -583,6 +586,9 @@ func (ix *Index) SyncTreeParallel(fsys vfs.FileSystem, root string, workers int)
 	var jobs []job
 	seen := make(map[string]bool)
 	err = vfs.Walk(fsys, root, func(p string, info vfs.Info) error {
+		if info.Type == vfs.TypeDir && onDir != nil {
+			onDir(p)
+		}
 		if info.Type != vfs.TypeFile {
 			return nil
 		}
@@ -738,8 +744,17 @@ func (ix *Index) removeVanished(root string, seen map[string]bool) int {
 // removed. It returns the number of added, updated and removed
 // documents.
 func (ix *Index) SyncTree(fsys vfs.FileSystem, root string) (added, updated, removed int, err error) {
+	return ix.syncTree(fsys, root, nil)
+}
+
+// syncTree is SyncTree, calling onDir (when not nil) as SyncTreeParallel
+// does.
+func (ix *Index) syncTree(fsys vfs.FileSystem, root string, onDir func(dir string)) (added, updated, removed int, err error) {
 	seen := make(map[string]bool)
 	err = vfs.Walk(fsys, root, func(p string, info vfs.Info) error {
+		if info.Type == vfs.TypeDir && onDir != nil {
+			onDir(p)
+		}
 		if info.Type != vfs.TypeFile {
 			return nil
 		}

@@ -311,7 +311,7 @@ func TestSyncTreeParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, u2, r2, err := par.SyncTreeParallel(fs, "/", 8)
+	a2, u2, r2, err := par.SyncTreeParallel(fs, "/", 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -112,7 +112,7 @@ func (w *walker) sync(n, workers int) {
 	}
 	var err error
 	if workers > 1 {
-		_, _, _, err = w.ix.SyncTreeParallel(w.fs, "/bulk", workers)
+		_, _, _, err = w.ix.SyncTreeParallel(w.fs, "/bulk", workers, nil)
 	} else {
 		_, _, _, err = w.ix.SyncTree(w.fs, "/bulk")
 	}

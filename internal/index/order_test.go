@@ -98,7 +98,7 @@ func TestPathsRacesRenamesAndMerges(t *testing.T) {
 	}
 	ix := New()
 	ix.SetSealThreshold(64)
-	if _, _, _, err := ix.SyncTreeParallel(fsys, "/t", 2); err != nil {
+	if _, _, _, err := ix.SyncTreeParallel(fsys, "/t", 2, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -208,7 +208,7 @@ func BenchmarkPathsAfterEdits(b *testing.B) {
 	}
 	ix := New()
 	resync := func() {
-		if _, _, _, err := ix.SyncTreeParallel(fsys, "/c", 2); err != nil {
+		if _, _, _, err := ix.SyncTreeParallel(fsys, "/c", 2, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -155,54 +155,89 @@ func pe(op, path string, err error) error {
 	return &vfs.PathError{Op: op, Path: path, Err: err}
 }
 
-func components(p string) []string {
-	p = strings.Trim(p, "/")
-	if p == "" {
-		return nil
-	}
-	return strings.Split(p, "/")
-}
-
-// walkTarget is the outcome of a path walk: a local trail of nodes from
-// the root to the target, or a delegation into a mounted file system.
+// walkTarget is the outcome of a path walk: the node reached, or a
+// delegation into a mounted file system.
 type walkTarget struct {
-	trail []*inode // root … target; nil when delegated
+	n     *inode   // the target; nil when delegated
+	trail []*inode // root … target, when the walk was asked to record it
 	fs    vfs.FileSystem
 	rest  string
 }
 
-func (t walkTarget) n() *inode { return t.trail[len(t.trail)-1] }
+// walkMode says which symlinks a walk follows and what a mount on the
+// way means.
+type walkMode int
+
+const (
+	// literal follows no symlink, and a mount point before the last
+	// component is vfs.ErrCrossMount: the path names this file system's
+	// own node (Mount, Unmount, manifest replay).
+	literal walkMode = iota
+	// followDirs follows every symlink but a final one (Lstat, Readlink).
+	followDirs
+	// followAll follows a final symlink too.
+	followAll
+)
+
+// What a walk records besides the target: nothing, or the trail of nodes
+// from the root to it, which a mutation copies on write (cow).
+const (
+	nodeOnly  = false
+	withTrail = true
+)
 
 const maxSymlinkDepth = 40
 
 // walk resolves p, mirroring MemFS.walk exactly (symlink restart
-// semantics, mount delegation) but additionally recording the trail of
-// nodes traversed so mutations can copy the path. Caller holds fs.mu.
-func (fs *FS) walk(p string, followLast bool) (walkTarget, error) {
+// semantics, mount delegation). It reads the clean path's components in
+// place: it allocates only to splice a followed symlink's target into
+// the rest of the path, and for the trail when record asks for it.
+// Caller holds fs.mu.
+func (fs *FS) walk(p string, mode walkMode, record bool) (walkTarget, error) {
 	clean, err := vfs.Clean(p)
 	if err != nil {
 		return walkTarget{}, err
 	}
-	comps := components(clean)
-	trail := []*inode{fs.root}
+	// rest is the part of the path still to resolve: "" or a "/" before
+	// each component.
+	rest := clean
+	if rest == "/" {
+		rest = ""
+	}
+	cur := fs.root
+	var trail []*inode
+	if record {
+		trail = append(make([]*inode, 0, 8), cur)
+	}
 	depth := 0
-	i := 0
 	for {
-		cur := trail[len(trail)-1]
 		if m, ok := fs.mounts[cur.id]; ok {
-			return walkTarget{fs: m, rest: "/" + vfs.Join(comps[i:]...)}, nil
+			switch {
+			case mode != literal:
+				if rest == "" {
+					rest = "/"
+				}
+				rest, _ = vfs.Clean(rest)
+				return walkTarget{fs: m, rest: rest}, nil
+			case rest != "":
+				return walkTarget{}, vfs.ErrCrossMount
+			}
 		}
-		if i == len(comps) {
-			return walkTarget{trail: trail}, nil
+		if rest == "" {
+			return walkTarget{n: cur, trail: trail}, nil
 		}
 		if !cur.isDir() {
 			return walkTarget{}, vfs.ErrNotDir
 		}
-		child, ok := cur.children[comps[i]]
+		name, after := rest[1:], ""
+		if i := strings.IndexByte(name, '/'); i >= 0 {
+			name, after = name[:i], name[i:]
+		}
+		child, ok := cur.children[name]
 		if !ok {
 			return walkTarget{}, vfs.ErrNotExist
 		}
-		if child.typ == vfs.TypeSymlink && (i < len(comps)-1 || followLast) {
+		if child.typ == vfs.TypeSymlink && (mode == followAll || mode == followDirs && after != "") {
 			depth++
 			if depth > maxSymlinkDepth {
 				return walkTarget{}, vfs.ErrLoop
@@ -211,24 +246,29 @@ func (fs *FS) walk(p string, followLast bool) (walkTarget, error) {
 			if t == "" {
 				return walkTarget{}, vfs.ErrInvalid
 			}
-			rest := comps[i+1:]
+			// An absolute target restarts at the root; a relative one
+			// resolves from the link's directory, the current node, as in
+			// MemFS.
 			if vfs.IsAbs(t) {
-				trail = trail[:1]
-				comps = append(components(t), rest...)
-			} else {
-				// Relative targets resolve from the link's directory
-				// (the current trail tip), as in MemFS.
-				comps = append(components("/"+t), rest...)
+				cur = fs.root
+				trail = trail[:min(len(trail), 1)]
 			}
-			i = 0
+			if t = strings.Trim(t, "/"); t != "" {
+				after = "/" + t + after
+			}
+			rest = after
 			continue
 		}
-		trail = append(trail, child)
-		i++
+		cur = child
+		if record {
+			trail = append(trail, cur)
+		}
+		rest = after
 	}
 }
 
-// walkParent resolves the directory containing p. Caller holds fs.mu.
+// walkParent resolves the directory containing p, recording its trail.
+// Caller holds fs.mu.
 func (fs *FS) walkParent(p string) (t walkTarget, base string, err error) {
 	clean, err := vfs.Clean(p)
 	if err != nil {
@@ -238,17 +278,17 @@ func (fs *FS) walkParent(p string) (t walkTarget, base string, err error) {
 		return walkTarget{}, "", vfs.ErrInvalid
 	}
 	dirPath, base := vfs.Split(clean)
-	t, err = fs.walk(dirPath, true)
+	t, err = fs.walk(dirPath, followAll, withTrail)
 	if err != nil {
 		return walkTarget{}, "", err
 	}
 	if t.fs != nil {
 		return walkTarget{fs: t.fs, rest: vfs.Join(t.rest, base)}, "", nil
 	}
-	if !t.n().isDir() {
+	if !t.n.isDir() {
 		return walkTarget{}, "", vfs.ErrNotDir
 	}
-	if m, ok := fs.mounts[t.n().id]; ok {
+	if m, ok := fs.mounts[t.n.id]; ok {
 		return walkTarget{fs: m, rest: "/" + base}, "", nil
 	}
 	return t, base, nil
@@ -393,7 +433,7 @@ func (fs *FS) Mkdir(p string) error {
 		return t.fs.Mkdir(t.rest)
 	}
 	defer fs.mu.Unlock()
-	if _, ok := t.n().children[base]; ok {
+	if _, ok := t.n.children[base]; ok {
 		return pe("mkdir", p, vfs.ErrExist)
 	}
 	dir := fs.cow(t.trail)
@@ -419,16 +459,19 @@ func (fs *FS) MkdirAll(p string) error {
 	if clean == "/" {
 		return nil
 	}
-	comps := components(clean)
-	for i := 1; i <= len(comps); i++ {
-		prefix := "/" + vfs.Join(comps[:i]...)
-		fs.mu.Lock()
-		t, err := fs.walk(prefix, true)
-		fs.mu.Unlock()
+	// Every prefix is a slice of clean, ending before a "/" or at its end.
+	for i := 1; i <= len(clean); i++ {
+		if i < len(clean) && clean[i] != '/' {
+			continue
+		}
+		prefix := clean[:i]
+		fs.mu.RLock()
+		t, err := fs.walk(prefix, followAll, nodeOnly)
+		fs.mu.RUnlock()
 		switch {
 		case err == nil && t.fs != nil:
-			return t.fs.MkdirAll(vfs.Join(t.rest, vfs.Join(comps[i:]...)))
-		case err == nil && t.n().isDir():
+			return t.fs.MkdirAll(vfs.Join(t.rest, clean[i:]))
+		case err == nil && t.n.isDir():
 			continue
 		case err == nil:
 			return pe("mkdir", prefix, vfs.ErrNotDir)
@@ -458,8 +501,23 @@ func (fs *FS) OpenFile(p string, flag int) (vfs.File, error) {
 	if flag&(vfs.ORead|vfs.OWrite) == 0 {
 		return nil, pe("open", p, vfs.ErrInvalid)
 	}
+	if flag&(vfs.OCreate|vfs.OTrunc) == 0 {
+		// Such an open changes nothing: a shared lock, and no trail.
+		fs.mu.RLock()
+		t, err := fs.walk(p, followAll, nodeOnly)
+		fs.mu.RUnlock()
+		switch {
+		case err != nil:
+			return nil, pe("open", p, err)
+		case t.fs != nil:
+			return t.fs.OpenFile(t.rest, flag)
+		case t.n.isDir():
+			return nil, pe("open", p, vfs.ErrIsDir)
+		}
+		return fs.newHandle(t.n, p, flag), nil
+	}
 	fs.mu.Lock()
-	t, err := fs.walk(p, true)
+	t, err := fs.walk(p, followAll, withTrail)
 	if err == nil && t.fs != nil {
 		fs.mu.Unlock()
 		return t.fs.OpenFile(t.rest, flag)
@@ -478,7 +536,7 @@ func (fs *FS) OpenFile(p string, flag int) (vfs.File, error) {
 			fs.mu.Unlock()
 			return pt.fs.OpenFile(pt.rest, flag)
 		}
-		if _, exists := pt.n().children[base]; exists {
+		if _, exists := pt.n.children[base]; exists {
 			// The final component is a dangling symlink; refuse.
 			fs.mu.Unlock()
 			return nil, pe("open", p, vfs.ErrExist)
@@ -496,7 +554,7 @@ func (fs *FS) OpenFile(p string, flag int) (vfs.File, error) {
 		fs.mu.Unlock()
 		return fs.newHandle(n, p, flag), nil
 	}
-	n := t.n()
+	n := t.n
 	if n.isDir() {
 		fs.mu.Unlock()
 		return nil, pe("open", p, vfs.ErrIsDir)
@@ -523,7 +581,7 @@ func (fs *FS) OpenFile(p string, flag int) (vfs.File, error) {
 func (fs *FS) ReadFile(p string) ([]byte, error) {
 	fs.stats.Reads.Add(1)
 	fs.mu.RLock()
-	t, err := fs.walk(p, true)
+	t, err := fs.walk(p, followAll, nodeOnly)
 	if err != nil {
 		fs.mu.RUnlock()
 		return nil, pe("read", p, err)
@@ -533,10 +591,10 @@ func (fs *FS) ReadFile(p string) ([]byte, error) {
 		return t.fs.ReadFile(t.rest)
 	}
 	defer fs.mu.RUnlock()
-	if t.n().isDir() {
+	if t.n.isDir() {
 		return nil, pe("read", p, vfs.ErrIsDir)
 	}
-	data := fs.content(t.n())
+	data := fs.content(t.n)
 	out := make([]byte, len(data))
 	copy(out, data)
 	return out, nil
@@ -551,11 +609,11 @@ func (fs *FS) ReadFile(p string) ([]byte, error) {
 func (fs *FS) Reclaimable(p string) int64 {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
-	t, err := fs.walk(p, true)
+	t, err := fs.walk(p, followAll, nodeOnly)
 	if err != nil || t.fs != nil {
 		return 0
 	}
-	n := t.n()
+	n := t.n
 	if n.gen != fs.gen || n.typ != vfs.TypeFile || !n.owned || !n.hasHash || !fs.store.sole(n.hash) {
 		return 0
 	}
@@ -568,13 +626,13 @@ func (fs *FS) Reclaimable(p string) int64 {
 func (fs *FS) WriteFile(p string, data []byte) error {
 	fs.stats.Writes.Add(1)
 	fs.mu.Lock()
-	t, err := fs.walk(p, true)
+	t, err := fs.walk(p, followAll, withTrail)
 	if err == nil && t.fs != nil {
 		fs.mu.Unlock()
 		return t.fs.WriteFile(t.rest, data)
 	}
 	if err == nil {
-		n := t.n()
+		n := t.n
 		if n.isDir() {
 			fs.mu.Unlock()
 			return pe("write", p, vfs.ErrIsDir)
@@ -597,7 +655,7 @@ func (fs *FS) WriteFile(p string, data []byte) error {
 		fs.mu.Unlock()
 		return pt.fs.WriteFile(pt.rest, data)
 	}
-	if _, exists := pt.n().children[base]; exists {
+	if _, exists := pt.n.children[base]; exists {
 		fs.mu.Unlock()
 		return pe("open", p, vfs.ErrExist)
 	}
@@ -635,7 +693,7 @@ func (fs *FS) Symlink(target, link string) error {
 		return t.fs.Symlink(target, t.rest)
 	}
 	defer fs.mu.Unlock()
-	if _, ok := t.n().children[base]; ok {
+	if _, ok := t.n.children[base]; ok {
 		return pe("symlink", link, vfs.ErrExist)
 	}
 	dir := fs.cow(t.trail)
@@ -654,7 +712,7 @@ func (fs *FS) Symlink(target, link string) error {
 // Readlink returns the target of the symlink at p.
 func (fs *FS) Readlink(p string) (string, error) {
 	fs.mu.RLock()
-	t, err := fs.walk(p, false)
+	t, err := fs.walk(p, followDirs, nodeOnly)
 	if err != nil {
 		fs.mu.RUnlock()
 		return "", pe("readlink", p, err)
@@ -664,10 +722,10 @@ func (fs *FS) Readlink(p string) (string, error) {
 		return t.fs.Readlink(t.rest)
 	}
 	defer fs.mu.RUnlock()
-	if t.n().typ != vfs.TypeSymlink {
+	if t.n.typ != vfs.TypeSymlink {
 		return "", pe("readlink", p, vfs.ErrInvalid)
 	}
-	return t.n().target, nil
+	return t.n.target, nil
 }
 
 // Remove deletes the object at p. Directories must be empty. Symlinks
@@ -685,7 +743,7 @@ func (fs *FS) Remove(p string) error {
 		return t.fs.Remove(t.rest)
 	}
 	defer fs.mu.Unlock()
-	n, ok := t.n().children[base]
+	n, ok := t.n.children[base]
 	if !ok {
 		return pe("remove", p, vfs.ErrNotExist)
 	}
@@ -728,7 +786,7 @@ func (fs *FS) RemoveAll(p string) error {
 		return t.fs.RemoveAll(t.rest)
 	}
 	defer fs.mu.Unlock()
-	n, ok := t.n().children[base]
+	n, ok := t.n.children[base]
 	if !ok {
 		return nil
 	}
@@ -781,7 +839,7 @@ func (fs *FS) Rename(oldPath, newPath string) error {
 		}
 		return pe("rename", oldPath, vfs.ErrCrossMount)
 	}
-	src, ok := ot.n().children[oldBase]
+	src, ok := ot.n.children[oldBase]
 	if !ok {
 		return pe("rename", oldPath, vfs.ErrNotExist)
 	}
@@ -797,7 +855,7 @@ func (fs *FS) Rename(oldPath, newPath string) error {
 			}
 		}
 	}
-	if dst, exists := nt.n().children[newBase]; exists {
+	if dst, exists := nt.n.children[newBase]; exists {
 		if dst == src || dst.id == src.id {
 			return nil // rename to itself
 		}
@@ -846,7 +904,7 @@ func (fs *FS) Rename(oldPath, newPath string) error {
 func (fs *FS) Stat(p string) (vfs.Info, error) {
 	fs.stats.Stats.Add(1)
 	fs.mu.RLock()
-	t, err := fs.walk(p, true)
+	t, err := fs.walk(p, followAll, nodeOnly)
 	if err != nil {
 		fs.mu.RUnlock()
 		return vfs.Info{}, pe("stat", p, err)
@@ -856,14 +914,14 @@ func (fs *FS) Stat(p string) (vfs.Info, error) {
 		return t.fs.Stat(t.rest)
 	}
 	defer fs.mu.RUnlock()
-	return t.n().info(), nil
+	return t.n.info(), nil
 }
 
 // Lstat returns metadata for p without following a final symlink.
 func (fs *FS) Lstat(p string) (vfs.Info, error) {
 	fs.stats.Stats.Add(1)
 	fs.mu.RLock()
-	t, err := fs.walk(p, false)
+	t, err := fs.walk(p, followDirs, nodeOnly)
 	if err != nil {
 		fs.mu.RUnlock()
 		return vfs.Info{}, pe("lstat", p, err)
@@ -873,14 +931,14 @@ func (fs *FS) Lstat(p string) (vfs.Info, error) {
 		return t.fs.Lstat(t.rest)
 	}
 	defer fs.mu.RUnlock()
-	return t.n().info(), nil
+	return t.n.info(), nil
 }
 
 // ReadDir lists the directory at p in name order.
 func (fs *FS) ReadDir(p string) ([]vfs.DirEntry, error) {
 	fs.stats.ReadDirs.Add(1)
 	fs.mu.RLock()
-	t, err := fs.walk(p, true)
+	t, err := fs.walk(p, followAll, nodeOnly)
 	if err != nil {
 		fs.mu.RUnlock()
 		return nil, pe("readdir", p, err)
@@ -890,10 +948,10 @@ func (fs *FS) ReadDir(p string) ([]vfs.DirEntry, error) {
 		return t.fs.ReadDir(t.rest)
 	}
 	defer fs.mu.RUnlock()
-	if !t.n().isDir() {
+	if !t.n.isDir() {
 		return nil, pe("readdir", p, vfs.ErrNotDir)
 	}
-	n := t.n()
+	n := t.n
 	out := make([]vfs.DirEntry, 0, len(n.children))
 	for _, c := range n.children {
 		out = append(out, vfs.DirEntry{Name: c.name, Type: c.typ, Ino: c.id})
@@ -914,10 +972,11 @@ func (fs *FS) Mount(p string, m vfs.FileSystem) error {
 	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	n, err := fs.lookupNoMount(p)
+	t, err := fs.walk(p, literal, nodeOnly)
 	if err != nil {
 		return pe("mount", p, err)
 	}
+	n := t.n
 	if !n.isDir() {
 		return pe("mount", p, vfs.ErrNotDir)
 	}
@@ -928,42 +987,18 @@ func (fs *FS) Mount(p string, m vfs.FileSystem) error {
 	return nil
 }
 
-// lookupNoMount resolves p strictly within this file system; see
-// MemFS.lookupNoMount. Caller holds fs.mu.
-func (fs *FS) lookupNoMount(p string) (*inode, error) {
-	clean, err := vfs.Clean(p)
-	if err != nil {
-		return nil, err
-	}
-	cur := fs.root
-	for _, c := range components(clean) {
-		if _, ok := fs.mounts[cur.id]; ok {
-			return nil, vfs.ErrCrossMount
-		}
-		if !cur.isDir() {
-			return nil, vfs.ErrNotDir
-		}
-		next, ok := cur.children[c]
-		if !ok {
-			return nil, vfs.ErrNotExist
-		}
-		cur = next
-	}
-	return cur, nil
-}
-
 // Unmount detaches the file system mounted at p.
 func (fs *FS) Unmount(p string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	n, err := fs.lookupNoMount(p)
+	t, err := fs.walk(p, literal, nodeOnly)
 	if err != nil {
 		return pe("unmount", p, err)
 	}
-	if _, ok := fs.mounts[n.id]; !ok {
+	if _, ok := fs.mounts[t.n.id]; !ok {
 		return pe("unmount", p, vfs.ErrInvalid)
 	}
-	delete(fs.mounts, n.id)
+	delete(fs.mounts, t.n.id)
 	return nil
 }
 
@@ -1159,11 +1194,21 @@ func FromManifest(m *Manifest, store *BlobStore) (*FS, error) {
 	}
 	fs.root.modTime = m.Entries[0].ModTime
 	for _, e := range m.Entries[1:] {
-		t, base, err := fs.walkParentNoFollow(e.Path)
+		// Replay must not reinterpret paths: the parent is walked
+		// literally, following no symlink.
+		clean, err := vfs.Clean(e.Path)
+		if err == nil && clean == "/" {
+			err = vfs.ErrInvalid
+		}
 		if err != nil {
 			return fail(e.Path, err)
 		}
-		dir := t.n()
+		dirPath, base := vfs.Split(clean)
+		t, err := fs.walk(dirPath, literal, nodeOnly)
+		if err != nil {
+			return fail(e.Path, err)
+		}
+		dir := t.n
 		if !dir.isDir() {
 			return fail(e.Path, vfs.ErrNotDir)
 		}
@@ -1198,33 +1243,6 @@ func FromManifest(m *Manifest, store *BlobStore) (*FS, error) {
 		dir.children[base] = n
 	}
 	return fs, nil
-}
-
-// walkParentNoFollow resolves the literal parent directory of p without
-// following symlinks anywhere on the trail — manifest replay must not
-// reinterpret paths. Caller holds fs.mu.
-func (fs *FS) walkParentNoFollow(p string) (walkTarget, string, error) {
-	clean, err := vfs.Clean(p)
-	if err != nil {
-		return walkTarget{}, "", err
-	}
-	if clean == "/" {
-		return walkTarget{}, "", vfs.ErrInvalid
-	}
-	dirPath, base := vfs.Split(clean)
-	trail := []*inode{fs.root}
-	for _, c := range components(dirPath) {
-		cur := trail[len(trail)-1]
-		if !cur.isDir() {
-			return walkTarget{}, "", vfs.ErrNotDir
-		}
-		child, ok := cur.children[c]
-		if !ok {
-			return walkTarget{}, "", vfs.ErrNotExist
-		}
-		trail = append(trail, child)
-	}
-	return walkTarget{trail: trail}, base, nil
 }
 
 // Release drops every store reference the live overlay owns and resets

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 
 	"hacfs/internal/vfs"
@@ -54,123 +55,315 @@ func dump(t *testing.T, fsys vfs.FileSystem) string {
 // in lockstep, requiring identical success/failure on every step and
 // identical trees afterwards. Periodic Snapshot/Clone calls on the cas
 // side exercise copy-on-write under the same comparison.
+//
+// The links/ runs stress path resolution: deeper paths, symlinks with
+// absolute and relative targets at intermediate and final components
+// (dangling ones, and loops), files in the middle of a path, a mounted
+// subtree at /m, and the read-only calls — Lstat, ReadDir, Open+Read —
+// besides the rest.
 func TestEquivalenceWithMemFS(t *testing.T) {
+	basic := equivalenceConfig{
+		ops:   12,
+		paths: []string{"/a", "/b", "/a/x", "/a/y", "/b/z", "/a/x/deep", "/c", "/a/x/q"},
+	}
+	links := equivalenceConfig{
+		ops: 16,
+		paths: []string{
+			"/a", "/b", "/a/x", "/a/y", "/b/z", "/a/x/deep", "/c", "/a/x/q",
+			"/l", "/a/l", "/l/x", "/a/l/deep", "/a/x/l/q", "/a/y/f", "/l/x/q",
+			"/m", "/m/x", "/m/x/deep", "/m/l", "/m/l/q",
+		},
+		targets: []string{
+			"x", "x/deep", "l", "l/x", "a/x", "m/x", "y", "../b", ".", "x//q",
+			"nowhere", "nowhere/x", "/nowhere", "/a/x/", "/", "/m", "/l",
+		},
+		mount: true,
+	}
 	for seed := int64(1); seed <= 6; seed++ {
 		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			mem := vfs.New()
-			cfs := New(nil)
-			var snaps []*Snap
-
-			paths := []string{"/a", "/b", "/a/x", "/a/y", "/b/z", "/a/x/deep", "/c", "/a/x/q"}
-			randPath := func() string { return paths[rng.Intn(len(paths))] }
-
-			type result struct {
-				err  error
-				data []byte
-				str  string
-			}
-			apply := func(fsys vfs.FileSystem, op int, p, p2, content string) result {
-				switch op {
-				case 0:
-					return result{err: fsys.Mkdir(p)}
-				case 1:
-					return result{err: fsys.MkdirAll(p)}
-				case 2:
-					return result{err: fsys.WriteFile(p, []byte(content))}
-				case 3:
-					d, err := fsys.ReadFile(p)
-					return result{err: err, data: d}
-				case 4:
-					return result{err: fsys.Symlink(p2, p)}
-				case 5:
-					s, err := fsys.Readlink(p)
-					return result{err: err, str: s}
-				case 6:
-					return result{err: fsys.Remove(p)}
-				case 7:
-					return result{err: fsys.RemoveAll(p)}
-				case 8:
-					return result{err: fsys.Rename(p, p2)}
-				case 9:
-					inf, err := fsys.Stat(p)
-					if err != nil {
-						return result{err: err}
-					}
-					return result{str: fmt.Sprintf("%s/%v/%d", inf.Name, inf.Type, inf.Size)}
-				case 10:
-					inf, err := fsys.Lstat(p)
-					if err != nil {
-						return result{err: err}
-					}
-					return result{str: fmt.Sprintf("%s/%v/%d/%s", inf.Name, inf.Type, inf.Size, inf.Target)}
-				case 11: // handle-based write session
-					f, err := fsys.OpenFile(p, vfs.ORead|vfs.OWrite|vfs.OCreate)
-					if err != nil {
-						return result{err: err}
-					}
-					if _, err := f.Seek(0, io.SeekEnd); err != nil {
-						f.Close()
-						return result{err: err}
-					}
-					if _, err := f.Write([]byte(content)); err != nil {
-						f.Close()
-						return result{err: err}
-					}
-					if err := f.Truncate(int64(len(content))); err != nil {
-						f.Close()
-						return result{err: err}
-					}
-					return result{err: f.Close()}
-				default:
-					panic("bad op")
-				}
-			}
-
-			for step := 0; step < 1500; step++ {
-				op := rng.Intn(12)
-				p, p2 := randPath(), randPath()
-				content := fmt.Sprintf("content-%d-%d", rng.Intn(5), step%7)
-				mr := apply(mem, op, p, p2, content)
-				cr := apply(cfs, op, p, p2, content)
-				if (mr.err == nil) != (cr.err == nil) {
-					t.Fatalf("step %d op %d %s %s: memfs err %v, cas err %v", step, op, p, p2, mr.err, cr.err)
-				}
-				if mr.err != nil {
-					// Same sentinel class.
-					for _, sentinel := range []error{
-						vfs.ErrNotExist, vfs.ErrExist, vfs.ErrNotDir, vfs.ErrIsDir,
-						vfs.ErrNotEmpty, vfs.ErrInvalid, vfs.ErrLoop,
-					} {
-						if errors.Is(mr.err, sentinel) != errors.Is(cr.err, sentinel) {
-							t.Fatalf("step %d op %d %s: memfs %v vs cas %v (sentinel %v)", step, op, p, mr.err, cr.err, sentinel)
-						}
-					}
-				}
-				if !bytes.Equal(mr.data, cr.data) || mr.str != cr.str {
-					t.Fatalf("step %d op %d %s: memfs (%q,%q) vs cas (%q,%q)", step, op, p, mr.data, mr.str, cr.data, cr.str)
-				}
-				// Periodically seal: results before and after must match
-				// MemFS exactly (sealing is invisible to the API).
-				if step%97 == 13 {
-					snaps = append(snaps, cfs.Snapshot())
-				}
-				if step%211 == 37 {
-					cfs = cfs.Clone()
-				}
-				if step%127 == 0 {
-					if d1, d2 := dump(t, mem), dump(t, cfs); d1 != d2 {
-						t.Fatalf("step %d: trees diverge\nmemfs:\n%s\ncas:\n%s", step, d1, d2)
-					}
-				}
-			}
-			if d1, d2 := dump(t, mem), dump(t, cfs); d1 != d2 {
-				t.Fatalf("final trees diverge\nmemfs:\n%s\ncas:\n%s", d1, d2)
-			}
-			_ = snaps
-		})
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { runEquivalence(t, seed, basic) })
+		t.Run(fmt.Sprintf("links/seed%d", seed), func(t *testing.T) { runEquivalence(t, seed, links) })
 	}
+}
+
+// equivalenceConfig shapes one TestEquivalenceWithMemFS run: how many
+// of apply's operations it draws from, its paths, the extra symlink
+// targets operation 14 (a Symlink) draws from, and whether /m is a mount
+// point.
+type equivalenceConfig struct {
+	ops     int
+	paths   []string
+	targets []string
+	mount   bool
+}
+
+func runEquivalence(t *testing.T, seed int64, cfg equivalenceConfig) {
+	rng := rand.New(rand.NewSource(seed))
+	mem := vfs.New()
+	cfs := New(nil)
+	var snaps []*Snap
+	var casMount vfs.FileSystem // what cas.FS mounts at /m; a clone mounts it again
+	if cfg.mount {
+		for _, fsys := range []vfs.FileSystem{mem, cfs} {
+			if err := fsys.Mkdir("/m"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := mem.Mount("/m", vfs.New()); err != nil {
+			t.Fatal(err)
+		}
+		casMount = vfs.New()
+		if err := cfs.Mount("/m", casMount); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	randPath := func() string { return cfg.paths[rng.Intn(len(cfg.paths))] }
+
+	type result struct {
+		err  error
+		data []byte
+		str  string
+	}
+	apply := func(fsys vfs.FileSystem, op int, p, p2, content string) result {
+		switch op {
+		case 0:
+			return result{err: fsys.Mkdir(p)}
+		case 1:
+			return result{err: fsys.MkdirAll(p)}
+		case 2:
+			return result{err: fsys.WriteFile(p, []byte(content))}
+		case 3:
+			d, err := fsys.ReadFile(p)
+			return result{err: err, data: d}
+		case 4:
+			return result{err: fsys.Symlink(p2, p)}
+		case 5:
+			s, err := fsys.Readlink(p)
+			return result{err: err, str: s}
+		case 6:
+			return result{err: fsys.Remove(p)}
+		case 7:
+			return result{err: fsys.RemoveAll(p)}
+		case 8:
+			return result{err: fsys.Rename(p, p2)}
+		case 9:
+			inf, err := fsys.Stat(p)
+			if err != nil {
+				return result{err: err}
+			}
+			return result{str: fmt.Sprintf("%s/%v/%d", inf.Name, inf.Type, inf.Size)}
+		case 10:
+			inf, err := fsys.Lstat(p)
+			if err != nil {
+				return result{err: err}
+			}
+			return result{str: fmt.Sprintf("%s/%v/%d/%s", inf.Name, inf.Type, inf.Size, inf.Target)}
+		case 11: // handle-based write session
+			f, err := fsys.OpenFile(p, vfs.ORead|vfs.OWrite|vfs.OCreate)
+			if err != nil {
+				return result{err: err}
+			}
+			if _, err := f.Seek(0, io.SeekEnd); err != nil {
+				f.Close()
+				return result{err: err}
+			}
+			if _, err := f.Write([]byte(content)); err != nil {
+				f.Close()
+				return result{err: err}
+			}
+			if err := f.Truncate(int64(len(content))); err != nil {
+				f.Close()
+				return result{err: err}
+			}
+			return result{err: f.Close()}
+		case 12:
+			ents, err := fsys.ReadDir(p)
+			var b bytes.Buffer
+			for _, e := range ents {
+				fmt.Fprintf(&b, "%s/%v ", e.Name, e.Type)
+			}
+			return result{err: err, str: b.String()}
+		case 13: // read-only open
+			f, err := fsys.Open(p)
+			if err != nil {
+				return result{err: err}
+			}
+			d, err := io.ReadAll(f)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+			return result{err: err, data: d}
+		case 15: // mount and unmount resolve the path literally
+			if err := fsys.(interface {
+				Mount(string, vfs.FileSystem) error
+			}).Mount(p, vfs.New()); err != nil {
+				return result{err: err}
+			}
+			return result{err: fsys.(interface{ Unmount(string) error }).Unmount(p)}
+		default:
+			panic("bad op")
+		}
+	}
+
+	for step := 0; step < 1500; step++ {
+		op := rng.Intn(cfg.ops)
+		p, p2 := randPath(), randPath()
+		content := fmt.Sprintf("content-%d-%d", rng.Intn(5), step%7)
+		if op == 14 {
+			// A symlink whose target is not one of the paths.
+			op, p2 = 4, cfg.targets[rng.Intn(len(cfg.targets))]
+		}
+		mr := apply(mem, op, p, p2, content)
+		cr := apply(cfs, op, p, p2, content)
+		if (mr.err == nil) != (cr.err == nil) {
+			t.Fatalf("step %d op %d %s %s: memfs err %v, cas err %v", step, op, p, p2, mr.err, cr.err)
+		}
+		if mr.err != nil {
+			// Same sentinel class.
+			for _, sentinel := range []error{
+				vfs.ErrNotExist, vfs.ErrExist, vfs.ErrNotDir, vfs.ErrIsDir,
+				vfs.ErrNotEmpty, vfs.ErrInvalid, vfs.ErrLoop,
+				vfs.ErrBusy, vfs.ErrCrossMount,
+			} {
+				if errors.Is(mr.err, sentinel) != errors.Is(cr.err, sentinel) {
+					t.Fatalf("step %d op %d %s: memfs %v vs cas %v (sentinel %v)", step, op, p, mr.err, cr.err, sentinel)
+				}
+			}
+		}
+		if !bytes.Equal(mr.data, cr.data) || mr.str != cr.str {
+			t.Fatalf("step %d op %d %s: memfs (%q,%q) vs cas (%q,%q)", step, op, p, mr.data, mr.str, cr.data, cr.str)
+		}
+		// Periodically seal: results before and after must match
+		// MemFS exactly (sealing is invisible to the API).
+		if step%97 == 13 {
+			snaps = append(snaps, cfs.Snapshot())
+		}
+		if step%211 == 37 {
+			// A clone does not carry its source's mounts.
+			cfs = cfs.Clone()
+			if cfg.mount {
+				if err := cfs.Mount("/m", casMount); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if step%127 == 0 {
+			if d1, d2 := dump(t, mem), dump(t, cfs); d1 != d2 {
+				t.Fatalf("step %d: trees diverge\nmemfs:\n%s\ncas:\n%s", step, d1, d2)
+			}
+		}
+	}
+	if d1, d2 := dump(t, mem), dump(t, cfs); d1 != d2 {
+		t.Fatalf("final trees diverge\nmemfs:\n%s\ncas:\n%s", d1, d2)
+	}
+	_ = snaps
+}
+
+// TestWalkAllocs pins that resolving a path allocates nothing when no
+// symlink is followed: the walker reads the clean path's components in
+// place, and a read records no trail.
+func TestWalkAllocs(t *testing.T) {
+	fs := New(nil)
+	if err := fs.MkdirAll("/a/b/c/d/e/f/g"); err != nil {
+		t.Fatal(err)
+	}
+	const p = "/a/b/c/d/e/f/g/h"
+	if err := fs.WriteFile(p, []byte("eight deep")); err != nil {
+		t.Fatal(err)
+	}
+	for name, call := range map[string]func() error{
+		"Lstat": func() error { _, err := fs.Lstat(p); return err },
+		"Stat":  func() error { _, err := fs.Stat(p); return err },
+	} {
+		var err error
+		if n := testing.AllocsPerRun(100, func() { err = call() }); err != nil || n != 0 {
+			t.Errorf("%s of a depth-8 path: %v allocations (err %v), want 0", name, n, err)
+		}
+	}
+}
+
+// TestConcurrentReadsAndMutations races read-only opens and reads, which
+// walk under the shared lock, against WriteFile, Rename and RemoveAll of
+// the same paths and seals that make the next mutation copy its path.
+// Meant for -race: every ReadFile sees one whole written value or a
+// clean error. A handle may also read nothing: removing or renaming over
+// a file releases its content while a handle is open on it, a known
+// divergence from MemFS, which keeps the bytes until the handle closes.
+func TestConcurrentReadsAndMutations(t *testing.T) {
+	fs := New(nil)
+	paths := []string{"/d/f", "/d/g", "/d/sub/f"}
+	value := func(i int) []byte { return []byte(fmt.Sprintf("value-%d", i%10)) }
+	expected := func(err error) bool {
+		return errors.Is(err, vfs.ErrNotExist) || errors.Is(err, vfs.ErrNotDir) || errors.Is(err, vfs.ErrIsDir)
+	}
+	checkData := func(op, p string, data []byte, err error) {
+		switch {
+		case err != nil && !expected(err):
+			t.Errorf("%s %s: %v", op, p, err)
+		case err == nil && (len(data) != len("value-0") || !bytes.HasPrefix(data, []byte("value-"))):
+			t.Errorf("%s %s: read %q, not a whole written value", op, p, data)
+		}
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := r; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				p := paths[i%len(paths)]
+				if f, err := fs.Open(p); err != nil {
+					checkData("open", p, nil, err)
+				} else {
+					if data, err := io.ReadAll(f); len(data) > 0 || err != nil {
+						checkData("read", p, data, err)
+					}
+					if err := f.Close(); err != nil {
+						t.Errorf("close %s: %v", p, err)
+					}
+				}
+				data, err := fs.ReadFile(p)
+				checkData("readfile", p, data, err)
+				if _, err := fs.Stat(p); err != nil && !expected(err) {
+					t.Errorf("stat %s: %v", p, err)
+				}
+				if _, err := fs.Lstat(p); err != nil && !expected(err) {
+					t.Errorf("lstat %s: %v", p, err)
+				}
+				if _, err := fs.ReadDir("/d"); err != nil && !expected(err) {
+					t.Errorf("readdir /d: %v", err)
+				}
+			}
+		}(r)
+	}
+	for i := 0; i < 2000; i++ {
+		var err error
+		switch i % 6 {
+		case 0:
+			err = fs.MkdirAll("/d/sub")
+		case 1, 2:
+			err = fs.WriteFile(paths[i%len(paths)], value(i))
+		case 3:
+			err = fs.Rename("/d/f", "/d/g")
+		case 4:
+			if i%24 == 4 {
+				err = fs.RemoveAll("/d")
+			}
+		case 5:
+			fs.Snapshot()
+		}
+		if err != nil && !expected(err) {
+			t.Errorf("step %d: %v", i, err)
+		}
+	}
+	close(stop)
+	wg.Wait()
 }
 
 // TestSnapshotIsolation verifies that a sealed snapshot is immutable

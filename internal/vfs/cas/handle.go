@@ -46,7 +46,7 @@ func (h *chandle) ensureMutable() *inode {
 	if h.detached || h.n.gen == fs.gen {
 		return h.n
 	}
-	if t, err := fs.walk(h.name, true); err == nil && t.fs == nil && t.n().id == h.n.id {
+	if t, err := fs.walk(h.name, followAll, withTrail); err == nil && t.fs == nil && t.n.id == h.n.id {
 		h.n = fs.cow(t.trail)
 		return h.n
 	}
