@@ -129,8 +129,6 @@ func main() {
 			err = ablateSets()
 		case "ablate-scope":
 			err = ablateScope()
-		case "ablate-cache":
-			err = ablateCache(aspec)
 		default:
 			fmt.Fprintf(os.Stderr, "hacbench: unknown experiment %q\n\n", cmd)
 			usage()
@@ -151,7 +149,7 @@ Experiments (default: all):
   table2        user-level FS %% slowdowns              (paper Table 2)
   table3        indexing time/space, direct vs HAC     (paper Table 3)
   table4        query cost, smkdir vs direct search    (paper Table 4)
-  space         metadata and shared-memory footprints  (§4 in-text)
+  space         metadata and result-bitmap footprints  (§4 in-text)
   obs           instrumentation overhead, on vs off    (EXPERIMENTS.md)
   compaction    Search latency under concurrent merge  (EXPERIMENTS.md)
   planner       cost-based planner vs naive pipeline   (EXPERIMENTS.md)
@@ -162,7 +160,6 @@ Experiments (default: all):
   ablate-order  targeted vs full consistency updates   (DESIGN.md A1)
   ablate-sets   bitmap vs sparse result sets           (DESIGN.md A2)
   ablate-scope  scope-direction design comparison      (DESIGN.md A3)
-  ablate-cache  attribute cache on/off under Andrew    (DESIGN.md A4)
 
 Flags:
 `)
@@ -182,7 +179,6 @@ func runAll(aspec andrew.Spec, cspec corpus.Spec) error {
 		ablateOrder,
 		ablateSets,
 		ablateScope,
-		func() error { return ablateCache(aspec) },
 	} {
 		if err := f(); err != nil {
 			return err
@@ -311,8 +307,6 @@ func space(spec andrew.Spec) error {
 	fmt.Fprintf(w, "UNIX metadata\t%d KB\n", res.UnixMetaBytes/1024)
 	fmt.Fprintf(w, "HAC metadata\t%d KB\t(paper: 222KB vs 210KB, ~5%%)\n", res.HACMetaBytes/1024)
 	fmt.Fprintf(w, "metadata overhead\t%.1f%%\n", res.MetaOverheadPct)
-	fmt.Fprintf(w, "shared memory (attr cache + fd table)\t%d KB\t(paper: ~16KB/process)\n",
-		res.SharedMemoryBytes/1024)
 	fmt.Fprintf(w, "result bitmap per semantic dir\t%d B\t(paper: N/8 ≈ 2KB at N=17000)\n",
 		res.BitmapBytesPerDir)
 	w.Flush()
@@ -683,22 +677,6 @@ func ablateSets() error {
 	}
 	w.Flush()
 	fmt.Println("(paper stores bitmaps — N/8 bytes — and defers sparse sets to future work)")
-	fmt.Println()
-	return nil
-}
-
-func ablateCache(spec andrew.Spec) error {
-	fmt.Printf("== Ablation A4: attribute cache under the Andrew benchmark ==\n")
-	res, err := bench.AblationAttrCache(spec, *reps)
-	if err != nil {
-		return err
-	}
-	w := newTab()
-	fmt.Fprintln(w, "\tScan\tRead\tTotal")
-	fmt.Fprintf(w, "with attr cache\t%s\t%s\t%s\n", ms(res.WithCache), ms(res.ReadWith), ms(res.TotalWith))
-	fmt.Fprintf(w, "without (cap 1)\t%s\t%s\t%s\n", ms(res.WithoutCache), ms(res.ReadWithout), ms(res.TotalWithout))
-	w.Flush()
-	fmt.Println("(the paper keeps this cache in shared memory to speed Scan and Read)")
 	fmt.Println()
 	return nil
 }

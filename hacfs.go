@@ -83,8 +83,6 @@ var (
 	WithVerify = hac.WithVerify
 	// WithContext bounds one evaluation pass with a context.
 	WithContext = hac.WithContext
-	// WithAttrCacheSize bounds the attribute cache (construction only).
-	WithAttrCacheSize = hac.WithAttrCacheSize
 	// WithTransducer registers an attribute transducer (construction
 	// only).
 	WithTransducer = hac.WithTransducer

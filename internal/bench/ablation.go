@@ -2,10 +2,8 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
-	"hacfs/internal/andrew"
 	"hacfs/internal/bitset"
 	"hacfs/internal/corpus"
 	"hacfs/internal/hac"
@@ -160,77 +158,6 @@ func max(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// ---------------------------------------------------------------------
-// Ablation A4 — the attribute cache
-//
-// §4 credits the shared-memory attribute cache with speeding up the
-// Scan and Read phases ("this helps to speed up Scan and Read
-// operations on that file"). This ablation runs the Andrew benchmark
-// on HAC with the cache effectively disabled (capacity 1) and with the
-// default capacity, and reports the Scan-phase times.
-// ---------------------------------------------------------------------
-
-// A4Result compares Andrew Scan/Read with and without the attribute
-// cache.
-type A4Result struct {
-	WithCache    time.Duration // Scan phase
-	WithoutCache time.Duration
-	ReadWith     time.Duration
-	ReadWithout  time.Duration
-	TotalWith    time.Duration
-	TotalWithout time.Duration
-}
-
-// AblationAttrCache measures the attribute cache's contribution. reps
-// runs are averaged.
-func AblationAttrCache(spec andrew.Spec, reps int) (A4Result, error) {
-	var res A4Result
-	if reps <= 0 {
-		reps = 3
-	}
-	one := func(opts hac.Options) (andrew.Result, error) {
-		runtime.GC()
-		fs := hac.New(vfs.New(), opts)
-		if err := andrew.GenerateSource(fs, "/src", spec); err != nil {
-			return andrew.Result{}, err
-		}
-		return andrew.Run(fs, "/src", "/dst", spec)
-	}
-	// One unmeasured warmup of each configuration, then interleaved
-	// measured runs so allocator and GC state cannot favor either side.
-	if _, err := one(hac.Options{}); err != nil {
-		return res, err
-	}
-	if _, err := one(hac.Options{AttrCacheSize: 1}); err != nil {
-		return res, err
-	}
-	for r := 0; r < reps; r++ {
-		a, err := one(hac.Options{})
-		if err != nil {
-			return res, err
-		}
-		res.WithCache += a.Scan
-		res.ReadWith += a.Read
-		res.TotalWith += a.Total()
-
-		b, err := one(hac.Options{AttrCacheSize: 1})
-		if err != nil {
-			return res, err
-		}
-		res.WithoutCache += b.Scan
-		res.ReadWithout += b.Read
-		res.TotalWithout += b.Total()
-	}
-	n := time.Duration(reps)
-	res.WithCache /= n
-	res.ReadWith /= n
-	res.TotalWith /= n
-	res.WithoutCache /= n
-	res.ReadWithout /= n
-	res.TotalWithout /= n
-	return res, nil
 }
 
 // ---------------------------------------------------------------------

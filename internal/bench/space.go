@@ -10,14 +10,13 @@ import (
 
 // SpaceResult reproduces the in-text space measurements of §4:
 // metadata footprint of the same tree under raw UNIX vs under HAC
-// (222 KB vs 210 KB, ~5%, in the paper), the per-process shared-memory
-// footprint (~16 KB), and the per-semantic-directory result bitmap
-// (N/8 bytes, ~2 KB at N = 17000).
+// (222 KB vs 210 KB, ~5%, in the paper) and the per-semantic-directory
+// result bitmap (N/8 bytes, ~2 KB at N = 17000). The paper's third row,
+// ~16 KB of per-process shared memory for the attribute cache and
+// descriptor table, has no counterpart: HAC keeps neither.
 type SpaceResult struct {
 	UnixMetaBytes int
 	HACMetaBytes  int // substrate metadata + HAC structures
-
-	SharedMemoryBytes int
 
 	IndexedFiles       int
 	BitmapBytesPerDir  int
@@ -56,30 +55,6 @@ func Space(spec andrew.Spec, semDirs int) (SpaceResult, error) {
 			return res, err
 		}
 	}
-	// Exercise the attribute cache and descriptor table so the
-	// shared-memory figure reflects steady-state use.
-	files, err := vfs.Files(fs, "/src")
-	if err != nil {
-		return res, err
-	}
-	var open []vfs.File
-	for i, p := range files {
-		if _, err := fs.Stat(p); err != nil {
-			return res, err
-		}
-		if i < 16 {
-			f, err := fs.Open(p)
-			if err != nil {
-				return res, err
-			}
-			open = append(open, f)
-		}
-	}
-	res.SharedMemoryBytes = fs.SharedMemoryBytes()
-	for _, f := range open {
-		f.Close()
-	}
-
 	res.HACMetaBytes = under.MetadataBytes() + fs.MetadataBytes()
 	res.IndexedFiles = fs.Index().NumDocs()
 	res.SemanticDirs = semDirs

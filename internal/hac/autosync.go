@@ -112,3 +112,69 @@ func (fs *FS) autoSyncRemoved(path string, subtree bool) error {
 	defer fs.mu.Unlock()
 	return fs.deltaSyncLocked(path, many)
 }
+
+// trackedFile wraps a substrate file handle. It counts toward the open
+// handles Stats reports, and a handle that changed a file under an
+// auto-sync prefix settles its links on Close.
+type trackedFile struct {
+	vfs.File
+	fs     *FS
+	path   string
+	closed bool
+	// dirty records that the handle truncated or wrote the file, so Close
+	// owes it an auto-sync; whole, when hasWhole, is the file's entire
+	// new content (WriteFile knows it and saves Close the read-back).
+	dirty    bool
+	whole    []byte
+	hasWhole bool
+}
+
+func (f *trackedFile) Write(p []byte) (int, error) {
+	n, err := f.File.Write(p)
+	f.dirty = f.dirty || n > 0
+	return n, err
+}
+
+func (f *trackedFile) WriteAt(p []byte, off int64) (int, error) {
+	n, err := f.File.WriteAt(p, off)
+	f.dirty = f.dirty || n > 0
+	return n, err
+}
+
+func (f *trackedFile) Truncate(size int64) error {
+	err := f.File.Truncate(size)
+	f.dirty = f.dirty || err == nil
+	return err
+}
+
+// Close releases the handle. A handle that changed a file under an
+// auto-sync prefix re-indexes it and settles its links before Close
+// returns, like WriteFile. If settling the links fails, Close reports it
+// with the handle closed and the bytes written.
+func (f *trackedFile) Close() error {
+	sync := f.dirty && !f.closed && f.fs.autoSync.covers(f.path)
+	var info vfs.Info
+	if sync {
+		// The handle's own Stat carries the write's modification time
+		// and costs no path walk; it must be read before the close.
+		var serr error
+		info, serr = f.File.Stat()
+		sync = serr == nil
+	}
+	err := f.File.Close()
+	if err != nil || f.closed {
+		return err
+	}
+	f.closed = true
+	f.fs.openHandles.Add(-1)
+	if !sync {
+		return nil
+	}
+	data := f.whole
+	if !f.hasWhole {
+		if data, err = f.fs.under.ReadFile(f.path); err != nil {
+			return nil // already gone or replaced by a directory: nothing to index
+		}
+	}
+	return f.fs.autoSyncWritten(f.path, data, info)
+}

@@ -30,8 +30,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hacfs/internal/depgraph"
@@ -120,8 +120,6 @@ func newDirState(uid uint64) *dirState {
 
 // Options configures a HAC file system.
 type Options struct {
-	// AttrCacheSize bounds the attribute cache (default 4096 entries).
-	AttrCacheSize int
 	// VerifyMatches makes the CBA engine confirm every query match by
 	// scanning the file's content, the way Glimpse's second level greps
 	// its candidate files. Slower, but the engine cost then matches a
@@ -175,10 +173,9 @@ type FS struct {
 	scopeEpoch map[uint64]uint64
 	qcache     *plan.Cache // ad-hoc Search result cache
 
-	attrs    *attrCache
-	fds      *fdTable
-	verify   bool
-	autoSync autoSyncSet
+	openHandles atomic.Int64 // handles opened and not yet closed: a leak check
+	verify      bool
+	autoSync    autoSyncSet
 
 	obsv *obs.Observer // never nil; Discard() when observability is off
 	met  *fsMetrics    // pre-resolved handles into obsv's registry
@@ -196,9 +193,6 @@ func New(under vfs.FileSystem, opts Options) *FS {
 // tokenizer already attached via load options; nil means a fresh empty
 // index, onto which Options.Transducers are registered here.
 func newFS(under vfs.FileSystem, opts Options, preIx *index.Index) *FS {
-	if opts.AttrCacheSize <= 0 {
-		opts.AttrCacheSize = 4096
-	}
 	if opts.Observer == nil {
 		opts.Observer = obs.Default()
 	}
@@ -215,8 +209,6 @@ func newFS(under vfs.FileSystem, opts Options, preIx *index.Index) *FS {
 		mounts:     make(map[string][]Namespace),
 		scopeEpoch: make(map[uint64]uint64),
 		qcache:     plan.NewCache(plan.DefaultCacheSize),
-		attrs:      newAttrCache(opts.AttrCacheSize),
-		fds:        newFDTable(),
 		verify:     opts.VerifyMatches,
 		obsv:       opts.Observer,
 		met:        newFSMetrics(opts.Observer),
@@ -241,7 +233,7 @@ func newFS(under vfs.FileSystem, opts Options, preIx *index.Index) *FS {
 // NewWith wraps a substrate file system in a HAC layer configured by
 // functional options — the preferred constructor. NewWith(u) is
 // equivalent to New(u, Options{}); construction-time options are
-// WithVerify, WithAttrCacheSize, WithObserver and WithTransducer.
+// WithVerify, WithObserver and WithTransducer.
 func NewWith(under vfs.FileSystem, opts ...Option) *FS {
 	var c config
 	for _, o := range opts {
@@ -312,62 +304,17 @@ func (fs *FS) IsSemantic(path string) bool {
 // substrate, plus the HAC bookkeeping whose cost Table 1 measures.
 // ---------------------------------------------------------------------
 
-// resolvePath is HAC's user-space path resolution. The paper's HAC is a
-// user-level library that "intercepts all file system calls" and "uses
-// this name space to resolve the users' path names": it walks the
-// directory components of p, consulting its own global name map and
-// validating each prefix with one substrate Lstat. It reports whether
-// every directory on the way was a plain directory: then no link —
-// symlink or view link — lies on the way to p's parent. Errors are the
-// substrate's to report, so a failed walk only answers false.
-//
-// Only the operations that use that answer pay the walk: a mutation that
-// must find the semantic directory it lands in (Mkdir, Symlink, a create,
-// Remove and RemoveAll, Rename — through canonicalLocked) and a Stat
-// that misses the attribute cache, which caches only an answer reached
-// without following a link. A read (Open, ReadFile, ReadDir, Lstat,
-// Readlink) goes straight to the substrate, which resolves the path
-// itself, and follows view links only where the substrate reports a name
-// missing (followLocked, lstatViewLocked).
-func (fs *FS) resolvePath(p string) (direct bool) {
-	clean, err := vfs.Clean(p)
-	if err != nil {
-		return false
-	}
-	// The directory part, and every prefix of it, is a slice of clean: no
-	// path is built.
-	dir := clean[:max(strings.LastIndexByte(clean, '/'), 1)]
-	if dir == "/" {
-		return true
-	}
-	direct = true
-	for i := 1; i <= len(dir); i++ {
-		if i < len(dir) && dir[i] != '/' {
-			continue
-		}
-		cur := dir[:i]
-		fs.names.UIDOf(cur) // HAC name-space lookup
-		info, err := fs.under.Lstat(cur)
-		if err != nil {
-			return false
-		}
-		direct = direct && info.Type == vfs.TypeDir
-	}
-	return direct
-}
-
 // Mkdir creates a (syntactic) directory. As in the paper, HAC also
 // creates and initializes the directory's query structures, registers
 // it in the global name map, and adds a node to the dependency graph.
 // A view link's name is taken, as a symlink's would be.
 func (fs *FS) Mkdir(path string) error {
-	direct := fs.resolvePath(path)
 	clean, err := vfs.Clean(path)
 	if err != nil {
 		return fs.under.Mkdir(path)
 	}
 	fs.mu.RLock()
-	clean, err = fs.canonicalLocked(clean, direct)
+	clean, err = fs.canonicalLocked(clean)
 	if err == nil {
 		if _, _, ok := fs.viewLinkLocked(vfs.Split(clean)); ok {
 			err = &vfs.PathError{Op: "mkdir", Path: path, Err: vfs.ErrExist}
@@ -386,90 +333,37 @@ func (fs *FS) Mkdir(path string) error {
 	return nil
 }
 
-// MkdirAll creates a directory and any missing parents. A view link on
-// the way is followed, as a symlink would be.
+// MkdirAll creates a directory and any missing parents. Every link on the
+// way, symlink or view link, is followed, and the directories are
+// registered under the path they are created at.
 func (fs *FS) MkdirAll(path string) error {
 	clean, err := vfs.Clean(path)
 	if err != nil {
 		return fs.under.MkdirAll(path)
 	}
 	fs.mu.RLock()
-	via, err := fs.mkdirAllViaViewLocked(clean)
+	clean, err = fs.makePathLocked(clean)
 	fs.mu.RUnlock()
-	switch {
-	case err != nil:
+	if err != nil {
 		return err
-	case via != clean:
-		return fs.MkdirAll(via)
 	}
 	if err := fs.under.MkdirAll(clean); err != nil {
 		return err
 	}
 	fs.mu.Lock()
 	// Register every component so any of them can act as a parent or a
-	// query reference later.
-	p := "/"
-	fs.registerDirLocked(p)
-	for _, c := range splitComponents(clean) {
-		p = vfs.Join(p, c)
-		fs.registerDirLocked(p)
+	// query reference later; each is a prefix of clean.
+	fs.registerDirLocked("/")
+	for i := 1; i <= len(clean); i++ {
+		if i == len(clean) || clean[i] == '/' {
+			fs.registerDirLocked(clean[:i])
+		}
 	}
 	fs.mu.Unlock()
 	return nil
 }
 
-// mkdirAllViaViewLocked returns the path MkdirAll creates: clean itself,
-// or — when one of its components is a view link — the rest of clean
-// under the directory that link leads to. A link to anything else fails
-// as MkdirAll through a symlink does. Caller holds fs.mu.
-func (fs *FS) mkdirAllViaViewLocked(clean string) (string, error) {
-	comps := splitComponents(clean)
-	cur := "/"
-	for i, c := range comps {
-		if _, _, ok := fs.viewLinkLocked(cur, c); ok {
-			link := vfs.Join(cur, c)
-			end, err := fs.resolveLocked(link, true)
-			if err != nil {
-				return "", &vfs.PathError{Op: "mkdir", Path: link, Err: vfs.ErrExist}
-			}
-			if info, err := fs.under.Stat(end.path); err != nil || !info.IsDir() {
-				return "", &vfs.PathError{Op: "mkdir", Path: link, Err: vfs.ErrNotDir}
-			}
-			return vfs.Join(append([]string{end.path}, comps[i+1:]...)...), nil
-		}
-		cur = vfs.Join(cur, c)
-	}
-	return clean, nil
-}
-
-func splitComponents(clean string) []string {
-	if clean == "/" {
-		return nil
-	}
-	var out []string
-	for _, c := range splitSlash(clean) {
-		if c != "" {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-func splitSlash(p string) []string {
-	var out []string
-	start := 0
-	for i := 0; i <= len(p); i++ {
-		if i == len(p) || p[i] == '/' {
-			out = append(out, p[start:i])
-			start = i + 1
-		}
-	}
-	return out
-}
-
-// Create creates or truncates a file. HAC additionally initializes the
-// file's attribute-cache entry and descriptor-table slot (the Copy
-// phase overhead of Table 1).
+// Create creates or truncates a file.
 func (fs *FS) Create(path string) (vfs.File, error) {
 	return fs.OpenFile(path, vfs.ORead|vfs.OWrite|vfs.OCreate|vfs.OTrunc)
 }
@@ -479,21 +373,18 @@ func (fs *FS) Open(path string) (vfs.File, error) {
 	return fs.OpenFile(path, vfs.ORead)
 }
 
-// OpenFile opens path with the given flags, tracking the handle in the
-// descriptor table and keeping the attribute cache coherent. A view link
-// is followed as a symlink would be: the handle reads and writes its
-// target, and a create through one whose target is missing fails with
-// vfs.ErrExist, as through a dangling symlink. Nothing an open learns is
-// cached: it cannot tell whether it followed a link (Stat can).
+// OpenFile opens path with the given flags. A view link is followed as a
+// symlink would be: the handle reads and writes its target, and a create
+// through one whose target is missing fails with vfs.ErrExist, as through
+// a dangling symlink.
 func (fs *FS) OpenFile(path string, flag int) (vfs.File, error) {
 	clean, err := vfs.Clean(path)
 	if err != nil {
 		return fs.under.OpenFile(path, flag)
 	}
 	if flag&vfs.OCreate != 0 {
-		direct := fs.resolvePath(clean)
 		fs.mu.RLock()
-		clean, err = fs.createPathLocked(clean, direct)
+		clean, err = fs.createPathLocked(clean)
 		fs.mu.RUnlock()
 		if err != nil {
 			return nil, err
@@ -514,25 +405,16 @@ func (fs *FS) OpenFile(path string, flag int) (vfs.File, error) {
 	if err != nil {
 		return nil, err
 	}
-	tf := &trackedFile{File: f, fs: fs, path: clean, dirty: flag&vfs.OTrunc != 0}
-	if flag&(vfs.OWrite|vfs.OTrunc) != 0 {
-		// Through a link the handle writes an object cached, if at all,
-		// under another path: it invalidates by inode too.
-		if info, err := f.Stat(); err == nil {
-			tf.ino = info.Ino
-		}
-		tf.invalidate()
-	}
-	fs.fds.open()
-	return tf, nil
+	fs.openHandles.Add(1)
+	return &trackedFile{File: f, fs: fs, path: clean, dirty: flag&vfs.OTrunc != 0}, nil
 }
 
 // createPathLocked returns the path a create of clean writes: clean with
 // its directory part resolved (canonicalLocked), or the target of the
 // view link that names, as a create through a symlink writes its target.
 // Caller holds fs.mu.
-func (fs *FS) createPathLocked(clean string, direct bool) (string, error) {
-	clean, err := fs.canonicalLocked(clean, direct)
+func (fs *FS) createPathLocked(clean string) (string, error) {
+	clean, err := fs.canonicalLocked(clean)
 	if err != nil {
 		return "", err
 	}
@@ -547,10 +429,7 @@ func (fs *FS) createPathLocked(clean string, direct bool) (string, error) {
 	return end.path, err
 }
 
-// ReadFile returns the contents of the file at path. As in the paper,
-// the read goes through HAC's descriptor table and per-file
-// bookkeeping (a measured overhead in the Andrew Copy and Read
-// phases).
+// ReadFile returns the contents of the file at path.
 func (fs *FS) ReadFile(path string) ([]byte, error) {
 	f, err := fs.OpenFile(path, vfs.ORead)
 	if err != nil {
@@ -569,9 +448,7 @@ func (fs *FS) ReadFile(path string) ([]byte, error) {
 	return buf[:n], err
 }
 
-// WriteFile creates or replaces the file at path, initializing the
-// descriptor-table slot and attribute-cache entry for the new file as
-// the paper's HAC does on every create.
+// WriteFile creates or replaces the file at path.
 func (fs *FS) WriteFile(path string, data []byte) error {
 	f, err := fs.OpenFile(path, vfs.OWrite|vfs.OCreate|vfs.OTrunc)
 	if err != nil {
@@ -595,14 +472,13 @@ func (fs *FS) WriteFile(path string, data []byte) error {
 // depend on it. A name the directory holds, physically or in the view,
 // is taken, as a symlink's would be.
 func (fs *FS) Symlink(target, link string) error {
-	direct := fs.resolvePath(link)
 	clean, err := vfs.Clean(link)
 	if err != nil {
 		return &vfs.PathError{Op: "symlink", Path: link, Err: err}
 	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if clean, err = fs.canonicalLocked(clean, direct); err != nil {
+	if clean, err = fs.canonicalLocked(clean); err != nil {
 		return err
 	}
 	dir, base := vfs.Split(clean)
@@ -660,13 +536,12 @@ func (fs *FS) Remove(path string) error { return fs.remove(path, false) }
 func (fs *FS) RemoveAll(path string) error { return fs.remove(path, true) }
 
 func (fs *FS) remove(path string, recursive bool) error {
-	direct := fs.resolvePath(path)
 	clean, err := vfs.Clean(path)
 	if err != nil {
 		return err
 	}
 	fs.mu.Lock()
-	clean, err = fs.canonicalLocked(clean, direct)
+	clean, err = fs.canonicalLocked(clean)
 	if err == nil {
 		err = fs.removeLocked(clean, recursive)
 	}
@@ -722,7 +597,6 @@ func (fs *FS) removeLocked(clean string, recursive bool) error {
 	if err != nil {
 		return err
 	}
-	fs.attrs.invalidatePrefix(clean)
 
 	// Drop bookkeeping for removed directories. UIDs are never reused,
 	// so no later directory can inherit a dropped scope epoch.
@@ -768,8 +642,6 @@ func (fs *FS) checkRemovableLocked(clean string) error {
 // reclassifies it: a prohibition where it left, a permanent link where
 // it arrived (moveLinkLocked).
 func (fs *FS) Rename(oldPath, newPath string) error {
-	oldDirect := fs.resolvePath(oldPath)
-	newDirect := fs.resolvePath(newPath)
 	oldClean, err := vfs.Clean(oldPath)
 	if err != nil {
 		return err
@@ -780,10 +652,10 @@ func (fs *FS) Rename(oldPath, newPath string) error {
 	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if oldClean, err = fs.canonicalLocked(oldClean, oldDirect); err != nil {
+	if oldClean, err = fs.canonicalLocked(oldClean); err != nil {
 		return err
 	}
-	if newClean, err = fs.canonicalLocked(newClean, newDirect); err != nil {
+	if newClean, err = fs.canonicalLocked(newClean); err != nil {
 		return err
 	}
 	oldDir, oldBase := vfs.Split(oldClean)
@@ -825,8 +697,6 @@ func (fs *FS) Rename(oldPath, newPath string) error {
 		// Renaming onto itself moved nothing; nothing HAC keeps changes.
 		return nil
 	}
-	fs.attrs.invalidatePrefix(oldClean)
-	fs.attrs.invalidatePrefix(newClean)
 	if info.Type == vfs.TypeSymlink {
 		// A symlink outside the semantic directories is no link HAC keeps.
 		return nil
@@ -925,7 +795,6 @@ func (fs *FS) moveLinkLocked(t, oldClean, newClean string, from *dirState) error
 			return err
 		}
 	}
-	fs.attrs.invalidatePrefix(newClean)
 	var resync []uint64
 	if from != nil {
 		from.dropLink(t)
@@ -1050,44 +919,28 @@ func (fs *FS) rewriteTargetsLocked(oldPrefix, newPrefix string) {
 	}
 }
 
-// Stat returns metadata for path, consulting the attribute cache first
-// (the paper's shared-memory attribute cache, which speeds the Scan
-// phase of the Andrew benchmark). Only an answer reached without
-// following a link is cached: a link's target can change under another
-// name, and a link can go, without anything invalidating the link's path.
+// Stat returns metadata for path. The substrate answers first — Lstat,
+// then Stat if that found a symlink — and the view only where it reports
+// a name missing.
 func (fs *FS) Stat(path string) (vfs.Info, error) {
 	clean, err := vfs.Clean(path)
 	if err != nil {
 		return vfs.Info{}, &vfs.PathError{Op: "stat", Path: path, Err: err}
 	}
-	if info, ok := fs.attrs.get(clean); ok {
-		return info, nil
-	}
-	direct := fs.resolvePath(clean)
-	// Lstat answers as Stat for anything but a symlink, and says whether
-	// the answer followed one.
 	info, err := fs.under.Lstat(clean)
-	if err == nil && info.Type != vfs.TypeSymlink {
-		if direct {
-			fs.attrs.put(clean, info)
-		}
+	switch {
+	case err == nil && info.Type != vfs.TypeSymlink:
 		return info, nil
+	case err == nil:
+		info, err = fs.under.Stat(clean)
+	case isNotExist(err):
+		err = &vfs.PathError{Op: "stat", Path: clean, Err: vfs.ErrNotExist}
 	}
-	missing := isNotExist(err)
-	// A symlink, or an error: the substrate's Stat follows the one and
-	// words the other.
-	if info, err = fs.under.Stat(clean); !isNotExist(err) {
+	if !isNotExist(err) {
 		return info, err
 	}
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
-	if missing && direct {
-		// No link lies on the way to clean's parent: only its own name
-		// can be one, in the view.
-		if _, _, ok := fs.viewLinkLocked(vfs.Split(clean)); !ok {
-			return vfs.Info{}, err
-		}
-	}
 	p, err := fs.followLocked(clean, err)
 	if err != nil {
 		return vfs.Info{}, err
@@ -1097,8 +950,7 @@ func (fs *FS) Stat(path string) (vfs.Info, error) {
 
 // Lstat returns metadata without following a final symlink; a view
 // link answers as a symlink with no size and no inode number, last
-// modified when its directory's transient set last changed. Results are
-// not cached (the cache stores followed attributes).
+// modified when its directory's transient set last changed.
 func (fs *FS) Lstat(path string) (vfs.Info, error) {
 	info, err := fs.under.Lstat(path)
 	if !isNotExist(err) {

@@ -108,15 +108,7 @@ func (fs *FS) registerVolumeGauges(o *obs.Observer) {
 		return float64(fs.Stats().SemanticDirs)
 	})
 	r.GaugeFunc("hac_open_handles", func() float64 {
-		return float64(fs.fds.open64.Load())
-	})
-	r.GaugeFunc("hac_attr_cache_hits", func() float64 {
-		h, _ := fs.attrs.stats()
-		return float64(h)
-	})
-	r.GaugeFunc("hac_attr_cache_misses", func() float64 {
-		_, m := fs.attrs.stats()
-		return float64(m)
+		return float64(fs.openHandles.Load())
 	})
 }
 

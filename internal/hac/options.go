@@ -55,11 +55,6 @@ func WithObserver(o *obs.Observer) Option {
 	return func(c *config) { c.vol.Observer = o }
 }
 
-// WithAttrCacheSize bounds the attribute cache (construction only).
-func WithAttrCacheSize(n int) Option {
-	return func(c *config) { c.vol.AttrCacheSize = n }
-}
-
 // WithTransducer registers an attribute transducer for a file
 // extension at construction ("" = every file).
 func WithTransducer(ext string, t index.Transducer) Option {

@@ -33,6 +33,14 @@ func (fs *FS) SemDir(path, queryStr string) error {
 	if err != nil {
 		return err
 	}
+	// The directory is registered under the path it is reached at with
+	// every link followed, whichever path named it.
+	fs.mu.RLock()
+	clean, err = fs.makePathLocked(clean)
+	fs.mu.RUnlock()
+	if err != nil {
+		return err
+	}
 	created := false
 	if _, lerr := fs.Lstat(clean); lerr != nil {
 		if !isNotExist(lerr) {

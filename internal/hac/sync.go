@@ -439,9 +439,7 @@ type Stats struct {
 	Directories  int // directories with HAC bookkeeping
 	SemanticDirs int
 	GraphNodes   int
-	AttrHits     int64
-	AttrMisses   int64
-	OpenHandles  int64
+	OpenHandles  int64 // handles opened and not yet closed
 }
 
 // Stats returns a snapshot of the layer's counters.
@@ -451,14 +449,13 @@ func (fs *FS) Stats() Stats {
 	s := Stats{
 		Directories: len(fs.dirs),
 		GraphNodes:  fs.graph.Len(),
-		OpenHandles: fs.fds.open64.Load(),
+		OpenHandles: fs.openHandles.Load(),
 	}
 	for _, ds := range fs.dirs {
 		if ds.semantic {
 			s.SemanticDirs++
 		}
 	}
-	s.AttrHits, s.AttrMisses = fs.attrs.stats()
 	return s
 }
 
@@ -496,11 +493,4 @@ func (fs *FS) MetadataBytes() int {
 		total += 16 + 16*len(fs.graph.Deps(ds.uid))
 	}
 	return total
-}
-
-// SharedMemoryBytes reports the footprint of the attribute cache and
-// descriptor table — the structures the paper keeps in per-process
-// shared memory (~16 KB per process in §4).
-func (fs *FS) SharedMemoryBytes() int {
-	return fs.attrs.sizeBytes() + fs.fds.sizeBytes()
 }

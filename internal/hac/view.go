@@ -4,6 +4,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"hacfs/internal/vfs"
@@ -253,6 +254,11 @@ type walkEnd struct {
 	// and target.
 	dir    *dirState
 	target string
+	// When the walk stopped at a name that exists neither on the
+	// substrate nor in the view: the path from that name on, to be read
+	// under path — what a MkdirAll creates. "" when the missing name is
+	// in a link's target: the link dangles.
+	rest string
 }
 
 // resolveLocked walks clean the way a substrate walk would if every view
@@ -260,16 +266,30 @@ type walkEnd struct {
 // component's too when follow is set — for at most maxLinkHops links. The
 // substrate answers for every name it holds; a name it reports missing
 // is looked up in its directory's view. It costs one substrate Lstat per
-// component, and runs only where the substrate alone could not answer.
-// Caller holds fs.mu.
+// component. It reads clean in place: every prefix it looks up is a
+// slice of the path, and it allocates only to splice a link's target in,
+// so a path with no link on the way comes back as clean itself. Caller
+// holds fs.mu.
 func (fs *FS) resolveLocked(clean string, follow bool) (walkEnd, error) {
 	var end walkEnd
-	comps := splitComponents(clean)
-	cur := "/"
+	// p is the path walked: clean, until a link's target is spliced in
+	// for the link. p[:i] is the part resolved so far, "" for the root;
+	// each component is "/name". p[own:] is the caller's own path, not a
+	// link's target.
+	p, i, own := clean, 0, 0
+	if p == "/" {
+		p = ""
+	}
 	hops := 0
-	for i := 0; i < len(comps); i++ {
-		next := vfs.Join(cur, comps[i])
-		last := i == len(comps)-1
+	for i < len(p) {
+		j := len(p)
+		if k := strings.IndexByte(p[i+1:], '/'); k >= 0 {
+			j = i + 1 + k
+		}
+		cur, next, name, last := "/", p[:j], p[i+1:j], j == len(p)
+		if i > 0 {
+			cur = p[:i]
+		}
 		info, err := fs.under.Lstat(next)
 		var target string
 		switch {
@@ -279,13 +299,17 @@ func (fs *FS) resolveLocked(clean string, follow bool) (walkEnd, error) {
 			if !last && info.Type != vfs.TypeDir {
 				return end, &vfs.PathError{Op: "lstat", Path: next, Err: vfs.ErrNotDir}
 			}
-			cur = next
+			i = j
 			continue
 		case !isNotExist(err):
 			return end, err
 		default:
-			ds, t, ok := fs.viewLinkLocked(cur, comps[i])
+			ds, t, ok := fs.viewLinkLocked(cur, name)
 			if !ok {
+				end.path = cur
+				if i >= own {
+					end.rest = p[i:]
+				}
 				return end, err
 			}
 			end.viaView = true
@@ -300,13 +324,21 @@ func (fs *FS) resolveLocked(clean string, follow bool) (walkEnd, error) {
 		}
 		// An absolute target restarts at the root, a relative one at the
 		// link's directory.
+		base := p[:i]
 		if vfs.IsAbs(target) {
-			cur = "/"
+			base = ""
 		}
-		comps = append(splitComponents(vfs.Join("/", target)), comps[i+1:]...)
-		i = -1
+		t := vfs.Join("/", target)
+		if t == "/" {
+			t = ""
+		}
+		own = len(base) + len(t) + max(own-j, 0)
+		p, i = base+t+p[j:], len(base)
 	}
-	end.path = cur
+	end.path = p
+	if p == "" {
+		end.path = "/"
+	}
 	return end, nil
 }
 
@@ -358,12 +390,11 @@ func (fs *FS) lstatLocked(p string) (vfs.Info, error) {
 }
 
 // canonicalLocked returns clean with the links in its directory part
-// followed, when direct (resolvePath's answer) says some may be there —
-// a symlink, or a view link the substrate cannot see — so that a
-// mutation finds the semantic directory it lands in. Where the walk
-// fails, the substrate's own call reports it. Caller holds fs.mu.
-func (fs *FS) canonicalLocked(clean string, direct bool) (string, error) {
-	if direct || clean == "/" {
+// followed, so that a mutation finds the semantic directory it lands in.
+// Where the walk fails, the substrate's own call reports it — unless a
+// view link lay on the way. Caller holds fs.mu.
+func (fs *FS) canonicalLocked(clean string) (string, error) {
+	if clean == "/" {
 		return clean, nil
 	}
 	dir, base := vfs.Split(clean)
@@ -371,10 +402,30 @@ func (fs *FS) canonicalLocked(clean string, direct bool) (string, error) {
 	switch {
 	case err != nil && end.viaView:
 		return "", err
-	case err != nil:
+	case err != nil, end.path == dir:
 		return clean, nil
 	}
 	return vfs.Join(end.path, base), nil
+}
+
+// makePathLocked returns the directory a MkdirAll or SemDir of clean
+// names: where clean leads with every link on the way followed, the last
+// component's too, and the missing rest under the part that exists. A
+// name missing in a link's target fails vfs.ErrExist, as a mkdir through
+// a dangling symlink does. Caller holds fs.mu.
+func (fs *FS) makePathLocked(clean string) (string, error) {
+	end, err := fs.resolveLocked(clean, true)
+	switch {
+	case err == nil:
+		return end.path, nil
+	case !isNotExist(err):
+		return "", err
+	case end.rest == "":
+		return "", &vfs.PathError{Op: "mkdir", Path: clean, Err: vfs.ErrExist}
+	case end.path == "/":
+		return end.rest, nil
+	}
+	return end.path + end.rest, nil
 }
 
 // withViewLocked adds the links of the directory at dir to its

@@ -343,6 +343,21 @@ func TestViewWritePaths(t *testing.T) {
 		call: func(fs vfs.FileSystem) error { return fs.MkdirAll("/sel/apple1.txt/sub") },
 		err:  vfs.ErrNotDir,
 	}, {
+		name:  "mkdirall through a dangling view link",
+		setup: func(fs vfs.FileSystem) error { return fs.Remove("/docs/apple2.txt") },
+		call:  func(fs vfs.FileSystem) error { return fs.MkdirAll("/sel/apple2.txt/sub") },
+		err:   vfs.ErrExist,
+	}, {
+		name: "mkdirall through a symlink chain that dangles",
+		setup: func(fs vfs.FileSystem) error {
+			if err := fs.Symlink("/docs", "/d1"); err != nil {
+				return err
+			}
+			return fs.Symlink("/d1/gone", "/d2")
+		},
+		call: func(fs vfs.FileSystem) error { return fs.MkdirAll("/d2/sub") },
+		err:  vfs.ErrExist,
+	}, {
 		name: "write through a view link",
 		call: func(fs vfs.FileSystem) error { return fs.WriteFile("/sel/apple1.txt", []byte("apple pie")) },
 	}, {
@@ -609,5 +624,65 @@ func TestViewIndexAfterDrops(t *testing.T) {
 	}
 	if problems := fs.CheckConsistency(); len(problems) != 0 {
 		t.Fatalf("CheckConsistency: %v", problems)
+	}
+}
+
+// TestSemDirThroughSymlinkedParent: a directory is HAC's under the path
+// it has with every link followed. SemDir and MkdirAll through a symlinked
+// parent make and register the real directory, once, so it is the same
+// semantic directory by either path, scoped by its real parent.
+func TestSemDirThroughSymlinkedParent(t *testing.T) {
+	for _, sub := range mcSubstrates {
+		t.Run(sub.name, func(t *testing.T) {
+			fs := New(sub.mk(), Options{})
+			if err := fs.MkdirAll("/docs"); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.WriteFile("/docs/a.txt", []byte("apple")); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fs.Reindex("/"); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.Symlink("/docs", "/alias"); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.SemDir("/alias/sub", "apple"); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.SemDir("/docs/sub2", "apple"); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.MkdirAll("/alias/x/y"); err != nil {
+				t.Fatal(err)
+			}
+			want := []vfs.DirEntry{{Name: "a.txt", Type: vfs.TypeSymlink}}
+			for _, d := range []string{"sub", "sub2"} {
+				if !fs.IsSemantic("/docs/" + d) {
+					t.Errorf("/docs/%s is not semantic", d)
+				}
+				if got, err := fs.LinkTargets("/docs/" + d); err != nil || !reflect.DeepEqual(got, []string{"/docs/a.txt"}) {
+					t.Errorf("/docs/%s links %v, %v; want /docs/a.txt", d, got, err)
+				}
+				for _, p := range []string{"/docs/" + d, "/alias/" + d} {
+					if got, err := fs.ReadDir(p); err != nil || !reflect.DeepEqual(got, want) {
+						t.Errorf("ReadDir(%s) = %v, %v; want %v", p, got, err, want)
+					}
+				}
+			}
+			for _, p := range fs.names.Paths() {
+				if strings.HasPrefix(p, "/alias") {
+					t.Errorf("%s is registered: a directory is registered under its real path", p)
+				}
+			}
+			for _, p := range []string{"/docs/sub", "/docs/x", "/docs/x/y"} {
+				if _, ok := fs.names.UIDOf(p); !ok {
+					t.Errorf("%s is not registered", p)
+				}
+			}
+			if problems := fs.CheckConsistency(); len(problems) != 0 {
+				t.Fatal(problems)
+			}
+		})
 	}
 }

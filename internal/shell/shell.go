@@ -760,7 +760,6 @@ func (sh *Shell) cmdSstat([]string) error {
 	sh.printf("index size:      %d KB\n", ixStats.IndexBytes/1024)
 	sh.printf("scope sets:      %d KB\n", ixStats.DirsBytes/1024)
 	sh.printf("hac metadata:    %d KB\n", sh.fs.MetadataBytes()/1024)
-	sh.printf("attr cache:      %d hits / %d misses\n", s.AttrHits, s.AttrMisses)
 	mounts := sh.fs.SemanticMounts()
 	if len(mounts) > 0 {
 		var points []string

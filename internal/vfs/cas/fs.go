@@ -66,12 +66,18 @@ type inode struct {
 	// reference is released when the content is overwritten or the file
 	// removed. Hashes inherited from a frozen base are not owned: their
 	// references pin the base.
-	hash     Hash
-	size     int64
-	hasHash  bool
-	owned    bool
+	hash    Hash
+	size    int64
+	hasHash bool
+	owned   bool
+	// opens counts the handles open on the node. An overlay file removed
+	// from the tree while one is open keeps its content, as an unlinked
+	// file does, until the last of them closes; unlinked marks it, and a
+	// handle's private copy (chandle.ensureMutable).
+	opens    atomic.Int32
 	dirty    []byte
 	hasDirty bool
+	unlinked bool
 
 	target string // symlinks
 }
@@ -400,13 +406,20 @@ func (fs *FS) flushAll() {
 // releaseOverlay walks the overlay rooted at n releasing owned content
 // references — the bookkeeping half of removing a subtree. Frozen
 // subtrees are skipped wholesale: their references belong to sealed
-// bases. Caller holds fs.mu for writing.
+// bases. A file a handle has open keeps its content, in the store once
+// however many handles share it, until the last one closes (chandle.Close).
+// Caller holds fs.mu for writing.
 func (fs *FS) releaseOverlay(n *inode) {
 	if n.gen != fs.gen {
 		return
 	}
 	switch n.typ {
 	case vfs.TypeFile:
+		if n.opens.Load() > 0 {
+			n.unlinked = true
+			delete(fs.dirtyFiles, n) // no manifest names it any more
+			return
+		}
 		fs.dropContent(n)
 	case vfs.TypeDir:
 		for _, c := range n.children {
@@ -505,16 +518,20 @@ func (fs *FS) OpenFile(p string, flag int) (vfs.File, error) {
 		// Such an open changes nothing: a shared lock, and no trail.
 		fs.mu.RLock()
 		t, err := fs.walk(p, followAll, nodeOnly)
+		var h *chandle
+		if err == nil && t.fs == nil && !t.n.isDir() {
+			h = fs.newHandle(t.n, p, flag)
+		}
 		fs.mu.RUnlock()
 		switch {
 		case err != nil:
 			return nil, pe("open", p, err)
 		case t.fs != nil:
 			return t.fs.OpenFile(t.rest, flag)
-		case t.n.isDir():
+		case h == nil:
 			return nil, pe("open", p, vfs.ErrIsDir)
 		}
-		return fs.newHandle(t.n, p, flag), nil
+		return h, nil
 	}
 	fs.mu.Lock()
 	t, err := fs.walk(p, followAll, withTrail)
@@ -551,8 +568,9 @@ func (fs *FS) OpenFile(p string, flag int) (vfs.File, error) {
 		}
 		dir.children[base] = n
 		dir.modTime = fs.now()
+		h := fs.newHandle(n, p, flag)
 		fs.mu.Unlock()
-		return fs.newHandle(n, p, flag), nil
+		return h, nil
 	}
 	n := t.n
 	if n.isDir() {
@@ -573,8 +591,9 @@ func (fs *FS) OpenFile(p string, flag int) (vfs.File, error) {
 		n.size = 0
 		n.modTime = fs.now()
 	}
+	h := fs.newHandle(n, p, flag)
 	fs.mu.Unlock()
-	return fs.newHandle(n, p, flag), nil
+	return h, nil
 }
 
 // ReadFile returns the contents of the file at p.

@@ -286,10 +286,9 @@ func TestWalkAllocs(t *testing.T) {
 // TestConcurrentReadsAndMutations races read-only opens and reads, which
 // walk under the shared lock, against WriteFile, Rename and RemoveAll of
 // the same paths and seals that make the next mutation copy its path.
-// Meant for -race: every ReadFile sees one whole written value or a
-// clean error. A handle may also read nothing: removing or renaming over
-// a file releases its content while a handle is open on it, a known
-// divergence from MemFS, which keeps the bytes until the handle closes.
+// Meant for -race: every ReadFile and every read through a handle sees
+// one whole written value or a clean error — a handle open on a file that
+// is removed or renamed over still reads its bytes.
 func TestConcurrentReadsAndMutations(t *testing.T) {
 	fs := New(nil)
 	paths := []string{"/d/f", "/d/g", "/d/sub/f"}
@@ -321,9 +320,8 @@ func TestConcurrentReadsAndMutations(t *testing.T) {
 				if f, err := fs.Open(p); err != nil {
 					checkData("open", p, nil, err)
 				} else {
-					if data, err := io.ReadAll(f); len(data) > 0 || err != nil {
-						checkData("read", p, data, err)
-					}
+					data, err := io.ReadAll(f)
+					checkData("read", p, data, err)
 					if err := f.Close(); err != nil {
 						t.Errorf("close %s: %v", p, err)
 					}
@@ -364,6 +362,91 @@ func TestConcurrentReadsAndMutations(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestOpenHandleKeepsUnlinkedContent: a handle open on a file that is
+// removed, or renamed or removed over, reads the file's bytes in full, as
+// on MemFS and POSIX. The store holds them once however many handles
+// share them, and lets them go at the last Close.
+func TestOpenHandleKeepsUnlinkedContent(t *testing.T) {
+	old := []byte("the old bytes, all of them")
+	for name, unlink := range map[string]func(fs *FS) error{
+		"remove":      func(fs *FS) error { return fs.Remove("/d/f") },
+		"removeall":   func(fs *FS) error { return fs.RemoveAll("/d") },
+		"rename over": func(fs *FS) error { return fs.Rename("/e/g", "/d/f") },
+	} {
+		t.Run(name, func(t *testing.T) {
+			fs := New(nil)
+			if err := fs.MkdirAll("/d"); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.MkdirAll("/e"); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.WriteFile("/e/g", []byte("new")); err != nil {
+				t.Fatal(err)
+			}
+			store := fs.Store()
+			without := store.UniqueBytes()
+			if err := fs.WriteFile("/d/f", old); err != nil {
+				t.Fatal(err)
+			}
+			var handles []vfs.File
+			for i := 0; i < 2; i++ {
+				f, err := fs.Open("/d/f")
+				if err != nil {
+					t.Fatal(err)
+				}
+				handles = append(handles, f)
+			}
+			if err := unlink(fs); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := store.UniqueBytes(), without+int64(len(old)); got != want {
+				t.Errorf("unique bytes with the file unlinked and open twice = %d, want %d", got, want)
+			}
+			for i, f := range handles {
+				if data, err := io.ReadAll(f); err != nil || !bytes.Equal(data, old) {
+					t.Errorf("handle %d read %q, %v; want %q", i, data, err, old)
+				}
+				if err := f.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := store.UniqueBytes(); got != without {
+				t.Errorf("unique bytes after the last Close = %d, want %d", got, without)
+			}
+		})
+	}
+	t.Run("written after remove", func(t *testing.T) {
+		fs := New(nil)
+		without := fs.Store().UniqueBytes()
+		if err := fs.WriteFile("/f", old); err != nil {
+			t.Fatal(err)
+		}
+		f, err := fs.OpenFile("/f", vfs.ORead|vfs.OWrite|vfs.OAppend)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.Remove("/f"); err != nil {
+			t.Fatal(err)
+		}
+		fs.Snapshot()
+		if _, err := f.Write([]byte(", and more")); err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, 64)
+		n, _ := f.ReadAt(buf, 0)
+		if want := string(old) + ", and more"; string(buf[:n]) != want {
+			t.Errorf("read back %q, want %q", buf[:n], want)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := fs.Store().UniqueBytes(); got != without {
+			t.Errorf("unique bytes after Close = %d, want %d", got, without)
+		}
+	})
 }
 
 // TestSnapshotIsolation verifies that a sealed snapshot is immutable

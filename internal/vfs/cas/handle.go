@@ -12,17 +12,26 @@ import (
 // sealed back into the store on Close or at the next manifest
 // materialization.
 type chandle struct {
-	fs       *FS
-	n        *inode
-	name     string
-	flag     int
-	off      int64
-	closed   bool
-	detached bool // node no longer reachable at name; writes are private
+	fs     *FS
+	n      *inode
+	name   string
+	flag   int
+	off    int64
+	closed bool
 }
 
+// newHandle opens a handle on n. Caller holds fs.mu, so that no removal
+// releases n's content before the handle counts.
 func (fs *FS) newHandle(n *inode, name string, flag int) *chandle {
+	n.opens.Add(1)
 	return &chandle{fs: fs, n: n, name: name, flag: flag}
+}
+
+// rebind moves the handle onto node n.
+func (h *chandle) rebind(n *inode) {
+	h.n.opens.Add(-1)
+	n.opens.Add(1)
+	h.n = n
 }
 
 var _ vfs.File = (*chandle)(nil)
@@ -40,18 +49,20 @@ func (h *chandle) checkOpen() error {
 // overlay. A node sealed since the handle opened is re-resolved by
 // path and copied-on-write; if the path no longer leads to it (renamed
 // or removed after a seal) the handle degrades to a private copy, like
-// writing an unlinked file. Caller holds fs.mu for writing.
+// writing an unlinked file. An unlinked node is in no tree: it is
+// written in place. Caller holds fs.mu for writing.
 func (h *chandle) ensureMutable() *inode {
 	fs := h.fs
-	if h.detached || h.n.gen == fs.gen {
+	if h.n.unlinked || h.n.gen == fs.gen {
 		return h.n
 	}
 	if t, err := fs.walk(h.name, followAll, withTrail); err == nil && t.fs == nil && t.n.id == h.n.id {
-		h.n = fs.cow(t.trail)
+		h.rebind(fs.cow(t.trail))
 		return h.n
 	}
-	h.n = fs.copyNode(h.n)
-	h.detached = true
+	c := fs.copyNode(h.n)
+	c.unlinked = true
+	h.rebind(c)
 	return h.n
 }
 
@@ -68,7 +79,7 @@ func (h *chandle) beginWrite() *inode {
 		}
 		n.hash, n.hasHash, n.owned = Hash{}, false, false
 		n.dirty, n.hasDirty = buf, true
-		if !h.detached {
+		if !n.unlinked {
 			h.fs.dirtyFiles[n] = true
 		}
 	}
@@ -233,7 +244,8 @@ func (h *chandle) Stat() (vfs.Info, error) {
 }
 
 // Close seals any buffered writes back into the store and releases the
-// handle. Double close returns ErrClosed.
+// handle. The last handle on an unlinked node releases its content.
+// Double close returns ErrClosed.
 func (h *chandle) Close() error {
 	if h.closed {
 		return pe("close", h.name, vfs.ErrClosed)
@@ -241,11 +253,15 @@ func (h *chandle) Close() error {
 	h.closed = true
 	h.fs.mu.Lock()
 	defer h.fs.mu.Unlock()
-	// Only attached overlay buffers are sealed; a detached node's
-	// content dies with the handle (the file was unlinked), and a node
-	// frozen since the last write was already flushed by the seal.
-	if !h.detached && h.n.gen == h.fs.gen && h.n.hasDirty {
-		h.fs.flush(h.n)
+	// Only overlay buffers in the tree are sealed; an unlinked node's
+	// content dies with its last handle, and a node frozen since the last
+	// write was already flushed by the seal.
+	n := h.n
+	if !n.unlinked && n.gen == h.fs.gen && n.hasDirty {
+		h.fs.flush(n)
+	}
+	if n.opens.Add(-1) == 0 && n.unlinked {
+		h.fs.dropContent(n)
 	}
 	return nil
 }

@@ -2,9 +2,8 @@ package vfs
 
 import "io"
 
-// handle is an open file on a MemFS node. The per-process descriptor
-// table the paper keeps in shared memory corresponds to the set of live
-// handles; the HAC layer accounts for their size separately.
+// handle is an open file on a MemFS node. A node removed while a handle
+// is open keeps its content for the handle, as an unlinked file does.
 type handle struct {
 	fs     *MemFS
 	n      *node
