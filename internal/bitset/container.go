@@ -381,12 +381,9 @@ func (c *Container) Pack() {
 		*c = Container{kind: kindArray}
 		return
 	}
-	arrCost := 4 * c.n
-	bmpCost := (int(c.max())/wordBits + 1) * 8
 	r := c.runCount()
-	runCost := 8 * r
-	switch {
-	case runCost <= arrCost && runCost <= bmpCost:
+	switch packedKind(c.n, c.max(), r) {
+	case kindRun:
 		if c.kind == kindRun {
 			return
 		}
@@ -408,13 +405,31 @@ func (c *Container) Pack() {
 		runs = append(runs, cur)
 		n := c.n
 		*c = Container{kind: kindRun, runs: runs, n: n}
-	case arrCost <= bmpCost:
+	case kindArray:
 		c.toArray()
 		if cap(c.arr) > len(c.arr) { // drop append slack: packed sets are kept
 			c.arr = append(make([]uint32, 0, len(c.arr)), c.arr...)
 		}
 	default:
 		c.toBitmap()
+	}
+}
+
+// packedKind is Pack's cost rule for a non-empty set of n ids, the
+// largest maxID, in r maximal runs: 8r bytes as runs, 4n as an array,
+// one bit per id up to maxID as a bitmap — the cheapest wins, runs
+// before array before bitmap on a tie.
+func packedKind(n int, maxID uint32, r int) uint8 {
+	arrCost := 4 * n
+	bmpCost := (int(maxID)/wordBits + 1) * 8
+	runCost := 8 * r
+	switch {
+	case runCost <= arrCost && runCost <= bmpCost:
+		return kindRun
+	case arrCost <= bmpCost:
+		return kindArray
+	default:
+		return kindBitmap
 	}
 }
 
@@ -954,6 +969,90 @@ func (c *Container) AppendBinary(dst []byte) []byte {
 		}
 	}
 	return dst
+}
+
+// AppendCompacted appends to dst the serialized form of the set
+// {remap[id] : id ∈ c, remap[id] ≠ drop} — byte for byte what adding
+// those ids to a fresh container, packing it and calling AppendBinary
+// gives — without building that container: the kept ids are collected
+// into scratch, and Pack's cost rule picks the form they are written
+// in. remap must cover every id of c and be strictly increasing over
+// the ids it keeps (a renumbering that drops slots). It returns the
+// extended dst and the kept ids, in scratch's storage for the caller to
+// pass back in; when no id is kept, dst is returned unchanged.
+func (c *Container) AppendCompacted(dst []byte, remap []uint32, drop uint32, scratch []uint32) ([]byte, []uint32) {
+	kept := scratch[:0]
+	switch c.kind {
+	case kindArray:
+		for _, id := range c.arr {
+			if nl := remap[id]; nl != drop {
+				kept = append(kept, nl)
+			}
+		}
+	case kindBitmap:
+		for wi, w := range c.words {
+			for w != 0 {
+				if nl := remap[wi*wordBits+bits.TrailingZeros64(w)]; nl != drop {
+					kept = append(kept, nl)
+				}
+				w &= w - 1
+			}
+		}
+	default:
+		for _, r := range c.runs {
+			for v := uint64(r.lo); v <= uint64(r.hi); v++ {
+				if nl := remap[v]; nl != drop {
+					kept = append(kept, nl)
+				}
+			}
+		}
+	}
+	if len(kept) == 0 {
+		return dst, kept
+	}
+	runs := 1
+	for i := 1; i < len(kept); i++ {
+		if kept[i] != kept[i-1]+1 {
+			runs++
+		}
+	}
+	maxID := kept[len(kept)-1]
+	switch packedKind(len(kept), maxID, runs) {
+	case kindRun:
+		dst = append(dst, codecRun)
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(runs))
+		lo := kept[0]
+		for i := 1; i < len(kept); i++ {
+			if kept[i] != kept[i-1]+1 {
+				dst = binary.LittleEndian.AppendUint32(dst, lo)
+				dst = binary.LittleEndian.AppendUint32(dst, kept[i-1])
+				lo = kept[i]
+			}
+		}
+		dst = binary.LittleEndian.AppendUint32(dst, lo)
+		dst = binary.LittleEndian.AppendUint32(dst, maxID)
+	case kindArray:
+		dst = append(dst, codecArray)
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(kept)))
+		for _, id := range kept {
+			dst = binary.LittleEndian.AppendUint32(dst, id)
+		}
+	default:
+		nw := int(maxID)/wordBits + 1
+		dst = append(dst, codecBitmap)
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(nw))
+		var w uint64
+		wi := 0
+		for _, id := range kept {
+			for ; int(id/wordBits) > wi; wi++ {
+				dst = binary.LittleEndian.AppendUint64(dst, w)
+				w = 0
+			}
+			w |= 1 << (id % wordBits)
+		}
+		dst = binary.LittleEndian.AppendUint64(dst, w)
+	}
+	return dst, kept
 }
 
 // DecodeContainer decodes one container from the front of data,

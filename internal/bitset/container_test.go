@@ -508,3 +508,119 @@ func FuzzContainerCodec(f *testing.F) {
 		}
 	})
 }
+
+// containerOfKind builds the set ids (sorted, unique) in the given
+// representation, whatever Pack would pick for it.
+func containerOfKind(ids []uint32, kind uint8) *Container {
+	c := &Container{kind: kindArray, arr: append([]uint32(nil), ids...), n: len(ids)}
+	switch kind {
+	case kindBitmap:
+		c.toBitmap()
+	case kindRun:
+		for i, id := range ids {
+			if i == 0 || id != ids[i-1]+1 {
+				c.runs = append(c.runs, irun{id, id})
+			} else {
+				c.runs[len(c.runs)-1].hi = id
+			}
+		}
+		c.kind, c.arr = kindRun, nil
+	}
+	return c
+}
+
+// FuzzAppendCompacted checks the one-pass compaction against the
+// reference it replaces — add the kept ids to a fresh container, Pack,
+// AppendBinary — on containers of every kind and shape (empty, single,
+// dense, sparse, long runs) under random monotonic remaps that drop
+// slots: the bytes must be identical and decode to the expected set.
+func FuzzAppendCompacted(f *testing.F) {
+	for shape := uint8(0); shape < 5; shape++ {
+		for kind := uint8(0); kind < 3; kind++ {
+			f.Add(int64(shape)*7+int64(kind), shape, kind, uint8(30), uint8(2))
+		}
+	}
+	f.Fuzz(func(t *testing.T, seed int64, shape, kind, dropPct, gap uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		var ids []uint32
+		switch shape % 5 {
+		case 0: // empty
+		case 1: // single
+			ids = []uint32{uint32(rng.Intn(5000))}
+		case 2: // dense
+			for v := uint32(0); v < 2000; v++ {
+				if rng.Intn(4) != 0 {
+					ids = append(ids, v)
+				}
+			}
+		case 3: // sparse
+			v := uint32(rng.Intn(50))
+			for i := 0; i < 1+rng.Intn(300); i++ {
+				ids = append(ids, v)
+				v += 1 + uint32(rng.Intn(400))
+			}
+		case 4: // long runs
+			v := uint32(rng.Intn(10))
+			for r := 0; r < 1+rng.Intn(20); r++ {
+				for i := 0; i < 1+rng.Intn(500); i++ {
+					ids = append(ids, v)
+					v++
+				}
+				v += 1 + uint32(rng.Intn(100))
+			}
+		}
+		c := containerOfKind(ids, kind%3)
+		universe := 1
+		if len(ids) > 0 {
+			universe = int(ids[len(ids)-1]) + 1
+		}
+		const drop = ^uint32(0)
+		remap := make([]uint32, universe)
+		next := uint32(rng.Intn(3))
+		for i := range remap {
+			if rng.Intn(100) < int(dropPct%101) {
+				remap[i] = drop
+				continue
+			}
+			remap[i] = next
+			next++
+			if rng.Intn(8) == 0 { // a renumbering with holes
+				next += uint32(gap)
+			}
+		}
+		want := NewContainer()
+		var wantIDs []uint32
+		for _, id := range ids {
+			if nl := remap[id]; nl != drop {
+				want.Add(nl)
+				wantIDs = append(wantIDs, nl)
+			}
+		}
+		want.Pack()
+		prefix := []byte("prefix")
+		got, kept := c.AppendCompacted(append([]byte(nil), prefix...), remap, drop, make([]uint32, 0, 4))
+		if len(kept) != len(wantIDs) {
+			t.Fatalf("kept %d ids, want %d", len(kept), len(wantIDs))
+		}
+		if !bytes.HasPrefix(got, prefix) {
+			t.Fatalf("dst prefix overwritten")
+		}
+		got = got[len(prefix):]
+		if len(wantIDs) == 0 {
+			if len(got) != 0 {
+				t.Fatalf("appended %d bytes for an empty result", len(got))
+			}
+			return
+		}
+		if ref := want.AppendBinary(nil); !bytes.Equal(got, ref) {
+			t.Fatalf("%s input, %d kept: bytes %x, reference %x", c.Kind(), len(wantIDs), got[:min(len(got), 16)], ref[:min(len(ref), 16)])
+		}
+		dec, n, err := DecodeContainer(got)
+		if err != nil || n != len(got) {
+			t.Fatalf("decode: n=%d of %d, err %v", n, len(got), err)
+		}
+		if !dec.Equal(containerOfKind(wantIDs, kindArray)) {
+			t.Fatalf("decoded set differs from the kept ids")
+		}
+	})
+}

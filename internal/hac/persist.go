@@ -15,6 +15,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"hacfs/internal/index"
@@ -143,15 +144,64 @@ func (fs *FS) CASBlobs(hashes []cas.Hash) ([][]byte, error) {
 // however many, cost one copy, and clean files cost no re-hashing
 // (their hashes are cached on the tree). Any other substrate is refused
 // with a *vfs.PathError wrapping ErrNoSnapshot.
+//
+// The index section is encoded into memory on a second goroutine while
+// this one writes the manifest frame and the blob section. That
+// goroutine takes only the index's lock; this one takes the volume's
+// and, inside it, the substrate's, the order every HAC mutation takes
+// them in.
 func (fs *FS) SaveVolume(w io.Writer) error {
 	cfs := cas.Of(fs.under)
 	if cfs == nil {
 		return volErr("savevolume", fmt.Errorf("%w: substrate %T", ErrNoSnapshot, fs.under))
 	}
-	manifest, blobs := cfs.ImageData()
-	img := volumeImage{Version: volumeVersion, Manifest: manifest.EncodeBinary()}
+	// gob numbers a type the first time any encoder meets it, and the
+	// numbers are written into the image: register the volume's types
+	// before the index goroutine registers its own, as a serial save
+	// would, so that every save in a process writes the same bytes.
+	gobTypeOrder.Do(func() { _ = gob.NewEncoder(io.Discard).Encode(&volumeImage{}) })
+	var ixSection bytes.Buffer
+	ixDone := make(chan error, 1)
+	go func() { ixDone <- fs.ix.Save(&ixSection) }()
 
+	// One buffer under the three sections: the blob section alone is two
+	// small writes per blob, and most blobs are a few hundred bytes.
+	bw := bufio.NewWriterSize(w, 64<<10)
+	err := fs.writeVolumeHead(bw, cfs)
+	if ixErr := <-ixDone; err == nil && ixErr != nil {
+		err = fmt.Errorf("writing index section: %w", ixErr)
+	}
+	if err == nil {
+		// The index section: the segmented image, one framed block per
+		// segment (see internal/index/persist.go).
+		_, err = bw.Write(ixSection.Bytes())
+	}
+	if err == nil {
+		err = bw.Flush()
+	}
+	if err != nil {
+		return volErr("savevolume", err)
+	}
+	return nil
+}
+
+// gobTypeOrder registers the volume image's gob types once per process,
+// ahead of the index section's (see SaveVolume).
+var gobTypeOrder sync.Once
+
+// writeVolumeHead writes the image's main frame — the manifest and every
+// directory's HAC state — and the blob section after it.
+func (fs *FS) writeVolumeHead(w io.Writer, cfs *cas.FS) error {
+	// The read lock spans the manifest and the directory state, so that
+	// every directory the image registers is in its tree: HAC creates and
+	// removes directories under its write lock.
 	fs.mu.RLock()
+	manifest, blobs, err := cfs.ImageData()
+	if err != nil {
+		fs.mu.RUnlock()
+		return err
+	}
+	img := volumeImage{Version: volumeVersion, Manifest: manifest.EncodeBinary()}
 	uids := make([]uint64, 0, len(fs.dirs))
 	for uid := range fs.dirs {
 		uids = append(uids, uid)
@@ -165,6 +215,7 @@ func (fs *FS) SaveVolume(w io.Writer) error {
 		}
 		di := dirImage{Path: p, Semantic: ds.semantic}
 		if ds.semantic {
+			di.Query = fs.queryDisplayLocked(ds)
 			di.Class = make(map[string]int, len(ds.perm))
 			di.LinkNames = make(map[string]string, len(ds.perm))
 			for t, name := range ds.perm {
@@ -181,52 +232,18 @@ func (fs *FS) SaveVolume(w io.Writer) error {
 		}
 		img.Dirs = append(img.Dirs, di)
 	}
-	// Queries in display form, which requires the lock released per the
-	// QueryDisplay API; collect paths first.
-	type pending struct {
-		idx  int
-		path string
-	}
-	var queries []pending
-	for i, di := range img.Dirs {
-		if di.Semantic {
-			queries = append(queries, pending{i, di.Path})
-		}
-	}
 	fs.mu.RUnlock()
-
-	for _, q := range queries {
-		disp, err := fs.QueryDisplay(q.path)
-		if err != nil {
-			return volErr("savevolume", fmt.Errorf("serializing query of %s: %w", q.path, err))
-		}
-		img.Dirs[q.idx].Query = disp
-	}
 
 	var payload bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(&img); err != nil {
-		return volErr("savevolume", fmt.Errorf("encoding volume: %w", err))
+		return fmt.Errorf("encoding volume: %w", err)
 	}
-	// One buffer under the three sections: the blob section alone is two
-	// small writes per blob, and most blobs are a few hundred bytes.
-	bw := bufio.NewWriterSize(w, 64<<10)
-	if err := writeVolumeFrame(bw, volumeVersion, payload.Bytes()); err != nil {
-		return volErr("savevolume", err)
+	if err := writeVolumeFrame(w, volumeVersion, payload.Bytes()); err != nil {
+		return err
 	}
 	// The blob section: every distinct content blob the manifest
 	// references, hash-framed, before the index section.
-	if err := writeBlobSection(bw, manifest, blobs); err != nil {
-		return volErr("savevolume", err)
-	}
-	// The index section: the segmented image, one framed block per
-	// segment (see internal/index/persist.go).
-	if err := fs.ix.Save(bw); err != nil {
-		return volErr("savevolume", fmt.Errorf("writing index section: %w", err))
-	}
-	if err := bw.Flush(); err != nil {
-		return volErr("savevolume", err)
-	}
-	return nil
+	return writeBlobSection(w, blobs)
 }
 
 // Blob section framing: magic "HACB" | u32 blob count | per blob:
@@ -240,26 +257,21 @@ var blobSectionMagic = [4]byte{'H', 'A', 'C', 'B'}
 // maxBlobCount bounds the declared blob count before any allocation.
 const maxBlobCount = 1 << 24
 
-func writeBlobSection(w io.Writer, m *cas.Manifest, blobs map[cas.Hash][]byte) error {
-	hashes := m.Hashes()
+func writeBlobSection(w io.Writer, blobs []cas.Blob) error {
 	var hdr [8]byte
 	copy(hdr[:4], blobSectionMagic[:])
-	binary.BigEndian.PutUint32(hdr[4:8], uint32(len(hashes)))
+	binary.BigEndian.PutUint32(hdr[4:8], uint32(len(blobs)))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	for _, h := range hashes {
-		data, ok := blobs[h]
-		if !ok {
-			return fmt.Errorf("hac: manifest references blob %s absent from the store", h.Short())
-		}
+	for _, b := range blobs {
 		var bh [40]byte
-		copy(bh[:32], h[:])
-		binary.BigEndian.PutUint64(bh[32:40], uint64(len(data)))
+		copy(bh[:32], b.Hash[:])
+		binary.BigEndian.PutUint64(bh[32:40], uint64(len(b.Data)))
 		if _, err := w.Write(bh[:]); err != nil {
 			return err
 		}
-		if _, err := w.Write(data); err != nil {
+		if _, err := w.Write(b.Data); err != nil {
 			return err
 		}
 	}

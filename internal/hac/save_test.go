@@ -1,0 +1,252 @@
+package hac
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math/rand"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"hacfs/internal/vfs"
+	"hacfs/internal/vfs/cas"
+)
+
+// imageFixtureVolume builds a volume whose image is the same bytes on
+// every save, in every process: a fixed clock, one indexed term (so the
+// index holds one posting per segment), two files with the same content,
+// a zero-length file and a semantic directory with no permanent link.
+func imageFixtureVolume(t *testing.T) *FS {
+	t.Helper()
+	under := cas.New(nil)
+	t0 := time.Date(2026, 10, 1, 12, 0, 0, 0, time.UTC)
+	under.SetClock(func() time.Time { return t0 })
+	fs := New(under, Options{})
+	if err := fs.MkdirAll("/docs"); err != nil {
+		t.Fatal(err)
+	}
+	for p, c := range map[string]string{"/docs/a.txt": "apple", "/docs/b.txt": "apple", "/docs/c.txt": "apple apple", "/docs/empty.txt": ""} {
+		if err := fs.WriteFile(p, []byte(c)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := fs.Reindex("/"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.SemDir("/s", "apple"); err != nil {
+		t.Fatal(err)
+	}
+	return fs
+}
+
+// TestSaveWritesEachBlobOnceInManifestOrder: the blob section lists
+// every distinct blob — the zero-length one too — exactly once, in the
+// order the manifest first references it, and an unchanged volume saves
+// to the same bytes twice.
+func TestSaveWritesEachBlobOnceInManifestOrder(t *testing.T) {
+	fs := imageFixtureVolume(t)
+	img := saveImage(t, fs)
+	if again := saveImage(t, fs); !bytes.Equal(img, again) {
+		t.Fatalf("two saves of an unchanged volume differ (%d and %d bytes)", len(img), len(again))
+	}
+	off := 14 + int(binary.BigEndian.Uint64(img[6:14])) + 4
+	if !bytes.Equal(img[off:off+4], blobSectionMagic[:]) {
+		t.Fatalf("no blob section at offset %d", off)
+	}
+	count := int(binary.BigEndian.Uint32(img[off+4 : off+8]))
+	off += 8
+	var got []cas.Hash
+	for i := 0; i < count; i++ {
+		var h cas.Hash
+		copy(h[:], img[off:off+32])
+		n := int(binary.BigEndian.Uint64(img[off+32 : off+40]))
+		if cas.Sum(img[off+40:off+40+n]) != h {
+			t.Fatalf("blob %d: content does not hash to %s", i, h.Short())
+		}
+		got = append(got, h)
+		off += 40 + n
+	}
+	// Manifest order is path order: a.txt, b.txt (a.txt's content),
+	// c.txt, empty.txt.
+	want := []cas.Hash{cas.Sum([]byte("apple")), cas.Sum([]byte("apple apple")), cas.Sum(nil)}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("blob section holds %d blobs %v, want %v", len(got), got, want)
+	}
+	loaded, err := LoadVolume(bytes.NewReader(img), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data, err := loaded.ReadFile("/docs/empty.txt"); err != nil || len(data) != 0 {
+		t.Fatalf("loaded zero-length file: %q, %v", data, err)
+	}
+	if problems := loaded.CheckConsistency(); len(problems) != 0 {
+		t.Fatal(problems)
+	}
+}
+
+// TestFirstSaveMatchesParentImage: the first save in a fresh process —
+// where gob numbers the image's types while the index section encodes
+// beside the manifest — writes the bytes a serial save wrote
+// (testdata/parent-df62b9b-image.hac, written by commit df62b9b from
+// imageFixtureVolume at GOMAXPROCS=2). The save runs in a child
+// process, so no earlier test has fixed gob's type numbering; the child
+// runs at GOMAXPROCS=2 too, because Reindex's worker count decides the
+// index's segment layout.
+func TestFirstSaveMatchesParentImage(t *testing.T) {
+	if out := os.Getenv("HAC_FIRST_SAVE_OUT"); out != "" {
+		if err := os.WriteFile(out, saveImage(t, imageFixtureVolume(t)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile("testdata/parent-df62b9b-image.hac")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		out := filepath.Join(t.TempDir(), "first.hac")
+		cmd := exec.Command(os.Args[0], "-test.run=^TestFirstSaveMatchesParentImage$", "-test.count=1")
+		cmd.Env = append(os.Environ(), "HAC_FIRST_SAVE_OUT="+out, "GOMAXPROCS=2")
+		if msg, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("child save: %v\n%s", err, msg)
+		}
+		got, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("first save in a fresh process wrote %d bytes, the parent %d, and they differ", len(got), len(want))
+		}
+	}
+}
+
+// TestSaveVolumeRacesWriters: saves taken while writers create, rename
+// and remove files and semantic directories, re-index and merge the
+// index each load cleanly and are consistent after their settling
+// Reindex; saves torn by a failing writer return an error; and no
+// goroutine a save started outlives it.
+func TestSaveVolumeRacesWriters(t *testing.T) {
+	fs := New(vfs.NewFaultFS(cas.New(nil), vfs.FaultConfig{}), Options{})
+	fs.Index().SetSealThreshold(16)
+	for d := 0; d < 4; d++ {
+		if err := fs.MkdirAll(fmt.Sprintf("/docs/d%d", d)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 40; i++ {
+		if err := fs.WriteFile(fmt.Sprintf("/docs/d%d/f%02d.txt", i%4, i), []byte(raceWords(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := fs.Reindex("/"); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{"apple", "banana AND NOT cherry"} {
+		if err := fs.SemDir("/q-"+q[:5], q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := runtime.NumGoroutine()
+
+	// Each writer runs a fixed number of operations; the saver saves
+	// until they are done, every third save into a writer that fails
+	// partway through the main frame.
+	var images [][]byte
+	writersDone := make(chan struct{})
+	saverDone := make(chan struct{})
+	go func() {
+		defer close(saverDone)
+		rng := rand.New(rand.NewSource(1))
+		for i := 0; ; i++ {
+			select {
+			case <-writersDone:
+				return
+			default:
+			}
+			var buf bytes.Buffer
+			if i%3 == 2 {
+				if err := fs.SaveVolume(&vfs.CrashWriter{W: &buf, Limit: rng.Intn(512)}); err == nil {
+					t.Errorf("save %d: a torn write returned no error", i)
+				}
+				continue
+			}
+			if err := fs.SaveVolume(&buf); err != nil {
+				t.Errorf("save %d: %v", i, err)
+				continue
+			}
+			images = append(images, buf.Bytes())
+		}
+	}()
+	writers := []func(rng *rand.Rand, i int){
+		func(rng *rand.Rand, i int) {
+			dir := fmt.Sprintf("/docs/d%d", rng.Intn(4))
+			_ = fs.MkdirAll(dir)
+			_ = fs.WriteFile(fmt.Sprintf("%s/f%02d.txt", dir, rng.Intn(60)), []byte(raceWords(rng.Intn(8))))
+		},
+		func(rng *rand.Rand, i int) {
+			_ = fs.Rename(fmt.Sprintf("/docs/d%d/f%02d.txt", rng.Intn(4), rng.Intn(60)), fmt.Sprintf("/docs/d%d/r%02d.txt", rng.Intn(4), rng.Intn(60)))
+		},
+		func(rng *rand.Rand, i int) {
+			if i%4 == 0 {
+				_ = fs.RemoveAll(fmt.Sprintf("/docs/d%d", rng.Intn(4)))
+				return
+			}
+			_ = fs.RemoveAll("/q-apple")
+			_ = fs.SemDir("/q-apple", "apple")
+		},
+		func(rng *rand.Rand, i int) {
+			if i%2 == 0 {
+				_, _ = fs.Reindex("/")
+				return
+			}
+			fs.Index().ForceMerge()
+		},
+	}
+	var wg sync.WaitGroup
+	for w, write := range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w + 2)))
+			for i := 0; i < 40; i++ {
+				write(rng, i)
+			}
+		}()
+	}
+	wg.Wait()
+	close(writersDone)
+	<-saverDone
+
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines before the saves, %d after:\n%s", before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if len(images) == 0 {
+		t.Fatal("no save completed")
+	}
+	t.Logf("%d images", len(images))
+	for i, img := range images {
+		loaded, err := LoadVolume(bytes.NewReader(img), Options{})
+		if err != nil {
+			t.Fatalf("image %d: %v", i, err)
+		}
+		if problems := loaded.CheckConsistency(); len(problems) != 0 {
+			t.Fatalf("image %d: %v", i, problems)
+		}
+	}
+}
+
+// raceWords is the content of the i-th file of TestSaveVolumeRacesWriters.
+func raceWords(i int) string {
+	words := []string{"apple", "banana", "cherry", "date"}
+	return words[i%4] + " " + words[(i/4)%4] + " common"
+}

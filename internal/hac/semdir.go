@@ -216,20 +216,26 @@ func (fs *FS) QueryDisplay(path string) (string, error) {
 	if !ok || !ds.semantic {
 		return "", &vfs.PathError{Op: "squery", Path: path, Err: ErrNotSemantic}
 	}
+	return fs.queryDisplayLocked(ds), nil
+}
+
+// queryDisplayLocked renders the query of the semantic directory ds in
+// display form. Caller holds fs.mu.
+func (fs *FS) queryDisplayLocked(ds *dirState) string {
 	if ds.ast == nil {
-		return "", nil
+		return ""
 	}
 	// Render on a rebound copy so the stored AST keeps UIDs.
 	copyAST, err := query.Parse(ds.queryText)
 	if err != nil {
-		return ds.queryText, nil
+		return ds.queryText
 	}
 	for _, ref := range query.Refs(copyAST) {
 		if p, ok := fs.pathOfLocked(ref.UID); ok {
 			ref.Path, ref.UID = p, 0
 		}
 	}
-	return copyAST.String(), nil
+	return copyAST.String()
 }
 
 // ExplainDir returns the executed plan of a semantic directory's stored

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"time"
 
 	"hacfs/internal/bitset"
@@ -138,21 +139,40 @@ func ixErr(err error) error {
 	return &vfs.PathError{Op: "loadindex", Path: "index", Err: err}
 }
 
+// blockHeaderLen and blockTrailerLen frame every block: magic | u16
+// version | u64 payload length before it, u32 CRC-32C after.
+const (
+	blockHeaderLen  = 14
+	blockTrailerLen = 4
+)
+
+// putBlockHeader writes a block header for a payload of n bytes into
+// dst[:blockHeaderLen].
+func putBlockHeader(dst []byte, magic [4]byte, n int) {
+	copy(dst[:4], magic[:])
+	binary.BigEndian.PutUint16(dst[4:6], indexVersion)
+	binary.BigEndian.PutUint64(dst[6:14], uint64(n))
+}
+
+// blockTrailer is the CRC-32C trailer of a block's payload.
+func blockTrailer(payload []byte) [blockTrailerLen]byte {
+	var t [blockTrailerLen]byte
+	binary.BigEndian.PutUint32(t[:], crc32.Checksum(payload, indexCRC))
+	return t
+}
+
 // writeBlock writes one framed block: magic | u16 version | u64 length
 // | payload | u32 CRC-32C.
 func writeBlock(w io.Writer, magic [4]byte, payload []byte) error {
-	var hdr [14]byte
-	copy(hdr[:4], magic[:])
-	binary.BigEndian.PutUint16(hdr[4:6], indexVersion)
-	binary.BigEndian.PutUint64(hdr[6:14], uint64(len(payload)))
+	var hdr [blockHeaderLen]byte
+	putBlockHeader(hdr[:], magic, len(payload))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return fmt.Errorf("index: writing block header: %w", err)
 	}
 	if _, err := w.Write(payload); err != nil {
 		return fmt.Errorf("index: writing block payload: %w", err)
 	}
-	var trailer [4]byte
-	binary.BigEndian.PutUint32(trailer[:], crc32.Checksum(payload, indexCRC))
+	trailer := blockTrailer(payload)
 	if _, err := w.Write(trailer[:]); err != nil {
 		return fmt.Errorf("index: writing block checksum: %w", err)
 	}
@@ -166,72 +186,105 @@ func (ix *Index) Save(w io.Writer) error {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 
-	var blocks [][]byte
+	// The segment blocks are framed in place, one after another in one
+	// buffer, before the header block that counts them: gob then meets
+	// segmentImage before containerHeader, the order that fixes its type
+	// IDs in the image.
+	var blocks bytes.Buffer
+	var scratch segmentScratch
+	var placeholder [blockHeaderLen]byte
+	segments := 0
 	var encErr error
 	ix.eachSegmentLocked(func(s *segment) {
 		if encErr != nil {
 			return
 		}
-		img := encodeSegmentLocked(s)
+		img := encodeSegmentLocked(s, &scratch)
 		if img == nil {
 			return
 		}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(img); err != nil {
+		start := blocks.Len()
+		blocks.Write(placeholder[:]) // filled in once the payload's length is known
+		if err := gob.NewEncoder(&blocks).Encode(img); err != nil {
 			encErr = fmt.Errorf("index: encoding segment %d: %w", s.id, err)
 			return
 		}
-		blocks = append(blocks, buf.Bytes())
+		block := blocks.Bytes()[start:]
+		payload := block[blockHeaderLen:]
+		putBlockHeader(block, segmentMagic, len(payload))
+		trailer := blockTrailer(payload)
+		blocks.Write(trailer[:])
+		segments++
 	})
 	if encErr != nil {
 		return encErr
 	}
 
 	var hdr bytes.Buffer
-	ch := containerHeader{Version: indexVersion, Segments: len(blocks), NextSeg: ix.nextSeg}
+	ch := containerHeader{Version: indexVersion, Segments: segments, NextSeg: ix.nextSeg}
 	if err := gob.NewEncoder(&hdr).Encode(&ch); err != nil {
 		return fmt.Errorf("index: encoding header: %w", err)
 	}
 	if err := writeBlock(w, indexMagic, hdr.Bytes()); err != nil {
 		return err
 	}
-	for _, b := range blocks {
-		if err := writeBlock(w, segmentMagic, b); err != nil {
-			return err
-		}
+	if _, err := w.Write(blocks.Bytes()); err != nil {
+		return fmt.Errorf("index: writing segment blocks: %w", err)
 	}
 	return nil
 }
 
+// segmentScratch is the storage encodeSegmentLocked reuses from one
+// segment to the next: the slot renumbering, the kept ids of one posting
+// and the arena the postings are written into.
+type segmentScratch struct {
+	remap []uint32
+	ids   []uint32
+	arena []byte
+}
+
 // encodeSegmentLocked builds the compacted image of one segment, or nil
-// if it holds no live documents. Caller holds ix.mu.
-func encodeSegmentLocked(s *segment) *segmentImage {
-	img := &segmentImage{ID: s.id}
-	remap := make([]uint32, len(s.docs))
+// if it holds no live documents: dead slots are dropped, the live ones
+// renumbered in slot order, and every posting is compacted straight
+// from its container into the arena (bitset.Container.AppendCompacted).
+// The image's postings live in sc's arena: encode the image before the
+// next call. Caller holds ix.mu.
+func encodeSegmentLocked(s *segment, sc *segmentScratch) *segmentImage {
+	sc.remap = slices.Grow(sc.remap[:0], len(s.docs))[:len(s.docs)]
+	live := 0
 	for l, d := range s.docs {
 		if !d.alive {
-			remap[l] = noLocal
+			sc.remap[l] = noLocal
 			continue
 		}
-		remap[l] = uint32(len(img.Docs))
-		img.Docs = append(img.Docs, docImage{Path: d.path, ModTime: d.modTime, Size: d.size})
+		sc.remap[l] = uint32(live)
+		live++
 	}
-	if len(img.Docs) == 0 {
+	if live == 0 {
 		return nil
 	}
-	for term, posting := range s.postings {
-		c := bitset.NewContainer()
-		posting.Range(func(l uint32) bool {
-			if nl := remap[l]; nl != noLocal {
-				c.Add(nl) // remap is monotonic, so adds stay ascending
-			}
-			return true
-		})
-		if c.Any() {
-			c.Pack()
-			img.Postings = append(img.Postings, postingImage{Term: term, Packed: c.AppendBinary(nil)})
+	img := &segmentImage{ID: s.id, Docs: make([]docImage, 0, live)}
+	for _, d := range s.docs {
+		if d.alive {
+			img.Docs = append(img.Docs, docImage{Path: d.path, ModTime: d.modTime, Size: d.size})
 		}
 	}
+	// A posting compacts to at most its array form, 5 + 4·len bytes, so
+	// the arena is sized once and the Packed slices never move.
+	size := 0
+	for _, posting := range s.postings {
+		size += 5 + 4*posting.Len()
+	}
+	arena := slices.Grow(sc.arena[:0], size)
+	img.Postings = make([]postingImage, 0, len(s.postings))
+	for term, posting := range s.postings {
+		start := len(arena)
+		arena, sc.ids = posting.AppendCompacted(arena, sc.remap, noLocal, sc.ids)
+		if len(arena) > start {
+			img.Postings = append(img.Postings, postingImage{Term: term, Packed: arena[start:len(arena):len(arena)]})
+		}
+	}
+	sc.arena = arena
 	return img
 }
 

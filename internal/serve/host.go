@@ -290,9 +290,10 @@ func (h *Host) Drain(ctx context.Context) error {
 
 // Checkpoint atomically saves every tenant volume that has a save
 // path, returning the first error (but attempting all). A save seals
-// open handles' buffers into the store, so it runs in the store's
-// measured section and the tenant is charged what the seal adds; other
-// measured writes to the store wait for it.
+// open handles' buffers into the store; the seal runs in the store's
+// measured section and the tenant is charged what it adds, and other
+// tenants' measured writes to the store wait for the seal only, not
+// for the save (quotaFS.checkpoint).
 func (h *Host) Checkpoint() error {
 	h.mu.Lock()
 	tenants := make([]*tenant, 0, len(h.tenants))
@@ -306,7 +307,7 @@ func (h *Host) Checkpoint() error {
 			continue
 		}
 		save := func() error { return t.fs.SaveVolumeFile(t.savePath) }
-		if err := t.qfs.measuredOp("checkpoint", "/", 0, 0, save); err != nil && firstErr == nil {
+		if err := t.qfs.checkpoint(save); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("serve: checkpoint %s: %w", t.name, err)
 		}
 	}

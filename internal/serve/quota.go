@@ -90,6 +90,24 @@ func (f *quotaFS) measuredOp(opName, path string, worst, dd int64, op func() err
 	return err
 }
 
+// checkpoint runs save, a save of the tenant's volume. A save seals
+// open handles' buffers into the store, so the seal runs first, alone
+// in the store's measured section, and the tenant is charged what it
+// adds: the other tenants of a shared store wait for the seal, not for
+// the image write. The tenant's own usage lock is held across the save,
+// so none of its writes can leave a buffer for the save to seal
+// uncharged.
+func (f *quotaFS) checkpoint(save func() error) error {
+	f.u.mu.Lock()
+	defer f.u.mu.Unlock()
+	delta, _ := f.vol.Store().Measured(func() error {
+		f.vol.Flush()
+		return nil
+	})
+	f.u.bytes += delta
+	return save()
+}
+
 func (f *quotaFS) WriteFile(path string, data []byte) error {
 	var dd int64
 	if !f.isFile(path) {

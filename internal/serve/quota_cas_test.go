@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+	"time"
 
 	"hacfs/internal/hac"
 	"hacfs/internal/vfs"
@@ -210,6 +211,54 @@ func TestCASQuotaSealBeforeClose(t *testing.T) {
 				t.Fatalf("usage %d after Close, store holds %d unique bytes", used, store.UniqueBytes())
 			}
 		})
+	}
+}
+
+// A checkpoint holds the shared store's accounting section for its seal
+// only: while tenant a's save is under way, tenant b's measured write
+// completes, and a is still charged what the seal added.
+func TestCheckpointHoldsTheStoreOnlyForTheSeal(t *testing.T) {
+	h, _ := newTestHost(t, 2)
+	store := cas.NewStore()
+	va := addCASTenant(t, h, "a", store, Quota{})
+	vb := addCASTenant(t, h, "b", store, Quota{})
+	content := bytes.Repeat([]byte("buffered "), 100)
+	f, err := va.Create("/doc.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(content); err != nil {
+		t.Fatal(err)
+	}
+	inSave, release := make(chan struct{}), make(chan struct{})
+	saved := make(chan error, 1)
+	go func() {
+		saved <- h.tenants["a"].qfs.checkpoint(func() error {
+			close(inSave)
+			<-release
+			return nil
+		})
+	}()
+	<-inSave
+	wrote := make(chan error, 1)
+	go func() { wrote <- vb.WriteFile("/b.txt", []byte("tenant b")) }()
+	select {
+	case err := <-wrote:
+		if err != nil {
+			t.Error(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("tenant b's write waited for tenant a's save")
+	}
+	close(release)
+	if err := <-saved; err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if used, _ := usageOf(t, h, "a"); used != int64(len(content)) {
+		t.Fatalf("tenant a charged %d bytes, its sealed file holds %d", used, len(content))
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"hacfs/internal/corpus"
 	"hacfs/internal/hac"
 	"hacfs/internal/obs"
 	"hacfs/internal/remotefs"
@@ -343,4 +344,81 @@ func TestClientLeavingMidStreamFreesItsSlot(t *testing.T) {
 	})
 	srv.Close()
 	settled("goroutines left behind", func() bool { return runtime.NumGoroutine() <= before })
+}
+
+// BenchmarkCheckpointStall measures what Checkpoint costs a tenant that
+// is not being saved. Two tenants share one blob store; tenant a holds a
+// 10k-document corpus with three semantic directories and a save path,
+// tenant b has no save path. While a's checkpoint runs, a client writes
+// to b in a loop; every measured write takes the store's accounting
+// section, which the checkpoint holds for its seal. Reported per
+// checkpoint: its duration (checkpoint-ms) and the longest b write that
+// overlapped it (stall-ms); b writes outside checkpoints take
+// microseconds.
+func BenchmarkCheckpointStall(b *testing.B) {
+	store := cas.NewStore()
+	h := NewHost(0, obs.Discard())
+	va := hac.New(cas.New(store), hac.Options{BlobStore: store})
+	if err := va.MkdirAll("/db"); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := corpus.Generate(va, "/db", corpus.Spec{Files: 10000, MeanWords: 40, Seed: 7001}); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := va.Reindex("/db"); err != nil {
+		b.Fatal(err)
+	}
+	for _, q := range []string{"markerfew", "markermid", "markermany"} {
+		if err := va.SemDir("/s-"+q, q); err != nil {
+			b.Fatal(err)
+		}
+	}
+	vb := hac.New(cas.New(store), hac.Options{BlobStore: store})
+	if err := vb.MkdirAll("/docs"); err != nil {
+		b.Fatal(err)
+	}
+	if err := h.AddTenant("a", va, Quota{}, b.TempDir()+"/a.hac"); err != nil {
+		b.Fatal(err)
+	}
+	if err := h.AddTenant("b", vb, Quota{}, ""); err != nil {
+		b.Fatal(err)
+	}
+	bvol, err := h.Volume("b")
+	if err != nil {
+		b.Fatal(err)
+	}
+
+	var checkpointNS, stallNS int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		stop := make(chan struct{})
+		longest := make(chan time.Duration)
+		go func() {
+			var worst time.Duration
+			for w := 0; ; w++ {
+				start := time.Now()
+				if err := bvol.WriteFile(fmt.Sprintf("/docs/w%d.txt", w%64), []byte("tenant b write")); err != nil {
+					b.Error(err)
+				}
+				worst = max(worst, time.Since(start))
+				select {
+				case <-stop:
+					longest <- worst
+					return
+				default:
+				}
+			}
+		}()
+		time.Sleep(time.Millisecond) // b is writing before the save starts
+		start := time.Now()
+		err := h.Checkpoint()
+		checkpointNS += int64(time.Since(start))
+		close(stop)
+		stallNS += int64(<-longest)
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(checkpointNS)/float64(b.N)/1e6, "checkpoint-ms")
+	b.ReportMetric(float64(stallNS)/float64(b.N)/1e6, "stall-ms")
 }

@@ -1,6 +1,7 @@
 package cas
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 	"sync"
@@ -37,6 +38,9 @@ type FS struct {
 	// are flushed into the store before any manifest materializes.
 	dirtyFiles map[*inode]bool
 	stats      vfs.Stats
+	// manifestLen is the entry count of the last manifest, the next
+	// one's capacity: a tree changes little between two manifests.
+	manifestLen int
 }
 
 var _ vfs.FileSystem = (*FS)(nil)
@@ -385,6 +389,18 @@ func (fs *FS) setContent(n *inode, data []byte) {
 	n.modTime = fs.now()
 }
 
+// truncate gives n an empty dirty buffer: the write session a create or
+// a truncating open starts, which the handle's Close — or a manifest
+// before it — seals into the store, so that a file closed unwritten has
+// content too. Caller holds fs.mu for writing; n must be overlay.
+func (fs *FS) truncate(n *inode) {
+	fs.dropContent(n)
+	n.dirty, n.hasDirty = nil, true
+	fs.dirtyFiles[n] = true
+	n.size = 0
+	n.modTime = fs.now()
+}
+
 // flush seals one dirty node's buffer into the store. Caller holds
 // fs.mu for writing; n must be overlay and dirty.
 func (fs *FS) flush(n *inode) {
@@ -560,12 +576,12 @@ func (fs *FS) OpenFile(p string, flag int) (vfs.File, error) {
 		}
 		dir := fs.cow(pt.trail)
 		n := &inode{
-			id:      fs.allocID(),
-			gen:     fs.gen,
-			typ:     vfs.TypeFile,
-			name:    base,
-			modTime: fs.now(),
+			id:   fs.allocID(),
+			gen:  fs.gen,
+			typ:  vfs.TypeFile,
+			name: base,
 		}
+		fs.truncate(n)
 		dir.children[base] = n
 		dir.modTime = fs.now()
 		h := fs.newHandle(n, p, flag)
@@ -587,9 +603,7 @@ func (fs *FS) OpenFile(p string, flag int) (vfs.File, error) {
 			return nil, pe("open", p, vfs.ErrInvalid)
 		}
 		n = fs.cow(t.trail)
-		fs.dropContent(n)
-		n.size = 0
-		n.modTime = fs.now()
+		fs.truncate(n)
 	}
 	h := fs.newHandle(n, p, flag)
 	fs.mu.Unlock()
@@ -1104,6 +1118,14 @@ func (fs *FS) Manifest() *Manifest {
 	return fs.manifestLocked()
 }
 
+// Flush seals every open handle's dirty buffer into the store, as a
+// manifest would, without building one.
+func (fs *FS) Flush() {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	fs.flushAll()
+}
+
 // CASManifest and CASBlobs expose the manifest-diff replication surface
 // (remotefs.BlobSource) on a bare content-addressed file system, so one
 // can be served and mirrored without a HAC layer on top. CASBlobs
@@ -1124,35 +1146,45 @@ func (fs *FS) CASBlobs(hashes []Hash) ([][]byte, error) {
 	return out, nil
 }
 
+// Blob is one content blob of a volume image: its hash and content.
+type Blob struct {
+	Hash Hash
+	Data []byte
+}
+
 // ImageData returns one atomic view of the volume for image writers:
-// the manifest plus the content of every distinct blob it references.
-// Returning the data slices (not the store) keeps them valid even if a
-// concurrent writer later drops the last reference — the garbage
-// collector retains the buffers for the caller.
-func (fs *FS) ImageData() (*Manifest, map[Hash][]byte) {
+// the manifest plus the content of every distinct blob it references,
+// in the order the manifest first references them. Returning
+// the data slices (not the store) keeps them valid even if a concurrent
+// writer later drops the last reference — the garbage collector retains
+// the buffers for the caller. A referenced blob the store does not hold
+// is an error.
+func (fs *FS) ImageData() (*Manifest, []Blob, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.flushAll()
 	m := fs.manifestLocked()
-	blobs := make(map[Hash][]byte)
+	blobs := make([]Blob, 0, len(m.Entries))
+	seen := make(map[Hash]struct{}, len(m.Entries))
 	for _, e := range m.Entries {
 		if e.Type != vfs.TypeFile {
 			continue
 		}
-		if _, ok := blobs[e.Hash]; ok {
-			continue
-		}
-		if data, ok := fs.store.Get(e.Hash); ok {
-			blobs[e.Hash] = data
+		if _, dup := seen[e.Hash]; !dup {
+			seen[e.Hash] = struct{}{}
+			blobs = append(blobs, Blob{Hash: e.Hash})
 		}
 	}
-	return m, blobs
+	if h, ok := fs.store.fill(blobs); !ok {
+		return nil, nil, fmt.Errorf("cas: manifest references blob %s absent from the store", h.Short())
+	}
+	return m, blobs, nil
 }
 
 // manifestLocked materializes the tree description; caller holds fs.mu
 // for writing with dirty buffers already flushed.
 func (fs *FS) manifestLocked() *Manifest {
-	m := &Manifest{Entries: make([]Entry, 0, 64)}
+	m := &Manifest{Entries: make([]Entry, 0, max(64, fs.manifestLen))}
 	var visit func(n *inode, path string)
 	visit = func(n *inode, path string) {
 		e := Entry{Path: path, Type: n.typ, ModTime: n.modTime}
@@ -1184,6 +1216,7 @@ func (fs *FS) manifestLocked() *Manifest {
 		}
 	}
 	visit(fs.root, "/")
+	fs.manifestLen = len(m.Entries)
 	return m
 }
 

@@ -735,3 +735,51 @@ func TestUnderFaultFS(t *testing.T) {
 		t.Fatal("Of found a cas substrate under MemFS")
 	}
 }
+
+// TestImageDataNamesEveryFile: a file created or truncated and not yet
+// written — closed that way, or still open — has the empty blob as its
+// content in an image of the tree; ImageData lists each distinct blob
+// once, in first-appearance order.
+func TestImageDataNamesEveryFile(t *testing.T) {
+	fs := New(nil)
+	for p, data := range map[string]string{"/a": "x", "/b": "x", "/c": "y", "/t": "gone"} {
+		if err := fs.WriteFile(p, []byte(data)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f, err := fs.Create("/closed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	open, err := fs.Create("/open")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer open.Close()
+	trunc, err := fs.OpenFile("/t", vfs.OWrite|vfs.OTrunc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer trunc.Close()
+	m, blobs, err := fs.ImageData()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, b := range blobs {
+		got = append(got, fmt.Sprintf("%s=%q", b.Hash.Short(), b.Data))
+	}
+	var want []string // /a and /b: "x"; /c: "y"; /closed, /open and /t: empty
+	for _, data := range []string{"x", "y", ""} {
+		want = append(want, fmt.Sprintf("%s=%q", Sum([]byte(data)).Short(), data))
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("image blobs %v, want %v", got, want)
+	}
+	for _, e := range m.Entries {
+		if e.Type == vfs.TypeFile && e.Hash == (Hash{}) {
+			t.Fatalf("%s has no content hash", e.Path)
+		}
+	}
+}

@@ -45,21 +45,6 @@ func (m *Manifest) Lookup(path string) (Entry, bool) {
 	return Entry{}, false
 }
 
-// Hashes returns the distinct content hashes referenced by file
-// entries, in first-appearance order.
-func (m *Manifest) Hashes() []Hash {
-	seen := make(map[Hash]bool)
-	var out []Hash
-	for _, e := range m.Entries {
-		if e.Type != vfs.TypeFile || seen[e.Hash] {
-			continue
-		}
-		seen[e.Hash] = true
-		out = append(out, e.Hash)
-	}
-	return out
-}
-
 // LogicalBytes returns the sum of file sizes described by the manifest.
 func (m *Manifest) LogicalBytes() int64 {
 	var n int64

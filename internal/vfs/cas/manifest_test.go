@@ -72,8 +72,8 @@ func TestManifestCodecRejectsDamage(t *testing.T) {
 
 func TestManifestHelpers(t *testing.T) {
 	m := sampleManifest()
-	if hs := m.Hashes(); len(hs) != 2 {
-		t.Fatalf("hashes = %d, want 2", len(hs))
+	if hs := m.MissingFrom(NewStore()); len(hs) != 2 {
+		t.Fatalf("distinct hashes = %d, want 2", len(hs))
 	}
 	if lb := m.LogicalBytes(); lb != 5 {
 		t.Fatalf("logical bytes = %d", lb)

@@ -101,6 +101,22 @@ func (s *BlobStore) Get(h Hash) ([]byte, bool) {
 	return b.data, true
 }
 
+// fill sets each blob's Data to the content stored under its Hash, in
+// one hold of the lock. It reports the first hash the store does not
+// hold.
+func (s *BlobStore) fill(blobs []Blob) (missing Hash, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := range blobs {
+		b, ok := s.blobs[blobs[i].Hash]
+		if !ok {
+			return blobs[i].Hash, false
+		}
+		blobs[i].Data = b.data
+	}
+	return Hash{}, true
+}
+
 // Has reports whether the store holds content with hash h.
 func (s *BlobStore) Has(h Hash) bool {
 	s.mu.Lock()
