@@ -179,6 +179,11 @@ type FS struct {
 
 	obsv *obs.Observer // never nil; Discard() when observability is off
 	met  *fsMetrics    // pre-resolved handles into obsv's registry
+
+	// saveMu serializes saves, which share save (persist.go). Lock
+	// order: saveMu before mu.
+	saveMu sync.Mutex
+	save   volumeScratch
 }
 
 var _ vfs.FileSystem = (*FS)(nil)

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"maps"
 	"os"
 	"path/filepath"
 	"slices"
@@ -18,6 +17,7 @@ import (
 	"sync"
 	"time"
 
+	"hacfs/internal/gobwire"
 	"hacfs/internal/index"
 	"hacfs/internal/vfs"
 	"hacfs/internal/vfs/cas"
@@ -36,7 +36,9 @@ import (
 //
 // The on-disk image is crash-safe (DESIGN.md §8): a fixed header
 // carries a magic number, a format version and the payload length, the
-// gob payload follows, and a CRC-32C trailer covers the payload. A
+// gob payload follows, and a CRC-32C trailer covers the payload. gob
+// decodes the payload; the saver writes gob's bytes itself, without
+// reflection (writeVolumeImage, FuzzVolumeImageEncoding). A
 // torn or bit-flipped main frame fails the length or checksum test and
 // LoadVolume reports a typed *vfs.PathError wrapping ErrCorruptVolume
 // instead of feeding garbage to gob. The appended index section is
@@ -54,8 +56,10 @@ const volumeVersion = 4
 // volumeMagic opens every volume image ("HACV" plus a format byte).
 var volumeMagic = [4]byte{'H', 'A', 'C', 'V'}
 
-// maxVolumePayload bounds the claimed payload length so a corrupt
-// header cannot demand an absurd allocation.
+// maxVolumePayload bounds the claimed payload length of the main frame
+// and of each blob; the loader reads a payload as its bytes arrive
+// (gobwire.ReadFull), so a corrupt length costs memory in proportion to
+// the input, not to the claim.
 const maxVolumePayload = 1 << 30
 
 // volumeCRC is the CRC-32C (Castagnoli) table used for the trailer.
@@ -145,39 +149,53 @@ func (fs *FS) CASBlobs(hashes []cas.Hash) ([][]byte, error) {
 // (their hashes are cached on the tree). Any other substrate is refused
 // with a *vfs.PathError wrapping ErrNoSnapshot.
 //
-// The index section is encoded into memory on a second goroutine while
-// this one writes the manifest frame and the blob section. That
-// goroutine takes only the index's lock; this one takes the volume's
-// and, inside it, the substrate's, the order every HAC mutation takes
-// them in.
+// The index section is encoded into the index's buffer on a second
+// goroutine while this one writes the manifest frame and the blob
+// section, and is written after them. That goroutine takes only the
+// index's lock, and releases it before it waits for the head; this one
+// takes the volume's and, inside it, the substrate's, the order every
+// HAC mutation takes them in. Both halves write gob's wire format
+// directly (internal/gobwire) into buffers kept for the next save, so
+// once a save has sized them, a save of the volume allocates no memory
+// per file, document or link (TestSaveAllocs). Saves of one volume run
+// one at a time.
 func (fs *FS) SaveVolume(w io.Writer) error {
 	cfs := cas.Of(fs.under)
 	if cfs == nil {
 		return volErr("savevolume", fmt.Errorf("%w: substrate %T", ErrNoSnapshot, fs.under))
 	}
+	fs.saveMu.Lock()
+	defer fs.saveMu.Unlock()
 	// gob numbers a type the first time any encoder meets it, and the
-	// numbers are written into the image: register the volume's types
-	// before the index goroutine registers its own, as a serial save
+	// numbers are written into the image: take the volume's types from
+	// gob before the index goroutine takes its own, as a serial save
 	// would, so that every save in a process writes the same bytes.
-	gobTypeOrder.Do(func() { _ = gob.NewEncoder(io.Discard).Encode(&volumeImage{}) })
-	var ixSection bytes.Buffer
-	ixDone := make(chan error, 1)
-	go func() { ixDone <- fs.ix.Save(&ixSection) }()
-
+	volT, err := volumeType()
+	if err != nil {
+		return volErr("savevolume", fmt.Errorf("volume type: %w", err))
+	}
 	// One buffer under the three sections: the blob section alone is two
 	// small writes per blob, and most blobs are a few hundred bytes.
-	bw := bufio.NewWriterSize(w, 64<<10)
-	err := fs.writeVolumeHead(bw, cfs)
+	// (Made over nil, not w: given a large enough *bufio.Writer,
+	// NewWriterSize returns it, and the caller's writer is not ours to
+	// keep.)
+	sc := &fs.save
+	if sc.bw == nil {
+		sc.bw = bufio.NewWriterSize(nil, 64<<10)
+	}
+	sc.bw.Reset(w)
+	defer sc.bw.Reset(nil)
+	head := make(chan error, 1)
+	ixDone := make(chan error, 1)
+	go func() { ixDone <- fs.ix.Save(&afterHead{w: sc.bw, head: head}) }()
+
+	err = fs.writeVolumeHead(sc.bw, cfs, volT)
+	head <- err
 	if ixErr := <-ixDone; err == nil && ixErr != nil {
 		err = fmt.Errorf("writing index section: %w", ixErr)
 	}
 	if err == nil {
-		// The index section: the segmented image, one framed block per
-		// segment (see internal/index/persist.go).
-		_, err = bw.Write(ixSection.Bytes())
-	}
-	if err == nil {
-		err = bw.Flush()
+		err = sc.bw.Flush()
 	}
 	if err != nil {
 		return volErr("savevolume", err)
@@ -185,65 +203,184 @@ func (fs *FS) SaveVolume(w io.Writer) error {
 	return nil
 }
 
-// gobTypeOrder registers the volume image's gob types once per process,
-// ahead of the index section's (see SaveVolume).
-var gobTypeOrder sync.Once
+// afterHead is the index section's writer: the section (the segmented
+// image, one framed block per segment; see internal/index/persist.go)
+// goes to w once the head — the main frame and the blob section — has
+// been written there, or fails with the head's error.
+type afterHead struct {
+	w      io.Writer
+	head   <-chan error
+	err    error
+	waited bool
+}
+
+func (a *afterHead) Write(p []byte) (int, error) {
+	if !a.waited {
+		a.waited, a.err = true, <-a.head
+	}
+	if a.err != nil {
+		return 0, a.err
+	}
+	return a.w.Write(p)
+}
+
+// volumeType is the main frame's gob descriptors and id, taken from
+// encoding/gob at a process's first save (see SaveVolume).
+var volumeType = sync.OnceValues(gobwire.TypeOf[volumeImage])
+
+// volumeScratch is what SaveVolume keeps from one save to the next: the
+// manifest bytes and blob list of the substrate's image, the directory
+// records, the encoder, the main frame and the buffered writer.
+type volumeScratch struct {
+	manifest   []byte
+	blobs      []cas.Blob
+	uids       []uint64
+	dirs       []dirRecord
+	prohibited []string
+	w          gobwire.Writer
+	frame      []byte
+	bw         *bufio.Writer
+}
+
+// dirRecord is one directory's dirImage as the main frame encodes it,
+// read off its dirState under the volume's read lock: every permanent
+// link is in Class (as Permanent) and LinkNames, a semantic directory
+// sends both maps even when empty, and TransNames is sent when the
+// state has a transient-name map.
+type dirRecord struct {
+	path       string
+	semantic   bool
+	query      string
+	perm       map[string]string // Class and LinkNames
+	prohibited []string          // sorted
+	trans      []string
+	transName  map[string]string // TransNames; nil is not sent
+}
 
 // writeVolumeHead writes the image's main frame — the manifest and every
-// directory's HAC state — and the blob section after it.
-func (fs *FS) writeVolumeHead(w io.Writer, cfs *cas.FS) error {
+// directory's HAC state — and the blob section after it. The frame is
+// encoded in gob's wire format by gobwire, sized first and written into
+// one buffer kept for the next save, with one copy of the manifest
+// bytes.
+func (fs *FS) writeVolumeHead(w io.Writer, cfs *cas.FS, volT *gobwire.Type) error {
+	sc := &fs.save
+	defer sc.release()
 	// The read lock spans the manifest and the directory state, so that
 	// every directory the image registers is in its tree: HAC creates and
-	// removes directories under its write lock.
+	// removes directories under its write lock. The frame is encoded
+	// under it too: the records share the directories' maps.
 	fs.mu.RLock()
-	manifest, blobs, err := cfs.ImageData()
+	var err error
+	sc.manifest, sc.blobs, err = cfs.AppendImage(sc.manifest[:0], sc.blobs[:0])
 	if err != nil {
 		fs.mu.RUnlock()
 		return err
 	}
-	img := volumeImage{Version: volumeVersion, Manifest: manifest.EncodeBinary()}
-	uids := make([]uint64, 0, len(fs.dirs))
+	sc.uids = sc.uids[:0]
 	for uid := range fs.dirs {
-		uids = append(uids, uid)
+		sc.uids = append(sc.uids, uid)
 	}
-	sort.Slice(uids, func(i, j int) bool { return uids[i] < uids[j] })
-	for _, uid := range uids {
+	slices.Sort(sc.uids)
+	sc.dirs, sc.prohibited = sc.dirs[:0], sc.prohibited[:0]
+	for _, uid := range sc.uids {
 		ds := fs.dirs[uid]
 		p, ok := fs.pathOfLocked(uid)
 		if !ok {
 			continue
 		}
-		di := dirImage{Path: p, Semantic: ds.semantic}
+		d := dirRecord{path: p, semantic: ds.semantic}
 		if ds.semantic {
-			di.Query = fs.queryDisplayLocked(ds)
-			di.Class = make(map[string]int, len(ds.perm))
-			di.LinkNames = make(map[string]string, len(ds.perm))
-			for t, name := range ds.perm {
-				di.Class[t] = int(Permanent)
-				di.LinkNames[t] = name
-			}
-			// Copied: the encoder runs after the lock is released.
-			di.Trans = slices.Clone(ds.trans)
-			di.TransNames = maps.Clone(ds.transName)
+			d.query = fs.queryDisplayLocked(ds)
+			d.perm, d.trans, d.transName = ds.perm, ds.trans, ds.transName
+			from := len(sc.prohibited)
 			for t := range ds.prohibited {
-				di.Prohibited = append(di.Prohibited, t)
+				sc.prohibited = append(sc.prohibited, t)
 			}
-			sort.Strings(di.Prohibited)
+			d.prohibited = sc.prohibited[from:len(sc.prohibited):len(sc.prohibited)]
+			slices.Sort(d.prohibited)
 		}
-		img.Dirs = append(img.Dirs, di)
+		sc.dirs = append(sc.dirs, d)
 	}
+	sc.w.Count()
+	writeVolumeImage(&sc.w, sc.dirs, sc.manifest)
+	n := sc.w.Len()
+	payload := volT.Len(n)
+	frame := slices.Grow(sc.frame[:0], volumeHeaderLen+payload+4)
+	frame = appendVolumeHeader(frame, volumeVersion, payload)
+	sc.w.Append(volT.AppendHead(frame, n))
+	writeVolumeImage(&sc.w, sc.dirs, sc.manifest)
 	fs.mu.RUnlock()
-
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(&img); err != nil {
-		return fmt.Errorf("encoding volume: %w", err)
-	}
-	if err := writeVolumeFrame(w, volumeVersion, payload.Bytes()); err != nil {
+	frame = sc.w.Buffer()
+	frame = binary.BigEndian.AppendUint32(frame, crc32.Checksum(frame[volumeHeaderLen:], volumeCRC))
+	sc.frame = frame
+	if _, err := w.Write(frame); err != nil {
 		return err
 	}
 	// The blob section: every distinct content blob the manifest
 	// references, hash-framed, before the index section.
-	return writeBlobSection(w, blobs)
+	return writeBlobSection(w, sc.blobs)
+}
+
+// release drops the records' references to directory state and the
+// blob list's to content, so the kept storage pins neither.
+func (sc *volumeScratch) release() {
+	clear(sc.dirs)
+	clear(sc.prohibited)
+	clear(sc.blobs)
+}
+
+// writeVolumeImage writes a volumeImage's fields — the image version,
+// the directories and the manifest — as gob encodes them.
+func writeVolumeImage(w *gobwire.Writer, dirs []dirRecord, manifest []byte) {
+	s := w.Struct()
+	s.Int(0, volumeVersion)
+	if s.Slice(1, len(dirs)) {
+		for i := range dirs {
+			writeDirImage(w, &dirs[i])
+		}
+	}
+	s.Bytes(2, manifest)
+	s.End()
+}
+
+// writeDirImage writes d as gob encodes its dirImage. gob sends a map's
+// entries in iteration order, so two saves of a map of two or more
+// entries differ in order, not content — as they did through gob.
+func writeDirImage(w *gobwire.Writer, d *dirRecord) {
+	s := w.Struct()
+	s.String(0, d.path)
+	s.Bool(1, d.semantic)
+	if d.semantic {
+		s.String(2, d.query)
+		s.Map(3, len(d.perm))
+		for t := range d.perm {
+			w.String(t)
+			w.Int(int64(Permanent))
+		}
+		s.Map(4, len(d.perm))
+		for t, name := range d.perm {
+			w.String(t)
+			w.String(name)
+		}
+		if s.Slice(5, len(d.prohibited)) {
+			for _, t := range d.prohibited {
+				w.String(t)
+			}
+		}
+		if s.Slice(6, len(d.trans)) {
+			for _, t := range d.trans {
+				w.String(t)
+			}
+		}
+		if d.transName != nil {
+			s.Map(7, len(d.transName))
+			for t, name := range d.transName {
+				w.String(t)
+				w.String(name)
+			}
+		}
+	}
+	s.End()
 }
 
 // Blob section framing: magic "HACB" | u32 blob count | per blob:
@@ -258,17 +395,18 @@ var blobSectionMagic = [4]byte{'H', 'A', 'C', 'B'}
 const maxBlobCount = 1 << 24
 
 func writeBlobSection(w io.Writer, blobs []cas.Blob) error {
-	var hdr [8]byte
+	// One header buffer for the section: w.Write makes it escape, and
+	// an array per blob would be an allocation per blob.
+	var hdr [40]byte
 	copy(hdr[:4], blobSectionMagic[:])
 	binary.BigEndian.PutUint32(hdr[4:8], uint32(len(blobs)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	if _, err := w.Write(hdr[:8]); err != nil {
 		return err
 	}
 	for _, b := range blobs {
-		var bh [40]byte
-		copy(bh[:32], b.Hash[:])
-		binary.BigEndian.PutUint64(bh[32:40], uint64(len(b.Data)))
-		if _, err := w.Write(bh[:]); err != nil {
+		copy(hdr[:32], b.Hash[:])
+		binary.BigEndian.PutUint64(hdr[32:40], uint64(len(b.Data)))
+		if _, err := w.Write(hdr[:]); err != nil {
 			return err
 		}
 		if _, err := w.Write(b.Data); err != nil {
@@ -306,8 +444,8 @@ func readBlobSection(r io.Reader, store *cas.BlobStore) ([]cas.Hash, error) {
 		if length > maxVolumePayload {
 			return loaded, fmt.Errorf("%w: implausible blob length %d", ErrCorruptVolume, length)
 		}
-		data := make([]byte, int(length))
-		if _, err := io.ReadFull(r, data); err != nil {
+		data, err := gobwire.ReadFull(r, length)
+		if err != nil {
 			return loaded, fmt.Errorf("%w: truncated blob content: %v", ErrCorruptVolume, err)
 		}
 		got, _ := store.Put(data)
@@ -319,25 +457,16 @@ func readBlobSection(r io.Reader, store *cas.BlobStore) ([]cas.Hash, error) {
 	return loaded, nil
 }
 
-// writeVolumeFrame writes one framed image: magic | u16 version | u64
-// length | payload | u32 CRC-32C.
-func writeVolumeFrame(w io.Writer, version uint16, payload []byte) error {
-	var hdr [14]byte
-	copy(hdr[:4], volumeMagic[:])
-	binary.BigEndian.PutUint16(hdr[4:6], version)
-	binary.BigEndian.PutUint64(hdr[6:14], uint64(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write(payload); err != nil {
-		return err
-	}
-	var trailer [4]byte
-	binary.BigEndian.PutUint32(trailer[:], crc32.Checksum(payload, volumeCRC))
-	if _, err := w.Write(trailer[:]); err != nil {
-		return err
-	}
-	return nil
+// volumeHeaderLen is the main frame's header: magic | u16 version | u64
+// payload length. A u32 CRC-32C of the payload follows the payload.
+const volumeHeaderLen = 14
+
+// appendVolumeHeader appends the header of a main frame whose payload is
+// n bytes.
+func appendVolumeHeader(dst []byte, version uint16, n int) []byte {
+	dst = append(dst, volumeMagic[:]...)
+	dst = binary.BigEndian.AppendUint16(dst, version)
+	return binary.BigEndian.AppendUint64(dst, uint64(n))
 }
 
 // readVolumePayload reads and verifies one framed image, returning the
@@ -358,8 +487,8 @@ func readVolumePayload(r io.Reader) ([]byte, error) {
 	if length > maxVolumePayload {
 		return nil, fmt.Errorf("%w: implausible payload length %d", ErrCorruptVolume, length)
 	}
-	payload := make([]byte, int(length))
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err := gobwire.ReadFull(r, length)
+	if err != nil {
 		return nil, fmt.Errorf("%w: truncated payload: %v", ErrCorruptVolume, err)
 	}
 	var trailer [4]byte

@@ -473,3 +473,43 @@ func TestLoadPermanentLinksWrittenByParent(t *testing.T) {
 		t.Fatalf("loaded /sel/yellow -> %q, %v", target, err)
 	}
 }
+
+// TestVolumeWithNameBeforeSlashRoundTrips: a volume holding a directory
+// and a sibling whose name extends the directory's with a byte below
+// '/' ("docs" and "docs.txt") saves to an image that loads — the
+// manifest lists its entries in path order, which its decoder requires.
+func TestVolumeWithNameBeforeSlashRoundTrips(t *testing.T) {
+	fs := New(cas.New(nil), Options{})
+	if err := fs.MkdirAll("/docs"); err != nil {
+		t.Fatal(err)
+	}
+	for p, c := range map[string]string{"/docs/a.txt": "apple", "/docs.txt": "apple pie", "/docs-old": "banana"} {
+		if err := fs.WriteFile(p, []byte(c)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := fs.Reindex("/"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.SemDir("/s", "apple"); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadVolume(bytes.NewReader(saveImage(t, fs)), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data, err := loaded.ReadFile("/docs.txt"); err != nil || string(data) != "apple pie" {
+		t.Fatalf("/docs.txt loaded as %q, %v", data, err)
+	}
+	before, err := fs.Links("/s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, err := loaded.Links("/s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(after) != fmt.Sprint(before) || len(after) != 2 {
+		t.Fatalf("/s links %v after the load, %v before", after, before)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -330,15 +331,19 @@ func TestLoadVolumeRejectsV3(t *testing.T) {
 		if err := gob.NewEncoder(&payload).Encode(&img); err != nil {
 			t.Fatal(err)
 		}
-		if err := writeVolumeFrame(&old, version, payload.Bytes()); err != nil {
-			t.Fatal(err)
-		}
+		old.Write(volumeFrame(version, payload.Bytes()))
 		old.Write(good[mainLen:])
 		restored, err := LoadVolume(&old, Options{})
 		if restored != nil || !errors.Is(err, ErrCorruptVolume) {
 			t.Fatalf("version-%d frame: volume %v, err %v; want none and ErrCorruptVolume", version, restored != nil, err)
 		}
 	}
+}
+
+// volumeFrame frames payload as a main frame of the given version.
+func volumeFrame(version uint16, payload []byte) []byte {
+	frame := append(appendVolumeHeader(nil, version, len(payload)), payload...)
+	return binary.BigEndian.AppendUint32(frame, crc32.Checksum(payload, volumeCRC))
 }
 
 // TestLoadVolumeTornSegmentBlock pins the containment story on a

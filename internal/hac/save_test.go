@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"os/exec"
@@ -13,6 +14,8 @@ import (
 	"testing"
 	"time"
 
+	"hacfs/internal/corpus"
+	"hacfs/internal/leaktest"
 	"hacfs/internal/vfs"
 	"hacfs/internal/vfs/cas"
 )
@@ -222,14 +225,7 @@ func TestSaveVolumeRacesWriters(t *testing.T) {
 	close(writersDone)
 	<-saverDone
 
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			t.Fatalf("%d goroutines before the saves, %d after:\n%s", before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(time.Millisecond)
-	}
+	leaktest.Settle(t, before, 5*time.Second, "the saves")
 	if len(images) == 0 {
 		t.Fatal("no save completed")
 	}
@@ -249,4 +245,134 @@ func TestSaveVolumeRacesWriters(t *testing.T) {
 func raceWords(i int) string {
 	words := []string{"apple", "banana", "cherry", "date"}
 	return words[i%4] + " " + words[(i/4)%4] + " common"
+}
+
+// allocVolume builds a volume of n documents in eight directories, each
+// document holding a term shared by all of them and one of n/10 others,
+// under a semantic directory linking every document and one with a
+// permanent link, a renamed transient link and a prohibition.
+func allocVolume(t *testing.T, n int) *FS {
+	t.Helper()
+	fs := New(cas.New(nil), Options{})
+	for d := 0; d < 8; d++ {
+		if err := fs.MkdirAll(fmt.Sprintf("/docs/d%d", d)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < n; i++ {
+		content := fmt.Sprintf("common t%d", i%(n/10))
+		if err := fs.WriteFile(fmt.Sprintf("/docs/d%d/f%05d.txt", i%8, i), []byte(content)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := fs.Reindex("/"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.SemDir("/all", "common"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.SemDir("/some", "t1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.MarkPermanent("/some", "/docs/d0/f00000.txt"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.MarkProhibited("/some", "/docs/d1/f00001.txt"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Rename("/all/f00002.txt", "/all/renamed.txt"); err != nil {
+		t.Fatal(err)
+	}
+	return fs
+}
+
+// TestSaveAllocs: once a save has sized the buffers it keeps, a save of
+// the same volume makes a fixed number of allocations — the same for
+// 500 documents as for 5 000, so none per document, posting or link —
+// both for Index.Save and for SaveVolume; and no goroutine a save
+// started outlives it.
+func TestSaveAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 5 000-document volume")
+	}
+	counts := map[int][2]float64{}
+	before := runtime.NumGoroutine()
+	for _, n := range []int{500, 5000} {
+		fs := allocVolume(t, n)
+		ix := fs.Index()
+		if err := fs.SaveVolume(io.Discard); err != nil { // warm-up
+			t.Fatal(err)
+		}
+		var err error
+		ixAllocs := testing.AllocsPerRun(5, func() {
+			if e := ix.Save(io.Discard); e != nil {
+				err = e
+			}
+		})
+		volAllocs := testing.AllocsPerRun(5, func() {
+			if e := fs.SaveVolume(io.Discard); e != nil {
+				err = e
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts[n] = [2]float64{ixAllocs, volAllocs}
+		t.Logf("%d documents: Index.Save %.0f allocations, SaveVolume %.0f", n, ixAllocs, volAllocs)
+	}
+	if counts[500] != counts[5000] {
+		t.Fatalf("allocations per save grow with the volume: Index.Save %v → %v, SaveVolume %v → %v (500 → 5 000 documents)",
+			counts[500][0], counts[5000][0], counts[500][1], counts[5000][1])
+	}
+	leaktest.Settle(t, before, 5*time.Second, "the saves")
+}
+
+// BenchmarkSaveVolume saves a 10 000-document corpus volume with three
+// semantic directories after twelve rounds that each rewrite 1 % of its
+// files and re-index, to io.Discard: "index" is Index.Save alone (the
+// section SaveVolume encodes beside the main frame), "volume" the whole
+// SaveVolume.
+func BenchmarkSaveVolume(b *testing.B) {
+	fs := New(cas.New(nil), Options{})
+	if err := fs.MkdirAll("/db"); err != nil {
+		b.Fatal(err)
+	}
+	m, err := corpus.Generate(fs, "/db", corpus.Spec{Files: 10000, MeanWords: 40, Seed: 7001})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := fs.Reindex("/db"); err != nil {
+		b.Fatal(err)
+	}
+	for _, q := range []string{"markerfew", "markermid", "markermany"} {
+		if err := fs.SemDir("/s-"+q, q); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for round := 0; round < 12; round++ {
+		for i := round; i < len(m.Files); i += 100 {
+			if err := fs.WriteFile(m.Files[i].Path, []byte(fmt.Sprintf("rewritten round%d markermid", round))); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, err := fs.Reindex("/"); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("index", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := fs.Index().Save(io.Discard); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("volume", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := fs.SaveVolume(io.Discard); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -3,10 +3,14 @@ package index
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
+	"hacfs/internal/bitset"
+	"hacfs/internal/gobwire"
 	"hacfs/internal/index/indextest"
 )
 
@@ -71,6 +75,9 @@ func FuzzLoadSegment(f *testing.F) {
 	flipped[len(flipped)/2] ^= 0x40
 	f.Add(flipped)
 	f.Add([]byte("HACS not a segment"))
+	f.Add(claimedFrame(segmentMagic, maxIndexPayload, "short"))
+	f.Add(claimedFrame(segmentMagic, maxIndexPayload+1, "short"))
+	f.Add(claimedFrame(segmentMagic, 1<<20, ""))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		img, err := loadSegmentBlock(bytes.NewReader(data))
@@ -118,6 +125,125 @@ func FuzzWithinOneEdit(f *testing.F) {
 		want := indextest.WithinOneEdit(a, b)
 		if got != want {
 			t.Fatalf("withinOneEdit(%q, %q) = %v, reference says %v", a, b, got, want)
+		}
+	})
+}
+
+// claimedFrame is a block header claiming a payload of n bytes, followed
+// by body: a truncated frame when body is shorter than n.
+func claimedFrame(magic [4]byte, n int, body string) []byte {
+	hdr, _ := openBlock(nil, magic, n)
+	return append(hdr, body...)
+}
+
+// fuzzSegmentImage builds a segment image from fuzz bytes: up to 7
+// documents with paths of 0–765 bytes (ASCII or "é"), zero, UTC, zoned
+// and second-offset modification times and signed sizes, then up to 7
+// postings, each a packed set of 0–70 of the document slots (so Packed
+// is empty or 9–300 bytes) under a term of 0–255 bytes.
+func fuzzSegmentImage(id uint32, data []byte) *segmentImage {
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	img := &segmentImage{ID: id}
+	for n := next() % 8; n > 0; n-- {
+		l, unit := int(next())*3, "p"
+		if l%2 == 1 {
+			unit = "é"
+		}
+		d := docImage{Path: strings.Repeat(unit, l/len(unit)), Size: int(int16(uint16(next())<<8 | uint16(next())))}
+		sec := int64(int32(uint32(next())<<24 | uint32(next())<<16 | uint32(next())<<8 | uint32(next())))
+		switch next() % 4 {
+		case 1:
+			d.ModTime = time.Unix(sec, int64(next())).UTC()
+		case 2:
+			d.ModTime = time.Unix(sec, 0).In(time.FixedZone("z", (int(next())-128)*60))
+		case 3:
+			d.ModTime = time.Unix(sec, 0).In(time.FixedZone("s", int(next())+7))
+		}
+		img.Docs = append(img.Docs, d)
+	}
+	for n := next() % 8; n > 0; n-- {
+		p := postingImage{Term: strings.Repeat("t", int(next()))}
+		if k := int(next()) % 71; k > 0 && len(img.Docs) > 0 {
+			c := bitset.NewContainer()
+			for i := 0; i < k; i++ {
+				c.Add(uint32(int(next()) % len(img.Docs)))
+			}
+			c.Pack()
+			p.Packed = c.AppendBinary(nil)
+		}
+		img.Postings = append(img.Postings, p)
+	}
+	return img
+}
+
+// FuzzSegmentImageEncoding: Save's gob writer against encoding/gob. A
+// segment image built from arbitrary bytes encodes to exactly a fresh
+// gob.Encoder's bytes, and the block framed around them loads back to
+// the same image through loadSegmentBlock; an image gob cannot encode
+// (a modification time whose zone offset has no binary form) fails the
+// writer too.
+func FuzzSegmentImageEncoding(f *testing.F) {
+	f.Add(uint32(0), []byte{})
+	f.Add(uint32(7), []byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add(uint32(1<<31), []byte{3, 43, 255, 255, 0, 0, 1, 0, 1, 5, 201, 0, 1, 2, 3, 2, 3, 9, 0, 1, 0, 0, 0, 0, 3, 1, 2, 10, 70, 1, 2, 3})
+	f.Add(uint32(9), []byte{0, 2, 5, 0, 0})
+	f.Add(uint32(3), []byte{2, 100, 0, 1, 0, 0, 0, 0, 0, 30, 1, 0, 0, 0, 0, 0, 1, 1, 4, 70, 0, 1, 0, 1})
+
+	segT, err := segmentType()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, id uint32, data []byte) {
+		img := fuzzSegmentImage(id, data)
+		var want bytes.Buffer
+		wantErr := gob.NewEncoder(&want).Encode(img)
+		var w gobwire.Writer
+		w.Count()
+		err := writeSegmentImage(&w, img)
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("direct encoding fails with %v, gob with %v", err, wantErr)
+		}
+		if err != nil {
+			return // a zone offset with no binary form: neither encodes it
+		}
+		n := w.Len()
+		w.Append(segT.AppendHead(nil, n))
+		if err := writeSegmentImage(&w, img); err != nil {
+			t.Fatal(err)
+		}
+		got := w.Buffer()
+		if len(got) != segT.Len(n) || !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("direct encoding differs from gob's (sized %d):\n got %x\nwant %x", segT.Len(n), got, want.Bytes())
+		}
+		block, payload := openBlock(nil, segmentMagic, len(got))
+		block = closeBlock(append(block, got...), payload)
+		back, err := loadSegmentBlock(bytes.NewReader(block))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back.ID != img.ID || len(back.Docs) != len(img.Docs) || len(back.Postings) != len(img.Postings) {
+			t.Fatalf("loaded segment %d with %d docs and %d postings, saved %d with %d and %d",
+				back.ID, len(back.Docs), len(back.Postings), img.ID, len(img.Docs), len(img.Postings))
+		}
+		for i, d := range img.Docs {
+			b := back.Docs[i]
+			_, wantOff := d.ModTime.Zone()
+			_, gotOff := b.ModTime.Zone()
+			if b.Path != d.Path || b.Size != d.Size || !b.ModTime.Equal(d.ModTime) || gotOff != wantOff || b.ModTime.IsZero() != d.ModTime.IsZero() {
+				t.Fatalf("document %d loaded as %+v, saved %+v", i, b, d)
+			}
+		}
+		for i, p := range img.Postings {
+			if b := back.Postings[i]; b.Term != p.Term || !bytes.Equal(b.Packed, p.Packed) {
+				t.Fatalf("posting %d loaded as %q %x, saved %q %x", i, b.Term, b.Packed, p.Term, p.Packed)
+			}
 		}
 	})
 }

@@ -157,6 +157,11 @@ type Index struct {
 	// mergeMu serializes whole merge operations (plan → build → commit).
 	// Lock order: mergeMu before mu; never acquire mergeMu under mu.
 	mergeMu sync.Mutex
+
+	// saveMu serializes saves, which share save (persist.go). Lock
+	// order: saveMu before mu.
+	saveMu sync.Mutex
+	save   segmentScratch
 }
 
 // Tokenizer splits document content into terms. The default is

@@ -9,9 +9,11 @@ import (
 	"hash/crc32"
 	"io"
 	"slices"
+	"sync"
 	"time"
 
 	"hacfs/internal/bitset"
+	"hacfs/internal/gobwire"
 	"hacfs/internal/vfs"
 )
 
@@ -37,6 +39,14 @@ import (
 // local IDs renumbered), so document IDs are NOT stable across
 // save/load; they never were in version 2 either. Version-2 monolithic
 // images are still accepted and migrate into a single sealed segment.
+//
+// The payloads are gob streams, one fresh encoder's output per block,
+// and encoding/gob decodes them. Save does not run gob's reflective
+// encoder: it writes the same bytes itself (internal/gobwire), with each
+// block's type descriptors taken from encoding/gob once per process, so
+// a save sizes the whole section before it encodes and fills one buffer
+// that it keeps for the next save. FuzzSegmentImageEncoding holds the
+// two encoders to the same bytes.
 
 const (
 	indexVersion       = 3
@@ -49,6 +59,9 @@ var (
 )
 
 // maxIndexPayload bounds the claimed payload length of any one block.
+// readFrame reads a payload as its bytes arrive (gobwire.ReadFull), so a
+// torn frame that claims up to this much costs memory in proportion to
+// the input.
 const maxIndexPayload = 1 << 30
 
 var indexCRC = crc32.MakeTable(crc32.Castagnoli)
@@ -146,109 +159,102 @@ const (
 	blockTrailerLen = 4
 )
 
-// putBlockHeader writes a block header for a payload of n bytes into
-// dst[:blockHeaderLen].
-func putBlockHeader(dst []byte, magic [4]byte, n int) {
-	copy(dst[:4], magic[:])
-	binary.BigEndian.PutUint16(dst[4:6], indexVersion)
-	binary.BigEndian.PutUint64(dst[6:14], uint64(n))
+// openBlock appends the header of a block whose payload is n bytes and
+// returns the payload's offset; closeBlock appends the trailer of the
+// payload from that offset to the end of dst.
+func openBlock(dst []byte, magic [4]byte, n int) ([]byte, int) {
+	dst = append(dst, magic[:]...)
+	dst = binary.BigEndian.AppendUint16(dst, indexVersion)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(n))
+	return dst, len(dst)
 }
 
-// blockTrailer is the CRC-32C trailer of a block's payload.
-func blockTrailer(payload []byte) [blockTrailerLen]byte {
-	var t [blockTrailerLen]byte
-	binary.BigEndian.PutUint32(t[:], crc32.Checksum(payload, indexCRC))
-	return t
-}
-
-// writeBlock writes one framed block: magic | u16 version | u64 length
-// | payload | u32 CRC-32C.
-func writeBlock(w io.Writer, magic [4]byte, payload []byte) error {
-	var hdr [blockHeaderLen]byte
-	putBlockHeader(hdr[:], magic, len(payload))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("index: writing block header: %w", err)
-	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("index: writing block payload: %w", err)
-	}
-	trailer := blockTrailer(payload)
-	if _, err := w.Write(trailer[:]); err != nil {
-		return fmt.Errorf("index: writing block checksum: %w", err)
-	}
-	return nil
+func closeBlock(dst []byte, payload int) []byte {
+	return binary.BigEndian.AppendUint32(dst, crc32.Checksum(dst[payload:], indexCRC))
 }
 
 // Save writes a checksummed image of the index to w: a container header
 // block, then one block per non-empty resident segment, each compacted
 // (dead slots dropped). The in-memory index is not modified.
+//
+// Every segment is compacted under the read lock; the whole section is
+// then sized and encoded in gob's wire format by gobwire, each block
+// framed in place in one buffer, and the lock is released before w is
+// written. The buffer and the compaction scratch are kept for the next
+// save. gob stays the decoder: the bytes are what a fresh gob.Encoder
+// writes for each block, with the type descriptors taken from gob the
+// first time a save meets the type — segmentImage before containerHeader,
+// the order a save has always numbered them in.
 func (ix *Index) Save(w io.Writer) error {
+	ix.saveMu.Lock()
+	defer ix.saveMu.Unlock()
+	sc := &ix.save
+	sc.reset()
 	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-
-	// The segment blocks are framed in place, one after another in one
-	// buffer, before the header block that counts them: gob then meets
-	// segmentImage before containerHeader, the order that fixes its type
-	// IDs in the image.
-	var blocks bytes.Buffer
-	var scratch segmentScratch
-	var placeholder [blockHeaderLen]byte
-	segments := 0
-	var encErr error
-	ix.eachSegmentLocked(func(s *segment) {
-		if encErr != nil {
-			return
-		}
-		img := encodeSegmentLocked(s, &scratch)
-		if img == nil {
-			return
-		}
-		start := blocks.Len()
-		blocks.Write(placeholder[:]) // filled in once the payload's length is known
-		if err := gob.NewEncoder(&blocks).Encode(img); err != nil {
-			encErr = fmt.Errorf("index: encoding segment %d: %w", s.id, err)
-			return
-		}
-		block := blocks.Bytes()[start:]
-		payload := block[blockHeaderLen:]
-		putBlockHeader(block, segmentMagic, len(payload))
-		trailer := blockTrailer(payload)
-		blocks.Write(trailer[:])
-		segments++
-	})
-	if encErr != nil {
-		return encErr
+	for _, s := range ix.sealed {
+		encodeSegmentLocked(s, sc)
 	}
+	encodeSegmentLocked(ix.active, sc)
+	nextSeg := ix.nextSeg
+	ix.mu.RUnlock()
 
-	var hdr bytes.Buffer
-	ch := containerHeader{Version: indexVersion, Segments: segments, NextSeg: ix.nextSeg}
-	if err := gob.NewEncoder(&hdr).Encode(&ch); err != nil {
-		return fmt.Errorf("index: encoding header: %w", err)
-	}
-	if err := writeBlock(w, indexMagic, hdr.Bytes()); err != nil {
+	section, err := sc.encodeSection(nextSeg)
+	sc.release()
+	if err != nil {
 		return err
 	}
-	if _, err := w.Write(blocks.Bytes()); err != nil {
-		return fmt.Errorf("index: writing segment blocks: %w", err)
+	if _, err := w.Write(section); err != nil {
+		return fmt.Errorf("index: writing image: %w", err)
 	}
 	return nil
 }
 
-// segmentScratch is the storage encodeSegmentLocked reuses from one
-// segment to the next: the slot renumbering, the kept ids of one posting
-// and the arena the postings are written into.
+// segmentType and headerType are the gob descriptors and ids of the
+// image's two block types, taken from encoding/gob at first use.
+var (
+	segmentType = sync.OnceValues(gobwire.TypeOf[segmentImage])
+	headerType  = sync.OnceValues(gobwire.TypeOf[containerHeader])
+)
+
+// errLegacyIDs reports a posting image that carries the legacy IDs
+// field, which only loading fills.
+var errLegacyIDs = errors.New("index: a saved posting carries legacy IDs")
+
+// segmentScratch is the storage Save keeps from one save to the next:
+// the slot renumbering, the kept ids of one posting, the arena postings
+// are compacted into, the images of one save's segments with their
+// document and posting tables, each block's field length, the encoder
+// and the section buffer. Slices into storage that later grew stay
+// valid: they keep the old array, which no later append writes.
 type segmentScratch struct {
-	remap []uint32
-	ids   []uint32
-	arena []byte
+	remap   []uint32
+	ids     []uint32
+	arena   []byte
+	segs    []segmentImage
+	docs    []docImage
+	posts   []postingImage
+	lens    []int
+	w       gobwire.Writer
+	section []byte
 }
 
-// encodeSegmentLocked builds the compacted image of one segment, or nil
-// if it holds no live documents: dead slots are dropped, the live ones
-// renumbered in slot order, and every posting is compacted straight
-// from its container into the arena (bitset.Container.AppendCompacted).
-// The image's postings live in sc's arena: encode the image before the
-// next call. Caller holds ix.mu.
+func (sc *segmentScratch) reset() {
+	sc.arena, sc.segs, sc.docs, sc.posts = sc.arena[:0], sc.segs[:0], sc.docs[:0], sc.posts[:0]
+}
+
+// release drops the images' references to paths and terms, so the kept
+// storage does not pin what the index has since removed.
+func (sc *segmentScratch) release() {
+	clear(sc.segs)
+	clear(sc.docs)
+	clear(sc.posts)
+}
+
+// encodeSegmentLocked appends the compacted image of one segment to
+// sc.segs and returns it, or returns nil if the segment holds no live
+// documents: dead slots are dropped, the live ones renumbered in slot
+// order, and every posting is compacted straight from its container into
+// the arena (bitset.Container.AppendCompacted). Caller holds ix.mu.
 func encodeSegmentLocked(s *segment, sc *segmentScratch) *segmentImage {
 	sc.remap = slices.Grow(sc.remap[:0], len(s.docs))[:len(s.docs)]
 	live := 0
@@ -263,29 +269,116 @@ func encodeSegmentLocked(s *segment, sc *segmentScratch) *segmentImage {
 	if live == 0 {
 		return nil
 	}
-	img := &segmentImage{ID: s.id, Docs: make([]docImage, 0, live)}
+	docs := len(sc.docs)
 	for _, d := range s.docs {
 		if d.alive {
-			img.Docs = append(img.Docs, docImage{Path: d.path, ModTime: d.modTime, Size: d.size})
+			sc.docs = append(sc.docs, docImage{Path: d.path, ModTime: d.modTime, Size: d.size})
 		}
 	}
-	// A posting compacts to at most its array form, 5 + 4·len bytes, so
-	// the arena is sized once and the Packed slices never move.
-	size := 0
-	for _, posting := range s.postings {
-		size += 5 + 4*posting.Len()
-	}
-	arena := slices.Grow(sc.arena[:0], size)
-	img.Postings = make([]postingImage, 0, len(s.postings))
+	posts := len(sc.posts)
 	for term, posting := range s.postings {
-		start := len(arena)
-		arena, sc.ids = posting.AppendCompacted(arena, sc.remap, noLocal, sc.ids)
-		if len(arena) > start {
-			img.Postings = append(img.Postings, postingImage{Term: term, Packed: arena[start:len(arena):len(arena)]})
+		start := len(sc.arena)
+		sc.arena, sc.ids = posting.AppendCompacted(sc.arena, sc.remap, noLocal, sc.ids)
+		if len(sc.arena) > start {
+			sc.posts = append(sc.posts, postingImage{Term: term, Packed: sc.arena[start:len(sc.arena):len(sc.arena)]})
 		}
 	}
-	sc.arena = arena
-	return img
+	sc.segs = append(sc.segs, segmentImage{ID: s.id, Docs: sc.docs[docs:len(sc.docs):len(sc.docs)], Postings: sc.posts[posts:len(sc.posts):len(sc.posts)]})
+	return &sc.segs[len(sc.segs)-1]
+}
+
+// encodeSection encodes the image of sc's segments: the container header
+// block and one block per segment, sized first and then framed in place
+// in sc.section, which it returns.
+func (sc *segmentScratch) encodeSection(nextSeg uint32) ([]byte, error) {
+	var segT *gobwire.Type
+	if len(sc.segs) > 0 {
+		t, err := segmentType()
+		if err != nil {
+			return nil, fmt.Errorf("index: segment type: %w", err)
+		}
+		segT = t
+	}
+	hdrT, err := headerType()
+	if err != nil {
+		return nil, fmt.Errorf("index: header type: %w", err)
+	}
+	ch := containerHeader{Version: indexVersion, Segments: len(sc.segs), NextSeg: nextSeg}
+	w := &sc.w
+	w.Count()
+	writeContainerHeader(w, &ch)
+	hdrLen := w.Len()
+	total := blockHeaderLen + hdrT.Len(hdrLen) + blockTrailerLen
+	sc.lens = sc.lens[:0]
+	for i := range sc.segs {
+		w.Count()
+		if err := writeSegmentImage(w, &sc.segs[i]); err != nil {
+			return nil, fmt.Errorf("index: encoding segment %d: %w", sc.segs[i].ID, err)
+		}
+		sc.lens = append(sc.lens, w.Len())
+		total += blockHeaderLen + segT.Len(w.Len()) + blockTrailerLen
+	}
+
+	buf, payload := openBlock(slices.Grow(sc.section[:0], total), indexMagic, hdrT.Len(hdrLen))
+	w.Append(hdrT.AppendHead(buf, hdrLen))
+	writeContainerHeader(w, &ch)
+	buf = closeBlock(w.Buffer(), payload)
+	for i := range sc.segs {
+		buf, payload = openBlock(buf, segmentMagic, segT.Len(sc.lens[i]))
+		w.Append(segT.AppendHead(buf, sc.lens[i]))
+		if err := writeSegmentImage(w, &sc.segs[i]); err != nil {
+			return nil, fmt.Errorf("index: encoding segment %d: %w", sc.segs[i].ID, err)
+		}
+		buf = closeBlock(w.Buffer(), payload)
+	}
+	sc.section = buf
+	if len(buf) != total {
+		return nil, fmt.Errorf("index: image sized at %d bytes, encoded in %d", total, len(buf))
+	}
+	return buf, nil
+}
+
+// writeContainerHeader writes ch's fields as gob encodes a
+// containerHeader.
+func writeContainerHeader(w *gobwire.Writer, ch *containerHeader) {
+	s := w.Struct()
+	s.Int(0, int64(ch.Version))
+	s.Int(1, int64(ch.Segments))
+	s.Uint(2, uint64(ch.NextSeg))
+	s.End()
+}
+
+// writeSegmentImage writes img's fields as gob encodes a segmentImage.
+// The legacy IDs field of a posting is never written.
+func writeSegmentImage(w *gobwire.Writer, img *segmentImage) error {
+	s := w.Struct()
+	s.Uint(0, uint64(img.ID))
+	if s.Slice(1, len(img.Docs)) {
+		for i := range img.Docs {
+			d := &img.Docs[i]
+			ds := w.Struct()
+			ds.String(0, d.Path)
+			if err := ds.Time(1, d.ModTime); err != nil {
+				return fmt.Errorf("document %q: %w", d.Path, err)
+			}
+			ds.Int(2, int64(d.Size))
+			ds.End()
+		}
+	}
+	if s.Slice(2, len(img.Postings)) {
+		for i := range img.Postings {
+			p := &img.Postings[i]
+			if len(p.IDs) > 0 {
+				return errLegacyIDs
+			}
+			ps := w.Struct()
+			ps.String(0, p.Term)
+			ps.Bytes(2, p.Packed)
+			ps.End()
+		}
+	}
+	s.End()
+	return nil
 }
 
 // LoadOption configures the index an image is loaded into, before any
@@ -318,8 +411,8 @@ func readFrame(r io.Reader, hdr [14]byte, magic [4]byte) (payload []byte, versio
 	if length > maxIndexPayload {
 		return nil, 0, fmt.Errorf("%w: %w: implausible payload length %d", vfs.ErrCorruptVolume, ErrBlockFraming, length)
 	}
-	payload = make([]byte, int(length))
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err = gobwire.ReadFull(r, length)
+	if err != nil {
 		return nil, 0, fmt.Errorf("%w: %w: truncated payload: %v", vfs.ErrCorruptVolume, ErrBlockFraming, err)
 	}
 	var trailer [4]byte

@@ -9,6 +9,7 @@ import (
 	"hash/crc32"
 	"os"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -427,5 +428,37 @@ func TestImageBytesUnchanged(t *testing.T) {
 	}
 	if !kinds['A'] || !kinds['B'] || !kinds['R'] {
 		t.Fatalf("fixture covers codec kinds %v, want array, bitmap and run", kinds)
+	}
+}
+
+// TestTruncatedFrameAllocatesInput: a block header that claims the
+// largest payload the loader accepts, followed by five bytes, fails as a
+// torn frame having allocated in proportion to those bytes, not 1 GiB.
+func TestTruncatedFrameAllocatesInput(t *testing.T) {
+	for _, load := range []struct {
+		name string
+		fn   func([]byte) error
+	}{
+		{"LoadIndex", func(b []byte) error { _, err := LoadIndex(bytes.NewReader(b)); return err }},
+		{"loadSegmentBlock", func(b []byte) error { _, err := loadSegmentBlock(bytes.NewReader(b)); return err }},
+	} {
+		magic := indexMagic
+		if load.name == "loadSegmentBlock" {
+			magic = segmentMagic
+		}
+		in := claimedFrame(magic, maxIndexPayload, "short")
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := load.fn(in)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorruptIndex) || !strings.Contains(err.Error(), "truncated payload") {
+			t.Fatalf("%s: err = %v, want a truncated-payload ErrCorruptIndex", load.name, err)
+		}
+		if load.name == "loadSegmentBlock" && !errors.Is(err, ErrBlockFraming) {
+			t.Fatalf("%s: err = %v, want ErrBlockFraming", load.name, err)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d >= 8<<20 {
+			t.Fatalf("%s: a %d-byte input claiming %d bytes allocated %d bytes", load.name, len(in), maxIndexPayload, d)
+		}
 	}
 }

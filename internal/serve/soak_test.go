@@ -13,6 +13,7 @@ import (
 
 	"hacfs/internal/corpus"
 	"hacfs/internal/hac"
+	"hacfs/internal/leaktest"
 	"hacfs/internal/obs"
 	"hacfs/internal/remotefs"
 	"hacfs/internal/vfs"
@@ -343,7 +344,7 @@ func TestClientLeavingMidStreamFreesItsSlot(t *testing.T) {
 		return h.tenants["a"].inflight == 0
 	})
 	srv.Close()
-	settled("goroutines left behind", func() bool { return runtime.NumGoroutine() <= before })
+	leaktest.Settle(t, before, 10*time.Second, "the server closed")
 }
 
 // BenchmarkCheckpointStall measures what Checkpoint costs a tenant that

@@ -1,7 +1,10 @@
 package cas
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -41,6 +44,7 @@ type FS struct {
 	// manifestLen is the entry count of the last manifest, the next
 	// one's capacity: a tree changes little between two manifests.
 	manifestLen int
+	tree        treeScratch
 }
 
 var _ vfs.FileSystem = (*FS)(nil)
@@ -1152,42 +1156,55 @@ type Blob struct {
 	Data []byte
 }
 
-// ImageData returns one atomic view of the volume for image writers:
-// the manifest plus the content of every distinct blob it references,
-// in the order the manifest first references them. Returning
-// the data slices (not the store) keeps them valid even if a concurrent
-// writer later drops the last reference — the garbage collector retains
-// the buffers for the caller. A referenced blob the store does not hold
-// is an error.
-func (fs *FS) ImageData() (*Manifest, []Blob, error) {
+// AppendImage takes one atomic view of the volume for image writers: it
+// appends the encoded manifest (Manifest.AppendBinary's bytes) to
+// manifest, and to blobs the content of every distinct blob the manifest
+// references, in the order it first references them. Returning the data
+// slices (not the store) keeps them valid even if a concurrent writer
+// later drops the last reference — the garbage collector retains the
+// buffers for the caller. A referenced blob the store does not hold is
+// an error. Once manifest and blobs have room for the tree, a call
+// allocates nothing per node: callers that save repeatedly pass the
+// previous call's buffers back in.
+func (fs *FS) AppendImage(manifest []byte, blobs []Blob) ([]byte, []Blob, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.flushAll()
-	m := fs.manifestLocked()
-	blobs := make([]Blob, 0, len(m.Entries))
-	seen := make(map[Hash]struct{}, len(m.Entries))
-	for _, e := range m.Entries {
-		if e.Type != vfs.TypeFile {
-			continue
-		}
-		if _, dup := seen[e.Hash]; !dup {
-			seen[e.Hash] = struct{}{}
-			blobs = append(blobs, Blob{Hash: e.Hash})
-		}
+	if fs.tree.seen == nil {
+		fs.tree.seen = make(map[Hash]struct{})
 	}
-	if h, ok := fs.store.fill(blobs); !ok {
-		return nil, nil, fmt.Errorf("cas: manifest references blob %s absent from the store", h.Short())
+	seen := fs.tree.seen
+	defer clear(seen)
+	head := len(manifest)
+	manifest = appendManifestHead(manifest, 0)
+	first, count := len(blobs), 0
+	fs.eachNodeLocked(&fs.tree, func(path []byte, n *inode) {
+		count++
+		manifest = appendEntry(manifest, path, n.typ, n.hash, n.size, n.target, n.modTime)
+		if n.typ != vfs.TypeFile {
+			return
+		}
+		if _, dup := seen[n.hash]; !dup {
+			seen[n.hash] = struct{}{}
+			blobs = append(blobs, Blob{Hash: n.hash})
+		}
+	})
+	binary.BigEndian.PutUint32(manifest[head+5:], uint32(count))
+	fs.manifestLen = count
+	if h, ok := fs.store.fill(blobs[first:]); !ok {
+		return manifest, blobs, fmt.Errorf("cas: manifest references blob %s absent from the store", h.Short())
 	}
-	return m, blobs, nil
+	return manifest, blobs, nil
 }
 
 // manifestLocked materializes the tree description; caller holds fs.mu
-// for writing with dirty buffers already flushed.
+// for writing with dirty buffers already flushed. Its walk scratch is
+// its own: a manifest allocates per entry anyway, and a volume that is
+// only ever asked for manifests keeps none of it.
 func (fs *FS) manifestLocked() *Manifest {
 	m := &Manifest{Entries: make([]Entry, 0, max(64, fs.manifestLen))}
-	var visit func(n *inode, path string)
-	visit = func(n *inode, path string) {
-		e := Entry{Path: path, Type: n.typ, ModTime: n.modTime}
+	fs.eachNodeLocked(new(treeScratch), func(path []byte, n *inode) {
+		e := Entry{Path: string(path), Type: n.typ, ModTime: n.modTime}
 		switch n.typ {
 		case vfs.TypeFile:
 			e.Hash, e.Size = n.hash, n.size
@@ -1195,29 +1212,93 @@ func (fs *FS) manifestLocked() *Manifest {
 			e.Target = n.target
 		}
 		m.Entries = append(m.Entries, e)
-		if !n.isDir() {
-			return
-		}
-		if _, mounted := fs.mounts[n.id]; mounted {
-			return
-		}
-		names := make([]string, 0, len(n.children))
-		for name := range n.children {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			child := n.children[name]
-			cp := path + "/" + name
-			if path == "/" {
-				cp = "/" + name
-			}
-			visit(child, cp)
-		}
-	}
-	visit(fs.root, "/")
+	})
 	fs.manifestLen = len(m.Entries)
 	return m
+}
+
+// treeScratch is what AppendImage keeps on the FS from one image to the
+// next: the walk's path and the ordered entries of each directory on it
+// (eachNodeLocked), and the blobs the image has listed.
+type treeScratch struct {
+	path []byte
+	dirs [][]dirEntry
+	seen map[Hash]struct{}
+}
+
+// dirEntry is one run of a directory's part of the manifest: a child
+// itself, or (within) everything beneath a directory child.
+type dirEntry struct {
+	name   string
+	n      *inode
+	within bool
+}
+
+// cmpDirEntry orders a directory's runs as their paths sort: a child by
+// its name, the run within a directory child by its name and a '/'. A
+// file "docs.txt" thus falls between the directory "docs" and
+// "docs/a", as it does in path order.
+func cmpDirEntry(a, b dirEntry) int {
+	n := min(len(a.name), len(b.name))
+	if c := strings.Compare(a.name[:n], b.name[:n]); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.keyByte(n), b.keyByte(n))
+}
+
+// keyByte is the i-th byte of e's sort key, -1 past its end.
+func (e dirEntry) keyByte(i int) int {
+	switch {
+	case i < len(e.name):
+		return int(e.name[i])
+	case i == len(e.name) && e.within:
+		return '/'
+	}
+	return -1
+}
+
+// eachNodeLocked visits every node of the tree in manifest order (path
+// order: every directory before what it holds) with its path, which is
+// valid only during the call, walking in t's storage. Mounted subtrees
+// are not descended into: a mount is not part of the volume. Caller
+// holds fs.mu for writing.
+func (fs *FS) eachNodeLocked(t *treeScratch, visit func(path []byte, n *inode)) {
+	t.path = append(t.path[:0], '/')
+	visit(t.path, fs.root)
+	if _, mounted := fs.mounts[fs.root.id]; !mounted {
+		fs.visitWithinLocked(t, fs.root, 0, visit)
+	}
+}
+
+// visitWithinLocked visits everything beneath directory n, whose path is
+// t.path.
+func (fs *FS) visitWithinLocked(t *treeScratch, n *inode, depth int, visit func(path []byte, n *inode)) {
+	if len(t.dirs) == depth {
+		t.dirs = append(t.dirs, nil)
+	}
+	runs := t.dirs[depth][:0]
+	for name, child := range n.children {
+		runs = append(runs, dirEntry{name: name, n: child})
+		if _, mounted := fs.mounts[child.id]; child.isDir() && !mounted {
+			runs = append(runs, dirEntry{name: name, n: child, within: true})
+		}
+	}
+	slices.SortFunc(runs, cmpDirEntry)
+	t.dirs[depth] = runs
+	dir := len(t.path)
+	for _, r := range runs {
+		if dir > 1 {
+			t.path = append(t.path, '/')
+		}
+		t.path = append(t.path, r.name...)
+		if r.within {
+			fs.visitWithinLocked(t, r.n, depth+1, visit)
+		} else {
+			visit(t.path, r.n)
+		}
+		t.path = t.path[:dir]
+	}
+	clear(runs)
 }
 
 // FromManifest materializes a file system from a manifest whose blobs

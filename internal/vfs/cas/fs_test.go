@@ -736,11 +736,12 @@ func TestUnderFaultFS(t *testing.T) {
 	}
 }
 
-// TestImageDataNamesEveryFile: a file created or truncated and not yet
+// TestAppendImageNamesEveryFile: a file created or truncated and not yet
 // written — closed that way, or still open — has the empty blob as its
-// content in an image of the tree; ImageData lists each distinct blob
-// once, in first-appearance order.
-func TestImageDataNamesEveryFile(t *testing.T) {
+// content in an image of the tree; AppendImage lists each distinct blob
+// once, in first-appearance order, after what the caller's buffers
+// held, and its manifest bytes are the encoded Manifest's.
+func TestAppendImageNamesEveryFile(t *testing.T) {
 	fs := New(nil)
 	for p, data := range map[string]string{"/a": "x", "/b": "x", "/c": "y", "/t": "gone"} {
 		if err := fs.WriteFile(p, []byte(data)); err != nil {
@@ -762,7 +763,19 @@ func TestImageDataNamesEveryFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer trunc.Close()
-	m, blobs, err := fs.ImageData()
+	prior := []Blob{{Data: []byte("prior")}}
+	enc, blobs, err := fs.AppendImage([]byte("prefix"), prior)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(enc[:6]) != "prefix" || string(blobs[0].Data) != "prior" {
+		t.Fatal("AppendImage overwrote what its buffers held")
+	}
+	enc, blobs = enc[6:], blobs[1:]
+	if want := fs.Manifest().EncodeBinary(); !bytes.Equal(enc, want) {
+		t.Fatalf("image manifest is %d bytes, the encoded Manifest %d, and they differ", len(enc), len(want))
+	}
+	m, err := DecodeManifest(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -781,5 +794,37 @@ func TestImageDataNamesEveryFile(t *testing.T) {
 		if e.Type == vfs.TypeFile && e.Hash == (Hash{}) {
 			t.Fatalf("%s has no content hash", e.Path)
 		}
+	}
+}
+
+// TestManifestInPathOrder: a name that sorts between a directory and
+// what it holds ("docs.txt" between "docs" and "docs/a": '.' < '/')
+// lands there in the manifest, so the encoded manifest decodes — its
+// decoder requires strictly increasing paths — and an image holds the
+// same bytes.
+func TestManifestInPathOrder(t *testing.T) {
+	fs := New(nil)
+	for _, p := range []string{"/docs/a", "/docs/sub/z", "/docs.txt", "/docs-x/b", "/docs0", "/docs/sub.txt"} {
+		if err := fs.MkdirAll(vfs.Dir(p)); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.WriteFile(p, []byte(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := fs.Manifest()
+	var got []string
+	for _, e := range m.Entries {
+		got = append(got, e.Path)
+	}
+	want := []string{"/", "/docs", "/docs-x", "/docs-x/b", "/docs.txt", "/docs/a", "/docs/sub", "/docs/sub.txt", "/docs/sub/z", "/docs0"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("manifest order %v, want %v", got, want)
+	}
+	if _, err := DecodeManifest(m.EncodeBinary()); err != nil {
+		t.Fatal(err)
+	}
+	if enc, _, err := fs.AppendImage(nil, nil); err != nil || !bytes.Equal(enc, m.EncodeBinary()) {
+		t.Fatalf("image manifest differs from the encoded Manifest (%v)", err)
 	}
 }

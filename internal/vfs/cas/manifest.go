@@ -102,24 +102,35 @@ var ErrBadManifest = errors.New("cas: malformed manifest")
 // AppendBinary appends the encoded manifest to buf and returns the
 // extended slice.
 func (m *Manifest) AppendBinary(buf []byte) []byte {
-	buf = append(buf, manifestMagic[:]...)
-	buf = append(buf, manifestVersion)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(m.Entries)))
+	buf = appendManifestHead(buf, len(m.Entries))
 	for _, e := range m.Entries {
-		buf = binary.BigEndian.AppendUint16(buf, uint16(len(e.Path)))
-		buf = append(buf, e.Path...)
-		buf = append(buf, byte(e.Type))
-		switch e.Type {
-		case vfs.TypeFile:
-			buf = append(buf, e.Hash[:]...)
-			buf = binary.BigEndian.AppendUint64(buf, uint64(e.Size))
-		case vfs.TypeSymlink:
-			buf = binary.BigEndian.AppendUint16(buf, uint16(len(e.Target)))
-			buf = append(buf, e.Target...)
-		}
-		buf = binary.BigEndian.AppendUint64(buf, uint64(e.ModTime.UnixNano()))
+		buf = appendEntry(buf, e.Path, e.Type, e.Hash, e.Size, e.Target, e.ModTime)
 	}
 	return buf
+}
+
+// appendManifestHead appends the header of a manifest of count entries.
+func appendManifestHead(buf []byte, count int) []byte {
+	buf = append(buf, manifestMagic[:]...)
+	buf = append(buf, manifestVersion)
+	return binary.BigEndian.AppendUint32(buf, uint32(count))
+}
+
+// appendEntry appends one encoded entry: an Entry's fields, or a tree
+// node's with its path still in a buffer.
+func appendEntry[P string | []byte](buf []byte, path P, typ vfs.NodeType, hash Hash, size int64, target string, modTime time.Time) []byte {
+	buf = binary.BigEndian.AppendUint16(buf, uint16(len(path)))
+	buf = append(buf, path...)
+	buf = append(buf, byte(typ))
+	switch typ {
+	case vfs.TypeFile:
+		buf = append(buf, hash[:]...)
+		buf = binary.BigEndian.AppendUint64(buf, uint64(size))
+	case vfs.TypeSymlink:
+		buf = binary.BigEndian.AppendUint16(buf, uint16(len(target)))
+		buf = append(buf, target...)
+	}
+	return binary.BigEndian.AppendUint64(buf, uint64(modTime.UnixNano()))
 }
 
 // EncodeBinary returns the encoded manifest.

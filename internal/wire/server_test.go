@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"hacfs/internal/leaktest"
 	"hacfs/internal/obs"
 	"hacfs/internal/vfs"
 )
@@ -245,14 +246,7 @@ func TestServerLeavesNoGoroutines(t *testing.T) {
 	}
 	srv.Close()
 	<-served
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			t.Fatalf("%d goroutines before, %d after Close:\n%s", before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	leaktest.Settle(t, before, 5*time.Second, "Close")
 }
 
 // TestErrorCodec round-trips every table entry through the payload
