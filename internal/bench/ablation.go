@@ -23,7 +23,6 @@ import (
 
 // A1Result compares targeted and full re-evaluation.
 type A1Result struct {
-	ChainDepth    time.Duration `json:"-"` // unused; kept simple below
 	Targeted      time.Duration
 	Full          time.Duration
 	SemanticDirs  int
@@ -151,13 +150,6 @@ func AblationSets(universe int, densities []float64) []A2Row {
 		rows = append(rows, row)
 	}
 	return rows
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // ---------------------------------------------------------------------

@@ -10,6 +10,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -245,6 +246,46 @@ func TestSaveVolumeRacesWriters(t *testing.T) {
 func raceWords(i int) string {
 	words := []string{"apple", "banana", "cherry", "date"}
 	return words[i%4] + " " + words[(i/4)%4] + " common"
+}
+
+// A full save is O(volume): the median of three SaveVolumes of a
+// 1 000-file volume takes at least twice as long as one of a 200-file
+// volume. (A save that stopped writing the blob section, or wrote only a
+// fixed head, would fail this.)
+func TestFullSaveGrowsWithVolume(t *testing.T) {
+	median := func(files int) time.Duration {
+		fs := New(cas.New(nil), Options{})
+		rng := rand.New(rand.NewSource(1))
+		for i := 0; i < files; i++ {
+			if i%100 == 0 {
+				if err := fs.MkdirAll(fmt.Sprintf("/d%04d", i/100)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			buf := make([]byte, 256)
+			rng.Read(buf)
+			copy(buf, fmt.Sprintf("file %d ", i)) // unique content
+			if err := fs.WriteFile(fmt.Sprintf("/d%04d/f%06d.txt", i/100, i), buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var samples []time.Duration
+		for r := 0; r < 3; r++ {
+			start := time.Now()
+			if err := fs.SaveVolume(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+			samples = append(samples, time.Since(start))
+		}
+		slices.Sort(samples)
+		return samples[1]
+	}
+	small, large := median(200), median(1000)
+	growth := float64(large) / float64(small)
+	t.Logf("full save: 200 files %v, 1 000 files %v, growth %.1fx", small, large, growth)
+	if growth < 2 {
+		t.Fatalf("full save grew %.2fx from 200 to 1 000 files (%v → %v); want ≥ 2x", growth, small, large)
+	}
 }
 
 // allocVolume builds a volume of n documents in eight directories, each

@@ -8,6 +8,9 @@ import (
 	"sort"
 	"testing"
 
+	"hacfs/internal/corpus"
+	"hacfs/internal/query"
+	"hacfs/internal/query/plan"
 	"hacfs/internal/vfs"
 )
 
@@ -351,6 +354,85 @@ func TestSearchEquivalentToOldSemantics(t *testing.T) {
 			if err != nil || !reflect.DeepEqual(got, again) {
 				t.Fatalf("cached searchSorted(%q, %q) = %v, first %v (err=%v)",
 					q, scope, again, got, err)
+			}
+		}
+	}
+}
+
+// The planner agrees with the naive pipeline — query.Eval over the whole
+// snapshot, every path materialized, the scope applied as a path prefix
+// — on a 500-file corpus: cold (cache bypassed) and warm searches report
+// the same match count and the same first page for each shape the
+// planner rewrites (AND-chain reordering, NOT pushdown, scope pruning).
+func TestPlannerAgreesWithNaivePipeline(t *testing.T) {
+	mem := vfs.New()
+	if err := mem.MkdirAll("/db"); err != nil {
+		t.Fatal(err)
+	}
+	man, err := corpus.Generate(mem, "/db", corpus.Spec{Files: 500, MeanWords: 150, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := New(mem, Options{})
+	if _, err := fs.Reindex("/db"); err != nil {
+		t.Fatal(err)
+	}
+	many := man.MarkerFiles["markermany"]
+	if len(many) == 0 {
+		t.Fatal("corpus planted no markermany files")
+	}
+	subdir := vfs.Dir(many[0])
+
+	ctx := context.Background()
+	for _, tc := range []struct{ q, scope string }{
+		{"markermany", "/db"},
+		{"markermany AND markermid", "/db"},
+		{"markermany AND NOT markerfew", "/db"},
+		{"markermany", subdir},
+		{"markerfew", "/db"},
+	} {
+		ast, err := query.Parse(tc.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := fs.Index().Snapshot()
+		bm, err := query.Eval(ast, &plan.SnapEnv{Snap: snap})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var naive []string
+		for _, p := range snap.Paths(bm) {
+			if vfs.HasPrefix(p, tc.scope) {
+				naive = append(naive, p)
+			}
+		}
+		if len(naive) == 0 {
+			t.Fatalf("%q in %s: the naive pipeline matched nothing", tc.q, tc.scope)
+		}
+		for _, mode := range []struct {
+			name   string
+			cached bool
+			opts   []SearchOption
+		}{
+			{"cold", false, []SearchOption{WithScope(tc.scope), WithoutCache()}},
+			{"first", false, []SearchOption{WithScope(tc.scope)}},
+			{"warm", true, []SearchOption{WithScope(tc.scope)}},
+		} {
+			r, err := fs.Search(ctx, tc.q, mode.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Stats().Cached != mode.cached {
+				t.Fatalf("%q in %s, %s: Cached = %v", tc.q, tc.scope, mode.name, r.Stats().Cached)
+			}
+			if got := r.Stats().Matches; got != len(naive) {
+				t.Fatalf("%q in %s, %s: planner matched %d, naive %d", tc.q, tc.scope, mode.name, got, len(naive))
+			}
+			page, _ := r.Next()
+			want := naive[:min(len(naive), DefaultPageSize)]
+			if !reflect.DeepEqual(page, want) {
+				t.Fatalf("%q in %s, %s: first page differs from the naive pipeline:\n got %v\nwant %v",
+					tc.q, tc.scope, mode.name, page, want)
 			}
 		}
 	}

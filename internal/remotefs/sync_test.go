@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -148,6 +149,63 @@ func TestMirrorVolumeThroughHACVolume(t *testing.T) {
 
 	if _, err := MirrorVolume(context.Background(), peer, dst); err != nil {
 		t.Fatal(err)
+	}
+	requireSameTree(t, substrate, dst)
+}
+
+// After a mirror, rewriting 1 % of a 200-file × 4 KiB volume must ship
+// more than nothing and under 5 % of the bytes a full copy would: the
+// manifest plus the two changed blobs, not the tree.
+func TestMirrorVolumeDirtyPercentShipsUnderFivePercent(t *testing.T) {
+	const files, size = 200, 4096
+	substrate := cas.New(nil)
+	hfs := hac.New(substrate, hac.Options{})
+	rng := rand.New(rand.NewSource(3))
+	gen := 0
+	content := func() []byte { // never-before-seen content
+		gen++
+		buf := make([]byte, size)
+		rng.Read(buf)
+		copy(buf, fmt.Sprintf("gen %d ", gen))
+		return buf
+	}
+	var paths []string
+	for i := 0; i < files; i++ {
+		if i%100 == 0 {
+			if err := hfs.MkdirAll(fmt.Sprintf("/d%04d", i/100)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p := fmt.Sprintf("/d%04d/f%06d.txt", i/100, i)
+		if err := hfs.WriteFile(p, content()); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, p)
+	}
+	peer := serve(t, hfs)
+	dst := cas.New(nil)
+	ctx := context.Background()
+	if _, err := MirrorVolume(ctx, peer, dst); err != nil {
+		t.Fatal(err)
+	}
+
+	// 1 % dirty, spread across the tree.
+	dirty := files / 100
+	for i := 0; i < files; i += files / dirty {
+		if err := hfs.WriteFile(paths[i], content()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stats, err := MirrorVolume(ctx, peer, dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shipped := stats.ManifestBytes + stats.BlobBytes
+	full := substrate.Manifest().LogicalBytes()
+	pct := 100 * float64(shipped) / float64(full)
+	t.Logf("1%% dirty: manifest %d B + blobs %d B = %.2f%% of %d B", stats.ManifestBytes, stats.BlobBytes, pct, full)
+	if shipped <= 0 || pct >= 5 {
+		t.Fatalf("1%% dirty re-sync shipped %d B, %.2f%% of a full copy (%d B); want > 0 and < 5%%", shipped, pct, full)
 	}
 	requireSameTree(t, substrate, dst)
 }
