@@ -124,7 +124,7 @@ func BenchmarkTable3_IndexDirect(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ix := index.New()
-		if _, _, _, err := ix.SyncTree(raw, "/db"); err != nil {
+		if _, _, _, err := ix.SyncTree(raw, "/db", nil); err != nil {
 			b.Fatal(err)
 		}
 	}

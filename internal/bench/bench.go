@@ -197,7 +197,7 @@ func Table3Reps(spec corpus.Spec, reps int) (Table3Result, error) {
 		runtime.GC()
 		ix := index.New()
 		start := time.Now()
-		if _, _, _, err := ix.SyncTree(raw, "/db"); err != nil {
+		if _, _, _, err := ix.SyncTree(raw, "/db", nil); err != nil {
 			return res, err
 		}
 		d := time.Since(start)
@@ -257,7 +257,7 @@ func NewTable4Env(spec corpus.Spec) (*Table4Env, error) {
 		return nil, err
 	}
 	ix := index.New()
-	if _, _, _, err := ix.SyncTree(raw, "/db"); err != nil {
+	if _, _, _, err := ix.SyncTree(raw, "/db", nil); err != nil {
 		return nil, err
 	}
 

@@ -200,7 +200,7 @@ func (c *Container) Remove(id uint32) {
 }
 
 // growWords extends the word slice to at least n words. Growth is
-// amortized: ascending Adds (a merge or chunk build filling a posting)
+// amortized: ascending Adds (a merge or reindex build filling a posting)
 // extend it one word at a time.
 func (c *Container) growWords(n int) {
 	if n > len(c.words) {

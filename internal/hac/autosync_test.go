@@ -2,7 +2,9 @@ package hac
 
 import (
 	"errors"
+	"fmt"
 	"testing"
+	"time"
 
 	"hacfs/internal/vfs"
 )
@@ -201,5 +203,88 @@ func TestAutoSyncReportsConsistencyError(t *testing.T) {
 				t.Fatalf("after one Sync: %v", problems)
 			}
 		})
+	}
+}
+
+// openHookFS runs hook once, as path is first opened for reading.
+type openHookFS struct {
+	vfs.FileSystem
+	path string
+	hook func()
+}
+
+func (f *openHookFS) OpenFile(path string, flag int) (vfs.File, error) {
+	if path == f.path && flag == vfs.ORead && f.hook != nil {
+		hook := f.hook
+		f.hook = nil
+		hook()
+	}
+	return f.FileSystem.OpenFile(path, flag)
+}
+
+// TestReindexKeepsAutoSyncedChanges: an auto-synced write or remove that
+// lands while Reindex runs, after the pass read the file, wins — the
+// pass neither restores the older content nor revives the removed
+// document as a ghost link.
+func TestReindexKeepsAutoSyncedChanges(t *testing.T) {
+	mem := vfs.New()
+	clock := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	mem.SetClock(func() time.Time { return clock })
+	sub := &openHookFS{FileSystem: mem, path: "/mail/z.txt"}
+	fs := New(sub, Options{})
+	if err := fs.MkdirAll("/mail"); err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"/mail/a.txt", "/mail/b.txt"}
+	for i := 0; i < 10; i++ {
+		names = append(names, fmt.Sprintf("/mail/c%02d.txt", i))
+	}
+	names = append(names, "/mail/z.txt")
+	for _, p := range names {
+		if err := fs.WriteFile(p, []byte("mail old")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := fs.Reindex("/"); err != nil {
+		t.Fatal(err)
+	}
+	for dir, q := range map[string]string{"/newer": "newer", "/all": "mail"} {
+		if err := fs.SemDir(dir, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fs.EnableAutoSync("/mail"); err != nil {
+		t.Fatal(err)
+	}
+	// Every file changes behind HAC's back, so the pass reads them all.
+	clock = clock.Add(time.Minute)
+	for _, p := range names {
+		if err := mem.WriteFile(p, []byte("mail stale")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sub.hook = func() {
+		clock = clock.Add(time.Minute)
+		if err := fs.WriteFile("/mail/a.txt", []byte("mail newer")); err != nil {
+			t.Error(err)
+		}
+		if err := fs.Remove("/mail/b.txt"); err != nil {
+			t.Error(err)
+		}
+	}
+	if _, err := fs.Reindex("/"); err != nil {
+		t.Fatal(err)
+	}
+	if sub.hook != nil {
+		t.Fatal("the pass never read /mail/z.txt")
+	}
+	wantTargets(t, fs, "/newer", "/mail/a.txt")
+	for _, target := range targetsOf(t, fs, "/all") {
+		if target == "/mail/b.txt" {
+			t.Fatal("the removed /mail/b.txt is linked again")
+		}
+	}
+	if _, ok := fs.ix.IDOf("/mail/b.txt"); ok {
+		t.Fatal("the removed /mail/b.txt is indexed again")
 	}
 }

@@ -99,8 +99,7 @@ func TestSaveWritesEachBlobOnceInManifestOrder(t *testing.T) {
 // (testdata/parent-df62b9b-image.hac, written by commit df62b9b from
 // imageFixtureVolume at GOMAXPROCS=2). The save runs in a child
 // process, so no earlier test has fixed gob's type numbering; the child
-// runs at GOMAXPROCS=2 too, because Reindex's worker count decides the
-// index's segment layout.
+// runs at GOMAXPROCS=2 too, as the fixture was written.
 func TestFirstSaveMatchesParentImage(t *testing.T) {
 	if out := os.Getenv("HAC_FIRST_SAVE_OUT"); out != "" {
 		if err := os.WriteFile(out, saveImage(t, imageFixtureVolume(t)), 0o644); err != nil {

@@ -41,8 +41,11 @@ func newStreamFS(t testing.TB, seed int64, under vfs.FileSystem, files int) (*FS
 			t.Fatal(err)
 		}
 	}
-	if _, err := fs.Reindex("/"); err != nil {
-		t.Fatal(err)
+	// A pass per directory: a sealed segment each.
+	for d := 0; d < 5; d++ {
+		if _, err := fs.Reindex(fmt.Sprintf("/c/d%d", d)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := fs.SemDir("/sel", "alpha"); err != nil {
 		t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -397,11 +396,8 @@ type IndexReport struct {
 // re-indexes the files, and every semantic directory is re-evaluated
 // ("at reindexing time, all scope and data inconsistencies are
 // settled"). The file walk goes through the HAC layer itself, as in
-// the paper's Table 3 setup.
-//
-// Files are read and tokenized by a pool of GOMAXPROCS workers; index
-// insertion stays single-writer in walk order, so document IDs — and
-// therefore all downstream bitmaps — are identical to a serial run.
+// the paper's Table 3 setup, and builds one sealed index segment whose
+// document IDs follow walk order.
 func (fs *FS) Reindex(root string, opts ...Option) (IndexReport, error) {
 	cfg := fs.evalCfg(opts)
 	reindexStart := time.Now()
@@ -414,7 +410,7 @@ func (fs *FS) Reindex(root string, opts ...Option) (IndexReport, error) {
 	// The index's walk registers each directory as it reaches it — the
 	// paper's per-directory structures and global-map entries are part of
 	// HAC's indexing cost — so the tree is walked once.
-	added, updated, removed, err := fs.ix.SyncTreeParallel(fs, root, runtime.GOMAXPROCS(0), func(dir string) {
+	added, updated, removed, err := fs.ix.SyncTree(fs, root, func(dir string) {
 		fs.mu.Lock()
 		fs.registerDirLocked(dir)
 		fs.mu.Unlock()

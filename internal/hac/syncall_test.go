@@ -139,8 +139,7 @@ func assertSameVolume(t *testing.T, seed int64, nameA string, a *FS, nameB strin
 	}
 }
 
-// withProcs runs f with GOMAXPROCS set to n, which is the worker count
-// Reindex gives its tokenization pool.
+// withProcs runs f with GOMAXPROCS set to n.
 func withProcs(n int, f func()) {
 	old := runtime.GOMAXPROCS(n)
 	defer runtime.GOMAXPROCS(old)
@@ -163,9 +162,10 @@ func TestSyncAllDeterministic(t *testing.T) {
 	}
 }
 
-// TestParallelSyncDeterministic: a volume whose Reindex tokenizes with
-// a pool of 8 workers commits, after SyncAll, byte-for-byte the same
-// link sets as one built from the same seed with a single worker.
+// TestParallelSyncDeterministic: a volume built and synced at
+// GOMAXPROCS=8 commits byte-for-byte the same link sets as one built
+// from the same seed at GOMAXPROCS=1 — nothing a pass commits depends
+// on the CPU count.
 func TestParallelSyncDeterministic(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		var serial, par *FS
@@ -177,14 +177,13 @@ func TestParallelSyncDeterministic(t *testing.T) {
 			par = buildSeededVolume(t, seed, false)
 			perturbAndSync(t, seed, par)
 		})
-		assertSameVolume(t, seed, "1 worker", serial, "8 workers", par)
+		assertSameVolume(t, seed, "GOMAXPROCS=1", serial, "GOMAXPROCS=8", par)
 	}
 }
 
 // TestParallelSyncWithVerify is TestParallelSyncDeterministic with
 // match verification on — the configuration the benchmark uses — so
-// the commit reads through substrate file handles while the index was
-// built by the worker pool.
+// the commit reads through substrate file handles.
 func TestParallelSyncWithVerify(t *testing.T) {
 	const seed = 7
 	var serial, par *FS
@@ -196,7 +195,7 @@ func TestParallelSyncWithVerify(t *testing.T) {
 		par = buildSeededVolume(t, seed, true)
 		perturbAndSync(t, seed, par)
 	})
-	assertSameVolume(t, seed, "1 worker", serial, "8 workers", par)
+	assertSameVolume(t, seed, "GOMAXPROCS=1", serial, "GOMAXPROCS=8", par)
 }
 
 // TestSyncAllConcurrentMutation hammers a volume with writers, readers

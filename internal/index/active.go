@@ -29,14 +29,8 @@ import (
 // version under the old ID — the ID space they pinned is unchanged. The
 // lists are dropped when the segment seals; sealed postings stay
 // immutable (the off-lock merge build depends on that) and sealed
-// tombstones wait for the merge as before.
-//
-// Only documents written one at a time (Add, AddWithTime) keep a list.
-// A reindex pass appends in bulk without one — an empty entry — so
-// ingesting a tree costs the active segment nothing extra; such a slot
-// tombstones the old way (its posting bits stay, masked, until the
-// merge) and its first rewrite appends a listed slot, after which the
-// path is maintained in place like any other.
+// tombstones wait for the merge as before. A reindex pass never writes
+// the active segment: it installs a sealed one of its own (SyncTree).
 
 // eachPackedTerm visits the uvarint-length-prefixed terms of a slotTerms
 // entry until fn returns false. The visited strings alias packed.
@@ -53,24 +47,28 @@ func eachPackedTerm(packed string, fn func(term string) bool) {
 	}
 }
 
-// addSlotTerms adds local to the posting of every term and, when pack
-// is set, returns the packed term list for slotTerms: one allocation, so
-// the prepared document's per-token strings can be collected. Caller
-// holds ix.mu for writing and s is the active segment, or s is a
-// segment still being built.
-func (s *segment) addSlotTerms(local uint32, terms map[string]struct{}, pack bool) string {
+// addPosting adds local to term's posting. Caller holds ix.mu for
+// writing and s is the active segment, or s is a segment still being
+// built.
+func (s *segment) addPosting(term string, local uint32) {
+	c, ok := s.postings[term]
+	if !ok {
+		c = bitset.NewContainer()
+		s.postings[term] = c
+	}
+	c.Add(local)
+}
+
+// addSlotTerms adds local to the posting of every term and returns the
+// packed term list for slotTerms: one allocation, so the prepared
+// document's per-token strings can be collected. Caller holds ix.mu for
+// writing; s is the active segment.
+func (s *segment) addSlotTerms(local uint32, terms map[string]struct{}) string {
 	var packed []byte
 	for term := range terms {
-		c, ok := s.postings[term]
-		if !ok {
-			c = bitset.NewContainer()
-			s.postings[term] = c
-		}
-		c.Add(local)
-		if pack {
-			packed = binary.AppendUvarint(packed, uint64(len(term)))
-			packed = append(packed, term...)
-		}
+		s.addPosting(term, local)
+		packed = binary.AppendUvarint(packed, uint64(len(term)))
+		packed = append(packed, term...)
 	}
 	return string(packed)
 }
@@ -99,7 +97,7 @@ func (s *segment) clearSlotTerms(local uint32, keep map[string]struct{}) {
 func (ix *Index) replaceLocked(local uint32, d preparedDoc) DocID {
 	s := ix.active
 	s.clearSlotTerms(local, d.terms)
-	s.slotTerms[local] = s.addSlotTerms(local, d.terms, true)
+	s.slotTerms[local] = s.addSlotTerms(local, d.terms)
 	e := &s.docs[local]
 	e.modTime, e.size = d.modTime, d.size
 	ix.version.Add(1)
@@ -163,9 +161,8 @@ func (ix *Index) DocHasFuzzy(id DocID, term string) bool {
 }
 
 // docHasAny reports whether document id carries a term p selects. An
-// active-segment document answers from its own term list when it has
-// one; any other (sealed, bulk-ingested, or with no terms at all) probes
-// the posting of every selected term of its segment.
+// active-segment document answers from its own term list; a sealed one
+// probes the posting of every selected term of its segment.
 func (ix *Index) docHasAny(id DocID, p termPattern) bool {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -174,7 +171,7 @@ func (ix *Index) docHasAny(id DocID, p termPattern) bool {
 		return false
 	}
 	found := false
-	if !s.sealed && s.slotTerms[local] != "" {
+	if !s.sealed {
 		eachPackedTerm(s.slotTerms[local], func(term string) bool {
 			found = p.match(term)
 			return !found

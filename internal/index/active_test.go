@@ -166,22 +166,22 @@ func TestOverwriteInActiveSegmentCostsNothing(t *testing.T) {
 	}
 }
 
-// TestBulkSlotRewrittenOnce: a document a reindex pass appended keeps no
-// term list, so its first rewrite costs one dead slot; from then on the
-// path is maintained in place.
-func TestBulkSlotRewrittenOnce(t *testing.T) {
+// TestReindexedDocRewrittenOnce: a document a reindex pass installed
+// lives in a sealed segment, so its first rewrite costs one dead slot;
+// from then on the path is maintained in place in the active segment.
+func TestReindexedDocRewrittenOnce(t *testing.T) {
 	fsys := vfs.New()
 	if err := fsys.WriteFile("/note.txt", []byte("first draft")); err != nil {
 		t.Fatal(err)
 	}
 	ix := New()
-	if _, _, _, err := ix.SyncTree(fsys, "/"); err != nil {
+	if _, _, _, err := ix.SyncTree(fsys, "/", nil); err != nil {
 		t.Fatal(err)
 	}
-	bulk, _ := ix.IDOf("/note.txt")
+	synced, _ := ix.IDOf("/note.txt")
 	second := ix.Add("/note.txt", []byte("second draft"))
-	if second == bulk || ix.Stats().DeadDocs != 1 {
-		t.Fatalf("first rewrite of a bulk slot: id %#x → %#x, DeadDocs = %d", bulk, second, ix.Stats().DeadDocs)
+	if second == synced || ix.Stats().DeadDocs != 1 {
+		t.Fatalf("first rewrite of a reindexed document: id %#x → %#x, DeadDocs = %d", synced, second, ix.Stats().DeadDocs)
 	}
 	for i := 0; i < 10; i++ {
 		if id := ix.Add("/note.txt", []byte(fmt.Sprintf("draft number%d", i))); id != second {
@@ -192,7 +192,7 @@ func TestBulkSlotRewrittenOnce(t *testing.T) {
 		t.Fatalf("after rewrites Docs = %d DeadDocs = %d, want 1 and 1", st.Docs, st.DeadDocs)
 	}
 	if got := ix.Snapshot().Paths(ix.Snapshot().Lookup("first")); len(got) != 0 {
-		t.Fatalf("the bulk version still matches: %v", got)
+		t.Fatalf("the reindexed version still matches: %v", got)
 	}
 	if got := ix.Snapshot().Paths(ix.Snapshot().Lookup("number9")); !reflect.DeepEqual(got, []string{"/note.txt"}) {
 		t.Fatalf("latest version not searchable: %v", got)
@@ -217,7 +217,7 @@ func TestDocHasMatchesLookups(t *testing.T) {
 			ix.ForceMerge()
 		}
 	}
-	// A reindex pass appends without per-slot term lists.
+	// A reindex pass installs a sealed segment of its own.
 	fsys := vfs.New()
 	if err := fsys.MkdirAll("/bulk"); err != nil {
 		t.Fatal(err)
@@ -227,7 +227,7 @@ func TestDocHasMatchesLookups(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, _, _, err := ix.SyncTree(fsys, "/bulk"); err != nil {
+	if _, _, _, err := ix.SyncTree(fsys, "/bulk", nil); err != nil {
 		t.Fatal(err)
 	}
 	dead, _ := ix.IDOf("/m/f03.txt") // in the merged segment
@@ -275,30 +275,5 @@ func TestRemovePrefix(t *testing.T) {
 	}
 	if ix.NumDocs() != 1 {
 		t.Fatalf("NumDocs = %d, want 1", ix.NumDocs())
-	}
-}
-
-// TestSyncTreeParallelHonoursSealThreshold: the parallel reindex cuts
-// its chunks no larger than the seal threshold, so the segment layout a
-// test asks for does not depend on the worker count.
-func TestSyncTreeParallelHonoursSealThreshold(t *testing.T) {
-	fsys := vfs.New()
-	if err := fsys.MkdirAll("/docs"); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 6; i++ {
-		if err := fsys.WriteFile(fmt.Sprintf("/docs/f%d.txt", i), []byte("apple")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, workers := range []int{1, 2, 8} {
-		ix := New()
-		ix.SetSealThreshold(2)
-		if _, _, _, err := ix.SyncTreeParallel(fsys, "/", workers, nil); err != nil {
-			t.Fatal(err)
-		}
-		if got := ix.Stats().Segments; got != 4 { // three sealed pairs and the empty active segment
-			t.Errorf("workers=%d: %d segments, want 4", workers, got)
-		}
 	}
 }

@@ -10,7 +10,8 @@
 // sealed segments (merge.go) that never invalidates document IDs.
 // SyncTree walks a file system and performs the incremental reindex the
 // paper describes ("re-index the file system periodically ... or on
-// user request, for any part of the file system").
+// user request, for any part of the file system"), building one sealed
+// segment per pass.
 //
 // Storage layout (DESIGN.md §10): writes land in a mutable active
 // segment; once it reaches the seal threshold it becomes an immutable
@@ -211,8 +212,10 @@ func (ix *Index) eachSegmentLocked(fn func(*segment)) {
 }
 
 // SetSealThreshold overrides the active-segment seal size, mainly so
-// tests can force multi-segment layouts with small corpora. n <= 0
-// restores the default.
+// tests can force multi-segment layouts with small corpora. It shapes
+// only the active segment that per-document writes fill: a SyncTree
+// pass installs one sealed segment of its own. n <= 0 restores the
+// default.
 func (ix *Index) SetSealThreshold(n int) {
 	if n <= 0 {
 		n = DefaultSealThreshold
@@ -242,29 +245,24 @@ func (ix *Index) Add(path string, content []byte) DocID {
 	return ix.AddWithTime(path, content, time.Time{})
 }
 
-// AddWithTime is Add recording the document's modification time, used
-// by SyncTree to detect staleness.
+// AddWithTime is Add recording the document's modification time, which
+// a later SyncTree compares with the file's to detect staleness.
 func (ix *Index) AddWithTime(path string, content []byte, modTime time.Time) DocID {
 	return ix.commitDoc(ix.prepareDoc(path, content, modTime))
 }
 
-// preparedDoc is a tokenized document awaiting its merge into the
-// index. Preparation (the expensive part: tokenization plus
-// transducers) runs without the index write lock, so many documents can
-// be prepared concurrently and committed by one writer.
+// preparedDoc is a tokenized document awaiting its commit. Preparation
+// (the expensive part: tokenization plus transducers) runs without the
+// index write lock.
 type preparedDoc struct {
 	path    string
 	modTime time.Time
 	size    int
 	terms   map[string]struct{}
-	// bulk marks a document appended by a reindex pass (SyncTree): it
-	// keeps no per-slot term list (active.go), so bulk ingestion costs
-	// the active segment no extra memory.
-	bulk bool
 }
 
 // prepareDoc tokenizes content and runs the transducers. It does not
-// take the write lock and is safe to call from many goroutines.
+// take the write lock.
 func (ix *Index) prepareDoc(path string, content []byte, modTime time.Time) preparedDoc {
 	terms := ix.termSet(content)
 	for _, t := range ix.applyTransducers(path, content) {
@@ -285,7 +283,7 @@ func (ix *Index) commitDoc(d preparedDoc) DocID {
 func (ix *Index) commitDocLocked(d preparedDoc) DocID {
 	s := ix.active
 	if old, ok := ix.byPath[d.path]; ok {
-		if os, local, ok := ix.resolveLocked(old); ok && os == s && s.slotTerms[local] != "" {
+		if os, local, ok := ix.resolveLocked(old); ok && os == s {
 			return ix.replaceLocked(local, d)
 		}
 		ix.tombstoneLocked(old)
@@ -295,7 +293,7 @@ func (ix *Index) commitDocLocked(d preparedDoc) DocID {
 	s.dirsAdd(d.path, local)
 	id := makeID(s.id, local)
 	ix.byPath[d.path] = id
-	s.slotTerms = append(s.slotTerms, s.addSlotTerms(local, d.terms, !d.bulk))
+	s.slotTerms = append(s.slotTerms, s.addSlotTerms(local, d.terms))
 	ix.liveDocs++
 	ix.totalSlots++
 	ix.version.Add(1)
@@ -566,29 +564,23 @@ func (ix *Index) Stats() Stats {
 	return s
 }
 
-// SyncTreeParallel is SyncTree with file reads and tokenization fanned
-// out over a pool of workers goroutines. Each bounded chunk of the work
-// list is assembled into a whole segment off-lock and committed sealed
-// in one step — the write lock is taken once per chunk, not once per
-// document. Chunks are cut from the walk (sorted-path) order, so link
-// materialization and Search results downstream are identical to a
-// serial SyncTree over the same tree; only the segment layout differs.
-// workers <= 1 falls back to the serial path. onDir, when not nil, is
-// called with every directory the walk visits, in walk order and before
-// the directory's entries, so a caller that needs the tree's directories
-// too (hac.Reindex registers them) walks it once.
-func (ix *Index) SyncTreeParallel(fsys vfs.FileSystem, root string, workers int, onDir func(dir string)) (added, updated, removed int, err error) {
-	if workers <= 1 {
-		return ix.syncTree(fsys, root, onDir)
-	}
-
-	// Phase 1: one cheap serial walk decides what needs (re)indexing.
-	type job struct {
-		path    string
-		modTime time.Time
-		existed bool
-	}
-	var jobs []job
+// SyncTree incrementally reindexes all regular files under root in
+// fsys — the paper's reindex (§2.4): new files are added, files whose
+// modification time changed are re-indexed, and indexed files that no
+// longer exist under root are removed. It returns the number of added,
+// updated and removed documents.
+//
+// One goroutine walks the tree in path order and reads and tokenizes
+// each new or stale file straight into one segment built off-lock; at
+// the end the segment is sealed and installed in one write-lock step,
+// so DocIDs follow walk order. A file that vanishes between the walk
+// and the read is skipped. onDir, when not nil, is called with every
+// directory the walk visits, in walk order and before the directory's
+// entries, so a caller that needs the tree's directories too
+// (hac.Reindex registers them) walks it once.
+func (ix *Index) SyncTree(fsys vfs.FileSystem, root string, onDir func(dir string)) (added, updated, removed int, err error) {
+	seg := newSegment(0)  // numbered at install
+	var prior []liveEntry // per slot of seg: what the staleness check saw at its path
 	seen := make(map[string]bool)
 	err = vfs.Walk(fsys, root, func(p string, info vfs.Info) error {
 		if info.Type == vfs.TypeDir && onDir != nil {
@@ -599,125 +591,98 @@ func (ix *Index) SyncTreeParallel(fsys vfs.FileSystem, root string, workers int,
 		}
 		seen[p] = true
 		ix.mu.RLock()
-		id, ok := ix.byPath[p]
-		stale := false
-		if ok {
-			if s, local, rok := ix.resolveLocked(id); rok {
-				stale = !s.docs[local].modTime.Equal(info.ModTime)
-			}
-		}
+		was := ix.liveLocked(p)
 		ix.mu.RUnlock()
-		if ok && !stale {
+		if was.id != NoDoc && was.modTime.Equal(info.ModTime) {
 			return nil
 		}
-		jobs = append(jobs, job{path: p, modTime: info.ModTime, existed: ok})
+		content, err := fsys.ReadFile(p)
+		if errors.Is(err, vfs.ErrNotExist) {
+			delete(seen, p) // removed or renamed since the walk saw it
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		local := uint32(len(seg.docs))
+		seg.docs = append(seg.docs, docEntry{path: p, modTime: info.ModTime, size: len(content), alive: true})
+		seg.dirsAdd(p, local)
+		for _, t := range ix.tok(content) {
+			seg.addPosting(t, local)
+		}
+		for _, t := range ix.applyTransducers(p, content) {
+			seg.addPosting(t, local)
+		}
+		prior = append(prior, was)
+		if was.id == NoDoc {
+			added++
+		} else {
+			updated++
+		}
 		return nil
 	})
+	ix.install(seg, prior) // what was read before an error is kept
 	if err != nil {
-		return 0, 0, 0, err
+		return added, updated, removed, err
 	}
-
-	// Phase 2+3: workers read and tokenize one bounded chunk at a time;
-	// the chunk then becomes one sealed segment, built in walk order.
-	// Chunking bounds how many prepared term sets are alive at once —
-	// preparing the whole tree before committing any of it made the heap
-	// (and GC time) grow with the corpus, erasing the tokenization
-	// speedup.
-	type prep struct {
-		doc preparedDoc
-		err error
-	}
-	// A chunk never exceeds the seal threshold, so the segment layout
-	// honours SetSealThreshold whatever the worker count.
-	ix.mu.RLock()
-	chunk := min(32*workers, ix.sealThreshold)
-	ix.mu.RUnlock()
-	preps := make([]prep, chunk)
-	for lo := 0; lo < len(jobs); lo += chunk {
-		hi := lo + chunk
-		if hi > len(jobs) {
-			hi = len(jobs)
-		}
-		var next atomic.Int64
-		next.Store(int64(lo))
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= hi {
-						return
-					}
-					content, err := fsys.ReadFile(jobs[i].path)
-					if err != nil {
-						preps[i-lo] = prep{err: err}
-						continue
-					}
-					preps[i-lo] = prep{doc: ix.prepareDoc(jobs[i].path, content, jobs[i].modTime)}
-				}
-			}()
-		}
-		wg.Wait()
-		docs := make([]preparedDoc, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			p := &preps[i-lo]
-			if errors.Is(p.err, vfs.ErrNotExist) {
-				// Removed or renamed since the walk saw it: not an error,
-				// and whatever the index held for the path is stale.
-				delete(seen, jobs[i].path)
-				*p = prep{}
-				continue
-			}
-			if p.err != nil {
-				return added, updated, removed, p.err
-			}
-			docs = append(docs, p.doc)
-			*p = prep{}
-			if jobs[i].existed {
-				updated++
-			} else {
-				added++
-			}
-		}
-		ix.commitChunk(docs)
-	}
-
 	removed = ix.removeVanished(root, seen)
 	ix.MaybeMerge()
 	return added, updated, removed, nil
 }
 
-// commitChunk builds one sealed segment from prepared documents (in
-// slice order) off-lock, then installs it under a single write-lock
-// acquisition — the parallel path's seal-on-merge commit.
-func (ix *Index) commitChunk(docs []preparedDoc) {
-	if len(docs) == 0 {
+// liveEntry is the live document at a path as one moment saw it: its
+// canonical ID (NoDoc when there was none) and modification time.
+type liveEntry struct {
+	id      DocID
+	modTime time.Time
+}
+
+// liveLocked returns the live document at path. Caller holds ix.mu.
+func (ix *Index) liveLocked(path string) liveEntry {
+	if id, ok := ix.byPath[path]; ok {
+		if s, local, ok := ix.resolveLocked(id); ok {
+			return liveEntry{makeID(s.id, local), s.docs[local].modTime}
+		}
+	}
+	return liveEntry{id: NoDoc}
+}
+
+// install seals a pass's segment and makes it resident in one
+// write-lock step, each slot replacing what prior says the pass saw at
+// its path. A path the index changed while the pass ran — rewritten
+// (an active-segment rewrite keeps its ID, so the modification time
+// tells), removed, or moved onto — keeps the newer state: its slot goes
+// in dead.
+func (ix *Index) install(seg *segment, prior []liveEntry) {
+	if len(seg.docs) == 0 {
 		return
 	}
-	seg := newSegment(0) // id assigned at install time
-	for i, d := range docs {
-		seg.docs = append(seg.docs, docEntry{path: d.path, modTime: d.modTime, size: d.size, alive: true})
-		seg.dirsAdd(d.path, uint32(i))
-		seg.addSlotTerms(uint32(i), d.terms, false)
-	}
 	seg.seal()
-
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	seg.id = ix.nextSeg
 	ix.nextSeg++
 	for i := range seg.docs {
-		p := seg.docs[i].path
-		if old, ok := ix.byPath[p]; ok {
-			ix.tombstoneLocked(old)
+		p, was := seg.docs[i].path, prior[i]
+		if s, local, ok := ix.resolveLocked(was.id); ok {
+			was.id = makeID(s.id, local) // a merge since the check moved it
+		}
+		now := ix.liveLocked(p)
+		if now.id != was.id || !now.modTime.Equal(was.modTime) {
+			seg.docs[i].alive = false
+			seg.dead.Add(uint32(i))
+			seg.deadCount++
+			ix.deadDocs++
+			continue
+		}
+		if now.id != NoDoc {
+			ix.tombstoneLocked(now.id)
 		}
 		ix.byPath[p] = makeID(seg.id, uint32(i))
+		ix.liveDocs++
 	}
 	ix.bySeg[seg.id] = seg
 	ix.sealed = append(ix.sealed, seg)
-	ix.liveDocs += len(seg.docs)
 	ix.totalSlots += len(seg.docs)
 	ix.version.Add(1)
 	ix.met.docsIndexed.Add(int64(len(seg.docs)))
@@ -741,63 +706,4 @@ func (ix *Index) removeVanished(root string, seen map[string]bool) int {
 		}
 	}
 	return removed
-}
-
-// SyncTree incrementally reindexes all regular files under root in
-// fsys: new files are added, files whose modification time changed are
-// re-indexed, and indexed files that no longer exist under root are
-// removed. It returns the number of added, updated and removed
-// documents.
-func (ix *Index) SyncTree(fsys vfs.FileSystem, root string) (added, updated, removed int, err error) {
-	return ix.syncTree(fsys, root, nil)
-}
-
-// syncTree is SyncTree, calling onDir (when not nil) as SyncTreeParallel
-// does.
-func (ix *Index) syncTree(fsys vfs.FileSystem, root string, onDir func(dir string)) (added, updated, removed int, err error) {
-	seen := make(map[string]bool)
-	err = vfs.Walk(fsys, root, func(p string, info vfs.Info) error {
-		if info.Type == vfs.TypeDir && onDir != nil {
-			onDir(p)
-		}
-		if info.Type != vfs.TypeFile {
-			return nil
-		}
-		seen[p] = true
-		ix.mu.RLock()
-		id, ok := ix.byPath[p]
-		var stale bool
-		if ok {
-			if s, local, rok := ix.resolveLocked(id); rok {
-				stale = !s.docs[local].modTime.Equal(info.ModTime)
-			}
-		}
-		ix.mu.RUnlock()
-		if ok && !stale {
-			return nil
-		}
-		content, err := fsys.ReadFile(p)
-		if errors.Is(err, vfs.ErrNotExist) {
-			delete(seen, p) // gone since the walk saw it (see SyncTreeParallel)
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		d := ix.prepareDoc(p, content, info.ModTime)
-		d.bulk = true
-		ix.commitDoc(d)
-		if ok {
-			updated++
-		} else {
-			added++
-		}
-		return nil
-	})
-	if err != nil {
-		return added, updated, removed, err
-	}
-	removed = ix.removeVanished(root, seen)
-	ix.MaybeMerge()
-	return added, updated, removed, nil
 }

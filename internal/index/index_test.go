@@ -3,9 +3,7 @@ package index
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -214,7 +212,7 @@ func TestSyncTree(t *testing.T) {
 	}
 
 	ix := New()
-	added, updated, removed, err := ix.SyncTree(fs, "/data")
+	added, updated, removed, err := ix.SyncTree(fs, "/data", nil)
 	if err != nil || added != 2 || updated != 0 || removed != 0 {
 		t.Fatalf("first sync = %d/%d/%d, %v", added, updated, removed, err)
 	}
@@ -223,7 +221,7 @@ func TestSyncTree(t *testing.T) {
 	}
 
 	// No changes → no work.
-	added, updated, removed, _ = ix.SyncTree(fs, "/data")
+	added, updated, removed, _ = ix.SyncTree(fs, "/data", nil)
 	if added != 0 || updated != 0 || removed != 0 {
 		t.Fatalf("idle sync = %d/%d/%d", added, updated, removed)
 	}
@@ -239,7 +237,7 @@ func TestSyncTree(t *testing.T) {
 	if err := fs.Remove("/data/sub/b.txt"); err != nil {
 		t.Fatal(err)
 	}
-	added, updated, removed, _ = ix.SyncTree(fs, "/data")
+	added, updated, removed, _ = ix.SyncTree(fs, "/data", nil)
 	if added != 1 || updated != 1 || removed != 1 {
 		t.Fatalf("second sync = %d/%d/%d, want 1/1/1", added, updated, removed)
 	}
@@ -265,65 +263,88 @@ func TestSyncTreeScoped(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix := New()
-	if _, _, _, err := ix.SyncTree(fs, "/x"); err != nil {
+	if _, _, _, err := ix.SyncTree(fs, "/x", nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := ix.SyncTree(fs, "/y"); err != nil {
+	if _, _, _, err := ix.SyncTree(fs, "/y", nil); err != nil {
 		t.Fatal(err)
 	}
 	// Removing /y/b and syncing only /x must not drop /y/b.
 	if err := fs.Remove("/y/b"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, removed, _ := ix.SyncTree(fs, "/x"); removed != 0 {
+	if _, _, removed, _ := ix.SyncTree(fs, "/x", nil); removed != 0 {
 		t.Fatalf("scoped sync removed %d docs outside scope", removed)
 	}
 	if !ix.Snapshot().Lookup("yterm").Any() {
 		t.Fatal("document outside sync scope was dropped")
 	}
-	if _, _, removed, _ := ix.SyncTree(fs, "/y"); removed != 1 {
+	if _, _, removed, _ := ix.SyncTree(fs, "/y", nil); removed != 1 {
 		t.Fatal("in-scope removal not detected")
 	}
 }
 
-// TestSyncTreeParallelMatchesSerial checks the single-writer merge: a
-// parallel SyncTree reports the same counts and answers every lookup
-// with the same paths as a serial one over the same tree.
-func TestSyncTreeParallelMatchesSerial(t *testing.T) {
+// TestSyncTreeBuildsOneSegment: a pass adds one sealed segment, whatever
+// the seal threshold, numbered in walk order; the active segment stays
+// empty. A pass over an unchanged tree adds nothing, and a pass after k
+// edits adds one k-document segment and k dead slots.
+func TestSyncTreeBuildsOneSegment(t *testing.T) {
 	fs := vfs.New()
-	if err := fs.MkdirAll("/corpus"); err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(5))
-	words := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta"}
-	for i := 0; i < 60; i++ {
-		terms := make([]string, 2+rng.Intn(4))
-		for j := range terms {
-			terms[j] = words[rng.Intn(len(words))]
+	clock := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	fs.SetClock(func() time.Time { return clock })
+	var paths []string
+	for d := 0; d < 3; d++ {
+		for f := 0; f < 4; f++ {
+			p := fmt.Sprintf("/c/d%d/f%d.txt", d, f)
+			if err := fs.MkdirAll(vfs.Dir(p)); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.WriteFile(p, []byte("every")); err != nil {
+				t.Fatal(err)
+			}
+			paths = append(paths, p)
 		}
-		p := fmt.Sprintf("/corpus/doc%02d.txt", i)
-		if err := fs.WriteFile(p, []byte(strings.Join(terms, " "))); err != nil {
+	}
+	ix := New()
+	ix.SetSealThreshold(5)
+	if added, _, _, err := ix.SyncTree(fs, "/c", nil); err != nil || added != len(paths) {
+		t.Fatalf("first pass added %d, %v; want %d", added, err, len(paths))
+	}
+	if st := ix.Stats(); st.Segments != 2 || len(ix.active.docs) != 0 {
+		t.Fatalf("first pass: %d segments, %d active slots; want one sealed segment and an empty active one",
+			st.Segments, len(ix.active.docs))
+	}
+	seg, _ := splitID(ix.byPath[paths[0]])
+	for i, p := range paths {
+		if id, _ := ix.IDOf(p); id != makeID(seg, uint32(i)) {
+			t.Fatalf("%s has ID %#x, want slot %d of segment %d (walk order)", p, id, i, seg)
+		}
+	}
+
+	if a, u, r, _ := ix.SyncTree(fs, "/c", nil); a+u+r != 0 || ix.Stats().Segments != 2 {
+		t.Fatalf("pass over an unchanged tree = %d/%d/%d, %d segments", a, u, r, ix.Stats().Segments)
+	}
+
+	clock = clock.Add(time.Minute)
+	edited := []string{paths[1], paths[6], paths[11]}
+	for _, p := range edited {
+		if err := fs.WriteFile(p, []byte("edited")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	serial, par := New(), New()
-	a1, u1, r1, err := serial.SyncTree(fs, "/")
-	if err != nil {
-		t.Fatal(err)
+	if _, u, _, _ := ix.SyncTree(fs, "/c", nil); u != len(edited) {
+		t.Fatalf("pass after %d edits updated %d", len(edited), u)
 	}
-	a2, u2, r2, err := par.SyncTreeParallel(fs, "/", 8, nil)
-	if err != nil {
-		t.Fatal(err)
+	st := ix.Stats()
+	if st.Segments != 3 || st.DeadDocs != len(edited) || len(ix.active.docs) != 0 {
+		t.Fatalf("after edits: %d segments, %d dead, %d active slots; want 3, %d, 0",
+			st.Segments, st.DeadDocs, len(ix.active.docs), len(edited))
 	}
-	if a1 != a2 || u1 != u2 || r1 != r2 {
-		t.Fatalf("report differs: serial %d/%d/%d, parallel %d/%d/%d", a1, u1, r1, a2, u2, r2)
+	if s := ix.sealed[len(ix.sealed)-1]; len(s.docs) != len(edited) {
+		t.Fatalf("the edit pass's segment holds %d documents, want %d", len(s.docs), len(edited))
 	}
-	ss, ps := serial.Snapshot(), par.Snapshot()
-	for _, w := range words {
-		sa, pb := ss.Paths(ss.Lookup(w)), ps.Paths(ps.Lookup(w))
-		if len(sa) == 0 || !reflect.DeepEqual(sa, pb) {
-			t.Fatalf("Lookup(%q) = %v (serial) vs %v (parallel)", w, sa, pb)
-		}
+	if got := ix.Snapshot().Paths(ix.Snapshot().Lookup("edited")); !reflect.DeepEqual(got, edited) {
+		t.Fatalf("edited = %v, want %v", got, edited)
 	}
 }
 
@@ -337,7 +358,7 @@ func TestIndexCorpus(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix := New()
-	added, _, _, err := ix.SyncTree(fs, "/c")
+	added, _, _, err := ix.SyncTree(fs, "/c", nil)
 	if err != nil || added != 150 {
 		t.Fatalf("sync = %d, %v", added, err)
 	}

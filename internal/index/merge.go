@@ -138,8 +138,9 @@ func (ix *Index) mergeSealedLocked() {
 	}
 
 	// Reserve the merged segment's identity now, so the forward tables
-	// can be assembled off-lock too. IDs stay unique even if a chunk
-	// commit seals a new active segment while the build runs.
+	// can be assembled off-lock too. IDs stay unique even if a reindex
+	// pass installs a segment, or the active one seals, while the build
+	// runs.
 	ix.mu.Lock()
 	mergedID := ix.nextSeg
 	ix.nextSeg++
@@ -260,7 +261,7 @@ func (ix *Index) mergeSealedLocked() {
 	}
 
 	// Swap the resident set. Segments sealed after the plan was taken
-	// (a concurrent chunk commit, or the active segment filling up) are
+	// (a concurrent reindex pass's, or the active segment filling up) are
 	// not victims and must survive the swap.
 	remaining := ix.sealed[:0]
 	for _, s := range ix.sealed {

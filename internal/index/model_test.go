@@ -16,8 +16,8 @@ import (
 )
 
 // The differential walk: a seeded random sequence of index mutations —
-// single Adds, re-Adds, Removes, renames, bulk SyncTree passes (serial
-// and chunked), merges, Save+Load — mirrored into the naive
+// single Adds, re-Adds, Removes, renames, SyncTree passes, merges,
+// Save+Load — mirrored into the naive
 // indextest.Model, with every read the index offers compared against
 // the model after every step. Term densities are chosen so postings
 // take all three container representations: "every" is in each document
@@ -87,8 +87,8 @@ func (w *walker) add(path string) {
 }
 
 // sync changes /bulk in the file system — n new files, a few rewritten,
-// a few deleted — and reindexes it, serially or in parallel chunks.
-func (w *walker) sync(n, workers int) {
+// a few deleted — and reindexes it.
+func (w *walker) sync(n int) {
 	write := func(p string) {
 		c := w.content()
 		if err := w.fs.WriteFile(p, []byte(c)); err != nil {
@@ -110,13 +110,7 @@ func (w *walker) sync(n, workers int) {
 			delete(w.m, p)
 		}
 	}
-	var err error
-	if workers > 1 {
-		_, _, _, err = w.ix.SyncTreeParallel(w.fs, "/bulk", workers, nil)
-	} else {
-		_, _, _, err = w.ix.SyncTree(w.fs, "/bulk")
-	}
-	if err != nil {
+	if _, _, _, err := w.ix.SyncTree(w.fs, "/bulk", nil); err != nil {
 		w.t.Fatal(err)
 	}
 }
@@ -169,7 +163,7 @@ func (w *walker) step() string {
 		w.live[i] = fresh
 		return "rename-prefix"
 	default:
-		w.sync(20, 1+w.rng.Intn(3))
+		w.sync(20)
 		return "sync"
 	}
 }
@@ -370,9 +364,9 @@ func TestDifferentialWalk(t *testing.T) {
 	}
 	run(12)
 
-	// A chunked reindex of a large tree: many small sealed segments, then
-	// the merge the policy asks for.
-	w.sync(1500, 3)
+	// A reindex of a large tree: one large sealed segment beside the
+	// active one.
+	w.sync(1500)
 	w.check("bulk sync")
 	run(12)
 

@@ -30,8 +30,9 @@ func (s *segment) cmpSlots(a, b uint32) int {
 	return cmp.Compare(a, b)
 }
 
-// buildOrder sets s.order to every slot in path order. A chunk built
-// from a walk is in path order already, so the check comes first.
+// buildOrder sets s.order to every slot in path order. A segment a
+// reindex pass built from its walk is usually in path order already, so
+// the check comes first.
 // Caller owns s or holds ix.mu for writing.
 func (s *segment) buildOrder() {
 	s.order = make([]uint32, len(s.docs))

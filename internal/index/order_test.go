@@ -98,8 +98,10 @@ func TestPathsRacesRenamesAndMerges(t *testing.T) {
 	}
 	ix := New()
 	ix.SetSealThreshold(64)
-	if _, _, _, err := ix.SyncTreeParallel(fsys, "/t", 2, nil); err != nil {
-		t.Fatal(err)
+	for d := 0; d < dirs; d++ { // a pass per directory, a sealed segment each
+		if _, _, _, err := ix.SyncTree(fsys, fmt.Sprintf("/t/d%d", d), nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	stop := make(chan struct{})
@@ -175,7 +177,8 @@ func TestPathsRacesRenamesAndMerges(t *testing.T) {
 }
 
 // BenchmarkPathsAfterEdits measures Paths on a 10 % and a 60 % result
-// of a 10k-document index built by a chunked reindex ("fresh"), and
+// of a 10k-document index built by one reindex pass per top directory
+// ("fresh"), and
 // again after 60 cycles of rewriting 1 % of the files, re-syncing and
 // merging ("edited"): the edits add documents out of path order, which
 // each merge keeps.
@@ -207,12 +210,14 @@ func BenchmarkPathsAfterEdits(b *testing.B) {
 		write(paths[i])
 	}
 	ix := New()
-	resync := func() {
-		if _, _, _, err := ix.SyncTreeParallel(fsys, "/c", 2, nil); err != nil {
+	resync := func(root string) {
+		if _, _, _, err := ix.SyncTree(fsys, root, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
-	resync()
+	for d := 0; d < 50; d++ {
+		resync(fmt.Sprintf("/c/d%02d", d))
+	}
 	run := func(state string) {
 		for _, c := range []struct{ share, term string }{{"10pct", "tenth"}, {"60pct", "sixty"}} {
 			b.Run(state+"/"+c.share, func(b *testing.B) {
@@ -231,7 +236,7 @@ func BenchmarkPathsAfterEdits(b *testing.B) {
 		for j := 0; j < files/100; j++ {
 			write(paths[rng.Intn(files)])
 		}
-		resync()
+		resync("/c")
 	}
 	run("edited")
 }

@@ -37,8 +37,8 @@ import (
 //
 // Segments are compacted as they are written (tombstoned slots dropped,
 // local IDs renumbered), so document IDs are NOT stable across
-// save/load; they never were in version 2 either. Version-2 monolithic
-// images are still accepted and migrate into a single sealed segment.
+// save/load. An image of any other version — the monolithic version 2
+// included — is rejected as corrupt.
 //
 // The payloads are gob streams, one fresh encoder's output per block,
 // and encoding/gob decodes them. Save does not run gob's reflective
@@ -48,10 +48,7 @@ import (
 // that it keeps for the next save. FuzzSegmentImageEncoding holds the
 // two encoders to the same bytes.
 
-const (
-	indexVersion       = 3
-	legacyIndexVersion = 2
-)
+const indexVersion = 3
 
 var (
 	indexMagic   = [4]byte{'H', 'A', 'C', 'X'}
@@ -83,13 +80,6 @@ type containerHeader struct {
 	Version  int
 	Segments int    // segment blocks that follow
 	NextSeg  uint32 // next segment ID to allocate after load
-}
-
-// legacyHeader is the version-2 monolithic gob stream header.
-type legacyHeader struct {
-	Version int
-	Docs    int
-	Terms   int
 }
 
 type docImage struct {
@@ -526,8 +516,7 @@ func (ix *Index) installSegment(img *segmentImage) error {
 // together with a *vfs.PathError wrapping vfs.ErrCorruptVolume
 // describing the first damage; callers that can re-sync from the source
 // tree (hac.LoadVolume) keep the partial index, strict callers treat
-// the non-nil error as fatal. Version-2 monolithic images migrate into
-// a single sealed segment.
+// the non-nil error as fatal.
 //
 // Load options re-attach tokenizers and transducers (code, not data)
 // before segments install; see LoadOption.
@@ -540,11 +529,7 @@ func LoadIndex(r io.Reader, opts ...LoadOption) (*Index, error) {
 	if err != nil {
 		return nil, ixErr(err)
 	}
-	switch version {
-	case legacyIndexVersion:
-		return loadLegacyIndex(payload, opts)
-	case indexVersion:
-	default:
+	if version != indexVersion {
 		return nil, ixErr(fmt.Errorf("%w: unsupported index version %d", vfs.ErrCorruptVolume, version))
 	}
 
@@ -596,52 +581,4 @@ func decodeContainerHeader(payload []byte, ch *containerHeader) (err error) {
 		return fmt.Errorf("%w: implausible segment count %d", vfs.ErrCorruptVolume, ch.Segments)
 	}
 	return nil
-}
-
-// loadLegacyIndex migrates a version-2 monolithic payload: all
-// documents land in one sealed segment and incremental updates resume
-// in a fresh active segment on top.
-func loadLegacyIndex(payload []byte, opts []LoadOption) (ix *Index, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			ix, err = nil, ixErr(fmt.Errorf("%w: decode panic: %v", vfs.ErrCorruptVolume, p))
-		}
-	}()
-	dec := gob.NewDecoder(bytes.NewReader(payload))
-	var lh legacyHeader
-	if err := dec.Decode(&lh); err != nil {
-		return nil, ixErr(fmt.Errorf("%w: decoding legacy header: %v", vfs.ErrCorruptVolume, err))
-	}
-	if lh.Version != legacyIndexVersion {
-		return nil, ixErr(fmt.Errorf("%w: unsupported version %d", vfs.ErrCorruptVolume, lh.Version))
-	}
-	if lh.Docs < 0 || lh.Terms < 0 {
-		return nil, ixErr(fmt.Errorf("%w: negative counts in header", vfs.ErrCorruptVolume))
-	}
-	img := &segmentImage{ID: 0}
-	for i := 0; i < lh.Docs; i++ {
-		var di docImage
-		if err := dec.Decode(&di); err != nil {
-			return nil, ixErr(fmt.Errorf("%w: decoding document %d: %v", vfs.ErrCorruptVolume, i, err))
-		}
-		img.Docs = append(img.Docs, di)
-	}
-	for i := 0; i < lh.Terms; i++ {
-		var pi postingImage
-		if err := dec.Decode(&pi); err != nil {
-			return nil, ixErr(fmt.Errorf("%w: decoding posting %d: %v", vfs.ErrCorruptVolume, i, err))
-		}
-		if err := pi.decode(lh.Docs); err != nil {
-			return nil, ixErr(err)
-		}
-		img.Postings = append(img.Postings, pi)
-	}
-	ix = newLoadedIndex(opts)
-	if lh.Docs > 0 {
-		if err := ix.installSegment(img); err != nil {
-			return nil, ixErr(err)
-		}
-	}
-	ix.newActiveLocked()
-	return ix, nil
 }

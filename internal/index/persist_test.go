@@ -183,9 +183,11 @@ func TestLoadIndexTornTailKeepsEarlierSegments(t *testing.T) {
 // pre-segmented format looked like.
 func legacyIndexImage(t *testing.T, docs []docImage, posts []postingImage) []byte {
 	t.Helper()
+	const version = 2
+	type v2Header struct{ Version, Docs, Terms int }
 	var payload bytes.Buffer
 	enc := gob.NewEncoder(&payload)
-	if err := enc.Encode(&legacyHeader{Version: legacyIndexVersion, Docs: len(docs), Terms: len(posts)}); err != nil {
+	if err := enc.Encode(&v2Header{Version: version, Docs: len(docs), Terms: len(posts)}); err != nil {
 		t.Fatal(err)
 	}
 	for i := range docs {
@@ -201,7 +203,7 @@ func legacyIndexImage(t *testing.T, docs []docImage, posts []postingImage) []byt
 	var out bytes.Buffer
 	var hdr [14]byte
 	copy(hdr[:4], indexMagic[:])
-	binary.BigEndian.PutUint16(hdr[4:6], legacyIndexVersion)
+	binary.BigEndian.PutUint16(hdr[4:6], version)
 	binary.BigEndian.PutUint64(hdr[6:14], uint64(payload.Len()))
 	out.Write(hdr[:])
 	out.Write(payload.Bytes())
@@ -211,50 +213,21 @@ func legacyIndexImage(t *testing.T, docs []docImage, posts []postingImage) []byt
 	return out.Bytes()
 }
 
-// TestLoadIndexLegacyV2 is the migration path: a version-2 monolithic
-// image loads into a single sealed segment, queries work, and
-// incremental updates resume in a fresh active segment.
-func TestLoadIndexLegacyV2(t *testing.T) {
+// TestLoadIndexRejectsV2: a well-framed version-2 monolithic image — a
+// format no volume image has embedded since the segmented one — fails
+// like any other unsupported version.
+func TestLoadIndexRejectsV2(t *testing.T) {
 	mt := time.Date(2026, 1, 15, 9, 0, 0, 0, time.UTC)
 	img := legacyIndexImage(t,
 		[]docImage{{Path: "/a", ModTime: mt, Size: 12}, {Path: "/b", ModTime: mt, Size: 13}},
 		[]postingImage{{Term: "apple", IDs: []uint32{0}}, {Term: "banana", IDs: []uint32{0, 1}}},
 	)
 	loaded, err := LoadIndex(bytes.NewReader(img))
-	if err != nil {
-		t.Fatalf("legacy image rejected: %v", err)
+	if !errors.Is(err, ErrCorruptIndex) || !strings.Contains(err.Error(), "unsupported index version 2") {
+		t.Fatalf("err = %v, want an unsupported-version ErrCorruptIndex", err)
 	}
-	if loaded.NumDocs() != 2 {
-		t.Fatalf("docs = %d, want 2", loaded.NumDocs())
-	}
-	if got := loaded.Snapshot().Paths(loaded.Snapshot().Lookup("banana")); !reflect.DeepEqual(got, []string{"/a", "/b"}) {
-		t.Fatalf("banana = %v", got)
-	}
-	if got := loaded.Snapshot().Paths(loaded.Snapshot().Lookup("apple")); !reflect.DeepEqual(got, []string{"/a"}) {
-		t.Fatalf("apple = %v", got)
-	}
-	id, ok := loaded.IDOf("/a")
-	if !ok {
-		t.Fatal("legacy doc lost its ID")
-	}
-	if seg, _ := splitID(id); seg != 0 {
-		t.Fatalf("legacy docs should land in segment 0, got %d", seg)
-	}
-	loaded.Add("/c", []byte("cherry"))
-	if !loaded.Snapshot().Lookup("cherry").Any() {
-		t.Fatal("migrated index rejects new documents")
-	}
-	// Saving the migrated index produces a current-format image.
-	var again bytes.Buffer
-	if err := loaded.Save(&again); err != nil {
-		t.Fatal(err)
-	}
-	re, err := LoadIndex(&again)
-	if err != nil {
-		t.Fatalf("re-saved migrated index rejected: %v", err)
-	}
-	if re.NumDocs() != 3 {
-		t.Fatalf("re-saved migrated index: docs = %d, want 3", re.NumDocs())
+	if loaded != nil {
+		t.Fatal("a rejected image returned an index")
 	}
 }
 

@@ -56,7 +56,7 @@ type IndexBackend struct {
 // NewIndexBackend indexes the tree at root in fsys and serves it.
 func NewIndexBackend(fsys vfs.FileSystem, root string) (*IndexBackend, error) {
 	b := &IndexBackend{ix: index.New(), fsys: fsys, root: root}
-	if _, _, _, err := b.ix.SyncTree(fsys, root); err != nil {
+	if _, _, _, err := b.ix.SyncTree(fsys, root, nil); err != nil {
 		return nil, err
 	}
 	return b, nil
@@ -70,7 +70,7 @@ func (b *IndexBackend) Index() *index.Index { return b.ix }
 func (b *IndexBackend) Resync(_ context.Context) error {
 	b.resyncMu.Lock()
 	defer b.resyncMu.Unlock()
-	_, _, _, err := b.ix.SyncTree(b.fsys, b.root)
+	_, _, _, err := b.ix.SyncTree(b.fsys, b.root, nil)
 	return err
 }
 
