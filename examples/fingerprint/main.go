@@ -105,8 +105,7 @@ func show(fs *hacfs.FS, caption, dir string) {
 	}
 	for _, e := range entries {
 		if e.Type == hacfs.SymlinkType {
-			target, _ := fs.Readlink(dir + "/" + e.Name)
-			fmt.Printf("  %s -> %s\n", e.Name, target)
+			fmt.Printf("  %s -> %s\n", e.Name, e.Target)
 		} else {
 			fmt.Printf("  %s\n", e.Name)
 		}

@@ -52,8 +52,7 @@ func printDir(fs *hacfs.FS, dir string) {
 	entries, err := fs.ReadDir(dir)
 	must("readdir "+dir, err)
 	for _, e := range entries {
-		target, _ := fs.Readlink(dir + "/" + e.Name)
-		fmt.Printf("  %s -> %s\n", e.Name, target)
+		fmt.Printf("  %s -> %s\n", e.Name, e.Target)
 	}
 }
 

@@ -111,8 +111,7 @@ func show(fs *hacfs.FS, dir string) {
 	must("readdir "+dir, err)
 	for _, e := range entries {
 		if e.Type == hacfs.SymlinkType {
-			target, _ := fs.Readlink(dir + "/" + e.Name)
-			fmt.Printf("  %-26s -> %s\n", e.Name, target)
+			fmt.Printf("  %-26s -> %s\n", e.Name, e.Target)
 		} else {
 			fmt.Printf("  %s/\n", e.Name)
 		}

@@ -44,8 +44,7 @@ func main() {
 	entries, err := bob.ReadDir("/net/alice/fingerprint")
 	must("bob readdir", err)
 	for _, e := range entries {
-		target, _ := bob.Readlink("/net/alice/fingerprint/" + e.Name)
-		fmt.Printf("  %-16s -> %s\n", e.Name, target)
+		fmt.Printf("  %-16s -> %s\n", e.Name, e.Target)
 	}
 	data, err := bob.ReadFile("/net/alice/docs/fp-alg.txt")
 	must("bob read fp-alg.txt", err)

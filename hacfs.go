@@ -137,7 +137,8 @@ type File = vfs.File
 // Info describes a file system object.
 type Info = vfs.Info
 
-// DirEntry is one directory-listing entry.
+// DirEntry is one directory-listing entry: the entry's Info, as Lstat
+// reports it.
 type DirEntry = vfs.DirEntry
 
 // MemFS is the in-memory substrate file system.

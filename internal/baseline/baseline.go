@@ -71,25 +71,31 @@ func (j *JadeFS) Graft(logical, physical string) {
 	}
 }
 
-// resolve maps a logical path to a physical one, walking components
-// through the prefix table. Intermediate directories are validated
-// against the substrate (that is where Jade pays its overhead); results
-// are cached per directory.
+// resolve maps a logical path to a physical one: its directory through
+// resolveDir, then its base name.
 func (j *JadeFS) resolve(logical string) (string, error) {
 	clean, err := vfs.Clean(logical)
 	if err != nil {
 		return "", err
 	}
 	dir, base := vfs.Split(clean)
+	phys, err := j.resolveDir(dir)
+	if err != nil || base == "" {
+		return phys, err
+	}
+	return vfs.Join(phys, base), nil
+}
 
+// resolveDir maps a clean logical directory to a physical one, walking
+// components through the prefix table. Intermediate directories are
+// validated against the substrate (that is where Jade pays its
+// overhead); results are cached per directory.
+func (j *JadeFS) resolveDir(dir string) (string, error) {
 	j.mu.Lock()
 	if j.cache != nil {
 		if phys, ok := j.cache[dir]; ok {
 			j.mu.Unlock()
-			if base == "" {
-				return phys, nil
-			}
-			return vfs.Join(phys, base), nil
+			return phys, nil
 		}
 	}
 	j.mu.Unlock()
@@ -124,10 +130,7 @@ func (j *JadeFS) resolve(logical string) (string, error) {
 		j.cache[dir] = phys
 	}
 	j.mu.Unlock()
-	if base == "" {
-		return phys, nil
-	}
-	return vfs.Join(phys, base), nil
+	return phys, nil
 }
 
 // invalidate drops cache entries under a logical path after mutations.
@@ -307,9 +310,15 @@ func (j *JadeFS) Lstat(path string) (vfs.Info, error) {
 	return j.under.Lstat(p)
 }
 
-// ReadDir lists a directory.
+// ReadDir lists a directory. The directory itself is resolved, as the
+// names in it are, so a graft point lists its graft and each entry
+// stays the child's Lstat answer.
 func (j *JadeFS) ReadDir(path string) ([]vfs.DirEntry, error) {
-	p, err := j.resolve(path)
+	clean, err := vfs.Clean(path)
+	if err != nil {
+		return nil, err
+	}
+	p, err := j.resolveDir(clean)
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ package bench
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -135,8 +136,12 @@ type Table3Result struct {
 	Files       int
 	CorpusBytes int
 
-	DirectTime time.Duration
-	HACTime    time.Duration
+	DirectTime time.Duration // median over the reps
+	HACTime    time.Duration // median over the reps
+	// TimeRatio is the median over the reps of one rep's HAC time over
+	// its direct time. The two sides of a rep run back to back, so a
+	// slow stretch of the machine moves both.
+	TimeRatio float64
 
 	DirectIndexBytes int
 	HACIndexBytes    int // index + HAC's own structures
@@ -144,7 +149,7 @@ type Table3Result struct {
 
 // TimeOverheadPct returns the indexing-time overhead of HAC.
 func (r Table3Result) TimeOverheadPct() float64 {
-	return Slowdown(r.DirectTime, r.HACTime)
+	return 100 * (r.TimeRatio - 1)
 }
 
 // SpaceOverheadPct returns the index-space overhead of HAC.
@@ -157,9 +162,9 @@ func (r Table3Result) SpaceOverheadPct() float64 {
 
 // Table3 builds the corpus twice (identical content) and indexes one
 // copy directly and one through HAC, as the paper did with Glimpse.
-// Each side is timed reps times on fresh indexes over the same
-// substrate, alternating, and the minimum is reported (the measurement
-// least disturbed by the garbage collector).
+// Each rep times both sides on fresh indexes over the same substrates,
+// the side that runs first alternating between reps, and the medians
+// are reported: each side's time, and the per-rep HAC/direct ratio.
 func Table3(spec corpus.Spec) (Table3Result, error) {
 	return Table3Reps(spec, 3)
 }
@@ -192,34 +197,63 @@ func Table3Reps(spec corpus.Spec, reps int) (Table3Result, error) {
 		return res, err
 	}
 
-	for r := 0; r < reps; r++ {
-		// Direct: Glimpse over UNIX, fresh index.
+	// Direct: Glimpse over UNIX, fresh index.
+	direct := func() (time.Duration, error) {
 		runtime.GC()
 		ix := index.New()
 		start := time.Now()
 		if _, _, _, err := ix.SyncTree(raw, "/db", nil); err != nil {
-			return res, err
+			return 0, err
 		}
 		d := time.Since(start)
-		if res.DirectTime == 0 || d < res.DirectTime {
-			res.DirectTime = d
-		}
 		res.DirectIndexBytes = ix.Stats().IndexBytes
-
-		// Through HAC: fresh layer over the prepared substrate.
+		return d, nil
+	}
+	// Through HAC: fresh layer over the prepared substrate.
+	throughHAC := func() (time.Duration, error) {
 		runtime.GC()
 		hacFS := hac.New(hacUnder, hac.Options{})
-		start = time.Now()
+		start := time.Now()
 		if _, err := hacFS.Reindex("/db"); err != nil {
-			return res, err
+			return 0, err
 		}
 		h := time.Since(start)
-		if res.HACTime == 0 || h < res.HACTime {
-			res.HACTime = h
-		}
 		res.HACIndexBytes = hacFS.Index().Stats().IndexBytes + hacFS.MetadataBytes()
+		return h, nil
 	}
+	ds, hs, ratios := make([]float64, reps), make([]float64, reps), make([]float64, reps)
+	for r := 0; r < reps; r++ {
+		var d, h time.Duration
+		var err error
+		if r%2 == 0 {
+			if d, err = direct(); err == nil {
+				h, err = throughHAC()
+			}
+		} else {
+			if h, err = throughHAC(); err == nil {
+				d, err = direct()
+			}
+		}
+		if err != nil {
+			return res, err
+		}
+		ds[r], hs[r], ratios[r] = float64(d), float64(h), float64(h)/float64(d)
+	}
+	res.DirectTime = time.Duration(median(ds))
+	res.HACTime = time.Duration(median(hs))
+	res.TimeRatio = median(ratios)
 	return res, nil
+}
+
+// median returns the middle value of xs (the mean of the middle two
+// for an even count), reordering xs.
+func median(xs []float64) float64 {
+	slices.Sort(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
 // ---------------------------------------------------------------------

@@ -288,3 +288,64 @@ func TestReindexKeepsAutoSyncedChanges(t *testing.T) {
 		t.Fatal("the removed /mail/b.txt is indexed again")
 	}
 }
+
+// TestReindexDropsFilesRemovedAfterTheirRead: a file the index never
+// held, removed or renamed away by an auto-synced call after the pass
+// read it, is not installed as a ghost document; one removed and
+// re-created there keeps the re-created document.
+func TestReindexDropsFilesRemovedAfterTheirRead(t *testing.T) {
+	mem := vfs.New()
+	sub := &openHookFS{FileSystem: mem, path: "/mail/z.txt"}
+	fs := New(sub, Options{})
+	if err := fs.MkdirAll("/mail"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.SemDir("/all", "mail"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.EnableAutoSync("/mail"); err != nil {
+		t.Fatal(err)
+	}
+	// Written behind HAC's back: the pass meets each one as new.
+	for _, p := range []string{"/mail/gone.txt", "/mail/moved.txt", "/mail/re.txt", "/mail/z.txt"} {
+		if err := mem.WriteFile(p, []byte("mail new")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sub.hook = func() {
+		if err := fs.Remove("/mail/gone.txt"); err != nil {
+			t.Error(err)
+		}
+		if err := fs.Rename("/mail/moved.txt", "/elsewhere.txt"); err != nil {
+			t.Error(err)
+		}
+		if err := fs.Remove("/mail/re.txt"); err != nil {
+			t.Error(err)
+		}
+		if err := fs.WriteFile("/mail/re.txt", []byte("mail recreated")); err != nil {
+			t.Error(err)
+		}
+	}
+	rep, err := fs.Reindex("/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sub.hook != nil {
+		t.Fatal("the pass never read /mail/z.txt")
+	}
+	for _, p := range []string{"/mail/gone.txt", "/mail/moved.txt"} {
+		if _, ok := fs.ix.IDOf(p); ok {
+			t.Errorf("%s is indexed after it was removed", p)
+		}
+	}
+	if _, ok := fs.ix.IDOf("/mail/re.txt"); !ok {
+		t.Error("the re-created /mail/re.txt is not indexed")
+	}
+	if rep.Added != 1 {
+		t.Errorf("Reindex added %d documents, want 1 (/mail/z.txt)", rep.Added)
+	}
+	wantTargets(t, fs, "/all", "/mail/re.txt", "/mail/z.txt")
+	if problems := fs.CheckConsistency(); len(problems) != 0 {
+		t.Fatalf("after the pass: %v", problems)
+	}
+}

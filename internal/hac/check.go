@@ -87,8 +87,7 @@ func (fs *FS) CheckConsistency() []string {
 				onDisk[e.Name] = true
 				continue
 			}
-			target, _ := fs.under.Readlink(vfs.Join(dirPath, e.Name)) // the report stands without it
-			report("%s: unclassified symlink %s → %s", dirPath, e.Name, target)
+			report("%s: unclassified symlink %s → %s", dirPath, e.Name, e.Target)
 		}
 		for _, problem := range auditViewLocked(ds, onDisk) {
 			report("%s: %s", dirPath, problem)

@@ -1,8 +1,10 @@
 package hac
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"hacfs/internal/vfs"
 	"hacfs/internal/vfs/cas"
@@ -93,4 +95,108 @@ func TestResolveSubstrateCalls(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { canon, err = fs.canonicalLocked(p) }); err != nil || n != 0 || canon != p {
 		t.Errorf("canonical path of a link-free depth-8 path: %q, %v allocations (err %v), want itself and 0", canon, n, err)
 	}
+}
+
+// TestReindexSubstrateCalls pins what a reindex pass costs the
+// substrate (DESIGN.md §7): over an unchanged tree, one ReadDir per
+// directory and one Lstat, of the root; a k-file edit adds the k files'
+// reads and nothing per unchanged file.
+func TestReindexSubstrateCalls(t *testing.T) {
+	clock := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	under := cas.New(nil)
+	under.SetClock(func() time.Time { return clock })
+	fault := vfs.NewFaultFS(under, vfs.FaultConfig{})
+	fs := New(fault, Options{})
+	dirs := 1 // the root
+	for d := 0; d < 4; d++ {
+		for _, dir := range []string{fmt.Sprintf("/d%d", d), fmt.Sprintf("/d%d/sub", d)} {
+			if err := fs.MkdirAll(dir); err != nil {
+				t.Fatal(err)
+			}
+			dirs++
+			for f := 0; f < 5; f++ {
+				if err := fs.WriteFile(fmt.Sprintf("%s/f%d.txt", dir, f), []byte("apple pie")); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	if _, err := fs.Reindex("/"); err != nil {
+		t.Fatal(err)
+	}
+
+	before := fault.Stats()
+	if rep, err := fs.Reindex("/"); err != nil || rep != (IndexReport{}) {
+		t.Fatalf("unchanged tree: Reindex = %+v, %v; want no change", rep, err)
+	}
+	want := map[string]uint64{"readdir": uint64(dirs), "lstat": 1}
+	if got := opDelta(fault, before); !reflect.DeepEqual(got, want) {
+		t.Errorf("reindex of an unchanged tree of %d directories made %v substrate calls, want %v", dirs, got, want)
+	}
+
+	clock = clock.Add(time.Minute)
+	edited := []string{"/d0/f1.txt", "/d2/sub/f3.txt", "/d3/f0.txt"}
+	for _, p := range edited {
+		if err := under.WriteFile(p, []byte("apple crumble")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before = fault.Stats()
+	if rep, err := fs.Reindex("/"); err != nil || rep.Updated != len(edited) {
+		t.Fatalf("%d edits: Reindex = %+v, %v", len(edited), rep, err)
+	}
+	k := uint64(len(edited))
+	want = map[string]uint64{"readdir": uint64(dirs), "lstat": 1, "open": k, "fread": k}
+	if got := opDelta(fault, before); !reflect.DeepEqual(got, want) {
+		t.Errorf("reindex after %d edits made %v substrate calls, want %v", k, got, want)
+	}
+}
+
+// BenchmarkReindexPass times a reindex pass over 400 directories of 25
+// files on cas.FS: with nothing to do, and after 1 % of the files
+// changed behind HAC's back.
+func BenchmarkReindexPass(b *testing.B) {
+	clock := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	under := cas.New(nil)
+	under.SetClock(func() time.Time { return clock })
+	fs := New(under, Options{})
+	var files []string
+	for d := 0; d < 400; d++ {
+		dir := fmt.Sprintf("/db/g%d/d%d", d/20, d)
+		if err := fs.MkdirAll(dir); err != nil {
+			b.Fatal(err)
+		}
+		for f := 0; f < 25; f++ {
+			p := fmt.Sprintf("%s/f%d.txt", dir, f)
+			if err := fs.WriteFile(p, []byte(fmt.Sprintf("apple banana w%d w%d", d, f))); err != nil {
+				b.Fatal(err)
+			}
+			files = append(files, p)
+		}
+	}
+	if _, err := fs.Reindex("/"); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("unchanged", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := fs.Reindex("/"); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("dirty-1pct", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			clock = clock.Add(time.Second)
+			for j := i % 100; j < len(files); j += 100 {
+				if err := under.WriteFile(files[j], []byte("apple cherry")); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StartTimer()
+			if _, err := fs.Reindex("/"); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -95,15 +95,10 @@ func (fs *FS) makeSemanticLocked(ds *dirState, clean string, ast query.Node, ado
 				if e.Type != vfs.TypeSymlink {
 					continue
 				}
-				lp := vfs.Join(clean, e.Name)
-				target, err := fs.under.Readlink(lp)
-				if err != nil {
+				if err := fs.under.Remove(vfs.Join(clean, e.Name)); err != nil {
 					return err
 				}
-				if err := fs.under.Remove(lp); err != nil {
-					return err
-				}
-				ds.setPermanent(target, e.Name)
+				ds.setPermanent(e.Target, e.Name)
 			}
 		}
 	}

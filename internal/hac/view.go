@@ -72,18 +72,19 @@ func (ds *dirState) viewIndex() map[string]string {
 	return ds.viewLocked().byName
 }
 
-// viewEntries returns the links as directory entries, in
-// name order. The slice is shared: callers copy, never modify.
+// viewEntries returns the links as directory entries, in name order,
+// without their ModTime: ds.changed moves without a rebuild, so
+// withViewLocked stamps it. The slice is shared: callers copy, never modify.
 func (ds *dirState) viewEntries() []vfs.DirEntry {
 	ds.viewMu.Lock()
 	defer ds.viewMu.Unlock()
 	v := ds.viewLocked()
 	if v.entries == nil {
 		v.entries = make([]vfs.DirEntry, 0, len(v.byName))
-		for name := range v.byName {
-			v.entries = append(v.entries, vfs.DirEntry{Name: name, Type: vfs.TypeSymlink})
+		for name, t := range v.byName {
+			v.entries = append(v.entries, vfs.DirEntry{Name: name, Type: vfs.TypeSymlink, Target: t})
 		}
-		sort.Slice(v.entries, func(i, j int) bool { return v.entries[i].Name < v.entries[j].Name })
+		slices.SortFunc(v.entries, func(a, b vfs.DirEntry) int { return strings.Compare(a.Name, b.Name) })
 	}
 	return v.entries
 }
@@ -447,15 +448,15 @@ func (fs *FS) withViewLocked(dir string, entries []vfs.DirEntry) []vfs.DirEntry 
 	view := ds.viewEntries()
 	out := make([]vfs.DirEntry, 0, len(entries)+len(view))
 	i, j := 0, 0
-	for i < len(entries) && j < len(view) {
-		if view[j].Name < entries[i].Name {
+	for i < len(entries) || j < len(view) {
+		if j < len(view) && (i == len(entries) || view[j].Name < entries[i].Name) {
 			out = append(out, view[j])
+			out[len(out)-1].ModTime = ds.changed
 			j++
 		} else {
 			out = append(out, entries[i])
 			i++
 		}
 	}
-	out = append(out, entries[i:]...)
-	return append(out, view[j:]...)
+	return out
 }

@@ -656,11 +656,15 @@ func TestSemDirThroughSymlinkedParent(t *testing.T) {
 			if err := fs.MkdirAll("/alias/x/y"); err != nil {
 				t.Fatal(err)
 			}
-			want := []vfs.DirEntry{{Name: "a.txt", Type: vfs.TypeSymlink}}
 			for _, d := range []string{"sub", "sub2"} {
 				if !fs.IsSemantic("/docs/" + d) {
 					t.Errorf("/docs/%s is not semantic", d)
 				}
+				link, err := fs.Lstat("/docs/" + d + "/a.txt")
+				if err != nil || link.Type != vfs.TypeSymlink || link.Target != "/docs/a.txt" {
+					t.Fatalf("Lstat(/docs/%s/a.txt) = %+v, %v; want a link to /docs/a.txt", d, link, err)
+				}
+				want := []vfs.DirEntry{link}
 				if got, err := fs.LinkTargets("/docs/" + d); err != nil || !reflect.DeepEqual(got, []string{"/docs/a.txt"}) {
 					t.Errorf("/docs/%s links %v, %v; want /docs/a.txt", d, got, err)
 				}

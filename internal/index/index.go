@@ -570,7 +570,8 @@ func (ix *Index) Stats() Stats {
 // longer exist under root are removed. It returns the number of added,
 // updated and removed documents.
 //
-// One goroutine walks the tree in path order and reads and tokenizes
+// One goroutine walks the tree in path order (vfs.Walk: one ReadDir per
+// directory, each file's Info its listing entry) and reads and tokenizes
 // each new or stale file straight into one segment built off-lock; at
 // the end the segment is sealed and installed in one write-lock step,
 // so DocIDs follow walk order. A file that vanishes between the walk
@@ -578,10 +579,15 @@ func (ix *Index) Stats() Stats {
 // directory the walk visits, in walk order and before the directory's
 // entries, so a caller that needs the tree's directories too
 // (hac.Reindex registers them) walks it once.
+//
+// The pass costs a listing per directory and a read per changed file;
+// the substrate is asked about single paths only where the pass's view
+// may be out of date: each added file and each indexed file the walk
+// did not meet is confirmed with one Lstat (removeMissing).
 func (ix *Index) SyncTree(fsys vfs.FileSystem, root string, onDir func(dir string)) (added, updated, removed int, err error) {
 	seg := newSegment(0)  // numbered at install
 	var prior []liveEntry // per slot of seg: what the staleness check saw at its path
-	seen := make(map[string]bool)
+	var fresh []DocID     // live documents the walk found unchanged
 	err = vfs.Walk(fsys, root, func(p string, info vfs.Info) error {
 		if info.Type == vfs.TypeDir && onDir != nil {
 			onDir(p)
@@ -589,17 +595,16 @@ func (ix *Index) SyncTree(fsys vfs.FileSystem, root string, onDir func(dir strin
 		if info.Type != vfs.TypeFile {
 			return nil
 		}
-		seen[p] = true
 		ix.mu.RLock()
 		was := ix.liveLocked(p)
 		ix.mu.RUnlock()
 		if was.id != NoDoc && was.modTime.Equal(info.ModTime) {
+			fresh = append(fresh, was.id)
 			return nil
 		}
 		content, err := fsys.ReadFile(p)
 		if errors.Is(err, vfs.ErrNotExist) {
-			delete(seen, p) // removed or renamed since the walk saw it
-			return nil
+			return nil // removed or renamed since its directory was listed
 		}
 		if err != nil {
 			return err
@@ -614,20 +619,24 @@ func (ix *Index) SyncTree(fsys vfs.FileSystem, root string, onDir func(dir strin
 			seg.addPosting(t, local)
 		}
 		prior = append(prior, was)
-		if was.id == NoDoc {
-			added++
-		} else {
-			updated++
-		}
 		return nil
 	})
-	ix.install(seg, prior) // what was read before an error is kept
+	newDocs, updated := ix.install(seg, prior) // what was read before an error is kept
+	added = len(newDocs)
 	if err != nil {
 		return added, updated, removed, err
 	}
-	removed = ix.removeVanished(root, seen)
+	// A file the index did not hold, removed or renamed away after the
+	// pass read it, left no trace for install to see.
+	ghosts, err := ix.removeMissing(fsys, newDocs)
+	added -= ghosts
+	if err != nil {
+		return added, updated, removed, err
+	}
+	clean, _ := vfs.Clean(root) // the walk has accepted root
+	removed, err = ix.removeMissing(fsys, ix.unseenUnder(clean, seg, fresh))
 	ix.MaybeMerge()
-	return added, updated, removed, nil
+	return added, updated, removed, err
 }
 
 // liveEntry is the live document at a path as one moment saw it: its
@@ -652,10 +661,11 @@ func (ix *Index) liveLocked(path string) liveEntry {
 // its path. A path the index changed while the pass ran — rewritten
 // (an active-segment rewrite keeps its ID, so the modification time
 // tells), removed, or moved onto — keeps the newer state: its slot goes
-// in dead.
-func (ix *Index) install(seg *segment, prior []liveEntry) {
+// in dead. It returns the slots that went live at a path the index did
+// not hold, and how many replaced a live document.
+func (ix *Index) install(seg *segment, prior []liveEntry) (added []docAt, updated int) {
 	if len(seg.docs) == 0 {
-		return
+		return nil, 0
 	}
 	seg.seal()
 	ix.mu.Lock()
@@ -675,10 +685,14 @@ func (ix *Index) install(seg *segment, prior []liveEntry) {
 			ix.deadDocs++
 			continue
 		}
+		id := makeID(seg.id, uint32(i))
 		if now.id != NoDoc {
 			ix.tombstoneLocked(now.id)
+			updated++
+		} else {
+			added = append(added, docAt{p, id})
 		}
-		ix.byPath[p] = makeID(seg.id, uint32(i))
+		ix.byPath[p] = id
 		ix.liveDocs++
 	}
 	ix.bySeg[seg.id] = seg
@@ -686,24 +700,89 @@ func (ix *Index) install(seg *segment, prior []liveEntry) {
 	ix.totalSlots += len(seg.docs)
 	ix.version.Add(1)
 	ix.met.docsIndexed.Add(int64(len(seg.docs)))
+	return added, updated
 }
 
-// removeVanished drops indexed documents under root that are absent
-// from seen, returning how many were removed.
-func (ix *Index) removeVanished(root string, seen map[string]bool) int {
+// docAt is a live document and the path it was live at.
+type docAt struct {
+	path string
+	id   DocID
+}
+
+// unseenUnder returns the live documents under root that a pass did not
+// meet: fresh holds the IDs its staleness check found unchanged, and seg,
+// the pass's own segment, what it read. The candidates come from the
+// segments' dirs sets, so finding them costs a set difference per
+// segment, not a scan of every indexed path.
+func (ix *Index) unseenUnder(root string, seg *segment, fresh []DocID) []docAt {
 	ix.mu.RLock()
-	var gone []string
-	for p := range ix.byPath {
-		if vfs.HasPrefix(p, root) && !seen[p] {
-			gone = append(gone, p)
+	defer ix.mu.RUnlock()
+	seen := make(map[*segment]*bitset.Container)
+	for _, id := range fresh {
+		if s, local, ok := ix.resolveLocked(id); ok {
+			c := seen[s]
+			if c == nil {
+				c = bitset.NewContainer()
+				seen[s] = c
+			}
+			c.Add(local)
 		}
 	}
-	ix.mu.RUnlock()
+	var out []docAt
+	ix.eachSegmentLocked(func(s *segment) {
+		var live *bitset.Container
+		switch {
+		case s == seg:
+			return
+		case root == "/":
+			live = s.aliveLocal(len(s.docs))
+		default:
+			under := ix.underLocked(s, root)
+			if under == nil {
+				return
+			}
+			live = under.Clone()
+			live.AndNot(s.dead)
+		}
+		if c := seen[s]; c != nil {
+			live.AndNot(c)
+		}
+		live.Range(func(local uint32) bool {
+			out = append(out, docAt{s.docs[local].path, makeID(s.id, local)})
+			return true
+		})
+	})
+	return out
+}
+
+// removeMissing confirms each document's path with one Lstat and
+// tombstones the documents whose path no longer holds a regular file,
+// unless the index has since put another document there (a concurrent
+// re-create). It returns how many it removed.
+func (ix *Index) removeMissing(fsys vfs.FileSystem, docs []docAt) (int, error) {
+	var missing []docAt
+	for _, d := range docs {
+		info, err := fsys.Lstat(d.path)
+		switch {
+		case err == nil && info.Type == vfs.TypeFile:
+			continue
+		case err != nil && !errors.Is(err, vfs.ErrNotExist) && !errors.Is(err, vfs.ErrNotDir):
+			return 0, err
+		}
+		missing = append(missing, d)
+	}
+	if len(missing) == 0 {
+		return 0, nil
+	}
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
 	removed := 0
-	for _, p := range gone {
-		if ix.Remove(p) {
+	for _, d := range missing {
+		s, local, ok := ix.resolveLocked(d.id)
+		if ok && ix.liveLocked(d.path).id == makeID(s.id, local) {
+			ix.tombstoneLocked(d.id)
 			removed++
 		}
 	}
-	return removed
+	return removed, nil
 }

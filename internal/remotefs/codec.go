@@ -102,9 +102,7 @@ func appendResponse(b []byte, resp *response) []byte {
 	b = appendInfo(b, resp.Info)
 	b = wire.AppendUvarint(b, uint64(len(resp.Entries)))
 	for _, e := range resp.Entries {
-		b = wire.AppendString(b, e.Name)
-		b = append(b, byte(e.Type))
-		b = wire.AppendUvarint(b, e.Ino)
+		b = appendInfo(b, e)
 	}
 	b = wire.AppendString(b, resp.Str)
 	b = wire.AppendStrings(b, resp.Strs)
@@ -141,10 +139,7 @@ func decodeResponse(payload []byte, resp *response) error {
 	if n := d.Count(maxEntries); n > 0 {
 		resp.Entries = make([]vfs.DirEntry, 0, n)
 		for i := 0; i < n; i++ {
-			var e vfs.DirEntry
-			e.Name = d.String(maxPathLen)
-			e.Type = vfs.NodeType(d.Byte())
-			e.Ino = d.Uvarint()
+			e := decodeInfo(d)
 			if d.Err() != nil {
 				return d.Err()
 			}

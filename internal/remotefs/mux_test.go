@@ -386,6 +386,18 @@ func FuzzDecodeFrame(f *testing.F) {
 		wire.WriteFrame(&buf, wire.Frame{Type: rfResp, Flags: wire.FlagFinal, ID: 9, Payload: appendResponse(nil, resp)})
 		return buf.Bytes()
 	}())
+	f.Add(func() []byte {
+		// An opReadDir answer: each entry is the child's whole Lstat Info.
+		var buf bytes.Buffer
+		mod := time.Date(2026, 1, 2, 3, 4, 5, 6, time.UTC)
+		resp := &response{Entries: []vfs.DirEntry{
+			{Name: "a.txt", Ino: 3, Type: vfs.TypeFile, Size: 12, ModTime: mod},
+			{Name: "docs", Ino: 4, Type: vfs.TypeDir, ModTime: mod},
+			{Name: "link", Type: vfs.TypeSymlink, ModTime: mod, Target: "/docs/a.txt"},
+		}}
+		wire.WriteFrame(&buf, wire.Frame{Type: rfResp, Flags: wire.FlagFinal, ID: 11, Payload: appendResponse(nil, resp)})
+		return buf.Bytes()
+	}())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := wire.ReadFrame(bytes.NewReader(data), maxFrameBuf)
 		if err != nil {

@@ -42,6 +42,10 @@ const (
 	opRename
 	opStat
 	opLstat
+	// opReadDir answers with the listing in name order, each entry the
+	// child's whole Lstat Info in the codec opLstat uses (wire version
+	// 3; version 2 carried only name, type and inode), so a listing
+	// keeps the vfs.ReadDir contract across the wire.
 	opReadDir
 	// per-handle operations
 	opFileRead
@@ -97,7 +101,7 @@ type response struct {
 	Err     error // the operation's error, typed by the wire error codec
 	Data    []byte
 	Info    vfs.Info
-	Entries []vfs.DirEntry
+	Entries []vfs.DirEntry // opReadDir: each entry a whole Info
 	Str     string
 	Strs    []string // opSearch: one page of matching paths
 	Handle  uint64

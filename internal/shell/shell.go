@@ -456,9 +456,7 @@ func (sh *Shell) cmdLs(args []string) error {
 			if err != nil {
 				continue
 			}
-			sh.printf("%s\n", sh.describeEntry(vfs.Dir(m), vfs.DirEntry{
-				Name: vfs.Base(m), Type: info.Type, Ino: info.Ino,
-			}))
+			sh.printf("%s\n", sh.describeEntry(vfs.Dir(m), info))
 		}
 		return nil
 	}
@@ -481,11 +479,7 @@ func (sh *Shell) describeEntry(dir string, e vfs.DirEntry) string {
 		}
 		return e.Name + "/"
 	case vfs.TypeSymlink:
-		target, err := sh.fs.Readlink(full)
-		if err != nil {
-			return e.Name + " -> ?"
-		}
-		return e.Name + " -> " + target
+		return e.Name + " -> " + e.Target
 	default:
 		return e.Name
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -965,13 +964,17 @@ func (fs *FS) Lstat(p string) (vfs.Info, error) {
 	}
 	if t.fs != nil {
 		fs.mu.RUnlock()
+		if t.rest == "/" {
+			return vfs.MountRoot(t.fs, vfs.Base(p))
+		}
 		return t.fs.Lstat(t.rest)
 	}
 	defer fs.mu.RUnlock()
 	return t.n.info(), nil
 }
 
-// ReadDir lists the directory at p in name order.
+// ReadDir lists the directory at p in name order, each entry its
+// Lstat answer.
 func (fs *FS) ReadDir(p string) ([]vfs.DirEntry, error) {
 	fs.stats.ReadDirs.Add(1)
 	fs.mu.RLock()
@@ -984,16 +987,27 @@ func (fs *FS) ReadDir(p string) ([]vfs.DirEntry, error) {
 		fs.mu.RUnlock()
 		return t.fs.ReadDir(t.rest)
 	}
-	defer fs.mu.RUnlock()
 	if !t.n.isDir() {
+		fs.mu.RUnlock()
 		return nil, pe("readdir", p, vfs.ErrNotDir)
 	}
-	n := t.n
-	out := make([]vfs.DirEntry, 0, len(n.children))
-	for _, c := range n.children {
-		out = append(out, vfs.DirEntry{Name: c.name, Type: c.typ, Ino: c.id})
+	kids := make([]*inode, 0, len(t.n.children))
+	for _, c := range t.n.children {
+		kids = append(kids, c)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	slices.SortFunc(kids, func(a, b *inode) int { return strings.Compare(a.name, b.name) })
+	out := make([]vfs.DirEntry, len(kids))
+	var mounted []vfs.Mounted
+	for i, c := range kids {
+		out[i] = c.info()
+		if m, ok := fs.mounts[c.id]; ok {
+			mounted = append(mounted, vfs.Mounted{Index: i, FS: m})
+		}
+	}
+	fs.mu.RUnlock()
+	if err := vfs.FillMounted(out, mounted); err != nil {
+		return nil, err
+	}
 	return out, nil
 }
 

@@ -1,7 +1,9 @@
 package vfs
 
 import (
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 )
@@ -552,13 +554,17 @@ func (fs *MemFS) Lstat(p string) (Info, error) {
 	}
 	if t.fs != nil {
 		fs.mu.RUnlock()
+		if t.rest == "/" {
+			return MountRoot(t.fs, Base(p))
+		}
 		return t.fs.Lstat(t.rest)
 	}
 	defer fs.mu.RUnlock()
 	return t.n.info(), nil
 }
 
-// ReadDir lists the directory at p in name order.
+// ReadDir lists the directory at p in name order, each entry its
+// Lstat answer.
 func (fs *MemFS) ReadDir(p string) ([]DirEntry, error) {
 	fs.stats.ReadDirs.Add(1)
 	fs.mu.RLock()
@@ -571,15 +577,27 @@ func (fs *MemFS) ReadDir(p string) ([]DirEntry, error) {
 		fs.mu.RUnlock()
 		return t.fs.ReadDir(t.rest)
 	}
-	defer fs.mu.RUnlock()
 	if !t.n.isDir() {
+		fs.mu.RUnlock()
 		return nil, pe("readdir", p, ErrNotDir)
 	}
-	out := make([]DirEntry, 0, len(t.n.children))
+	kids := make([]*node, 0, len(t.n.children))
 	for _, c := range t.n.children {
-		out = append(out, DirEntry{Name: c.name, Type: c.typ, Ino: c.ino})
+		kids = append(kids, c)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	slices.SortFunc(kids, func(a, b *node) int { return strings.Compare(a.name, b.name) })
+	out := make([]DirEntry, len(kids))
+	var mounted []Mounted
+	for i, c := range kids {
+		out[i] = c.info()
+		if m, ok := fs.mounts[c.ino]; ok {
+			mounted = append(mounted, Mounted{Index: i, FS: m})
+		}
+	}
+	fs.mu.RUnlock()
+	if err := FillMounted(out, mounted); err != nil {
+		return nil, err
+	}
 	return out, nil
 }
 

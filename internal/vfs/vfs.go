@@ -113,12 +113,10 @@ type Info struct {
 // IsDir reports whether the object is a directory.
 func (i Info) IsDir() bool { return i.Type == TypeDir }
 
-// DirEntry is one entry of a directory listing.
-type DirEntry struct {
-	Name string
-	Type NodeType
-	Ino  uint64
-}
+// DirEntry is one entry of a directory listing: the entry's Lstat
+// answer (see FileSystem.ReadDir). It is an alias, so the two are one
+// type.
+type DirEntry = Info
 
 // File is an open file handle. Handles are not safe for concurrent use;
 // the file system underneath is.
@@ -165,7 +163,41 @@ type FileSystem interface {
 	Rename(oldPath, newPath string) error
 	Stat(path string) (Info, error)
 	Lstat(path string) (Info, error)
+	// ReadDir lists the directory at path, following symlinks. Entries
+	// are in name order, and each one equals Lstat(Join(path,
+	// entry.Name)) as the listing's moment saw it, so a tree walk reads
+	// one listing per directory and no Lstat per object (Walk). A mount
+	// point's entry is the mounted file system's root under the mount
+	// point's name (MountRoot).
 	ReadDir(path string) ([]DirEntry, error)
+}
+
+// MountRoot is the Lstat answer for a syntactic mount point named
+// name: the mounted file system's root, under the mount point's name.
+func MountRoot(m FileSystem, name string) (Info, error) {
+	info, err := m.Lstat("/")
+	info.Name = name
+	return info, err
+}
+
+// Mounted marks the entry at Index of a listing as a mount point of FS.
+type Mounted struct {
+	Index int
+	FS    FileSystem
+}
+
+// FillMounted replaces each marked entry of a listing with its
+// MountRoot. A lister calls it after releasing its own lock, so the
+// mounted file system answers outside it.
+func FillMounted(entries []DirEntry, at []Mounted) error {
+	for _, m := range at {
+		info, err := MountRoot(m.FS, entries[m.Index].Name)
+		if err != nil {
+			return err
+		}
+		entries[m.Index] = info
+	}
+	return nil
 }
 
 // node is one object in the tree. Access is guarded by the owning

@@ -17,44 +17,60 @@ type WalkFunc func(path string, info Info) error
 // order, calling fn for every object including root itself. It works on
 // any FileSystem, crossing syntactic mount points transparently
 // (ReadDir on a mount point lists the mounted file system).
+//
+// Walk lstats root only. Every other object's Info is its entry in its
+// directory's listing, which the ReadDir contract makes its Lstat answer
+// in name order, so a walk costs one ReadDir per directory and nothing
+// per file. A directory removed between its parent's listing and its
+// own is skipped; any other failure ends the walk, because a walk that
+// silently omits an existing entry makes incremental consumers
+// (index.SyncTree) treat the entry as deleted.
 func Walk(fsys FileSystem, root string, fn WalkFunc) error {
 	info, err := fsys.Lstat(root)
 	if err != nil {
 		return err
 	}
-	return walk(fsys, root, info, fn)
+	clean, err := Clean(root)
+	if err != nil {
+		return err
+	}
+	if err := fn(root, info); err != nil || info.Type != TypeDir {
+		if err == SkipDir {
+			return nil
+		}
+		return err
+	}
+	entries, err := fsys.ReadDir(clean)
+	if err != nil {
+		return err
+	}
+	return walkDir(fsys, clean, entries, fn)
 }
 
-func walk(fsys FileSystem, p string, info Info, fn WalkFunc) error {
-	err := fn(p, info)
-	if err == SkipDir {
-		return nil
+// walkDir visits the listing entries of the clean directory dir and
+// descends into the subdirectories among them.
+func walkDir(fsys FileSystem, dir string, entries []DirEntry, fn WalkFunc) error {
+	prefix := dir + "/"
+	if dir == "/" {
+		prefix = dir
 	}
-	if err != nil {
-		return err
-	}
-	if info.Type != TypeDir {
-		return nil
-	}
-	entries, err := fsys.ReadDir(p)
-	if err != nil {
-		return err
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Name < entries[j].Name })
 	for _, e := range entries {
-		child := Join(p, e.Name)
-		ci, err := fsys.Lstat(child)
-		if errors.Is(err, ErrNotExist) {
-			// Entry vanished between ReadDir and Lstat; skip it.
+		p := prefix + e.Name
+		err := fn(p, e)
+		if err == SkipDir || err == nil && e.Type != TypeDir {
 			continue
 		}
 		if err != nil {
-			// Any other failure must surface: a walk that silently
-			// omits an existing entry makes incremental consumers
-			// (index.SyncTree) treat the entry as deleted.
 			return err
 		}
-		if err := walk(fsys, child, ci, fn); err != nil {
+		children, err := fsys.ReadDir(p)
+		if errors.Is(err, ErrNotExist) {
+			continue // removed since dir was listed
+		}
+		if err != nil {
+			return err
+		}
+		if err := walkDir(fsys, p, children, fn); err != nil {
 			return err
 		}
 	}

@@ -59,8 +59,10 @@ const Magic = "HACX"
 
 // Version is the protocol version this package speaks. It covers the
 // framing and the service payloads alike: version 2 dropped remote's
-// unscoped search frames and gave errors one payload shape.
-const Version = 2
+// unscoped search frames and gave errors one payload shape; version 3
+// carries each remotefs directory entry as a whole Info (its Lstat
+// answer).
+const Version = 3
 
 // helloLen is the size of the connection preamble.
 const helloLen = len(Magic) + 1
