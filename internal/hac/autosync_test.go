@@ -349,3 +349,55 @@ func TestReindexDropsFilesRemovedAfterTheirRead(t *testing.T) {
 		t.Fatalf("after the pass: %v", problems)
 	}
 }
+
+// TestReindexAfterDirectorySwaps: a directory replaced after its parent
+// was listed, before the pass lists it, neither fails the pass nor keeps
+// documents under a symlinked path. One replaced by a file is skipped
+// until the next pass; one replaced by a symlink to a directory is
+// listed through the link, and the next pass, which does not follow
+// links, drops what that indexed.
+func TestReindexAfterDirectorySwaps(t *testing.T) {
+	mem := vfs.New()
+	sub := &openHookFS{FileSystem: mem, path: "/b/a.txt"}
+	fs := New(sub, Options{})
+	for _, d := range []string{"/b/sub", "/b/tofile", "/elsewhere"} {
+		if err := mem.MkdirAll(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range []string{"/b/a.txt", "/b/sub/s.txt", "/b/tofile/t.txt", "/elsewhere/g.txt"} {
+		if err := mem.WriteFile(p, []byte("apple")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The pass reads /b/a.txt after listing /b, before /b/sub and /b/tofile.
+	sub.hook = func() {
+		for _, err := range []error{
+			mem.RemoveAll("/b/sub"),
+			mem.Symlink("/elsewhere", "/b/sub"),
+			mem.RemoveAll("/b/tofile"),
+			mem.WriteFile("/b/tofile", []byte("apple")),
+		} {
+			if err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	if _, err := fs.Reindex("/"); err != nil {
+		t.Fatalf("a pass over swapped directories: %v", err)
+	}
+	if _, ok := fs.ix.IDOf("/b/sub/g.txt"); !ok {
+		t.Fatal("the pass did not list /b/sub through the link it became")
+	}
+	if _, err := fs.Reindex("/"); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := fs.ix.IDOf("/b/sub/g.txt"); ok {
+		t.Error("/b/sub/g.txt, a path through a symlink, is still indexed after a second pass")
+	}
+	for _, p := range []string{"/b/a.txt", "/b/tofile", "/elsewhere/g.txt"} {
+		if _, ok := fs.ix.IDOf(p); !ok {
+			t.Errorf("%s is not indexed after a second pass", p)
+		}
+	}
+}

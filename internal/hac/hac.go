@@ -902,6 +902,7 @@ func (fs *FS) rewriteTargetsLocked(oldPrefix, newPrefix string) {
 				}
 				if ds.view != nil {
 					ds.view.byName[names[i]] = m.new
+					ds.view.entries = nil
 				}
 			}
 		}
@@ -911,6 +912,7 @@ func (fs *FS) rewriteTargetsLocked(oldPrefix, newPrefix string) {
 			ds.perm[m.new] = name
 			if ds.view != nil {
 				ds.view.byName[name] = m.new
+				ds.view.entries = nil
 			}
 		}
 		for _, m := range prohMoves {

@@ -627,6 +627,48 @@ func TestViewIndexAfterDrops(t *testing.T) {
 	}
 }
 
+// TestViewEntriesFollowRenames: a plain Rename that moves link targets
+// — a linked file, its directory, the directory of a permanent link's
+// target — moves them in a listing built before it too, so every ReadDir
+// entry still equals its Lstat.
+func TestViewEntriesFollowRenames(t *testing.T) {
+	fs := newTestFS(t)
+	if err := fs.SemDir("/sel", "apple"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.MkdirAll("/keep/sub"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteFile("/keep/sub/k.txt", []byte("pear")); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Symlink("/keep/sub/k.txt", "/sel/kept"); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range [][2]string{
+		{"/docs/apple1.txt", "/docs/apple9.txt"}, // a transient target
+		{"/docs", "/papers"},                     // its directory
+		{"/keep/sub", "/keep/sub2"},              // a permanent target's directory
+	} {
+		if _, err := fs.ReadDir("/sel"); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.Rename(r[0], r[1]); err != nil {
+			t.Fatal(err)
+		}
+		entries, err := fs.ReadDir("/sel")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			p := vfs.Join("/sel", e.Name)
+			if want, err := fs.Lstat(p); err != nil || e != want {
+				t.Errorf("after renaming %s to %s: ReadDir entry %+v, Lstat(%s) %+v, %v", r[0], r[1], e, p, want, err)
+			}
+		}
+	}
+}
+
 // TestSemDirThroughSymlinkedParent: a directory is HAC's under the path
 // it has with every link followed. SemDir and MkdirAll through a symlinked
 // parent make and register the real directory, once, so it is the same

@@ -628,13 +628,13 @@ func (ix *Index) SyncTree(fsys vfs.FileSystem, root string, onDir func(dir strin
 	}
 	// A file the index did not hold, removed or renamed away after the
 	// pass read it, left no trace for install to see.
-	ghosts, err := ix.removeMissing(fsys, newDocs)
+	ghosts, err := ix.removeMissing(fsys, newDocs, false)
 	added -= ghosts
 	if err != nil {
 		return added, updated, removed, err
 	}
 	clean, _ := vfs.Clean(root) // the walk has accepted root
-	removed, err = ix.removeMissing(fsys, ix.unseenUnder(clean, seg, fresh))
+	removed, err = ix.removeMissing(fsys, ix.unseenUnder(clean, seg, fresh), true)
 	ix.MaybeMerge()
 	return added, updated, removed, err
 }
@@ -758,18 +758,21 @@ func (ix *Index) unseenUnder(root string, seg *segment, fresh []DocID) []docAt {
 // removeMissing confirms each document's path with one Lstat and
 // tombstones the documents whose path no longer holds a regular file,
 // unless the index has since put another document there (a concurrent
-// re-create). It returns how many it removed.
-func (ix *Index) removeMissing(fsys vfs.FileSystem, docs []docAt) (int, error) {
+// re-create). With linkFree, a path that holds a file is kept only if
+// no directory above it is a symlink: the walk follows no link, so a
+// document there that it did not meet was read through one, by a pass
+// that listed a directory just as it was swapped for a link. It returns
+// how many it removed.
+func (ix *Index) removeMissing(fsys vfs.FileSystem, docs []docAt, linkFree bool) (int, error) {
 	var missing []docAt
 	for _, d := range docs {
-		info, err := fsys.Lstat(d.path)
-		switch {
-		case err == nil && info.Type == vfs.TypeFile:
-			continue
-		case err != nil && !errors.Is(err, vfs.ErrNotExist) && !errors.Is(err, vfs.ErrNotDir):
+		ok, err := holdsFile(fsys, d.path, linkFree)
+		if err != nil {
 			return 0, err
 		}
-		missing = append(missing, d)
+		if !ok {
+			missing = append(missing, d)
+		}
 	}
 	if len(missing) == 0 {
 		return 0, nil
@@ -785,4 +788,32 @@ func (ix *Index) removeMissing(fsys vfs.FileSystem, docs []docAt) (int, error) {
 		}
 	}
 	return removed, nil
+}
+
+// holdsFile reports whether the clean path p names a regular file and,
+// with linkFree, whether every directory above it is one, not a symlink.
+func holdsFile(fsys vfs.FileSystem, p string, linkFree bool) (bool, error) {
+	info, err := fsys.Lstat(p)
+	if err != nil || info.Type != vfs.TypeFile || !linkFree {
+		return isFile(info, err)
+	}
+	for i := 1; i < len(p); i++ {
+		if p[i] != '/' {
+			continue
+		}
+		if info, err = fsys.Lstat(p[:i]); err != nil || info.Type != vfs.TypeDir {
+			_, err = isFile(info, err)
+			return false, err
+		}
+	}
+	return true, nil
+}
+
+// isFile reads an Lstat answer: a regular file, not one, or a failure
+// other than the path being gone.
+func isFile(info vfs.Info, err error) (bool, error) {
+	if errors.Is(err, vfs.ErrNotExist) || errors.Is(err, vfs.ErrNotDir) {
+		return false, nil
+	}
+	return err == nil && info.Type == vfs.TypeFile, err
 }

@@ -21,10 +21,12 @@ type WalkFunc func(path string, info Info) error
 // Walk lstats root only. Every other object's Info is its entry in its
 // directory's listing, which the ReadDir contract makes its Lstat answer
 // in name order, so a walk costs one ReadDir per directory and nothing
-// per file. A directory removed between its parent's listing and its
-// own is skipped; any other failure ends the walk, because a walk that
-// silently omits an existing entry makes incremental consumers
-// (index.SyncTree) treat the entry as deleted.
+// per file. A directory removed or replaced by a file between its
+// parent's listing and its own is skipped; one replaced by a symlink to
+// a directory is listed through the link, as ReadDir follows it. Any
+// other failure ends the walk, because a walk that silently omits an
+// existing entry makes incremental consumers (index.SyncTree) treat the
+// entry as deleted.
 func Walk(fsys FileSystem, root string, fn WalkFunc) error {
 	info, err := fsys.Lstat(root)
 	if err != nil {
@@ -64,8 +66,8 @@ func walkDir(fsys FileSystem, dir string, entries []DirEntry, fn WalkFunc) error
 			return err
 		}
 		children, err := fsys.ReadDir(p)
-		if errors.Is(err, ErrNotExist) {
-			continue // removed since dir was listed
+		if errors.Is(err, ErrNotExist) || errors.Is(err, ErrNotDir) {
+			continue // removed or replaced by a file since dir was listed
 		}
 		if err != nil {
 			return err
@@ -112,11 +114,7 @@ func CopyTree(src FileSystem, srcPath string, dst FileSystem, dstPath string) er
 		case TypeDir:
 			return dst.MkdirAll(target)
 		case TypeSymlink:
-			link, err := src.Readlink(p)
-			if err != nil {
-				return err
-			}
-			return dst.Symlink(link, target)
+			return dst.Symlink(info.Target, target)
 		default:
 			return CopyFile(src, p, dst, target)
 		}
