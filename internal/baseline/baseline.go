@@ -4,8 +4,7 @@
 //   - Jade (Rao & Peterson): a logical name space resolved in user
 //     space on top of physical file systems. JadeFS reproduces the
 //     mechanism that costs Jade its overhead — per-component pathname
-//     resolution through a user-level logical-name table with a
-//     directory cache.
+//     resolution through a user-level logical-name table.
 //
 //   - Pseudo-file-systems (Welch & Ousterhout, Sprite): every operation
 //     is forwarded as a message to a user-level server process. PseudoFS
@@ -25,8 +24,8 @@ import (
 
 // JadeFS layers a user-level logical name space over a substrate.
 // Every path is resolved component by component against the logical
-// prefix table and validated against the substrate, with a small
-// resolution cache — the Jade mechanism.
+// prefix table and validated against the substrate — the Jade
+// mechanism.
 type JadeFS struct {
 	under vfs.FileSystem
 
@@ -34,30 +33,17 @@ type JadeFS struct {
 	// logical prefix → physical prefix; the identity mapping for "/" is
 	// always present, and users may graft other file systems in.
 	table map[string]string
-	// resolution cache: logical directory → physical directory.
-	cache    map[string]string
-	cacheCap int
 }
 
 var _ vfs.FileSystem = (*JadeFS)(nil)
 
-// NewJade returns a Jade-style layer over under. Resolution caching is
-// off by default — Jade resolves every pathname in user space; call
-// EnableCache to add a per-directory resolution cache.
+// NewJade returns a Jade-style layer over under. Jade resolves every
+// pathname in user space, with no resolution cache.
 func NewJade(under vfs.FileSystem) *JadeFS {
 	return &JadeFS{
 		under: under,
 		table: map[string]string{"/": "/"},
 	}
-}
-
-// EnableCache turns on the per-directory resolution cache with the
-// given capacity.
-func (j *JadeFS) EnableCache(capacity int) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.cacheCap = capacity
-	j.cache = make(map[string]string, capacity)
 }
 
 // Graft maps the logical prefix onto a physical prefix, like attaching
@@ -66,9 +52,6 @@ func (j *JadeFS) Graft(logical, physical string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.table[logical] = physical
-	if j.cache != nil {
-		j.cache = make(map[string]string, j.cacheCap)
-	}
 }
 
 // resolve maps a logical path to a physical one: its directory through
@@ -89,17 +72,8 @@ func (j *JadeFS) resolve(logical string) (string, error) {
 // resolveDir maps a clean logical directory to a physical one, walking
 // components through the prefix table. Intermediate directories are
 // validated against the substrate (that is where Jade pays its
-// overhead); results are cached per directory.
+// overhead).
 func (j *JadeFS) resolveDir(dir string) (string, error) {
-	j.mu.Lock()
-	if j.cache != nil {
-		if phys, ok := j.cache[dir]; ok {
-			j.mu.Unlock()
-			return phys, nil
-		}
-	}
-	j.mu.Unlock()
-
 	// Longest-prefix match in the logical table.
 	j.mu.Lock()
 	bestLogical, bestPhysical := "/", "/"
@@ -119,33 +93,7 @@ func (j *JadeFS) resolveDir(dir string) (string, error) {
 			return "", err
 		}
 	}
-	j.mu.Lock()
-	if j.cache != nil {
-		if len(j.cache) >= j.cacheCap {
-			for k := range j.cache {
-				delete(j.cache, k)
-				break
-			}
-		}
-		j.cache[dir] = phys
-	}
-	j.mu.Unlock()
 	return phys, nil
-}
-
-// invalidate drops cache entries under a logical path after mutations.
-func (j *JadeFS) invalidate(logical string) {
-	clean, err := vfs.Clean(logical)
-	if err != nil {
-		return
-	}
-	j.mu.Lock()
-	for k := range j.cache {
-		if vfs.HasPrefix(k, clean) {
-			delete(j.cache, k)
-		}
-	}
-	j.mu.Unlock()
 }
 
 func splitComponents(p string) []string {
@@ -263,7 +211,6 @@ func (j *JadeFS) Remove(path string) error {
 	if err != nil {
 		return err
 	}
-	j.invalidate(path)
 	return j.under.Remove(p)
 }
 
@@ -273,7 +220,6 @@ func (j *JadeFS) RemoveAll(path string) error {
 	if err != nil {
 		return err
 	}
-	j.invalidate(path)
 	return j.under.RemoveAll(p)
 }
 
@@ -287,8 +233,6 @@ func (j *JadeFS) Rename(oldPath, newPath string) error {
 	if err != nil {
 		return err
 	}
-	j.invalidate(oldPath)
-	j.invalidate(newPath)
 	return j.under.Rename(po, pn)
 }
 

@@ -137,7 +137,7 @@ func TestJadeCacheInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := j.Stat("/d/e/f"); err != nil {
-		t.Fatal(err) // primes the cache for /d/e
+		t.Fatal(err) // resolves /d/e before the removal
 	}
 	if err := j.RemoveAll("/d"); err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"hacfs/internal/bitset"
-	"hacfs/internal/index"
 	"hacfs/internal/query"
 	"hacfs/internal/vfs"
 )
@@ -41,8 +40,8 @@ var errUndecided = errors.New("hac: scope membership needs a full evaluation")
 // holds fs.mu for writing.
 func (fs *FS) deltaSyncLocked(path string, full bool) error {
 	fs.met.autoSyncs.Add(1)
-	id, indexed := fs.ix.IDOf(path)
-	doc := &docEnv{fs: fs, path: path, id: id}
+	_, indexed := fs.ix.IDOf(path)
+	doc := &docEnv{fs: fs, path: path}
 	var fell map[uint64]bool // directories that took the full evaluation
 	for _, uid := range fs.semanticOrderLocked() {
 		ds := fs.dirs[uid]
@@ -170,33 +169,33 @@ func (fs *FS) inProvidedScopeLocked(provider, path string) (bool, error) {
 	return false, nil
 }
 
-// docEnv evaluates a query over the one-document universe {id}: every
-// leaf answers with that singleton or the empty set, so query.Eval —
-// the same evaluator the full pass uses — yields {id} exactly when the
-// document matches.
+// docEnv evaluates a query over the one-document universe {path}: every
+// leaf answers with that singleton (the document stands as ID 0) or the
+// empty set, so query.Eval — the same evaluator the full pass uses —
+// yields a non-empty set exactly when the document matches. The index
+// is asked by path, so no ID is held across calls a merge may retire.
 type docEnv struct {
 	fs   *FS
 	path string
-	id   index.DocID
 }
 
 func (e *docEnv) only(in bool) (*bitset.Segmented, error) {
 	if in {
-		return bitset.SegmentedOf(e.id), nil
+		return bitset.SegmentedOf(0), nil
 	}
 	return bitset.NewSegmented(), nil
 }
 
 func (e *docEnv) Term(w string) (*bitset.Segmented, error) {
-	return e.only(e.fs.ix.DocHasTerm(e.id, w))
+	return e.only(e.fs.ix.DocHasTerm(e.path, w))
 }
 
 func (e *docEnv) Prefix(p string) (*bitset.Segmented, error) {
-	return e.only(e.fs.ix.DocHasPrefix(e.id, p))
+	return e.only(e.fs.ix.DocHasPrefix(e.path, p))
 }
 
 func (e *docEnv) Fuzzy(w string) (*bitset.Segmented, error) {
-	return e.only(e.fs.ix.DocHasFuzzy(e.id, w))
+	return e.only(e.fs.ix.DocHasFuzzy(e.path, w))
 }
 
 func (e *docEnv) Universe() (*bitset.Segmented, error) { return e.only(true) }

@@ -17,6 +17,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"hacfs/internal/obs"
 	"hacfs/internal/vfs"
@@ -327,6 +328,24 @@ func TestDeltaSyncConcurrentWriters(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+	h.settled()
+}
+
+// TestDeltaSyncUnderBackgroundMerger runs auto-synced mutations while
+// the background merger retires the segments their documents live in:
+// the delta pass asks the index about its document by path, call after
+// call, and must leave the volume as settled as a full pass would.
+func TestDeltaSyncUnderBackgroundMerger(t *testing.T) {
+	h := newDeltaHarness(t, 41, vfs.New())
+	epoch := h.fs.Index().Epoch()
+	stop := h.fs.Index().StartMerger(time.Millisecond)
+	for i := 0; i < 200; i++ {
+		h.step()
+	}
+	stop()
+	if h.fs.Index().Epoch() == epoch {
+		t.Fatal("no merge committed during the mutations")
+	}
 	h.settled()
 }
 

@@ -10,7 +10,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
-	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -247,12 +246,14 @@ func raceWords(i int) string {
 	return words[i%4] + " " + words[(i/4)%4] + " common"
 }
 
-// A full save is O(volume): the median of three SaveVolumes of a
-// 1 000-file volume takes at least twice as long as one of a 200-file
-// volume. (A save that stopped writing the blob section, or wrote only a
-// fixed head, would fail this.)
+// A full save is O(volume): a SaveVolume of a 1 000-file volume writes
+// at least twice the bytes of one of a 200-file volume, and each writes
+// at least the 256 random (incompressible) bytes of content per file. (A
+// save that stopped writing the blob section, or wrote only a fixed
+// head, would fail this.) Bytes, not time: a wall-clock bar fails on a
+// loaded machine.
 func TestFullSaveGrowsWithVolume(t *testing.T) {
-	median := func(files int) time.Duration {
+	saved := func(files int) int64 {
 		fs := New(cas.New(nil), Options{})
 		rng := rand.New(rand.NewSource(1))
 		for i := 0; i < files; i++ {
@@ -268,23 +269,29 @@ func TestFullSaveGrowsWithVolume(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		var samples []time.Duration
-		for r := 0; r < 3; r++ {
-			start := time.Now()
-			if err := fs.SaveVolume(io.Discard); err != nil {
-				t.Fatal(err)
-			}
-			samples = append(samples, time.Since(start))
+		var w byteCounter
+		if err := fs.SaveVolume(&w); err != nil {
+			t.Fatal(err)
 		}
-		slices.Sort(samples)
-		return samples[1]
+		if int64(w) < int64(files)*256 {
+			t.Fatalf("save of %d files wrote %d B, less than their content", files, w)
+		}
+		return int64(w)
 	}
-	small, large := median(200), median(1000)
+	small, large := saved(200), saved(1000)
 	growth := float64(large) / float64(small)
-	t.Logf("full save: 200 files %v, 1 000 files %v, growth %.1fx", small, large, growth)
+	t.Logf("full save: 200 files %d B, 1 000 files %d B, growth %.1fx", small, large, growth)
 	if growth < 2 {
-		t.Fatalf("full save grew %.2fx from 200 to 1 000 files (%v → %v); want ≥ 2x", growth, small, large)
+		t.Fatalf("full save grew %.2fx from 200 to 1 000 files (%d B → %d B); want ≥ 2x", growth, small, large)
 	}
+}
+
+// byteCounter is an io.Writer that counts what it is given.
+type byteCounter int64
+
+func (c *byteCounter) Write(p []byte) (int, error) {
+	*c += byteCounter(len(p))
+	return len(p), nil
 }
 
 // allocVolume builds a volume of n documents in eight directories, each

@@ -63,14 +63,10 @@ func (fs *FS) Sync(path string, opts ...Option) error {
 	return err
 }
 
-// SyncPath is Sync with volume-default options, under the fixed
-// signature that the serving layer (remotefs.PathSyncer) dispatches
-// ssync requests through.
-func (fs *FS) SyncPath(path string) error { return fs.Sync(path) }
-
-// SyncPathContext is SyncPath with the request context threaded
-// through (remotefs.ContextSyncer), so a trace propagated from a
-// remote client links into the pass's spans.
+// SyncPathContext is Sync with volume-default options and the request
+// context threaded through, under the fixed signature that the serving
+// layer (remotefs.ContextSyncer) dispatches ssync requests through, so
+// a trace propagated from a remote client links into the pass's spans.
 func (fs *FS) SyncPathContext(ctx context.Context, path string) error {
 	return fs.Sync(path, WithContext(ctx))
 }

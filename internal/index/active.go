@@ -119,23 +119,24 @@ func (ix *Index) reclaimLocked(local uint32) {
 	ix.met.activeReclaimed.Add(1)
 }
 
-// docLocked resolves id to its resident slot if the document is live.
-// Caller holds ix.mu.
-func (ix *Index) docLocked(id DocID) (*segment, uint32, bool) {
-	s, local, ok := ix.resolveLocked(id)
-	if !ok || !s.docs[local].alive {
+// docLocked returns the slot of the live document at path. Caller
+// holds ix.mu.
+func (ix *Index) docLocked(path string) (*segment, uint32, bool) {
+	id, ok := ix.byPath[path]
+	if !ok {
 		return nil, 0, false
 	}
-	return s, local, true
+	return ix.resolveLocked(id)
 }
 
-// DocHasTerm reports whether the live document id contains term —
-// Lookup(term).Contains(id) without materializing the posting set.
-func (ix *Index) DocHasTerm(id DocID, term string) bool {
+// DocHasTerm reports whether the live document at path contains term —
+// Lookup(term).Contains(IDOf(path)) without materializing the posting
+// set.
+func (ix *Index) DocHasTerm(path, term string) bool {
 	term = normalizeTerm(term)
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	s, local, ok := ix.docLocked(id)
+	s, local, ok := ix.docLocked(path)
 	if !ok {
 		return false
 	}
@@ -143,30 +144,30 @@ func (ix *Index) DocHasTerm(id DocID, term string) bool {
 	return ok && c.Contains(local)
 }
 
-// DocHasPrefix reports whether the live document id contains any term
-// with the given prefix (LookupPrefix restricted to one document).
-func (ix *Index) DocHasPrefix(id DocID, prefix string) bool {
-	return ix.docHasAny(id, prefixPattern(normalizeTerm(prefix)))
+// DocHasPrefix reports whether the live document at path contains any
+// term with the given prefix (LookupPrefix restricted to one document).
+func (ix *Index) DocHasPrefix(path, prefix string) bool {
+	return ix.docHasAny(path, prefixPattern(normalizeTerm(prefix)))
 }
 
-// DocHasFuzzy reports whether the live document id contains any term
-// within edit distance 1 of term (LookupFuzzy restricted to one
+// DocHasFuzzy reports whether the live document at path contains any
+// term within edit distance 1 of term (LookupFuzzy restricted to one
 // document).
-func (ix *Index) DocHasFuzzy(id DocID, term string) bool {
+func (ix *Index) DocHasFuzzy(path, term string) bool {
 	term = normalizeTerm(term)
 	if term == "" {
 		return false
 	}
-	return ix.docHasAny(id, fuzzyPattern(term))
+	return ix.docHasAny(path, fuzzyPattern(term))
 }
 
-// docHasAny reports whether document id carries a term p selects. An
-// active-segment document answers from its own term list; a sealed one
-// probes the posting of every selected term of its segment.
-func (ix *Index) docHasAny(id DocID, p termPattern) bool {
+// docHasAny reports whether the live document at path carries a term p
+// selects. An active-segment document answers from its own term list; a
+// sealed one probes the posting of every selected term of its segment.
+func (ix *Index) docHasAny(path string, p termPattern) bool {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	s, local, ok := ix.docLocked(id)
+	s, local, ok := ix.docLocked(path)
 	if !ok {
 		return false
 	}

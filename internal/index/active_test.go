@@ -235,20 +235,26 @@ func TestDocHasMatchesLookups(t *testing.T) {
 	ix.Remove("/m/f03.txt")
 	ix.Remove("/m/f22.txt")
 	probes := []string{"alpha", "ALPS", "al", "brav", "bravo", "brawo", "kilos", "ilo", "zulu", ""}
-	ids := ix.Snapshot().AllDocs().Slice()
+	sn := ix.Snapshot()
+	ids := sn.AllDocs().Slice()
 	if len(ids) != 24 {
 		t.Fatalf("AllDocs = %d, want 24", len(ids))
 	}
-	for _, id := range append(ids, dead, gone) {
+	docs := map[string]DocID{"/m/f03.txt": dead, "/m/f22.txt": gone}
+	for _, id := range ids {
+		p, _ := sn.PathOf(id)
+		docs[p] = id
+	}
+	for p, id := range docs {
 		for _, q := range probes {
-			if got, want := ix.DocHasTerm(id, q), ix.Snapshot().Lookup(q).Contains(id); got != want {
-				t.Errorf("DocHasTerm(%#x, %q) = %v, Lookup says %v", id, q, got, want)
+			if got, want := ix.DocHasTerm(p, q), sn.Lookup(q).Contains(id); got != want {
+				t.Errorf("DocHasTerm(%s, %q) = %v, Lookup says %v", p, q, got, want)
 			}
-			if got, want := ix.DocHasPrefix(id, q), ix.Snapshot().LookupPrefix(q).Contains(id); got != want {
-				t.Errorf("DocHasPrefix(%#x, %q) = %v, LookupPrefix says %v", id, q, got, want)
+			if got, want := ix.DocHasPrefix(p, q), sn.LookupPrefix(q).Contains(id); got != want {
+				t.Errorf("DocHasPrefix(%s, %q) = %v, LookupPrefix says %v", p, q, got, want)
 			}
-			if got, want := ix.DocHasFuzzy(id, q), ix.Snapshot().LookupFuzzy(q).Contains(id); got != want {
-				t.Errorf("DocHasFuzzy(%#x, %q) = %v, LookupFuzzy says %v", id, q, got, want)
+			if got, want := ix.DocHasFuzzy(p, q), sn.LookupFuzzy(q).Contains(id); got != want {
+				t.Errorf("DocHasFuzzy(%s, %q) = %v, LookupFuzzy says %v", p, q, got, want)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package index
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -80,5 +81,48 @@ func TestMergeReleasesVictims(t *testing.T) {
 		if s != nil {
 			t.Fatalf("spare slot %d of the resident list still holds retired segment %d", i, s.id)
 		}
+	}
+}
+
+// TestMergeHistoryHoldsNoMemory: an index that is rewritten and merged
+// over and over holds as much memory after 40 merges as after 10. Each
+// round rewrites 1 % of a 10 000-document index and forces a merge,
+// which retires every segment and with them their DocIDs; nothing the
+// index keeps may grow with the number of merges it has run. State that
+// mapped each retired ID to its merged slot (8 B a slot, about 78 KB a
+// merge here) would grow it by over 2 MB.
+func TestMergeHistoryHoldsNoMemory(t *testing.T) {
+	const docs, rounds = 10000, 40
+	ix := New()
+	path := func(i int) string { return fmt.Sprintf("/h/d%02d/f%05d.txt", i%100, i) }
+	for i := 0; i < docs; i++ {
+		ix.Add(path(i), []byte(fmt.Sprintf("common w%d", i%500)))
+	}
+	ix.ForceMerge()
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	rng := rand.New(rand.NewSource(5))
+	var at10 uint64
+	for r := 1; r <= rounds; r++ {
+		for i := 0; i < docs/100; i++ {
+			n := rng.Intn(docs)
+			ix.Add(path(n), []byte(fmt.Sprintf("common w%d round%d", n%500, r)))
+		}
+		ix.ForceMerge()
+		if r == 10 {
+			at10 = heap()
+		}
+	}
+	at40 := heap()
+	t.Logf("heap after merge 10: %d B, after merge 40: %d B", at10, at40)
+	if at40 > at10+1<<20 {
+		t.Fatalf("heap grew %d B from merge 10 to merge 40; want under 1 MB", at40-at10)
+	}
+	if got := ix.NumDocs(); got != docs {
+		t.Fatalf("NumDocs = %d, want %d", got, docs)
 	}
 }

@@ -7,7 +7,7 @@
 // The paper's data-consistency model (§2.4) shapes the API: documents
 // can be added and updated incrementally, removals are tombstoned, and
 // the paper's periodic "reindexing" is realized as an online merge of
-// sealed segments (merge.go) that never invalidates document IDs.
+// sealed segments (merge.go).
 // SyncTree walks a file system and performs the incremental reindex the
 // paper describes ("re-index the file system periodically ... or on
 // user request, for any part of the file system"), building one sealed
@@ -16,10 +16,10 @@
 // Storage layout (DESIGN.md §10): writes land in a mutable active
 // segment; once it reaches the seal threshold it becomes an immutable
 // sealed segment and a fresh active segment takes over. Deletions only
-// tombstone. A DocID is segmentID<<32 | localID, so merging sealed
-// segments assigns new IDs internally but old IDs keep resolving
-// through per-segment forward tables; epoch-pinned snapshots
-// (snapshot.go) give queries a consistent segment set while a merge
+// tombstone. A DocID is segmentID<<32 | localID and lives as long as
+// its segment: a merge gives the documents it moves new IDs and retires
+// the old ones. An epoch-pinned snapshot (snapshot.go) keeps the
+// segments it pinned, so the IDs it issued resolve in it while a merge
 // runs.
 package index
 
@@ -35,12 +35,13 @@ import (
 )
 
 // DocID identifies an indexed document: the segment ID in the high 32
-// bits, the local slot within the segment in the low 32. IDs are stable
-// for the life of the index — a merge retires segments but installs
-// forward tables, so an old ID keeps resolving to the same document.
+// bits, the local slot within the segment in the low 32. An ID resolves
+// in the Snapshot that issued it, and through the Index only while its
+// segment is resident: a merge retires the segments it folds, and with
+// them their IDs.
 type DocID = uint64
 
-// NoDoc is the resolution of a deleted document in a forward table.
+// NoDoc names no document: the ID of a path the index does not hold.
 const NoDoc DocID = ^DocID(0)
 
 func makeID(seg, local uint32) DocID { return DocID(seg)<<32 | DocID(local) }
@@ -126,13 +127,7 @@ type Index struct {
 	sealed  []*segment // in creation order
 	bySeg   map[uint32]*segment
 	nextSeg uint32
-	byPath  map[string]DocID
-
-	// forward maps a merged-away segment to the new DocID of each of its
-	// local slots (NoDoc for slots that were dead at merge time). Chains
-	// are compressed at each merge commit, so resolution is O(1) hops in
-	// the steady state.
-	forward map[uint32][]DocID
+	byPath  map[string]DocID // live document at each path; always a resident slot
 
 	// epoch counts merge commits; snapshots record the epoch they
 	// pinned, and Search-visible segment sets only change when it moves.
@@ -174,7 +169,6 @@ func New() *Index {
 	ix := &Index{
 		bySeg:         make(map[uint32]*segment),
 		byPath:        make(map[string]DocID),
-		forward:       make(map[uint32][]DocID),
 		sealThreshold: DefaultSealThreshold,
 		tok:           Tokenize,
 	}
@@ -314,27 +308,15 @@ func (ix *Index) termSet(content []byte) map[string]struct{} {
 	return set
 }
 
-// resolveLocked follows forward tables from id to its resident segment
-// and local slot. Caller holds ix.mu.
+// resolveLocked returns id's resident segment and local slot; the ID of
+// a retired segment resolves to nothing. Caller holds ix.mu.
 func (ix *Index) resolveLocked(id DocID) (*segment, uint32, bool) {
-	for hops := 0; hops < 64; hops++ {
-		seg, local := splitID(id)
-		if s, ok := ix.bySeg[seg]; ok {
-			if int(local) < len(s.docs) {
-				return s, local, true
-			}
-			return nil, 0, false
-		}
-		tbl, ok := ix.forward[seg]
-		if !ok || int(local) >= len(tbl) {
-			return nil, 0, false
-		}
-		id = tbl[local]
-		if id == NoDoc {
-			return nil, 0, false
-		}
+	seg, local := splitID(id)
+	s, ok := ix.bySeg[seg]
+	if !ok || int(local) >= len(s.docs) {
+		return nil, 0, false
 	}
-	return nil, 0, false
+	return s, local, true
 }
 
 // tombstoneLocked marks id dead. Caller holds ix.mu.
@@ -467,8 +449,8 @@ func (ix *Index) RenamePrefix(oldRoot, newRoot string) int {
 	return len(moves)
 }
 
-// PathOf resolves a document ID to its path. IDs issued before a merge
-// keep resolving through the merge's forward tables.
+// PathOf resolves a document ID to its path while the ID's segment is
+// resident.
 func (ix *Index) PathOf(id DocID) (string, bool) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -479,21 +461,12 @@ func (ix *Index) PathOf(id DocID) (string, bool) {
 	return s.docs[local].path, true
 }
 
-// IDOf resolves a path to its live document ID. The byPath entry may
-// briefly lag a merge commit (the repoint runs in batches after the
-// swap), so the raw value is canonicalized through the forward tables
-// before it escapes.
+// IDOf resolves a path to its live document ID.
 func (ix *Index) IDOf(path string) (DocID, bool) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	id, ok := ix.byPath[path]
-	if !ok {
-		return 0, false
-	}
-	if s, local, ok := ix.resolveLocked(id); ok {
-		return makeID(s.id, local), true
-	}
-	return 0, false
+	return id, ok
 }
 
 // Version returns the mutation counter: it moves on every
@@ -584,7 +557,13 @@ func (ix *Index) Stats() Stats {
 // the substrate is asked about single paths only where the pass's view
 // may be out of date: each added file and each indexed file the walk
 // did not meet is confirmed with one Lstat (removeMissing).
+//
+// The pass holds mergeMu throughout, so no merge retires a segment
+// whose IDs it holds between its lock holds; it applies the merge
+// policy at its end.
 func (ix *Index) SyncTree(fsys vfs.FileSystem, root string, onDir func(dir string)) (added, updated, removed int, err error) {
+	ix.mergeMu.Lock()
+	defer ix.mergeMu.Unlock()
 	seg := newSegment(0)  // numbered at install
 	var prior []liveEntry // per slot of seg: what the staleness check saw at its path
 	var fresh []DocID     // live documents the walk found unchanged
@@ -635,12 +614,12 @@ func (ix *Index) SyncTree(fsys vfs.FileSystem, root string, onDir func(dir strin
 	}
 	clean, _ := vfs.Clean(root) // the walk has accepted root
 	removed, err = ix.removeMissing(fsys, ix.unseenUnder(clean, seg, fresh), true)
-	ix.MaybeMerge()
+	ix.maybeMergeLocked()
 	return added, updated, removed, err
 }
 
 // liveEntry is the live document at a path as one moment saw it: its
-// canonical ID (NoDoc when there was none) and modification time.
+// ID (NoDoc when there was none) and modification time.
 type liveEntry struct {
 	id      DocID
 	modTime time.Time
@@ -650,7 +629,7 @@ type liveEntry struct {
 func (ix *Index) liveLocked(path string) liveEntry {
 	if id, ok := ix.byPath[path]; ok {
 		if s, local, ok := ix.resolveLocked(id); ok {
-			return liveEntry{makeID(s.id, local), s.docs[local].modTime}
+			return liveEntry{id, s.docs[local].modTime}
 		}
 	}
 	return liveEntry{id: NoDoc}
@@ -674,9 +653,6 @@ func (ix *Index) install(seg *segment, prior []liveEntry) (added []docAt, update
 	ix.nextSeg++
 	for i := range seg.docs {
 		p, was := seg.docs[i].path, prior[i]
-		if s, local, ok := ix.resolveLocked(was.id); ok {
-			was.id = makeID(s.id, local) // a merge since the check moved it
-		}
 		now := ix.liveLocked(p)
 		if now.id != was.id || !now.modTime.Equal(was.modTime) {
 			seg.docs[i].alive = false
@@ -781,8 +757,7 @@ func (ix *Index) removeMissing(fsys vfs.FileSystem, docs []docAt, linkFree bool)
 	defer ix.mu.Unlock()
 	removed := 0
 	for _, d := range missing {
-		s, local, ok := ix.resolveLocked(d.id)
-		if ok && ix.liveLocked(d.path).id == makeID(s.id, local) {
+		if ix.liveLocked(d.path).id == d.id {
 			ix.tombstoneLocked(d.id)
 			removed++
 		}

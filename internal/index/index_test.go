@@ -165,13 +165,15 @@ func TestForceMerge(t *testing.T) {
 	if ix.Universe() != 2 {
 		t.Fatalf("Universe after merge = %d, want 2", ix.Universe())
 	}
-	// Pre-merge IDs stay valid: the live one resolves through the
-	// forward table, the dead one resolves to nothing.
-	if p, ok := ix.PathOf(a); !ok || p != "/a" {
-		t.Fatalf("PathOf(pre-merge id) = %q, %v", p, ok)
+	// Pre-merge IDs retire with their segment, live or dead.
+	if p, ok := ix.PathOf(a); ok {
+		t.Fatalf("PathOf(pre-merge id) = %q after the merge retired it", p)
 	}
 	if _, ok := ix.PathOf(b); ok {
 		t.Fatal("dead pre-merge ID still resolves")
+	}
+	if id, ok := ix.IDOf("/a"); !ok || id == a {
+		t.Fatalf("IDOf(/a) = %#x, %v; want a merged ID", id, ok)
 	}
 	if got := ix.Snapshot().Paths(ix.Snapshot().Lookup("apple")); len(got) != 1 || got[0] != "/a" {
 		t.Fatalf("apple after merge = %v", got)
@@ -418,9 +420,10 @@ func TestPropertyLookupExact(t *testing.T) {
 	}
 }
 
-// Property: a merge preserves query results (paths and pre-merge result
-// bitmaps, not internal layout). The seal threshold is forced low so
-// random op sequences exercise real multi-segment layouts.
+// Property: a merge preserves query results (paths, and pre-merge result
+// bitmaps read through the snapshot that issued them; not internal
+// layout). The seal threshold is forced low so random op sequences
+// exercise real multi-segment layouts.
 func TestPropertyMergePreservesResults(t *testing.T) {
 	f := func(ops []uint8) bool {
 		ix := New()
@@ -438,9 +441,10 @@ func TestPropertyMergePreservesResults(t *testing.T) {
 		}
 		before := map[string][]string{}
 		held := map[string]*bitset.Segmented{}
+		pinned := ix.Snapshot()
 		for _, term := range terms {
-			held[term] = ix.Snapshot().Lookup(term)
-			before[term] = ix.Snapshot().Paths(held[term])
+			held[term] = pinned.Lookup(term)
+			before[term] = pinned.Paths(held[term])
 		}
 		ix.ForceMerge()
 		for _, term := range terms {
@@ -449,8 +453,8 @@ func TestPropertyMergePreservesResults(t *testing.T) {
 				return false
 			}
 			// ...and result bitmaps captured before the merge still
-			// resolve to the same paths through the forward tables.
-			if !reflect.DeepEqual(before[term], ix.Snapshot().Paths(held[term])) {
+			// resolve to the same paths in their own snapshot.
+			if !reflect.DeepEqual(before[term], pinned.Paths(held[term])) {
 				return false
 			}
 		}

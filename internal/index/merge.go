@@ -15,10 +15,12 @@ import (
 // the plan phase copies the per-victim doc entries and tombstone sets
 // under the read lock, so Search and Sync proceed while the
 // merged segment is assembled. The commit phase then takes the write
-// lock briefly to reconcile anything that moved during the build
-// (documents tombstoned or renamed after the plan was taken), install
-// the forward tables that keep pre-merge DocIDs resolving, rewrite
-// byPath for the moved documents, and bump the epoch.
+// lock once to reconcile anything that moved during the build
+// (documents tombstoned or renamed after the plan was taken), repoint
+// byPath at the moved documents, swap the segment set and bump the
+// epoch. The victims' DocIDs retire with them: a snapshot pinned before
+// the commit still reads the victims it holds, and maps current IDs
+// back into its own set through the merged segment's prev.
 //
 // Merge policy: MaybeMerge fires when the sealed-segment count exceeds
 // mergeMaxSealed or when dead slots exceed mergeDeadNum/mergeDeadDen of
@@ -55,6 +57,11 @@ const noLocal = ^uint32(0)
 func (ix *Index) MaybeMerge() bool {
 	ix.mergeMu.Lock()
 	defer ix.mergeMu.Unlock()
+	return ix.maybeMergeLocked()
+}
+
+// maybeMergeLocked is MaybeMerge with mergeMu held.
+func (ix *Index) maybeMergeLocked() bool {
 	ix.mu.RLock()
 	trigger := len(ix.sealed) > mergeMaxSealed ||
 		(ix.totalSlots > 0 && ix.deadDocs*mergeDeadDen > ix.totalSlots*mergeDeadNum && len(ix.sealed) > 0)
@@ -68,10 +75,9 @@ func (ix *Index) MaybeMerge() bool {
 }
 
 // ForceMerge seals the active segment and folds every sealed segment
-// into one, unconditionally. DocIDs issued before the call remain
-// valid. It replaces the old stop-the-world Compact: callers that want
-// "settle everything now" semantics call this, and nothing else needs
-// the remap it used to return.
+// into one, unconditionally. DocIDs the index issued before the call
+// stop resolving through it; a snapshot taken before the call still
+// resolves its own.
 func (ix *Index) ForceMerge() {
 	ix.mergeMu.Lock()
 	defer ix.mergeMu.Unlock()
@@ -137,20 +143,11 @@ func (ix *Index) mergeSealedLocked() {
 		return
 	}
 
-	// Reserve the merged segment's identity now, so the forward tables
-	// can be assembled off-lock too. IDs stay unique even if a reindex
-	// pass installs a segment, or the active one seals, while the build
-	// runs.
-	ix.mu.Lock()
-	mergedID := ix.nextSeg
-	ix.nextSeg++
-	ix.mu.Unlock()
-
 	// Build: assemble the merged segment from the immutable postings and
 	// the planned copies, entirely off-lock. remap[i][local] is the
 	// merged local slot of victim i's local, or noLocal if it was dead
-	// at plan time.
-	merged := newSegment(mergedID)
+	// at plan time. The segment is numbered at the commit.
+	merged := newSegment(0)
 	work := 0
 	pace := func(units int) {
 		if work += units; work >= mergeYieldEvery {
@@ -196,33 +193,16 @@ func (ix *Index) mergeSealedLocked() {
 	}
 	merged.seal()
 
-	// Pre-assemble the victims' forward tables off-lock; the commit
-	// phase only patches the slots that changed since the plan.
+	// Commit: reconcile the delta since the plan, repoint byPath and swap
+	// the segment set, all in one write hold.
+	ix.mu.Lock()
+	merged.id = ix.nextSeg
+	ix.nextSeg++
+	moved := false
 	victimSet := make(map[uint32]bool, len(victims))
-	fwds := make([][]DocID, len(victims))
 	for i, v := range victims {
 		victimSet[v.s.id] = true
-		fwd := make([]DocID, len(v.s.docs))
-		for l := range v.s.docs {
-			pace(1)
-			if nl := remap[i][l]; nl != noLocal {
-				fwd[l] = makeID(mergedID, nl)
-			} else {
-				fwd[l] = NoDoc
-			}
-		}
-		fwds[i] = fwd
-	}
-
-	// Commit: reconcile the delta since the plan, then swap the segment
-	// set atomically under the write lock. Chain compression runs after
-	// the swap in short per-table holds — its cost grows with merge
-	// history, and a reader arriving mid-sweep must not wait for all of
-	// it.
-	ix.mu.Lock()
-
-	moved := false
-	for i, v := range victims {
+		delete(ix.bySeg, v.s.id)
 		for l := range v.s.docs {
 			nl := remap[i][l]
 			if nl == noLocal {
@@ -234,30 +214,22 @@ func (ix *Index) mergeSealedLocked() {
 				merged.docs[nl].alive = false
 				merged.dead.Add(nl)
 				merged.deadCount++
-				fwds[i][l] = NoDoc
-			} else {
-				// Renames after the plan rewrote path/modTime in place;
-				// refresh so the merged entry is current.
-				moved = moved || merged.docs[nl].path != cur.path
-				merged.dirsRename(merged.docs[nl].path, cur.path, nl)
-				merged.docs[nl] = *cur
+				continue
+			}
+			// Renames after the plan rewrote path/modTime in place;
+			// refresh so the merged entry is current.
+			moved = moved || merged.docs[nl].path != cur.path
+			merged.dirsRename(merged.docs[nl].path, cur.path, nl)
+			merged.docs[nl] = *cur
+			// Repoint only an entry that still names the pre-merge slot,
+			// so no other writer's entry is overwritten.
+			if ix.byPath[cur.path] == prev[nl] {
+				ix.byPath[cur.path] = makeID(merged.id, nl)
 			}
 		}
 	}
 	if moved {
 		merged.resortOrder() // the build sorted the paths the plan saw
-	}
-
-	// Install forward tables for the victims.
-	for i, v := range victims {
-		ix.forward[v.s.id] = fwds[i]
-		delete(ix.bySeg, v.s.id)
-	}
-	stale := make([]uint32, 0, len(ix.forward))
-	for segID := range ix.forward {
-		if !victimSet[segID] {
-			stale = append(stale, segID)
-		}
 	}
 
 	// Swap the resident set. Segments sealed after the plan was taken
@@ -286,82 +258,6 @@ func (ix *Index) mergeSealedLocked() {
 	// Read while the lock keeps tombstones off the merged segment.
 	out := len(merged.docs) - merged.deadCount
 	ix.mu.Unlock()
-
-	// Repoint byPath at the moved documents in batches, each under its
-	// own brief write hold. Between batches a stale byPath entry still
-	// resolves correctly — it names a victim slot whose forward table
-	// was installed with the swap — so this is pure housekeeping kept
-	// off the readers' critical path. A slot whose entry no longer leads
-	// here lost a race to a concurrent re-add, delete, or rename; the
-	// competing writer's value wins.
-	if len(merged.docs) > 0 {
-		for lo := 0; lo < len(merged.docs); lo += mergeYieldEvery {
-			hi := min(lo+mergeYieldEvery, len(merged.docs))
-			ix.mu.Lock()
-			for nl := lo; nl < hi; nl++ {
-				if !merged.docs[nl].alive {
-					continue
-				}
-				path := merged.docs[nl].path
-				cur, ok := ix.byPath[path]
-				if !ok {
-					continue
-				}
-				if s, l, ok := ix.resolveLocked(cur); ok && s == merged && l == uint32(nl) {
-					ix.byPath[path] = makeID(merged.id, uint32(nl))
-				}
-			}
-			ix.mu.Unlock()
-		}
-	}
-
-	// Compress provenance chains so older retired segments point
-	// directly at resident slots. The sweep's cost grows with merge
-	// history, so it runs in bounded batches, each under its own brief
-	// write hold: only mergeMu-holders touch ix.forward, so dropping
-	// ix.mu between batches is safe, and resolution stays correct on
-	// uncompressed chains via the hop walk — this is purely keeping
-	// lookups O(1), off the readers' critical path. Tables with no
-	// surviving targets are dropped; resolution treats a missing table
-	// and an all-NoDoc table identically.
-	for _, segID := range stale {
-		live, length := 0, 0
-		for lo := 0; ; lo += mergeYieldEvery {
-			ix.mu.Lock()
-			tbl := ix.forward[segID]
-			length = len(tbl)
-			hi := min(lo+mergeYieldEvery, length)
-			for j := lo; j < hi; j++ {
-				id := tbl[j]
-				for hops := 0; id != NoDoc && hops < 64; hops++ {
-					seg, local := splitID(id)
-					next, ok := ix.forward[seg]
-					if !ok {
-						if _, resident := ix.bySeg[seg]; !resident {
-							id = NoDoc // target segment gone entirely
-						}
-						break
-					}
-					if int(local) >= len(next) {
-						id = NoDoc
-						break
-					}
-					id = next[local]
-				}
-				tbl[j] = id
-				if id != NoDoc {
-					live++
-				}
-			}
-			if hi == length && live == 0 {
-				delete(ix.forward, segID)
-			}
-			ix.mu.Unlock()
-			if hi == length {
-				break
-			}
-		}
-	}
 
 	ix.met.merges.Add(1)
 	ix.met.mergeSeconds.ObserveSince(start)

@@ -45,7 +45,8 @@ type walker struct {
 	next int        // document counter: unique names and unique terms
 	live []string   // /live directory names currently in use
 	// held is a result of the previous check's snapshot, read through
-	// the next one: the forward-table half of Snapshot.Paths.
+	// the next one: the half of Snapshot.Paths that resolves IDs outside
+	// the pinned set (those of a segment merged away since are skipped).
 	held *bitset.Segmented
 }
 
@@ -375,9 +376,9 @@ func TestDifferentialWalk(t *testing.T) {
 	pinned, atPin := w.ix.Snapshot(), w.m.Clone()
 	heldEvery := pinned.Lookup("every")
 	w.ix.ForceMerge()
-	// A result of the pinned set, read through the merged index, is still
-	// the pin-time corpus: its IDs resolve through the forward tables.
-	sortedPaths(t, "pre-merge result after the merge", w.ix.Snapshot().Paths(heldEvery), atPin.All())
+	// A result of the pinned set, read through that snapshot after the
+	// merge retired its segments, is still the pin-time corpus.
+	sortedPaths(t, "pre-merge result after the merge", pinned.Paths(heldEvery), atPin.All())
 	w.check("force merge")
 	if kinds := w.postingKinds(true); !kinds["array"] || !kinds["bitmap"] || !kinds["run"] {
 		t.Fatalf("sealed postings use %v, want all three representations", kinds)

@@ -462,7 +462,6 @@ func newLoadedIndex(opts []LoadOption) *Index {
 	ix := &Index{
 		bySeg:         make(map[uint32]*segment),
 		byPath:        make(map[string]DocID),
-		forward:       make(map[uint32][]DocID),
 		sealThreshold: DefaultSealThreshold,
 		tok:           Tokenize,
 	}

@@ -270,9 +270,9 @@ const pathsDenseDiv = 64
 // dense share walks its path order (order.go) and keeps the members; a
 // sparse share, the active segment's share and the IDs of a segment
 // outside the pinned set sort their own paths. The runs are then merged
-// in one pass, so no sort runs over the whole result. IDs outside the
-// pinned set are resolved through the index's forward tables first, so
-// mixing an older result into a newer snapshot degrades gracefully.
+// in one pass, so no sort runs over the whole result. IDs of a segment
+// outside the pinned set resolve only while that segment is resident
+// (Index.PathOf); the IDs of a segment a merge retired are skipped.
 func (sn *Snapshot) Paths(res *bitset.Segmented) []string {
 	sn.ix.mu.RLock()
 	defer sn.ix.mu.RUnlock()
@@ -322,7 +322,8 @@ func (sn *Snapshot) Paths(res *bitset.Segmented) []string {
 }
 
 // PathsOf maps a batch of pinned IDs to their paths, in input order,
-// skipping IDs that no longer resolve to a live document. Unlike Paths
+// skipping IDs that no longer resolve to a live document (an ID outside
+// the pinned set resolves as in Paths). Unlike Paths
 // it does not sort — the paged SearchResult iterator materializes one
 // page at a time in ID order, and sorting would force the whole result
 // set eager again.
@@ -350,7 +351,8 @@ func (sn *Snapshot) AppendPathsOf(dst []string, ids []DocID) []string {
 	return dst
 }
 
-// PathOf resolves one pinned ID to its path.
+// PathOf resolves one pinned ID to its path (an ID outside the pinned
+// set resolves as in Paths).
 func (sn *Snapshot) PathOf(id DocID) (string, bool) {
 	sn.ix.mu.RLock()
 	defer sn.ix.mu.RUnlock()
@@ -383,12 +385,6 @@ func (sn *Snapshot) idOfLocked(path string) (DocID, bool) {
 	id, ok := sn.ix.byPath[path]
 	if !ok {
 		return 0, false
-	}
-	// The byPath entry may lag a merge commit (the repoint is batched);
-	// canonicalize it forward to a resident slot before mapping it back
-	// into the pinned set through the provenance chains.
-	if s, local, ok := sn.ix.resolveLocked(id); ok {
-		id = makeID(s.id, local)
 	}
 	for hops := 0; hops < 64; hops++ {
 		seg, local := splitID(id)

@@ -104,11 +104,3 @@ func (c *Cache) Len() int {
 	defer c.mu.Unlock()
 	return c.ll.Len()
 }
-
-// Purge drops every entry.
-func (c *Cache) Purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ll.Init()
-	c.m = make(map[string]*list.Element)
-}

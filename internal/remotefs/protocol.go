@@ -64,7 +64,7 @@ const (
 	opSearch
 	// opSync restores scope consistency for the semantic directory at
 	// Path (the paper's ssync, over the wire). Only file systems that
-	// implement PathSyncer — a HAC volume — answer it.
+	// implement ContextSyncer — a HAC volume — answer it.
 	opSync
 	// opSearchStream is opSearch in streaming form: the server evaluates
 	// the query once and returns every page of that one result as its

@@ -98,15 +98,10 @@ type BlobSource interface {
 	CASBlobs(hashes []cas.Hash) ([][]byte, error)
 }
 
-// PathSyncer is the optional scope-consistency surface; hac.FS
-// implements it (the paper's ssync command, served over the wire).
-type PathSyncer interface {
-	SyncPath(path string) error
-}
-
-// ContextSyncer is PathSyncer with the request context threaded
-// through, so a propagated trace (and tenant baggage) reaches the
-// engine's spans; hac.FS implements it.
+// ContextSyncer is the optional scope-consistency surface (the paper's
+// ssync command, served over the wire), with the request context
+// threaded through so a propagated trace (and tenant baggage) reaches
+// the engine's spans; hac.FS implements it.
 type ContextSyncer interface {
 	SyncPathContext(ctx context.Context, path string) error
 }
@@ -416,14 +411,11 @@ func (sess *session) exec(ctx context.Context, fsys vfs.FileSystem, req *request
 		}
 		return &response{Data: data, N: len(blobs)}
 	case opSync:
-		if cs, ok := fsys.(ContextSyncer); ok {
-			return &response{Err: cs.SyncPathContext(ctx, req.Path)}
-		}
-		ps, ok := fsys.(PathSyncer)
+		cs, ok := fsys.(ContextSyncer)
 		if !ok {
 			return &response{Err: errf(vfs.ErrUnsupported, "file system has no semantic layer")}
 		}
-		return &response{Err: ps.SyncPath(req.Path)}
+		return &response{Err: cs.SyncPathContext(ctx, req.Path)}
 	case opSearch:
 		resp := &response{}
 		resp.Err = search(ctx, fsys, req, req.N, 1, func(page []string, next int64, _ bool) error {

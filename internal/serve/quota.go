@@ -5,6 +5,7 @@ import (
 	"io"
 	"sync"
 
+	"hacfs/internal/hac"
 	"hacfs/internal/vfs"
 	"hacfs/internal/vfs/cas"
 )
@@ -42,7 +43,7 @@ func (u *usage) footprintLocked() int64 { return u.bytes + u.pending }
 // storage footprint, which is what a deduplicating host spends, and
 // the /metrics gauges track it.
 type quotaFS struct {
-	inner vfs.FileSystem
+	inner *hac.FS
 	q     Quota
 	u     *usage
 	met   *tenantMetrics // reject counter; nil in tests
@@ -192,41 +193,17 @@ func (f *quotaFS) Stat(path string) (vfs.Info, error)          { return f.inner.
 func (f *quotaFS) Lstat(path string) (vfs.Info, error)         { return f.inner.Lstat(path) }
 func (f *quotaFS) ReadDir(path string) ([]vfs.DirEntry, error) { return f.inner.ReadDir(path) }
 
-// Optional surfaces the serving layer forwards (remotefs type-asserts
+// The engine surfaces the serving layer forwards (remotefs type-asserts
 // the volume it gets from Volumes).
 
 func (f *quotaFS) SearchStream(ctx context.Context, query, scope string, after uint64, pageSize, maxPages int, emit func(page []string, next uint64) error) error {
-	type searcher interface {
-		SearchStream(ctx context.Context, query, scope string, after uint64, pageSize, maxPages int, emit func(page []string, next uint64) error) error
-	}
-	sr, ok := f.inner.(searcher)
-	if !ok {
-		return &vfs.PathError{Op: "search", Path: scope, Err: vfs.ErrUnsupported}
-	}
-	return sr.SearchStream(ctx, query, scope, after, pageSize, maxPages, emit)
+	return f.inner.SearchStream(ctx, query, scope, after, pageSize, maxPages, emit)
 }
 
-func (f *quotaFS) SyncPath(path string) error {
-	type syncer interface{ SyncPath(path string) error }
-	ps, ok := f.inner.(syncer)
-	if !ok {
-		return &vfs.PathError{Op: "ssync", Path: path, Err: vfs.ErrUnsupported}
-	}
-	return ps.SyncPath(path)
-}
-
-// SyncPathContext is the context-threading form (remotefs.ContextSyncer),
-// forwarded so a propagated trace passes through the quota wrapper to
-// the engine; it falls back to the plain form for an inner file system
-// that predates it.
+// SyncPathContext threads the request context through, so a propagated
+// trace passes the quota wrapper to the engine (remotefs.ContextSyncer).
 func (f *quotaFS) SyncPathContext(ctx context.Context, path string) error {
-	type syncer interface {
-		SyncPathContext(ctx context.Context, path string) error
-	}
-	if ps, ok := f.inner.(syncer); ok {
-		return ps.SyncPathContext(ctx, path)
-	}
-	return f.SyncPath(path)
+	return f.inner.SyncPathContext(ctx, path)
 }
 
 // Manifest-diff replication surface (remotefs.BlobSource): forwarded so
@@ -238,31 +215,17 @@ func (f *quotaFS) SyncPathContext(ctx context.Context, path string) error {
 // Close then adds nothing.
 
 func (f *quotaFS) CASManifest() (*cas.Manifest, error) {
-	type source interface {
-		CASManifest() (*cas.Manifest, error)
-	}
-	bs, ok := f.inner.(source)
-	if !ok {
-		return nil, &vfs.PathError{Op: "manifest", Path: "/", Err: vfs.ErrUnsupported}
-	}
 	var m *cas.Manifest
 	err := f.measuredOp("manifest", "/", 0, 0, func() error {
 		var err error
-		m, err = bs.CASManifest()
+		m, err = f.inner.CASManifest()
 		return err
 	})
 	return m, err
 }
 
 func (f *quotaFS) CASBlobs(hashes []cas.Hash) ([][]byte, error) {
-	type source interface {
-		CASBlobs(hashes []cas.Hash) ([][]byte, error)
-	}
-	bs, ok := f.inner.(source)
-	if !ok {
-		return nil, &vfs.PathError{Op: "blobs", Path: "/", Err: vfs.ErrUnsupported}
-	}
-	return bs.CASBlobs(hashes)
+	return f.inner.CASBlobs(hashes)
 }
 
 // quotaFile charges handle writes. A handle writes into a dirty buffer
