@@ -41,3 +41,17 @@ func BenchmarkContainerAdd(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkContainerAddLast re-adds the last element of a 1 000-element
+// array container, as every repeated word of a document does.
+func BenchmarkContainerAddLast(b *testing.B) {
+	c := NewContainer()
+	for i := uint32(0); i < 1000; i++ {
+		c.Add(i * 100)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Add(999 * 100)
+	}
+}

@@ -142,10 +142,21 @@ func searchU32(a []uint32, v uint32) int {
 func (c *Container) Add(id uint32) {
 	switch c.kind {
 	case kindArray:
-		// Fast path: ascending appends (index commit order).
-		if len(c.arr) == 0 || id > c.arr[len(c.arr)-1] {
+		// Fast paths: the first element, ascending appends (index commit
+		// order), and the last element again (a repeated term of the
+		// document being indexed). The first element gets room for four:
+		// a smaller array is a tiny allocation, which shares a 16-byte
+		// block with the next small object (in an ingest, the new term's
+		// key) and keeps the whole block alive with it. Pack trims the
+		// slack.
+		if cap(c.arr) == 0 {
+			c.arr = append(make([]uint32, 0, 4), id)
+			c.n++
+		} else if len(c.arr) == 0 || id > c.arr[len(c.arr)-1] {
 			c.arr = append(c.arr, id)
 			c.n++
+		} else if id == c.arr[len(c.arr)-1] {
+			return
 		} else {
 			i := searchU32(c.arr, id)
 			if c.arr[i] == id {

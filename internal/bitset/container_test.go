@@ -107,6 +107,30 @@ func TestContainerBasicOps(t *testing.T) {
 	}
 }
 
+// TestContainerAddLastAgain: adding an array container's last element
+// again — what every repeated word of the document being indexed does
+// to its term's posting — leaves the container as it was and allocates
+// nothing, at the sizes either side of the array-to-bitmap switch.
+func TestContainerAddLastAgain(t *testing.T) {
+	for _, n := range []int{1, 3, arrayDenseLen - 1, 1000} {
+		c := NewContainer()
+		for i := 0; i < n; i++ {
+			c.Add(uint32(i * 100))
+		}
+		if c.Kind() != "array" {
+			t.Fatalf("n=%d: built a %s container, want array", n, c.Kind())
+		}
+		want := c.Clone()
+		last := uint32((n - 1) * 100)
+		if a := testing.AllocsPerRun(100, func() { c.Add(last) }); a != 0 {
+			t.Fatalf("n=%d: Add(last) allocates %.1f", n, a)
+		}
+		if !c.Equal(want) || c.Kind() != "array" || c.Len() != n || len(c.arr) != n {
+			t.Fatalf("n=%d: Add(last) changed the container: %s of %d", n, c.Kind(), c.Len())
+		}
+	}
+}
+
 func TestContainerSetOps(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 300; trial++ {

@@ -59,6 +59,19 @@ func (s *segment) addPosting(term string, local uint32) {
 	c.Add(local)
 }
 
+// addTerm is addPosting for a scanned term, which it copies into a key
+// only when s has no posting for it yet. Caller owns s (it is being
+// built).
+func (s *segment) addTerm(term []byte, local uint32) {
+	if c, ok := s.postings[string(term)]; ok {
+		c.Add(local)
+		return
+	}
+	c := bitset.NewContainer()
+	c.Add(local)
+	s.postings[string(term)] = c
+}
+
 // addSlotTerms adds local to the posting of every term and returns the
 // packed term list for slotTerms: one allocation, so the prepared
 // document's per-token strings can be collected. Caller holds ix.mu for

@@ -103,12 +103,10 @@ func TestEncodeSegmentMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		ix := randomEditedIndex(rand.New(rand.NewSource(seed)))
 		ix.mu.RLock()
+		sawMerged = sawMerged || ix.epoch > 0
 		ix.eachSegmentLocked(func(s *segment) {
 			if s.sealed && s.deadCount > 0 {
 				sawDead = true
-			}
-			if s.prev != nil {
-				sawMerged = true
 			}
 			for _, d := range s.docs {
 				if !s.sealed && !d.alive {

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"hacfs/internal/bitset"
 	"hacfs/internal/gobwire"
@@ -16,16 +17,28 @@ import (
 
 // FuzzTokenize checks the tokenizer's contract on arbitrary bytes: no
 // panics, every term within length bounds, lowercase, and only
-// alphanumeric bytes.
+// alphanumeric bytes; ScanTerms emits, term for term, what Tokenize
+// returns and what a plain split-and-lowercase reference finds.
 func FuzzTokenize(f *testing.F) {
 	for _, s := range []string{
 		"", "hello world", "CamelCase42", "a", strings.Repeat("x", 100),
 		"\x00\xff\xfe", "tab\tsep", "mixed123abc!@#", "ünïcödé",
+		strings.Repeat("Ab", 20) + " " + strings.Repeat("cD", 20) + "e",
 	} {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, content []byte) {
-		for _, term := range Tokenize(content) {
+		var scanned []string
+		ScanTerms(content, func(term []byte) { scanned = append(scanned, string(term)) })
+		want := referenceTerms(content)
+		got := Tokenize(content)
+		if len(scanned) != len(want) || len(got) != len(want) {
+			t.Fatalf("ScanTerms %d terms, Tokenize %d, reference %d", len(scanned), len(got), len(want))
+		}
+		for i, term := range got {
+			if term != want[i] || scanned[i] != want[i] {
+				t.Fatalf("term %d: ScanTerms %q, Tokenize %q, reference %q", i, scanned[i], term, want[i])
+			}
 			if len(term) < minTermLen || len(term) > maxTermLen {
 				t.Fatalf("term %q violates length bounds", term)
 			}
@@ -38,6 +51,20 @@ func FuzzTokenize(f *testing.F) {
 			}
 		}
 	})
+}
+
+// referenceTerms splits content at every byte that is not an ASCII
+// letter or digit and lowercases the runs within the length bounds.
+func referenceTerms(content []byte) []string {
+	var out []string
+	for _, run := range bytes.FieldsFunc(content, func(r rune) bool {
+		return !(r < utf8.RuneSelf && isTermByte(byte(r)))
+	}) {
+		if len(run) >= minTermLen && len(run) <= maxTermLen {
+			out = append(out, strings.ToLower(string(run)))
+		}
+	}
+	return out
 }
 
 // segmentSeedBlock saves a small index and strips the container block,

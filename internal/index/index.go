@@ -69,9 +69,7 @@ type docEntry struct {
 // the index write lock. Postings are packed (Container.Pack) once, at
 // the moment the segment becomes immutable, and from then on only read:
 // every lookup clones before it combines, so the off-lock merge build
-// can walk them without a lock. A segment produced by a merge additionally carries
-// prev, the pre-merge DocID of each local slot, so snapshots pinned
-// before the merge can map current IDs back into their own segment set.
+// can walk them without a lock.
 type segment struct {
 	id        uint32
 	docs      []docEntry
@@ -81,7 +79,6 @@ type segment struct {
 	deadCount int
 	sealed    bool
 	slotTerms []string // packed terms of each slot (active.go); active only, nil once sealed
-	prev      []DocID  // merge provenance: local → pre-merge DocID (nil unless merged)
 	order     []uint32 // slots in path order (order.go); sealed only
 	dict      termDict // lazy sorted/length-bucketed vocabulary (dict.go); sealed only
 }
@@ -160,9 +157,12 @@ type Index struct {
 	save   segmentScratch
 }
 
-// Tokenizer splits document content into terms. The default is
-// Tokenize.
-type Tokenizer func(content []byte) []string
+// Tokenizer scans document content and calls emit with each term, in
+// content order. The default is ScanTerms. emit must not keep the term
+// slice past the call, so a tokenizer may reuse one buffer for every
+// term it emits; the index copies a term only when a segment first
+// meets it.
+type Tokenizer func(content []byte, emit func(term []byte))
 
 // New returns an empty index using the default tokenizer.
 func New() *Index {
@@ -170,7 +170,7 @@ func New() *Index {
 		bySeg:         make(map[uint32]*segment),
 		byPath:        make(map[string]DocID),
 		sealThreshold: DefaultSealThreshold,
-		tok:           Tokenize,
+		tok:           ScanTerms,
 	}
 	ix.newActiveLocked()
 	return ix
@@ -219,10 +219,11 @@ func (ix *Index) SetSealThreshold(n int) {
 	ix.mu.Unlock()
 }
 
-// SetTokenizer replaces the tokenizer. It must be called before any
-// documents are added; once the store is non-empty it fails with a
-// *vfs.PathError wrapping ErrNotEmpty, because documents indexed with
-// the old tokenizer would silently keep its terms.
+// SetTokenizer replaces the tokenizer (see Tokenizer for what it may
+// assume of emit). It must be called before any documents are added;
+// once the store is non-empty it fails with a *vfs.PathError wrapping
+// ErrNotEmpty, because documents indexed with the old tokenizer would
+// silently keep its terms.
 func (ix *Index) SetTokenizer(t Tokenizer) error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -298,13 +299,15 @@ func (ix *Index) commitDocLocked(d preparedDoc) DocID {
 	return id
 }
 
-// termSet tokenizes content into a set of unique terms.
+// termSet tokenizes content into a set of unique terms. A repeated
+// term is a map probe: only a term's first occurrence allocates.
 func (ix *Index) termSet(content []byte) map[string]struct{} {
-	terms := ix.tok(content)
-	set := make(map[string]struct{}, len(terms))
-	for _, t := range terms {
-		set[t] = struct{}{}
-	}
+	set := make(map[string]struct{})
+	ix.tok(content, func(term []byte) {
+		if _, ok := set[string(term)]; !ok {
+			set[string(term)] = struct{}{}
+		}
+	})
 	return set
 }
 
@@ -567,6 +570,8 @@ func (ix *Index) SyncTree(fsys vfs.FileSystem, root string, onDir func(dir strin
 	seg := newSegment(0)  // numbered at install
 	var prior []liveEntry // per slot of seg: what the staleness check saw at its path
 	var fresh []DocID     // live documents the walk found unchanged
+	var local uint32      // the slot being filled
+	emit := func(term []byte) { seg.addTerm(term, local) }
 	err = vfs.Walk(fsys, root, func(p string, info vfs.Info) error {
 		if info.Type == vfs.TypeDir && onDir != nil {
 			onDir(p)
@@ -588,12 +593,10 @@ func (ix *Index) SyncTree(fsys vfs.FileSystem, root string, onDir func(dir strin
 		if err != nil {
 			return err
 		}
-		local := uint32(len(seg.docs))
+		local = uint32(len(seg.docs))
 		seg.docs = append(seg.docs, docEntry{path: p, modTime: info.ModTime, size: len(content), alive: true})
 		seg.dirsAdd(p, local)
-		for _, t := range ix.tok(content) {
-			seg.addPosting(t, local)
-		}
+		ix.tok(content, emit)
 		for _, t := range ix.applyTransducers(p, content) {
 			seg.addPosting(t, local)
 		}

@@ -483,7 +483,7 @@ func TestAllDocs(t *testing.T) {
 
 func TestCustomTokenizer(t *testing.T) {
 	ix := New()
-	if err := ix.SetTokenizer(func(content []byte) []string { return []string{"constant"} }); err != nil {
+	if err := ix.SetTokenizer(func(content []byte, emit func([]byte)) { emit([]byte("constant")) }); err != nil {
 		t.Fatal(err)
 	}
 	ix.Add("/a", []byte("whatever"))
@@ -505,7 +505,7 @@ func TestTokenizerAndTransducerLockedAfterAdd(t *testing.T) {
 		t.Fatalf("RegisterTransducer on empty index: %v", err)
 	}
 	ix.Add("/a", []byte("word"))
-	err := ix.SetTokenizer(func([]byte) []string { return nil })
+	err := ix.SetTokenizer(func([]byte, func([]byte)) {})
 	if !errors.Is(err, ErrNotEmpty) {
 		t.Fatalf("SetTokenizer err = %v, want ErrNotEmpty", err)
 	}
@@ -520,7 +520,7 @@ func TestTokenizerAndTransducerLockedAfterAdd(t *testing.T) {
 	// A removed document does not unlock the store: its slot survives
 	// until a merge, still carrying old terms.
 	ix.Remove("/a")
-	if err := ix.SetTokenizer(func([]byte) []string { return nil }); !errors.Is(err, ErrNotEmpty) {
+	if err := ix.SetTokenizer(func([]byte, func([]byte)) {}); !errors.Is(err, ErrNotEmpty) {
 		t.Fatalf("SetTokenizer after Remove err = %v, want ErrNotEmpty", err)
 	}
 }

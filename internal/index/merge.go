@@ -19,8 +19,8 @@ import (
 // (documents tombstoned or renamed after the plan was taken), repoint
 // byPath at the moved documents, swap the segment set and bump the
 // epoch. The victims' DocIDs retire with them: a snapshot pinned before
-// the commit still reads the victims it holds, and maps current IDs
-// back into its own set through the merged segment's prev.
+// the commit still reads the victims it holds, and finds a moved
+// document's pinned slot by its path (Snapshot.IDOf).
 //
 // Merge policy: MaybeMerge fires when the sealed-segment count exceeds
 // mergeMaxSealed or when dead slots exceed mergeDeadNum/mergeDeadDen of
@@ -156,7 +156,6 @@ func (ix *Index) mergeSealedLocked() {
 		}
 	}
 	remap := make([][]uint32, len(victims))
-	var prev []DocID
 	for i, v := range victims {
 		remap[i] = make([]uint32, len(v.docs))
 		for l, d := range v.docs {
@@ -168,11 +167,9 @@ func (ix *Index) mergeSealedLocked() {
 			nl := uint32(len(merged.docs))
 			merged.docs = append(merged.docs, d)
 			merged.dirsAdd(d.path, nl)
-			prev = append(prev, makeID(v.s.id, uint32(l)))
 			remap[i][l] = nl
 		}
 	}
-	merged.prev = prev
 	// Victims are folded in order and each remap is monotonic, so every
 	// merged posting is filled by ascending Adds.
 	for i, v := range victims {
@@ -223,7 +220,7 @@ func (ix *Index) mergeSealedLocked() {
 			merged.docs[nl] = *cur
 			// Repoint only an entry that still names the pre-merge slot,
 			// so no other writer's entry is overwritten.
-			if ix.byPath[cur.path] == prev[nl] {
+			if ix.byPath[cur.path] == makeID(v.s.id, uint32(l)) {
 				ix.byPath[cur.path] = makeID(merged.id, nl)
 			}
 		}

@@ -373,12 +373,16 @@ func writeSegmentImage(w *gobwire.Writer, img *segmentImage) error {
 
 // LoadOption configures the index an image is loaded into, before any
 // segments are installed. Tokenizers and transducers are code, not
-// data, so a caller that used them at index time re-attaches them here
-// — the usual RegisterTransducer/SetTokenizer calls would fail on the
-// loaded (non-empty) store.
+// data: an image holds the terms they produced, not the functions. A
+// caller that used them at index time re-attaches them here — the usual
+// RegisterTransducer/SetTokenizer calls would fail on the loaded
+// (non-empty) store.
 type LoadOption func(*Index)
 
-// WithLoadTokenizer installs t as the loaded index's tokenizer.
+// WithLoadTokenizer installs t as the loaded index's tokenizer, so the
+// documents indexed after the load get their terms the way the loaded
+// ones did. Without it the loaded index scans with ScanTerms. t keeps
+// the Tokenizer contract: emit's term is valid only during the call.
 func WithLoadTokenizer(t Tokenizer) LoadOption {
 	return func(ix *Index) { ix.tok = t }
 }
@@ -463,7 +467,7 @@ func newLoadedIndex(opts []LoadOption) *Index {
 		bySeg:         make(map[uint32]*segment),
 		byPath:        make(map[string]DocID),
 		sealThreshold: DefaultSealThreshold,
-		tok:           Tokenize,
+		tok:           ScanTerms,
 	}
 	for _, o := range opts {
 		o(ix)

@@ -370,35 +370,52 @@ func (sn *Snapshot) PathOf(id DocID) (string, bool) {
 }
 
 // IDOf resolves a path to a document ID within the pinned segment set.
-// If the document moved to a post-pin segment (a merge committed after
-// the snapshot was taken), the ID is mapped back through the merged
-// segments' provenance tables so it stays comparable with the
-// snapshot's other results.
+// If a merge committed since the pin moved the document out of the
+// pinned set, the ID is that of the pinned slot it came from, so it
+// stays comparable with the snapshot's other results.
 func (sn *Snapshot) IDOf(path string) (DocID, bool) {
 	sn.ix.mu.RLock()
 	defer sn.ix.mu.RUnlock()
 	return sn.idOfLocked(path)
 }
 
-// idOfLocked is IDOf with ix.mu already held.
+// idOfLocked is IDOf with ix.mu already held. The live document at path
+// is either in a pinned segment, or in one made since the pin: by a
+// merge — which leaves the slot it took the document from in its
+// retired victim, path and liveness as they were, and that victim is
+// pinned or was itself folded from pinned ones — or by later writes,
+// which tombstone a pinned predecessor. So the pinned slot, if there is
+// one, is the pinned live slot at path, however many merges ran since.
 func (sn *Snapshot) idOfLocked(path string) (DocID, bool) {
 	id, ok := sn.ix.byPath[path]
 	if !ok {
 		return 0, false
 	}
-	for hops := 0; hops < 64; hops++ {
-		seg, local := splitID(id)
-		if s, ok := sn.bySeg[seg]; ok {
-			if int(local) >= sn.segLen(s) {
-				return 0, false // committed after the pin
-			}
-			return id, true
+	seg, local := splitID(id)
+	if s, ok := sn.bySeg[seg]; ok {
+		if int(local) >= sn.segLen(s) {
+			return 0, false // committed after the pin
 		}
-		s, ok := sn.ix.bySeg[seg]
-		if !ok || s.prev == nil || int(local) >= len(s.prev) {
-			return 0, false
+		return id, true
+	}
+	for _, s := range sn.segs {
+		if local, ok := sn.liveSlotLocked(s, path); ok {
+			return makeID(s.id, local), true
 		}
-		id = s.prev[local]
+	}
+	return 0, false
+}
+
+// liveSlotLocked finds the live slot of pinned segment s at path by a
+// binary search of its path order. A segment still active has no order
+// and needs none: a merge seals the active segment before it folds it,
+// so no document has moved out of one. Caller holds ix.mu.
+func (sn *Snapshot) liveSlotLocked(s *segment, path string) (uint32, bool) {
+	n := sn.segLen(s)
+	for i := s.orderPos(path, 0); i < len(s.order) && s.docs[s.order[i]].path == path; i++ {
+		if l := s.order[i]; int(l) < n && s.docs[l].alive {
+			return l, true
+		}
 	}
 	return 0, false
 }

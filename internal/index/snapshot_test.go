@@ -8,8 +8,8 @@ import (
 // TestSnapshotStableIDsAcrossMerge pins the central DocID contract: a
 // snapshot is taken, a compaction is forced underneath it, and every ID
 // issued before the merge still resolves in that snapshot — through the
-// segments it pinned and the merged segment's provenance — to the same
-// document in both directions.
+// segments it pinned and, for a document the merge moved, the pinned
+// slot it came from — to the same document in both directions.
 func TestSnapshotStableIDsAcrossMerge(t *testing.T) {
 	ix := New()
 	ix.SetSealThreshold(4)
@@ -105,5 +105,45 @@ func TestSnapshotFreezesIDSpace(t *testing.T) {
 	}
 	if epoch := snap.Epoch(); epoch != ix.Snapshot().Epoch() {
 		t.Fatalf("epoch moved without a merge: %d vs %d", epoch, ix.Snapshot().Epoch())
+	}
+}
+
+// TestSnapshotIDOfAfterTwoMerges: each merge after the pin moves the
+// pinned documents again, and the snapshot still resolves them after
+// the second, when the segment the first merge made is neither pinned
+// nor resident.
+func TestSnapshotIDOfAfterTwoMerges(t *testing.T) {
+	ix := New()
+	ix.Add("/a", []byte("apple"))
+	ix.Add("/b", []byte("apple"))
+	ix.ForceMerge() // seals /a and /b: nothing to fold yet
+	ix.Add("/c", []byte("apple"))
+	snap := ix.Snapshot()
+	pinned := make(map[string]DocID)
+	for _, p := range []string{"/a", "/b", "/c"} {
+		id, ok := snap.IDOf(p)
+		if !ok {
+			t.Fatalf("snapshot IDOf(%s) missing at the pin", p)
+		}
+		pinned[p] = id
+	}
+	ix.ForceMerge()
+	ix.Add("/d", []byte("apple"))
+	ix.ForceMerge()
+
+	for p, want := range pinned {
+		if id, ok := snap.IDOf(p); !ok || id != want {
+			t.Fatalf("snapshot IDOf(%s) = %#x, %v after two merges; want %#x", p, id, ok, want)
+		}
+		if got := snap.Paths(snap.DocsUnder(p)); len(got) != 1 || got[0] != p {
+			t.Fatalf("snapshot DocsUnder(%s) = %v, want [%s]", p, got, p)
+		}
+	}
+	if _, ok := snap.IDOf("/d"); ok {
+		t.Fatal("snapshot resolved a document committed after the pin")
+	}
+	ix.Remove("/b")
+	if _, ok := snap.IDOf("/b"); ok {
+		t.Fatal("snapshot resolved a document removed after the merges")
 	}
 }

@@ -13,31 +13,40 @@ const (
 	maxTermLen = 40
 )
 
-// Tokenize is the default tokenizer: it splits content into maximal
-// runs of letters and digits, lowercased. Runs outside the length
-// bounds are dropped.
-func Tokenize(content []byte) []string {
-	var out []string
+// ScanTerms is the default tokenizer: it splits content into maximal
+// runs of letters and digits and passes each one, lowercased, to emit,
+// in content order. Runs outside the length bounds are dropped. Every
+// term is lowercased into the same buffer, so emit must copy what it
+// keeps: the index copies a term only when it is new to the segment or
+// document being built.
+func ScanTerms(content []byte, emit func(term []byte)) {
+	var buf [maxTermLen]byte
 	start := -1
-	flush := func(end int) {
-		if start < 0 {
-			return
-		}
-		if n := end - start; n >= minTermLen && n <= maxTermLen {
-			out = append(out, strings.ToLower(string(content[start:end])))
-		}
-		start = -1
-	}
-	for i, b := range content {
-		if isTermByte(b) {
+	for i := 0; i <= len(content); i++ {
+		if i < len(content) && isTermByte(content[i]) {
 			if start < 0 {
 				start = i
 			}
-		} else {
-			flush(i)
+			continue
 		}
+		if n := i - start; start >= 0 && n >= minTermLen && n <= maxTermLen {
+			for j, b := range content[start:i] {
+				if b >= 'A' && b <= 'Z' {
+					b += 'a' - 'A'
+				}
+				buf[j] = b
+			}
+			emit(buf[:n])
+		}
+		start = -1
 	}
-	flush(len(content))
+}
+
+// Tokenize returns the terms ScanTerms emits for content, one string
+// each — for transducers and tests; the index scans.
+func Tokenize(content []byte) []string {
+	var out []string
+	ScanTerms(content, func(term []byte) { out = append(out, string(term)) })
 	return out
 }
 
@@ -45,7 +54,7 @@ func isTermByte(b byte) bool {
 	return b >= 'a' && b <= 'z' || b >= 'A' && b <= 'Z' || b >= '0' && b <= '9'
 }
 
-// normalizeTerm canonicalizes a query term the same way Tokenize
+// normalizeTerm canonicalizes a query term the same way ScanTerms
 // canonicalizes document terms.
 func normalizeTerm(term string) string {
 	return strings.ToLower(strings.TrimFunc(term, func(r rune) bool {
