@@ -89,7 +89,13 @@ func (fs *FS) CheckConsistency() []string {
 			}
 			report("%s: unclassified symlink %s → %s", dirPath, e.Name, e.Target)
 		}
-		for _, problem := range auditViewLocked(ds, onDisk) {
+		// The audit reads the names: unnamed links get theirs.
+		view, err := fs.linkViewLocked(ds)
+		if err != nil {
+			report("%s: links cannot be named: %v", dirPath, err)
+			continue
+		}
+		for _, problem := range auditViewLocked(ds, view, onDisk) {
 			report("%s: %s", dirPath, problem)
 		}
 	}
@@ -97,9 +103,9 @@ func (fs *FS) CheckConsistency() []string {
 }
 
 // auditViewLocked checks ds's links against themselves, the names
-// physically in the directory (onDisk) and the name index serving them.
-// Caller holds fs.mu.
-func auditViewLocked(ds *dirState, onDisk map[string]bool) []string {
+// physically in the directory (onDisk) and the name index serving them
+// (view). Caller holds fs.mu.
+func auditViewLocked(ds *dirState, view *linkView, onDisk map[string]bool) []string {
 	var problems []string
 	byName := make(map[string]string, len(ds.trans)+len(ds.perm))
 	add := func(name, t string) {
@@ -123,8 +129,8 @@ func auditViewLocked(ds *dirState, onDisk map[string]bool) []string {
 	for t, name := range ds.perm {
 		add(name, t)
 	}
-	if index := ds.viewIndex(); !maps.Equal(index, byName) {
-		problems = append(problems, fmt.Sprintf("view index holds %d links, the directory %d", len(index), len(byName)))
+	if !maps.Equal(view.byName, byName) {
+		problems = append(problems, fmt.Sprintf("view index holds %d links, the directory %d", len(view.byName), len(byName)))
 	}
 	return problems
 }

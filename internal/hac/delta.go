@@ -124,11 +124,9 @@ func (fs *FS) deltaOneLocked(ds *dirState, doc *docEnv, indexed bool) error {
 		fs.bumpScopeEpochLocked(ds.uid)
 		fs.met.linksDropped.Add(1)
 	case !linked && member && !ds.prohibited[doc.path]:
-		name, err := fs.newLinkNameLocked(ds, dirPath, doc.path)
-		if err != nil {
+		if err := fs.addTransLocked(ds, dirPath, doc.path); err != nil {
 			return err
 		}
-		ds.addTrans(doc.path, name)
 		fs.bumpScopeEpochLocked(ds.uid)
 		fs.met.linksAdded.Add(1)
 	}

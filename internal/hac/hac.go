@@ -107,7 +107,7 @@ type dirState struct {
 	prohibited map[string]bool
 
 	viewMu sync.Mutex // serializes building view under fs.mu's read lock
-	view   *linkView  // name index of trans and perm; nil until used after a commit
+	view   *linkView  // name index of trans and perm; nil while trans is unnamed (view.go)
 }
 
 func newDirState(uid uint64) *dirState {
@@ -885,10 +885,16 @@ func (fs *FS) rewriteTargetsLocked(oldPrefix, newPrefix string) {
 			}
 		}
 		if len(transMoves) > 0 {
-			names := make([]string, len(transMoves))
-			for i, m := range transMoves {
-				names[i] = ds.nameOf(m.old)
-				delete(ds.transName, m.old)
+			// A moved link keeps its name: unnamed links are named
+			// first, at their old targets. Links that cannot be named
+			// (the listing failed) move unnamed.
+			var names []string
+			if fs.nameLinksLocked(ds) == nil {
+				names = make([]string, len(transMoves))
+				for i, m := range transMoves {
+					names[i] = ds.nameOf(m.old)
+					delete(ds.transName, m.old)
+				}
 			}
 			for i, t := range ds.trans {
 				if n, ok := moved(t); ok {
@@ -896,12 +902,13 @@ func (fs *FS) rewriteTargetsLocked(oldPrefix, newPrefix string) {
 				}
 			}
 			sort.Strings(ds.trans)
-			for i, m := range transMoves {
-				if names[i] != linkBaseName(m.new) {
-					ds.setTransName(m.new, names[i])
+			for i, name := range names {
+				t := transMoves[i].new
+				if name != linkBaseName(t) {
+					ds.setTransName(t, name)
 				}
 				if ds.view != nil {
-					ds.view.byName[names[i]] = m.new
+					ds.view.byName[name] = t
 					ds.view.entries = nil
 				}
 			}
@@ -969,15 +976,17 @@ func (fs *FS) Lstat(path string) (vfs.Info, error) {
 }
 
 // ReadDir lists a directory: its substrate entries and, for a semantic
-// directory, its view links, in name order.
+// directory, its view links, in name order. The substrate is listed under
+// fs.mu, so the first listing of a directory whose links are unnamed
+// names them against it: one ReadDir.
 func (fs *FS) ReadDir(path string) ([]vfs.DirEntry, error) {
-	entries, err := fs.under.ReadDir(path)
 	clean, cerr := vfs.Clean(path)
 	if cerr != nil {
-		return entries, err
+		return fs.under.ReadDir(path)
 	}
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
+	entries, err := fs.under.ReadDir(path)
 	if isNotExist(err) {
 		if clean, err = fs.followLocked(clean, err); err == nil {
 			entries, err = fs.under.ReadDir(clean)
@@ -986,5 +995,5 @@ func (fs *FS) ReadDir(path string) ([]vfs.DirEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	return fs.withViewLocked(clean, entries), nil
+	return fs.withViewLocked(clean, entries)
 }

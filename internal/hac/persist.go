@@ -290,6 +290,11 @@ func (fs *FS) writeVolumeHead(w io.Writer, cfs *cas.FS, volT *gobwire.Type) erro
 		}
 		d := dirRecord{path: p, semantic: ds.semantic}
 		if ds.semantic {
+			// An image holds link names: unnamed links get theirs.
+			if err := fs.nameLinksLocked(ds); err != nil {
+				fs.mu.RUnlock()
+				return err
+			}
 			d.query = fs.queryDisplayLocked(ds)
 			d.perm, d.trans, d.transName = ds.perm, ds.trans, ds.transName
 			from := len(sc.prohibited)
@@ -684,6 +689,9 @@ func (fs *FS) restoreLinksLocked(ds *dirState, di dirImage) error {
 			ds.setTransName(t, name)
 		}
 	}
+	// The restored names are names shown: index them now, so that no
+	// later build names the links afresh.
+	ds.indexHeldNames()
 	ds.changed = time.Now()
 	return nil
 }

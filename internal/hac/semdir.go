@@ -126,8 +126,12 @@ func (fs *FS) MakeSyntactic(path string) error {
 	if !ok || !ds.semantic {
 		return &vfs.PathError{Op: "smkdir", Path: path, Err: ErrNotSemantic}
 	}
+	links, err := fs.linksLocked(ds)
+	if err != nil {
+		return err
+	}
 	var written []string
-	for _, l := range ds.links() {
+	for _, l := range links {
 		if l.Class == Prohibited {
 			continue
 		}
@@ -373,23 +377,24 @@ func (fs *FS) Links(path string) ([]Link, error) {
 	if !ok || !ds.semantic {
 		return nil, &vfs.PathError{Op: "slinks", Path: path, Err: ErrNotSemantic}
 	}
-	return ds.links(), nil
+	return fs.linksLocked(ds)
 }
 
 // LinkTargets returns the targets of the directory's current links
-// (transient + permanent), sorted — the scope it provides.
+// (transient + permanent), sorted — the scope it provides. It reads the
+// targets only, so it names no link.
 func (fs *FS) LinkTargets(path string) ([]string, error) {
-	links, err := fs.Links(path)
+	clean, err := vfs.Clean(path)
 	if err != nil {
-		return nil, err
+		return nil, &vfs.PathError{Op: "slinks", Path: path, Err: err}
 	}
-	out := make([]string, 0, len(links))
-	for _, l := range links {
-		if l.Class != Prohibited {
-			out = append(out, l.Target)
-		}
+	fs.mu.RLock()
+	defer fs.mu.RUnlock()
+	ds, ok := fs.stateAtLocked(clean)
+	if !ok || !ds.semantic {
+		return nil, &vfs.PathError{Op: "slinks", Path: path, Err: ErrNotSemantic}
 	}
-	return out, nil
+	return ds.linkTargets(), nil
 }
 
 // MarkPermanent promotes an existing link to permanent, or creates a
@@ -414,6 +419,10 @@ func (fs *FS) MarkPermanent(dirPath, target string) error {
 	}
 	delete(ds.prohibited, target)
 	if _, had := ds.perm[target]; !had {
+		// A promoted transient link keeps the name it has, or is named now.
+		if err := fs.nameLinksLocked(ds); err != nil {
+			return err
+		}
 		name := ds.nameOf(target)
 		if _, transient := ds.transAt(target); !transient {
 			if name, err = fs.newLinkNameLocked(ds, clean, target); err != nil {

@@ -217,11 +217,14 @@ func (fs *FS) computeTargetsLocked(ds *dirState, cfg evalConfig) ([]string, erro
 
 // commitTargetsLocked makes targets, sorted, ds's transient set
 // (DESIGN.md §8): one linear merge of the old and the new list. A target
-// in both keeps its link name; one only in the old list is dropped; one
-// only in the new list is added under its base name or the first free
-// ~n, in target order. None of it touches the substrate but one ReadDir
-// when there are adds, to learn the names taken physically. Caller holds
-// fs.mu for writing.
+// in both keeps its link; one only in the old list is dropped, with its
+// name; one only in the new list is added. While the directory's name
+// index is unbuilt, that is all: the adds join the links unnamed, and the
+// first build names them (view.go) — no map, no name, no substrate call.
+// Only a directory whose index is built, so whose names are held, names
+// its adds now, each under its base name or the first free ~n in target
+// order, against the names held and the physical entries (one ReadDir).
+// Caller holds fs.mu for writing.
 func (fs *FS) commitTargetsLocked(ds *dirState, targets []string) error {
 	dirPath, ok := fs.pathOfLocked(ds.uid)
 	if !ok {
@@ -250,45 +253,22 @@ func (fs *FS) commitTargetsLocked(ds *dirState, targets []string) error {
 	if len(drops)+len(adds) == 0 {
 		return nil
 	}
-	var taken map[string]bool
-	if len(adds) > 0 {
-		var err error
-		if taken, err = fs.takenNamesLocked(dirPath); err != nil {
-			return err
+	if v := ds.view; v != nil {
+		var taken map[string]bool
+		if len(adds) > 0 {
+			var err error
+			if taken, err = fs.takenNamesLocked(dirPath); err != nil {
+				return err
+			}
 		}
-	}
-
-	// The adds must not take a kept or permanent link's name: the name
-	// index, once the drops leave it, says which are taken — built here
-	// unless a lookup built it since the last commit — and serves the
-	// lookups after. A commit with no adds edits a built index and builds
-	// none.
-	var view map[string]string
-	switch {
-	case len(adds) > 0 && len(old) > len(drops):
-		view = ds.viewIndex()
-	case len(adds) > 0:
-		view = ds.permIndex(len(adds))
-	case ds.view != nil:
-		view = ds.view.byName
-	}
-	for _, t := range drops {
-		delete(view, ds.nameOf(t))
-		delete(ds.transName, t)
-	}
-	for _, t := range adds {
-		base := linkBaseName(t)
-		name := freeName(base, view, taken)
-		view[name] = t
-		if name != base {
-			ds.setTransName(t, name)
+		for _, t := range drops {
+			delete(v.byName, ds.nameOf(t))
+			delete(ds.transName, t)
 		}
+		ds.nameTrans(v.byName, taken, adds)
+		v.entries = nil
 	}
 	ds.trans = targets
-	ds.view = nil
-	if view != nil {
-		ds.view = &linkView{byName: view}
-	}
 	ds.changed = time.Now()
 	fs.bumpScopeEpochLocked(ds.uid)
 	fs.met.linksDropped.Add(int64(len(drops)))
@@ -461,14 +441,21 @@ func (fs *FS) MetadataBytes() int {
 	total := fs.names.SizeBytes()
 	universe := fs.ix.Universe()
 	for _, ds := range fs.dirs {
+		// The override count depends on the names: unnamed links get
+		// theirs. A directory whose links cannot be named (its listing
+		// failed) holds no overrides, and a reader naming it may be
+		// writing them: they are not read.
+		named := fs.nameLinksLocked(ds) == nil
 		total += 48 // fixed per-directory record
 		total += len(ds.queryText)
 		// The transient set is a sorted list: each target and its length.
 		for _, t := range ds.trans {
 			total += len(t) + 1
 		}
-		for t, name := range ds.transName {
-			total += len(t) + len(name) + 8
+		if named {
+			for t, name := range ds.transName {
+				total += len(t) + len(name) + 8
+			}
 		}
 		for t, name := range ds.perm {
 			total += len(t) + len(name) + 8

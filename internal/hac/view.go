@@ -1,6 +1,7 @@
 package hac
 
 import (
+	"fmt"
 	"slices"
 	"sort"
 	"strconv"
@@ -21,15 +22,27 @@ import (
 // never consults the view: it is read for a ReadDir of a semantic
 // directory, a name the substrate reports missing, and a create, mkdir or
 // symlink that could land on a view name.
+//
+// A commit names nothing: the transient links it adds are named when the
+// directory's name index is first built after it (linkViewLocked), which
+// is when anything first reads or takes a name there — a lookup, a
+// ReadDir, Links, a Symlink, MarkPermanent or Rename into the directory,
+// a Rename of a linked document, a save, MetadataBytes or the audit. The
+// build names them by the rule a commit once applied: the permanent links
+// keep their names, and each transient target, in target order, takes its
+// base name or the first free ~n against those and the directory's
+// physical entries (a ReadDir's own listing, else one ReadDir). A name,
+// once given, is kept: a built index is edited in place, naming each
+// later add as it comes. So an unbuilt index means unnamed transient
+// links; a load, which restores names, builds the index of them at once.
 
 // maxLinkHops bounds the links one path resolution follows, as the
 // substrates' own walks do: vfs.ErrLoop beyond it.
 const maxLinkHops = 40
 
 // linkView indexes a directory's links, transient and permanent, by name.
-// It is built from trans and perm on first use after a commit replaced
-// the transient set — at most once per commit — and edits of single links
-// keep a built one current.
+// It is built on first use, naming the transient links a commit left
+// unnamed; commits and edits of single links keep a built one current.
 type linkView struct {
 	byName  map[string]string // link name → target
 	entries []vfs.DirEntry    // the links in name order; nil until a ReadDir needs them
@@ -38,7 +51,8 @@ type linkView struct {
 // hasLinks reports whether the directory links anything.
 func (ds *dirState) hasLinks() bool { return len(ds.trans)+len(ds.perm) > 0 }
 
-// nameOf returns the link name of transient target t.
+// nameOf returns the link name of transient target t. Valid only once
+// the directory's links are named: its name index is built.
 func (ds *dirState) nameOf(t string) string {
 	if name, ok := ds.transName[t]; ok {
 		return name
@@ -63,22 +77,85 @@ func (ds *dirState) linked(t string) (LinkClass, bool) {
 	return 0, false
 }
 
-// viewIndex returns the name → target index of the links,
-// building it if a commit left it stale. Readers holding fs.mu for
-// reading may call it concurrently.
-func (ds *dirState) viewIndex() map[string]string {
+// linkViewLocked returns ds's name index, building it first if none is
+// built (viewLocked). Readers holding fs.mu for reading may call it
+// concurrently. Caller holds fs.mu.
+func (fs *FS) linkViewLocked(ds *dirState) (*linkView, error) {
 	ds.viewMu.Lock()
 	defer ds.viewMu.Unlock()
-	return ds.viewLocked().byName
+	return fs.viewLocked(ds, nil, false)
 }
 
-// viewEntries returns the links as directory entries, in name order,
-// without their ModTime: ds.changed moves without a rebuild, so
-// withViewLocked stamps it. The slice is shared: callers copy, never modify.
-func (ds *dirState) viewEntries() []vfs.DirEntry {
+// viewLocked returns ds.view, building it first if nil. An unbuilt index
+// means the transient links are unnamed: the build keeps the permanent
+// links' names and names each transient target, in target order, under
+// its base name or the first free ~n against those and the directory's
+// physical entries — listing, if listed (the caller's substrate listing
+// of the directory, read under fs.mu), else one ReadDir's. A build writes
+// ds.transName only under ds.viewMu, and before ds.view is set. Caller
+// holds fs.mu and ds.viewMu.
+func (fs *FS) viewLocked(ds *dirState, listing []vfs.DirEntry, listed bool) (*linkView, error) {
+	if ds.view != nil {
+		return ds.view, nil
+	}
+	byName := make(map[string]string, len(ds.perm)+len(ds.trans))
+	for t, name := range ds.perm {
+		byName[name] = t
+	}
+	if len(ds.trans) > 0 {
+		if !listed {
+			dirPath, ok := fs.pathOfLocked(ds.uid)
+			if !ok {
+				return nil, fmt.Errorf("%w: uid %d", ErrDanglingRef, ds.uid)
+			}
+			var err error
+			if listing, err = fs.under.ReadDir(dirPath); err != nil {
+				return nil, err
+			}
+		}
+		ds.nameTrans(byName, physicalNames(listing), ds.trans)
+	}
+	ds.view = &linkView{byName: byName}
+	return ds.view, nil
+}
+
+// indexHeldNames builds ds's name index from the names its links hold,
+// naming none: a load calls it once it restored them. Caller holds fs.mu
+// for writing.
+func (ds *dirState) indexHeldNames() {
+	byName := make(map[string]string, len(ds.perm)+len(ds.trans))
+	for t, name := range ds.perm {
+		byName[name] = t
+	}
+	for _, t := range ds.trans {
+		byName[ds.nameOf(t)] = t
+	}
+	ds.view = &linkView{byName: byName}
+}
+
+// nameLinksLocked names ds's transient links, building its name index,
+// if a commit left them unnamed; ds.transName is then complete. Caller
+// holds fs.mu.
+func (fs *FS) nameLinksLocked(ds *dirState) error {
+	if len(ds.trans) == 0 {
+		return nil
+	}
+	_, err := fs.linkViewLocked(ds)
+	return err
+}
+
+// viewEntriesLocked returns the links as directory entries, in name
+// order, without their ModTime: ds.changed moves without a rebuild, so
+// withViewLocked stamps it. listing is the directory's substrate listing,
+// read under fs.mu: a build names against it. The slice is shared:
+// callers copy, never modify. Caller holds fs.mu.
+func (fs *FS) viewEntriesLocked(ds *dirState, listing []vfs.DirEntry) ([]vfs.DirEntry, error) {
 	ds.viewMu.Lock()
 	defer ds.viewMu.Unlock()
-	v := ds.viewLocked()
+	v, err := fs.viewLocked(ds, listing, true)
+	if err != nil {
+		return nil, err
+	}
 	if v.entries == nil {
 		v.entries = make([]vfs.DirEntry, 0, len(v.byName))
 		for name, t := range v.byName {
@@ -86,40 +163,19 @@ func (ds *dirState) viewEntries() []vfs.DirEntry {
 		}
 		slices.SortFunc(v.entries, func(a, b vfs.DirEntry) int { return strings.Compare(a.Name, b.Name) })
 	}
-	return v.entries
-}
-
-// viewLocked returns ds.view, building it first if nil. Caller holds
-// ds.viewMu.
-func (ds *dirState) viewLocked() *linkView {
-	if ds.view == nil {
-		v := &linkView{byName: ds.permIndex(len(ds.trans))}
-		for _, t := range ds.trans {
-			v.byName[ds.nameOf(t)] = t
-		}
-		ds.view = v
-	}
-	return ds.view
-}
-
-// permIndex returns a new name → target index of the permanent links,
-// with room for extra more.
-func (ds *dirState) permIndex(extra int) map[string]string {
-	m := make(map[string]string, len(ds.perm)+extra)
-	for t, name := range ds.perm {
-		m[name] = t
-	}
-	return m
+	return v.entries, nil
 }
 
 // The mutators below run with fs.mu held for writing, so no reader is
-// inside viewIndex or viewEntries: a built index is edited in place.
+// inside linkViewLocked or viewEntriesLocked: a built index is edited in
+// place.
 
-// addTrans links transient target t under name.
+// addTrans links transient target t under name; "" adds it unnamed,
+// which only a directory with no name index may do (addTransLocked).
 func (ds *dirState) addTrans(t, name string) {
 	i, _ := ds.transAt(t)
 	ds.trans = slices.Insert(ds.trans, i, t)
-	if name != linkBaseName(t) {
+	if name != "" && name != linkBaseName(t) {
 		ds.setTransName(t, name)
 	}
 	if v := ds.view; v != nil {
@@ -178,20 +234,65 @@ func (ds *dirState) dropLink(t string) {
 	ds.changed = time.Now()
 }
 
-// links returns the directory's classified links, sorted by target.
-func (ds *dirState) links() []Link {
-	out := make([]Link, 0, len(ds.trans)+len(ds.perm)+len(ds.prohibited))
-	for _, target := range ds.trans {
-		out = append(out, Link{Name: ds.nameOf(target), Target: target, Class: Transient})
+// linksLocked returns the directory's classified links, sorted by
+// target, naming the transient links first if a commit left them
+// unnamed. trans is sorted already: only the few permanent and
+// prohibited targets are sorted, then merged in. Caller holds fs.mu.
+func (fs *FS) linksLocked(ds *dirState) ([]Link, error) {
+	if err := fs.nameLinksLocked(ds); err != nil {
+		return nil, err
 	}
+	other := make([]Link, 0, len(ds.perm)+len(ds.prohibited))
 	for target, name := range ds.perm {
-		out = append(out, Link{Name: name, Target: target, Class: Permanent})
+		other = append(other, Link{Name: name, Target: target, Class: Permanent})
 	}
 	for target := range ds.prohibited {
-		out = append(out, Link{Target: target, Class: Prohibited})
+		other = append(other, Link{Target: target, Class: Prohibited})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Target < out[j].Target })
-	return out
+	slices.SortFunc(other, func(a, b Link) int { return strings.Compare(a.Target, b.Target) })
+	out := make([]Link, 0, len(ds.trans)+len(other))
+	j := 0
+	for _, target := range ds.trans {
+		for ; j < len(other) && other[j].Target < target; j++ {
+			out = append(out, other[j])
+		}
+		out = append(out, Link{Name: ds.nameOf(target), Target: target, Class: Transient})
+	}
+	return append(out, other[j:]...), nil
+}
+
+// linkTargets returns the targets of the directory's links, transient
+// and permanent, sorted: trans with the few permanent targets merged in.
+// It needs no names. Caller holds fs.mu.
+func (ds *dirState) linkTargets() []string {
+	perm := make([]string, 0, len(ds.perm))
+	for t := range ds.perm {
+		perm = append(perm, t)
+	}
+	slices.Sort(perm)
+	out := make([]string, 0, len(ds.trans)+len(perm))
+	j := 0
+	for _, t := range ds.trans {
+		for ; j < len(perm) && perm[j] < t; j++ {
+			out = append(out, perm[j])
+		}
+		out = append(out, t)
+	}
+	return append(out, perm[j:]...)
+}
+
+// nameTrans names transient targets ts, in order, each under its base
+// name or the first free ~n against the names in byName and taken, and
+// enters them in byName.
+func (ds *dirState) nameTrans(byName map[string]string, taken map[string]bool, ts []string) {
+	for _, t := range ts {
+		base := linkBaseName(t)
+		name := freeName(base, byName, taken)
+		byName[name] = t
+		if name != base {
+			ds.setTransName(t, name)
+		}
+	}
 }
 
 // freeName returns base, or the first of base~2, base~3, … that is
@@ -214,31 +315,62 @@ func (fs *FS) takenNamesLocked(dirPath string) (map[string]bool, error) {
 	if err != nil {
 		return nil, err
 	}
+	return physicalNames(entries), nil
+}
+
+// physicalNames returns the names of a substrate listing.
+func physicalNames(entries []vfs.DirEntry) map[string]bool {
 	taken := make(map[string]bool, len(entries))
 	for _, e := range entries {
 		taken[e.Name] = true
 	}
-	return taken, nil
+	return taken
 }
 
-// newLinkNameLocked picks the name a new link to t in ds takes: its base
-// name, or the first free ~n. Caller holds fs.mu.
+// newLinkNameLocked picks the name a new link to t in ds takes, after
+// every name the directory's links hold: its base name, or the first
+// free ~n. Caller holds fs.mu.
 func (fs *FS) newLinkNameLocked(ds *dirState, dirPath, t string) (string, error) {
+	v, err := fs.linkViewLocked(ds)
+	if err != nil {
+		return "", err
+	}
 	taken, err := fs.takenNamesLocked(dirPath)
 	if err != nil {
 		return "", err
 	}
-	return freeName(linkBaseName(t), ds.viewIndex(), taken), nil
+	return freeName(linkBaseName(t), v.byName, taken), nil
+}
+
+// addTransLocked links transient target t: unnamed while the directory's
+// name index is unbuilt, named now, after the names it holds, otherwise.
+// Caller holds fs.mu for writing.
+func (fs *FS) addTransLocked(ds *dirState, dirPath, t string) error {
+	name := ""
+	if ds.view != nil {
+		var err error
+		if name, err = fs.newLinkNameLocked(ds, dirPath, t); err != nil {
+			return err
+		}
+	}
+	ds.addTrans(t, name)
+	return nil
 }
 
 // viewLinkLocked returns the link named name in the directory at dir, if
-// dir is a semantic directory that has one. Caller holds fs.mu.
+// dir is a semantic directory that has one. A directory whose links
+// cannot be named (its listing failed) answers that it has none, and the
+// substrate's answer stands. Caller holds fs.mu.
 func (fs *FS) viewLinkLocked(dir, name string) (*dirState, string, bool) {
 	ds, ok := fs.stateAtLocked(dir)
 	if !ok || !ds.semantic || !ds.hasLinks() {
 		return nil, "", false
 	}
-	t, ok := ds.viewIndex()[name]
+	v, err := fs.linkViewLocked(ds)
+	if err != nil {
+		return nil, "", false
+	}
+	t, ok := v.byName[name]
 	return ds, t, ok
 }
 
@@ -432,20 +564,25 @@ func (fs *FS) makePathLocked(clean string) (string, error) {
 // withViewLocked adds the links of the directory at dir to its
 // substrate listing entries; both are in name order. A path HAC has not
 // registered may still reach a semantic directory through a symlink, so
-// it is resolved first. Caller holds fs.mu.
-func (fs *FS) withViewLocked(dir string, entries []vfs.DirEntry) []vfs.DirEntry {
+// it is resolved first. entries are read under fs.mu, so a build names
+// against them. It fails only if links the directory has could not be
+// named. Caller holds fs.mu.
+func (fs *FS) withViewLocked(dir string, entries []vfs.DirEntry) ([]vfs.DirEntry, error) {
 	ds, ok := fs.stateAtLocked(dir)
 	if !ok {
 		end, err := fs.resolveLocked(dir, true)
 		if err != nil {
-			return entries
+			return entries, nil
 		}
 		ds, ok = fs.stateAtLocked(end.path)
 	}
 	if !ok || !ds.semantic || !ds.hasLinks() {
-		return entries
+		return entries, nil
 	}
-	view := ds.viewEntries()
+	view, err := fs.viewEntriesLocked(ds, entries)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]vfs.DirEntry, 0, len(entries)+len(view))
 	i, j := 0, 0
 	for i < len(entries) || j < len(view) {
@@ -458,5 +595,5 @@ func (fs *FS) withViewLocked(dir string, entries []vfs.DirEntry) []vfs.DirEntry 
 			i++
 		}
 	}
-	return out
+	return out, nil
 }

@@ -1,7 +1,10 @@
 package index
 
 import (
+	"bytes"
 	"encoding/binary"
+	"slices"
+	"strings"
 
 	"hacfs/internal/bitset"
 )
@@ -32,19 +35,121 @@ import (
 // tombstones wait for the merge as before. A reindex pass never writes
 // the active segment: it installs a sealed one of its own (SyncTree).
 
-// eachPackedTerm visits the uvarint-length-prefixed terms of a slotTerms
-// entry until fn returns false. The visited strings alias packed.
-func eachPackedTerm(packed string, fn func(term string) bool) {
-	for len(packed) > 0 {
-		n, w := binary.Uvarint([]byte(packed[:min(len(packed), binary.MaxVarintLen32)]))
-		if w <= 0 || int(n) > len(packed)-w {
-			return
-		}
-		if !fn(packed[w : w+int(n)]) {
-			return
-		}
-		packed = packed[w+int(n):]
+// A slotTerms entry is a packed term list: the slot's distinct terms in
+// ascending order, each prefixed with its uvarint length, in one string.
+
+// nextPackedTerm splits the first term off a packed term list; ok is
+// false at its end. The term aliases packed.
+func nextPackedTerm(packed string) (term, rest string, ok bool) {
+	n, w := binary.Uvarint([]byte(packed[:min(len(packed), binary.MaxVarintLen32)]))
+	if w <= 0 || int(n) > len(packed)-w {
+		return "", "", false
 	}
+	return packed[w : w+int(n)], packed[w+int(n):], true
+}
+
+// eachPackedTerm visits the terms of a packed term list until fn returns
+// false. The visited strings alias packed.
+func eachPackedTerm(packed string, fn func(term string) bool) {
+	for term, rest, ok := nextPackedTerm(packed); ok && fn(term); term, rest, ok = nextPackedTerm(rest) {
+	}
+}
+
+// termList gathers one document's terms into one buffer and packs them
+// (packTerms): sorted and deduplicated in place, so a repeated term costs
+// neither an allocation nor a map probe, and the packed list is the one
+// allocation a document's terms make. Repeats are dropped whenever the
+// spans double past the distinct terms last counted, so the buffers grow
+// with a document's distinct terms, not with its length.
+type termList struct {
+	buf   []byte     // the terms, back to back: distinct up to the last dedupe, any after
+	spare []byte     // the next buf, for dedupe
+	spans []termSpan // where each term lies in buf
+	out   []byte
+	limit int               // dedupe when spans reach it
+	emit  func(term []byte) // addTerm on this list, bound once
+}
+
+type termSpan struct{ off, end uint32 }
+
+// maxKeptTermBuf caps the buffers an Index keeps for the next document:
+// one huge document must not pin their size for the index's lifetime.
+const maxKeptTermBuf = 1 << 20
+
+// minDedupe is the fewest spans a termList dedupes before the pack: a
+// short document is sorted once. A new termList has room for that many
+// spans of about 8 bytes, so a short document grows no buffer.
+const minDedupe = 1024
+
+func addTerm[T string | []byte](l *termList, term T) {
+	off := len(l.buf)
+	l.buf = append(l.buf, term...)
+	l.spans = append(l.spans, termSpan{uint32(off), uint32(len(l.buf))})
+	if len(l.spans) >= l.limit {
+		l.dedupe()
+		l.limit = max(2*len(l.spans), minDedupe)
+	}
+}
+
+// dedupe sorts the spans and drops the repeats, copying the distinct
+// terms, in order, into the spare buffer, which becomes buf.
+func (l *termList) dedupe() {
+	buf := l.buf
+	slices.SortFunc(l.spans, func(a, b termSpan) int {
+		return bytes.Compare(buf[a.off:a.end], buf[b.off:b.end])
+	})
+	next, spans := l.spare[:0], l.spans[:0]
+	var prev []byte
+	for i, sp := range l.spans {
+		term := buf[sp.off:sp.end]
+		if i > 0 && bytes.Equal(term, prev) {
+			continue
+		}
+		next = append(next, term...)
+		spans = append(spans, termSpan{uint32(len(next) - len(term)), uint32(len(next))})
+		prev = term
+	}
+	l.buf, l.spare, l.spans = next, buf[:0], spans
+}
+
+// pack returns the distinct terms added since the last pack as a packed
+// term list, and empties l.
+func (l *termList) pack() string {
+	l.dedupe()
+	out := slices.Grow(l.out[:0], len(l.buf)+len(l.spans))
+	for _, sp := range l.spans {
+		term := l.buf[sp.off:sp.end]
+		out = binary.AppendUvarint(out, uint64(len(term)))
+		out = append(out, term...)
+	}
+	packed := string(out)
+	l.buf, l.spans, l.out, l.limit = l.buf[:0], l.spans[:0], out[:0], minDedupe
+	return packed
+}
+
+// packTerms tokenizes content, adds the transducers' terms and returns
+// the document's packed term list. It reuses the index's kept termList,
+// or makes one if a concurrent Add holds it; no lock is taken.
+func (ix *Index) packTerms(path string, content []byte) string {
+	l := ix.terms.Swap(nil)
+	if l == nil {
+		l = &termList{
+			buf:   make([]byte, 0, 8*minDedupe),
+			spare: make([]byte, 0, 8*minDedupe),
+			spans: make([]termSpan, 0, minDedupe),
+			limit: minDedupe,
+		}
+		l.emit = func(term []byte) { addTerm(l, term) }
+	}
+	ix.tok(content, l.emit)
+	for _, t := range ix.applyTransducers(path, content) {
+		addTerm(l, t)
+	}
+	packed := l.pack()
+	if cap(l.buf)+cap(l.spare)+cap(l.out)+8*cap(l.spans) <= maxKeptTermBuf {
+		ix.terms.Store(l)
+	}
+	return packed
 }
 
 // addPosting adds local to term's posting. Caller holds ix.mu for
@@ -72,26 +177,34 @@ func (s *segment) addTerm(term []byte, local uint32) {
 	s.postings[string(term)] = c
 }
 
-// addSlotTerms adds local to the posting of every term and returns the
-// packed term list for slotTerms: one allocation, so the prepared
-// document's per-token strings can be collected. Caller holds ix.mu for
-// writing; s is the active segment.
-func (s *segment) addSlotTerms(local uint32, terms map[string]struct{}) string {
-	var packed []byte
-	for term := range terms {
-		s.addPosting(term, local)
-		packed = binary.AppendUvarint(packed, uint64(len(term)))
-		packed = append(packed, term...)
-	}
-	return string(packed)
+// addSlotTerms adds local to the posting of every term of the packed
+// list terms, which becomes the slot's slotTerms entry. A term new to the
+// segment is copied into its key, which must not keep the whole list
+// alive. Caller holds ix.mu for writing; s is the active segment.
+func (s *segment) addSlotTerms(local uint32, terms string) string {
+	eachPackedTerm(terms, func(term string) bool {
+		c, ok := s.postings[term]
+		if !ok {
+			c = bitset.NewContainer()
+			s.postings[strings.Clone(term)] = c
+		}
+		c.Add(local)
+		return true
+	})
+	return terms
 }
 
-// clearSlotTerms removes local from the posting of every term in
-// its packed list except those in keep, dropping postings that become
-// empty. Caller holds ix.mu for writing; s is the active segment.
-func (s *segment) clearSlotTerms(local uint32, keep map[string]struct{}) {
+// clearSlotTerms removes local from the posting of every term in its
+// packed list except those in the packed list keep, dropping postings
+// that become empty: both lists are sorted, so one merge walk tells them
+// apart. Caller holds ix.mu for writing; s is the active segment.
+func (s *segment) clearSlotTerms(local uint32, keep string) {
+	k, rest, more := nextPackedTerm(keep)
 	eachPackedTerm(s.slotTerms[local], func(term string) bool {
-		if _, ok := keep[term]; ok {
+		for more && k < term {
+			k, rest, more = nextPackedTerm(rest)
+		}
+		if more && k == term {
 			return true
 		}
 		if c, ok := s.postings[term]; ok {
@@ -124,7 +237,7 @@ func (ix *Index) replaceLocked(local uint32, d preparedDoc) DocID {
 // Caller holds ix.mu for writing.
 func (ix *Index) reclaimLocked(local uint32) {
 	s := ix.active
-	s.clearSlotTerms(local, nil)
+	s.clearSlotTerms(local, "")
 	s.slotTerms[local] = ""
 	e := &s.docs[local]
 	s.dirsRemove(e.path, local)

@@ -81,6 +81,18 @@ type segment struct {
 	slotTerms []string // packed terms of each slot (active.go); active only, nil once sealed
 	order     []uint32 // slots in path order (order.go); sealed only
 	dict      termDict // lazy sorted/length-bucketed vocabulary (dict.go); sealed only
+	// retired is set when a merge folds the segment: where its documents
+	// went, for the snapshots still pinning it (Snapshot.liveLocked).
+	retired *retirement
+}
+
+// retirement records where a merge moved a retired segment's documents:
+// the merged segment, and each local slot's merged slot (noLocal for a
+// slot dead at the merge's plan). Only a snapshot pinned before the merge
+// reaches it, so it lives no longer than such a snapshot.
+type retirement struct {
+	to    *segment
+	slots []uint32
 }
 
 func newSegment(id uint32) *segment {
@@ -142,6 +154,7 @@ type Index struct {
 
 	sealThreshold int
 	tok           Tokenizer
+	terms         atomic.Pointer[termList] // a per-document term buffer kept for the next Add (active.go)
 	// transducers, keyed by lowercase file extension ("" = all files),
 	// add attribute terms alongside the tokenizer's words.
 	transducers map[string][]Transducer
@@ -253,17 +266,13 @@ type preparedDoc struct {
 	path    string
 	modTime time.Time
 	size    int
-	terms   map[string]struct{}
+	terms   string // packed, sorted and distinct (active.go)
 }
 
 // prepareDoc tokenizes content and runs the transducers. It does not
 // take the write lock.
 func (ix *Index) prepareDoc(path string, content []byte, modTime time.Time) preparedDoc {
-	terms := ix.termSet(content)
-	for _, t := range ix.applyTransducers(path, content) {
-		terms[t] = struct{}{}
-	}
-	return preparedDoc{path: path, modTime: modTime, size: len(content), terms: terms}
+	return preparedDoc{path: path, modTime: modTime, size: len(content), terms: ix.packTerms(path, content)}
 }
 
 // commitDoc merges one prepared document under the write lock. Commit
@@ -297,18 +306,6 @@ func (ix *Index) commitDocLocked(d preparedDoc) DocID {
 		ix.sealActiveLocked()
 	}
 	return id
-}
-
-// termSet tokenizes content into a set of unique terms. A repeated
-// term is a map probe: only a term's first occurrence allocates.
-func (ix *Index) termSet(content []byte) map[string]struct{} {
-	set := make(map[string]struct{})
-	ix.tok(content, func(term []byte) {
-		if _, ok := set[string(term)]; !ok {
-			set[string(term)] = struct{}{}
-		}
-	})
-	return set
 }
 
 // resolveLocked returns id's resident segment and local slot; the ID of

@@ -19,8 +19,9 @@ import (
 // (documents tombstoned or renamed after the plan was taken), repoint
 // byPath at the moved documents, swap the segment set and bump the
 // epoch. The victims' DocIDs retire with them: a snapshot pinned before
-// the commit still reads the victims it holds, and finds a moved
-// document's pinned slot by its path (Snapshot.IDOf).
+// the commit still reads the victims it holds, follows each victim slot
+// to the slot it moved to for its liveness (segment.retired), and finds
+// a moved document's pinned slot by its path (Snapshot.IDOf).
 //
 // Merge policy: MaybeMerge fires when the sealed-segment count exceeds
 // mergeMaxSealed or when dead slots exceed mergeDeadNum/mergeDeadDen of
@@ -200,6 +201,7 @@ func (ix *Index) mergeSealedLocked() {
 	for i, v := range victims {
 		victimSet[v.s.id] = true
 		delete(ix.bySeg, v.s.id)
+		v.s.retired = &retirement{to: merged, slots: remap[i]}
 		for l := range v.s.docs {
 			nl := remap[i][l]
 			if nl == noLocal {

@@ -14,9 +14,14 @@ import (
 // pinned segments, which a merge retires but never mutates.
 //
 // Liveness is read at call time, not pin time: a document deleted after
-// the pin stops matching. What the snapshot freezes is the segment set
+// the pin stops matching, also when a merge since the pin moved it out of
+// the pinned segment — a retired slot is as live as the slot the merge
+// moved it to (liveLocked). What the snapshot freezes is the segment set
 // — the ID space — not the tombstone state, which is exactly what a
-// consistent set intersection needs.
+// consistent set intersection needs. Paths are read at call time only in
+// segments still resident: a retired segment keeps the paths it had at
+// the merge, so a document renamed after a merge that moved it reads
+// under its old path in a snapshot pinned before that merge.
 type Snapshot struct {
 	ix        *Index
 	epoch     uint64
@@ -63,16 +68,52 @@ func (sn *Snapshot) segLen(s *segment) int {
 	return len(s.docs)
 }
 
+// liveLocked reports whether local slot l of pinned segment s holds a
+// live document now. A retired segment's tombstones stopped at its
+// merge: its slot is as live as the one the merge moved it to, however
+// many merges ago. Small enough to inline into the per-slot loops of a
+// resident segment. Caller holds ix.mu.
+func liveLocked(s *segment, l uint32) bool {
+	if s.retired == nil {
+		return s.docs[l].alive
+	}
+	return retiredLiveLocked(s, l)
+}
+
+// retiredLiveLocked is liveLocked for a retired segment s.
+func retiredLiveLocked(s *segment, l uint32) bool {
+	for s.retired != nil && s.docs[l].alive {
+		r := s.retired
+		if l = r.slots[l]; l == noLocal {
+			return false
+		}
+		s = r.to
+	}
+	return s.docs[l].alive
+}
+
 // put installs c — a fresh container of s's local slots, owned by the
-// caller — as s's part of out, after dropping the tombstoned slots and
-// (only the active segment can have grown since) those committed after
-// the pin. Caller holds ix.mu.
+// caller — as s's part of out, after dropping the tombstoned slots
+// (liveLocked's for a retired s) and (only the active segment can have
+// grown since) those committed after the pin. Caller holds ix.mu.
 func (sn *Snapshot) put(out *bitset.Segmented, s *segment, c *bitset.Container) {
 	if c == nil {
 		return
 	}
 	if s.deadCount > 0 {
 		c.AndNot(s.dead)
+	}
+	if s.retired != nil {
+		var gone []uint32
+		c.Range(func(l uint32) bool {
+			if !liveLocked(s, l) {
+				gone = append(gone, l)
+			}
+			return true
+		})
+		for _, l := range gone {
+			c.Remove(l)
+		}
 	}
 	if s.id == sn.activeID {
 		c.Trim(sn.activeLen)
@@ -137,7 +178,7 @@ func (sn *Snapshot) AllDocs() *bitset.Segmented {
 	sn.ix.mu.RLock()
 	defer sn.ix.mu.RUnlock()
 	for _, s := range sn.segs {
-		out.PutSegContainer(s.id, s.aliveLocal(sn.segLen(s)))
+		sn.put(out, s, bitset.FullContainer(sn.segLen(s)))
 	}
 	return out
 }
@@ -297,14 +338,14 @@ func (sn *Snapshot) Paths(res *bitset.Segmented) []string {
 			lim := uint32(sn.segLen(s))
 			words = c.Words(words)
 			for _, l := range s.order {
-				if w := int(l / 64); l < lim && w < len(words) && words[w]&(1<<(l%64)) != 0 && s.docs[l].alive {
+				if w := int(l / 64); l < lim && w < len(words) && words[w]&(1<<(l%64)) != 0 && liveLocked(s, l) {
 					buf = append(buf, s.docs[l].path)
 				}
 			}
 		default:
 			lim := sn.segLen(s)
 			c.Range(func(l uint32) bool {
-				if int(l) < lim && s.docs[l].alive {
+				if int(l) < lim && liveLocked(s, l) {
 					buf = append(buf, s.docs[l].path)
 				}
 				return true
@@ -339,7 +380,7 @@ func (sn *Snapshot) AppendPathsOf(dst []string, ids []DocID) []string {
 	for _, id := range ids {
 		seg, local := splitID(id)
 		if s, ok := sn.bySeg[seg]; ok {
-			if int(local) < sn.segLen(s) && s.docs[local].alive {
+			if int(local) < sn.segLen(s) && liveLocked(s, local) {
 				dst = append(dst, s.docs[local].path)
 			}
 			continue
@@ -358,7 +399,7 @@ func (sn *Snapshot) PathOf(id DocID) (string, bool) {
 	defer sn.ix.mu.RUnlock()
 	seg, local := splitID(id)
 	if s, ok := sn.bySeg[seg]; ok {
-		if int(local) < sn.segLen(s) && s.docs[local].alive {
+		if int(local) < sn.segLen(s) && liveLocked(s, local) {
 			return s.docs[local].path, true
 		}
 		return "", false
@@ -413,7 +454,7 @@ func (sn *Snapshot) idOfLocked(path string) (DocID, bool) {
 func (sn *Snapshot) liveSlotLocked(s *segment, path string) (uint32, bool) {
 	n := sn.segLen(s)
 	for i := s.orderPos(path, 0); i < len(s.order) && s.docs[s.order[i]].path == path; i++ {
-		if l := s.order[i]; int(l) < n && s.docs[l].alive {
+		if l := s.order[i]; int(l) < n && liveLocked(s, l) {
 			return l, true
 		}
 	}

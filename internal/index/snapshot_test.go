@@ -147,3 +147,47 @@ func TestSnapshotIDOfAfterTwoMerges(t *testing.T) {
 		t.Fatal("snapshot resolved a document removed after the merges")
 	}
 }
+
+// TestSnapshotLivenessAfterMerge: liveness is read at call time in a
+// segment a merge retired too. A snapshot pinned before a merge stops
+// matching a document removed after it — through every read, a second
+// merge in between included — and a rewritten one no longer matches
+// under its pinned version's terms.
+func TestSnapshotLivenessAfterMerge(t *testing.T) {
+	ix := New()
+	ix.SetSealThreshold(2)
+	for _, p := range []string{"/a", "/b", "/c"} {
+		ix.Add(p, []byte("apple"))
+	}
+	snap := ix.Snapshot()
+	var ids []DocID
+	for _, id := range snap.Lookup("apple").Slice() {
+		ids = append(ids, DocID(id))
+	}
+	ix.ForceMerge()
+	ix.Remove("/b")
+
+	paths := func(label string, got []string, want ...string) {
+		t.Helper()
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s = %v, want %v", label, got, want)
+		}
+	}
+	paths(`Lookup("apple")`, snap.Paths(snap.Lookup("apple")), "/a", "/c")
+	paths("AllDocs", snap.Paths(snap.AllDocs()), "/a", "/c")
+	paths("DocsUnder(/)", snap.Paths(snap.DocsUnder("/")), "/a", "/c")
+	paths(`LookupPrefix("app")`, snap.Paths(snap.LookupPrefix("app")), "/a", "/c")
+	paths("PathsOf", snap.PathsOf(ids), "/a", "/c")
+	if _, ok := snap.IDOf("/b"); ok {
+		t.Fatal("IDOf(/b) resolves after its removal")
+	}
+
+	// Another merge, then a rewrite: the pinned slot follows two hops.
+	ix.Add("/d", []byte("pear"))
+	ix.ForceMerge()
+	ix.Add("/c", []byte("pear"))
+	paths(`Lookup("apple") after a second merge and a rewrite`, snap.Paths(snap.Lookup("apple")), "/a")
+	if _, ok := snap.IDOf("/c"); ok {
+		t.Fatal("IDOf(/c) resolves to its pinned version after a rewrite")
+	}
+}
