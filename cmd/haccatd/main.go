@@ -1,11 +1,14 @@
-// Command haccatd runs the central catalog server of §3.2: users
-// publish the names, queries and query-results of their semantic
-// directories here, search the collection, and find users with similar
-// classifications.
+// Command haccatd runs the central catalog of §3.2: users publish the
+// names, queries and query-results of their semantic directories here,
+// search the collection, and find users with similar classifications.
+// The catalog is a HAC volume with auto-sync on "/" (catalog.New),
+// served over the remote file-system protocol like any hacvold volume:
+// a published entry is searchable once its write returns. Clients dial
+// it with remotefs.DialMux (hacsh spublish, scatalog, ssimilar).
 //
 // Usage:
 //
-//	haccatd [-addr host:port]
+//	haccatd [-addr host:port] [-debug-addr host:port]
 package main
 
 import (
@@ -16,6 +19,7 @@ import (
 
 	"hacfs/internal/catalog"
 	"hacfs/internal/obs"
+	"hacfs/internal/remotefs"
 )
 
 var (
@@ -40,7 +44,7 @@ func main() {
 		logger.Fatalf("listen: %v", err)
 	}
 	logger.Printf("catalog serving on %s", *addr)
-	if err := catalog.NewServer(catalog.New(), logger).Serve(l); err != nil {
+	if err := remotefs.NewServer(catalog.New(), logger).Serve(l); err != nil {
 		logger.Fatalf("serve: %v", err)
 	}
 }

@@ -111,7 +111,7 @@ func dial(i int, tenantList []string) (searchPage, io.Closer) {
 		view = c.Tenant(tenantList[i%len(tenantList)])
 	}
 	return func(ctx context.Context, scope string, after uint64) (uint64, error) {
-		_, next, err := view.SearchPage(ctx, query, scope, after, pageSize)
+		_, next, err := view.SearchPageContext(ctx, query, scope, after, pageSize)
 		return next, err
 	}, c
 }

@@ -32,7 +32,7 @@ func traceRemote(addr string, tenants []string, debugURL string) error {
 
 	sp, ctx := o.Tracer().StartCtx(context.Background(), "hacload.trace")
 	sp.Annotate("query", query)
-	paths, _, err := view.SearchPage(ctx, query, "/", 0, 16)
+	paths, _, err := view.SearchPageContext(ctx, query, "/", 0, 16)
 	sp.FinishErr(err)
 	if err != nil {
 		return fmt.Errorf("traced search: %w", err)

@@ -58,15 +58,18 @@ func main() {
 	must("bob semdir", bob.SemDir("/biometrics", "fingerprint OR gait"))
 
 	// --- The central catalog (§3.2). ------------------------------------
+	// The catalog is itself a HAC volume; cmd/haccatd serves one.
 	cat := catalog.New()
-	nA, err := cat.Publish("alice", alice)
+	nA, err := catalog.Publish(cat, "alice", alice)
 	must("publish alice", err)
-	nB, err := cat.Publish("bob", bob)
+	nB, err := catalog.Publish(cat, "bob", bob)
 	must("publish bob", err)
+	all, err := catalog.Entries(cat)
+	must("catalog entries", err)
 	fmt.Printf("\ncatalog holds %d entries (%d from alice, %d from bob)\n",
-		cat.Len(), nA, nB)
+		len(all), nA, nB)
 
-	hits, err := cat.Search("fingerprint")
+	hits, err := catalog.Search(cat, "fingerprint")
 	must("catalog search", err)
 	fmt.Println("catalog search 'fingerprint':")
 	for _, h := range hits {
@@ -77,7 +80,7 @@ func main() {
 	// Who classifies like Alice? (Different volumes hold different
 	// files, so this demo's overlap is in naming; with shared storage
 	// the overlap is in the files themselves.)
-	matches, err := cat.SimilarTo("alice", "/fingerprint")
+	matches, err := catalog.SimilarTo(cat, "alice", "/fingerprint")
 	must("catalog similar", err)
 	if len(matches) == 0 {
 		fmt.Println("\nno users with overlapping classifications (volumes are disjoint)")

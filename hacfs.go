@@ -54,7 +54,6 @@ import (
 	"log"
 	"net"
 
-	"hacfs/internal/catalog"
 	"hacfs/internal/hac"
 	"hacfs/internal/index"
 	"hacfs/internal/obs"
@@ -320,33 +319,11 @@ func DialFS(addr string) *remotefs.MuxClient {
 
 // ServeFS exports a file system — typically a live HAC volume — on
 // addr over the remote file-system protocol, blocking until the
-// listener fails. It is the library form of cmd/hacvold.
+// listener fails. It is the library form of cmd/hacvold, and of
+// cmd/haccatd when the volume auto-syncs "/": the §3.2 catalog is such
+// a volume, and DialFS reaches it.
 func ServeFS(fsys FileSystem, addr string, logger *log.Logger) error {
 	return remotefs.NewServer(fsys, logger).ListenAndServe(addr)
-}
-
-// CatalogEntry is one published semantic directory in a catalog.
-type CatalogEntry = catalog.Entry
-
-// Catalog is the §3.2 central database of published semantic
-// directories.
-type Catalog = catalog.Catalog
-
-// NewCatalog returns an empty catalog; serve it with ServeCatalog or
-// use it in-process.
-func NewCatalog() *Catalog { return catalog.New() }
-
-// DialCatalog connects to a catalog server (cmd/haccatd).
-func DialCatalog(addr string) *catalog.Client { return catalog.Dial(addr) }
-
-// ServeCatalog exposes a catalog on addr, blocking until the listener
-// fails. It is the library form of cmd/haccatd.
-func ServeCatalog(cat *Catalog, addr string, logger *log.Logger) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return catalog.NewServer(cat, logger).Serve(l)
 }
 
 // Observer bundles a metrics Registry and a span Tracer — the sink

@@ -197,7 +197,7 @@ func TestFullStack(t *testing.T) {
 	audit(coworker, "phase 6")
 
 	// --- Phase 7: the central catalog. -----------------------------------
-	catSrv := catalog.NewServer(catalog.New(), nil)
+	catSrv := remotefs.NewServer(catalog.New(), nil)
 	catL, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -205,13 +205,13 @@ func TestFullStack(t *testing.T) {
 	go catSrv.Serve(catL)
 	defer catSrv.Close()
 
-	cc := catalog.Dial(catL.Addr().String())
+	cc := remotefs.DialMux(catL.Addr().String())
 	defer cc.Close()
-	n, err := cc.Publish("owner", fs)
+	n, err := catalog.Publish(cc, "owner", fs)
 	if err != nil || n < 4 {
 		t.Fatalf("Publish = %d, %v", n, err)
 	}
-	hits, err := cc.Search("markermany")
+	hits, err := catalog.Search(cc, "markermany")
 	if err != nil || len(hits) == 0 {
 		t.Fatalf("catalog search = %v, %v", hits, err)
 	}
@@ -237,17 +237,17 @@ func TestManyVolumesScale(t *testing.T) {
 		if err := fs.SemDir("/sel", "shared"); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := cat.Publish(fmt.Sprintf("user%02d", i), fs); err != nil {
+		if _, err := catalog.Publish(cat, fmt.Sprintf("user%02d", i), fs); err != nil {
 			t.Fatal(err)
 		}
 		if problems := fs.CheckConsistency(); len(problems) != 0 {
 			t.Fatalf("volume %d inconsistent: %v", i, problems)
 		}
 	}
-	if cat.Len() != 20 {
-		t.Fatalf("catalog entries = %d", cat.Len())
+	if entries, err := catalog.Entries(cat); err != nil || len(entries) != 20 {
+		t.Fatalf("catalog entries = %d, %v", len(entries), err)
 	}
-	hits, err := cat.Search("shared")
+	hits, err := catalog.Search(cat, "shared")
 	if err != nil || len(hits) != 20 {
 		t.Fatalf("hits = %d, %v", len(hits), err)
 	}

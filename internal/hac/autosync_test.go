@@ -206,20 +206,32 @@ func TestAutoSyncReportsConsistencyError(t *testing.T) {
 	}
 }
 
-// openHookFS runs hook once, as path is first opened for reading.
+// openHookFS runs hook once, as path is first read: opened for reading,
+// or read whole (a reindex pass reads the substrate with ReadFile).
 type openHookFS struct {
 	vfs.FileSystem
 	path string
 	hook func()
 }
 
-func (f *openHookFS) OpenFile(path string, flag int) (vfs.File, error) {
-	if path == f.path && flag == vfs.ORead && f.hook != nil {
+func (f *openHookFS) fire(path string) {
+	if path == f.path && f.hook != nil {
 		hook := f.hook
 		f.hook = nil
 		hook()
 	}
+}
+
+func (f *openHookFS) OpenFile(path string, flag int) (vfs.File, error) {
+	if flag == vfs.ORead {
+		f.fire(path)
+	}
 	return f.FileSystem.OpenFile(path, flag)
+}
+
+func (f *openHookFS) ReadFile(path string) ([]byte, error) {
+	f.fire(path)
+	return f.FileSystem.ReadFile(path)
 }
 
 // TestReindexKeepsAutoSyncedChanges: an auto-synced write or remove that

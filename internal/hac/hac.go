@@ -194,8 +194,8 @@ func New(under vfs.FileSystem, opts Options) *FS {
 }
 
 // newFS builds the HAC layer. preIx, when non-nil, is a preloaded index
-// (LoadVolume's index section) that arrives with its transducers and
-// tokenizer already attached via load options; nil means a fresh empty
+// (LoadVolume's index section) that arrives with its transducers
+// already attached via load options; nil means a fresh empty
 // index, onto which Options.Transducers are registered here.
 func newFS(under vfs.FileSystem, opts Options, preIx *index.Index) *FS {
 	if opts.Observer == nil {

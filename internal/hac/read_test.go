@@ -124,6 +124,13 @@ func TestReindexSubstrateCalls(t *testing.T) {
 	if _, err := fs.Reindex("/"); err != nil {
 		t.Fatal(err)
 	}
+	// A semantic directory linking every file: the pass lists its
+	// substrate directory, which holds nothing, and leaves its links
+	// unnamed.
+	if err := fs.SemDir("/sem", "apple"); err != nil {
+		t.Fatal(err)
+	}
+	dirs++
 
 	before := fault.Stats()
 	if rep, err := fs.Reindex("/"); err != nil || rep != (IndexReport{}) {
@@ -132,6 +139,15 @@ func TestReindexSubstrateCalls(t *testing.T) {
 	want := map[string]uint64{"readdir": uint64(dirs), "lstat": 1}
 	if got := opDelta(fault, before); !reflect.DeepEqual(got, want) {
 		t.Errorf("reindex of an unchanged tree of %d directories made %v substrate calls, want %v", dirs, got, want)
+	}
+	fs.mu.RLock()
+	ds, ok := fs.stateAtLocked("/sem")
+	fs.mu.RUnlock()
+	if !ok {
+		t.Fatal("/sem is not registered")
+	}
+	if len(ds.trans) != 8*5 || ds.view != nil {
+		t.Errorf("after the pass /sem holds %d links, name index built: %v; want 40 links and no name index", len(ds.trans), ds.view != nil)
 	}
 
 	clock = clock.Add(time.Minute)
@@ -146,7 +162,7 @@ func TestReindexSubstrateCalls(t *testing.T) {
 		t.Fatalf("%d edits: Reindex = %+v, %v", len(edited), rep, err)
 	}
 	k := uint64(len(edited))
-	want = map[string]uint64{"readdir": uint64(dirs), "lstat": 1, "open": k, "fread": k}
+	want = map[string]uint64{"readdir": uint64(dirs), "lstat": 1, "read": k}
 	if got := opDelta(fault, before); !reflect.DeepEqual(got, want) {
 		t.Errorf("reindex after %d edits made %v substrate calls, want %v", k, got, want)
 	}

@@ -371,9 +371,10 @@ type IndexReport struct {
 // serve as a scope or query reference), the CBA mechanism incrementally
 // re-indexes the files, and every semantic directory is re-evaluated
 // ("at reindexing time, all scope and data inconsistencies are
-// settled"). The file walk goes through the HAC layer itself, as in
-// the paper's Table 3 setup, and builds one sealed index segment whose
-// document IDs follow walk order.
+// settled"). The file walk reads the substrate, not the HAC layer: the
+// links a semantic directory holds are a view with nothing to index, so
+// a pass neither lists nor names them. It builds one sealed index
+// segment whose document IDs follow walk order.
 func (fs *FS) Reindex(root string, opts ...Option) (IndexReport, error) {
 	cfg := fs.evalCfg(opts)
 	reindexStart := time.Now()
@@ -386,7 +387,7 @@ func (fs *FS) Reindex(root string, opts ...Option) (IndexReport, error) {
 	// The index's walk registers each directory as it reaches it — the
 	// paper's per-directory structures and global-map entries are part of
 	// HAC's indexing cost — so the tree is walked once.
-	added, updated, removed, err := fs.ix.SyncTree(fs, root, func(dir string) {
+	added, updated, removed, err := fs.ix.SyncTree(fs.under, root, func(dir string) {
 		fs.mu.Lock()
 		fs.registerDirLocked(dir)
 		fs.mu.Unlock()

@@ -141,7 +141,7 @@ func (ix *Index) packTerms(path string, content []byte) string {
 		}
 		l.emit = func(term []byte) { addTerm(l, term) }
 	}
-	ix.tok(content, l.emit)
+	ScanTerms(content, l.emit)
 	for _, t := range ix.applyTransducers(path, content) {
 		addTerm(l, t)
 	}

@@ -48,10 +48,10 @@ func makeID(seg, local uint32) DocID { return DocID(seg)<<32 | DocID(local) }
 
 func splitID(id DocID) (seg, local uint32) { return uint32(id >> 32), uint32(id) }
 
-// ErrNotEmpty is returned (wrapped in a *vfs.PathError) by SetTokenizer
-// and RegisterTransducer once documents have been indexed: both change
-// how content maps to terms, so calling them late would leave the
-// already-indexed documents silently missing terms.
+// ErrNotEmpty is returned (wrapped in a *vfs.PathError) by
+// RegisterTransducer once documents have been indexed: a transducer
+// changes how content maps to terms, so registering one late would
+// leave the already-indexed documents silently missing terms.
 var ErrNotEmpty = errors.New("index: documents already indexed")
 
 type docEntry struct {
@@ -153,7 +153,6 @@ type Index struct {
 	totalSlots int // live + dead slots across resident segments
 
 	sealThreshold int
-	tok           Tokenizer
 	terms         atomic.Pointer[termList] // a per-document term buffer kept for the next Add (active.go)
 	// transducers, keyed by lowercase file extension ("" = all files),
 	// add attribute terms alongside the tokenizer's words.
@@ -170,20 +169,12 @@ type Index struct {
 	save   segmentScratch
 }
 
-// Tokenizer scans document content and calls emit with each term, in
-// content order. The default is ScanTerms. emit must not keep the term
-// slice past the call, so a tokenizer may reuse one buffer for every
-// term it emits; the index copies a term only when a segment first
-// meets it.
-type Tokenizer func(content []byte, emit func(term []byte))
-
-// New returns an empty index using the default tokenizer.
+// New returns an empty index.
 func New() *Index {
 	ix := &Index{
 		bySeg:         make(map[uint32]*segment),
 		byPath:        make(map[string]DocID),
 		sealThreshold: DefaultSealThreshold,
-		tok:           ScanTerms,
 	}
 	ix.newActiveLocked()
 	return ix
@@ -230,21 +221,6 @@ func (ix *Index) SetSealThreshold(n int) {
 	ix.mu.Lock()
 	ix.sealThreshold = n
 	ix.mu.Unlock()
-}
-
-// SetTokenizer replaces the tokenizer (see Tokenizer for what it may
-// assume of emit). It must be called before any documents are added;
-// once the store is non-empty it fails with a *vfs.PathError wrapping
-// ErrNotEmpty, because documents indexed with the old tokenizer would
-// silently keep its terms.
-func (ix *Index) SetTokenizer(t Tokenizer) error {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if ix.totalSlots > 0 {
-		return &vfs.PathError{Op: "settokenizer", Path: "index", Err: ErrNotEmpty}
-	}
-	ix.tok = t
-	return nil
 }
 
 // Add indexes content under path, replacing any previous document at
@@ -593,7 +569,7 @@ func (ix *Index) SyncTree(fsys vfs.FileSystem, root string, onDir func(dir strin
 		local = uint32(len(seg.docs))
 		seg.docs = append(seg.docs, docEntry{path: p, modTime: info.ModTime, size: len(content), alive: true})
 		seg.dirsAdd(p, local)
-		ix.tok(content, emit)
+		ScanTerms(content, emit)
 		for _, t := range ix.applyTransducers(p, content) {
 			seg.addPosting(t, local)
 		}

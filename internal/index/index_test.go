@@ -481,47 +481,26 @@ func TestAllDocs(t *testing.T) {
 	}
 }
 
-func TestCustomTokenizer(t *testing.T) {
-	ix := New()
-	if err := ix.SetTokenizer(func(content []byte, emit func([]byte)) { emit([]byte("constant")) }); err != nil {
-		t.Fatal(err)
-	}
-	ix.Add("/a", []byte("whatever"))
-	if !ix.Snapshot().Lookup("constant").Any() {
-		t.Fatal("custom tokenizer not used")
-	}
-	if ix.Snapshot().Lookup("whatever").Any() {
-		t.Fatal("default tokenizer still in effect")
-	}
-}
-
 // Changing how content maps to terms is only allowed on an empty store:
-// both calls fail with a typed *vfs.PathError wrapping ErrNotEmpty once
-// a document has been indexed — even a tombstoned one, since its slots
-// still hold old-tokenizer terms.
-func TestTokenizerAndTransducerLockedAfterAdd(t *testing.T) {
+// RegisterTransducer fails with a typed *vfs.PathError wrapping
+// ErrNotEmpty once a document has been indexed — even a tombstoned one,
+// since its slots still hold the old terms.
+func TestTransducerLockedAfterAdd(t *testing.T) {
 	ix := New()
 	if err := ix.RegisterTransducer("", PathTransducer); err != nil {
 		t.Fatalf("RegisterTransducer on empty index: %v", err)
 	}
 	ix.Add("/a", []byte("word"))
-	err := ix.SetTokenizer(func([]byte, func([]byte)) {})
-	if !errors.Is(err, ErrNotEmpty) {
-		t.Fatalf("SetTokenizer err = %v, want ErrNotEmpty", err)
-	}
+	err := ix.RegisterTransducer(".eml", EmailTransducer)
 	var pe *vfs.PathError
-	if !errors.As(err, &pe) {
-		t.Fatalf("SetTokenizer err %T, want *vfs.PathError", err)
-	}
-	err = ix.RegisterTransducer(".eml", EmailTransducer)
 	if !errors.Is(err, ErrNotEmpty) || !errors.As(err, &pe) {
 		t.Fatalf("RegisterTransducer err = %v, want *vfs.PathError wrapping ErrNotEmpty", err)
 	}
 	// A removed document does not unlock the store: its slot survives
 	// until a merge, still carrying old terms.
 	ix.Remove("/a")
-	if err := ix.SetTokenizer(func([]byte, func([]byte)) {}); !errors.Is(err, ErrNotEmpty) {
-		t.Fatalf("SetTokenizer after Remove err = %v, want ErrNotEmpty", err)
+	if err := ix.RegisterTransducer(".eml", EmailTransducer); !errors.Is(err, ErrNotEmpty) {
+		t.Fatalf("RegisterTransducer after Remove err = %v, want ErrNotEmpty", err)
 	}
 }
 

@@ -372,20 +372,11 @@ func writeSegmentImage(w *gobwire.Writer, img *segmentImage) error {
 }
 
 // LoadOption configures the index an image is loaded into, before any
-// segments are installed. Tokenizers and transducers are code, not
-// data: an image holds the terms they produced, not the functions. A
-// caller that used them at index time re-attaches them here — the usual
-// RegisterTransducer/SetTokenizer calls would fail on the loaded
-// (non-empty) store.
+// segments are installed. Transducers are code, not data: an image
+// holds the terms they produced, not the functions. A caller that used
+// them at index time re-attaches them here — RegisterTransducer would
+// fail on the loaded (non-empty) store.
 type LoadOption func(*Index)
-
-// WithLoadTokenizer installs t as the loaded index's tokenizer, so the
-// documents indexed after the load get their terms the way the loaded
-// ones did. Without it the loaded index scans with ScanTerms. t keeps
-// the Tokenizer contract: emit's term is valid only during the call.
-func WithLoadTokenizer(t Tokenizer) LoadOption {
-	return func(ix *Index) { ix.tok = t }
-}
 
 // WithLoadTransducer attaches a transducer to the loaded index (see
 // RegisterTransducer for the extension convention).
@@ -467,7 +458,6 @@ func newLoadedIndex(opts []LoadOption) *Index {
 		bySeg:         make(map[uint32]*segment),
 		byPath:        make(map[string]DocID),
 		sealThreshold: DefaultSealThreshold,
-		tok:           ScanTerms,
 	}
 	for _, o := range opts {
 		o(ix)
@@ -521,7 +511,7 @@ func (ix *Index) installSegment(img *segmentImage) error {
 // tree (hac.LoadVolume) keep the partial index, strict callers treat
 // the non-nil error as fatal.
 //
-// Load options re-attach tokenizers and transducers (code, not data)
+// Load options re-attach transducers (code, not data)
 // before segments install; see LoadOption.
 func LoadIndex(r io.Reader, opts ...LoadOption) (*Index, error) {
 	var hdr [14]byte

@@ -19,8 +19,8 @@ type Transducer func(path string, content []byte) []string
 
 // RegisterTransducer attaches a transducer to a file extension (with
 // the dot, e.g. ".eml"). The empty extension registers a transducer
-// that runs on every document. Like SetTokenizer, it must be called
-// before any documents are indexed: registering late would leave the
+// that runs on every document. It must be called before any documents
+// are indexed: registering late would leave the
 // existing documents silently missing the new attribute terms, so once
 // the store is non-empty it fails with a *vfs.PathError wrapping
 // ErrNotEmpty.

@@ -112,12 +112,12 @@ func (c *MuxClient) SyncPathContext(ctx context.Context, path string) error {
 	return err
 }
 
-// SearchPage runs a content query on the served volume and returns one
+// SearchPageContext runs a content query on the served volume and returns one
 // cursor page of matching paths: matches under scope starting at cursor
 // after (0 = first page), at most limit of them, plus the cursor of the
 // next page (0 = no more). Only servers exporting a searchable file
 // system — a HAC volume — answer; others return vfs.ErrUnsupported.
-func (c *MuxClient) SearchPage(ctx context.Context, query, scope string, after uint64, limit int) ([]string, uint64, error) {
+func (c *MuxClient) SearchPageContext(ctx context.Context, query, scope string, after uint64, limit int) ([]string, uint64, error) {
 	if after > (1<<63 - 1) {
 		return nil, 0, fmt.Errorf("remotefs: search cursor overflow")
 	}

@@ -264,9 +264,9 @@ func TestMuxSearchStream(t *testing.T) {
 	}
 
 	// The one-page API still works over the mux.
-	page, next, err := c.SearchPage(ctx, "fingerprint", "/docs", 0, 5)
+	page, next, err := c.SearchPageContext(ctx, "fingerprint", "/docs", 0, 5)
 	if err != nil || len(page) != 5 || next == 0 {
-		t.Fatalf("SearchPage = %v, %d, %v", page, next, err)
+		t.Fatalf("SearchPageContext = %v, %d, %v", page, next, err)
 	}
 	// A consumer error cancels the stream.
 	boom := errors.New("stop")

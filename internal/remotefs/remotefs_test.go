@@ -266,7 +266,7 @@ func TestSearchOverWire(t *testing.T) {
 		if pages > len(want) {
 			t.Fatalf("cursor did not terminate: got %v", got)
 		}
-		page, next, err := c.SearchPage(ctx, "fingerprint", "/docs", after, 4)
+		page, next, err := c.SearchPageContext(ctx, "fingerprint", "/docs", after, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,7 +282,7 @@ func TestSearchOverWire(t *testing.T) {
 	}
 
 	// Out-of-scope search matches nothing.
-	page, next, err := c.SearchPage(ctx, "fingerprint", "/empty", 0, 0)
+	page, next, err := c.SearchPageContext(ctx, "fingerprint", "/empty", 0, 0)
 	if err != nil || next != 0 || len(page) != 0 {
 		t.Fatalf("out-of-scope search = %v, %d, %v", page, next, err)
 	}
@@ -292,7 +292,7 @@ func TestSearchUnsupportedOverWire(t *testing.T) {
 	// A plain MemFS is not a Searcher; the wire error keeps its
 	// sentinel.
 	c := serve(t, vfs.New())
-	_, _, err := c.SearchPage(context.Background(), "anything", "/", 0, 0)
+	_, _, err := c.SearchPageContext(context.Background(), "anything", "/", 0, 0)
 	if !errors.Is(err, vfs.ErrUnsupported) {
 		t.Fatalf("search on plain memfs = %v, want ErrUnsupported", err)
 	}

@@ -115,7 +115,7 @@ func TestTraceSpansClientAndServerRings(t *testing.T) {
 		go func(i int, tenant string) {
 			defer wg.Done()
 			root, ctx := clientObs.Tracer().StartCtx(context.Background(), "test.root")
-			paths, _, err := c.Tenant(tenant).SearchPage(ctx, tenant+"doc", "/", 0, 32)
+			paths, _, err := c.Tenant(tenant).SearchPageContext(ctx, tenant+"doc", "/", 0, 32)
 			root.FinishErr(err)
 			if err != nil {
 				t.Errorf("%s: traced search: %v", tenant, err)
@@ -189,7 +189,7 @@ func TestUntracedClientGetsStandaloneServerSpan(t *testing.T) {
 	}
 	// A semantic op still works; the server mints its own standalone
 	// trace (Parent 0 — nothing upstream to join).
-	paths, _, err := alice.SearchPage(context.Background(), "alicedoc", "/", 0, 32)
+	paths, _, err := alice.SearchPageContext(context.Background(), "alicedoc", "/", 0, 32)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -115,7 +115,7 @@ func TestMultiTenantSoak(t *testing.T) {
 							err = nil // another op of ours may have raced the write
 						}
 					case 3:
-						_, _, err = c.SearchPage(ctx, "secret", "/docs", 0, 16)
+						_, _, err = c.SearchPageContext(ctx, "secret", "/docs", 0, 16)
 						if errors.Is(err, vfs.ErrUnsupported) {
 							err = nil
 						}

@@ -247,9 +247,9 @@ func (sh *Shell) cmdSpublish(args []string) error {
 	if len(args) != 2 {
 		return fmt.Errorf("usage: spublish <user> <host:port>")
 	}
-	c := catalog.Dial(args[1])
+	c := remotefs.DialMux(args[1])
 	defer c.Close()
-	n, err := c.Publish(args[0], sh.fs)
+	n, err := catalog.Publish(c, args[0], sh.fs)
 	if err != nil {
 		return err
 	}
@@ -262,9 +262,9 @@ func (sh *Shell) cmdScatalog(args []string) error {
 	if len(args) < 2 {
 		return fmt.Errorf("usage: scatalog <host:port> <query...>")
 	}
-	c := catalog.Dial(args[0])
+	c := remotefs.DialMux(args[0])
 	defer c.Close()
-	hits, err := c.Search(strings.Join(args[1:], " "))
+	hits, err := catalog.Search(c, strings.Join(args[1:], " "))
 	if err != nil {
 		return err
 	}
@@ -280,9 +280,9 @@ func (sh *Shell) cmdSsimilar(args []string) error {
 	if len(args) != 3 {
 		return fmt.Errorf("usage: ssimilar <host:port> <user> <dir>")
 	}
-	c := catalog.Dial(args[0])
+	c := remotefs.DialMux(args[0])
 	defer c.Close()
-	matches, err := c.SimilarTo(args[1], args[2])
+	matches, err := catalog.SimilarTo(c, args[1], args[2])
 	if err != nil {
 		return err
 	}

@@ -323,7 +323,7 @@ func TestMountRemoteVolume(t *testing.T) {
 }
 
 func TestCatalogCommands(t *testing.T) {
-	srv := catalog.NewServer(catalog.New(), nil)
+	srv := remotefs.NewServer(catalog.New(), nil)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,7 @@
-// Package wire is the one transport under every remote service — the
-// content-based access namespace (internal/remote), the file-system
-// export (internal/remotefs) and the shared catalog (internal/catalog):
-// a length-prefixed, multiplexed binary framing, the Server loop that
+// Package wire is the one transport under both remote services — the
+// content-based access namespace (internal/remote) and the file-system
+// export (internal/remotefs), which also serves the shared catalog, a
+// HAC volume (internal/catalog): a length-prefixed, multiplexed binary framing, the Server loop that
 // accepts and answers it, the client mux and call layer that speak it,
 // and the typed-error codec both ends share (DESIGN.md §12).
 //

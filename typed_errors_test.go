@@ -1,4 +1,4 @@
-package catalog
+package hacfs_test
 
 import (
 	"context"
@@ -58,15 +58,10 @@ type failFS struct{ vfs.FileSystem }
 
 func (failFS) ReadFile(path string) ([]byte, error) { return nil, caseOf(path[1:]) }
 
-// failStore is a catalog store whose Search fails typed.
-type failStore struct{ store }
-
-func (failStore) Search(q string) ([]Entry, error) { return nil, caseOf(q) }
-
 // TestTypedErrorsRoundTripEveryService sends every entry of the unified
 // sentinel table — bare, detailed, and in a *vfs.PathError — through a
-// remote server, a remotefs server and the catalog server, and checks
-// the client sees the same sentinel, Op and Path.
+// remote server and a remotefs server (which also serves the catalog),
+// and checks the client sees the same sentinel, Op and Path.
 func TestTypedErrorsRoundTripEveryService(t *testing.T) {
 	listen := func(t *testing.T, srv interface {
 		Serve(net.Listener) error
@@ -85,8 +80,6 @@ func TestTypedErrorsRoundTripEveryService(t *testing.T) {
 	defer cba.Close()
 	rfs := remotefs.DialMux(listen(t, remotefs.NewServer(failFS{}, nil)))
 	defer rfs.Close()
-	cat := Dial(listen(t, newServer(failStore{}, nil)))
-	defer cat.Close()
 
 	services := []struct {
 		name string
@@ -95,7 +88,6 @@ func TestTypedErrorsRoundTripEveryService(t *testing.T) {
 		{"remote.Fetch", func(arg string) error { _, err := cba.Fetch(arg); return err }},
 		{"remote.Search", func(arg string) error { _, err := cba.Search(arg); return err }},
 		{"remotefs.ReadFile", func(arg string) error { _, err := rfs.ReadFile("/" + arg); return err }},
-		{"catalog.Search", func(arg string) error { _, err := cat.Search(arg); return err }},
 	}
 	for _, svc := range services {
 		for i, want := range errorCases {
