@@ -68,6 +68,17 @@ func ContainerOf(ids ...uint32) *Container {
 	return c
 }
 
+// ContainerOfSorted returns a container holding ids, which must be
+// sorted and distinct. It keeps ids as its array, so the caller hands
+// them over, unless a bitmap is the cheaper form.
+func ContainerOfSorted(ids []uint32) *Container {
+	c := &Container{kind: kindArray, n: len(ids), arr: ids}
+	if c.arrayOutgrown() {
+		c.toBitmap()
+	}
+	return c
+}
+
 // FullContainer returns the container holding every id in [0, n): one
 // run, whatever n is.
 func FullContainer(n int) *Container {

@@ -334,6 +334,26 @@ func TestContainerPackChoosesArray(t *testing.T) {
 	}
 }
 
+// TestContainerOfSorted: a sorted, distinct slice becomes the same set
+// ContainerOf builds from it, kept as an array while that is the cheaper
+// form and a bitmap once it is not.
+func TestContainerOfSorted(t *testing.T) {
+	for _, tc := range []struct {
+		n, step int
+		kind    string
+	}{{0, 1, "array"}, {3, 1000, "array"}, {100, 1000, "array"}, {100, 1, "bitmap"}, {5000, 3, "bitmap"}} {
+		ids := make([]uint32, tc.n)
+		for i := range ids {
+			ids[i] = uint32(i * tc.step)
+		}
+		want := ContainerOf(ids...)
+		c := ContainerOfSorted(ids)
+		if !c.Equal(want) || c.Len() != tc.n || c.Kind() != tc.kind {
+			t.Fatalf("%d ids %d apart: %s of %d, want the %s ContainerOf builds", tc.n, tc.step, c.Kind(), c.Len(), tc.kind)
+		}
+	}
+}
+
 func TestContainerTrim(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 200; trial++ {

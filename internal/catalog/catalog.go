@@ -72,7 +72,8 @@ func checkUser(op, user string) error {
 
 // Publish writes an entry for every semantic directory of fs under the
 // given user name, replacing the user's earlier entry for the same
-// directory, and returns how many it wrote.
+// directory, removes the user's entries for directories fs no longer
+// holds, and returns how many it wrote.
 func Publish(cat Volume, user string, fs *hac.FS) (int, error) {
 	if err := checkUser("publish", user); err != nil {
 		return 0, err
@@ -81,6 +82,7 @@ func Publish(cat Volume, user string, fs *hac.FS) (int, error) {
 		return 0, err
 	}
 	dirs := fs.SemanticDirs()
+	wrote := make(map[string]bool, len(dirs))
 	for i, dir := range dirs {
 		q, err := fs.QueryDisplay(dir)
 		if err != nil {
@@ -97,6 +99,18 @@ func Publish(cat Volume, user string, fs *hac.FS) (int, error) {
 		data, _ := json.Marshal(Entry{User: user, Path: dir, Query: q, Targets: targets}) // cannot fail on strings
 		if err := cat.WriteFile(entryFile(user, dir), data); err != nil {
 			return i, err
+		}
+		wrote[url.PathEscape(dir)] = true
+	}
+	held, err := cat.ReadDir("/" + user)
+	if err != nil {
+		return len(dirs), err
+	}
+	for _, e := range held {
+		if e.Type == vfs.TypeFile && !wrote[e.Name] {
+			if err := cat.Remove("/" + user + "/" + e.Name); err != nil {
+				return len(dirs), err
+			}
 		}
 	}
 	return len(dirs), nil

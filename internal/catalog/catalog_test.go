@@ -135,6 +135,32 @@ func TestRepublishReplaces(t *testing.T) {
 	})
 }
 
+// TestRepublishDropsDeletedDirs: a publish leaves the user exactly the
+// entries of the directories the volume holds now, and leaves other
+// users' entries alone.
+func TestRepublishDropsDeletedDirs(t *testing.T) {
+	eachForm(t, func(t *testing.T, cat Volume) {
+		alice := userVolume(t, sharedFiles(), map[string]string{"/fp": "fingerprint", "/r": "recipe"})
+		publish(t, cat, "alice", alice, 2)
+		if err := alice.RemoveAll("/r"); err != nil {
+			t.Fatal(err)
+		}
+		publish(t, cat, "alice", alice, 1)
+		all, err := Entries(cat)
+		if got, want := keys(all, entryKey), []string{"alice:/fp"}; err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("Entries after republish = %v, %v; want %v", got, err, want)
+		}
+		if hits, err := Search(cat, "recipe"); err != nil || len(hits) != 0 {
+			t.Fatalf("deleted directory still searchable: %+v, %v", hits, err)
+		}
+		publish(t, cat, "bob", userVolume(t, sharedFiles(), map[string]string{"/r": "recipe"}), 1)
+		publish(t, cat, "alice", alice, 1)
+		if all, err = Entries(cat); err != nil || len(all) != 2 {
+			t.Fatalf("Entries after another user's publish = %v, %v; want alice:/fp and bob:/r", keys(all, entryKey), err)
+		}
+	})
+}
+
 // TestSimilarTo: matches rank by Jaccard overlap, ties by user, then path.
 func TestSimilarTo(t *testing.T) {
 	eachForm(t, func(t *testing.T, cat Volume) {

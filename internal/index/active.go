@@ -233,15 +233,13 @@ func (ix *Index) replaceLocked(local uint32, d preparedDoc) DocID {
 }
 
 // reclaimLocked takes the just-tombstoned active-segment slot local out
-// of the dirs and — as far as its term list reaches — the postings.
+// of the postings, as far as its term list reaches, and of every scope.
 // Caller holds ix.mu for writing.
 func (ix *Index) reclaimLocked(local uint32) {
 	s := ix.active
 	s.clearSlotTerms(local, "")
 	s.slotTerms[local] = ""
-	e := &s.docs[local]
-	s.dirsRemove(e.path, local)
-	e.path = "" // a hole in the ID space carries no payload
+	s.docs[local].path = "" // a hole in the ID space carries no payload and lies in no scope
 	ix.met.activeReclaimed.Add(1)
 }
 

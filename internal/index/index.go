@@ -74,7 +74,6 @@ type segment struct {
 	id        uint32
 	docs      []docEntry
 	postings  map[string]*bitset.Container // term → local slots
-	dirs      map[string]*bitset.Container // ancestor dir → local slots beneath it (dirs.go)
 	dead      *bitset.Container            // tombstoned local slots
 	deadCount int
 	sealed    bool
@@ -99,7 +98,6 @@ func newSegment(id uint32) *segment {
 	return &segment{
 		id:       id,
 		postings: make(map[string]*bitset.Container),
-		dirs:     make(map[string]*bitset.Container),
 		dead:     bitset.NewContainer(),
 	}
 }
@@ -112,8 +110,8 @@ func (s *segment) aliveLocal(n int) *bitset.Container {
 	return c
 }
 
-// seal marks the segment immutable, packs its postings and dirs — the
-// one point after which they are only read — and builds its path order.
+// seal marks the segment immutable, packs its postings — the one point
+// after which they are only read — and builds its path order.
 // Caller owns s (it is being built) or holds ix.mu for writing.
 func (s *segment) seal() {
 	s.sealed = true
@@ -121,7 +119,6 @@ func (s *segment) seal() {
 	for _, c := range s.postings {
 		c.Pack()
 	}
-	s.packDirs()
 	s.buildOrder()
 }
 
@@ -270,7 +267,6 @@ func (ix *Index) commitDocLocked(d preparedDoc) DocID {
 	}
 	local := uint32(len(s.docs))
 	s.docs = append(s.docs, docEntry{path: d.path, modTime: d.modTime, size: d.size, alive: true})
-	s.dirsAdd(d.path, local)
 	id := makeID(s.id, local)
 	ix.byPath[d.path] = id
 	s.slotTerms = append(s.slotTerms, s.addSlotTerms(local, d.terms))
@@ -368,7 +364,6 @@ func (ix *Index) RenamePath(oldPath, newPath string) bool {
 		ix.tombstoneLocked(prior)
 	}
 	delete(ix.byPath, oldPath)
-	s.dirsRename(s.docs[local].path, newPath, local)
 	s.orderRename(local, newPath)
 	s.docs[local].path = newPath
 	ix.byPath[newPath] = id
@@ -409,7 +404,6 @@ func (ix *Index) RenamePrefix(oldRoot, newRoot string) int {
 		if prior, ok := ix.byPath[np]; ok {
 			ix.tombstoneLocked(prior)
 		}
-		s.dirsRename(s.docs[local].path, np, local)
 		s.docs[local].path = np
 		ix.byPath[np] = m.id
 		if s.order != nil && !slices.Contains(touched, s) {
@@ -480,7 +474,6 @@ type Stats struct {
 	Segments     int   // resident segments (sealed + active)
 	Terms        int   // distinct terms
 	IndexBytes   int   // approximate index payload size: postings + doc entries
-	DirsBytes    int   // ancestor-directory scope sets (dirs.go); not part of IndexBytes
 	ContentBytes int64 // total size of live indexed content
 }
 
@@ -498,9 +491,6 @@ func (ix *Index) Stats() Stats {
 		for term, c := range seg.postings {
 			terms[term] = struct{}{}
 			s.IndexBytes += len(term) + c.SizeBytes()
-		}
-		for dir, c := range seg.dirs {
-			s.DirsBytes += len(dir) + c.SizeBytes()
 		}
 		for _, d := range seg.docs {
 			s.IndexBytes += len(d.path) + 32
@@ -568,7 +558,6 @@ func (ix *Index) SyncTree(fsys vfs.FileSystem, root string, onDir func(dir strin
 		}
 		local = uint32(len(seg.docs))
 		seg.docs = append(seg.docs, docEntry{path: p, modTime: info.ModTime, size: len(content), alive: true})
-		seg.dirsAdd(p, local)
 		ScanTerms(content, emit)
 		for _, t := range ix.applyTransducers(p, content) {
 			seg.addPosting(t, local)
@@ -664,8 +653,8 @@ type docAt struct {
 // unseenUnder returns the live documents under root that a pass did not
 // meet: fresh holds the IDs its staleness check found unchanged, and seg,
 // the pass's own segment, what it read. The candidates come from the
-// segments' dirs sets, so finding them costs a set difference per
-// segment, not a scan of every indexed path.
+// segments' path order (appendScope), so finding them costs a range and
+// a set difference per segment, not a scan of every indexed path.
 func (ix *Index) unseenUnder(root string, seg *segment, fresh []DocID) []docAt {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -689,11 +678,7 @@ func (ix *Index) unseenUnder(root string, seg *segment, fresh []DocID) []docAt {
 		case root == "/":
 			live = s.aliveLocal(len(s.docs))
 		default:
-			under := ix.underLocked(s, root)
-			if under == nil {
-				return
-			}
-			live = under.Clone()
+			live = scopeSet(s.appendScope(nil, root, len(s.docs)))
 			live.AndNot(s.dead)
 		}
 		if c := seen[s]; c != nil {

@@ -524,3 +524,33 @@ func BenchmarkLookup(b *testing.B) {
 		ix.Snapshot().Lookup("common")
 	}
 }
+
+// BenchmarkLookupUnder times a term lookup scoped to one 25-file
+// directory at depth 6, the shape of a directory-scoped search: in a
+// sealed 20 000-document segment (a range of its path order) and in a
+// full active segment of 4 095 documents (a scan of its paths). Every
+// document holds the term, so the scope decides the work.
+func BenchmarkLookupUnder(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		docs int
+	}{{"sealed-20000", 20000}, {"active-4095", DefaultSealThreshold - 1}} {
+		b.Run(bc.name, func(b *testing.B) {
+			ix := New()
+			ix.SetSealThreshold(20000)
+			for i := 0; i < bc.docs; i++ {
+				ix.Add(fmt.Sprintf("/home/u/proj/docs/dir%03d/f%02d", i/25, i%25), []byte("markermany"))
+			}
+			root := fmt.Sprintf("/home/u/proj/docs/dir%03d", bc.docs/50)
+			sn := ix.Snapshot()
+			if got, _ := sn.LookupUnder("markermany", root); got.Len() != 25 {
+				b.Fatalf("LookupUnder found %d documents, want 25", got.Len())
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sn.LookupUnder("markermany", root)
+			}
+		})
+	}
+}

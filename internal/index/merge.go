@@ -167,7 +167,6 @@ func (ix *Index) mergeSealedLocked() {
 			}
 			nl := uint32(len(merged.docs))
 			merged.docs = append(merged.docs, d)
-			merged.dirsAdd(d.path, nl)
 			remap[i][l] = nl
 		}
 	}
@@ -218,7 +217,6 @@ func (ix *Index) mergeSealedLocked() {
 			// Renames after the plan rewrote path/modTime in place;
 			// refresh so the merged entry is current.
 			moved = moved || merged.docs[nl].path != cur.path
-			merged.dirsRename(merged.docs[nl].path, cur.path, nl)
 			merged.docs[nl] = *cur
 			// Repoint only an entry that still names the pre-merge slot,
 			// so no other writer's entry is overwritten.

@@ -19,9 +19,8 @@ type ixMetrics struct {
 // SetObserver directs the index's metrics to o: commit/tombstone/merge
 // counters, merge duration and write-amplification histograms, plus
 // scrape-time gauges for the live document count, the distinct-term
-// count, the approximate postings footprint, the footprint of the
-// ancestor-directory scope sets, the resident segment count and the live
-// ratio (live docs / ID-space slots — low values mean
+// count, the approximate postings footprint, the resident segment count
+// and the live ratio (live docs / ID-space slots — low values mean
 // compaction is overdue). Called by hac.New; safe to call again to
 // redirect.
 func (ix *Index) SetObserver(o *obs.Observer) {
@@ -48,9 +47,6 @@ func (ix *Index) SetObserver(o *obs.Observer) {
 	})
 	r.GaugeFunc("index_postings_bytes", func() float64 {
 		return float64(ix.Stats().IndexBytes)
-	})
-	r.GaugeFunc("index_dirs_bytes", func() float64 {
-		return float64(ix.Stats().DirsBytes)
 	})
 	r.GaugeFunc("index_segments", func() float64 {
 		ix.mu.RLock()

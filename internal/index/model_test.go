@@ -285,8 +285,8 @@ func (w *walker) check(tag string) {
 	w.held = sn.Lookup("half")
 	w.checkOrder(tag)
 	for _, root := range scopes {
-		if got, want := w.ix.DocsUnderCount(root), len(w.m.Under(root)); got != want {
-			w.t.Fatalf("%s: DocsUnderCount(%s) = %d, model has %d", tag, root, got, want)
+		if got, want := len(sn.Paths(sn.DocsUnder(root))), len(w.m.Under(root)); got != want {
+			w.t.Fatalf("%s: DocsUnder(%s) holds %d paths, model has %d", tag, root, got, want)
 		}
 	}
 	if got := w.ix.NumDocs(); got != len(w.m) {

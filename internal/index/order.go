@@ -5,6 +5,8 @@ import (
 	"slices"
 	"sort"
 	"strings"
+
+	"hacfs/internal/bitset"
 )
 
 // Path order (DESIGN.md §10). Every sealed segment keeps order: its
@@ -18,9 +20,16 @@ import (
 // and is kept exact under renames, the only writes that move a sealed
 // slot's path: RenamePath moves one entry, RenamePrefix re-sorts the
 // segments it touched, and a merge that saw renames land between its
-// plan and its commit re-sorts the merged order before install. Like
-// dirs it is derived state: it is not in the image and not counted in
-// IndexBytes. The active segment has none; its share is sorted on read.
+// plan and its commit re-sorts the merged order before install. It is
+// derived state: it is not in the image and not counted in IndexBytes.
+// The active segment has none; its share is sorted on read.
+//
+// The order is also a segment's scope index (paper §2.3: a syntactic
+// directory provides a scope). The slots under a root are the run of
+// paths in [root+"/", root+"0") — '0' is the byte after '/' — plus the
+// run at exactly root, since a file path used as a scope selects that
+// file (appendScope). The active segment scans its at most
+// DefaultSealThreshold paths instead.
 
 // cmpSlots orders two local slots of s by path, then by slot.
 func (s *segment) cmpSlots(a, b uint32) int {
@@ -59,6 +68,49 @@ func (s *segment) orderPos(path string, local uint32) int {
 		}
 		return o >= local
 	})
+}
+
+// appendScope appends to dst the first n slots of s whose path is root
+// or lies beneath it (root is clean and not "/"), dead ones included,
+// in path order for a sealed segment and in slot order for the active
+// one. A reclaimed active slot has the path "" and never matches.
+// Caller owns s or holds ix.mu.
+func (s *segment) appendScope(dst []uint32, root string, n int) []uint32 {
+	if s.order == nil {
+		for l, d := range s.docs[:n] {
+			if strings.HasPrefix(d.path, root) && (len(d.path) == len(root) || d.path[len(root)] == '/') {
+				dst = append(dst, uint32(l))
+			}
+		}
+		return dst
+	}
+	at, below := s.scopeRuns(root)
+	dst = slices.Grow(dst, len(at)+len(below))
+	for _, run := range [2][]uint32{at, below} {
+		for _, l := range run {
+			if int(l) < n {
+				dst = append(dst, l)
+			}
+		}
+	}
+	return dst
+}
+
+// scopeRuns returns the two runs of a sealed segment's path order that
+// hold root's scope: the slots at exactly root, then those beneath it.
+func (s *segment) scopeRuns(root string) (at, below []uint32) {
+	i := s.orderPos(root, 0)
+	j := i
+	for j < len(s.order) && s.docs[s.order[j]].path == root {
+		j++
+	}
+	return s.order[i:j], s.order[s.orderPos(root+"/", 0):s.orderPos(root+"0", 0)]
+}
+
+// scopeSet sorts appendScope's slots and hands them to a container.
+func scopeSet(slots []uint32) *bitset.Container {
+	slices.Sort(slots)
+	return bitset.ContainerOfSorted(slots)
 }
 
 // orderRename moves local to newPath's place in s.order. It runs before

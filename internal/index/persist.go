@@ -474,9 +474,8 @@ func (ix *Index) installSegment(img *segmentImage) error {
 		return fmt.Errorf("%w: duplicate segment ID %d", vfs.ErrCorruptVolume, img.ID)
 	}
 	s := newSegment(img.ID)
-	for local, di := range img.Docs {
+	for _, di := range img.Docs {
 		s.docs = append(s.docs, docEntry{path: di.Path, modTime: di.ModTime, size: di.Size, alive: true})
-		s.dirsAdd(di.Path, uint32(local))
 	}
 	for _, pi := range img.Postings {
 		if pi.set.Any() {

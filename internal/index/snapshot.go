@@ -183,11 +183,11 @@ func (sn *Snapshot) AllDocs() *bitset.Segmented {
 	return out
 }
 
-// DocsUnder returns the live documents whose path lies in the subtree
-// rooted at root, within the pinned set — how a syntactic directory
-// "provides a scope" to the semantic directories beneath it. Non-"/"
-// roots resolve through the per-segment composite dirs index (dirs.go):
-// one map probe per segment instead of a scan over every doc entry.
+// DocsUnder returns the live documents whose path is root or lies in
+// the subtree rooted at it, within the pinned set — how a syntactic
+// directory "provides a scope" to the semantic directories beneath it.
+// A non-"/" root is a range of each sealed segment's path order (three
+// binary searches, order.go) and a scan of the active segment's paths.
 func (sn *Snapshot) DocsUnder(root string) *bitset.Segmented {
 	root = gopath.Clean(root)
 	if root == "/" {
@@ -196,39 +196,19 @@ func (sn *Snapshot) DocsUnder(root string) *bitset.Segmented {
 	out := bitset.NewSegmented()
 	sn.ix.mu.RLock()
 	defer sn.ix.mu.RUnlock()
-	selfID, selfOK := sn.idOfLocked(root)
 	for _, s := range sn.segs {
-		sn.put(out, s, sn.scopeLocalLocked(s, root, selfID, selfOK))
+		if slots := s.appendScope(nil, root, sn.segLen(s)); len(slots) > 0 {
+			sn.put(out, s, scopeSet(slots))
+		}
 	}
 	return out
 }
 
-// scopeLocalLocked returns a fresh container of s's local slots under
-// root (alive or dead; caller applies the dead mask), or nil when the
-// segment holds none. selfID/selfOK name the pinned document at exactly
-// root, if any — vfs.HasPrefix(p, root) matches p == root, so a file
-// path used as a scope selects the file itself. Caller holds ix.mu.
-func (sn *Snapshot) scopeLocalLocked(s *segment, root string, selfID DocID, selfOK bool) *bitset.Container {
-	var scope *bitset.Container
-	if c, ok := s.dirs[root]; ok {
-		scope = c.Clone()
-	}
-	if selfOK {
-		if seg, local := splitID(selfID); seg == s.id {
-			if scope == nil {
-				scope = bitset.NewContainer()
-			}
-			scope.Add(local)
-		}
-	}
-	return scope
-}
-
 // LookupUnder returns the live documents containing term whose path
-// lies under root, touching only in-scope postings — the composite
-// path-prefix × term lookup. The second result counts the posting
-// entries the scope pruning avoided examining (whole segments whose
-// dirs map lacks root count all their postings; intersected segments
+// is root or lies under it, touching only in-scope postings — the
+// path-range × term lookup. The second result counts the posting
+// entries the scope pruning avoided examining (whole segments with no
+// slot in root's range count all their postings; intersected segments
 // count the postings beyond the scope's cardinality).
 func (sn *Snapshot) LookupUnder(term, root string) (*bitset.Segmented, int) {
 	root = gopath.Clean(root)
@@ -240,17 +220,17 @@ func (sn *Snapshot) LookupUnder(term, root string) (*bitset.Segmented, int) {
 	skipped := 0
 	sn.ix.mu.RLock()
 	defer sn.ix.mu.RUnlock()
-	selfID, selfOK := sn.idOfLocked(root)
 	for _, s := range sn.segs {
 		c, ok := s.postings[term]
 		if !ok {
 			continue
 		}
-		scope := sn.scopeLocalLocked(s, root, selfID, selfOK)
-		if scope == nil {
+		slots := s.appendScope(nil, root, sn.segLen(s))
+		if len(slots) == 0 {
 			skipped += c.Len() // whole segment out of scope
 			continue
 		}
+		scope := scopeSet(slots)
 		if d := c.Len() - scope.Len(); d > 0 {
 			skipped += d
 		}
@@ -278,8 +258,9 @@ func (sn *Snapshot) TermCost(term string) int {
 	return n
 }
 
-// ScopeCost returns how many slots lie under root across the pinned
-// segments (dead included) — the planner's scope selectivity estimate.
+// ScopeCost returns how many slots lie at or under root across the
+// pinned segments (dead included) — the planner's scope selectivity
+// estimate, read off the same ranges DocsUnder takes.
 func (sn *Snapshot) ScopeCost(root string) int {
 	root = gopath.Clean(root)
 	sn.ix.mu.RLock()
@@ -292,10 +273,15 @@ func (sn *Snapshot) ScopeCost(root string) int {
 		return n
 	}
 	n := 0
+	var slots []uint32
 	for _, s := range sn.segs {
-		if c, ok := s.dirs[root]; ok {
-			n += c.Len()
+		if s.order != nil && sn.segLen(s) == len(s.docs) {
+			at, below := s.scopeRuns(root) // counted without a copy
+			n += len(at) + len(below)
+			continue
 		}
+		slots = s.appendScope(slots[:0], root, sn.segLen(s))
+		n += len(slots)
 	}
 	return n
 }

@@ -24,8 +24,8 @@ func (p *Plan) Exec() (*bitset.Segmented, error) {
 
 // scopeDocs materializes the scope's full document set, memoized for
 // the lifetime of the plan: it is only needed by bare negations and
-// non-term leaves, and with the composite dirs index it is
-// O(result), not O(corpus). The returned set is a clone.
+// non-term leaves, and as a range of each segment's path order it is
+// O(scope), not O(corpus). The returned set is a clone.
 func (p *Plan) scopeDocs() (*bitset.Segmented, error) {
 	if p.scopeSet == nil {
 		sc := p.scope

@@ -7,7 +7,8 @@
 //   - the AST is normalized to negation normal form and AND/OR chains
 //     are flattened into n-ary nodes;
 //   - each leaf gets a selectivity estimate from segment statistics
-//     (TermCost: posting cardinality; ScopeCost: composite dirs index);
+//     (TermCost: posting cardinality; ScopeCost: the slots in the
+//     scope's range of each segment's path order);
 //   - AND chains re-order cheapest-first, so the accumulator shrinks as
 //     early as possible and later intersections gallop over small
 //     arrays instead of scanning dense bitmaps;
@@ -125,9 +126,9 @@ type Stats struct {
 // ast is not modified.
 func Build(ast query.Node, scope Scope, env Env) (*Plan, error) {
 	if root := scope.prefixRoot(); root != "/" && env.ScopeCost(root) == env.ScopeCost("/") {
-		// The prefix admits every document — the composite dirs index
-		// keeps tombstoned slots, so the counts match exactly only when
-		// nothing lies outside root. Drop it so term lookups take the
+		// The prefix admits every document — a scope's path ranges keep
+		// tombstoned slots, so the counts match exactly only when nothing
+		// lies outside root. Drop it so term lookups take the
 		// unscoped fast path instead of cloning full-segment containers.
 		scope.Prefix = "/"
 	}
