@@ -152,29 +152,16 @@ func (ix *Index) packTerms(path string, content []byte) string {
 	return packed
 }
 
-// addPosting adds local to term's posting. Caller holds ix.mu for
-// writing and s is the active segment, or s is a segment still being
-// built.
-func (s *segment) addPosting(term string, local uint32) {
-	c, ok := s.postings[term]
-	if !ok {
-		c = bitset.NewContainer()
-		s.postings[term] = c
-	}
-	c.Add(local)
-}
-
-// addTerm is addPosting for a scanned term, which it copies into a key
-// only when s has no posting for it yet. Caller owns s (it is being
-// built).
+// addTerm adds local to term's posting, copying term into a key only
+// when s has no posting for it yet. Caller owns s (it is being built).
 func (s *segment) addTerm(term []byte, local uint32) {
-	if c, ok := s.postings[string(term)]; ok {
+	if c, ok := s.open[string(term)]; ok {
 		c.Add(local)
 		return
 	}
 	c := bitset.NewContainer()
 	c.Add(local)
-	s.postings[string(term)] = c
+	s.open[string(term)] = c
 }
 
 // addSlotTerms adds local to the posting of every term of the packed
@@ -183,10 +170,10 @@ func (s *segment) addTerm(term []byte, local uint32) {
 // alive. Caller holds ix.mu for writing; s is the active segment.
 func (s *segment) addSlotTerms(local uint32, terms string) string {
 	eachPackedTerm(terms, func(term string) bool {
-		c, ok := s.postings[term]
+		c, ok := s.open[term]
 		if !ok {
 			c = bitset.NewContainer()
-			s.postings[strings.Clone(term)] = c
+			s.open[strings.Clone(term)] = c
 		}
 		c.Add(local)
 		return true
@@ -207,10 +194,10 @@ func (s *segment) clearSlotTerms(local uint32, keep string) {
 		if more && k == term {
 			return true
 		}
-		if c, ok := s.postings[term]; ok {
+		if c, ok := s.open[term]; ok {
 			c.Remove(local)
 			if !c.Any() {
-				delete(s.postings, term)
+				delete(s.open, term)
 			}
 		}
 		return true
@@ -264,14 +251,14 @@ func (ix *Index) DocHasTerm(path, term string) bool {
 	if !ok {
 		return false
 	}
-	c, ok := s.postings[term]
-	return ok && c.Contains(local)
+	c := s.posting(term)
+	return c != nil && c.Contains(local)
 }
 
 // DocHasPrefix reports whether the live document at path contains any
 // term with the given prefix (LookupPrefix restricted to one document).
 func (ix *Index) DocHasPrefix(path, prefix string) bool {
-	return ix.docHasAny(path, prefixPattern(normalizeTerm(prefix)))
+	return ix.docHasAny(path, termPattern{prefix: normalizeTerm(prefix)})
 }
 
 // DocHasFuzzy reports whether the live document at path contains any
@@ -298,11 +285,11 @@ func (ix *Index) docHasAny(path string, p termPattern) bool {
 	found := false
 	if !s.sealed {
 		eachPackedTerm(s.slotTerms[local], func(term string) bool {
-			found = p.match(term)
+			found = p.selects(term)
 			return !found
 		})
 		return found
 	}
-	s.eachPosting(p, func(c *bitset.Container) { found = found || c.Contains(local) })
+	s.eachPosting(p, func(_ string, c *bitset.Container) { found = found || c.Contains(local) })
 	return found
 }

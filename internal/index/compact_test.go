@@ -30,7 +30,7 @@ func referenceEncodeSegment(s *segment) *segmentImage {
 	if len(img.Docs) == 0 {
 		return nil
 	}
-	for term, posting := range s.postings {
+	s.eachPosting(termPattern{}, func(term string, posting *bitset.Container) {
 		c := bitset.NewContainer()
 		posting.Range(func(l uint32) bool {
 			if nl := remap[l]; nl != noLocal {
@@ -42,12 +42,14 @@ func referenceEncodeSegment(s *segment) *segmentImage {
 			c.Pack()
 			img.Postings = append(img.Postings, postingImage{Term: term, Packed: c.AppendBinary(nil)})
 		}
-	}
+	})
 	return img
 }
 
-// byTerm sorts an image's postings by term: both encoders write them in
-// map order.
+// byTerm sorts an image's postings by term: the reference writes them in
+// the order eachPosting visits them, map order on the active segment.
+// encodeSegmentLocked writes them in term order, so its image is compared
+// unsorted.
 func byTerm(img *segmentImage) {
 	sort.Slice(img.Postings, func(i, j int) bool { return img.Postings[i].Term < img.Postings[j].Term })
 }
@@ -121,7 +123,6 @@ func TestEncodeSegmentMatchesReference(t *testing.T) {
 			if got == nil {
 				return
 			}
-			byTerm(got)
 			byTerm(want)
 			if got.ID != want.ID || !reflect.DeepEqual(got.Docs, want.Docs) {
 				t.Fatalf("seed %d segment %d: document table differs from the reference", seed, s.id)

@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"hacfs/internal/bitset"
 )
 
 // TestIndexBytesProportionalToPostings guards the property the
@@ -38,10 +40,10 @@ func TestIndexBytesProportionalToPostings(t *testing.T) {
 		t.Helper()
 		held, termBytes, docBytes := 0, 0, 0
 		ix.eachSegmentLocked(func(s *segment) {
-			for term, c := range s.postings {
+			s.eachPosting(termPattern{}, func(term string, c *bitset.Container) {
 				held += c.Len()
 				termBytes += len(term)
-			}
+			})
 			for _, d := range s.docs {
 				docBytes += len(d.path) + 32
 			}

@@ -87,13 +87,17 @@ func segmentSeedBlock(tb testing.TB) []byte {
 }
 
 // FuzzLoadSegment feeds arbitrary bytes — seeded with a valid segment
-// block and systematic corruptions of it — to the per-segment decoder.
-// The contract: exactly one of (image, error) comes back, errors wrap
-// ErrCorruptIndex, and a decoded image never references slots outside
-// its own document table (the invariant installSegment relies on).
+// block, systematic corruptions of it and a block that repeats a term —
+// to the per-segment decoder and installs what it decodes. The
+// contract: exactly one of (image, error) comes back, errors wrap
+// ErrCorruptIndex, a decoded image never references slots outside its
+// own document table (the invariant installSegment relies on), and an
+// installed segment's term table is sorted and unique, or the install
+// fails with ErrCorruptIndex.
 func FuzzLoadSegment(f *testing.F) {
 	blk := segmentSeedBlock(f)
 	f.Add(blk)
+	f.Add(repeatedTermBlock(f))
 	f.Add([]byte{})
 	f.Add(blk[:13])
 	f.Add(blk[:len(blk)/2])
@@ -131,6 +135,22 @@ func FuzzLoadSegment(f *testing.F) {
 					if !pi.set.Contains(l) {
 						t.Fatalf("posting %q lost legacy slot %d", pi.Term, l)
 					}
+				}
+			}
+			ix := newLoadedIndex(nil)
+			if err := ix.installSegment(img); err != nil {
+				if !errors.Is(err, ErrCorruptIndex) {
+					t.Fatalf("install err = %v, does not wrap ErrCorruptIndex", err)
+				}
+				return
+			}
+			s := ix.sealed[0]
+			if len(s.terms) != len(s.posts) || s.open != nil {
+				t.Fatalf("installed %d terms beside %d postings", len(s.terms), len(s.posts))
+			}
+			for i := 1; i < len(s.terms); i++ {
+				if s.terms[i-1] >= s.terms[i] {
+					t.Fatalf("installed table has %q before %q", s.terms[i-1], s.terms[i])
 				}
 			}
 		}

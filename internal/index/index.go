@@ -66,20 +66,22 @@ type docEntry struct {
 // sealed segments never change their docs slice length or their
 // postings — only the tombstone state (dead, deadCount), the doc
 // entries' path/modTime fields and the path order (renames) move under
-// the index write lock. Postings are packed (Container.Pack) once, at
-// the moment the segment becomes immutable, and from then on only read:
-// every lookup clones before it combines, so the off-lock merge build
-// can walk them without a lock.
+// the index write lock. Postings are a map while the segment is active
+// or being built; seal turns them into one sorted term table, packed
+// (dict.go), and from then on they are only read: every lookup clones
+// before it combines, so the off-lock merge build can walk them without
+// a lock.
 type segment struct {
 	id        uint32
 	docs      []docEntry
-	postings  map[string]*bitset.Container // term → local slots
+	open      map[string]*bitset.Container // term → local slots; active or being built only, nil once sealed
+	terms     []string                     // the vocabulary, sorted and unique; sealed only
+	posts     []bitset.Container           // posts[i] holds the local slots of terms[i]; sealed only
 	dead      *bitset.Container            // tombstoned local slots
 	deadCount int
 	sealed    bool
 	slotTerms []string // packed terms of each slot (active.go); active only, nil once sealed
 	order     []uint32 // slots in path order (order.go); sealed only
-	dict      termDict // lazy sorted/length-bucketed vocabulary (dict.go); sealed only
 	// retired is set when a merge folds the segment: where its documents
 	// went, for the snapshots still pinning it (Snapshot.liveLocked).
 	retired *retirement
@@ -96,9 +98,9 @@ type retirement struct {
 
 func newSegment(id uint32) *segment {
 	return &segment{
-		id:       id,
-		postings: make(map[string]*bitset.Container),
-		dead:     bitset.NewContainer(),
+		id:   id,
+		open: make(map[string]*bitset.Container),
+		dead: bitset.NewContainer(),
 	}
 }
 
@@ -110,14 +112,28 @@ func (s *segment) aliveLocal(n int) *bitset.Container {
 	return c
 }
 
-// seal marks the segment immutable, packs its postings — the one point
-// after which they are only read — and builds its path order.
+// seal marks the segment immutable — the one point after which its
+// postings are only read: the map becomes the term table (an image
+// install fills the table itself), the postings are packed and the path
+// order is built.
 // Caller owns s (it is being built) or holds ix.mu for writing.
 func (s *segment) seal() {
 	s.sealed = true
 	s.slotTerms = nil
-	for _, c := range s.postings {
-		c.Pack()
+	if s.open != nil {
+		s.terms = make([]string, 0, len(s.open))
+		for term := range s.open {
+			s.terms = append(s.terms, term)
+		}
+		slices.Sort(s.terms)
+		s.posts = make([]bitset.Container, len(s.terms))
+		for i, term := range s.terms {
+			s.posts[i] = *s.open[term]
+		}
+		s.open = nil
+	}
+	for i := range s.posts {
+		s.posts[i].Pack()
 	}
 	s.buildOrder()
 }
@@ -488,10 +504,10 @@ func (ix *Index) Stats() Stats {
 	}
 	terms := make(map[string]struct{})
 	ix.eachSegmentLocked(func(seg *segment) {
-		for term, c := range seg.postings {
+		seg.eachPosting(termPattern{}, func(term string, c *bitset.Container) {
 			terms[term] = struct{}{}
 			s.IndexBytes += len(term) + c.SizeBytes()
-		}
+		})
 		for _, d := range seg.docs {
 			s.IndexBytes += len(d.path) + 32
 			if d.alive {
@@ -560,7 +576,7 @@ func (ix *Index) SyncTree(fsys vfs.FileSystem, root string, onDir func(dir strin
 		seg.docs = append(seg.docs, docEntry{path: p, modTime: info.ModTime, size: len(content), alive: true})
 		ScanTerms(content, emit)
 		for _, t := range ix.applyTransducers(p, content) {
-			seg.addPosting(t, local)
+			seg.addTerm([]byte(t), local)
 		}
 		prior = append(prior, was)
 		return nil

@@ -1,9 +1,11 @@
 package index
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -513,15 +515,123 @@ func BenchmarkAdd(b *testing.B) {
 	}
 }
 
-func BenchmarkLookup(b *testing.B) {
-	ix := New()
-	for i := 0; i < 10000; i++ {
-		ix.Add(fmt.Sprintf("/f%d", i), []byte(fmt.Sprintf("common term%d", i%100)))
+// sealedCorpus returns an index of one sealed segment: a 20 000-file
+// corpus (internal/corpus: a Zipf-skewed background vocabulary, topic
+// words, planted markers and a numbered header per file, so ~22 500
+// terms, most of them in one document) read by one SyncTree pass. The
+// index is built once per process and only read.
+var sealedCorpus = sync.OnceValues(func() (*Index, error) {
+	fs := vfs.New()
+	if err := fs.MkdirAll("/c"); err != nil {
+		return nil, err
 	}
-	b.ResetTimer()
+	if _, err := corpus.Generate(fs, "/c", corpus.Spec{Files: 20000, MeanWords: 40, Seed: 5}); err != nil {
+		return nil, err
+	}
+	ix := New()
+	if _, _, _, err := ix.SyncTree(fs, "/c", nil); err != nil {
+		return nil, err
+	}
+	return ix, nil
+})
+
+func sealedCorpusSnapshot(b *testing.B) *Snapshot {
+	b.Helper()
+	ix, err := sealedCorpus()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return ix.Snapshot()
+}
+
+// BenchmarkLookup times one exact-term lookup: of a term in every
+// document over two sealed segments and an active one, and of a
+// 40-document term in the sealed corpus segment, where finding the
+// posting is the larger share of the work.
+func BenchmarkLookup(b *testing.B) {
+	b.Run("mixed-10000", func(b *testing.B) {
+		ix := New()
+		for i := 0; i < 10000; i++ {
+			ix.Add(fmt.Sprintf("/f%d", i), []byte(fmt.Sprintf("common term%d", i%100)))
+		}
+		b.ResetTimer()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ix.Snapshot().Lookup("common")
+		}
+	})
+	b.Run("sealed-20000", func(b *testing.B) {
+		sn := sealedCorpusSnapshot(b)
+		if n := sn.Lookup("markerfew").Len(); n != 40 {
+			b.Fatalf("markerfew in %d documents, want 40", n)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sn.Lookup("markerfew")
+		}
+	})
+}
+
+// BenchmarkLookupPrefix times a prefix leaf over the sealed corpus
+// segment — its planner cost and its lookup — for a prefix of 40
+// background words.
+func BenchmarkLookupPrefix(b *testing.B) {
+	sn := sealedCorpusSnapshot(b)
+	b.Run("cost", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sn.PrefixCost("wba")
+		}
+	})
+	b.Run("lookup", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sn.LookupPrefix("wba")
+		}
+	})
+}
+
+// BenchmarkLookupFuzzy times a fuzzy leaf over the sealed corpus
+// segment — its planner cost and its lookup — for a word one edit from
+// one 40-document term.
+func BenchmarkLookupFuzzy(b *testing.B) {
+	sn := sealedCorpusSnapshot(b)
+	if n := sn.LookupFuzzy("markerfex").Len(); n != 40 {
+		b.Fatalf("~markerfex in %d documents, want 40", n)
+	}
+	b.Run("cost", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sn.FuzzyCost("markerfex")
+		}
+	})
+	b.Run("lookup", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sn.LookupFuzzy("markerfex")
+		}
+	})
+}
+
+// BenchmarkLoadIndex times loading the image of the sealed corpus
+// segment.
+func BenchmarkLoadIndex(b *testing.B) {
+	ix, err := sealedCorpus()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var img bytes.Buffer
+	if err := ix.Save(&img); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(img.Len()))
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.Snapshot().Lookup("common")
+		if _, err := LoadIndex(bytes.NewReader(img.Bytes())); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

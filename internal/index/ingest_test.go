@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -99,15 +100,12 @@ func TestSyncTreeMatchesAdd(t *testing.T) {
 			t.Fatalf("slot %d: SyncTree %+v, Add %+v", i, sa.docs[i], sb.docs[i])
 		}
 	}
-	if len(sa.postings) != len(sb.postings) {
-		t.Fatalf("terms: SyncTree %d, Add %d", len(sa.postings), len(sb.postings))
+	if !slices.Equal(sa.terms, sb.terms) {
+		t.Fatalf("terms: SyncTree %d, Add %d, or they differ", len(sa.terms), len(sb.terms))
 	}
 	long := 0
-	for term, c := range sa.postings {
-		o, ok := sb.postings[term]
-		if !ok {
-			t.Fatalf("term %q: only SyncTree indexed it", term)
-		}
+	for i, term := range sa.terms {
+		c, o := &sa.posts[i], &sb.posts[i]
 		if !c.Equal(o) || c.Kind() != o.Kind() {
 			t.Fatalf("posting %q: SyncTree %s %v, Add %s %v", term, c.Kind(), c.Slice(), o.Kind(), o.Slice())
 		}

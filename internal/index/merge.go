@@ -173,13 +173,14 @@ func (ix *Index) mergeSealedLocked() {
 	// Victims are folded in order and each remap is monotonic, so every
 	// merged posting is filled by ascending Adds.
 	for i, v := range victims {
-		for term, c := range v.s.postings {
-			acc := merged.postings[term]
+		for j, term := range v.s.terms {
+			c := &v.s.posts[j]
+			acc := merged.open[term]
 			c.Range(func(l uint32) bool {
 				if nl := remap[i][l]; nl != noLocal {
 					if acc == nil {
 						acc = bitset.NewContainer()
-						merged.postings[term] = acc
+						merged.open[term] = acc
 					}
 					acc.Add(nl)
 				}

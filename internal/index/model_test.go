@@ -26,7 +26,11 @@ import (
 // the per-document words stay arrays.
 
 // walkVocab is the corpus vocabulary: word → probability a document
-// holds it. The alp*/gam* groups are one edit, or one prefix, apart.
+// holds it. The alp*/gam*/x1* groups are one edit, or one prefix, apart;
+// the x* words hold digits. The tokenizer keeps ASCII letters and digits
+// only, so the words with non-ASCII bytes reach the index through a
+// transducer (nonASCIIWords), and each of their ASCII runs is too short
+// to be a term of its own.
 var walkVocab = []struct {
 	word string
 	p    float64
@@ -34,6 +38,30 @@ var walkVocab = []struct {
 	{"every", 1}, {"half", 0.5}, {"tenth", 0.1},
 	{"alpha", 0.05}, {"alpka", 0.02}, {"alpah", 0.02}, {"alph", 0.02},
 	{"gamma", 0.03}, {"gambit", 0.03}, {"gamut", 0.03}, {"rare", 0.002},
+	{"x1", 0.03}, {"x10", 0.03}, {"x2", 0.02},
+	{"é", 0.03}, {"éa", 0.02}, {"zé", 0.02}, {"zéz", 0.02},
+}
+
+// The prefix and fuzzy queries of every check. Besides the groups above
+// they hold byte-order traps for a sorted term table: a prefix that is a
+// whole term ("alph", "x1", "é"), one a byte short of a term ("gambi",
+// "x1" of "x10"), one that sorts between the last ASCII term and the
+// non-ASCII ones ("zz"), and one that sorts after every term ("ÿ").
+var (
+	walkPrefixes = []string{"alp", "alph", "gam", "gambi", "doc1", "e", "x", "x1", "x10", "z", "zz", "é", "ÿ"}
+	walkFuzzy    = []string{"alpha", "gamma", "hal", "zzzz", "x11", "x", "zé", "éb", "ÿ"}
+)
+
+// nonASCIIWords is the walk's transducer: it indexes the words of a
+// document that hold a byte outside ASCII, which the tokenizer drops.
+func nonASCIIWords(_ string, content []byte) []string {
+	var out []string
+	for _, w := range strings.Fields(string(content)) {
+		if strings.IndexFunc(w, func(r rune) bool { return r >= 0x80 }) >= 0 {
+			out = append(out, w)
+		}
+	}
+	return out
 }
 
 type walker struct {
@@ -175,7 +203,7 @@ func (w *walker) reload() {
 	if err := w.ix.Save(&buf); err != nil {
 		w.t.Fatal(err)
 	}
-	ix, err := LoadIndex(&buf)
+	ix, err := LoadIndex(&buf, WithLoadTransducer("", nonASCIIWords))
 	if err != nil {
 		w.t.Fatal(err)
 	}
@@ -245,11 +273,17 @@ func checkSnapshot(t *testing.T, tag string, sn *Snapshot, m indextest.Model, sc
 		same("Lookup "+v.word, sn.Lookup(v.word), m.Term(v.word))
 	}
 	same("Lookup missing", sn.Lookup("missing"), nil)
-	for _, p := range []string{"alp", "gam", "doc1", "e", "zz"} {
+	for _, p := range walkPrefixes {
 		same("LookupPrefix "+p, sn.LookupPrefix(p), m.Prefix(p))
+		if got, want := sn.PrefixCost(p), vocabCost(sn, func(term string) bool { return strings.HasPrefix(term, p) }); got != want {
+			t.Fatalf("%s: PrefixCost(%q) = %d, the segments' terms sum to %d", tag, p, got, want)
+		}
 	}
-	for _, f := range []string{"alpha", "gamma", "hal", "zzzz"} {
+	for _, f := range walkFuzzy {
 		same("LookupFuzzy "+f, sn.LookupFuzzy(f), m.Fuzzy(f))
+		if got, want := sn.FuzzyCost(f), vocabCost(sn, func(term string) bool { return indextest.WithinOneEdit(f, term) }); got != want {
+			t.Fatalf("%s: FuzzyCost(%q) = %d, the segments' terms sum to %d", tag, f, got, want)
+		}
 	}
 	same("AllDocs", sn.AllDocs(), m.All())
 	for _, root := range scopes {
@@ -259,6 +293,29 @@ func checkSnapshot(t *testing.T, tag string, sn *Snapshot, m indextest.Model, sc
 			same("LookupUnder "+term+" "+root, got, indextest.Under(m.Term(term), root))
 		}
 	}
+}
+
+// vocabCost is the brute-force cost of a term selection: the posting
+// cardinality, dead slots included, of every term sel accepts, summed
+// over each pinned segment's whole vocabulary — its table when sealed,
+// its map when not.
+func vocabCost(sn *Snapshot, sel func(term string) bool) int {
+	sn.ix.mu.RLock()
+	defer sn.ix.mu.RUnlock()
+	n := 0
+	for _, s := range sn.segs {
+		for i, term := range s.terms {
+			if sel(term) {
+				n += s.posts[i].Len()
+			}
+		}
+		for term, c := range s.open {
+			if sel(term) {
+				n += c.Len()
+			}
+		}
+	}
+	return n
 }
 
 // check compares a fresh snapshot, and the index's own counters, with
@@ -295,10 +352,19 @@ func (w *walker) check(tag string) {
 }
 
 // checkOrder fails unless every resident sealed segment's order holds
-// each of its slots once, sorted by path and then slot.
+// each of its slots once, sorted by path and then slot, and its term
+// table is sorted and unique, a posting beside each term, with no map.
 func (w *walker) checkOrder(tag string) {
 	w.t.Helper()
 	for _, s := range w.ix.sealed {
+		if len(s.terms) != len(s.posts) || s.open != nil {
+			w.t.Fatalf("%s: segment %d holds %d terms beside %d postings", tag, s.id, len(s.terms), len(s.posts))
+		}
+		for i := 1; i < len(s.terms); i++ {
+			if s.terms[i-1] >= s.terms[i] {
+				w.t.Fatalf("%s: segment %d has term %q before %q", tag, s.id, s.terms[i-1], s.terms[i])
+			}
+		}
 		if len(s.order) != len(s.docs) {
 			w.t.Fatalf("%s: segment %d orders %d of %d slots", tag, s.id, len(s.order), len(s.docs))
 		}
@@ -322,9 +388,9 @@ func (w *walker) postingKinds(sealed bool) map[string]bool {
 	kinds := map[string]bool{}
 	w.ix.eachSegmentLocked(func(s *segment) {
 		if s.sealed == sealed {
-			for _, c := range s.postings {
+			s.eachPosting(termPattern{}, func(_ string, c *bitset.Container) {
 				kinds[c.Kind()] = true
-			}
+			})
 		}
 	})
 	return kinds
@@ -334,6 +400,9 @@ func TestDifferentialWalk(t *testing.T) {
 	w := &walker{
 		t: t, rng: rand.New(rand.NewSource(16)), ix: New(), m: indextest.Model{},
 		fs: vfs.New(), live: []string{"d0", "d1", "d2", "d3"},
+	}
+	if err := w.ix.RegisterTransducer("", nonASCIIWords); err != nil {
+		t.Fatal(err)
 	}
 	clock := time.Unix(1_000_000, 0)
 	w.fs.SetClock(func() time.Time { clock = clock.Add(time.Second); return clock })

@@ -9,6 +9,7 @@ import (
 	"hash/crc32"
 	"io"
 	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -212,14 +213,16 @@ var errLegacyIDs = errors.New("index: a saved posting carries legacy IDs")
 
 // segmentScratch is the storage Save keeps from one save to the next:
 // the slot renumbering, the kept ids of one posting, the arena postings
-// are compacted into, the images of one save's segments with their
-// document and posting tables, each block's field length, the encoder
-// and the section buffer. Slices into storage that later grew stay
-// valid: they keep the old array, which no later append writes.
+// are compacted into, the active segment's terms in order, the images of
+// one save's segments with their document and posting tables, each
+// block's field length, the encoder and the section buffer. Slices into
+// storage that later grew stay valid: they keep the old array, which no
+// later append writes.
 type segmentScratch struct {
 	remap   []uint32
 	ids     []uint32
 	arena   []byte
+	keys    []string
 	segs    []segmentImage
 	docs    []docImage
 	posts   []postingImage
@@ -235,6 +238,7 @@ func (sc *segmentScratch) reset() {
 // release drops the images' references to paths and terms, so the kept
 // storage does not pin what the index has since removed.
 func (sc *segmentScratch) release() {
+	clear(sc.keys)
 	clear(sc.segs)
 	clear(sc.docs)
 	clear(sc.posts)
@@ -244,7 +248,8 @@ func (sc *segmentScratch) release() {
 // sc.segs and returns it, or returns nil if the segment holds no live
 // documents: dead slots are dropped, the live ones renumbered in slot
 // order, and every posting is compacted straight from its container into
-// the arena (bitset.Container.AppendCompacted). Caller holds ix.mu.
+// the arena (bitset.Container.AppendCompacted), in term order, so an
+// unchanged index saves to the same bytes. Caller holds ix.mu.
 func encodeSegmentLocked(s *segment, sc *segmentScratch) *segmentImage {
 	sc.remap = slices.Grow(sc.remap[:0], len(s.docs))[:len(s.docs)]
 	live := 0
@@ -265,8 +270,20 @@ func encodeSegmentLocked(s *segment, sc *segmentScratch) *segmentImage {
 			sc.docs = append(sc.docs, docImage{Path: d.path, ModTime: d.modTime, Size: d.size})
 		}
 	}
-	posts := len(sc.posts)
-	for term, posting := range s.postings {
+	posts, terms := len(sc.posts), s.terms
+	if !s.sealed {
+		sc.keys = sc.keys[:0]
+		for term := range s.open {
+			sc.keys = append(sc.keys, term)
+		}
+		slices.Sort(sc.keys)
+		terms = sc.keys
+	}
+	for i, term := range terms {
+		posting := s.open[term] // nil on a sealed segment: its table holds it
+		if s.sealed {
+			posting = &s.posts[i]
+		}
 		start := len(sc.arena)
 		sc.arena, sc.ids = posting.AppendCompacted(sc.arena, sc.remap, noLocal, sc.ids)
 		if len(sc.arena) > start {
@@ -466,21 +483,29 @@ func newLoadedIndex(opts []LoadOption) *Index {
 }
 
 // installSegment attaches one decoded segment image (every posting has
-// been through postingImage.decode) as a sealed segment, taking over
-// the decoded containers. Duplicate paths across blocks (only possible
-// in a damaged image) resolve newest-wins, tombstoning the older slot.
+// been through postingImage.decode) as a sealed segment, its term table
+// filled from the postings sorted (a save writes them in order). A block
+// that repeats a term is damaged and rejected. Duplicate paths across
+// blocks (only possible in a damaged image) resolve newest-wins,
+// tombstoning the older slot.
 func (ix *Index) installSegment(img *segmentImage) error {
 	if _, dup := ix.bySeg[img.ID]; dup {
 		return fmt.Errorf("%w: duplicate segment ID %d", vfs.ErrCorruptVolume, img.ID)
 	}
-	s := newSegment(img.ID)
+	slices.SortFunc(img.Postings, func(a, b postingImage) int { return strings.Compare(a.Term, b.Term) })
+	s := &segment{id: img.ID, dead: bitset.NewContainer(), terms: make([]string, 0, len(img.Postings))}
+	s.posts = make([]bitset.Container, 0, len(img.Postings))
+	for i, pi := range img.Postings {
+		if i > 0 && pi.Term == img.Postings[i-1].Term {
+			return fmt.Errorf("%w: segment %d repeats term %q", vfs.ErrCorruptVolume, img.ID, pi.Term)
+		}
+		if pi.set.Any() {
+			s.terms = append(s.terms, pi.Term)
+			s.posts = append(s.posts, *pi.set)
+		}
+	}
 	for _, di := range img.Docs {
 		s.docs = append(s.docs, docEntry{path: di.Path, modTime: di.ModTime, size: di.Size, alive: true})
-	}
-	for _, pi := range img.Postings {
-		if pi.set.Any() {
-			s.postings[pi.Term] = pi.set
-		}
 	}
 	s.seal()
 	ix.bySeg[s.id] = s

@@ -304,7 +304,8 @@ func fixtureIndex() *Index {
 }
 
 // segmentImagesOf decodes every segment block of an index image, with
-// each segment's postings sorted by term (Save writes them in map order).
+// each segment's postings sorted by term: Save writes them in term
+// order, but parentImage was written in map order.
 func segmentImagesOf(t *testing.T, img []byte) []*segmentImage {
 	t.Helper()
 	r := bytes.NewReader(img[14+int(binary.BigEndian.Uint64(img[6:14]))+4:])
@@ -433,5 +434,129 @@ func TestTruncatedFrameAllocatesInput(t *testing.T) {
 		if d := after.TotalAlloc - before.TotalAlloc; d >= 8<<20 {
 			t.Fatalf("%s: a %d-byte input claiming %d bytes allocated %d bytes", load.name, len(in), maxIndexPayload, d)
 		}
+	}
+}
+
+// saveBytes returns ix's image.
+func saveBytes(t *testing.T, ix *Index) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := ix.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestSaveIsDeterministic: an unchanged index saves to the same bytes,
+// and the index loaded from an image saves its segments to the same
+// bytes again: every segment writes its postings in term order. The
+// index holds 70 terms over a merged, a sealed and an active segment.
+// Only the container header may differ after a load, by its NextSeg:
+// the loaded index numbers its fresh active segment from it.
+func TestSaveIsDeterministic(t *testing.T) {
+	ix := New()
+	ix.SetSealThreshold(20)
+	add := func(from, to int) {
+		for i := from; i < to; i++ {
+			ix.Add(fmt.Sprintf("/d%d/f%03d", i%3, i), []byte(fmt.Sprintf("w%d m%d n%d common", i, i%7, i%5)))
+		}
+	}
+	add(0, 40)
+	ix.ForceMerge()
+	add(40, 60)
+	add(60, 70)
+	ix.Remove("/d0/f063") // a dead slot in the active segment
+	ix.Remove("/d1/f001") // and one in the merged segment
+	ix.mu.RLock()
+	layout := fmt.Sprintf("%d sealed, %d active", len(ix.sealed), len(ix.active.docs))
+	ix.mu.RUnlock()
+	if layout != "2 sealed, 10 active" {
+		t.Fatalf("layout %s, want a merged and a sealed segment beside a 10-document active one", layout)
+	}
+	if n := ix.Stats().Terms; n < 50 {
+		t.Fatalf("%d terms, want at least 50", n)
+	}
+
+	first := saveBytes(t, ix)
+	for i := 0; i < 4; i++ {
+		if again := saveBytes(t, ix); !bytes.Equal(again, first) {
+			t.Fatalf("save %d of an unchanged index differs from the first (%d and %d bytes)", i+2, len(again), len(first))
+		}
+	}
+	loaded, err := LoadIndex(bytes.NewReader(first))
+	if err != nil {
+		t.Fatal(err)
+	}
+	again := saveBytes(t, loaded)
+	headerLen := func(img []byte) int { return 14 + int(binary.BigEndian.Uint64(img[6:14])) + 4 }
+	if !bytes.Equal(again[headerLen(again):], first[headerLen(first):]) {
+		t.Fatalf("the loaded index saves its segments to other bytes (%d and %d bytes)", len(again), len(first))
+	}
+	var was, is containerHeader
+	if err := decodeContainerHeader(first[14:headerLen(first)-4], &was); err != nil {
+		t.Fatal(err)
+	}
+	if err := decodeContainerHeader(again[14:headerLen(again)-4], &is); err != nil {
+		t.Fatal(err)
+	}
+	if is.Segments != was.Segments || is.NextSeg != was.NextSeg+1 {
+		t.Fatalf("header after a load %+v, before %+v", is, was)
+	}
+}
+
+// framedBlock gob-encodes v into one block framed with magic, as Save
+// frames its blocks.
+func framedBlock(tb testing.TB, magic [4]byte, v any) []byte {
+	tb.Helper()
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(v); err != nil {
+		tb.Fatal(err)
+	}
+	blk, off := openBlock(nil, magic, payload.Len())
+	return closeBlock(append(blk, payload.Bytes()...), off)
+}
+
+// repeatedTermBlock is a well-framed segment block whose posting table
+// holds "apple" twice, the second time after another term.
+func repeatedTermBlock(tb testing.TB) []byte {
+	tb.Helper()
+	packed := func(ids ...uint32) []byte { return bitset.ContainerOf(ids...).AppendBinary(nil) }
+	return framedBlock(tb, segmentMagic, &segmentImage{
+		ID:   4,
+		Docs: []docImage{{Path: "/a", Size: 5}, {Path: "/b", Size: 5}},
+		Postings: []postingImage{
+			{Term: "apple", Packed: packed(0)},
+			{Term: "pear", Packed: packed(0, 1)},
+			{Term: "apple", Packed: packed(1)},
+		},
+	})
+}
+
+// TestLoadRejectsRepeatedTerm: a segment block that repeats a term — a
+// table a binary search could not answer from — is damage: it is
+// skipped like a block that fails its checksum, and the load reports
+// vfs.ErrCorruptVolume while the intact blocks still install.
+func TestLoadRejectsRepeatedTerm(t *testing.T) {
+	good := New()
+	good.Add("/c", []byte("cherry"))
+	img := saveBytes(t, good)
+	hdrEnd := 14 + int(binary.BigEndian.Uint64(img[6:14])) + 4
+	var image []byte
+	image = append(image, framedBlock(t, indexMagic, &containerHeader{Version: indexVersion, Segments: 2, NextSeg: 5})...)
+	image = append(image, repeatedTermBlock(t)...)
+	image = append(image, img[hdrEnd:]...)
+
+	ix, err := LoadIndex(bytes.NewReader(image))
+	if !errors.Is(err, vfs.ErrCorruptVolume) || !strings.Contains(err.Error(), `repeats term "apple"`) {
+		t.Fatalf("err = %v, want a repeated-term ErrCorruptVolume", err)
+	}
+	if ix == nil {
+		t.Fatal("no partial index returned")
+	}
+	if _, ok := ix.IDOf("/a"); ok || ix.NumDocs() != 1 {
+		t.Fatalf("loaded %d documents, /a among them: the damaged block was installed", ix.NumDocs())
+	}
+	if got := ix.Snapshot().Paths(ix.Snapshot().Lookup("cherry")); len(got) != 1 || got[0] != "/c" {
+		t.Fatalf("intact block: cherry in %v", got)
 	}
 }

@@ -272,8 +272,8 @@ func TestScopeRangesMatchSlotScan(t *testing.T) {
 				want := sn.Lookup(w)
 				wantSkipped := 0
 				for _, s := range sn.segs {
-					c, ok := s.postings[w]
-					if !ok {
+					c := s.posting(w)
+					if c == nil {
 						continue
 					}
 					if k := slots[s.id]; k == 0 {

@@ -129,7 +129,7 @@ func (sn *Snapshot) Lookup(term string) *bitset.Segmented {
 	sn.ix.mu.RLock()
 	defer sn.ix.mu.RUnlock()
 	for _, s := range sn.segs {
-		if c, ok := s.postings[term]; ok {
+		if c := s.posting(term); c != nil {
 			sn.put(out, s, c.Clone())
 		}
 	}
@@ -144,7 +144,7 @@ func (sn *Snapshot) lookupAny(p termPattern) *bitset.Segmented {
 	defer sn.ix.mu.RUnlock()
 	for _, s := range sn.segs {
 		var acc *bitset.Container
-		s.eachPosting(p, func(c *bitset.Container) {
+		s.eachPosting(p, func(_ string, c *bitset.Container) {
 			if acc == nil {
 				acc = c.Clone()
 			} else {
@@ -159,7 +159,7 @@ func (sn *Snapshot) lookupAny(p termPattern) *bitset.Segmented {
 // LookupPrefix returns the live documents containing any term with the
 // given prefix (the query language's "foo*").
 func (sn *Snapshot) LookupPrefix(prefix string) *bitset.Segmented {
-	return sn.lookupAny(prefixPattern(normalizeTerm(prefix)))
+	return sn.lookupAny(termPattern{prefix: normalizeTerm(prefix)})
 }
 
 // LookupFuzzy returns the live documents containing any term within
@@ -221,8 +221,8 @@ func (sn *Snapshot) LookupUnder(term, root string) (*bitset.Segmented, int) {
 	sn.ix.mu.RLock()
 	defer sn.ix.mu.RUnlock()
 	for _, s := range sn.segs {
-		c, ok := s.postings[term]
-		if !ok {
+		c := s.posting(term)
+		if c == nil {
 			continue
 		}
 		slots := s.appendScope(nil, root, sn.segLen(s))
@@ -243,15 +243,15 @@ func (sn *Snapshot) LookupUnder(term, root string) (*bitset.Segmented, int) {
 // TermCost returns the total posting cardinality of term across the
 // pinned segments — the planner's per-term selectivity estimate. Dead
 // slots are counted (they cost iteration work even though they are
-// filtered), which keeps the estimate one map probe and one stored
-// count per segment.
+// filtered), which keeps the estimate one probe of the vocabulary and
+// one stored count per segment.
 func (sn *Snapshot) TermCost(term string) int {
 	term = normalizeTerm(term)
 	n := 0
 	sn.ix.mu.RLock()
 	defer sn.ix.mu.RUnlock()
 	for _, s := range sn.segs {
-		if c, ok := s.postings[term]; ok {
+		if c := s.posting(term); c != nil {
 			n += c.Len()
 		}
 	}

@@ -77,7 +77,7 @@ func (b *IndexBackend) Resync(_ context.Context) error {
 // Status reports the served index's epoch, version and live doc count.
 func (b *IndexBackend) Status() (epoch, version uint64, docs int) {
 	snap := b.ix.Snapshot()
-	return snap.Epoch(), snap.Version(), b.ix.Stats().Docs
+	return snap.Epoch(), snap.Version(), b.ix.NumDocs()
 }
 
 // SearchPageUnder implements Backend: q is compiled with the cost-based
