@@ -21,6 +21,7 @@ import (
 	"hacfs/internal/hac"
 	"hacfs/internal/index"
 	"hacfs/internal/vfs"
+	"hacfs/internal/vfs/cas"
 )
 
 // benchAndrew is the Andrew-tree size used by the Table 1 and Table 2
@@ -50,13 +51,13 @@ func runAndrew(b *testing.B, fsys vfs.FileSystem) andrew.Result {
 
 func BenchmarkTable1_UNIX(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		runAndrew(b, vfs.New())
+		runAndrew(b, cas.New(nil))
 	}
 }
 
 func BenchmarkTable1_HAC(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		runAndrew(b, hac.New(vfs.New(), hac.Options{}))
+		runAndrew(b, hac.New(cas.New(nil), hac.Options{}))
 	}
 }
 
@@ -68,9 +69,9 @@ func BenchmarkTable1_Phases(b *testing.B) {
 		b.Run(sys, func(b *testing.B) {
 			var acc andrew.Result
 			for i := 0; i < b.N; i++ {
-				var fsys vfs.FileSystem = vfs.New()
+				var fsys vfs.FileSystem = cas.New(nil)
 				if sys == "HAC" {
-					fsys = hac.New(vfs.New(), hac.Options{})
+					fsys = hac.New(cas.New(nil), hac.Options{})
 				}
 				res := runAndrew(b, fsys)
 				acc.MakeDir += res.MakeDir
@@ -93,13 +94,13 @@ func BenchmarkTable1_Phases(b *testing.B) {
 
 func BenchmarkTable2_Jade(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		runAndrew(b, baseline.NewJade(vfs.New()))
+		runAndrew(b, baseline.NewJade(cas.New(nil)))
 	}
 }
 
 func BenchmarkTable2_Pseudo(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		p := baseline.NewPseudo(vfs.New())
+		p := baseline.NewPseudo(cas.New(nil))
 		runAndrew(b, p)
 		p.Close()
 	}
@@ -107,14 +108,14 @@ func BenchmarkTable2_Pseudo(b *testing.B) {
 
 func BenchmarkTable2_HAC(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		runAndrew(b, hac.New(vfs.New(), hac.Options{}))
+		runAndrew(b, hac.New(cas.New(nil), hac.Options{}))
 	}
 }
 
 // ---- Table 3: indexing through HAC vs direct ------------------------
 
 func BenchmarkTable3_IndexDirect(b *testing.B) {
-	raw := vfs.New()
+	raw := cas.New(nil)
 	if err := raw.MkdirAll("/db"); err != nil {
 		b.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func BenchmarkTable3_IndexDirect(b *testing.B) {
 func BenchmarkTable3_IndexThroughHAC(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		fs := hac.New(vfs.New(), hac.Options{})
+		fs := hac.New(cas.New(nil), hac.Options{})
 		if err := fs.MkdirAll("/db"); err != nil {
 			b.Fatal(err)
 		}

@@ -24,6 +24,7 @@ import (
 	"hacfs/internal/obs"
 	"hacfs/internal/remote"
 	"hacfs/internal/vfs"
+	"hacfs/internal/vfs/cas"
 )
 
 var (
@@ -41,7 +42,7 @@ func main() {
 	flag.Parse()
 	logger := log.New(os.Stderr, "hacindexd: ", log.LstdFlags)
 
-	fsys := vfs.New()
+	fsys := cas.New(nil)
 	var err error
 	switch {
 	case *hostDir != "":
@@ -89,7 +90,7 @@ func main() {
 
 // snapshotHostDir copies regular files under dir from the host OS into
 // the in-memory volume, preserving relative paths.
-func snapshotHostDir(fsys *vfs.MemFS, dir string) (int, error) {
+func snapshotHostDir(fsys vfs.FileSystem, dir string) (int, error) {
 	n := 0
 	err := filepath.Walk(dir, func(p string, info os.FileInfo, err error) error {
 		if err != nil {

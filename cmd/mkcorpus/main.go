@@ -15,7 +15,7 @@ import (
 	"path/filepath"
 
 	"hacfs/internal/corpus"
-	"hacfs/internal/vfs"
+	"hacfs/internal/vfs/cas"
 )
 
 var (
@@ -35,7 +35,7 @@ func main() {
 
 	// Generate into memory first, then copy out, so the generator stays
 	// a pure function of its Spec.
-	mem := vfs.New()
+	mem := cas.New(nil)
 	if err := mem.MkdirAll("/c"); err != nil {
 		fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 	"hacfs"
 	"hacfs/internal/remote"
 	"hacfs/internal/vfs"
+	"hacfs/internal/vfs/cas"
 )
 
 func main() {
@@ -93,7 +94,7 @@ func main() {
 // its address. In real deployments this is cmd/hacindexd on another
 // machine.
 func startLibrary(docs map[string]string) string {
-	fsys := vfs.New()
+	fsys := cas.New(nil)
 	for p, content := range docs {
 		must("library mkdir "+vfs.Dir(p), fsys.MkdirAll(vfs.Dir(p)))
 		must("library write "+p, fsys.WriteFile(p, []byte(content)))

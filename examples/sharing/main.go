@@ -14,6 +14,7 @@ import (
 	"hacfs"
 	"hacfs/internal/catalog"
 	"hacfs/internal/remotefs"
+	"hacfs/internal/vfs/cas"
 )
 
 func main() {
@@ -35,10 +36,9 @@ func main() {
 	go remotefs.NewServer(alice, nil).Serve(l)
 
 	// --- Bob mounts Alice's volume syntactically. ----------------------
-	bobUnder := hacfs.NewMemFS()
-	bob := hacfs.New(bobUnder)
+	bob := hacfs.NewVolume()
 	must("bob mkdir /net/alice", bob.MkdirAll("/net/alice"))
-	must("bob mount", bobUnder.Mount("/net/alice", remotefs.DialMux(l.Addr().String())))
+	must("bob mount", bob.Under().(*cas.FS).Mount("/net/alice", remotefs.DialMux(l.Addr().String())))
 
 	fmt.Println("Bob browses Alice's curated classification over the network:")
 	entries, err := bob.ReadDir("/net/alice/fingerprint")

@@ -25,13 +25,13 @@
 //
 // Volumes and evaluation passes are configured with functional options:
 //
-//	fs := hacfs.New(hacfs.NewMemFS(),
-//	        hacfs.WithVerify(true))               // confirm every match
+//	fs := hacfs.NewVolume(hacfs.WithVerify(true)) // confirm every match
 //	fs.Reindex("/")
 //	fs.SyncAll(hacfs.WithVerify(false))           // this pass only
 //
-// Options given to New become the volume's defaults; options given to
-// Sync, SyncAll or Reindex override them for that pass.
+// Options given to NewVolume or New become the volume's defaults;
+// options given to Sync, SyncAll or Reindex override them for that
+// pass.
 //
 // # Errors
 //
@@ -140,9 +140,6 @@ type Info = vfs.Info
 // reports it.
 type DirEntry = vfs.DirEntry
 
-// MemFS is the in-memory substrate file system.
-type MemFS = vfs.MemFS
-
 // Link is a classified symbolic link in a semantic directory.
 type Link = hac.Link
 
@@ -159,11 +156,6 @@ const (
 // Namespace is a remote file or query system that can be semantically
 // mounted (§3 of the paper).
 type Namespace = hac.Namespace
-
-// ContextNamespace is a Namespace whose calls honor a context; HAC
-// bounds such namespaces with the volume's remote timeout during
-// evaluation.
-type ContextNamespace = hac.ContextNamespace
 
 // NodeType distinguishes files, directories and symlinks in Info and
 // DirEntry.
@@ -236,11 +228,6 @@ func NewVolume(opts ...Option) *FS {
 	return hac.NewWith(cas.New(nil), opts...)
 }
 
-// NewMemFS returns a bare in-memory hierarchical file system: the
-// reference substrate, without the HAC layer. A HAC volume over it
-// works in every respect but SaveVolume.
-func NewMemFS() *MemFS { return vfs.New() }
-
 // FaultFS wraps a substrate with deterministic, seed-driven fault
 // injection — per-operation error rates, crash points that freeze the
 // store, torn writes, latency — for crash-consistency testing (see
@@ -311,8 +298,8 @@ func LoadVolumeFile(path string, opts Options) (*FS, error) {
 
 // DialFS connects to a remote volume served by cmd/hacvold (or
 // ServeFS) and returns a FileSystem view of it. The result composes
-// with everything local: mount it into a MemFS with Mount, or use it
-// as the substrate of a local HAC layer.
+// with everything local: mount it into a volume's substrate (Under)
+// with Mount, or use it as the substrate of a local HAC layer.
 func DialFS(addr string) *remotefs.MuxClient {
 	return remotefs.DialMux(addr)
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hacfs"
+	"hacfs/internal/vfs/cas"
 )
 
 // TestPublicAPIEndToEnd exercises the full public surface the way a
@@ -85,7 +86,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 }
 
 func TestNewOverExistingSubstrate(t *testing.T) {
-	under := hacfs.NewMemFS()
+	under := cas.New(nil)
 	if err := under.WriteFile("/pre-existing.txt", []byte("apple")); err != nil {
 		t.Fatal(err)
 	}

@@ -15,6 +15,7 @@ import (
 	"hacfs/internal/remote"
 	"hacfs/internal/remotefs"
 	"hacfs/internal/vfs"
+	"hacfs/internal/vfs/cas"
 )
 
 // TestFullStack drives every subsystem in one scenario: a corpus-backed
@@ -182,12 +183,11 @@ func TestFullStack(t *testing.T) {
 	go volSrv.Serve(volL)
 	defer volSrv.Close()
 
-	coworkerUnder := hacfs.NewMemFS()
-	coworker := hacfs.New(coworkerUnder)
+	coworker := hacfs.NewVolume()
 	if err := coworker.MkdirAll("/peer"); err != nil {
 		t.Fatal(err)
 	}
-	if err := coworkerUnder.Mount("/peer", hacfs.DialFS(volL.Addr().String())); err != nil {
+	if err := coworker.Under().(*cas.FS).Mount("/peer", hacfs.DialFS(volL.Addr().String())); err != nil {
 		t.Fatal(err)
 	}
 	peerEntries, err := coworker.ReadDir("/peer/topic-renamed")

@@ -8,6 +8,7 @@ import (
 	"hacfs/internal/corpus"
 	"hacfs/internal/hac"
 	"hacfs/internal/vfs"
+	"hacfs/internal/vfs/cas"
 )
 
 // ---------------------------------------------------------------------
@@ -35,7 +36,7 @@ type A1Result struct {
 // is the number of independent semantic directories.
 func AblationOrder(files, chain, unrelated int) (A1Result, error) {
 	var res A1Result
-	fs := hac.New(vfs.New(), hac.Options{})
+	fs := hac.New(cas.New(nil), hac.Options{})
 	if err := fs.MkdirAll("/db"); err != nil {
 		return res, err
 	}
@@ -177,7 +178,7 @@ type A3Result struct {
 // modeled (its parent set must absorb every child addition).
 func AblationScopeDirection(edits int) (A3Result, error) {
 	var res A3Result
-	fs := hac.New(vfs.New(), hac.Options{})
+	fs := hac.New(cas.New(nil), hac.Options{})
 	files := map[string]string{
 		"/in/a.txt":  "inside apple",
 		"/in/b.txt":  "inside banana",

@@ -20,6 +20,7 @@ import (
 	"hacfs/internal/query"
 	"hacfs/internal/query/plan"
 	"hacfs/internal/vfs"
+	"hacfs/internal/vfs/cas"
 )
 
 // ---------------------------------------------------------------------
@@ -37,7 +38,7 @@ type Table1Row struct {
 func Table1(spec andrew.Spec) ([]Table1Row, error) {
 	var rows []Table1Row
 
-	raw := vfs.New()
+	raw := cas.New(nil)
 	if err := andrew.GenerateSource(raw, "/src", spec); err != nil {
 		return nil, err
 	}
@@ -47,7 +48,7 @@ func Table1(spec andrew.Spec) ([]Table1Row, error) {
 	}
 	rows = append(rows, Table1Row{System: "UNIX", Result: rawRes})
 
-	hacFS := hac.New(vfs.New(), hac.Options{})
+	hacFS := hac.New(cas.New(nil), hac.Options{})
 	if err := andrew.GenerateSource(hacFS, "/src", spec); err != nil {
 		return nil, err
 	}
@@ -94,21 +95,21 @@ func Table2(spec andrew.Spec) ([]Table2Row, error) {
 		return res.Total(), nil
 	}
 
-	rawTotal, err := run(vfs.New())
+	rawTotal, err := run(cas.New(nil))
 	if err != nil {
 		return nil, err
 	}
 
-	pseudo := baseline.NewPseudo(vfs.New())
+	pseudo := baseline.NewPseudo(cas.New(nil))
 	defer pseudo.Close()
 
 	systems := []struct {
 		name string
 		fsys vfs.FileSystem
 	}{
-		{"Jade FS", baseline.NewJade(vfs.New())},
+		{"Jade FS", baseline.NewJade(cas.New(nil))},
 		{"Pseudo FS", pseudo},
-		{"HAC FS", hac.New(vfs.New(), hac.Options{})},
+		{"HAC FS", hac.New(cas.New(nil), hac.Options{})},
 	}
 	var rows []Table2Row
 	for _, s := range systems {
@@ -178,7 +179,7 @@ func Table3Reps(spec corpus.Spec, reps int) (Table3Result, error) {
 
 	// One substrate for the direct side, one for the HAC side — same
 	// content.
-	raw := vfs.New()
+	raw := cas.New(nil)
 	if err := raw.MkdirAll("/db"); err != nil {
 		return res, err
 	}
@@ -189,7 +190,7 @@ func Table3Reps(spec corpus.Spec, reps int) (Table3Result, error) {
 	res.Files = len(man.Files)
 	res.CorpusBytes = man.TotalBytes
 
-	hacUnder := vfs.New()
+	hacUnder := cas.New(nil)
 	if err := hacUnder.MkdirAll("/db"); err != nil {
 		return res, err
 	}
@@ -273,7 +274,7 @@ type Table4Row struct {
 // Table4Env is the prepared state for Table 4 runs: one corpus, indexed
 // both directly and under HAC.
 type Table4Env struct {
-	Raw      *vfs.MemFS
+	Raw      *cas.FS
 	Ix       *index.Index
 	HacFS    *hac.FS
 	Manifest *corpus.Manifest
@@ -282,7 +283,7 @@ type Table4Env struct {
 // NewTable4Env generates and indexes the corpus once; individual query
 // classes are then measured against it.
 func NewTable4Env(spec corpus.Spec) (*Table4Env, error) {
-	raw := vfs.New()
+	raw := cas.New(nil)
 	if err := raw.MkdirAll("/db"); err != nil {
 		return nil, err
 	}
@@ -298,7 +299,7 @@ func NewTable4Env(spec corpus.Spec) (*Table4Env, error) {
 	// VerifyMatches puts HAC's engine on the same footing as the direct
 	// search: both confirm candidates by scanning file content, like
 	// Glimpse's grep pass.
-	hacFS := hac.New(vfs.New(), hac.Options{VerifyMatches: true})
+	hacFS := hac.New(cas.New(nil), hac.Options{VerifyMatches: true})
 	if err := hacFS.MkdirAll("/db"); err != nil {
 		return nil, err
 	}

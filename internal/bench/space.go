@@ -5,13 +5,14 @@ import (
 
 	"hacfs/internal/andrew"
 	"hacfs/internal/hac"
-	"hacfs/internal/vfs"
+	"hacfs/internal/vfs/cas"
 )
 
 // SpaceResult reproduces the in-text space measurements of §4:
 // metadata footprint of the same tree under raw UNIX vs under HAC
-// (222 KB vs 210 KB, ~5%, in the paper) and the per-semantic-directory
-// result bitmap (N/8 bytes, ~2 KB at N = 17000). The paper's third row,
+// (222 KB vs 210 KB, ~5%, in the paper; each side's substrate metadata
+// is its encoded manifest) and the per-semantic-directory result bitmap
+// (N/8 bytes, ~2 KB at N = 17000). The paper's third row,
 // ~16 KB of per-process shared memory for the attribute cache and
 // descriptor table, has no counterpart: HAC keeps neither.
 type SpaceResult struct {
@@ -33,13 +34,13 @@ func Space(spec andrew.Spec, semDirs int) (SpaceResult, error) {
 		spec.Dirs = 20 // match andrew.Spec's default
 	}
 
-	raw := vfs.New()
+	raw := cas.New(nil)
 	if err := andrew.GenerateSource(raw, "/src", spec); err != nil {
 		return res, err
 	}
-	res.UnixMetaBytes = raw.MetadataBytes()
+	res.UnixMetaBytes = len(raw.Manifest().EncodeBinary())
 
-	under := vfs.New()
+	under := cas.New(nil)
 	fs := hac.New(under, hac.Options{})
 	if err := andrew.GenerateSource(fs, "/src", spec); err != nil {
 		return res, err
@@ -55,7 +56,7 @@ func Space(spec andrew.Spec, semDirs int) (SpaceResult, error) {
 			return res, err
 		}
 	}
-	res.HACMetaBytes = under.MetadataBytes() + fs.MetadataBytes()
+	res.HACMetaBytes = len(under.Manifest().EncodeBinary()) + fs.MetadataBytes()
 	res.IndexedFiles = fs.Index().NumDocs()
 	res.SemanticDirs = semDirs
 	res.BitmapBytesPerDir = (fs.Index().Universe() + 7) / 8

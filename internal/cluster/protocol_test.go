@@ -66,7 +66,7 @@ func TestTypedErrorsCrossBothProtocols(t *testing.T) {
 
 	cl := remote.DialBin("test", addr)
 	defer cl.Close()
-	_, err = cl.Search("anything")
+	_, err = cl.SearchContext(context.Background(), "anything")
 	check(t, err)
 	_, _, _, err = cl.SearchPageUnder(context.Background(), "anything", "/", 0, 10)
 	check(t, err)

@@ -13,67 +13,33 @@ import (
 // Namespace is a remote file or query system that can be semantically
 // mounted (§3). It is deliberately opaque: HAC ships the user's query
 // text and gets back result identifiers, "with whatever query mechanism
-// is used there".
+// is used there". HAC bounds every call it makes with
+// DefaultRemoteTimeout, and an evaluation pass's call also with the
+// pass's context.
 type Namespace interface {
 	// Name identifies the namespace within one HAC volume; link targets
 	// embed it.
 	Name() string
-	// Search evaluates a query and returns matching paths within the
-	// namespace.
-	Search(query string) ([]string, error)
-	// Fetch retrieves the content behind one result, for the sact
-	// command.
-	Fetch(path string) ([]byte, error)
-}
-
-// ContextNamespace is implemented by namespaces whose calls honor a
-// context (cancellation and deadlines). HAC bounds every evaluation-time
-// remote call with DefaultRemoteTimeout through this interface; plain
-// Namespaces are called without a bound.
-type ContextNamespace interface {
-	Namespace
+	// SearchContext evaluates a query and returns matching paths within
+	// the namespace.
 	SearchContext(ctx context.Context, query string) ([]string, error)
+	// FetchContext retrieves the content behind one result, for the sact
+	// command.
 	FetchContext(ctx context.Context, path string) ([]byte, error)
 }
 
-// rpcCtx derives the context for one remote namespace call: the pass
-// context bounded by DefaultRemoteTimeout.
-func rpcCtx(ctx context.Context) (context.Context, context.CancelFunc) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return context.WithTimeout(ctx, DefaultRemoteTimeout)
-}
-
-// nsSearch runs one namespace search, context-bounded when the
-// namespace supports it.
+// nsSearch runs one namespace search, bounded by ctx and
+// DefaultRemoteTimeout.
 func (fs *FS) nsSearch(ctx context.Context, ns Namespace, q string) ([]string, error) {
 	start := time.Now()
 	defer fs.met.nsSearchSeconds.ObserveSince(start)
-	var results []string
-	var err error
-	if cns, ok := ns.(ContextNamespace); ok {
-		cctx, cancel := rpcCtx(ctx)
-		defer cancel()
-		results, err = cns.SearchContext(cctx, q)
-	} else {
-		results, err = ns.Search(q)
-	}
+	ctx, cancel := context.WithTimeout(ctx, DefaultRemoteTimeout)
+	defer cancel()
+	results, err := ns.SearchContext(ctx, q)
 	if err != nil {
 		fs.met.nsErrors.Add(1)
 	}
 	return results, err
-}
-
-// nsFetch runs one namespace fetch, context-bounded when the namespace
-// supports it.
-func (fs *FS) nsFetch(ctx context.Context, ns Namespace, path string) ([]byte, error) {
-	if cns, ok := ns.(ContextNamespace); ok {
-		cctx, cancel := rpcCtx(ctx)
-		defer cancel()
-		return cns.FetchContext(cctx, path)
-	}
-	return ns.Fetch(path)
 }
 
 // remoteScheme prefixes link targets that point into mounted
@@ -279,7 +245,9 @@ func (fs *FS) Extract(linkPath string) ([]byte, error) {
 		if ns == nil {
 			return nil, pathErr("sact", linkPath, fmt.Errorf("%w: %s", ErrNoNamespace, nsName))
 		}
-		return fs.nsFetch(context.Background(), ns, rpath)
+		ctx, cancel := context.WithTimeout(context.Background(), DefaultRemoteTimeout)
+		defer cancel()
+		return ns.FetchContext(ctx, rpath)
 	}
 	if !vfs.IsAbs(target) {
 		target = vfs.Join(vfs.Dir(clean), target)

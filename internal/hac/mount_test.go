@@ -1,11 +1,13 @@
 package hac
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"hacfs/internal/bitset"
 	"hacfs/internal/index"
@@ -28,7 +30,7 @@ func newFakeNS(name string, docs map[string]string) *fakeNS {
 
 func (n *fakeNS) Name() string { return n.name }
 
-func (n *fakeNS) Search(q string) ([]string, error) {
+func (n *fakeNS) SearchContext(_ context.Context, q string) ([]string, error) {
 	n.searches++
 	ix := index.New()
 	for p, content := range n.docs {
@@ -46,7 +48,7 @@ func (n *fakeNS) Search(q string) ([]string, error) {
 	return sn.Paths(bm), nil
 }
 
-func (n *fakeNS) Fetch(path string) ([]byte, error) {
+func (n *fakeNS) FetchContext(_ context.Context, path string) ([]byte, error) {
 	content, ok := n.docs[path]
 	if !ok {
 		return nil, fmt.Errorf("fakeNS: no document %s", path)
@@ -314,6 +316,68 @@ func TestExtractRemote(t *testing.T) {
 	data, err := fs.Extract(vfs.Join("/fp", entries[0].Name))
 	if err != nil || !strings.Contains(string(data), "sensor hardware") {
 		t.Fatalf("Extract remote = %q, %v", data, err)
+	}
+}
+
+// deadlineNS is a namespace that checks every call's context for a
+// deadline no later than DefaultRemoteTimeout from the call.
+type deadlineNS struct {
+	*fakeNS
+	calls     int
+	unbounded []string // calls whose context had no such deadline
+}
+
+func (n *deadlineNS) check(call string, ctx context.Context) {
+	n.calls++
+	if d, ok := ctx.Deadline(); !ok || time.Until(d) > DefaultRemoteTimeout {
+		n.unbounded = append(n.unbounded, call)
+	}
+}
+
+func (n *deadlineNS) SearchContext(ctx context.Context, q string) ([]string, error) {
+	n.check("search "+q, ctx)
+	return n.fakeNS.SearchContext(ctx, q)
+}
+
+func (n *deadlineNS) FetchContext(ctx context.Context, path string) ([]byte, error) {
+	n.check("fetch "+path, ctx)
+	return n.fakeNS.FetchContext(ctx, path)
+}
+
+// TestNamespaceCallsCarryDeadline: every call HAC makes into a mounted
+// namespace — a SemDir's and a Sync's evaluation, under a syntactic and
+// under a semantic parent, and sact's fetch — is bounded by
+// DefaultRemoteTimeout.
+func TestNamespaceCallsCarryDeadline(t *testing.T) {
+	fs := newTestFS(t)
+	ns := &deadlineNS{fakeNS: digLibrary()}
+	if err := fs.MkdirAll("/lib"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.SemanticMount("/lib", ns); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.SemDir("/fp", "fingerprint"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.SemDir("/fp/hw", "sensor"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Sync("/fp"); err != nil {
+		t.Fatal(err)
+	}
+	entries, _ := fs.ReadDir("/fp/hw")
+	if len(entries) != 1 {
+		t.Fatalf("entries = %v", entries)
+	}
+	if _, err := fs.Extract(vfs.Join("/fp/hw", entries[0].Name)); err != nil {
+		t.Fatal(err)
+	}
+	if ns.calls < 4 {
+		t.Fatalf("namespace saw %d calls, want at least 4", ns.calls)
+	}
+	if len(ns.unbounded) > 0 {
+		t.Fatalf("calls without a DefaultRemoteTimeout deadline: %v", ns.unbounded)
 	}
 }
 

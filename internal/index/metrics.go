@@ -42,11 +42,12 @@ func (ix *Index) SetObserver(o *obs.Observer) {
 	r.GaugeFunc("index_docs", func() float64 {
 		return float64(ix.NumDocs())
 	})
-	r.GaugeFunc("index_terms", func() float64 {
-		return float64(ix.Stats().Terms)
-	})
-	r.GaugeFunc("index_postings_bytes", func() float64 {
-		return float64(ix.Stats().IndexBytes)
+	// Stats gathers every term of every segment, so one scrape calls it
+	// once for both series.
+	r.RegisterCollector("index", func(emit func(string, obs.Labels, float64)) {
+		st := ix.Stats()
+		emit("index_terms", nil, float64(st.Terms))
+		emit("index_postings_bytes", nil, float64(st.IndexBytes))
 	})
 	r.GaugeFunc("index_segments", func() float64 {
 		ix.mu.RLock()

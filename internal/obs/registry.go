@@ -233,6 +233,7 @@ type metric struct {
 	counter *Counter
 	gauge   *Gauge
 	fn      func() float64
+	collect CollectorFunc // kind "collector": untyped samples
 	hist    *Histogram
 }
 
@@ -240,7 +241,8 @@ func (m *metric) key() string { return m.name + m.labels.render() }
 
 // CollectorFunc emits samples computed at scrape time; register one
 // with Registry.RegisterCollector to surface counters kept elsewhere
-// (e.g. a FaultFS's per-op stats) without copying them continuously.
+// (e.g. a FaultFS's per-op stats) without copying them continuously, or
+// to emit several series from one computation (an index's Stats).
 type CollectorFunc func(emit func(name string, labels Labels, value float64))
 
 // Registry holds named metrics and renders them for scraping. The zero
@@ -248,10 +250,9 @@ type CollectorFunc func(emit func(name string, labels Labels, value float64))
 // (no-op) metric handles, so code instrumented against a registry works
 // unchanged with observability disabled.
 type Registry struct {
-	mu         sync.Mutex
-	metrics    map[string]*metric
-	order      []string // registration order of keys
-	collectors []CollectorFunc
+	mu      sync.Mutex
+	metrics map[string]*metric
+	order   []string // registration order of keys
 
 	expvarOnce sync.Once
 }
@@ -269,11 +270,18 @@ func (r *Registry) lookupOrCreate(name string, labels Labels, kind string, creat
 		return m
 	}
 	m := create()
+	r.storeLocked(key, m)
+	return m
+}
+
+// storeLocked puts m under key, which keeps its place in the
+// registration order if it had one. A fresh record, never a mutated
+// one: scrapes read the records they snapshotted without the lock.
+func (r *Registry) storeLocked(key string, m *metric) {
 	if _, existed := r.metrics[key]; !existed {
 		r.order = append(r.order, key)
 	}
 	r.metrics[key] = m
-	return m
 }
 
 // Counter returns the counter with the given name and optional
@@ -313,13 +321,7 @@ func (r *Registry) GaugeFunc(name string, fn func() float64, labelKV ...string) 
 	labels := pairs(labelKV)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	key := name + labels.render()
-	if _, ok := r.metrics[key]; !ok {
-		r.order = append(r.order, key)
-	}
-	// A fresh record, never a mutated one: scrapes read the records
-	// they snapshotted without the lock.
-	r.metrics[key] = &metric{name: name, labels: labels, kind: "gauge", fn: fn}
+	r.storeLocked(name+labels.render(), &metric{name: name, labels: labels, kind: "gauge", fn: fn})
 }
 
 // Histogram returns the histogram with the given name, bounds and
@@ -340,26 +342,28 @@ func (r *Registry) Histogram(name string, bounds []float64, labelKV ...string) *
 	return m.hist
 }
 
-// RegisterCollector adds a scrape-time collector.
-func (r *Registry) RegisterCollector(fn CollectorFunc) {
+// RegisterCollector registers (or replaces) the scrape-time collector
+// under key. As with GaugeFunc, when several volumes share one
+// registry, the most recently registered collector under a key wins.
+func (r *Registry) RegisterCollector(key string, fn CollectorFunc) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	r.collectors = append(r.collectors, fn)
-	r.mu.Unlock()
+	defer r.mu.Unlock()
+	// A space keeps collector keys apart from metric names.
+	r.storeLocked("collector "+key, &metric{kind: "collector", collect: fn})
 }
 
-// snapshotLocked returns the metrics in registration order.
-func (r *Registry) snapshot() ([]*metric, []CollectorFunc) {
+// snapshot returns the metrics in registration order.
+func (r *Registry) snapshot() []*metric {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]*metric, 0, len(r.order))
 	for _, key := range r.order {
 		out = append(out, r.metrics[key])
 	}
-	cols := append([]CollectorFunc(nil), r.collectors...)
-	return out, cols
+	return out
 }
 
 // fmtFloat renders a sample value the way Prometheus expects: integers
@@ -373,13 +377,13 @@ func fmtFloat(v float64) string {
 
 // WritePrometheus renders every metric in the Prometheus text
 // exposition format (version 0.0.4). Families are emitted in
-// registration order with one # TYPE line each; collector samples
-// follow as untyped series.
+// registration order with one # TYPE line each; a collector's samples
+// come at its place in that order, as untyped series.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
-	metrics, collectors := r.snapshot()
+	metrics := r.snapshot()
 	typed := make(map[string]bool)
 	var err error
 	p := func(format string, args ...interface{}) {
@@ -388,6 +392,12 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 	for _, m := range metrics {
+		if m.kind == "collector" {
+			m.collect(func(name string, labels Labels, value float64) {
+				p("%s%s %s\n", name, labels.render(), fmtFloat(value))
+			})
+			continue
+		}
 		if !typed[m.name] {
 			typed[m.name] = true
 			p("# TYPE %s %s\n", m.name, m.kind)
@@ -413,11 +423,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			p("%s_count%s %d\n", m.name, m.labels.render(), m.hist.Count())
 		}
 	}
-	for _, c := range collectors {
-		c(func(name string, labels Labels, value float64) {
-			p("%s%s %s\n", name, labels.render(), fmtFloat(value))
-		})
-	}
 	return err
 }
 
@@ -428,11 +433,15 @@ func (r *Registry) Snapshot() map[string]float64 {
 	if r == nil {
 		return nil
 	}
-	metrics, collectors := r.snapshot()
+	metrics := r.snapshot()
 	out := make(map[string]float64, len(metrics))
 	for _, m := range metrics {
 		key := m.key()
 		switch m.kind {
+		case "collector":
+			m.collect(func(name string, labels Labels, value float64) {
+				out[name+labels.render()] = value
+			})
 		case "counter":
 			out[key] = float64(m.counter.Value())
 		case "gauge":
@@ -445,11 +454,6 @@ func (r *Registry) Snapshot() map[string]float64 {
 			out[key+"_count"] = float64(m.hist.Count())
 			out[key+"_sum"] = m.hist.Sum()
 		}
-	}
-	for _, c := range collectors {
-		c(func(name string, labels Labels, value float64) {
-			out[name+labels.render()] = value
-		})
 	}
 	return out
 }

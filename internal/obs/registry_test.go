@@ -112,7 +112,7 @@ func TestWritePrometheusGolden(t *testing.T) {
 	h.Observe(0.25)
 	h.Observe(0.5)
 	h.Observe(4)
-	r.RegisterCollector(func(emit func(name string, labels Labels, value float64)) {
+	r.RegisterCollector("ext", func(emit func(name string, labels Labels, value float64)) {
 		emit("ext_total", Labels{"src": "disk"}, 8)
 	})
 
@@ -142,6 +142,24 @@ ext_total{src="disk"} 8
 	}
 }
 
+// TestRegisterCollectorReplaces: registering again under a key replaces
+// the collector, as GaugeFunc does, so a registry shared by many volumes
+// scrapes the latest one only.
+func TestRegisterCollectorReplaces(t *testing.T) {
+	r := NewRegistry()
+	for i := 1; i <= 3; i++ {
+		v := float64(i)
+		r.RegisterCollector("k", func(emit func(string, Labels, float64)) { emit("x", nil, v) })
+	}
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != "x 3\n" {
+		t.Fatalf("exposition = %q, want one sample from the last collector", got)
+	}
+}
+
 func TestSnapshot(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a_total").Add(2)
@@ -166,7 +184,7 @@ func TestNilRegistryHandsOutNoopHandles(t *testing.T) {
 	r.Gauge("y").Set(1)
 	r.Histogram("z", nil).Observe(1)
 	r.GaugeFunc("w", func() float64 { return 1 })
-	r.RegisterCollector(func(emit func(string, Labels, float64)) {})
+	r.RegisterCollector("none", func(emit func(string, Labels, float64)) {})
 	if err := r.WritePrometheus(&strings.Builder{}); err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"log/slog"
 	mathrand "math/rand/v2"
 	"sort"
 	"sync"
@@ -266,9 +265,8 @@ type Tracer struct {
 	nextID atomic.Uint64
 	idBase uint64 // random salt: keeps span IDs from colliding across processes
 
-	ring   []atomic.Pointer[Span]
-	pos    atomic.Uint64 // spans retained over the tracer's lifetime
-	logger atomic.Pointer[slog.Logger]
+	ring []atomic.Pointer[Span]
+	pos  atomic.Uint64 // spans retained over the tracer's lifetime
 }
 
 // NewTracer returns a tracer retaining up to capacity finished spans
@@ -285,16 +283,6 @@ func NewTracer(capacity int) *Tracer {
 		binary.BigEndian.PutUint64(salt[:], uint64(time.Now().UnixNano()))
 	}
 	return &Tracer{idBase: binary.BigEndian.Uint64(salt[:]), ring: make([]atomic.Pointer[Span], capacity)}
-}
-
-// SetLogger attaches a structured event log: every finished span is
-// additionally emitted as one slog record (name, duration, attrs,
-// error). Pass nil to detach.
-func (t *Tracer) SetLogger(l *slog.Logger) {
-	if t == nil {
-		return
-	}
-	t.logger.Store(l)
 }
 
 // Start begins a new root span in a freshly minted trace.
@@ -402,22 +390,6 @@ func (t *Tracer) retain(s *Span) {
 	}
 	idx := t.pos.Add(1) - 1
 	t.ring[idx%uint64(len(t.ring))].Store(s)
-	if logger := t.logger.Load(); logger != nil {
-		attrs := make([]slog.Attr, 0, len(s.Attrs)+3)
-		attrs = append(attrs,
-			slog.Uint64("span", uint64(s.ID)),
-			slog.Duration("dur", s.Dur))
-		if s.Parent != 0 {
-			attrs = append(attrs, slog.Uint64("parent", uint64(s.Parent)))
-		}
-		for _, a := range s.Attrs {
-			attrs = append(attrs, slog.String(a.Key, a.Value))
-		}
-		if s.Err != "" {
-			attrs = append(attrs, slog.String("err", s.Err))
-		}
-		logger.LogAttrs(context.Background(), slog.LevelInfo, s.Name, attrs...)
-	}
 }
 
 // Recent returns the retained spans, oldest first.

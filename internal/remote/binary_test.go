@@ -23,7 +23,7 @@ func TestBinPingSearchFetch(t *testing.T) {
 	if err := bc.Ping(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := bc.Search("fingerprint")
+	got, err := bc.SearchContext(context.Background(), "fingerprint")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,17 +32,17 @@ func TestBinPingSearchFetch(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("search = %v, want %v", got, want)
 	}
-	data, err := bc.Fetch("/papers/iris.ps")
+	data, err := bc.FetchContext(context.Background(), "/papers/iris.ps")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(string(data), "iris recognition") {
 		t.Fatalf("fetch = %q", data)
 	}
-	if _, err := bc.Search("fingerprint AND ("); err == nil {
+	if _, err := bc.SearchContext(context.Background(), "fingerprint AND ("); err == nil {
 		t.Fatal("malformed query did not error")
 	}
-	if _, err := bc.Fetch("/no/such/file"); err == nil {
+	if _, err := bc.FetchContext(context.Background(), "/no/such/file"); err == nil {
 		t.Fatal("missing fetch did not error")
 	}
 }

@@ -31,9 +31,9 @@ var methods = []wire.Method{
 	mStatus:      {Label: "status", Span: "rpc.remote.Status"},
 }
 
-// BinClient talks the remote CBA protocol and implements hac.Namespace
-// and hac.ContextNamespace, so evaluation passes can bound every call
-// with a context. Many requests proceed concurrently on one
+// BinClient talks the remote CBA protocol and implements hac.Namespace,
+// whose calls take a context, so evaluation passes bound every call.
+// Many requests proceed concurrently on one
 // connection, re-dialed lazily after a failure, and search results
 // stream in pages.
 type BinClient struct {
@@ -100,13 +100,8 @@ func (c *BinClient) search(ctx context.Context, m int, q, scope string, after ui
 	return paths, next, epoch, nil
 }
 
-// Search evaluates a query on the remote system, streaming all result
-// pages.
-func (c *BinClient) Search(q string) ([]string, error) {
-	return c.SearchContext(context.Background(), q)
-}
-
-// SearchContext is Search bounded by ctx.
+// SearchContext evaluates a query on the remote system, bounded by
+// ctx, streaming all result pages.
 func (c *BinClient) SearchContext(ctx context.Context, q string) ([]string, error) {
 	paths, _, _, err := c.search(ctx, mSearch, q, "", 0, 0, 0)
 	return paths, err
@@ -156,12 +151,7 @@ func (c *BinClient) Status(ctx context.Context) (epoch, version uint64, docs int
 	return epoch, version, docs, d.Close()
 }
 
-// Fetch retrieves one remote document.
-func (c *BinClient) Fetch(path string) ([]byte, error) {
-	return c.FetchContext(context.Background(), path)
-}
-
-// FetchContext is Fetch bounded by ctx.
+// FetchContext retrieves one remote document, bounded by ctx.
 func (c *BinClient) FetchContext(ctx context.Context, path string) ([]byte, error) {
 	f, err := c.call(ctx, mFetch, fFetch, fData, wire.AppendString(nil, path))
 	if err != nil {

@@ -94,7 +94,7 @@ func TestPing(t *testing.T) {
 
 func TestSearch(t *testing.T) {
 	c, _ := startServer(t)
-	got, err := c.Search("fingerprint AND NOT murder")
+	got, err := c.SearchContext(context.Background(), "fingerprint AND NOT murder")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,12 +103,12 @@ func TestSearch(t *testing.T) {
 		t.Fatalf("Search = %v, want %v", got, want)
 	}
 	// Empty result.
-	got, err = c.Search("nonexistentterm")
+	got, err = c.SearchContext(context.Background(), "nonexistentterm")
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty Search = %v, %v", got, err)
 	}
 	// Empty query.
-	got, err = c.Search("")
+	got, err = c.SearchContext(context.Background(), "")
 	if err != nil || len(got) != 0 {
 		t.Fatalf("blank Search = %v, %v", got, err)
 	}
@@ -116,7 +116,7 @@ func TestSearch(t *testing.T) {
 
 func TestSearchBadQuery(t *testing.T) {
 	c, _ := startServer(t)
-	_, err := c.Search("((broken")
+	_, err := c.SearchContext(context.Background(), "((broken")
 	var re *wire.RemoteError
 	if !errors.As(err, &re) {
 		t.Fatalf("bad query err = %#v, want a *wire.RemoteError", err)
@@ -131,7 +131,7 @@ func TestSearchPage(t *testing.T) {
 	c, _ := startServer(t)
 	// Walk the whole result in pages of 1 and compare against the
 	// unpaged answer.
-	want, err := c.Search("fingerprint")
+	want, err := c.SearchContext(context.Background(), "fingerprint")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,11 +179,11 @@ func TestSearchPage(t *testing.T) {
 
 func TestFetch(t *testing.T) {
 	c, _ := startServer(t)
-	data, err := c.Fetch("/papers/iris.ps")
+	data, err := c.FetchContext(context.Background(), "/papers/iris.ps")
 	if err != nil || string(data) != "iris recognition methods" {
 		t.Fatalf("Fetch = %q, %v", data, err)
 	}
-	if _, err := c.Fetch("/papers/none.ps"); err == nil {
+	if _, err := c.FetchContext(context.Background(), "/papers/none.ps"); err == nil {
 		t.Fatal("Fetch of missing file succeeded")
 	}
 }
@@ -191,7 +191,7 @@ func TestFetch(t *testing.T) {
 func TestQueryWithSpaces(t *testing.T) {
 	c, _ := startServer(t)
 	// Queries travel length-prefixed, so arbitrary whitespace survives.
-	got, err := c.Search("  fingerprint   AND   sensor ")
+	got, err := c.SearchContext(context.Background(), "  fingerprint   AND   sensor ")
 	if err != nil || len(got) != 1 {
 		t.Fatalf("Search with spaces = %v, %v", got, err)
 	}
@@ -213,21 +213,21 @@ func TestReconnectAfterServerSideClose(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if got, err := c.Search("iris"); err != nil || len(got) != 1 {
+	if got, err := c.SearchContext(context.Background(), "iris"); err != nil || len(got) != 1 {
 		t.Fatalf("search after reconnect = %v, %v", got, err)
 	}
 }
 
 func TestDirRefMatchesNothingRemotely(t *testing.T) {
 	c, _ := startServer(t)
-	got, err := c.Search("fingerprint AND dir:#42")
+	got, err := c.SearchContext(context.Background(), "fingerprint AND dir:#42")
 	if err != nil || len(got) != 0 {
 		t.Fatalf("dir-ref Search = %v, %v", got, err)
 	}
 }
 
 func TestClientIsNamespace(t *testing.T) {
-	var _ hac.ContextNamespace = (*BinClient)(nil)
+	var _ hac.Namespace = (*BinClient)(nil)
 }
 
 // End-to-end: mount the remote server into a HAC volume and build a

@@ -12,8 +12,8 @@ import (
 )
 
 // MuxClient is a vfs.FileSystem backed by a remote Server. All local
-// layers compose over it: it can be mounted syntactically into a MemFS,
-// or serve as the substrate of a local HAC volume. Any number of
+// layers compose over it: it can be mounted syntactically into a local
+// substrate, or serve as the substrate of a local HAC volume. Any number of
 // goroutines issue requests concurrently over ONE connection, each
 // tagged with a request ID, and views onto different tenants of the
 // same server share the connection (see Tenant).

@@ -4,12 +4,12 @@
 // system can be done with mount points... They allow different file
 // systems to share certain directories").
 //
-// A Server wraps any vfs.FileSystem (a raw MemFS or a live HAC volume)
-// and serves it; a MuxClient implements vfs.FileSystem, so the remote
-// volume can be mounted into a local tree with MemFS.Mount, browsed,
-// written to, and even used as the substrate of a local HAC layer.
-// This is how one user's personal classification becomes visible to
-// coworkers (§3.2).
+// A Server wraps any vfs.FileSystem (a raw substrate or a live HAC
+// volume) and serves it; a MuxClient implements vfs.FileSystem, so the
+// remote volume can be mounted into a local tree with cas.FS.Mount,
+// browsed, written to, and even used as the substrate of a local HAC
+// layer. This is how one user's personal classification becomes
+// visible to coworkers (§3.2).
 //
 // The protocol rides the wire package's multiplexed framing (DESIGN.md
 // §12): every request and response is one self-contained frame payload

@@ -13,7 +13,7 @@ import (
 // counters) keeps the fault path free of registry writes — Stats() is
 // consulted only when someone scrapes.
 func (fs *FaultFS) PublishMetrics(reg *obs.Registry) {
-	reg.RegisterCollector(func(emit func(name string, labels obs.Labels, value float64)) {
+	reg.RegisterCollector("faultfs", func(emit func(name string, labels obs.Labels, value float64)) {
 		s := fs.Stats()
 		emit("faultfs_ops_total", nil, float64(s.Ops))
 		emit("faultfs_injected_total", nil, float64(s.Injected))

@@ -2,7 +2,6 @@ package vfs
 
 import (
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -663,49 +662,4 @@ func (fs *MemFS) Unmount(p string) error {
 	}
 	delete(fs.mounts, n.ino)
 	return nil
-}
-
-// MountPoints returns the paths of all current mount points, sorted.
-func (fs *MemFS) MountPoints() []string {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	var out []string
-	var visit func(n *node)
-	visit = func(n *node) {
-		if _, ok := fs.mounts[n.ino]; ok {
-			out = append(out, n.path())
-			return
-		}
-		for _, c := range n.children {
-			if c.isDir() {
-				visit(c)
-			}
-		}
-	}
-	visit(fs.root)
-	sort.Strings(out)
-	return out
-}
-
-// MetadataBytes estimates the in-memory footprint of the file system's
-// metadata (not file contents), for the space-overhead experiment.
-func (fs *MemFS) MetadataBytes() int {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	total := 0
-	var visit func(n *node)
-	visit = func(n *node) {
-		// A node costs its struct (~120 bytes) plus its name and, for
-		// symlinks, the target string; directories pay per-entry map
-		// overhead (~48 bytes each).
-		total += 120 + len(n.name) + len(n.target)
-		if n.isDir() {
-			total += 48 * len(n.children)
-			for _, c := range n.children {
-				visit(c)
-			}
-		}
-	}
-	visit(fs.root)
-	return total
 }

@@ -168,14 +168,6 @@ func TestNestedMounts(t *testing.T) {
 	}
 }
 
-func TestMountPoints(t *testing.T) {
-	host, _ := newMounted(t)
-	mps := host.MountPoints()
-	if len(mps) != 1 || mps[0] != "/mnt" {
-		t.Fatalf("MountPoints = %v", mps)
-	}
-}
-
 func TestSymlinkIntoMount(t *testing.T) {
 	host, _ := newMounted(t)
 	if err := host.Symlink("/mnt/g.txt", "/shortcut"); err != nil {

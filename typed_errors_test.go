@@ -85,8 +85,8 @@ func TestTypedErrorsRoundTripEveryService(t *testing.T) {
 		name string
 		call func(arg string) error
 	}{
-		{"remote.Fetch", func(arg string) error { _, err := cba.Fetch(arg); return err }},
-		{"remote.Search", func(arg string) error { _, err := cba.Search(arg); return err }},
+		{"remote.FetchContext", func(arg string) error { _, err := cba.FetchContext(context.Background(), arg); return err }},
+		{"remote.SearchContext", func(arg string) error { _, err := cba.SearchContext(context.Background(), arg); return err }},
 		{"remotefs.ReadFile", func(arg string) error { _, err := rfs.ReadFile("/" + arg); return err }},
 	}
 	for _, svc := range services {
